@@ -7,10 +7,10 @@ unlabeled, was sent to the oracle, was pseudo-labeled locally, or is held out
 for validation; the oracle's answers live here too, so downstream stages
 never touch ground truth by accident.
 
-Augmentations are small declarative configs applied through an explicit
-numpy Generator, which keeps every perturbation replayable. Synthetic
-sources (a separable Gaussian mixture and noisy low-res digit glyphs) cover
-desk-scale experiments without external data.
+Augmentations are small declarative configs applied to a batch of rows
+through an explicit numpy Generator, which keeps every perturbation
+replayable. Synthetic sources (a separable Gaussian mixture and noisy
+low-res digit glyphs) cover desk-scale experiments without external data.
 """
 
 from __future__ import annotations
@@ -279,51 +279,52 @@ class AugmentConfig:
             )
 
 
-def _fold(x: np.ndarray, layout: ImageLayout) -> np.ndarray:
-    return x.reshape(layout.height, layout.width, layout.channels)
-
-
 def apply_transform(x, op: Transform, layout: Optional[ImageLayout], rng: np.random.Generator) -> np.ndarray:
-    """One perturbed copy of a flat feature row. Draw order is fixed per op,
-    so a given generator state yields exactly one outcome."""
+    """Perturbed copies of an (n, d) batch of flat feature rows; a 1-d row is
+    a batch of one and comes back as a row. Each op draws its random numbers
+    batch-wise in a fixed order, so a given generator state yields exactly
+    one outcome, and a one-row GaussianJitter or HorizontalFlip draws the
+    same numbers as a per-row draw from that state would."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InvalidInputError(f"expected a flat feature row, got shape {x.shape}")
-    if isinstance(op, GaussianJitter):
-        return x + rng.normal(0.0, op.sigma, size=x.size) if op.sigma > 0 else x.copy()
-    if isinstance(op, JitterDrop):
-        out = x + rng.normal(0.0, op.sigma, size=x.size) if op.sigma > 0 else x.copy()
-        ndrop = int(round(op.drop_frac * x.size))
+    if x.ndim not in (1, 2):
+        raise InvalidInputError(f"expected a feature row or an (n, d) batch, got shape {x.shape}")
+    X = np.atleast_2d(x)
+    n, d = X.shape
+    if isinstance(op, (GaussianJitter, JitterDrop)):
+        out = X + rng.normal(0.0, op.sigma, size=X.shape) if op.sigma > 0 else X.copy()
+        ndrop = int(round(op.drop_frac * d)) if isinstance(op, JitterDrop) else 0
         if ndrop > 0:
-            out[rng.choice(x.size, size=ndrop, replace=False)] = 0.0
-        return out
-    if layout is None:
+            np.put_along_axis(out, rng.random(X.shape).argsort(axis=1)[:, :ndrop], 0.0, axis=1)
+    elif layout is None:
         raise InvalidInputError(f"{type(op).__name__} needs an image layout")
-    if isinstance(op, HorizontalFlip):
-        if rng.random() < op.p:
-            return _fold(x, layout)[:, ::-1, :].ravel().copy()
-        return x.copy()
-    if isinstance(op, RandLite):
-        img = _fold(x, layout).copy()
+    elif isinstance(op, HorizontalFlip):
+        flip = rng.random(n) < op.p
+        mirrored = X.reshape(n, layout.height, layout.width, layout.channels)[:, :, ::-1, :]
+        out = np.where(flip[:, None], mirrored.reshape(n, d), X)
+    elif isinstance(op, RandLite):
         h, w = layout.height, layout.width
+        imgs = X.reshape(n, h, w, layout.channels).copy()
+        shift = int(round(op.magnitude * w))
+        side = int(round(op.magnitude * min(h, w)))
         for _ in range(op.n_ops):
-            kind = int(rng.integers(0, 3))
-            if kind == 0:
-                shift = int(round(op.magnitude * w))
-                direction = int(rng.integers(0, 2)) * 2 - 1
-                if shift > 0:
-                    img = np.roll(img, direction * shift, axis=1)
-            elif kind == 1:
-                if op.magnitude > 0:
-                    img = img + rng.normal(0.0, op.magnitude, size=img.shape)
-            else:
-                side = int(round(op.magnitude * min(h, w)))
-                top = int(rng.integers(0, h - side + 1))
-                left = int(rng.integers(0, w - side + 1))
-                if side > 0:
-                    img[top : top + side, left : left + side, :] = op.dataset_mean
-        return img.ravel()
-    raise InvalidInputError(f"unknown transform {op!r}")
+            kind = rng.integers(0, 3, size=n)
+            # kind 0: roll the columns by +-shift
+            roll = np.where(kind == 0, (rng.integers(0, 2, size=n) * 2 - 1) * shift, 0)
+            cols = (np.arange(w) - roll[:, None]) % w
+            imgs = np.take_along_axis(imgs, cols[:, None, :, None], axis=2)
+            # kind 1: additive noise
+            noisy = kind == 1
+            if op.magnitude > 0:
+                imgs[noisy] += rng.normal(0.0, op.magnitude, size=(int(noisy.sum()), *imgs.shape[1:]))
+            # kind 2: a side x side square filled with the dataset mean
+            top = np.arange(h) - rng.integers(0, h - side + 1, size=n)[:, None]
+            left = np.arange(w) - rng.integers(0, w - side + 1, size=n)[:, None]
+            box = ((top >= 0) & (top < side))[:, :, None] & ((left >= 0) & (left < side))[:, None, :]
+            imgs[box & (kind == 2)[:, None, None]] = op.dataset_mean
+        out = imgs.reshape(n, d)
+    else:
+        raise InvalidInputError(f"unknown transform {op!r}")
+    return out if x.ndim == 2 else out[0]
 
 
 def weak_augment(x, cfg: AugmentConfig, layout: Optional[ImageLayout], rng: np.random.Generator) -> np.ndarray:

@@ -228,8 +228,7 @@ def majority_vote(labels: np.ndarray, consensus: np.ndarray) -> np.ndarray:
 def ensemble_predict(models: list[MlpModel], X) -> np.ndarray:
     """Majority-vote labels with consensus fallback."""
     probs = member_probs_matrix(models, X)
-    labels = np.stack([np.argmax(p, axis=1) for p in probs])
-    return majority_vote(labels, consensus_mean(probs))
+    return majority_vote(np.argmax(probs, axis=2), consensus_mean(probs))
 
 
 # ── persistence ──────────────────────────────────────────────────────
@@ -256,6 +255,8 @@ def load_ensemble(directory, victim_arch_index: Optional[int] = None) -> Ensembl
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise InvalidInputError(f"cannot read ensemble index: {exc}") from exc
+    if not lines:
+        raise InvalidInputError(f"ensemble index {index_path} is empty")
     header = lines[0].split()
     if len(header) != 4 or header[0] != "members" or header[2] != "cycle":
         raise InvalidInputError(f"malformed ensemble index header: {lines[0]!r}")

@@ -48,9 +48,12 @@ from .datapool import (
 from .ensemble import (
     DEFAULT_HIDDEN_PROFILE,
     EnsembleState,
+    consensus_mean,
     default_member_configs,
     ensemble_predict,
+    majority_vote,
     make_default_ensemble,
+    member_probs_matrix,
     save_ensemble,
     train_cycle,
 )
@@ -75,7 +78,6 @@ SSL_STAGE = 9
 ADV_STAGE = 10
 CLIENT_IDS = 11
 
-CURVES_HEADER = "cycle,queries_spent,member0_acc,member1_acc,member2_acc,member3_acc,member4_acc,ensemble_acc,ensemble_agr"
 SCORES_HEADER = "cycle,sample_index,score,selected"
 PSEUDO_HIST_HEADER = "class,count"
 
@@ -558,12 +560,12 @@ def evaluate_models(models: list[MlpModel], victim_model: MlpModel, test: Datase
         raise InvalidConfigError("evaluation data must be labeled")
     X, y = test.features, test.labels
     victim_labels = numkit.predict_batch(victim_model, X)
-    member_accs = [numkit.accuracy(m, X, y) for m in models]
-    member_agrs = [float(np.mean(numkit.predict_batch(m, X) == victim_labels)) for m in models]
-    vote = ensemble_predict(models, X)
+    probs = member_probs_matrix(models, X)
+    labels = np.argmax(probs, axis=2)
+    vote = majority_vote(labels, consensus_mean(probs))
     return {
-        "member_accs": member_accs,
-        "member_agreements": member_agrs,
+        "member_accs": [float(np.mean(lab == y)) for lab in labels],
+        "member_agreements": [float(np.mean(lab == victim_labels)) for lab in labels],
         "ensemble_acc": float(np.mean(vote == y)),
         "ensemble_agreement": float(np.mean(vote == victim_labels)),
         "victim_acc": float(np.mean(victim_labels == y)),
@@ -600,6 +602,14 @@ def _fmt(v) -> str:
 def _write_lines(path, lines: list[str]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_curves(out_dir, cfg: ExperimentConfig, curves_rows: list[list]) -> None:
+    """curves.csv with one accuracy column per committee member."""
+    members = [f"member{i}_acc" for i in range(len(cfg.attack.ensemble.hidden_profile))]
+    header = ",".join(["cycle", "queries_spent", *members, "ensemble_acc", "ensemble_agr"])
+    rows = [",".join(_fmt(v) for v in row) for row in curves_rows]
+    _write_lines(os.path.join(out_dir, "curves.csv"), [header, *rows])
 
 
 def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None) -> dict:
@@ -811,7 +821,7 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
             _emit_reports(out_dir, report, curves_rows, score_rows, pseudo_hist, cfg)
         return report
     except StageError as err:
-        _emit_failure(out_dir, err, report, curves_rows)
+        _emit_failure(out_dir, err, cfg, curves_rows)
         raise
     finally:
         if client is not None:
@@ -826,10 +836,7 @@ def _emit_reports(
     pseudo_hist: list[int],
     cfg: ExperimentConfig,
 ) -> None:
-    _write_lines(
-        os.path.join(out_dir, "curves.csv"),
-        [CURVES_HEADER, *(",".join(_fmt(v) for v in row) for row in curves_rows)],
-    )
+    _write_curves(out_dir, cfg, curves_rows)
     _write_lines(
         os.path.join(out_dir, "pseudo_hist.csv"),
         [PSEUDO_HIST_HEADER, *(f"{i},{n}" for i, n in enumerate(pseudo_hist))],
@@ -871,12 +878,9 @@ def _emit_reports(
     _write_lines(os.path.join(out_dir, "summary.txt"), lines)
 
 
-def _emit_failure(out_dir, err: StageError, report: dict, curves_rows: list[list]) -> None:
+def _emit_failure(out_dir, err: StageError, cfg: ExperimentConfig, curves_rows: list[list]) -> None:
     try:
-        _write_lines(
-            os.path.join(out_dir, "curves.csv"),
-            [CURVES_HEADER, *(",".join(_fmt(v) for v in row) for row in curves_rows)],
-        )
+        _write_curves(out_dir, cfg, curves_rows)
         _write_lines(os.path.join(out_dir, "summary.txt"), [f"run failed: {err}"])
     except OSError:
         pass

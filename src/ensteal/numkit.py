@@ -99,15 +99,20 @@ class MlpModel:
 
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(W, b) views into the flat parameter vector, one pair per layer."""
-        out = []
-        offset = 0
-        for fi, fo in self.spec.layer_dims():
-            w = self.params[offset : offset + fi * fo].reshape(fi, fo)
-            offset += fi * fo
-            b = self.params[offset : offset + fo]
-            offset += fo
-            out.append((w, b))
-        return out
+        return _layer_views(self.spec, self.params)
+
+
+def _layer_views(spec: MlpSpec, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views into any flat vector laid out in canonical parameter order."""
+    out = []
+    offset = 0
+    for fi, fo in spec.layer_dims():
+        w = flat[offset : offset + fi * fo].reshape(fi, fo)
+        offset += fi * fo
+        b = flat[offset : offset + fo]
+        offset += fo
+        out.append((w, b))
+    return out
 
 
 # ── validation helpers ───────────────────────────────────────────────
@@ -169,10 +174,8 @@ def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - t * t
 
 
-def _forward(model: MlpModel, X: np.ndarray):
+def _forward(layers: list, act: str, X: np.ndarray):
     """Returns (logits, pre-activations per hidden layer, activations incl. input)."""
-    act = model.spec.activation
-    layers = model.layers()
     a = X
     zs: list[np.ndarray] = []
     acts: list[np.ndarray] = [X]
@@ -194,7 +197,7 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def logits_batch(model: MlpModel, X) -> np.ndarray:
     X = _as_batch(model, X)
-    logits, _, _ = _forward(model, X)
+    logits, _, _ = _forward(model.layers(), model.spec.activation, X)
     return logits
 
 
@@ -230,31 +233,31 @@ def loss_and_grad(model: MlpModel, X, y) -> tuple[float, np.ndarray]:
     gradient, flattened in canonical parameter order."""
     X = _as_batch(model, X)
     y = _as_labels(model, y, X.shape[0])
+    grad = np.empty_like(model.params)
+    loss = _loss_grad_into(model.layers(), _layer_views(model.spec, grad), model.spec.activation, X, y)
+    return loss, grad
+
+
+def _loss_grad_into(layers: list, grads: list, act: str, X: np.ndarray, y: np.ndarray) -> float:
+    """Kernel behind loss_and_grad on already validated inputs: returns the
+    mean loss and writes the gradient into `grads`, (dW, db) views laid out
+    like `layers`."""
     n = X.shape[0]
-    act = model.spec.activation
-    layers = model.layers()
-
-    logits, zs, acts = _forward(model, X)
+    logits, zs, acts = _forward(layers, act, X)
     probs = _softmax_rows(logits)
+    rows = np.arange(n)
     with np.errstate(divide="ignore"):  # log(0) -> inf feeds the divergence guard
-        loss = float(-np.mean(np.log(probs[np.arange(n), y])))
-
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-
-    grads: list[np.ndarray] = [None] * len(layers)  # type: ignore[list-item]
-    dz = dlogits
+        loss = float(-np.mean(np.log(probs[rows, y])))
+    dz = probs  # turned into d(loss)/d(logits) in place
+    dz[rows, y] -= 1.0
+    dz /= n
     for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        a_prev = acts[li]
-        dw = a_prev.T @ dz
-        db = dz.sum(axis=0)
-        grads[li] = np.concatenate([dw.ravel(), db])
+        gw, gb = grads[li]
+        np.matmul(acts[li].T, dz, out=gw)
+        np.sum(dz, axis=0, out=gb)
         if li > 0:
-            da = dz @ w.T
-            dz = da * _activate_grad(zs[li - 1], act)
-    return loss, np.concatenate(grads)
+            dz = (dz @ layers[li][0].T) * _activate_grad(zs[li - 1], act)
+    return loss
 
 
 def input_grad_batch(model: MlpModel, X, y) -> np.ndarray:
@@ -265,7 +268,7 @@ def input_grad_batch(model: MlpModel, X, y) -> np.ndarray:
     act = model.spec.activation
     layers = model.layers()
 
-    logits, zs, _ = _forward(model, X)
+    logits, zs, _ = _forward(layers, act, X)
     probs = _softmax_rows(logits)
     dz = probs
     dz[np.arange(n), y] -= 1.0
@@ -318,6 +321,42 @@ def sgd_update(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray, lr: f
     params -= lr * velocity
 
 
+def sgd_epoch(
+    model: MlpModel,
+    velocity: np.ndarray,
+    X,
+    y,
+    order: np.ndarray,
+    cfg: SgdConfig,
+    lr: float,
+    grad_scale: float = 1.0,
+) -> float:
+    """One pass of momentum SGD over the rows X[order] in minibatches of
+    cfg.batch_size, updating model.params and velocity in place. Each step's
+    gradient is the mean cross-entropy gradient times grad_scale, plus
+    cfg.weight_decay * params when nonzero. Returns the pass's mean loss.
+
+    Inputs are validated once per pass, not once per minibatch.
+    """
+    X = _as_batch(model, X)
+    y = _as_labels(model, y, X.shape[0])
+    X, y = X[order], y[order]
+    layers = model.layers()
+    grad = np.empty_like(model.params)
+    grads = _layer_views(model.spec, grad)
+    act = model.spec.activation
+    total = 0.0
+    for start in range(0, order.size, cfg.batch_size):
+        batch = slice(start, start + cfg.batch_size)
+        total += _loss_grad_into(layers, grads, act, X[batch], y[batch]) * y[batch].size
+        if grad_scale != 1.0:
+            grad *= grad_scale
+        if cfg.weight_decay > 0.0:
+            grad += cfg.weight_decay * model.params
+        sgd_update(model.params, velocity, grad, lr, cfg.momentum)
+    return total / order.size
+
+
 def train_supervised(
     model: MlpModel,
     data: tuple,
@@ -335,23 +374,13 @@ def train_supervised(
     out = model.copy()
     X = _as_batch(out, X)
     y = _as_labels(out, y, X.shape[0])
-    n = X.shape[0]
     rng_seed = mask64(rng_seed)
 
     velocity = np.zeros_like(out.params)
     losses: list[float] = []
     for epoch in range(cfg.epochs):
-        lr = effective_lr(cfg, epoch)
-        order = np.random.default_rng(mask64(rng_seed ^ epoch)).permutation(n)
-        total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grad = loss_and_grad(out, X[idx], y[idx])
-            total += loss * idx.size
-            if cfg.weight_decay > 0.0:
-                grad = grad + cfg.weight_decay * out.params
-            sgd_update(out.params, velocity, grad, lr, cfg.momentum)
-        mean_loss = total / n
+        order = np.random.default_rng(mask64(rng_seed ^ epoch)).permutation(X.shape[0])
+        mean_loss = sgd_epoch(out, velocity, X, y, order, cfg, effective_lr(cfg, epoch))
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(epoch)
         losses.append(mean_loss)

@@ -172,26 +172,6 @@ class SslEpochTrace:
     total_loss: float
 
 
-def _epoch_pass(
-    model: MlpModel,
-    velocity: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
-    order: np.ndarray,
-    lr: float,
-    momentum: float,
-    batch_size: int,
-    grad_scale: float,
-) -> float:
-    total = 0.0
-    for start in range(0, order.size, batch_size):
-        sel = order[start : start + batch_size]
-        loss, grad = numkit.loss_and_grad(model, X[sel], y[sel])
-        total += loss * sel.size
-        numkit.sgd_update(model.params, velocity, grad_scale * grad, lr, momentum)
-    return total / order.size
-
-
 def ssl_train(
     state: EnsembleState,
     pool_state: PoolState,
@@ -201,10 +181,11 @@ def ssl_train(
     """Fine-tune every member's best checkpoint on labeled plus pseudo rows.
 
     Each epoch runs the labeled minibatches, then the pseudo minibatches
-    with gradients scaled by the pseudo loss weight; pseudo inputs are
-    strongly perturbed anew that epoch. The learning rate stays fixed.
-    Members whose validation accuracy strictly improves replace their best
-    checkpoint. With no pseudo rows recorded this is a no-op returning [].
+    with gradients scaled by the pseudo loss weight; the shuffled pseudo
+    inputs are strongly perturbed anew that epoch, as one batch. The
+    learning rate stays fixed. Members whose validation accuracy strictly
+    improves replace their best checkpoint. With no pseudo rows recorded
+    this is a no-op returning [].
     """
     Xp, yp, _ = pool_state.pseudo_data()
     if Xp.shape[0] == 0:
@@ -219,34 +200,23 @@ def ssl_train(
     lam = cfg.pseudo_loss_weight
     traces: list[SslEpochTrace] = []
     starting_points = state.best_models()
+    sgd = numkit.SgdConfig(base_lr=cfg.lr, momentum=cfg.momentum, batch_size=cfg.batch_size)
 
     for i in range(state.spec.size):
         model = starting_points[i].copy()
         velocity = np.zeros_like(model.params)
         for e in range(cfg.epochs):
             order_l = np.random.default_rng(derive_seed(seed, i, e, 0)).permutation(Xl.shape[0])
-            labeled_loss = _epoch_pass(
-                model, velocity, Xl, yl, order_l, cfg.lr, cfg.momentum, cfg.batch_size, 1.0
-            )
+            labeled_loss = numkit.sgd_epoch(model, velocity, Xl, yl, order_l, sgd, cfg.lr)
             pseudo_loss = 0.0
             if lam > 0.0:
                 order_p = np.random.default_rng(derive_seed(seed, i, e, 1)).permutation(Xp.shape[0])
                 aug_rng = np.random.default_rng(
                     (mask64(seed), mask64(cfg.augment.rng_seed), i, e, 1)
                 )
-                Xa = np.stack(
-                    [strong_augment(Xp[j], cfg.augment, layout, aug_rng) for j in order_p]
-                )
-                pseudo_loss = _epoch_pass(
-                    model,
-                    velocity,
-                    Xa,
-                    yp[order_p],
-                    np.arange(order_p.size),
-                    cfg.lr,
-                    cfg.momentum,
-                    cfg.batch_size,
-                    lam,
+                Xa = strong_augment(Xp[order_p], cfg.augment, layout, aug_rng)
+                pseudo_loss = numkit.sgd_epoch(
+                    model, velocity, Xa, yp[order_p], np.arange(order_p.size), sgd, cfg.lr, lam
                 )
             traces.append(
                 SslEpochTrace(i, e, labeled_loss, pseudo_loss, labeled_loss + lam * pseudo_loss)

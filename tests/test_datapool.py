@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from ensteal.datapool import (
     PSEUDO,
     QUERIED,
@@ -127,6 +128,14 @@ def test_hflip_mirrors_width():
     assert np.array_equal(same, img)
     with pytest.raises(InvalidInputError):
         apply_transform(img, HorizontalFlip(p=1.0), None, np.random.default_rng(0))
+    # a batch flips row by row; a one-row batch replays the per-row draw
+    batch = np.stack([img, img + 10.0])
+    both = apply_transform(batch, HorizontalFlip(p=1.0), layout, np.random.default_rng(0))
+    assert np.array_equal(both, np.stack([out, out + 10.0]))
+    for seed in range(8):
+        row = apply_transform(img[None, :], HorizontalFlip(p=0.5), layout, np.random.default_rng(seed))
+        ref = oracles._replay_weak_transform(img, HorizontalFlip(p=0.5), layout, np.random.default_rng(seed))
+        assert row.shape == (1, 6) and np.array_equal(row[0], ref)
 
 
 def test_jitter_statistics_and_identity(rng):
@@ -135,12 +144,20 @@ def test_jitter_statistics_and_identity(rng):
     assert abs(out.std() - 0.5) < 0.05
     same = apply_transform(x, GaussianJitter(0.0), None, rng)
     assert np.array_equal(same, x) and same is not x
+    # a 1-d row gives the same result as a one-row batch
+    row = apply_transform(x[:10], GaussianJitter(0.5), None, np.random.default_rng(4))
+    batch = apply_transform(x[None, :10], GaussianJitter(0.5), None, np.random.default_rng(4))
+    assert row.shape == (10,) and np.array_equal(row, batch[0])
 
 
 def test_jitter_drop_zeroes_coords(rng):
     x = np.full(100, 7.0)
     out = apply_transform(x, JitterDrop(sigma=0.01, drop_frac=0.25), None, rng)
     assert (out == 0.0).sum() == 25
+    # every row of a batch loses exactly round(frac * d) coordinates
+    batch = apply_transform(np.full((6, 30), 7.0), JitterDrop(sigma=0.01, drop_frac=0.1), None, rng)
+    assert np.array_equal((batch == 0.0).sum(axis=1), [3] * 6)
+    assert len({tuple(np.flatnonzero(r == 0.0)) for r in batch}) > 1  # rows draw their own coords
 
 
 def test_rand_lite_identity_at_zero_magnitude():
@@ -148,6 +165,9 @@ def test_rand_lite_identity_at_zero_magnitude():
     x = np.arange(16.0)
     out = apply_transform(x, RandLite(n_ops=3, magnitude=0.0), layout, np.random.default_rng(5))
     assert np.array_equal(out, x)
+    batch = np.stack([x, -x, x * 2.0])
+    out = apply_transform(batch, RandLite(n_ops=3, magnitude=0.0), layout, np.random.default_rng(5))
+    assert np.array_equal(out, batch)
 
 
 def test_rand_lite_perturbs(rng):
@@ -159,6 +179,29 @@ def test_rand_lite_perturbs(rng):
     a = apply_transform(x, RandLite(2, 0.4), layout, np.random.default_rng(3))
     b = apply_transform(x, RandLite(2, 0.4), layout, np.random.default_rng(3))
     assert np.array_equal(a, b)
+    # a 1-d row gives the same result as a one-row batch
+    assert np.array_equal(a, apply_transform(x[None, :], RandLite(2, 0.4), layout, np.random.default_rng(3))[0])
+    # a batch is deterministic per generator state too, and perturbs its rows independently
+    batch = np.tile(x, (12, 1))
+    a = apply_transform(batch, RandLite(2, 0.4), layout, np.random.default_rng(3))
+    b = apply_transform(batch, RandLite(2, 0.4), layout, np.random.default_rng(3))
+    assert a.shape == batch.shape and np.array_equal(a, b)
+    assert len({r.tobytes() for r in a}) > 1
+    # with one op, each row is exactly one of: its columns rolled by 3, a
+    # 3x3 square set to the dataset mean, or a noisy copy
+    out = apply_transform(np.tile(x, (60, 1)), RandLite(1, 0.5, dataset_mean=-1.0), layout, rng)
+    rolled_x = np.roll(x.reshape(6, 6), 3, axis=1).ravel()
+    kinds = []
+    for r in out:
+        filled = r == -1.0
+        if np.array_equal(r, rolled_x):
+            kinds.append("roll")
+        elif filled.sum() == 9 and np.array_equal(r[~filled], x[~filled]):
+            kinds.append("square")
+        else:
+            assert not filled.any() and np.all(r != x), "row matches no RandLite op"
+            kinds.append("noise")
+    assert set(kinds) == {"roll", "square", "noise"}
 
 
 def test_weak_augment_uses_config():

@@ -207,3 +207,7 @@ def test_ensemble_roundtrip(trained_state, tmp_path):
 def test_load_ensemble_missing_dir(tmp_path):
     with pytest.raises(InvalidInputError):
         load_ensemble(tmp_path / "nope")
+    # an empty index is malformed input, not a crash
+    (tmp_path / "index.txt").write_text("")
+    with pytest.raises(InvalidInputError):
+        load_ensemble(tmp_path)

@@ -7,7 +7,6 @@ from ensteal.datapool import GaussianMixture, ImageLayout, make_synthetic
 from ensteal.errors import InvalidConfigError, StageError
 from ensteal.harness import (
     ADV_STAGE,
-    CURVES_HEADER,
     CYCLE_TRAIN,
     POOL_DATA,
     SELECT,
@@ -242,8 +241,11 @@ def test_run_attack_emits_all_files(tiny_run):
 def test_run_attack_curves_shape(tiny_run):
     cfg, out, _ = tiny_run
     lines = (out / "curves.csv").read_text().strip().split("\n")
-    # header accommodates 5 members; smaller ensembles blank the extras
-    assert lines[0] == CURVES_HEADER
+    # one accuracy column per member of the 3-member committee
+    assert lines[0] == (
+        "cycle,queries_spent,member0_acc,member1_acc,member2_acc,ensemble_acc,ensemble_agr"
+    )
+    assert all(ln.count(",") == lines[0].count(",") for ln in lines[1:])
     # cycles + 1 ssl row
     assert len(lines) == 1 + cfg.attack.cycles + 1
     first = lines[1].split(",")
@@ -317,3 +319,6 @@ def test_run_attack_failure_labels_stage(tmp_path):
     assert err.value.stage in ("victim", "initial_queries")
     summary = (tmp_path / "summary.txt").read_text()
     assert "run failed" in summary
+    # the failure path sizes the curves header to the committee as well
+    header = (tmp_path / "curves.csv").read_text().split("\n")[0]
+    assert header.split(",")[2:-2] == ["member0_acc", "member1_acc", "member2_acc"]

@@ -20,6 +20,7 @@ from ensteal.numkit import (
     softmax_probs,
     train_supervised,
 )
+from ensteal.seeding import mask64
 
 
 def small_model(seed=3, hidden=(7, 4), dim=5, classes=3, act="relu"):
@@ -221,6 +222,45 @@ def test_train_is_deterministic_and_counts_epochs(rng):
     assert t1.epoch_counter == 7
     assert model.epoch_counter == 0  # input untouched
     assert np.all(np.isfinite(t1.params))
+
+
+def _reference_train(model, X, y, cfg, seed):
+    """The minibatch loop written out from the public per-batch calls."""
+    out = model.copy()
+    velocity = np.zeros_like(out.params)
+    losses = []
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng(mask64(mask64(seed) ^ epoch)).permutation(len(X))
+        total = 0.0
+        for start in range(0, len(X), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, grad = loss_and_grad(out, X[idx], y[idx])
+            total += loss * idx.size
+            if cfg.weight_decay > 0.0:
+                grad = grad + cfg.weight_decay * out.params
+            sgd_update(out.params, velocity, grad, effective_lr(cfg, epoch), cfg.momentum)
+        losses.append(total / len(X))
+    return out.params, losses
+
+
+@pytest.mark.parametrize(
+    "act, momentum, weight_decay",
+    [("relu", 0.9, 0.0), ("tanh", 0.9, 0.01), ("relu", 0.0, 0.05), ("tanh", 0.5, 0.0)],
+)
+def test_train_matches_reference_loop_bitwise(rng, act, momentum, weight_decay):
+    # 45 rows in batches of 16 leave a short last batch; the lr decays
+    # at epochs 3 and 6, inside the run
+    model = small_model(seed=11, hidden=(9, 6), act=act)
+    X = rng.normal(size=(45, 5))
+    y = rng.integers(0, 3, 45)
+    cfg = SgdConfig(
+        base_lr=0.05, momentum=momentum, lr_decay_factor=0.5, lr_decay_every=3,
+        weight_decay=weight_decay, epochs=7, batch_size=16,
+    )
+    trained, losses = train_supervised(model, (X, y), cfg, 77)
+    ref_params, ref_losses = _reference_train(model, X, y, cfg, 77)
+    assert np.array_equal(trained.params, ref_params)
+    assert losses == ref_losses
 
 
 def test_training_reduces_loss(small_mixture):

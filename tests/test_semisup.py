@@ -11,6 +11,7 @@ from ensteal.datapool import (
     PoolState,
     make_synthetic,
     strip_labels,
+    strong_augment,
 )
 from ensteal.ensemble import (
     EnsembleState,
@@ -19,7 +20,8 @@ from ensteal.ensemble import (
     train_cycle,
 )
 from ensteal.errors import InvalidConfigError
-from ensteal.numkit import accuracy
+from ensteal.numkit import accuracy, loss_and_grad, sgd_update
+from ensteal.seeding import derive_seed, mask64
 from ensteal.semisup import (
     FilterRecord,
     SslConfig,
@@ -248,4 +250,53 @@ def test_ssl_train_improves_or_preserves_validation(ssl_scenario):
     ssl_train(st, ps, cfg, seed=21)
     after = max(accuracy(m, Xv, yv) for m in st.best_models())
     assert after >= before - 0.05
+    ps.clear_pseudo()
+
+
+def _reference_ssl_train(models, ps, cfg, seed):
+    """ssl_train's fine-tuning loop written out from the public per-batch
+    calls: final parameters per member and every pass's mean loss."""
+    Xl, yl, _ = ps.labeled_data()
+    Xp, yp, _ = ps.pseudo_data()
+    lam = cfg.pseudo_loss_weight
+    params, losses = [], []
+    for i, start in enumerate(models):
+        model = start.copy()
+        velocity = np.zeros_like(model.params)
+        for e in range(cfg.epochs):
+            passes = [(Xl, yl, np.random.default_rng(derive_seed(seed, i, e, 0)).permutation(len(Xl)), 1.0)]
+            if lam > 0.0:
+                order = np.random.default_rng(derive_seed(seed, i, e, 1)).permutation(len(Xp))
+                aug_rng = np.random.default_rng((mask64(seed), cfg.augment.rng_seed, i, e, 1))
+                Xa = strong_augment(Xp[order], cfg.augment, None, aug_rng)
+                passes.append((Xa, yp[order], np.arange(order.size), lam))
+            for X, y, order, scale in passes:
+                total = 0.0
+                for s in range(0, order.size, cfg.batch_size):
+                    sel = order[s : s + cfg.batch_size]
+                    loss, grad = loss_and_grad(model, X[sel], y[sel])
+                    total += loss * sel.size
+                    sgd_update(model.params, velocity, scale * grad, cfg.lr, cfg.momentum)
+                losses.append(total / order.size)
+        params.append(model.params)
+    return params, losses
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.7])
+def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, weight):
+    import copy
+
+    state, ps, _ = ssl_scenario
+    cfg = SslConfig(
+        augment=tabular_aug(seed=2), confidence_threshold=0.5, epochs=3, per_class_cap=25,
+        pseudo_loss_weight=weight, batch_size=16,
+    )
+    harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
+    st = copy.deepcopy(state)
+    ref_params, ref_losses = _reference_ssl_train(st.best_models(), ps, cfg, seed=13)
+    traces = ssl_train(st, ps, cfg, seed=13)
+    for model, params in zip(st.current, ref_params):
+        assert np.array_equal(model.params, params)
+    passes = [(t.labeled_loss, t.pseudo_loss) if weight else (t.labeled_loss,) for t in traces]
+    assert [loss for p in passes for loss in p] == ref_losses
     ps.clear_pseudo()
