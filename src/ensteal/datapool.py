@@ -130,6 +130,14 @@ class PoolState:
             raise InvalidInputError(f"indices out of range [0, {self.pool.n})")
         return idx
 
+    def check_queryable(self, indices) -> np.ndarray:
+        """Validate indices of rows to send to the oracle; all must still be
+        unlabeled. Returns them sorted, the order the oracle answers in."""
+        idx = self._check_indices(indices)
+        if np.any(self.status[idx] != UNLABELED):
+            raise InvalidInputError("can only query rows that are still unlabeled")
+        return np.sort(idx)
+
     # -- transitions
 
     def mark_queried(self, indices, labels) -> None:

@@ -4,21 +4,28 @@ Wire protocol: one JSON object per newline-terminated line, both ways.
 Requests carry a caller-chosen integer id, echoed back in the response:
 
     {"id": 7, "op": "predict", "x": [0.1, ...]}  ->  {"id": 7, "label": 3}
+    {"id": 9, "op": "predict_batch", "x": [[0.1, ...], ...]}
+                                                 ->  {"id": 9, "labels": [3, ...]}
     {"id": 8, "op": "budget"}                    ->  {"id": 8, "remaining": 512}
 
+A predict_batch is all or nothing: it is charged once, and a batch larger
+than the remaining budget is refused whole, charging and logging nothing.
 Failures answer {"id": ..., "error": msg, "code": code} with code one of
 BUDGET_EXHAUSTED, BAD_INPUT, or INTERNAL; a line that does not parse gets
 id 0 and BAD_INPUT, and the connection stays open either way.
 
-The server keeps a bounded most-recently-used cache of answered ids, so a
-client that lost a response can resend the same id and receive the original
-answer without spending budget again. Budget charging itself lives in the
-wrapped oracle's single lock, which keeps concurrent connections honest.
+The server keeps a bounded most-recently-used cache of predict answers keyed
+by (id, digest of the op and x), so a client that lost a response can resend
+the same request and receive the original answer without spending budget
+again. A reused id with a different payload is refused as BAD_INPUT, and
+budget replies are never cached. Budget charging itself lives in the wrapped
+oracle's single lock, which keeps concurrent connections honest.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import socket
 import threading
@@ -45,6 +52,28 @@ def _encode(obj: dict) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
 
 
+def _pop_line(buf: bytearray, start: int = 0) -> Optional[bytearray]:
+    """Remove and return the first complete line of buf, or None if there is
+    none. Bytes before start are known to hold no newline, so the search
+    skips them and reading a long line stays linear in its length."""
+    nl = buf.find(b"\n", start)
+    if nl < 0:
+        return None
+    line = buf[:nl]
+    del buf[: nl + 1]
+    return line
+
+
+def _is_batch(x) -> bool:
+    """A nonempty list of equal-length lists of numbers."""
+    return (
+        isinstance(x, list)
+        and len(x) > 0
+        and all(isinstance(row, list) and len(row) == len(x[0]) for row in x)
+        and all(isinstance(v, (int, float)) for row in x for v in row)
+    )
+
+
 class VictimService:
     """Threaded TCP front end for a VictimOracle.
 
@@ -63,7 +92,7 @@ class VictimService:
     ):
         self._oracle = oracle
         self._log_path = log_path
-        self._seen: OrderedDict[int, bytes] = OrderedDict()
+        self._seen: OrderedDict[int, tuple[bytes, bytes]] = OrderedDict()
         self._seen_limit = max(1, int(dedup_window))
         self._seen_lock = threading.Lock()
         self._listener = socket.create_server((host, port))
@@ -109,13 +138,14 @@ class VictimService:
                 continue
             except OSError:
                 break
+            self._handlers = [t for t in self._handlers if t.is_alive()]
             t = threading.Thread(target=self._handle, args=(conn,), daemon=True)
             t.start()
             self._handlers.append(t)
 
     def _handle(self, conn: socket.socket) -> None:
         conn.settimeout(0.2)
-        buf = b""
+        buf = bytearray()
         with conn:
             while not self._stop.is_set():
                 try:
@@ -126,9 +156,10 @@ class VictimService:
                     return
                 if not chunk:
                     return
+                start = len(buf)
                 buf += chunk
-                while b"\n" in buf:
-                    line, buf = buf.split(b"\n", 1)
+                while (line := _pop_line(buf, start)) is not None:
+                    start = 0
                     if not line.strip():
                         continue
                     try:
@@ -144,36 +175,47 @@ class VictimService:
         if not isinstance(req, dict) or not isinstance(req.get("id"), int):
             return _encode({"id": 0, "error": "missing integer id", "code": CODE_BAD_INPUT})
         rid = req["id"]
+        if req.get("op") == "budget":
+            return _encode({"id": rid, "remaining": self._oracle.budget_remaining()})
+        payload = json.dumps([req.get("op"), req.get("x")], separators=(",", ":"))
+        digest = hashlib.sha256(payload.encode()).digest()
+        # one lock over lookup and charge, so a request resent on several
+        # connections at once is still charged once
         with self._seen_lock:
             cached = self._seen.get(rid)
             if cached is not None:
+                if cached[0] != digest:
+                    return _encode(
+                        {"id": rid, "error": "id reused with a different payload", "code": CODE_BAD_INPUT}
+                    )
                 self._seen.move_to_end(rid)
-                return cached
-        reply = self._dispatch(rid, req)
-        with self._seen_lock:
-            self._seen[rid] = reply
+                return cached[1]
+            reply = self._dispatch(rid, req)
+            self._seen[rid] = (digest, reply)
             while len(self._seen) > self._seen_limit:
                 self._seen.popitem(last=False)
         return reply
 
     def _dispatch(self, rid: int, req: dict) -> bytes:
         op = req.get("op")
-        if op == "budget":
-            return _encode({"id": rid, "remaining": self._oracle.budget_remaining()})
-        if op != "predict":
+        if op not in ("predict", "predict_batch"):
             return _encode({"id": rid, "error": f"unknown op {op!r}", "code": CODE_BAD_INPUT})
         x = req.get("x")
-        if not isinstance(x, list) or not all(isinstance(v, (int, float)) for v in x):
-            return _encode({"id": rid, "error": "x must be a list of numbers", "code": CODE_BAD_INPUT})
+        rows = [x] if op == "predict" else x
+        if not _is_batch(rows):
+            shape = "a list of numbers" if op == "predict" else "a nonempty list of equal-length lists of numbers"
+            return _encode({"id": rid, "error": f"x must be {shape}", "code": CODE_BAD_INPUT})
         try:
-            label = self._oracle.predict_one(np.asarray(x, dtype=np.float64))
+            labels = self._oracle.predict_batch(np.asarray(rows, dtype=np.float64))
         except BudgetExhaustedError as exc:
             return _encode({"id": rid, "error": str(exc), "code": CODE_BUDGET})
         except InvalidInputError as exc:
             return _encode({"id": rid, "error": str(exc), "code": CODE_BAD_INPUT})
         except Exception as exc:  # noqa: BLE001 - the wire must answer something
             return _encode({"id": rid, "error": f"{type(exc).__name__}: {exc}", "code": CODE_INTERNAL})
-        return _encode({"id": rid, "label": label})
+        if op == "predict":
+            return _encode({"id": rid, "label": int(labels[0])})
+        return _encode({"id": rid, "labels": labels.tolist()})
 
 
 def serve(oracle: VictimOracle, host: str = "127.0.0.1", port: int = 0, log_path=None) -> None:
@@ -214,7 +256,7 @@ class RemoteVictimClient:
         rng = np.random.default_rng(mask64(id_seed))
         self._next_id = int(rng.integers(1, 1 << 62))
         self._sock: Optional[socket.socket] = None
-        self._buf = b""
+        self._buf = bytearray()
         self._lock = threading.Lock()
 
     def close(self) -> None:
@@ -234,7 +276,7 @@ class RemoteVictimClient:
             except OSError:
                 pass
             self._sock = None
-        self._buf = b""
+        self._buf = bytearray()
 
     def _ensure_connected(self) -> socket.socket:
         if self._sock is None:
@@ -244,13 +286,14 @@ class RemoteVictimClient:
                 raise RemoteUnavailableError(f"cannot reach victim service: {exc}") from exc
         return self._sock
 
-    def _read_line(self, sock: socket.socket) -> bytes:
-        while b"\n" not in self._buf:
+    def _read_line(self, sock: socket.socket) -> bytearray:
+        start = 0
+        while (line := _pop_line(self._buf, start)) is None:
+            start = len(self._buf)
             chunk = sock.recv(65536)
             if not chunk:
                 raise OSError("connection closed by server")
             self._buf += chunk
-        line, self._buf = self._buf.split(b"\n", 1)
         return line
 
     def _roundtrip(self, payload: dict) -> dict:
@@ -290,6 +333,14 @@ class RemoteVictimClient:
         reply = self._request({"op": "predict", "x": x.tolist()})
         return int(reply["label"])
 
+    def predict_batch(self, X) -> np.ndarray:
+        """Labels for every row of X from one atomic request."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise InvalidInputError(f"expected an (n, d) feature batch, got shape {X.shape}")
+        reply = self._request({"op": "predict_batch", "x": X.tolist()})
+        return np.asarray(reply["labels"], dtype=np.int64)
+
     def budget_remaining(self) -> int:
         return int(self._request({"op": "budget"})["remaining"])
 
@@ -297,9 +348,10 @@ class RemoteVictimClient:
 class RemoteVictimOracle:
     """Drop-in oracle surface backed by a RemoteVictimClient.
 
-    Batch labeling pre-checks the advertised remaining budget before sending
-    any predict, and records answers in the pool only after the whole batch
-    succeeded, so a mid-batch failure leaves pool state unchanged.
+    Batch labeling sends the rows as one predict_batch request, which the
+    server answers or refuses whole, and records the answers in the pool
+    only after the whole reply arrived, so a failed batch leaves pool state
+    unchanged.
     """
 
     def __init__(self, client: RemoteVictimClient):
@@ -312,24 +364,7 @@ class RemoteVictimOracle:
         return self._client.predict(x)
 
     def query_labels(self, indices, pool_state) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.size == 0:
-            raise InvalidInputError("expected a nonempty index array")
-        if np.unique(idx).size != idx.size:
-            raise InvalidInputError("indices contain duplicates")
-        if idx.min() < 0 or idx.max() >= pool_state.pool.n:
-            raise InvalidInputError(f"indices out of range [0, {pool_state.pool.n})")
-        if np.any(pool_state.status[idx] != 0):
-            raise InvalidInputError("can only query rows that are still unlabeled")
-        idx = np.sort(idx)
-        remaining = self._client.budget_remaining()
-        if idx.size > remaining:
-            raise BudgetExhaustedError(
-                f"query budget exhausted: need {idx.size}, have {remaining}"
-            )
-        labels = np.array(
-            [self._client.predict(row) for row in pool_state.pool.features[idx]],
-            dtype=np.int64,
-        )
+        idx = pool_state.check_queryable(indices)
+        labels = self._client.predict_batch(pool_state.pool.features[idx])
         pool_state.mark_queried(idx, labels)
         return labels

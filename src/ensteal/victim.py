@@ -138,37 +138,31 @@ class VictimOracle:
     def predict_one(self, x) -> int:
         """Answer a single input; charges one query."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != self.input_dim:
+        if x.ndim != 1:
+            raise InvalidInputError(f"expected a flat feature row, got shape {x.shape}")
+        return int(self.predict_batch(x[None, :])[0])
+
+    def predict_batch(self, X) -> np.ndarray:
+        """Answer a batch of inputs, all or nothing: the batch is charged
+        once, and a batch that does not fit the budget changes nothing."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != self.input_dim:
             raise InvalidInputError(
-                f"expected a feature row of length {self.input_dim}, got shape {x.shape}"
+                f"expected a nonempty (n, {self.input_dim}) feature batch, got shape {X.shape}"
             )
-        if not np.all(np.isfinite(x)):
-            raise InvalidInputError("feature row contains non-finite values")
+        if not np.all(np.isfinite(X)):
+            raise InvalidInputError("feature batch contains non-finite values")
         with self._lock:
-            self._budget.charge(1)
-            label = numkit.predict_label(self._model, x)
-            self.query_log.append((_row_hash(x), label))
-        return label
+            self._budget.charge(X.shape[0])
+            labels = numkit.predict_batch(self._model, X)
+            self.query_log.extend(zip(map(_row_hash, X), labels.tolist()))
+        return labels
 
     def query_labels(self, indices, pool_state: PoolState) -> np.ndarray:
         """Label pool rows, charge the budget once, and record the answers
         in the pool. Rows must be currently unlabeled and are answered in
         ascending index order."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.size == 0:
-            raise InvalidInputError("expected a nonempty index array")
-        if np.unique(idx).size != idx.size:
-            raise InvalidInputError("indices contain duplicates")
-        if idx.min() < 0 or idx.max() >= pool_state.pool.n:
-            raise InvalidInputError(f"indices out of range [0, {pool_state.pool.n})")
-        if np.any(pool_state.status[idx] != 0):
-            raise InvalidInputError("can only query rows that are still unlabeled")
-        idx = np.sort(idx)
-        X = pool_state.pool.features[idx]
-        with self._lock:
-            self._budget.charge(idx.size)
-            labels = numkit.predict_batch(self._model, X)
-            for row, lab in zip(X, labels.tolist()):
-                self.query_log.append((_row_hash(row), lab))
+        idx = pool_state.check_queryable(indices)
+        labels = self.predict_batch(pool_state.pool.features[idx])
         pool_state.mark_queried(idx, labels)
         return labels

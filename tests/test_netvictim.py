@@ -1,6 +1,8 @@
 import json
 import socket
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from ensteal.errors import (
     RemoteUnavailableError,
 )
 from ensteal.netvictim import RemoteVictimClient, RemoteVictimOracle, VictimService
-from ensteal.numkit import MlpModel, MlpSpec, predict_label
+from ensteal.numkit import MlpModel, MlpSpec, predict_batch, predict_label
 from ensteal.victim import QueryBudget, VictimOracle
 
 
@@ -39,10 +41,17 @@ def raw_exchange(svc, *lines):
 
 
 def test_predict_over_wire_matches_local(service):
-    svc, model, _ = service
+    svc, model, oracle = service
     x = [0.5, -1.0, 2.0, 0.25]
-    (reply,) = raw_exchange(svc, json.dumps({"id": 7, "op": "predict", "x": x}).encode() + b"\n")
-    assert reply == {"id": 7, "label": predict_label(model, np.array(x))}
+    X = np.random.default_rng(5).normal(size=(12, 4)) * 3
+    single, batch = raw_exchange(
+        svc,
+        json.dumps({"id": 7, "op": "predict", "x": x}).encode() + b"\n",
+        json.dumps({"id": 8, "op": "predict_batch", "x": X.tolist()}).encode() + b"\n",
+    )
+    assert single == {"id": 7, "label": predict_label(model, np.array(x))}
+    assert batch == {"id": 8, "labels": predict_batch(model, X).tolist()}
+    assert oracle.budget_remaining() == 100 - 1 - 12
 
 
 def test_budget_op_and_charging(service):
@@ -52,17 +61,31 @@ def test_budget_op_and_charging(service):
         b'{"id": 1, "op": "budget"}\n',
         b'{"id": 2, "op": "predict", "x": [0, 0, 0, 0]}\n',
         b'{"id": 3, "op": "budget"}\n',
+        b'{"id": 1, "op": "budget"}\n',  # budget replies are never cached
     )
     assert replies[0]["remaining"] == 100
     assert replies[2]["remaining"] == 99
+    assert replies[3] == {"id": 1, "remaining": 99}
 
 
 def test_duplicate_id_answered_from_cache(service):
-    svc, _, oracle = service
+    svc, model, oracle = service
     line = b'{"id": 42, "op": "predict", "x": [1, 1, 1, 1]}\n'
     a, b = raw_exchange(svc, line, line)
     assert a == b
     assert oracle.budget_remaining() == 99  # charged once, not twice
+    batch = b'{"id": 43, "op": "predict_batch", "x": [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0]]}\n'
+    a, b = raw_exchange(svc, batch, batch)
+    assert a == b and len(a["labels"]) == 3
+    assert oracle.budget_remaining() == 96
+    # the same id with another payload is refused, not answered from the cache
+    x = np.array([-3.0, 0.0, 3.0, 0.0])
+    assert predict_label(model, x) != a["labels"][0]
+    (c,) = raw_exchange(svc, b'{"id": 43, "op": "predict_batch", "x": [[-3, 0, 3, 0]]}\n')
+    (d,) = raw_exchange(svc, b'{"id": 42, "op": "predict", "x": [-3, 0, 3, 0]}\n')
+    assert c["code"] == d["code"] == "BAD_INPUT"
+    assert oracle.budget_remaining() == 96
+    assert len(oracle.query_log) == 4
 
 
 def test_duplicate_id_across_connections(service):
@@ -72,10 +95,41 @@ def test_duplicate_id_across_connections(service):
     (b,) = raw_exchange(svc, line)  # new TCP connection, same id
     assert a == b
     assert oracle.budget_remaining() == 99
+    batch = b'{"id": 10, "op": "predict_batch", "x": [[2, 0, 1, 0], [0, 1, 0, 2]]}\n'
+    (a,) = raw_exchange(svc, batch)
+    (b,) = raw_exchange(svc, batch)
+    assert a == b and len(a["labels"]) == 2
+    assert oracle.budget_remaining() == 97
+
+
+def test_duplicate_id_concurrent_charged_once(service):
+    svc, _, oracle = service
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rid in range(100, 110):
+            line = json.dumps({"id": rid, "op": "predict_batch", "x": [[rid, 0, 0, 0]]}).encode() + b"\n"
+            gate = threading.Barrier(6)
+            replies = []
+
+            def send():
+                gate.wait(timeout=10)
+                replies.extend(raw_exchange(svc, line))
+
+            threads = [threading.Thread(target=send) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert len(replies) == 6 and all(r == replies[0] for r in replies)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert oracle.budget_remaining() == 90  # one charge per id, however many resent it
 
 
 def test_bad_input_codes_keep_connection_open(service):
-    svc, _, _ = service
+    svc, _, oracle = service
     replies = raw_exchange(
         svc,
         b"this is not json\n",
@@ -83,6 +137,13 @@ def test_bad_input_codes_keep_connection_open(service):
         b'{"id": 5, "op": "dance"}\n',
         b'{"id": 6, "op": "predict", "x": "wat"}\n',
         b'{"id": 8, "op": "predict", "x": [1, 2]}\n',
+        b'{"id": 12, "op": "predict", "x": [1, NaN, 0, 0]}\n',
+        b'{"id": 13, "op": "predict_batch", "x": [[0, 0, 0, 0], [1, NaN, 0, 0]]}\n',
+        b'{"id": 14, "op": "predict_batch", "x": [[0, 0, 0, 0], [1, 2, 3]]}\n',
+        b'{"id": 15, "op": "predict_batch", "x": []}\n',
+        b'{"id": 16, "op": "predict_batch", "x": [[0, 0, 0], [1, 2, 3]]}\n',
+        b'{"id": 17, "op": "predict_batch", "x": [0, 0, 0, 0]}\n',
+        b'{"id": 18, "op": "predict_batch", "x": [["0", 0, 0, 0]]}\n',
         b'{"id": 11, "op": "budget"}\n',
     )
     assert replies[0] == {"id": 0, "error": "unparseable request line", "code": "BAD_INPUT"}
@@ -90,7 +151,39 @@ def test_bad_input_codes_keep_connection_open(service):
     assert replies[2]["code"] == "BAD_INPUT"
     assert replies[3]["code"] == "BAD_INPUT"
     assert replies[4]["code"] == "BAD_INPUT"  # wrong input_dim
-    assert replies[5]["remaining"] == 100  # nothing above was charged
+    assert replies[5]["code"] == "BAD_INPUT"  # NaN row
+    assert replies[6]["code"] == "BAD_INPUT"  # NaN row in a batch
+    assert replies[7]["code"] == "BAD_INPUT"  # ragged batch
+    assert replies[8]["code"] == "BAD_INPUT"  # empty batch
+    assert replies[9]["code"] == "BAD_INPUT"  # wrong width
+    assert replies[10]["code"] == "BAD_INPUT"  # a flat row is not a batch
+    assert replies[11]["code"] == "BAD_INPUT"  # a string is not a number
+    assert replies[12]["remaining"] == 100  # nothing above was charged
+    assert oracle.query_log == []
+
+
+def test_lines_split_across_reads(service):
+    svc, model, _ = service
+    x = [0.5, -1.0, 2.0, 0.25]
+    line = json.dumps({"id": 3, "op": "predict", "x": x}).encode() + b"\n"
+    with socket.create_connection((svc.host, svc.port), timeout=5) as s:
+        f = s.makefile("rb")
+        # a partial line, then its last byte with a second, shorter line
+        s.sendall(line[:-1])
+        time.sleep(0.05)
+        s.sendall(line[-1:] + b'{"id":4,"op":"budget"}\n')
+        assert json.loads(f.readline()) == {"id": 3, "label": predict_label(model, np.array(x))}
+        assert json.loads(f.readline()) == {"id": 4, "remaining": 99}
+
+
+def test_finished_handlers_are_dropped(service):
+    svc, _, _ = service
+    for i in range(50):
+        raw_exchange(svc, b'{"id": 1, "op": "budget"}\n')
+    for t in list(svc._handlers):
+        t.join(timeout=5.0)
+    raw_exchange(svc, b'{"id": 1, "op": "budget"}\n')
+    assert len(svc._handlers) <= 1  # only the latest connection's handler
 
 
 def test_budget_exhausted_code(tmp_path):
@@ -104,6 +197,12 @@ def test_budget_exhausted_code(tmp_path):
         )
         assert "label" in replies[0]
         assert replies[1]["code"] == "BUDGET_EXHAUSTED"
+    oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(2))
+    with VictimService(oracle) as svc:
+        (reply,) = raw_exchange(svc, b'{"id": 1, "op": "predict_batch", "x": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}\n')
+        assert reply["code"] == "BUDGET_EXHAUSTED"  # refused whole: no label answered
+        assert oracle.budget_remaining() == 2
+        assert oracle.query_log == []
 
 
 def test_query_log_written_on_close(tmp_path):
@@ -147,6 +246,36 @@ def test_concurrent_clients_never_overspend():
         assert not errors
         assert len(answered) == 40  # exactly the budget, no overspend
         assert oracle.budget_remaining() == 0
+
+    # batches of 3 against budget 40: each batch is answered or refused whole
+    oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(40))
+    with VictimService(oracle) as svc:
+        errors.clear()
+        batches: list[np.ndarray] = []
+
+        def batch_worker(wid):
+            try:
+                with RemoteVictimClient(svc.host, svc.port, id_seed=wid) as cl:
+                    for j in range(10):
+                        X = [[wid * 0.1, j * 0.1], [j * 0.1, wid * 0.1], [wid * 0.1, -j * 0.1]]
+                        try:
+                            batches.append(cl.predict_batch(X))
+                        except BudgetExhaustedError:
+                            pass
+            except Exception as exc:  # noqa: BLE001
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=batch_worker, args=(w,)) for w in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert not errors
+        assert all(labels.shape == (3,) for labels in batches)
+        assert sum(labels.size for labels in batches) == 39  # 13 whole batches
+        assert oracle.budget_remaining() == 1
+        assert len(oracle.query_log) == 39
 
 
 # ── client behavior ──────────────────────────────────────────────────
@@ -200,10 +329,14 @@ def test_client_unreachable():
 def test_remote_oracle_query_labels(service):
     svc, model, oracle = service
     pool = PoolState(Dataset(np.random.default_rng(3).normal(size=(20, 4))))
+    local_pool = PoolState(pool.pool)
+    local = VictimOracle(model, QueryBudget(100))
     with RemoteVictimClient(svc.host, svc.port) as cl:
         remote = RemoteVictimOracle(cl)
         labels = remote.query_labels([8, 3, 15], pool)
         assert labels.shape == (3,)
+        assert np.array_equal(labels, local.query_labels([8, 3, 15], local_pool))
+        assert oracle.query_log == local.query_log
         assert pool.counts()["queried"] == 3
         for i in (3, 8, 15):
             assert pool.queried_labels[i] == predict_label(model, pool.pool.features[i])
@@ -225,5 +358,6 @@ def test_remote_oracle_precheck_blocks_partial_batches(tmp_path):
                 remote.query_labels([1, 2, 3], pool)
             assert pool.counts()["queried"] == 0  # nothing marked
             assert oracle.budget_remaining() == 2  # nothing spent
+            assert oracle.query_log == []
             remote.query_labels([1, 2], pool)
             assert oracle.budget_remaining() == 0

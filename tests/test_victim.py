@@ -92,6 +92,14 @@ def test_predict_one_charges():
         oracle.predict_one(x)
     assert len(oracle.query_log) == 2
 
+    oracle, pool, model = make_oracle(budget=3)
+    with pytest.raises(BudgetExhaustedError):
+        oracle.predict_batch(pool.pool.features[:4])  # refused whole
+    assert oracle.budget_remaining() == 3 and oracle.query_log == []
+    labels = oracle.predict_batch(pool.pool.features[:3])
+    assert labels.tolist() == [predict_label(model, row) for row in pool.pool.features[:3]]
+    assert oracle.budget_remaining() == 0 and len(oracle.query_log) == 3
+
 
 def test_train_victim_defaults_and_accuracy():
     src = GaussianMixture(4, 8, 4.5)
