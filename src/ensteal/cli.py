@@ -157,7 +157,8 @@ def _cmd_evaluate(args) -> int:
     state = load_ensemble(args.ensemble)
     victim_model = numkit.load_model(args.victim)
     data = load_dataset(args.data)
-    metrics = harness.evaluate_models(state.best_models(), victim_model, data)
+    victim_labels = numkit.predict_batch(victim_model, data.features)
+    metrics = harness.evaluate_models(state.best_probs(data), victim_labels, data)
     blob = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:

@@ -5,19 +5,21 @@ labels. Each refresh retrains every member from its seeded initialization on
 the current labeled set (no warm start), scores it on the held-out
 validation rows, and keeps the best checkpoint seen so far per member.
 Committee outputs (mean probabilities, label frequency vectors, majority
-vote) always come from those best checkpoints.
+vote) always come from those best checkpoints. A checkpoint's softmax over
+a fixed matrix (the attack pool, the test set) is computed once and kept on
+the checkpoint; replacing a checkpoint starts it with no stored outputs.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import numkit
-from .datapool import PoolState
+from .datapool import Dataset, PoolState
 from .errors import InvalidConfigError, InvalidInputError
 from .numkit import MlpModel, MlpSpec, SgdConfig
 from .seeding import derive_seed
@@ -110,6 +112,8 @@ class BestCheckpoint:
     model: MlpModel
     val_accuracy: float
     cycle: int
+    # read-only (rows, classes) softmax per Dataset, keyed by identity
+    outputs: dict = field(default_factory=dict)
 
 
 class EnsembleState:
@@ -125,6 +129,17 @@ class EnsembleState:
         if any(b is None for b in self.best):
             raise InvalidInputError("ensemble has no trained checkpoint yet")
         return [b.model for b in self.best]  # type: ignore[union-attr]
+
+    def best_probs(self, data: Dataset) -> np.ndarray:
+        """(members, rows, classes) softmax of the best checkpoints over
+        data; each checkpoint runs its forward pass once per Dataset."""
+        self.best_models()  # raises until every member has a checkpoint
+        for b in self.best:
+            if data not in b.outputs:
+                probs = numkit.probs_batch(b.model, data.features)
+                probs.flags.writeable = False
+                b.outputs[data] = probs
+        return np.stack([b.outputs[data] for b in self.best])
 
     def best_member_index(self) -> int:
         """Member with the top validation accuracy; ties go to the lower index."""
@@ -176,13 +191,6 @@ def member_probs_matrix(models: list[MlpModel], X) -> np.ndarray:
     if not models:
         raise InvalidInputError("no models given")
     return np.stack([numkit.probs_batch(m, X) for m in models])
-
-
-def member_labels_matrix(models: list[MlpModel], X) -> np.ndarray:
-    """(members, rows) hard labels."""
-    if not models:
-        raise InvalidInputError("no models given")
-    return np.stack([numkit.predict_batch(m, X) for m in models])
 
 
 def consensus_mean(probs: np.ndarray) -> np.ndarray:

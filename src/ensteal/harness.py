@@ -20,6 +20,7 @@ the final ensemble directory.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -53,13 +54,12 @@ from .ensemble import (
     ensemble_predict,
     majority_vote,
     make_default_ensemble,
-    member_probs_matrix,
     save_ensemble,
     train_cycle,
 )
 from .errors import InvalidConfigError, StageError
 from .netvictim import RemoteVictimClient, RemoteVictimOracle
-from .numkit import MlpModel, MlpSpec, SgdConfig
+from .numkit import MlpSpec, SgdConfig
 from .seeding import derive_seed, mask64
 from .selection import SCORED_KINDS, SelectionStrategy, select_queries
 from .semisup import SslConfig, harvest_pseudo_labels, ssl_train
@@ -101,6 +101,24 @@ def _reject_unknown(leftover: dict, path: str) -> None:
         raise InvalidConfigError(f"unknown key(s) in {path}: {keys}")
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _typed(value, kind: type, path: str):
+    """value if it has the field's JSON type, else InvalidConfigError naming
+    path. Int fields reject bools and floats; float fields take ints (as
+    floats) but not bools; bool fields take only true/false."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise InvalidConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _widths(value, path: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise InvalidConfigError(f"{path} must be a list of integers, got {value!r}")
+    return tuple(_typed(w, int, f"{path}[{i}]") for i, w in enumerate(value))
+
+
 @dataclass(frozen=True)
 class DataConfig:
     source: str
@@ -131,9 +149,9 @@ def _parse_data(obj, path: str) -> DataConfig:
         try:
             cfg = DataConfig(
                 source=source,
-                classes=int(d.pop("classes")),
-                dim=int(d.pop("dim")),
-                separation=float(d.pop("separation")),
+                classes=_typed(d.pop("classes"), int, f"{path}.classes"),
+                dim=_typed(d.pop("dim"), int, f"{path}.dim"),
+                separation=_typed(d.pop("separation"), float, f"{path}.separation"),
             )
         except KeyError as exc:
             raise InvalidConfigError(
@@ -142,8 +160,8 @@ def _parse_data(obj, path: str) -> DataConfig:
     elif source == "tiny_digits":
         cfg = DataConfig(
             source=source,
-            height=int(d.pop("height", 10)),
-            width=int(d.pop("width", 6)),
+            height=_typed(d.pop("height", 10), int, f"{path}.height"),
+            width=_typed(d.pop("width", 6), int, f"{path}.width"),
         )
     else:
         raise InvalidConfigError(f"{path}.source must be gaussian_mixture or tiny_digits")
@@ -197,12 +215,12 @@ def _parse_victim(obj, path: str) -> VictimSection:
         ("batch_size", int),
     ]:
         if key in d:
-            kwargs[key] = cast(d.pop(key))
+            kwargs[key] = _typed(d.pop(key), cast, f"{path}.{key}")
     if "hidden_layers" in d:
-        kwargs["hidden_layers"] = tuple(int(w) for w in d.pop("hidden_layers"))
+        kwargs["hidden_layers"] = _widths(d.pop("hidden_layers"), f"{path}.hidden_layers")
     checkpoint = d.pop("checkpoint", None)
     if checkpoint is not None:
-        kwargs["checkpoint"] = str(checkpoint)
+        kwargs["checkpoint"] = _typed(checkpoint, str, f"{path}.checkpoint")
     _reject_unknown(d, path)
     cfg = VictimSection(data=data, **kwargs)
     cfg.sgd()
@@ -228,8 +246,8 @@ def _parse_strategy(obj, path: str) -> StrategySection:
         raise InvalidConfigError(f"{path}.kind is required")
     cfg = StrategySection(
         kind=kind,
-        hybrid_kcenter=bool(d.pop("hybrid_kcenter", False)),
-        hybrid_pool_factor=int(d.pop("hybrid_pool_factor", 5)),
+        hybrid_kcenter=_typed(d.pop("hybrid_kcenter", False), bool, f"{path}.hybrid_kcenter"),
+        hybrid_pool_factor=_typed(d.pop("hybrid_pool_factor", 5), int, f"{path}.hybrid_pool_factor"),
     )
     _reject_unknown(d, path)
     cfg.build(1)
@@ -253,13 +271,15 @@ def _parse_ensemble(obj, path: str) -> EnsembleSection:
         profile = d.pop("hidden_profile")
         if not isinstance(profile, list) or not profile:
             raise InvalidConfigError(f"{path}.hidden_profile must be a nonempty list")
-        kwargs["hidden_profile"] = tuple(tuple(int(w) for w in layer) for layer in profile)
+        kwargs["hidden_profile"] = tuple(
+            _widths(layer, f"{path}.hidden_profile[{i}]") for i, layer in enumerate(profile)
+        )
     for key, cast in [("activation", str), ("epochs", int), ("batch_size", int)]:
         if key in d:
-            kwargs[key] = cast(d.pop(key))
+            kwargs[key] = _typed(d.pop(key), cast, f"{path}.{key}")
     if "victim_arch_index" in d:
         raw = d.pop("victim_arch_index")
-        kwargs["victim_arch_index"] = None if raw is None else int(raw)
+        kwargs["victim_arch_index"] = None if raw is None else _typed(raw, int, f"{path}.victim_arch_index")
         kwargs["auto_victim_index"] = False
     _reject_unknown(d, path)
     cfg = EnsembleSection(**kwargs)
@@ -282,10 +302,10 @@ def _parse_remote(obj, path: str) -> Optional[RemoteSection]:
     d = _section(obj, path)
     try:
         cfg = RemoteSection(
-            host=str(d.pop("host")),
-            port=int(d.pop("port")),
-            timeout=float(d.pop("timeout", 10.0)),
-            retries=int(d.pop("retries", 3)),
+            host=_typed(d.pop("host"), str, f"{path}.host"),
+            port=_typed(d.pop("port"), int, f"{path}.port"),
+            timeout=_typed(d.pop("timeout", 10.0), float, f"{path}.timeout"),
+            retries=_typed(d.pop("retries", 3), int, f"{path}.retries"),
         )
     except KeyError as exc:
         raise InvalidConfigError(f"{path} requires host and port") from exc
@@ -307,15 +327,15 @@ class AttackSection:
 def _parse_attack(obj, path: str) -> AttackSection:
     d = _section(obj, path)
     try:
-        pool_n = int(d.pop("pool_n"))
-        budget = int(d.pop("budget"))
-        cycles = int(d.pop("cycles"))
+        pool_n = _typed(d.pop("pool_n"), int, f"{path}.pool_n")
+        budget = _typed(d.pop("budget"), int, f"{path}.budget")
+        cycles = _typed(d.pop("cycles"), int, f"{path}.cycles")
     except KeyError as exc:
         raise InvalidConfigError(f"{path} requires pool_n, budget, and cycles") from exc
     strategy = _parse_strategy(d.pop("strategy", None), f"{path}.strategy")
     kwargs = {}
     if "validation_fraction" in d:
-        kwargs["validation_fraction"] = float(d.pop("validation_fraction"))
+        kwargs["validation_fraction"] = _typed(d.pop("validation_fraction"), float, f"{path}.validation_fraction")
     if "ensemble" in d:
         kwargs["ensemble"] = _parse_ensemble(d.pop("ensemble"), f"{path}.ensemble")
     if "remote" in d:
@@ -362,7 +382,7 @@ def _parse_ssl(obj, path: str) -> Optional[SslSection]:
         ("batch_size", int),
     ]:
         if key in d:
-            kwargs[key] = cast(d.pop(key))
+            kwargs[key] = _typed(d.pop(key), cast, f"{path}.{key}")
     _reject_unknown(d, path)
     return SslSection(**kwargs)
 
@@ -382,7 +402,7 @@ def _parse_adv(obj, path: str) -> Optional[AdvSection]:
         return None
     d = _section(obj, path)
     try:
-        epsilon = float(d.pop("epsilon"))
+        epsilon = _typed(d.pop("epsilon"), float, f"{path}.epsilon")
     except KeyError as exc:
         raise InvalidConfigError(f"{path} requires epsilon") from exc
     kwargs = {}
@@ -393,10 +413,10 @@ def _parse_adv(obj, path: str) -> Optional[AdvSection]:
         ("denominator", str),
     ]:
         if key in d:
-            kwargs[key] = cast(d.pop(key))
+            kwargs[key] = _typed(d.pop(key), cast, f"{path}.{key}")
     if "step_size" in d:
         raw = d.pop("step_size")
-        kwargs["step_size"] = None if raw is None else float(raw)
+        kwargs["step_size"] = None if raw is None else _typed(raw, float, f"{path}.step_size")
     _reject_unknown(d, path)
     cfg = AdvSection(epsilon=epsilon, **kwargs)
     if cfg.n_eval < 1:
@@ -425,13 +445,13 @@ def parse_config(obj: dict) -> ExperimentConfig:
     d = _section(obj, "config")
     if "seed" not in d:
         raise InvalidConfigError("config requires a seed")
-    seed = int(d.pop("seed"))
+    seed = _typed(d.pop("seed"), int, "seed")
     victim = _parse_victim(d.pop("victim", None), "victim")
     attack = _parse_attack(d.pop("attack", None), "attack")
     ssl = _parse_ssl(d.pop("ssl", None), "ssl")
     advs = _parse_adv(d.pop("adversarial", None), "adversarial")
     out_d = _section(d.pop("outputs", {}), "outputs")
-    outputs = OutputSection(scores_csv=bool(out_d.pop("scores_csv", False)))
+    outputs = OutputSection(scores_csv=_typed(out_d.pop("scores_csv", False), bool, "outputs.scores_csv"))
     _reject_unknown(out_d, "outputs")
     _reject_unknown(d, "config")
     return ExperimentConfig(seed, victim, attack, ssl, advs, outputs)
@@ -553,14 +573,13 @@ def resolve_augment(layout, seed: int) -> AugmentConfig:
 # ── evaluation helpers ───────────────────────────────────────────────
 
 
-def evaluate_models(models: list[MlpModel], victim_model: MlpModel, test: Dataset) -> dict:
+def evaluate_models(probs: np.ndarray, victim_labels: np.ndarray, test: Dataset) -> dict:
     """Member and committee accuracy on ground truth plus agreement with
-    the target model's labels."""
+    the target model's labels, from the members' (members, rows, classes)
+    softmax over test and the target's labels for the same rows."""
     if test.labels is None:
         raise InvalidConfigError("evaluation data must be labeled")
-    X, y = test.features, test.labels
-    victim_labels = numkit.predict_batch(victim_model, X)
-    probs = member_probs_matrix(models, X)
+    y = test.labels
     labels = np.argmax(probs, axis=2)
     vote = majority_vote(labels, consensus_mean(probs))
     return {
@@ -656,13 +675,17 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                 )
             numkit.save_model(victim_model, os.path.join(out_dir, "victim.ckpt"))
             report["victim_test_acc"] = victim_test_acc
+            victim_test_labels = numkit.predict_batch(victim_model, test.features)
             if a.remote is not None:
+                # ids derive from the seed and the config text: another config's
+                # requests never reuse this run's ids, a same-config replay does
+                config_digest = hashlib.sha256(config_text.encode()).digest()[:8]
                 client = RemoteVictimClient(
                     a.remote.host,
                     a.remote.port,
                     timeout=a.remote.timeout,
                     retries=a.remote.retries,
-                    id_seed=stage_seed(root, CLIENT_IDS),
+                    id_seed=derive_seed(stage_seed(root, CLIENT_IDS), int.from_bytes(config_digest, "big")),
                 )
                 oracle = RemoteVictimOracle(client)
             else:
@@ -708,14 +731,14 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
             for c in range(1, a.cycles + 1):
                 train_cycle(state, pool_state, member_cfgs, derive_seed(stage_seed(root, CYCLE_TRAIN), c))
                 spent = val_n + sum(batches[:c])
-                ev = evaluate_models(state.best_models(), victim_model, test)
+                ev = evaluate_models(state.best_probs(test), victim_test_labels, test)
                 curves_rows.append(
                     [c, spent, *ev["member_accs"], ev["ensemble_acc"], ev["ensemble_agreement"]]
                 )
                 if c < a.cycles:
                     sel = select_queries(
                         strategy,
-                        state.best_models(),
+                        state.best_probs(pool) if strategy.kind in SCORED_KINDS else None,
                         pool_state,
                         seed=derive_seed(stage_seed(root, SELECT), c),
                         batch_size=batches[c],
@@ -725,7 +748,7 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                         for cand, sc in zip(sel.candidates.tolist(), sel.scores.tolist()):
                             score_rows.append([c, cand, sc, int(cand in chosen)])
                     oracle.query_labels(sel.selected, pool_state)
-            final_eval = evaluate_models(state.best_models(), victim_model, test)
+            final_eval = evaluate_models(state.best_probs(test), victim_test_labels, test)
             report["final"] = {
                 "member_accs": final_eval["member_accs"],
                 "member_agreements": final_eval["member_agreements"],
@@ -759,7 +782,7 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                 if capped:
                     ssl_train(state, pool_state, ssl_cfg, derive_seed(stage_seed(root, SSL_STAGE), 1))
                 post_agr = _validation_agreement(state, pool_state)
-                ev = evaluate_models(state.best_models(), victim_model, test)
+                ev = evaluate_models(state.best_probs(test), victim_test_labels, test)
                 curves_rows.append(
                     [
                         a.cycles + 1,
@@ -815,7 +838,8 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                 report["adversarial"] = adv_report
 
         with _stage("reports"):
-            report["budget"]["spent"] = a.budget - oracle.budget_remaining()
+            bought = pool_state.counts()
+            report["budget"]["spent"] = bought["queried"] + bought["validation"]
             report["pseudo_hist"] = pseudo_hist
             save_ensemble(state, os.path.join(out_dir, "ensemble"))
             _emit_reports(out_dir, report, curves_rows, score_rows, pseudo_hist, cfg)

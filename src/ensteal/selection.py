@@ -2,11 +2,12 @@
 
 Two committee-driven scores: entropy of the members' mean class distribution
 (consensus uncertainty) and entropy of the members' hard-vote frequency
-vector (how split the committee is). Both use natural log and the 0*log(0)=0
-convention. Baselines: uniform random draws and greedy farthest-point
-k-center coverage in raw feature space. Score-based strategies can
-optionally shortlist the top scores and then spread the shortlist with
-k-center before spending budget.
+vector (how split the committee is). Both read the committee's softmax over
+the whole pool, a (members, pool rows, classes) stack, at the candidate
+rows, and use natural log and the 0*log(0)=0 convention. Baselines:
+uniform random draws and greedy farthest-point k-center coverage in raw
+feature space. Score-based strategies can optionally shortlist the top
+scores and then spread the shortlist with k-center before spending budget.
 
 All selections break ties toward the lowest pool index and return sorted
 index arrays, which keeps every strategy replayable bit for bit.
@@ -20,9 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .datapool import PoolState
-from .ensemble import label_frequencies, member_labels_matrix, member_probs_matrix
+from .ensemble import label_frequencies
 from .errors import InvalidConfigError, InvalidInputError
-from .numkit import MlpModel
 from .seeding import mask64
 
 SCORED_KINDS = ("consensus_entropy", "label_disagreement")
@@ -53,21 +53,21 @@ def entropy_rows(P: np.ndarray) -> np.ndarray:
     return -(P * np.log(safe)).sum(axis=1)
 
 
-def consensus_entropy_scores(models: list[MlpModel], X) -> np.ndarray:
-    """Entropy of the mean member softmax, one score per row."""
-    probs = member_probs_matrix(models, X)
-    return entropy_rows(probs.mean(axis=0))
+def consensus_entropy_scores(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Entropy of the mean member softmax, one score per listed row of the
+    (members, n, classes) stack."""
+    return entropy_rows(probs[:, rows].mean(axis=0))
 
 
-def disagreement_scores(models: list[MlpModel], X) -> np.ndarray:
-    """Entropy of the committee's hard-vote frequency vector, per row.
+def disagreement_scores(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Entropy of the committee's hard-vote frequency vector, per listed row.
 
-    With k members the score lives on a finite grid: it depends only on the
+    Each member votes the argmax of its softmax, lowest class on ties. With
+    k members the score lives on a finite grid: it depends only on the
     partition of k votes among classes.
     """
-    labels = member_labels_matrix(models, X)
-    num_classes = models[0].spec.num_classes
-    return entropy_rows(label_frequencies(labels, num_classes))
+    labels = np.argmax(probs[:, rows], axis=2)
+    return entropy_rows(label_frequencies(labels, probs.shape[2]))
 
 
 # ── primitive selectors ──────────────────────────────────────────────
@@ -158,17 +158,20 @@ class SelectionResult:
 
 def select_queries(
     strategy: SelectionStrategy,
-    models: list[MlpModel],
+    probs: Optional[np.ndarray],
     pool_state: PoolState,
     seed: int = 0,
     batch_size: Optional[int] = None,
 ) -> SelectionResult:
     """Pick the next query batch from the currently unlabeled rows.
 
-    Scored strategies rank every candidate; with hybrid_kcenter the top
-    factor*k shortlist is then thinned to k by farthest-point coverage
-    against the already-queried rows. batch_size overrides the strategy's
-    default, which lets the final cycle absorb a budget remainder.
+    Scored strategies rank every candidate by its row of probs, the
+    committee's (members, pool rows, classes) softmax over the whole pool;
+    random and k-center ignore probs, which may then be None. With
+    hybrid_kcenter the top factor*k shortlist is thinned to k by
+    farthest-point coverage against the already-queried rows. batch_size
+    overrides the strategy's default, which lets the final cycle absorb a
+    budget remainder.
     """
     k = strategy.batch_size if batch_size is None else batch_size
     candidates = pool_state.unlabeled_indices()
@@ -184,10 +187,12 @@ def select_queries(
         centers = pool_state.queried_indices()
         return SelectionResult(kcenter_select(features, candidates, centers, k), candidates, None)
 
+    if probs is None or probs.ndim != 3 or probs.shape[1] != pool_state.pool.n:
+        raise InvalidInputError("scored strategies need the committee's softmax over the pool")
     if strategy.kind == "consensus_entropy":
-        scores = consensus_entropy_scores(models, features[candidates])
+        scores = consensus_entropy_scores(probs, candidates)
     else:
-        scores = disagreement_scores(models, features[candidates])
+        scores = disagreement_scores(probs, candidates)
 
     if strategy.hybrid_kcenter:
         shortlist_n = min(strategy.hybrid_pool_factor * k, candidates.size)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ensteal import numkit
 from ensteal.datapool import Dataset, GaussianMixture, PoolState, make_synthetic, strip_labels
 from ensteal.ensemble import (
     DEFAULT_HIDDEN_PROFILE,
@@ -14,13 +15,12 @@ from ensteal.ensemble import (
     load_ensemble,
     majority_vote,
     make_default_ensemble,
-    member_labels_matrix,
     member_probs_matrix,
     save_ensemble,
     train_cycle,
 )
 from ensteal.errors import InvalidConfigError, InvalidInputError
-from ensteal.numkit import MlpModel, MlpSpec
+from ensteal.numkit import MlpModel, MlpSpec, predict_batch
 from ensteal.victim import QueryBudget, VictimOracle, default_victim_sgd, train_victim
 
 
@@ -99,8 +99,9 @@ def test_vote_matrices_shapes(small_pool):
     cons = consensus_mean(probs)
     assert cons.shape == (7, 4)
     assert np.allclose(cons, probs.mean(axis=0))
-    labels = member_labels_matrix(models, X)
+    labels = np.argmax(probs, axis=2)
     assert labels.shape == (3, 7)
+    assert np.array_equal(labels, np.stack([predict_batch(m, X) for m in models]))
     pred = ensemble_predict(models, X)
     assert pred.shape == (7,)
 
@@ -174,6 +175,44 @@ def test_best_models_requires_training():
     state = EnsembleState(spec)
     with pytest.raises(InvalidInputError):
         state.best_models()
+    with pytest.raises(InvalidInputError):
+        state.best_probs(Dataset(np.zeros((2, 4))))
+
+
+def test_best_probs_reused_until_checkpoint_replaced(trained_state, monkeypatch):
+    _, pool, cfgs, _ = trained_state
+    data = pool.pool
+    state = EnsembleState(trained_state[0].spec)
+    train_cycle(state, pool, cfgs, seed=31)
+    first = state.best_probs(data)
+    assert first.shape == (3, data.n, 3)
+    for b in state.best:
+        assert np.array_equal(b.outputs[data], numkit.probs_batch(b.model, data.features))
+        assert not b.outputs[data].flags.writeable
+    with pytest.raises(ValueError):
+        state.best[0].outputs[data][0, 0] = 0.5
+
+    calls = []
+    real = numkit.probs_batch
+    monkeypatch.setattr(numkit, "probs_batch", lambda m, X: calls.append(len(X)) or real(m, X))
+    # the same seed retrains every member to the same accuracy: none improves
+    train_cycle(state, pool, cfgs, seed=31)
+    assert [b.cycle for b in state.best] == [1, 1, 1]
+    calls.clear()
+    assert np.array_equal(state.best_probs(data), first)
+    assert calls == []
+
+    # a checkpoint the next retrain beats is replaced and gets fresh outputs
+    state.best[0].val_accuracy = -1.0
+    kept = [b.outputs[data] for b in state.best]
+    train_cycle(state, pool, cfgs, seed=32)
+    assert state.best[0].cycle == 3
+    again = state.best_probs(data)
+    assert np.array_equal(again[0], real(state.best[0].model, data.features))
+    assert not np.array_equal(again[0], first[0])
+    for b, old in zip(state.best[1:], kept[1:]):
+        assert (b.outputs[data] is old) == (b.cycle == 1)
+        assert np.array_equal(b.outputs[data], real(b.model, data.features))
 
 
 def test_train_cycle_needs_validation_rows():

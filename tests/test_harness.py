@@ -1,9 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from ensteal import numkit
 from ensteal.datapool import GaussianMixture, ImageLayout, make_synthetic
+from ensteal.ensemble import ensemble_predict, member_probs_matrix
 from ensteal.errors import InvalidConfigError, StageError
 from ensteal.harness import (
     ADV_STAGE,
@@ -18,8 +21,9 @@ from ensteal.harness import (
     run_attack,
     stage_seed,
 )
-from ensteal.numkit import load_model
-from ensteal.victim import default_victim_sgd, train_victim
+from ensteal.netvictim import VictimService
+from ensteal.numkit import load_model, predict_batch, save_model
+from ensteal.victim import QueryBudget, VictimOracle, default_victim_sgd, train_victim
 
 
 def base_config(**overrides):
@@ -137,6 +141,75 @@ def test_parse_tiny_digits_and_remote():
         parse_config(raw)
 
 
+def _full_config(path: str, value) -> dict:
+    """base_config with every optional section present and `path` set to value."""
+    raw = base_config(ssl={}, adversarial={"epsilon": 0.5}, outputs={})
+    raw["attack"]["remote"] = {"host": "127.0.0.1", "port": 4242}
+    *parents, key = path.split(".")
+    section = raw
+    for part in parents:
+        section = section[part]
+    section[key] = value
+    return raw
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("seed", "5"),
+        ("seed", 5.0),
+        ("victim.train_n", True),
+        ("victim.epochs", 25.5),
+        ("victim.base_lr", True),
+        ("victim.base_lr", "0.1"),
+        ("victim.activation", 1),
+        ("victim.checkpoint", 7),
+        ("victim.hidden_layers", 5),
+        ("victim.hidden_layers", [16, 16.5]),
+        ("victim.hidden_layers", [16, True]),
+        ("victim.data.classes", 3.0),
+        ("victim.data.separation", "far"),
+        ("attack.budget", 60.9),
+        ("attack.pool_n", "800"),
+        ("attack.validation_fraction", False),
+        ("attack.strategy.hybrid_kcenter", "false"),
+        ("attack.strategy.hybrid_kcenter", 0),
+        ("attack.strategy.hybrid_pool_factor", 2.0),
+        ("attack.ensemble.hidden_profile", [[6], 10]),
+        ("attack.ensemble.hidden_profile", [[6], [10.0]]),
+        ("attack.ensemble.epochs", "10"),
+        ("attack.ensemble.victim_arch_index", 1.0),
+        ("attack.remote.port", "4242"),
+        ("attack.remote.host", 127),
+        ("attack.remote.timeout", None),
+        ("ssl.epochs", 2.0),
+        ("ssl.confidence_threshold", True),
+        ("adversarial.epsilon", "0.5"),
+        ("adversarial.random_start", "yes"),
+        ("adversarial.step_size", True),
+        ("outputs.scores_csv", 1),
+    ],
+)
+def test_parse_rejects_wrong_types_naming_the_key(path, value):
+    parse_config(_full_config("seed", 5))  # the unmodified config is valid
+    with pytest.raises(InvalidConfigError, match=re.escape(path)):
+        parse_config(_full_config(path, value))
+
+
+def test_parse_keeps_int_for_float_fields():
+    raw = base_config()
+    raw["victim"]["base_lr"] = 1
+    raw["victim"]["data"]["separation"] = 4
+    cfg = parse_config(raw)
+    assert cfg.victim.base_lr == 1.0 and isinstance(cfg.victim.base_lr, float)
+    assert isinstance(cfg.victim.data.separation, float)
+    raw["attack"]["ensemble"]["victim_arch_index"] = None
+    raw["adversarial"] = {"epsilon": 1, "step_size": None}
+    cfg = parse_config(raw)
+    assert cfg.attack.ensemble.victim_arch_index is None
+    assert cfg.adversarial.epsilon == 1.0 and isinstance(cfg.adversarial.epsilon, float)
+
+
 def test_config_roundtrip_through_dict():
     raw = base_config(
         ssl={"epochs": 4},
@@ -191,7 +264,8 @@ def test_evaluate_models_keys():
     test = make_synthetic(src, 150, seed=2)
     victim, _ = train_victim(train, test, cfg=default_victim_sgd(epochs=15), seed=0)
     other, _ = train_victim(train, test, cfg=default_victim_sgd(epochs=10), seed=1)
-    out = evaluate_models([victim, other], victim, test)
+    victim_labels = predict_batch(victim, test.features)
+    out = evaluate_models(member_probs_matrix([victim, other], test.features), victim_labels, test)
     assert set(out) == {
         "member_accs",
         "member_agreements",
@@ -201,6 +275,16 @@ def test_evaluate_models_keys():
     }
     assert out["member_agreements"][0] == 1.0  # the victim agrees with itself
     assert 0.0 <= out["ensemble_acc"] <= 1.0
+    # the same figures as a forward pass per model on every evaluation
+    labels = [predict_batch(m, test.features) for m in (victim, other)]
+    vote = ensemble_predict([victim, other], test.features)
+    assert out == {
+        "member_accs": [float(np.mean(lab == test.labels)) for lab in labels],
+        "member_agreements": [float(np.mean(lab == victim_labels)) for lab in labels],
+        "ensemble_acc": float(np.mean(vote == test.labels)),
+        "ensemble_agreement": float(np.mean(vote == victim_labels)),
+        "victim_acc": float(np.mean(victim_labels == test.labels)),
+    }
 
 
 # ── end-to-end runs (kept intentionally small) ───────────────────────
@@ -293,6 +377,17 @@ def test_run_attack_scores_cover_candidates(tiny_run):
     assert len(picked) == per_cycle * (cfg.attack.cycles - 1)
 
 
+@pytest.mark.parametrize("kind, scored", [("random", False), ("consensus_entropy", True)])
+def test_only_scored_strategies_run_the_committee_over_the_pool(tmp_path, monkeypatch, kind, scored):
+    rows = []
+    real = numkit.probs_batch
+    monkeypatch.setattr(numkit, "probs_batch", lambda m, X: rows.append(len(X)) or real(m, X))
+    raw = base_config()
+    raw["attack"]["strategy"]["kind"] = kind
+    run_attack(parse_config(raw), tmp_path)
+    assert (raw["attack"]["pool_n"] in rows) == scored
+
+
 def test_run_attack_is_deterministic(tmp_path):
     cfg = parse_config(base_config())
     a, b = tmp_path / "a", tmp_path / "b"
@@ -322,3 +417,51 @@ def test_run_attack_failure_labels_stage(tmp_path):
     # the failure path sizes the curves header to the committee as well
     header = (tmp_path / "curves.csv").read_text().split("\n")[0]
     assert header.split(",")[2:-2] == ["member0_acc", "member1_acc", "member2_acc"]
+
+
+# ── runs against one long-lived victim server ────────────────────────
+
+
+@pytest.fixture(scope="module")
+def served_checkpoint(tmp_path_factory):
+    """A saved victim matching base_config's data (6 features, 3 classes)."""
+    src = GaussianMixture(3, 6, 4.0)
+    model, _ = train_victim(make_synthetic(src, 400, seed=1), cfg=default_victim_sgd(epochs=10), seed=0)
+    path = tmp_path_factory.mktemp("served") / "victim.ckpt"
+    save_model(model, path)
+    return path
+
+
+def _remote_config(checkpoint, svc, kind="consensus_entropy") -> dict:
+    raw = base_config()
+    raw["victim"]["checkpoint"] = str(checkpoint)
+    raw["attack"]["strategy"]["kind"] = kind
+    raw["attack"]["remote"] = {"host": svc.host, "port": svc.port}
+    return raw
+
+
+def test_remote_run_reports_rows_it_bought(tmp_path, served_checkpoint):
+    # the server's budget (1000) is not the config's (120)
+    oracle = VictimOracle(load_model(served_checkpoint), QueryBudget(1000))
+    with VictimService(oracle) as svc:
+        report = run_attack(parse_config(_remote_config(served_checkpoint, svc)), tmp_path)
+    assert report["budget"] == {"total": 120, "spent": 120}
+    assert oracle.budget_remaining() == 1000 - 120
+    assert "budget: 120/120 queries spent" in (tmp_path / "summary.txt").read_text()
+
+
+def test_remote_runs_of_other_configs_share_one_server(tmp_path, served_checkpoint):
+    # same seed, another strategy: the runs send different batches, so their
+    # request ids must differ too; a same-config replay keeps its ids and is
+    # answered from the server's cache
+    oracle = VictimOracle(load_model(served_checkpoint), QueryBudget(1000))
+    with VictimService(oracle) as svc:
+        for kind in ("consensus_entropy", "random"):
+            report = run_attack(parse_config(_remote_config(served_checkpoint, svc, kind)), tmp_path / kind)
+            assert report["budget"]["spent"] == 120
+        assert oracle.budget_remaining() == 1000 - 2 * 120
+        replay = run_attack(parse_config(_remote_config(served_checkpoint, svc)), tmp_path / "replay")
+        assert oracle.budget_remaining() == 1000 - 2 * 120
+    first = (tmp_path / "consensus_entropy" / "report.json").read_bytes()
+    assert (tmp_path / "replay" / "report.json").read_bytes() == first
+    assert replay["budget"]["spent"] == 120

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from ensteal.datapool import Dataset, PoolState
+from ensteal.ensemble import label_frequencies, member_probs_matrix
 from ensteal.errors import InvalidConfigError, InvalidInputError
+from ensteal.numkit import predict_batch
 from ensteal.selection import (
+    SCORED_KINDS,
     SelectionStrategy,
     consensus_entropy_scores,
     disagreement_scores,
@@ -61,7 +64,7 @@ def test_disagreement_scores_live_in_partition_set(rng):
     # 5, so the score can only take one of the 7 partition entropies
     models = make_sharp_models(5, dim=6, classes=6, seed=3)
     X = rng.normal(size=(300, 6))
-    scores = disagreement_scores(models, X)
+    scores = disagreement_scores(member_probs_matrix(models, X), np.arange(300))
     parts = [
         (5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1),
     ]
@@ -72,8 +75,9 @@ def test_disagreement_scores_live_in_partition_set(rng):
 def test_consensus_entropy_bounds(rng):
     models = make_sharp_models(4, dim=5, classes=3, seed=1)
     X = rng.normal(size=(50, 5))
-    scores = consensus_entropy_scores(models, X)
-    assert scores.shape == (50,)
+    rows = np.arange(3, 50, 2)
+    scores = consensus_entropy_scores(member_probs_matrix(models, X), rows)
+    assert scores.shape == rows.shape
     assert np.all(scores >= 0.0) and np.all(scores <= np.log(3) + 1e-12)
 
 
@@ -153,12 +157,12 @@ def scored_pool(rng):
     ps = PoolState(Dataset(features))
     ps.mark_queried(list(range(10)), [0] * 10)
     models = make_sharp_models(5, dim=6, classes=4, seed=9)
-    return ps, models
+    return ps, member_probs_matrix(models, features)
 
 
 def test_select_queries_scored_alignment(scored_pool):
-    ps, models = scored_pool
-    res = select_queries(SelectionStrategy("consensus_entropy", 8), models, ps, seed=0)
+    ps, probs = scored_pool
+    res = select_queries(SelectionStrategy("consensus_entropy", 8), probs, ps, seed=0)
     assert res.selected.shape == (8,)
     assert np.array_equal(res.candidates, ps.unlabeled_indices())
     assert res.scores.shape == res.candidates.shape
@@ -169,29 +173,30 @@ def test_select_queries_scored_alignment(scored_pool):
 
 
 def test_select_queries_hybrid_is_subset_of_shortlist(scored_pool):
-    ps, models = scored_pool
+    ps, probs = scored_pool
     strat = SelectionStrategy("label_disagreement", 6, hybrid_kcenter=True, hybrid_pool_factor=4)
-    res = select_queries(strat, models, ps, seed=0)
+    res = select_queries(strat, probs, ps, seed=0)
     shortlist = top_k_select(res.scores, res.candidates, 24)
     assert np.all(np.isin(res.selected, shortlist))
     assert res.selected.size == 6
     # and differs from the plain top-6 at least sometimes given spread-out picks
-    plain = select_queries(SelectionStrategy("label_disagreement", 6), models, ps, seed=0)
+    plain = select_queries(SelectionStrategy("label_disagreement", 6), probs, ps, seed=0)
     assert res.selected.shape == plain.selected.shape
 
 
 def test_select_queries_unscored_kinds(scored_pool):
-    ps, models = scored_pool
-    r = select_queries(SelectionStrategy("random", 5), models, ps, seed=3)
+    ps, probs = scored_pool
+    r = select_queries(SelectionStrategy("random", 5), None, ps, seed=3)
     assert r.scores is None and r.selected.size == 5
-    kc = select_queries(SelectionStrategy("kcenter", 5), models, ps, seed=3)
+    assert np.array_equal(select_queries(SelectionStrategy("random", 5), probs, ps, seed=3).selected, r.selected)
+    kc = select_queries(SelectionStrategy("kcenter", 5), None, ps, seed=3)
     want = kcenter_bruteforce(ps.pool.features, ps.unlabeled_indices(), np.arange(10), 5)
     assert np.array_equal(kc.selected, np.sort(want))
 
 
 def test_select_queries_batch_override(scored_pool):
-    ps, models = scored_pool
-    res = select_queries(SelectionStrategy("consensus_entropy", 8), models, ps, seed=0, batch_size=3)
+    ps, probs = scored_pool
+    res = select_queries(SelectionStrategy("consensus_entropy", 8), probs, ps, seed=0, batch_size=3)
     assert res.selected.size == 3
 
 
@@ -199,4 +204,49 @@ def test_select_queries_exhausted_pool():
     ps = PoolState(Dataset(np.zeros((4, 2))))
     ps.mark_queried([0, 1, 2, 3], [0, 0, 0, 0])
     with pytest.raises(InvalidInputError):
-        select_queries(SelectionStrategy("random", 1), [], ps, seed=0)
+        select_queries(SelectionStrategy("random", 1), None, ps, seed=0)
+
+
+def _per_candidate_scores(kind, models, X):
+    """Scores from a forward pass over exactly the candidate rows, with hard
+    votes from predict_batch: how they were computed before the committee's
+    pool-wide softmax was reused."""
+    if kind == "consensus_entropy":
+        return entropy_rows(member_probs_matrix(models, X).mean(axis=0))
+    labels = np.stack([predict_batch(m, X) for m in models])
+    return entropy_rows(label_frequencies(labels, models[0].spec.num_classes))
+
+
+@pytest.mark.parametrize("hybrid", [False, True])
+@pytest.mark.parametrize("kind", SCORED_KINDS)
+def test_select_queries_matches_per_candidate_scoring(kind, hybrid, rng):
+    features = rng.normal(size=(400, 6))
+    ps = PoolState(Dataset(features))
+    queried = np.arange(0, 400, 7)
+    ps.mark_queried(queried, np.zeros(queried.size))
+    models = make_sharp_models(5, dim=6, classes=4, seed=21)
+    probs = member_probs_matrix(models, features)
+    cands = ps.unlabeled_indices()
+    want_scores = _per_candidate_scores(kind, models, features[cands])
+    # no near-ties: neither between a member's top two classes nor between scores
+    top2 = np.sort(probs, axis=2)[:, :, -2:]
+    assert np.min(top2[..., 1] - top2[..., 0]) > 1e-9
+    assert np.min(np.diff(np.unique(want_scores))) > 1e-9
+
+    strat = SelectionStrategy(kind, 12, hybrid_kcenter=hybrid, hybrid_pool_factor=3)
+    res = select_queries(strat, probs, ps, seed=0)
+    assert np.array_equal(res.candidates, cands)
+    np.testing.assert_allclose(res.scores, want_scores, rtol=0, atol=1e-12)
+    if hybrid:
+        want = kcenter_select(features, top_k_select(want_scores, cands, 36), queried, 12)
+    else:
+        want = top_k_select(want_scores, cands, 12)
+    assert np.array_equal(res.selected, want)
+
+
+@pytest.mark.parametrize("kind", SCORED_KINDS)
+def test_select_queries_scored_kinds_need_pool_probs(scored_pool, kind):
+    ps, probs = scored_pool
+    for bad in (None, probs[:, :-1], probs[0]):
+        with pytest.raises(InvalidInputError):
+            select_queries(SelectionStrategy(kind, 4), bad, ps, seed=0)

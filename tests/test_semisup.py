@@ -20,7 +20,7 @@ from ensteal.ensemble import (
     train_cycle,
 )
 from ensteal.errors import InvalidConfigError
-from ensteal.numkit import accuracy, loss_and_grad, sgd_update
+from ensteal.numkit import accuracy, loss_and_grad, probs_batch, sgd_update
 from ensteal.seeding import derive_seed, mask64
 from ensteal.semisup import (
     FilterRecord,
@@ -250,6 +250,25 @@ def test_ssl_train_improves_or_preserves_validation(ssl_scenario):
     ssl_train(st, ps, cfg, seed=21)
     after = max(accuracy(m, Xv, yv) for m in st.best_models())
     assert after >= before - 0.05
+    ps.clear_pseudo()
+
+
+def test_ssl_train_replaced_checkpoints_get_fresh_outputs(ssl_scenario):
+    state, ps, _ = ssl_scenario
+    cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
+    harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
+    import copy
+
+    st = copy.deepcopy(state)
+    stale = st.best_probs(ps.pool)
+    for b in st.best:
+        b.val_accuracy = -1.0  # any fine-tuned member now counts as an improvement
+    ssl_train(st, ps, cfg, seed=3)
+    assert all(b.cycle == st.cycle + 1 for b in st.best)
+    fresh = st.best_probs(ps.pool)
+    for i, b in enumerate(st.best):
+        assert np.array_equal(fresh[i], probs_batch(b.model, ps.pool.features))
+        assert not np.array_equal(fresh[i], stale[i])
     ps.clear_pseudo()
 
 
