@@ -85,14 +85,6 @@ def pgd_attack_batch(model: MlpModel, X, y, cfg: PgdConfig) -> np.ndarray:
     return adv
 
 
-def pgd_attack(model: MlpModel, x, y: int, cfg: PgdConfig) -> np.ndarray:
-    """Single-row convenience wrapper around pgd_attack_batch."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InvalidInputError(f"expected a flat feature row, got shape {x.shape}")
-    return pgd_attack_batch(model, x[None, :], np.array([y]), cfg)[0]
-
-
 def random_sign_perturbation(
     X, epsilon: float, seed: int = 0, clamp: Optional[tuple[float, float]] = None
 ) -> np.ndarray:

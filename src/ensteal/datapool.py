@@ -91,11 +91,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices, dtype=np.int64)
-        labels = None if self.labels is None else self.labels[indices]
-        return Dataset(self.features[indices], labels, self.layout)
-
 
 # ── pool bookkeeping ─────────────────────────────────────────────────
 
@@ -363,6 +358,14 @@ class GaussianMixture:
         if self.separation <= 0:
             raise InvalidConfigError("separation must be positive")
 
+    @property
+    def input_dim(self) -> int:
+        return self.dim
+
+    @property
+    def num_classes(self) -> int:
+        return self.classes
+
 
 @dataclass(frozen=True)
 class TinyDigits:
@@ -374,6 +377,14 @@ class TinyDigits:
     def __post_init__(self):
         if self.height < 5 or self.width < 3:
             raise InvalidConfigError("digit canvas must be at least 5x3")
+
+    @property
+    def input_dim(self) -> int:
+        return self.height * self.width
+
+    @property
+    def num_classes(self) -> int:
+        return 10
 
 
 _GLYPHS = [
@@ -464,6 +475,18 @@ def initial_split(
     """
     if pool_size < 1:
         raise InvalidInputError("pool is empty")
+    per_cycle = per_cycle_batches(total_budget, cycles, validation_fraction)[0]
+    val_n = int(round(validation_fraction * total_budget))
+    if val_n + per_cycle > pool_size:
+        raise InvalidInputError("pool smaller than the initial draw")
+    rng = np.random.default_rng(mask64(seed))
+    pick = rng.choice(pool_size, size=val_n + per_cycle, replace=False)
+    return np.sort(pick[:val_n]).astype(np.int64), np.sort(pick[val_n:]).astype(np.int64)
+
+
+def per_cycle_batches(total_budget: int, cycles: int, validation_fraction: float) -> list[int]:
+    """Query batch size for each cycle; the last batch absorbs the remainder.
+    Every batch holds at least one query, or the split is rejected."""
     if total_budget < 1:
         raise InvalidConfigError("query budget must be positive")
     if cycles < 1:
@@ -477,17 +500,6 @@ def initial_split(
             f"budget {total_budget} too small for {cycles} cycles after "
             f"{val_n} validation queries"
         )
-    if val_n + per_cycle > pool_size:
-        raise InvalidInputError("pool smaller than the initial draw")
-    rng = np.random.default_rng(mask64(seed))
-    pick = rng.choice(pool_size, size=val_n + per_cycle, replace=False)
-    return np.sort(pick[:val_n]).astype(np.int64), np.sort(pick[val_n:]).astype(np.int64)
-
-
-def per_cycle_batches(total_budget: int, cycles: int, validation_fraction: float) -> list[int]:
-    """Query batch size for each cycle; the last batch absorbs the remainder."""
-    val_n = int(round(validation_fraction * total_budget))
-    per_cycle = (total_budget - val_n) // cycles
     sizes = [per_cycle] * cycles
     sizes[-1] += (total_budget - val_n) - per_cycle * cycles
     return sizes

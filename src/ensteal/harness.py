@@ -12,6 +12,11 @@ batches, alternate committee refreshes with query selection until the budget
 is spent, optionally mine pseudo-labels and run consistency training, and
 optionally measure adversarial transfer from every member to the target.
 
+The config is a tree of frozen section dataclasses: `parse_config` decodes
+JSON into it by walking their fields (JSON types checked, unknown keys
+rejected, each section range-checked as it is built), and `config_to_dict`
+walks it back to the JSON that config_echo.json holds.
+
 Emitted files (no timestamps anywhere): report.json, curves.csv,
 summary.txt, config_echo.json, pseudo_hist.csv, optional scores.csv,
 optional per-member adversarial CSVs, the trained victim checkpoint, and
@@ -24,8 +29,8 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -40,6 +45,7 @@ from .datapool import (
     JitterDrop,
     PoolState,
     RandLite,
+    SyntheticSource,
     TinyDigits,
     initial_split,
     per_cycle_batches,
@@ -48,6 +54,7 @@ from .datapool import (
 )
 from .ensemble import (
     DEFAULT_HIDDEN_PROFILE,
+    EnsembleSpec,
     EnsembleState,
     consensus_mean,
     default_member_configs,
@@ -63,7 +70,7 @@ from .numkit import MlpSpec, SgdConfig
 from .seeding import derive_seed, mask64
 from .selection import SCORED_KINDS, SelectionStrategy, select_queries
 from .semisup import SslConfig, harvest_pseudo_labels, ssl_train
-from .victim import QueryBudget, VictimOracle, train_victim
+from .victim import DEFAULT_VICTIM_HIDDEN, QueryBudget, VictimOracle, default_victim_sgd, train_victim
 
 # Stage offsets XORed into the root seed; every stage owns one.
 POOL_DATA = 1
@@ -87,19 +94,11 @@ def stage_seed(root: int, offset: int) -> int:
 
 
 # ── config schema ────────────────────────────────────────────────────
-
-
-def _section(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise InvalidConfigError(f"{path} must be an object")
-    return dict(obj)
-
-
-def _reject_unknown(leftover: dict, path: str) -> None:
-    if leftover:
-        keys = ", ".join(sorted(leftover))
-        raise InvalidConfigError(f"unknown key(s) in {path}: {keys}")
-
+#
+# Each section is a frozen dataclass whose fields are its JSON keys: a field
+# without a default is required, and __post_init__ range-checks the section,
+# mostly by building the runtime objects its values feed, so a bad value is
+# rejected before any stage runs. _decode and _encode walk these classes.
 
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
@@ -113,145 +112,67 @@ def _typed(value, kind: type, path: str):
     return float(value) if kind is float else value
 
 
-def _widths(value, path: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise InvalidConfigError(f"{path} must be a list of integers, got {value!r}")
-    return tuple(_typed(w, int, f"{path}[{i}]") for i, w in enumerate(value))
+class _Auto:
+    def __repr__(self) -> str:
+        return "AUTO"
 
 
-@dataclass(frozen=True)
-class DataConfig:
-    source: str
-    classes: int = 0
-    dim: int = 0
-    separation: float = 0.0
-    height: int = 10
-    width: int = 6
+# Default of a field whose absence means "derive it at run time"; the
+# encoder leaves such a field out.
+AUTO = _Auto()
 
-    @property
-    def input_dim(self) -> int:
-        return self.dim if self.source == "gaussian_mixture" else self.height * self.width
-
-    @property
-    def num_classes(self) -> int:
-        return self.classes if self.source == "gaussian_mixture" else 10
-
-    def build(self):
-        if self.source == "gaussian_mixture":
-            return GaussianMixture(self.classes, self.dim, self.separation)
-        return TinyDigits(self.height, self.width)
+# victim.data names its source class by this tag
+_SOURCES = {"gaussian_mixture": GaussianMixture, "tiny_digits": TinyDigits}
+_SOURCE_TAGS = {cls: tag for tag, cls in _SOURCES.items()}
+_VICTIM_SGD = default_victim_sgd()
 
 
-def _parse_data(obj, path: str) -> DataConfig:
-    d = _section(obj, path)
-    source = d.pop("source", None)
-    if source == "gaussian_mixture":
-        try:
-            cfg = DataConfig(
-                source=source,
-                classes=_typed(d.pop("classes"), int, f"{path}.classes"),
-                dim=_typed(d.pop("dim"), int, f"{path}.dim"),
-                separation=_typed(d.pop("separation"), float, f"{path}.separation"),
-            )
-        except KeyError as exc:
-            raise InvalidConfigError(
-                f"{path} requires classes, dim, and separation"
-            ) from exc
-    elif source == "tiny_digits":
-        cfg = DataConfig(
-            source=source,
-            height=_typed(d.pop("height", 10), int, f"{path}.height"),
-            width=_typed(d.pop("width", 6), int, f"{path}.width"),
-        )
-    else:
-        raise InvalidConfigError(f"{path}.source must be gaussian_mixture or tiny_digits")
-    _reject_unknown(d, path)
-    cfg.build()  # runs the source's own validation
-    return cfg
+def _shared(section, runtime: type) -> dict:
+    """The section's values for the fields that a runtime config also has."""
+    names = {f.name for f in fields(runtime)}
+    return {f.name: getattr(section, f.name) for f in fields(section) if f.name in names}
 
 
 @dataclass(frozen=True)
 class VictimSection:
-    data: DataConfig
+    data: SyntheticSource
     train_n: int = 4000
     test_n: int = 2000
-    hidden_layers: tuple[int, ...] = (64, 64)
+    hidden_layers: tuple[int, ...] = DEFAULT_VICTIM_HIDDEN
     activation: str = "relu"
-    base_lr: float = 0.1
-    momentum: float = 0.5
-    lr_decay_factor: float = 0.1
-    lr_decay_every: int = 30
-    weight_decay: float = 0.0
-    epochs: int = 200
-    batch_size: int = 64
+    base_lr: float = _VICTIM_SGD.base_lr
+    momentum: float = _VICTIM_SGD.momentum
+    lr_decay_factor: float = _VICTIM_SGD.lr_decay_factor
+    lr_decay_every: int = _VICTIM_SGD.lr_decay_every
+    weight_decay: float = _VICTIM_SGD.weight_decay
+    epochs: int = _VICTIM_SGD.epochs
+    batch_size: int = _VICTIM_SGD.batch_size
     checkpoint: Optional[str] = None
 
+    def __post_init__(self):
+        if self.train_n < 1 or self.test_n < 1:
+            raise InvalidConfigError("train_n and test_n must be positive")
+        self.sgd()
+        self.spec(0)
+
     def sgd(self) -> SgdConfig:
-        return SgdConfig(
-            base_lr=self.base_lr,
-            momentum=self.momentum,
-            lr_decay_factor=self.lr_decay_factor,
-            lr_decay_every=self.lr_decay_every,
-            weight_decay=self.weight_decay,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-        )
+        return SgdConfig(**_shared(self, SgdConfig))
 
-
-def _parse_victim(obj, path: str) -> VictimSection:
-    d = _section(obj, path)
-    data = _parse_data(d.pop("data", None), f"{path}.data")
-    kwargs = {}
-    for key, cast in [
-        ("train_n", int),
-        ("test_n", int),
-        ("activation", str),
-        ("base_lr", float),
-        ("momentum", float),
-        ("lr_decay_factor", float),
-        ("lr_decay_every", int),
-        ("weight_decay", float),
-        ("epochs", int),
-        ("batch_size", int),
-    ]:
-        if key in d:
-            kwargs[key] = _typed(d.pop(key), cast, f"{path}.{key}")
-    if "hidden_layers" in d:
-        kwargs["hidden_layers"] = _widths(d.pop("hidden_layers"), f"{path}.hidden_layers")
-    checkpoint = d.pop("checkpoint", None)
-    if checkpoint is not None:
-        kwargs["checkpoint"] = _typed(checkpoint, str, f"{path}.checkpoint")
-    _reject_unknown(d, path)
-    cfg = VictimSection(data=data, **kwargs)
-    cfg.sgd()
-    if cfg.train_n < 1 or cfg.test_n < 1:
-        raise InvalidConfigError("train_n and test_n must be positive")
-    return cfg
+    def spec(self, rng_seed: int) -> MlpSpec:
+        return MlpSpec(self.data.input_dim, self.hidden_layers, self.data.num_classes, self.activation, rng_seed)
 
 
 @dataclass(frozen=True)
 class StrategySection:
     kind: str
-    hybrid_kcenter: bool = False
-    hybrid_pool_factor: int = 5
+    hybrid_kcenter: bool = SelectionStrategy.hybrid_kcenter
+    hybrid_pool_factor: int = SelectionStrategy.hybrid_pool_factor
+
+    def __post_init__(self):
+        self.build(1)
 
     def build(self, batch_size: int) -> SelectionStrategy:
-        return SelectionStrategy(self.kind, batch_size, self.hybrid_kcenter, self.hybrid_pool_factor)
-
-
-def _parse_strategy(obj, path: str) -> StrategySection:
-    d = _section(obj, path)
-    kind = d.pop("kind", None)
-    if not isinstance(kind, str):
-        raise InvalidConfigError(f"{path}.kind is required")
-    cfg = StrategySection(
-        kind=kind,
-        hybrid_kcenter=_typed(d.pop("hybrid_kcenter", False), bool, f"{path}.hybrid_kcenter"),
-        hybrid_pool_factor=_typed(d.pop("hybrid_pool_factor", 5), int, f"{path}.hybrid_pool_factor"),
-    )
-    _reject_unknown(d, path)
-    cfg.build(1)
-    return cfg
+        return SelectionStrategy(batch_size=batch_size, **_shared(self, SelectionStrategy))
 
 
 @dataclass(frozen=True)
@@ -260,32 +181,17 @@ class EnsembleSection:
     activation: str = "relu"
     epochs: int = 30
     batch_size: int = 64
-    victim_arch_index: Optional[int] = None
-    auto_victim_index: bool = True
+    # AUTO: the member whose widths equal the victim's, if any; None: no member
+    victim_arch_index: Optional[int] = AUTO
 
+    def __post_init__(self):
+        members = tuple(MlpSpec(1, hidden, 2, self.activation) for hidden in self.hidden_profile)
+        spec = EnsembleSpec(members, None if self.auto_victim_index else self.victim_arch_index)
+        default_member_configs(spec, self.epochs, self.batch_size)
 
-def _parse_ensemble(obj, path: str) -> EnsembleSection:
-    d = _section(obj, path)
-    kwargs = {}
-    if "hidden_profile" in d:
-        profile = d.pop("hidden_profile")
-        if not isinstance(profile, list) or not profile:
-            raise InvalidConfigError(f"{path}.hidden_profile must be a nonempty list")
-        kwargs["hidden_profile"] = tuple(
-            _widths(layer, f"{path}.hidden_profile[{i}]") for i, layer in enumerate(profile)
-        )
-    for key, cast in [("activation", str), ("epochs", int), ("batch_size", int)]:
-        if key in d:
-            kwargs[key] = _typed(d.pop(key), cast, f"{path}.{key}")
-    if "victim_arch_index" in d:
-        raw = d.pop("victim_arch_index")
-        kwargs["victim_arch_index"] = None if raw is None else _typed(raw, int, f"{path}.victim_arch_index")
-        kwargs["auto_victim_index"] = False
-    _reject_unknown(d, path)
-    cfg = EnsembleSection(**kwargs)
-    if cfg.epochs < 1 or cfg.batch_size < 1:
-        raise InvalidConfigError("ensemble epochs and batch_size must be positive")
-    return cfg
+    @property
+    def auto_victim_index(self) -> bool:
+        return self.victim_arch_index is AUTO
 
 
 @dataclass(frozen=True)
@@ -295,22 +201,11 @@ class RemoteSection:
     timeout: float = 10.0
     retries: int = 3
 
+    def __post_init__(self):
+        self.client(0)
 
-def _parse_remote(obj, path: str) -> Optional[RemoteSection]:
-    if obj is None:
-        return None
-    d = _section(obj, path)
-    try:
-        cfg = RemoteSection(
-            host=_typed(d.pop("host"), str, f"{path}.host"),
-            port=_typed(d.pop("port"), int, f"{path}.port"),
-            timeout=_typed(d.pop("timeout", 10.0), float, f"{path}.timeout"),
-            retries=_typed(d.pop("retries", 3), int, f"{path}.retries"),
-        )
-    except KeyError as exc:
-        raise InvalidConfigError(f"{path} requires host and port") from exc
-    _reject_unknown(d, path)
-    return cfg
+    def client(self, id_seed: int) -> RemoteVictimClient:
+        return RemoteVictimClient(self.host, self.port, self.timeout, self.retries, id_seed)
 
 
 @dataclass(frozen=True)
@@ -318,112 +213,55 @@ class AttackSection:
     pool_n: int
     budget: int
     cycles: int
+    strategy: StrategySection
     validation_fraction: float = 0.1
-    strategy: StrategySection = StrategySection("consensus_entropy")
     ensemble: EnsembleSection = EnsembleSection()
     remote: Optional[RemoteSection] = None
 
-
-def _parse_attack(obj, path: str) -> AttackSection:
-    d = _section(obj, path)
-    try:
-        pool_n = _typed(d.pop("pool_n"), int, f"{path}.pool_n")
-        budget = _typed(d.pop("budget"), int, f"{path}.budget")
-        cycles = _typed(d.pop("cycles"), int, f"{path}.cycles")
-    except KeyError as exc:
-        raise InvalidConfigError(f"{path} requires pool_n, budget, and cycles") from exc
-    strategy = _parse_strategy(d.pop("strategy", None), f"{path}.strategy")
-    kwargs = {}
-    if "validation_fraction" in d:
-        kwargs["validation_fraction"] = _typed(d.pop("validation_fraction"), float, f"{path}.validation_fraction")
-    if "ensemble" in d:
-        kwargs["ensemble"] = _parse_ensemble(d.pop("ensemble"), f"{path}.ensemble")
-    if "remote" in d:
-        kwargs["remote"] = _parse_remote(d.pop("remote"), f"{path}.remote")
-    _reject_unknown(d, path)
-    cfg = AttackSection(pool_n=pool_n, budget=budget, cycles=cycles, strategy=strategy, **kwargs)
-    if cfg.pool_n < 1:
-        raise InvalidConfigError("pool_n must be positive")
-    per_cycle_sizes = per_cycle_batches(cfg.budget, cfg.cycles, cfg.validation_fraction)
-    if min(per_cycle_sizes) < 1:
-        raise InvalidConfigError("budget leaves an empty query batch")
-    return cfg
+    def __post_init__(self):
+        if self.pool_n < 1:
+            raise InvalidConfigError("pool_n must be positive")
+        per_cycle_batches(self.budget, self.cycles, self.validation_fraction)
 
 
 @dataclass(frozen=True)
 class SslSection:
-    confidence_threshold: float = 0.9
-    max_label_changes: int = 1
-    per_class_cap: int = 100
-    pseudo_loss_weight: float = 1.0
-    lr: float = 0.002
-    momentum: float = 0.9
-    epochs: int = 30
-    batch_size: int = 64
+    confidence_threshold: float = SslConfig.confidence_threshold
+    max_label_changes: int = SslConfig.max_label_changes
+    per_class_cap: int = SslConfig.per_class_cap
+    pseudo_loss_weight: float = SslConfig.pseudo_loss_weight
+    lr: float = SslConfig.lr
+    momentum: float = SslConfig.momentum
+    epochs: int = SslConfig.epochs
+    batch_size: int = SslConfig.batch_size
+    # always null: resolve_augment picks the perturbations from the data layout
+    augment: None = None
 
+    def __post_init__(self):
+        self.build(resolve_augment(None, 0))
 
-def _parse_ssl(obj, path: str) -> Optional[SslSection]:
-    if obj is None:
-        return None
-    d = _section(obj, path)
-    if d.pop("augment", None) is not None:
-        raise InvalidConfigError(
-            f"{path}.augment must be null; perturbations are chosen from the data layout"
-        )
-    kwargs = {}
-    for key, cast in [
-        ("confidence_threshold", float),
-        ("max_label_changes", int),
-        ("per_class_cap", int),
-        ("pseudo_loss_weight", float),
-        ("lr", float),
-        ("momentum", float),
-        ("epochs", int),
-        ("batch_size", int),
-    ]:
-        if key in d:
-            kwargs[key] = _typed(d.pop(key), cast, f"{path}.{key}")
-    _reject_unknown(d, path)
-    return SslSection(**kwargs)
+    def build(self, augment: AugmentConfig) -> SslConfig:
+        return SslConfig(**{**_shared(self, SslConfig), "augment": augment})
 
 
 @dataclass(frozen=True)
 class AdvSection:
     epsilon: float
-    steps: int = 20
-    step_size: Optional[float] = None
-    random_start: bool = True
+    steps: int = adv.PgdConfig.steps
+    step_size: Optional[float] = adv.PgdConfig.step_size
+    random_start: bool = adv.PgdConfig.random_start
     n_eval: int = 200
     denominator: str = "source_fooled"
 
+    def __post_init__(self):
+        if self.n_eval < 1:
+            raise InvalidConfigError("n_eval must be positive")
+        if self.denominator not in ("source_fooled", "all"):
+            raise InvalidConfigError("denominator must be source_fooled or all")
+        self.pgd(0)
 
-def _parse_adv(obj, path: str) -> Optional[AdvSection]:
-    if obj is None:
-        return None
-    d = _section(obj, path)
-    try:
-        epsilon = _typed(d.pop("epsilon"), float, f"{path}.epsilon")
-    except KeyError as exc:
-        raise InvalidConfigError(f"{path} requires epsilon") from exc
-    kwargs = {}
-    for key, cast in [
-        ("steps", int),
-        ("random_start", bool),
-        ("n_eval", int),
-        ("denominator", str),
-    ]:
-        if key in d:
-            kwargs[key] = _typed(d.pop(key), cast, f"{path}.{key}")
-    if "step_size" in d:
-        raw = d.pop("step_size")
-        kwargs["step_size"] = None if raw is None else _typed(raw, float, f"{path}.step_size")
-    _reject_unknown(d, path)
-    cfg = AdvSection(epsilon=epsilon, **kwargs)
-    if cfg.n_eval < 1:
-        raise InvalidConfigError("n_eval must be positive")
-    if cfg.denominator not in ("source_fooled", "all"):
-        raise InvalidConfigError("denominator must be source_fooled or all")
-    return cfg
+    def pgd(self, seed: int) -> adv.PgdConfig:
+        return adv.PgdConfig(seed=seed, **_shared(self, adv.PgdConfig))
 
 
 @dataclass(frozen=True)
@@ -441,20 +279,60 @@ class ExperimentConfig:
     outputs: OutputSection = OutputSection()
 
 
+def _decode(kind, value, path: str):
+    """The JSON value at path, checked against kind and converted to it:
+    a section dataclass, a tagged data source, Optional[X], tuple[X, ...],
+    None, or a scalar type."""
+    if kind is type(None):
+        if value is not None:
+            raise InvalidConfigError(f"{path} must be null, got {value!r}")
+        return None
+    if kind == SyntheticSource:
+        tag = value.get("source") if isinstance(value, dict) else None
+        if not isinstance(tag, str) or tag not in _SOURCES:
+            raise InvalidConfigError(f"{path}.source must be {' or '.join(_SOURCES)}")
+        return _decode(_SOURCES[tag], {k: v for k, v in value.items() if k != "source"}, path)
+    if get_origin(kind) is Union:  # Optional[X]
+        return None if value is None else _decode(get_args(kind)[0], value, path)
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise InvalidConfigError(f"{path} must be a list, got {value!r}")
+        return tuple(_decode(get_args(kind)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if not is_dataclass(kind):
+        return _typed(value, kind, path)
+    where = path or "config"
+    if not isinstance(value, dict):
+        raise InvalidConfigError(f"{where} must be an object")
+    unknown = sorted(set(value) - {f.name for f in fields(kind)})
+    if unknown:
+        raise InvalidConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    hints = get_type_hints(kind)
+    kwargs = {}
+    for f in fields(kind):
+        key = f"{path}.{f.name}" if path else f.name
+        if f.name in value:
+            kwargs[f.name] = _decode(hints[f.name], value[f.name], key)
+        elif f.default is MISSING:
+            raise InvalidConfigError(f"{key} is required")
+    try:
+        return kind(**kwargs)
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{where}: {exc}") from exc
+
+
+def _encode(value):
+    if is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in fields(value))
+        out = {name: _encode(v) for name, v in items if v is not AUTO}
+        tag = _SOURCE_TAGS.get(type(value))
+        return out if tag is None else {"source": tag, **out}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
 def parse_config(obj: dict) -> ExperimentConfig:
-    d = _section(obj, "config")
-    if "seed" not in d:
-        raise InvalidConfigError("config requires a seed")
-    seed = _typed(d.pop("seed"), int, "seed")
-    victim = _parse_victim(d.pop("victim", None), "victim")
-    attack = _parse_attack(d.pop("attack", None), "attack")
-    ssl = _parse_ssl(d.pop("ssl", None), "ssl")
-    advs = _parse_adv(d.pop("adversarial", None), "adversarial")
-    out_d = _section(d.pop("outputs", {}), "outputs")
-    outputs = OutputSection(scores_csv=_typed(out_d.pop("scores_csv", False), bool, "outputs.scores_csv"))
-    _reject_unknown(out_d, "outputs")
-    _reject_unknown(d, "config")
-    return ExperimentConfig(seed, victim, attack, ssl, advs, outputs)
+    return _decode(ExperimentConfig, obj, "")
 
 
 def load_config(path) -> tuple[ExperimentConfig, str]:
@@ -469,85 +347,7 @@ def load_config(path) -> tuple[ExperimentConfig, str]:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    v, a = cfg.victim, cfg.attack
-    data = {"source": v.data.source}
-    if v.data.source == "gaussian_mixture":
-        data.update(classes=v.data.classes, dim=v.data.dim, separation=v.data.separation)
-    else:
-        data.update(height=v.data.height, width=v.data.width)
-    out: dict = {
-        "seed": cfg.seed,
-        "victim": {
-            "data": data,
-            "train_n": v.train_n,
-            "test_n": v.test_n,
-            "hidden_layers": list(v.hidden_layers),
-            "activation": v.activation,
-            "base_lr": v.base_lr,
-            "momentum": v.momentum,
-            "lr_decay_factor": v.lr_decay_factor,
-            "lr_decay_every": v.lr_decay_every,
-            "weight_decay": v.weight_decay,
-            "epochs": v.epochs,
-            "batch_size": v.batch_size,
-            "checkpoint": v.checkpoint,
-        },
-        "attack": {
-            "pool_n": a.pool_n,
-            "budget": a.budget,
-            "cycles": a.cycles,
-            "validation_fraction": a.validation_fraction,
-            "strategy": {
-                "kind": a.strategy.kind,
-                "hybrid_kcenter": a.strategy.hybrid_kcenter,
-                "hybrid_pool_factor": a.strategy.hybrid_pool_factor,
-            },
-            "ensemble": {
-                "hidden_profile": [list(layer) for layer in a.ensemble.hidden_profile],
-                "activation": a.ensemble.activation,
-                "epochs": a.ensemble.epochs,
-                "batch_size": a.ensemble.batch_size,
-                **(
-                    {}
-                    if a.ensemble.auto_victim_index
-                    else {"victim_arch_index": a.ensemble.victim_arch_index}
-                ),
-            },
-            "remote": None
-            if a.remote is None
-            else {
-                "host": a.remote.host,
-                "port": a.remote.port,
-                "timeout": a.remote.timeout,
-                "retries": a.remote.retries,
-            },
-        },
-        "ssl": None
-        if cfg.ssl is None
-        else {
-            "confidence_threshold": cfg.ssl.confidence_threshold,
-            "max_label_changes": cfg.ssl.max_label_changes,
-            "per_class_cap": cfg.ssl.per_class_cap,
-            "pseudo_loss_weight": cfg.ssl.pseudo_loss_weight,
-            "lr": cfg.ssl.lr,
-            "momentum": cfg.ssl.momentum,
-            "epochs": cfg.ssl.epochs,
-            "batch_size": cfg.ssl.batch_size,
-            "augment": None,
-        },
-        "adversarial": None
-        if cfg.adversarial is None
-        else {
-            "epsilon": cfg.adversarial.epsilon,
-            "steps": cfg.adversarial.steps,
-            "step_size": cfg.adversarial.step_size,
-            "random_start": cfg.adversarial.random_start,
-            "n_eval": cfg.adversarial.n_eval,
-            "denominator": cfg.adversarial.denominator,
-        },
-        "outputs": {"scores_csv": cfg.outputs.scores_csv},
-    }
-    return out
+    return _encode(cfg)
 
 
 # ── augment resolution ───────────────────────────────────────────────
@@ -653,7 +453,7 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
 
     try:
         with _stage("data"):
-            source = cfg.victim.data.build()
+            source = cfg.victim.data
             pool = strip_labels(make_synthetic(source, a.pool_n, stage_seed(root, POOL_DATA)))
             victim_train = make_synthetic(source, cfg.victim.train_n, stage_seed(root, VICTIM_DATA))
             test = make_synthetic(source, cfg.victim.test_n, stage_seed(root, TEST_DATA))
@@ -663,13 +463,7 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                 victim_model = numkit.load_model(cfg.victim.checkpoint)
                 victim_test_acc = numkit.accuracy(victim_model, test.features, test.labels)
             else:
-                spec = MlpSpec(
-                    input_dim=cfg.victim.data.input_dim,
-                    hidden_layers=cfg.victim.hidden_layers,
-                    num_classes=cfg.victim.data.num_classes,
-                    activation=cfg.victim.activation,
-                    rng_seed=derive_seed(stage_seed(root, VICTIM_TRAIN), 0),
-                )
+                spec = cfg.victim.spec(derive_seed(stage_seed(root, VICTIM_TRAIN), 0))
                 victim_model, victim_test_acc = train_victim(
                     victim_train, test, spec, cfg.victim.sgd(), seed=stage_seed(root, VICTIM_TRAIN)
                 )
@@ -680,12 +474,8 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                 # ids derive from the seed and the config text: another config's
                 # requests never reuse this run's ids, a same-config replay does
                 config_digest = hashlib.sha256(config_text.encode()).digest()[:8]
-                client = RemoteVictimClient(
-                    a.remote.host,
-                    a.remote.port,
-                    timeout=a.remote.timeout,
-                    retries=a.remote.retries,
-                    id_seed=derive_seed(stage_seed(root, CLIENT_IDS), int.from_bytes(config_digest, "big")),
+                client = a.remote.client(
+                    derive_seed(stage_seed(root, CLIENT_IDS), int.from_bytes(config_digest, "big"))
                 )
                 oracle = RemoteVictimOracle(client)
             else:
@@ -762,17 +552,7 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
         if cfg.ssl is not None:
             with _stage("ssl"):
                 aug = resolve_augment(pool.layout, stage_seed(root, SSL_STAGE))
-                ssl_cfg = SslConfig(
-                    augment=aug,
-                    confidence_threshold=cfg.ssl.confidence_threshold,
-                    max_label_changes=cfg.ssl.max_label_changes,
-                    per_class_cap=cfg.ssl.per_class_cap,
-                    pseudo_loss_weight=cfg.ssl.pseudo_loss_weight,
-                    lr=cfg.ssl.lr,
-                    momentum=cfg.ssl.momentum,
-                    epochs=cfg.ssl.epochs,
-                    batch_size=cfg.ssl.batch_size,
-                )
+                ssl_cfg = cfg.ssl.build(aug)
                 pre_agr = _validation_agreement(state, pool_state)
                 capped, _audit = harvest_pseudo_labels(
                     state.best_models(), pool_state, ssl_cfg, derive_seed(stage_seed(root, SSL_STAGE), 0)
@@ -807,13 +587,7 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                 Xe, ye = test.features[:n_eval], test.labels[:n_eval]
                 adv_report = []
                 for i, model in enumerate(state.best_models()):
-                    pgd_cfg = adv.PgdConfig(
-                        epsilon=ac.epsilon,
-                        steps=ac.steps,
-                        step_size=ac.step_size,
-                        random_start=ac.random_start,
-                        seed=derive_seed(stage_seed(root, ADV_STAGE), i),
-                    )
+                    pgd_cfg = ac.pgd(derive_seed(stage_seed(root, ADV_STAGE), i))
                     res = adv.transferability(model, victim_model, Xe, ye, pgd_cfg, ac.denominator)
                     X_rand = adv.random_sign_perturbation(
                         Xe, ac.epsilon, seed=derive_seed(stage_seed(root, ADV_STAGE), i, 1)

@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import (
     BudgetExhaustedError,
+    InvalidConfigError,
     InvalidInputError,
     RemoteUnavailableError,
 )
@@ -250,9 +251,13 @@ class RemoteVictimClient:
         retries: int = 3,
         id_seed: int = 0,
     ):
+        if not timeout > 0:
+            raise InvalidConfigError(f"timeout must be positive, got {timeout!r}")
+        if retries < 1:
+            raise InvalidConfigError(f"retries must be at least 1, got {retries!r}")
         self._addr = (host, port)
         self._timeout = timeout
-        self._retries = max(1, int(retries))
+        self._retries = retries
         rng = np.random.default_rng(mask64(id_seed))
         self._next_id = int(rng.integers(1, 1 << 62))
         self._sock: Optional[socket.socket] = None

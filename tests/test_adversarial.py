@@ -5,7 +5,6 @@ from conftest import make_sharp_models
 from ensteal.adversarial import (
     TRANSFER_CSV_HEADER,
     PgdConfig,
-    pgd_attack,
     pgd_attack_batch,
     random_sign_perturbation,
     transfer_from_adversarials,
@@ -98,14 +97,6 @@ def test_pgd_no_random_start_from_clean(attack_setup):
     a = pgd_attack_batch(model, X, y, cfg)
     b = pgd_attack_batch(model, X, y, PgdConfig(epsilon=0.4, steps=5, random_start=False, seed=77))
     assert np.array_equal(a, b)  # seed only matters for the random start
-
-
-def test_pgd_row_wrapper_matches_batch(attack_setup):
-    model, _, test = attack_setup
-    cfg = PgdConfig(epsilon=0.5, steps=6, random_start=False)
-    row = pgd_attack(model, test.features[3], int(test.labels[3]), cfg)
-    assert row.shape == (5,)
-    assert np.max(np.abs(row - test.features[3])) <= 0.5 + 1e-12
 
 
 def test_random_sign_perturbation():

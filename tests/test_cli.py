@@ -207,3 +207,12 @@ def test_unknown_strategy_fails_cleanly(tmp_path, capsys):
     rc = run_cli("run-attack", "--config", str(cfg_path), "--out", str(tmp_path / "x"))
     assert rc == 1
     assert "clairvoyance" in capsys.readouterr().err
+
+
+def test_out_of_range_value_fails_before_the_run(tmp_path, capsys):
+    cfg_path = make_attack_config(tmp_path, ssl={"confidence_threshold": 2.0})
+    out = tmp_path / "never"
+    rc = run_cli("run-attack", "--config", str(cfg_path), "--out", str(out))
+    assert rc == 1
+    assert "ssl: confidence_threshold" in capsys.readouterr().err
+    assert not out.exists()  # nothing written, no stage run, no query spent

@@ -46,13 +46,6 @@ def test_dataset_validation():
         Dataset(np.zeros((4, 3)), layout=ImageLayout(2, 2, 1))  # 4 != 3
 
 
-def test_dataset_subset():
-    data = Dataset(np.arange(12.0).reshape(4, 3), labels=np.array([3, 1, 2, 0]))
-    sub = data.subset([2, 0])
-    assert np.array_equal(sub.features, [[6, 7, 8], [0, 1, 2]])
-    assert np.array_equal(sub.labels, [2, 3])
-
-
 # ── pool state ───────────────────────────────────────────────────────
 
 

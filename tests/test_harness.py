@@ -1,5 +1,7 @@
 import json
 import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +108,11 @@ def test_parse_validates_budget_arithmetic():
     cfg["attack"]["budget"] = 2  # splits to zero queries per cycle
     with pytest.raises(InvalidConfigError):
         parse_config(cfg)
+    for cycles in (0, -1):
+        cfg = base_config()
+        cfg["attack"]["cycles"] = cycles
+        with pytest.raises(InvalidConfigError, match="cycles must be positive"):
+            parse_config(cfg)
 
 
 def test_parse_ssl_and_adv_sections():
@@ -169,6 +176,7 @@ def _full_config(path: str, value) -> dict:
         ("victim.hidden_layers", [16, True]),
         ("victim.data.classes", 3.0),
         ("victim.data.separation", "far"),
+        ("victim.data.source", [1]),
         ("attack.budget", 60.9),
         ("attack.pool_n", "800"),
         ("attack.validation_fraction", False),
@@ -196,6 +204,30 @@ def test_parse_rejects_wrong_types_naming_the_key(path, value):
         parse_config(_full_config(path, value))
 
 
+@pytest.mark.parametrize(
+    "path, value, section",
+    [
+        ("ssl.confidence_threshold", 2.0, "ssl"),
+        ("ssl.lr", 0, "ssl"),
+        ("ssl.lr", -0.1, "ssl"),
+        ("adversarial.steps", 0, "adversarial"),
+        ("adversarial.epsilon", -1, "adversarial"),
+        ("victim.activation", "gelu", "victim"),
+        ("attack.ensemble.hidden_profile", [[0]], "attack.ensemble"),
+        ("attack.ensemble.victim_arch_index", 9, "attack.ensemble"),  # 3 members
+        ("attack.remote.timeout", 0, "attack.remote"),
+        ("attack.remote.timeout", -1.5, "attack.remote"),
+        ("attack.remote.retries", 0, "attack.remote"),
+        ("attack.remote.retries", -3, "attack.remote"),
+    ],
+)
+def test_parse_rejects_values_a_later_stage_would_reject(path, value, section):
+    # each of these used to parse and fail only mid-run, after the budget
+    # was spent
+    with pytest.raises(InvalidConfigError, match=f"^{re.escape(section)}: "):
+        parse_config(_full_config(path, value))
+
+
 def test_parse_keeps_int_for_float_fields():
     raw = base_config()
     raw["victim"]["base_lr"] = 1
@@ -210,15 +242,61 @@ def test_parse_keeps_int_for_float_fields():
     assert cfg.adversarial.epsilon == 1.0 and isinstance(cfg.adversarial.epsilon, float)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _workload_configs() -> list[dict]:
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    return [
+        w.config(9, "victim.ckpt" if w.load_victim else None, 7411 if w.remote else None)
+        for w in workloads.values()
+    ]
+
+
+def _readme_config() -> dict:
+    readme = (ROOT / "README.md").read_text()
+    return json.loads(re.search(r"one JSON config:\n\n```json\n(.*?)```", readme, re.S).group(1))
+
+
 def test_config_roundtrip_through_dict():
-    raw = base_config(
-        ssl={"epochs": 4},
-        adversarial={"epsilon": 1.0},
-        outputs={"scores_csv": True},
-    )
-    cfg = parse_config(raw)
-    again = parse_config(config_to_dict(cfg))
-    assert again == cfg
+    raws = [
+        base_config(ssl={"epochs": 4}, adversarial={"epsilon": 1.0}, outputs={"scores_csv": True}),
+        _full_config("seed", 5),
+        _readme_config(),
+        *_workload_configs(),
+    ]
+    assert len(raws) == 6
+    for raw in raws:
+        cfg = parse_config(raw)
+        assert parse_config(config_to_dict(cfg)) == cfg
+
+
+# The echo of _full_config("seed", 5) on one line: the same keys, types and
+# values that config_echo.json of a `run-attack --seed` run prints with
+# indent=2, and whose digest seeds the remote request ids.
+FULL_CONFIG_ECHO = (
+    '{"adversarial": {"denominator": "source_fooled", "epsilon": 0.5, "n_eval": 200, '
+    '"random_start": true, "step_size": null, "steps": 20}, '
+    '"attack": {"budget": 120, "cycles": 3, "ensemble": {"activation": "relu", "batch_size": 64, '
+    '"epochs": 10, "hidden_profile": [[6], [10], [16, 16]]}, "pool_n": 800, '
+    '"remote": {"host": "127.0.0.1", "port": 4242, "retries": 3, "timeout": 10.0}, '
+    '"strategy": {"hybrid_kcenter": false, "hybrid_pool_factor": 5, "kind": "consensus_entropy"}, '
+    '"validation_fraction": 0.1}, '
+    '"outputs": {"scores_csv": false}, '
+    '"seed": 5, '
+    '"ssl": {"augment": null, "batch_size": 64, "confidence_threshold": 0.9, "epochs": 30, '
+    '"lr": 0.002, "max_label_changes": 1, "momentum": 0.9, "per_class_cap": 100, '
+    '"pseudo_loss_weight": 1.0}, '
+    '"victim": {"activation": "relu", "base_lr": 0.1, "batch_size": 64, "checkpoint": null, '
+    '"data": {"classes": 3, "dim": 6, "separation": 4.0, "source": "gaussian_mixture"}, '
+    '"epochs": 25, "hidden_layers": [16, 16], "lr_decay_every": 30, "lr_decay_factor": 0.1, '
+    '"momentum": 0.5, "test_n": 200, "train_n": 600, "weight_decay": 0.0}}'
+)
+
+
+def test_config_echo_text_is_pinned():
+    cfg = parse_config(_full_config("seed", 5))
+    assert json.dumps(config_to_dict(cfg), sort_keys=True) == FULL_CONFIG_ECHO
 
 
 def test_victim_arch_index_auto_detection():

@@ -10,6 +10,7 @@ import pytest
 from ensteal.datapool import Dataset, PoolState
 from ensteal.errors import (
     BudgetExhaustedError,
+    InvalidConfigError,
     InvalidInputError,
     RemoteUnavailableError,
 )
@@ -312,6 +313,12 @@ def test_client_reconnects_after_drop(service):
         cl._sock.close()  # sever the transport under the client
         assert cl.predict(x) == predict_label(model, x)  # silently reconnects
         assert oracle.budget_remaining() == 98
+
+
+@pytest.mark.parametrize("kwargs", [{"retries": 0}, {"retries": -3}, {"timeout": 0}, {"timeout": -1.0}])
+def test_client_rejects_out_of_range_settings(kwargs):
+    with pytest.raises(InvalidConfigError):
+        RemoteVictimClient("127.0.0.1", 1, **kwargs)
 
 
 def test_client_unreachable():
