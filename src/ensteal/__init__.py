@@ -5,8 +5,9 @@ a black-box target model, picks each round's queries actively (consensus
 entropy, committee disagreement, diversity baselines), optionally grows the
 training set with filtered pseudo-labels plus consistency training, and
 measures how well adversarial examples crafted on the substitutes carry
-over to the target. Everything runs on seeded float64 numpy and reproduces
-bit for bit.
+over to the target. Everything runs on seeded numpy and reproduces bit for
+bit: training arithmetic is float32 inside `numkit.sgd_epoch`, everything
+else, checkpoints included, is float64.
 """
 
 from .datapool import Dataset, ImageLayout, PoolState

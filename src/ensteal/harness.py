@@ -222,6 +222,8 @@ class AttackSection:
         if self.pool_n < 1:
             raise InvalidConfigError("pool_n must be positive")
         per_cycle_batches(self.budget, self.cycles, self.validation_fraction)
+        if self.pool_n < self.budget:
+            raise InvalidConfigError(f"pool_n {self.pool_n} is smaller than the budget {self.budget}")
 
 
 @dataclass(frozen=True)
@@ -498,7 +500,7 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
         with _stage("ensemble_setup"):
             if a.ensemble.auto_victim_index:
                 try:
-                    victim_arch_index = a.ensemble.hidden_profile.index(cfg.victim.hidden_layers)
+                    victim_arch_index = a.ensemble.hidden_profile.index(victim_model.spec.hidden_layers)
                 except ValueError:
                     victim_arch_index = None
             else:

@@ -3,8 +3,10 @@
 Small MLP classifiers over float64 numpy arrays: seeded initialization,
 overflow-safe softmax inference, analytic backpropagation for mean
 cross-entropy, and mini-batch SGD with momentum under a step learning-rate
-schedule. Models are plain values (flat parameter vector + immutable spec):
-cheap to copy, safe to train in parallel, bitwise reproducible from a seed.
+schedule. Training arithmetic runs in float32 inside `sgd_epoch`; parameters,
+inference, `loss_and_grad`, input gradients and checkpoints stay float64.
+Models are plain values (flat parameter vector + immutable spec): cheap to
+copy, safe to train in parallel, bitwise reproducible from a seed.
 
 Parameter layout is canonical: layer by layer, weights then biases, with the
 weight matrix of layer l stored row-major as (fan_in, fan_out).
@@ -169,7 +171,7 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (z > 0.0).astype(z.dtype)
     t = np.tanh(z)
     return 1.0 - t * t
 
@@ -244,11 +246,15 @@ def _loss_grad_into(layers: list, grads: list, act: str, X: np.ndarray, y: np.nd
     like `layers`."""
     n = X.shape[0]
     logits, zs, acts = _forward(layers, act, X)
-    probs = _softmax_rows(logits)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
     rows = np.arange(n)
-    with np.errstate(divide="ignore"):  # log(0) -> inf feeds the divergence guard
-        loss = float(-np.mean(np.log(probs[rows, y])))
-    dz = probs  # turned into d(loss)/d(logits) in place
+    # log-softmax form: in float32 the true-class probability underflows to 0
+    # once its logit trails the top one by about 103, and log(0) would read
+    # as divergence
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[rows, y]))
+    dz = e / total  # softmax, turned into d(loss)/d(logits) in place
     dz[rows, y] -= 1.0
     dz /= n
     for li in range(len(layers) - 1, -1, -1):
@@ -336,24 +342,34 @@ def sgd_epoch(
     gradient is the mean cross-entropy gradient times grad_scale, plus
     cfg.weight_decay * params when nonzero. Returns the pass's mean loss.
 
-    Inputs are validated once per pass, not once per minibatch.
+    The pass computes in float32 on working copies of the rows, params,
+    velocity and gradient, and writes params and velocity back at the end.
+    The float64 copies then hold float32 values exactly, so consecutive
+    passes chain as one float32 run. Inputs are validated once per pass.
     """
     X = _as_batch(model, X)
     y = _as_labels(model, y, X.shape[0])
-    X, y = X[order], y[order]
-    layers = model.layers()
-    grad = np.empty_like(model.params)
+    X, y = X[order].astype(np.float32), y[order]
+    params = model.params.astype(np.float32)
+    vel = velocity.astype(np.float32)
+    layers = _layer_views(model.spec, params)
+    grad = np.empty_like(params)
     grads = _layer_views(model.spec, grad)
     act = model.spec.activation
     total = 0.0
-    for start in range(0, order.size, cfg.batch_size):
-        batch = slice(start, start + cfg.batch_size)
-        total += _loss_grad_into(layers, grads, act, X[batch], y[batch]) * y[batch].size
-        if grad_scale != 1.0:
-            grad *= grad_scale
-        if cfg.weight_decay > 0.0:
-            grad += cfg.weight_decay * model.params
-        sgd_update(model.params, velocity, grad, lr, cfg.momentum)
+    # float32 overflows far sooner than float64; a non-finite loss is what
+    # reports divergence, so the intermediate warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, order.size, cfg.batch_size):
+            batch = slice(start, start + cfg.batch_size)
+            total += _loss_grad_into(layers, grads, act, X[batch], y[batch]) * y[batch].size
+            if grad_scale != 1.0:
+                grad *= grad_scale
+            if cfg.weight_decay > 0.0:
+                grad += cfg.weight_decay * params
+            sgd_update(params, vel, grad, lr, cfg.momentum)
+    model.params[:] = params
+    velocity[:] = vel
     return total / order.size
 
 

@@ -76,6 +76,58 @@ def forward_probs(model, X) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def loss_grad_float32(spec, params, X, y):
+    """Mean cross-entropy and its gradient computed entirely in float32 from a
+    flat float32 parameter vector, with the loss in log-softmax form.
+
+    Recomputes every layer's weights, inputs and pre-activations from scratch;
+    returns (float32 loss, flat float32 gradient in canonical order).
+    """
+    params = np.asarray(params, dtype=np.float32)
+    X = np.asarray(X, dtype=np.float32)
+    y = np.asarray(y, dtype=np.int64)
+    dims = [spec.input_dim, *spec.hidden_layers, spec.num_classes]
+    n_layers = len(dims) - 1
+    weights, biases = [], []
+    offset = 0
+    for li in range(n_layers):
+        fi, fo = dims[li], dims[li + 1]
+        weights.append(params[offset : offset + fi * fo].reshape(fi, fo))
+        offset += fi * fo
+        biases.append(params[offset : offset + fo])
+        offset += fo
+    inputs, pre = [], []
+    a = X
+    for li in range(n_layers):
+        inputs.append(a)
+        z = a @ weights[li] + biases[li]
+        if li < n_layers - 1:
+            pre.append(z)
+            a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=1)
+    n = y.size
+    rows = np.arange(n)
+    loss = np.mean(np.log(s) - shifted[rows, y])
+    delta = e / s[:, None]
+    delta[rows, y] -= 1.0
+    delta /= n
+    chunks = [None] * n_layers
+    for li in range(n_layers - 1, -1, -1):
+        chunks[li] = (inputs[li].T @ delta, delta.sum(axis=0))
+        if li > 0:
+            back = delta @ weights[li].T
+            if spec.activation == "relu":
+                delta = back * (pre[li - 1] > 0.0).astype(np.float32)
+            else:
+                t = np.tanh(pre[li - 1])
+                delta = back * (1.0 - t * t)
+    grad = np.concatenate([part.ravel() for pair in chunks for part in pair])
+    assert loss.dtype == np.float32 and grad.dtype == np.float32
+    return loss, grad
+
+
 def _replay_weak_transform(x, op, layout, rng) -> np.ndarray:
     """Re-derive the documented perturbation draw protocol for the transforms
     the filter oracle needs (noise-style ops and probabilistic flips)."""

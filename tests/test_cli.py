@@ -119,6 +119,17 @@ def test_run_attack_cli(tmp_path, capsys):
     assert (out / "config_echo.json").read_text() == cfg_path.read_text()
 
 
+def test_run_attack_rejects_pool_smaller_than_budget_before_writing(tmp_path, capsys):
+    cfg_path = make_attack_config(tmp_path)
+    raw = json.loads(cfg_path.read_text())
+    raw["attack"]["pool_n"] = 50  # budget 90
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert run_cli("run-attack", "--config", str(cfg_path), "--out", str(out)) == 1
+    assert "attack: pool_n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_attack_seed_override_changes_echo(tmp_path):
     cfg_path = make_attack_config(tmp_path)
     out = tmp_path / "run2"

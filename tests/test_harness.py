@@ -115,6 +115,16 @@ def test_parse_validates_budget_arithmetic():
             parse_config(cfg)
 
 
+def test_parse_rejects_pool_smaller_than_budget():
+    # such a run used to fail at stage cycles, after it had bought labels
+    cfg = base_config()
+    cfg["attack"]["pool_n"] = 50  # budget 120
+    with pytest.raises(InvalidConfigError, match=r"^attack: pool_n 50 .* budget 120"):
+        parse_config(cfg)
+    cfg["attack"]["pool_n"] = 120
+    assert parse_config(cfg).attack.pool_n == 120
+
+
 def test_parse_ssl_and_adv_sections():
     raw = base_config(
         ssl={"confidence_threshold": 0.8, "epochs": 5, "augment": None},
@@ -308,6 +318,20 @@ def test_victim_arch_index_auto_detection():
     cfg = parse_config(raw)
     assert cfg.attack.ensemble.victim_arch_index == 1
     assert cfg.attack.ensemble.auto_victim_index is False
+
+
+def test_victim_arch_index_auto_detected_against_the_loaded_checkpoint(tmp_path):
+    # no hidden_layers key: the config's default (64, 64) is not the
+    # checkpoint's (12, 12), which member 1 mirrors
+    ckpt = tmp_path / "victim.ckpt"
+    save_model(numkit.MlpModel.initialize(numkit.MlpSpec(6, (12, 12), 3, rng_seed=1)), ckpt)
+    raw = base_config()
+    del raw["victim"]["hidden_layers"]
+    raw["victim"]["checkpoint"] = str(ckpt)
+    raw["attack"]["cycles"] = 1
+    raw["attack"]["ensemble"] = {"hidden_profile": [[6], [12, 12]], "epochs": 2}
+    report = run_attack(parse_config(raw), tmp_path / "run")
+    assert report["victim_arch_index"] == 1
 
 
 def test_load_config_returns_raw_text(tmp_path):

@@ -16,6 +16,7 @@ from ensteal.numkit import (
     predict_label,
     probs_batch,
     save_model,
+    sgd_epoch,
     sgd_update,
     softmax_probs,
     train_supervised,
@@ -225,22 +226,23 @@ def test_train_is_deterministic_and_counts_epochs(rng):
 
 
 def _reference_train(model, X, y, cfg, seed):
-    """The minibatch loop written out from the public per-batch calls."""
-    out = model.copy()
-    velocity = np.zeros_like(out.params)
+    """The minibatch loop written out in float32 from the oracle's gradient."""
+    params = model.params.astype(np.float32)
+    velocity = np.zeros_like(params)
+    X = X.astype(np.float32)
     losses = []
     for epoch in range(cfg.epochs):
         order = np.random.default_rng(mask64(mask64(seed) ^ epoch)).permutation(len(X))
         total = 0.0
         for start in range(0, len(X), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grad = loss_and_grad(out, X[idx], y[idx])
-            total += loss * idx.size
+            loss, grad = oracles.loss_grad_float32(model.spec, params, X[idx], y[idx])
+            total += float(loss) * idx.size
             if cfg.weight_decay > 0.0:
-                grad = grad + cfg.weight_decay * out.params
-            sgd_update(out.params, velocity, grad, effective_lr(cfg, epoch), cfg.momentum)
+                grad = grad + cfg.weight_decay * params
+            sgd_update(params, velocity, grad, effective_lr(cfg, epoch), cfg.momentum)
         losses.append(total / len(X))
-    return out.params, losses
+    return params, losses
 
 
 @pytest.mark.parametrize(
@@ -259,8 +261,38 @@ def test_train_matches_reference_loop_bitwise(rng, act, momentum, weight_decay):
     )
     trained, losses = train_supervised(model, (X, y), cfg, 77)
     ref_params, ref_losses = _reference_train(model, X, y, cfg, 77)
+    assert trained.params.dtype == np.float64
     assert np.array_equal(trained.params, ref_params)
     assert losses == ref_losses
+
+
+@pytest.mark.parametrize("act", ["relu", "tanh"])
+def test_float32_step_gradient_matches_float64_reference(rng, act):
+    # one plain step at lr 1 moves float32-representable params by the step's
+    # float32 gradient, up to the rounding of the subtraction itself
+    model = small_model(seed=12, hidden=(9, 6), act=act)
+    model.params[:] = model.params.astype(np.float32)
+    X = rng.normal(size=(32, 5))
+    y = rng.integers(0, 3, 32)
+    loss64, grad64 = loss_and_grad(model, X, y)
+    stepped = model.copy()
+    cfg = SgdConfig(base_lr=1.0, batch_size=32)
+    loss32 = sgd_epoch(stepped, np.zeros_like(stepped.params), X, y, np.arange(32), cfg, 1.0)
+    grad32 = model.params - stepped.params
+    eps = float(np.finfo(np.float32).eps)
+    assert abs(loss32 - loss64) <= 16 * eps * abs(loss64)
+    scale = np.abs(model.params).max() + np.abs(grad64).max()
+    assert np.max(np.abs(grad32 - grad64)) <= 16 * eps * scale
+
+
+def test_float32_training_keeps_a_large_logit_gap_finite():
+    # the true class trails by 120: its float32 softmax probability underflows
+    # to 0, so a loss taken as -log(prob) would read as divergence
+    spec = MlpSpec(1, (), 2)
+    model = MlpModel(spec, np.array([0.0, 0.0, 120.0, 0.0]))
+    cfg = SgdConfig(base_lr=1e-3, epochs=1, batch_size=1)
+    _, losses = train_supervised(model, (np.ones((1, 1)), np.array([1])), cfg, 0)
+    assert losses[0] == pytest.approx(120.0, rel=1e-6)
 
 
 def test_training_reduces_loss(small_mixture):

@@ -20,7 +20,7 @@ from ensteal.ensemble import (
     train_cycle,
 )
 from ensteal.errors import InvalidConfigError
-from ensteal.numkit import accuracy, loss_and_grad, probs_batch, sgd_update
+from ensteal.numkit import accuracy, probs_batch, sgd_update
 from ensteal.seeding import derive_seed, mask64
 from ensteal.semisup import (
     FilterRecord,
@@ -30,7 +30,7 @@ from ensteal.semisup import (
     ssl_filter,
     ssl_train,
 )
-from oracles import ssl_filter_bruteforce
+from oracles import loss_grad_float32, ssl_filter_bruteforce
 
 
 def tabular_aug(seed=0):
@@ -273,15 +273,15 @@ def test_ssl_train_replaced_checkpoints_get_fresh_outputs(ssl_scenario):
 
 
 def _reference_ssl_train(models, ps, cfg, seed):
-    """ssl_train's fine-tuning loop written out from the public per-batch
-    calls: final parameters per member and every pass's mean loss."""
+    """ssl_train's fine-tuning loop written out in float32 from the oracle's
+    gradient: final parameters per member and every pass's mean loss."""
     Xl, yl, _ = ps.labeled_data()
     Xp, yp, _ = ps.pseudo_data()
     lam = cfg.pseudo_loss_weight
     params, losses = [], []
     for i, start in enumerate(models):
-        model = start.copy()
-        velocity = np.zeros_like(model.params)
+        p = start.params.astype(np.float32)
+        velocity = np.zeros_like(p)
         for e in range(cfg.epochs):
             passes = [(Xl, yl, np.random.default_rng(derive_seed(seed, i, e, 0)).permutation(len(Xl)), 1.0)]
             if lam > 0.0:
@@ -290,14 +290,15 @@ def _reference_ssl_train(models, ps, cfg, seed):
                 Xa = strong_augment(Xp[order], cfg.augment, None, aug_rng)
                 passes.append((Xa, yp[order], np.arange(order.size), lam))
             for X, y, order, scale in passes:
+                X = X.astype(np.float32)
                 total = 0.0
                 for s in range(0, order.size, cfg.batch_size):
                     sel = order[s : s + cfg.batch_size]
-                    loss, grad = loss_and_grad(model, X[sel], y[sel])
-                    total += loss * sel.size
-                    sgd_update(model.params, velocity, scale * grad, cfg.lr, cfg.momentum)
+                    loss, grad = loss_grad_float32(start.spec, p, X[sel], y[sel])
+                    total += float(loss) * sel.size
+                    sgd_update(p, velocity, scale * grad, cfg.lr, cfg.momentum)
                 losses.append(total / order.size)
-        params.append(model.params)
+        params.append(p)
     return params, losses
 
 
