@@ -1,13 +1,15 @@
 """Heterogeneous committee of substitute models.
 
 The attacker trains several MLPs of different capacities on the same stolen
-labels. Each refresh retrains every member from its seeded initialization on
-the current labeled set (no warm start), scores it on the held-out
-validation rows, and keeps the best checkpoint seen so far per member.
-Committee outputs (mean probabilities, label frequency vectors, majority
-vote) always come from those best checkpoints. A checkpoint's softmax over
-a fixed matrix (the attack pool, the test set) is computed once and kept on
-the checkpoint; replacing a checkpoint starts it with no stored outputs.
+labels. Each refresh retrains the members from their seeded initialization
+on the current labeled set (no warm start), scores them on the held-out
+validation rows, and keeps the best checkpoint seen so far per member. Only
+a strictly better score replaces a checkpoint, so a member already at 1.0 on
+validation is skipped: no output could see its retrain. Committee outputs
+(mean probabilities, label frequency vectors, majority vote) always come from
+those best checkpoints. A checkpoint's softmax over a fixed matrix (the
+attack pool, the test set) is computed once and kept on the checkpoint;
+replacing a checkpoint starts it with no stored outputs.
 """
 
 from __future__ import annotations
@@ -115,6 +117,10 @@ class BestCheckpoint:
     # read-only (rows, classes) softmax per Dataset, keyed by identity
     outputs: dict = field(default_factory=dict)
 
+    @property
+    def saturated(self) -> bool:  # no strictly better validation score exists
+        return self.val_accuracy == 1.0
+
 
 class EnsembleState:
     """Current members, their best checkpoints, and the refresh counter."""
@@ -152,14 +158,15 @@ def train_cycle(
     pool_state: PoolState,
     cfgs: list[SgdConfig],
     seed: int,
-) -> list[float]:
+) -> list[Optional[float]]:
     """One committee refresh on the oracle-labeled rows.
 
     Every member restarts from its spec's seeded initialization and trains
     with its own config; shuffle seeds derive from (seed, member index), so
     distinct cycles see distinct batch orders. Members whose validation
-    accuracy strictly improves replace their best checkpoint. Returns the
-    per-member validation accuracies of this refresh.
+    accuracy strictly improves replace their best checkpoint; one already at
+    1.0 is skipped. Returns the per-member validation accuracies of this
+    refresh, None for a skipped member.
     """
     if len(cfgs) != state.spec.size:
         raise InvalidConfigError("one SGD config per member required")
@@ -170,16 +177,18 @@ def train_cycle(
     if Xv.shape[0] == 0:
         raise InvalidInputError("validation rows are required to rank checkpoints")
     state.cycle += 1
-    accs: list[float] = []
+    accs: list[Optional[float]] = [None] * state.spec.size
     for i, member_spec in enumerate(state.spec.members):
+        prev = state.best[i]
+        if prev is not None and prev.saturated:
+            continue
         fresh = MlpModel.initialize(member_spec)
         trained, _ = numkit.train_supervised(fresh, (X, y), cfgs[i], derive_seed(seed, i))
         acc = numkit.accuracy(trained, Xv, yv)
         state.current[i] = trained
-        prev = state.best[i]
         if prev is None or acc > prev.val_accuracy:
             state.best[i] = BestCheckpoint(trained.copy(), acc, state.cycle)
-        accs.append(acc)
+        accs[i] = acc
     return accs
 
 

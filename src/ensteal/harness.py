@@ -222,6 +222,8 @@ class AttackSection:
         if self.pool_n < 1:
             raise InvalidConfigError("pool_n must be positive")
         per_cycle_batches(self.budget, self.cycles, self.validation_fraction)
+        if round(self.validation_fraction * self.budget) < 1:
+            raise InvalidConfigError(f"validation_fraction {self.validation_fraction} gives no validation rows")
         if self.pool_n < self.budget:
             raise InvalidConfigError(f"pool_n {self.pool_n} is smaller than the budget {self.budget}")
 
@@ -492,9 +494,8 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
             val_n = val_idx.size
 
         with _stage("initial_queries"):
-            if val_n > 0:
-                oracle.query_labels(val_idx, pool_state)
-                pool_state.convert_queried_to_validation(val_idx)
+            oracle.query_labels(val_idx, pool_state)
+            pool_state.convert_queried_to_validation(val_idx)
             oracle.query_labels(q0_idx, pool_state)
 
         with _stage("ensemble_setup"):

@@ -365,9 +365,6 @@ class RemoteVictimOracle:
     def budget_remaining(self) -> int:
         return self._client.budget_remaining()
 
-    def predict_one(self, x) -> int:
-        return self._client.predict(x)
-
     def query_labels(self, indices, pool_state) -> np.ndarray:
         idx = pool_state.check_queryable(indices)
         labels = self._client.predict_batch(pool_state.pool.features[idx])

@@ -10,7 +10,8 @@ data.
 
 The training stage then minimizes labeled loss plus a weighted pseudo loss,
 where pseudo rows are strongly perturbed afresh every epoch, at a low fixed
-learning rate. Checkpoints still only advance on validation improvement.
+learning rate. Checkpoints still only advance on validation improvement, so
+a member already at 1.0 on validation is not fine-tuned.
 """
 
 from __future__ import annotations
@@ -178,14 +179,15 @@ def ssl_train(
     cfg: SslConfig,
     seed: int = 0,
 ) -> list[SslEpochTrace]:
-    """Fine-tune every member's best checkpoint on labeled plus pseudo rows.
+    """Fine-tune each member's best checkpoint on labeled plus pseudo rows.
 
     Each epoch runs the labeled minibatches, then the pseudo minibatches
     with gradients scaled by the pseudo loss weight; the shuffled pseudo
     inputs are strongly perturbed anew that epoch, as one batch. The
     learning rate stays fixed. Members whose validation accuracy strictly
-    improves replace their best checkpoint. With no pseudo rows recorded
-    this is a no-op returning [].
+    improves replace their best checkpoint; one already at 1.0 is skipped,
+    with no traces (random streams are per member). With no pseudo rows
+    recorded this is a no-op returning [].
     """
     Xp, yp, _ = pool_state.pseudo_data()
     if Xp.shape[0] == 0:
@@ -203,6 +205,8 @@ def ssl_train(
     sgd = numkit.SgdConfig(base_lr=cfg.lr, momentum=cfg.momentum, batch_size=cfg.batch_size)
 
     for i in range(state.spec.size):
+        if state.best[i].saturated:
+            continue
         model = starting_points[i].copy()
         velocity = np.zeros_like(model.params)
         for e in range(cfg.epochs):
@@ -224,7 +228,6 @@ def ssl_train(
         model.epoch_counter += cfg.epochs
         acc = numkit.accuracy(model, Xv, yv)
         state.current[i] = model
-        prev = state.best[i]
-        if prev is not None and acc > prev.val_accuracy:
+        if acc > state.best[i].val_accuracy:
             state.best[i] = BestCheckpoint(model.copy(), acc, state.cycle + 1)
     return traces

@@ -132,16 +132,6 @@ class VictimOracle:
         with self._lock:
             return self._budget.remaining
 
-    def budget_total(self) -> int:
-        return self._budget.total
-
-    def predict_one(self, x) -> int:
-        """Answer a single input; charges one query."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise InvalidInputError(f"expected a flat feature row, got shape {x.shape}")
-        return int(self.predict_batch(x[None, :])[0])
-
     def predict_batch(self, X) -> np.ndarray:
         """Answer a batch of inputs, all or nothing: the batch is charged
         once, and a batch that does not fit the budget changes nothing."""

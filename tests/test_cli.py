@@ -130,6 +130,17 @@ def test_run_attack_rejects_pool_smaller_than_budget_before_writing(tmp_path, ca
     assert not out.exists()
 
 
+def test_run_attack_rejects_no_validation_rows_before_writing(tmp_path, capsys):
+    cfg_path = make_attack_config(tmp_path)
+    raw = json.loads(cfg_path.read_text())
+    raw["attack"].update(pool_n=400, budget=60, cycles=2, validation_fraction=0.0)
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert run_cli("run-attack", "--config", str(cfg_path), "--out", str(out)) == 1
+    assert "attack: validation_fraction" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_attack_seed_override_changes_echo(tmp_path):
     cfg_path = make_attack_config(tmp_path)
     out = tmp_path / "run2"

@@ -215,6 +215,31 @@ def test_best_probs_reused_until_checkpoint_replaced(trained_state, monkeypatch)
         assert np.array_equal(b.outputs[data], real(b.model, data.features))
 
 
+def test_train_cycle_skips_saturated_members(trained_state, monkeypatch):
+    _, pool, cfgs, _ = trained_state
+    state = EnsembleState(trained_state[0].spec)
+    train_cycle(state, pool, cfgs, seed=31)
+    state.best_probs(pool.pool)
+    state.best[0].val_accuracy = 1.0
+    state.best[1].val_accuracy = 0.98  # close to saturated, still retrained
+    saturated = state.best[0]
+    outputs = dict(saturated.outputs)
+    current = list(state.current)
+    trained = []
+    real = numkit.train_supervised
+    monkeypatch.setattr(numkit, "train_supervised", lambda m, *a: trained.append(m.spec) or real(m, *a))
+    accs = train_cycle(state, pool, cfgs, seed=32)
+    assert trained == list(state.spec.members[1:])
+    assert accs[0] is None and all(isinstance(a, float) for a in accs[1:])
+    assert state.cycle == 2
+    assert state.best[0] is saturated and saturated.cycle == 1
+    assert saturated.outputs.keys() == outputs.keys()
+    assert all(saturated.outputs[k] is v for k, v in outputs.items())
+    assert state.current[0] is current[0]
+    assert all(state.current[i] is not current[i] for i in (1, 2))
+    assert (state.best[1].cycle == 2) == (accs[1] > 0.98)
+
+
 def test_train_cycle_needs_validation_rows():
     pool = PoolState(Dataset(np.random.default_rng(0).normal(size=(50, 4))))
     spec = make_default_ensemble(4, 3, hidden_profile=((4,), (6,)), victim_arch_index=None)

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ensteal import numkit
-from ensteal.datapool import GaussianMixture, ImageLayout, make_synthetic
-from ensteal.ensemble import ensemble_predict, member_probs_matrix
+from ensteal import harness, numkit
+from ensteal.datapool import GaussianMixture, ImageLayout, make_synthetic, strong_augment
+from ensteal.ensemble import BestCheckpoint, ensemble_predict, member_probs_matrix
 from ensteal.errors import InvalidConfigError, StageError
 from ensteal.harness import (
     ADV_STAGE,
@@ -24,7 +24,8 @@ from ensteal.harness import (
     stage_seed,
 )
 from ensteal.netvictim import VictimService
-from ensteal.numkit import load_model, predict_batch, save_model
+from ensteal.numkit import MlpModel, load_model, predict_batch, save_model
+from ensteal.seeding import derive_seed, mask64
 from ensteal.victim import QueryBudget, VictimOracle, default_victim_sgd, train_victim
 
 
@@ -123,6 +124,17 @@ def test_parse_rejects_pool_smaller_than_budget():
         parse_config(cfg)
     cfg["attack"]["pool_n"] = 120
     assert parse_config(cfg).attack.pool_n == 120
+
+
+def test_parse_rejects_a_split_without_validation_rows():
+    # such a run used to fail at stage cycles, after it had bought labels
+    cfg = base_config()
+    for fraction in (0.0, 0.004):  # round(0.48) == 0 with budget 120
+        cfg["attack"]["validation_fraction"] = fraction
+        with pytest.raises(InvalidConfigError, match=r"^attack: validation_fraction .* no validation rows"):
+            parse_config(cfg)
+    cfg["attack"]["validation_fraction"] = 0.005  # round(0.6) == 1
+    assert parse_config(cfg).attack.validation_fraction == 0.005
 
 
 def test_parse_ssl_and_adv_sections():
@@ -519,6 +531,110 @@ def test_run_attack_failure_labels_stage(tmp_path):
     # the failure path sizes the curves header to the committee as well
     header = (tmp_path / "curves.csv").read_text().split("\n")[0]
     assert header.split(",")[2:-2] == ["member0_acc", "member1_acc", "member2_acc"]
+
+
+def _artifacts(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_skipping_saturated_members_leaves_every_artifact_unchanged(tmp_path, monkeypatch):
+    raw = base_config(
+        ssl={"epochs": 2, "confidence_threshold": 0.6, "per_class_cap": 20},
+        adversarial={"epsilon": 0.8, "steps": 5, "n_eval": 40},
+        outputs={"scores_csv": True},
+    )
+    # seed 6: member 1 is at 1.0 from cycle 1 and member 2 from cycle 3 (up
+    # from 0.917), member 0 never; a skip rule looser than "1.0" shows here
+    raw.update(seed=6)
+    raw["attack"].update(cycles=4)
+    raw["attack"]["ensemble"]["epochs"] = 20
+    cfg = parse_config(raw)
+    run_attack(cfg, tmp_path / "skip")
+
+    # reference trainers without the skip, built from public numkit calls:
+    # every member retrains each cycle and is fine-tuned in the SSL stage
+    saturated_at = {"cycle": [], "ssl": []}
+
+    def retrain_every_member(state, pool_state, cfgs, seed):
+        saturated_at["cycle"].append([b is not None and b.val_accuracy == 1.0 for b in state.best])
+        X, y, _ = pool_state.labeled_data()
+        Xv, yv, _ = pool_state.validation_data()
+        state.cycle += 1
+        for i, member_spec in enumerate(state.spec.members):
+            fresh = MlpModel.initialize(member_spec)
+            trained, _ = numkit.train_supervised(fresh, (X, y), cfgs[i], derive_seed(seed, i))
+            acc = numkit.accuracy(trained, Xv, yv)
+            state.current[i] = trained
+            if state.best[i] is None or acc > state.best[i].val_accuracy:
+                state.best[i] = BestCheckpoint(trained.copy(), acc, state.cycle)
+
+    def finetune_every_member(state, pool_state, ssl_cfg, seed):
+        saturated_at["ssl"].append([b.val_accuracy == 1.0 for b in state.best])
+        Xl, yl, _ = pool_state.labeled_data()
+        Xp, yp, _ = pool_state.pseudo_data()
+        Xv, yv, _ = pool_state.validation_data()
+        lam = ssl_cfg.pseudo_loss_weight
+        sgd = numkit.SgdConfig(base_lr=ssl_cfg.lr, momentum=ssl_cfg.momentum, batch_size=ssl_cfg.batch_size)
+        for i, best in enumerate(list(state.best)):
+            model = best.model.copy()
+            velocity = np.zeros_like(model.params)
+            for e in range(ssl_cfg.epochs):
+                order = np.random.default_rng(derive_seed(seed, i, e, 0)).permutation(len(Xl))
+                numkit.sgd_epoch(model, velocity, Xl, yl, order, sgd, ssl_cfg.lr)
+                order = np.random.default_rng(derive_seed(seed, i, e, 1)).permutation(len(Xp))
+                aug_rng = np.random.default_rng((mask64(seed), mask64(ssl_cfg.augment.rng_seed), i, e, 1))
+                Xa = strong_augment(Xp[order], ssl_cfg.augment, pool_state.pool.layout, aug_rng)
+                numkit.sgd_epoch(model, velocity, Xa, yp[order], np.arange(order.size), sgd, ssl_cfg.lr, lam)
+            model.epoch_counter += ssl_cfg.epochs
+            acc = numkit.accuracy(model, Xv, yv)
+            state.current[i] = model
+            if acc > best.val_accuracy:
+                state.best[i] = BestCheckpoint(model.copy(), acc, state.cycle + 1)
+
+    monkeypatch.setattr(harness, "train_cycle", retrain_every_member)
+    monkeypatch.setattr(harness, "ssl_train", finetune_every_member)
+    run_attack(cfg, tmp_path / "every")
+
+    # not vacuous: members were saturated before the last cycle and before
+    # SSL, and SSL still fine-tuned at least one member
+    assert len(saturated_at["cycle"]) == 4 and any(saturated_at["cycle"][-1])
+    assert len(saturated_at["ssl"]) == 1 and 0 < sum(saturated_at["ssl"][0]) < 3
+    skip, every = _artifacts(tmp_path / "skip"), _artifacts(tmp_path / "every")
+    assert "ensemble/index.txt" in skip and "scores.csv" in skip and "adv_member2.csv" in skip
+    assert skip.keys() == every.keys()
+    for name in skip:
+        assert skip[name] == every[name], name
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_artifacts_agree_on_the_committee_size(tmp_path, k):
+    raw = base_config(
+        ssl={"epochs": 2, "confidence_threshold": 0.6, "per_class_cap": 20},
+        adversarial={"epsilon": 0.8, "steps": 3, "n_eval": 20},
+    )
+    raw["attack"]["ensemble"]["hidden_profile"] = [[4], [6], [8], [10], [12], [14]][:k]
+    report = run_attack(parse_config(raw), tmp_path)
+
+    header, *rows = (tmp_path / "curves.csv").read_text().strip().split("\n")
+    assert header.split(",")[2:-2] == [f"member{i}_acc" for i in range(k)]
+    assert len(rows) == raw["attack"]["cycles"] + 1  # one row per cycle, one after SSL
+    assert all(len(row.split(",")) == k + 4 for row in rows)
+
+    assert "ssl" in report
+    assert len(report["members"]) == k
+    assert len(report["final"]["member_accs"]) == len(report["final"]["member_agreements"]) == k
+    assert [a["member"] for a in report["adversarial"]] == list(range(k))
+    assert 0 <= report["final"]["best_member_index"] < k
+
+    index = (tmp_path / "ensemble" / "index.txt").read_text().strip().split("\n")
+    assert index[0].split()[:2] == ["members", str(k)]
+    assert [line.split()[0] for line in index[1:]] == [str(i) for i in range(k)]
+    assert sorted(p.name for p in (tmp_path / "ensemble").glob("*.ckpt")) == [
+        f"member{i}_best.ckpt" for i in range(k)
+    ]
+    assert sorted(p.name for p in tmp_path.glob("adv_member*.csv")) == [
+        f"adv_member{i}.csv" for i in range(k)
+    ]
 
 
 # ── runs against one long-lived victim server ────────────────────────

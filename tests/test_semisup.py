@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from ensteal.ensemble import (
     make_default_ensemble,
     train_cycle,
 )
+from ensteal import numkit
 from ensteal.errors import InvalidConfigError
 from ensteal.numkit import accuracy, probs_batch, sgd_update
 from ensteal.seeding import derive_seed, mask64
@@ -164,6 +167,15 @@ def ssl_scenario():
     return state, ps, full
 
 
+def unsaturated_copy(state, val_accuracy=0.98):
+    """Deep copy of state whose checkpoints read at most val_accuracy on
+    validation, so ssl_train fine-tunes every member."""
+    st = copy.deepcopy(state)
+    for b in st.best:
+        b.val_accuracy = min(b.val_accuracy, val_accuracy)
+    return st
+
+
 def test_ssl_train_noop_without_pseudo(ssl_scenario):
     state, ps, _ = ssl_scenario
     cfg = SslConfig(augment=tabular_aug(), epochs=2)
@@ -177,17 +189,18 @@ def test_ssl_train_runs_and_traces(ssl_scenario):
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=3, per_class_cap=30)
     capped, _ = harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
     assert capped, "scenario should produce at least one pseudo row"
-    before_best = [b.val_accuracy for b in state.best]
-    before_cycle = [b.cycle for b in state.best]
-    traces = ssl_train(state, ps, cfg, seed=7)
-    assert len(traces) == state.spec.size * cfg.epochs
+    st = unsaturated_copy(state)
+    before_best = [b.val_accuracy for b in st.best]
+    before_cycle = [b.cycle for b in st.best]
+    traces = ssl_train(st, ps, cfg, seed=7)
+    assert len(traces) == st.spec.size * cfg.epochs
     for t in traces:
         assert t.total_loss == pytest.approx(
             t.labeled_loss + cfg.pseudo_loss_weight * t.pseudo_loss
         )
         assert t.pseudo_loss > 0.0
     # best checkpoints only advance on strict improvement
-    for b, v0, c0 in zip(state.best, before_best, before_cycle):
+    for b, v0, c0 in zip(st.best, before_best, before_cycle):
         assert b.val_accuracy >= v0
         if b.val_accuracy == v0:
             assert b.cycle == c0
@@ -204,8 +217,6 @@ def test_ssl_train_lambda_zero_skips_pseudo_pass(ssl_scenario):
         per_class_cap=30, pseudo_loss_weight=0.0,
     )
     # snapshot, run, compare: with weight 0 the pseudo rows contribute nothing
-    import copy
-
     s_a = copy.deepcopy(state)
     s_b = copy.deepcopy(state)
     tr_a = ssl_train(s_a, ps, cfg0, seed=11)
@@ -222,8 +233,6 @@ def test_ssl_train_deterministic(ssl_scenario):
     state, ps, _ = ssl_scenario
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
     harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
-    import copy
-
     s_a = copy.deepcopy(state)
     s_b = copy.deepcopy(state)
     tr_a = ssl_train(s_a, ps, cfg, seed=3)
@@ -243,8 +252,6 @@ def test_ssl_train_improves_or_preserves_validation(ssl_scenario):
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=5, per_class_cap=50)
     harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
     Xv, yv, _ = ps.validation_data()
-    import copy
-
     st = copy.deepcopy(state)
     before = max(accuracy(m, Xv, yv) for m in st.best_models())
     ssl_train(st, ps, cfg, seed=21)
@@ -257,8 +264,6 @@ def test_ssl_train_replaced_checkpoints_get_fresh_outputs(ssl_scenario):
     state, ps, _ = ssl_scenario
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
     harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
-    import copy
-
     st = copy.deepcopy(state)
     stale = st.best_probs(ps.pool)
     for b in st.best:
@@ -269,6 +274,33 @@ def test_ssl_train_replaced_checkpoints_get_fresh_outputs(ssl_scenario):
     for i, b in enumerate(st.best):
         assert np.array_equal(fresh[i], probs_batch(b.model, ps.pool.features))
         assert not np.array_equal(fresh[i], stale[i])
+    ps.clear_pseudo()
+
+
+def test_ssl_train_skips_saturated_members(ssl_scenario, monkeypatch):
+    state, ps, _ = ssl_scenario
+    assert any(b.saturated for b in state.best), "the fixture should saturate a member"
+    cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
+    harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
+    st = copy.deepcopy(state)
+    st.best_probs(ps.pool)
+    st.best[0].val_accuracy = 1.0
+    st.best[1].val_accuracy = 0.98  # close to saturated, still fine-tuned
+    st.best[2].val_accuracy = 1.0
+    saturated = st.best[0]
+    outputs = dict(saturated.outputs)
+    cycle, current = saturated.cycle, st.current[0]
+    trained = []
+    real = numkit.sgd_epoch
+    monkeypatch.setattr(numkit, "sgd_epoch", lambda m, *a: trained.append(m) or real(m, *a))
+    traces = ssl_train(st, ps, cfg, seed=3)
+    assert {t.member for t in traces} == {1}
+    assert len(traces) == cfg.epochs and len(trained) == 2 * cfg.epochs
+    assert all(m is st.current[1] for m in trained)
+    assert st.best[0] is saturated and saturated.cycle == cycle
+    assert saturated.outputs.keys() == outputs.keys()
+    assert all(saturated.outputs[k] is v for k, v in outputs.items())
+    assert st.current[0] is current
     ps.clear_pseudo()
 
 
@@ -304,17 +336,16 @@ def _reference_ssl_train(models, ps, cfg, seed):
 
 @pytest.mark.parametrize("weight", [0.0, 0.7])
 def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, weight):
-    import copy
-
     state, ps, _ = ssl_scenario
     cfg = SslConfig(
         augment=tabular_aug(seed=2), confidence_threshold=0.5, epochs=3, per_class_cap=25,
         pseudo_loss_weight=weight, batch_size=16,
     )
     harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
-    st = copy.deepcopy(state)
+    st = unsaturated_copy(state)
     ref_params, ref_losses = _reference_ssl_train(st.best_models(), ps, cfg, seed=13)
     traces = ssl_train(st, ps, cfg, seed=13)
+    assert len(ref_params) == len(st.current) == st.spec.size
     for model, params in zip(st.current, ref_params):
         assert np.array_equal(model.params, params)
     passes = [(t.labeled_loss, t.pseudo_loss) if weight else (t.labeled_loss,) for t in traces]

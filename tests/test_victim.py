@@ -82,14 +82,14 @@ def test_oracle_budget_exhaustion_is_atomic():
     assert oracle.budget_remaining() == 0
 
 
-def test_predict_one_charges():
+def test_single_row_batch_charges():
     oracle, pool, model = make_oracle(budget=2)
-    x = pool.pool.features[0]
-    a = oracle.predict_one(x)
-    b = oracle.predict_one(x)  # no caching: every call pays
-    assert a == b
+    x = pool.pool.features[:1]
+    a = oracle.predict_batch(x)
+    b = oracle.predict_batch(x)  # no caching: every call pays
+    assert a.tolist() == b.tolist() == [predict_label(model, x[0])]
     with pytest.raises(BudgetExhaustedError):
-        oracle.predict_one(x)
+        oracle.predict_batch(x)
     assert len(oracle.query_log) == 2
 
     oracle, pool, model = make_oracle(budget=3)
