@@ -5,6 +5,8 @@ overflow-safe softmax inference, analytic backpropagation for mean
 cross-entropy, and mini-batch SGD with momentum under a step learning-rate
 schedule. Training arithmetic runs in float32 inside `sgd_epoch`; parameters,
 inference, `loss_and_grad`, input gradients and checkpoints stay float64.
+One forward pass serves all of them: bias, activation and softmax are
+applied in each matmul's own output, and derivatives use activation outputs.
 Models are plain values (flat parameter vector + immutable spec): cheap to
 copy, safe to train in parallel, bitwise reproducible from a seed.
 
@@ -163,49 +165,46 @@ def _as_labels(model: MlpModel, y, n: int) -> np.ndarray:
 # ── forward / inference ──────────────────────────────────────────────
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """Activation derivative from the activation's output a: relu's a > 0 is
+    exactly z > 0, and tanh's 1 - a*a is exactly 1 - tanh(z)**2."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0.0).astype(z.dtype)
-    t = np.tanh(z)
-    return 1.0 - t * t
+        return (a > 0.0).astype(a.dtype)
+    return 1.0 - a * a
 
 
 def _forward(layers: list, act: str, X: np.ndarray):
-    """Returns (logits, pre-activations per hidden layer, activations incl. input)."""
+    """Returns (logits, activations incl. input). Each layer's bias add and
+    activation write into that layer's matmul output; X is never written."""
     a = X
-    zs: list[np.ndarray] = []
     acts: list[np.ndarray] = [X]
     for w, b in layers[:-1]:
-        z = a @ w + b
-        zs.append(z)
-        a = _activate(z, act)
+        a = a @ w
+        a += b
+        if act == "relu":
+            np.maximum(a, 0.0, out=a)
+        else:
+            np.tanh(a, out=a)
         acts.append(a)
     w, b = layers[-1]
-    logits = a @ w + b
-    return logits, zs, acts
+    logits = a @ w
+    logits += b
+    return logits, acts
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def logits_batch(model: MlpModel, X) -> np.ndarray:
-    X = _as_batch(model, X)
-    logits, _, _ = _forward(model.layers(), model.spec.activation, X)
+def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
+    """Overwrites each row of logits with its max-shifted softmax."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
     return logits
 
 
 def probs_batch(model: MlpModel, X) -> np.ndarray:
     """Softmax class probabilities, one distribution per row."""
-    return _softmax_rows(logits_batch(model, X))
+    X = _as_batch(model, X)
+    logits, _ = _forward(model.layers(), model.spec.activation, X)
+    return _softmax_inplace(logits)
 
 
 def softmax_probs(model: MlpModel, x) -> np.ndarray:
@@ -245,7 +244,7 @@ def _loss_grad_into(layers: list, grads: list, act: str, X: np.ndarray, y: np.nd
     mean loss and writes the gradient into `grads`, (dW, db) views laid out
     like `layers`."""
     n = X.shape[0]
-    logits, zs, acts = _forward(layers, act, X)
+    logits, acts = _forward(layers, act, X)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
@@ -262,7 +261,7 @@ def _loss_grad_into(layers: list, grads: list, act: str, X: np.ndarray, y: np.nd
         np.matmul(acts[li].T, dz, out=gw)
         np.sum(dz, axis=0, out=gb)
         if li > 0:
-            dz = (dz @ layers[li][0].T) * _activate_grad(zs[li - 1], act)
+            dz = (dz @ layers[li][0].T) * _activate_grad(acts[li], act)
     return loss
 
 
@@ -270,19 +269,14 @@ def input_grad_batch(model: MlpModel, X, y) -> np.ndarray:
     """Per-row gradient of each sample's own cross-entropy w.r.t. its input."""
     X = _as_batch(model, X)
     y = _as_labels(model, y, X.shape[0])
-    n = X.shape[0]
     act = model.spec.activation
     layers = model.layers()
-
-    logits, zs, _ = _forward(layers, act, X)
-    probs = _softmax_rows(logits)
-    dz = probs
-    dz[np.arange(n), y] -= 1.0
+    logits, acts = _forward(layers, act, X)
+    dz = _softmax_inplace(logits)
+    dz[np.arange(X.shape[0]), y] -= 1.0
     for li in range(len(layers) - 1, 0, -1):
-        w, _ = layers[li]
-        dz = (dz @ w.T) * _activate_grad(zs[li - 1], act)
-    w0, _ = layers[0]
-    return dz @ w0.T
+        dz = (dz @ layers[li][0].T) * _activate_grad(acts[li], act)
+    return dz @ layers[0][0].T
 
 
 # ── SGD with momentum ────────────────────────────────────────────────

@@ -73,10 +73,15 @@ class FilterRecord:
     min_confidence: float
 
 
-def _row_rng(seed: int, aug_seed: int, row: int) -> np.random.Generator:
-    # one child generator per row, so any row's perturbation can be replayed
-    # in isolation
-    return np.random.default_rng((mask64(seed), mask64(aug_seed), int(row)))
+def _row_entropy(seed: int, aug_seed: int, rows: np.ndarray) -> np.ndarray:
+    """Row j seeds the stream of default_rng((mask64(seed), mask64(aug_seed),
+    rows[j])) without coercing a tuple per row, so any row's perturbation
+    replays in isolation. Raises OverflowError for a row index >= 2**32."""
+    prefix: list[int] = []
+    for n in (mask64(seed), mask64(aug_seed)):
+        # SeedSequence codes an int as its little-endian 32-bit words, at least one
+        prefix += [n & 0xFFFFFFFF, n >> 32] if n >> 32 else [n]
+    return np.array([prefix + [row] for row in rows.tolist()], dtype=np.uint32)
 
 
 def ssl_filter(
@@ -103,8 +108,8 @@ def ssl_filter(
     Xu = pool_state.pool.features[idx]
     Xw = np.stack(
         [
-            weak_augment(Xu[j], cfg.augment, layout, _row_rng(seed, cfg.augment.rng_seed, int(i)))
-            for j, i in enumerate(idx)
+            weak_augment(x, cfg.augment, layout, np.random.default_rng(words))
+            for x, words in zip(Xu, _row_entropy(seed, cfg.augment.rng_seed, idx))
         ]
     )
     orig_probs = np.stack([numkit.probs_batch(m, Xu) for m in models])

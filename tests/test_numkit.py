@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,64 @@ def test_input_validation(rng):
     bad[0, 0] = np.inf
     with pytest.raises(InvalidInputError):
         probs_batch(model, bad)
+
+
+def _input_grad_with_preactivations(model, X, y):
+    # float64 reference that keeps each layer's pre-activation z and takes the
+    # activation derivative from it
+    layers = model.layers()
+    a, zs = X, []
+    for w, b in layers[:-1]:
+        z = a @ w + b
+        zs.append(z)
+        a = np.maximum(z, 0.0) if model.spec.activation == "relu" else np.tanh(z)
+    logits = a @ layers[-1][0] + layers[-1][1]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    dz = e / e.sum(axis=1, keepdims=True)
+    dz[np.arange(len(y)), y] -= 1.0
+    for li in range(len(layers) - 1, 0, -1):
+        z = zs[li - 1]
+        if model.spec.activation == "relu":
+            deriv = (z > 0.0).astype(np.float64)
+        else:
+            deriv = 1.0 - np.tanh(z) ** 2
+        dz = (dz @ layers[li][0].T) * deriv
+    return dz @ layers[0][0].T
+
+
+@pytest.mark.parametrize("act", ["relu", "tanh"])
+@pytest.mark.parametrize("hidden", [(), (9,), (9, 6, 4)])
+@pytest.mark.parametrize("n", [1, 300])
+def test_inference_bitwise_matches_references(rng, act, hidden, n):
+    # the in-place forward pass must keep the bits of the separate-array form;
+    # scaled weights saturate tanh units and leave dead relu units
+    model = MlpModel.initialize(MlpSpec(5, hidden, 3, act, rng_seed=21))
+    model.params *= 3.0
+    X = rng.normal(size=(n, 5)) * 2.0
+    y = rng.integers(0, 3, n)
+    X_before = X.copy()
+    assert np.array_equal(probs_batch(model, X), oracles.forward_probs(model, X))
+    assert np.array_equal(X, X_before)
+    assert np.array_equal(input_grad_batch(model, X, y), _input_grad_with_preactivations(model, X, y))
+    assert np.array_equal(X, X_before)
+
+
+@pytest.mark.parametrize("classes", [4, 64])
+def test_inference_allocates_only_its_layer_outputs(rng, classes):
+    # bias, activation and softmax are applied in each matmul's own output, so
+    # one call holds only its layer outputs; a pass that keeps pre-activations
+    # beside separate activation arrays holds about twice that. A temporary
+    # bias add shows with 4 classes, a softmax through temporaries with 64.
+    model = MlpModel.initialize(MlpSpec(8, (256, 128, 64), classes, rng_seed=1))
+    X = rng.normal(size=(5000, 8))
+    layer_bytes = X.shape[0] * (256 + 128 + 64 + classes) * X.itemsize
+    tracemalloc.start()
+    try:
+        probs_batch(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * layer_bytes
 
 
 # ── gradients ────────────────────────────────────────────────────────

@@ -28,6 +28,7 @@ from ensteal.seeding import derive_seed, mask64
 from ensteal.semisup import (
     FilterRecord,
     SslConfig,
+    _row_entropy,
     apply_class_cap,
     harvest_pseudo_labels,
     ssl_filter,
@@ -89,6 +90,20 @@ def test_filter_matches_bruteforce_bitwise(rng):
             assert rec.label_changes == changes
             assert rec.unanimous == unanimous
             assert rec.min_confidence == min_conf  # bit-for-bit
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**64 - 5])
+def test_row_entropy_replays_the_tuple_seeded_stream(seed):
+    # seeds of one and two 32-bit words, the aug seed both ways, rows up to
+    # the largest one-word index
+    rows = np.array([0, 2**31, 2**32 - 1])
+    for aug_seed in (seed, 7):
+        entropy = _row_entropy(seed, aug_seed, rows)
+        for j, row in enumerate(rows.tolist()):
+            fast = np.random.default_rng(entropy[j])
+            ref = np.random.default_rng((mask64(seed), mask64(aug_seed), row))
+            assert np.array_equal(fast.normal(size=6), ref.normal(size=6))
+            assert np.array_equal(fast.uniform(size=6), ref.uniform(size=6))
 
 
 def test_filter_threshold_is_inclusive():
