@@ -31,6 +31,7 @@ UNLABELED = 0
 QUERIED = 1
 PSEUDO = 2
 VALIDATION = 3
+STATUS_NAMES = ("unlabeled", "queried", "pseudo", "validation")
 
 
 # ── datasets ─────────────────────────────────────────────────────────
@@ -100,8 +101,9 @@ class PoolState:
 
     Rows move UNLABELED -> QUERIED (oracle answered), QUERIED -> VALIDATION
     (held out, never trained on), or UNLABELED -> PSEUDO (locally guessed).
-    Transitions validate fully before mutating, so a rejected call leaves
-    the state untouched.
+    `labels[i]` is row i's label under its status and means nothing while
+    the row is unlabeled. Transitions validate fully before mutating, so a
+    rejected call leaves the state untouched.
     """
 
     def __init__(self, pool: Dataset):
@@ -109,13 +111,13 @@ class PoolState:
             raise InvalidInputError("attack pool must be unlabeled")
         self.pool = pool
         self.status = np.zeros(pool.n, dtype=np.int8)
-        self.queried_labels: dict[int, int] = {}
-        self.pseudo_labels: dict[int, int] = {}
-        self.validation_labels: dict[int, int] = {}
+        self.labels = np.zeros(pool.n, dtype=np.int64)
 
     # -- helpers
 
-    def _check_indices(self, indices) -> np.ndarray:
+    def _check(self, indices, status: int) -> np.ndarray:
+        """indices as int64 if they are nonempty, unique, in range and all in
+        the given status, else InvalidInputError."""
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1 or idx.size == 0:
             raise InvalidInputError("expected a nonempty 1-d index array")
@@ -123,52 +125,37 @@ class PoolState:
             raise InvalidInputError("indices contain duplicates")
         if idx.min() < 0 or idx.max() >= self.pool.n:
             raise InvalidInputError(f"indices out of range [0, {self.pool.n})")
+        if np.any(self.status[idx] != status):
+            raise InvalidInputError(f"expected only {STATUS_NAMES[status]} rows")
         return idx
 
-    def check_queryable(self, indices) -> np.ndarray:
-        """Validate indices of rows to send to the oracle; all must still be
-        unlabeled. Returns them sorted, the order the oracle answers in."""
-        idx = self._check_indices(indices)
-        if np.any(self.status[idx] != UNLABELED):
-            raise InvalidInputError("can only query rows that are still unlabeled")
-        return np.sort(idx)
+    def _set(self, idx: np.ndarray, status: int, labels) -> None:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != idx.shape:
+            raise InvalidInputError("one label per index required")
+        self.status[idx] = status
+        self.labels[idx] = labels
 
     # -- transitions
 
+    def query(self, indices, predict_batch) -> np.ndarray:
+        """Label still-unlabeled rows with one predict_batch call on their
+        features in ascending index order, and mark them queried only once
+        it has answered every row, so a failed call marks nothing."""
+        idx = np.sort(self._check(indices, UNLABELED))
+        labels = predict_batch(self.pool.features[idx])
+        self._set(idx, QUERIED, labels)
+        return labels
+
     def mark_queried(self, indices, labels) -> None:
-        idx = self._check_indices(indices)
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != idx.shape:
-            raise InvalidInputError("one label per index required")
-        if np.any(self.status[idx] != UNLABELED):
-            raise InvalidInputError("can only query rows that are still unlabeled")
-        self.status[idx] = QUERIED
-        for i, lab in zip(idx.tolist(), labels.tolist()):
-            self.queried_labels[i] = lab
+        self._set(self._check(indices, UNLABELED), QUERIED, labels)
 
     def convert_queried_to_validation(self, indices) -> None:
-        idx = self._check_indices(indices)
-        if np.any(self.status[idx] != QUERIED):
-            raise InvalidInputError("validation rows must already hold an oracle label")
-        self.status[idx] = VALIDATION
-        for i in idx.tolist():
-            self.validation_labels[i] = self.queried_labels.pop(i)
+        idx = self._check(indices, QUERIED)
+        self._set(idx, VALIDATION, self.labels[idx])
 
     def mark_pseudo(self, indices, labels) -> None:
-        idx = self._check_indices(indices)
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != idx.shape:
-            raise InvalidInputError("one label per index required")
-        if np.any(self.status[idx] != UNLABELED):
-            raise InvalidInputError("pseudo-labels only apply to unlabeled rows")
-        self.status[idx] = PSEUDO
-        for i, lab in zip(idx.tolist(), labels.tolist()):
-            self.pseudo_labels[i] = lab
-
-    def clear_pseudo(self) -> None:
-        idx = np.flatnonzero(self.status == PSEUDO)
-        self.status[idx] = UNLABELED
-        self.pseudo_labels.clear()
+        self._set(self._check(indices, UNLABELED), PSEUDO, labels)
 
     # -- views
 
@@ -178,31 +165,22 @@ class PoolState:
     def unlabeled_indices(self) -> np.ndarray:
         return self.indices_with_status(UNLABELED)
 
-    def queried_indices(self) -> np.ndarray:
-        return self.indices_with_status(QUERIED)
-
-    def _gather(self, table: dict[int, int], status: int):
+    def _gather(self, status: int):
         idx = self.indices_with_status(status)
-        y = np.array([table[i] for i in idx.tolist()], dtype=np.int64)
-        return self.pool.features[idx], y, idx
+        return self.pool.features[idx], self.labels[idx], idx
 
     def labeled_data(self):
         """(X, y, indices) of oracle-labeled training rows, ascending index."""
-        return self._gather(self.queried_labels, QUERIED)
+        return self._gather(QUERIED)
 
     def pseudo_data(self):
-        return self._gather(self.pseudo_labels, PSEUDO)
+        return self._gather(PSEUDO)
 
     def validation_data(self):
-        return self._gather(self.validation_labels, VALIDATION)
+        return self._gather(VALIDATION)
 
     def counts(self) -> dict[str, int]:
-        return {
-            "unlabeled": int(np.sum(self.status == UNLABELED)),
-            "queried": int(np.sum(self.status == QUERIED)),
-            "pseudo": int(np.sum(self.status == PSEUDO)),
-            "validation": int(np.sum(self.status == VALIDATION)),
-        }
+        return dict(zip(STATUS_NAMES, np.bincount(self.status, minlength=len(STATUS_NAMES)).tolist()))
 
 
 # ── augmentation ─────────────────────────────────────────────────────

@@ -163,19 +163,6 @@ class VictimSection:
 
 
 @dataclass(frozen=True)
-class StrategySection:
-    kind: str
-    hybrid_kcenter: bool = SelectionStrategy.hybrid_kcenter
-    hybrid_pool_factor: int = SelectionStrategy.hybrid_pool_factor
-
-    def __post_init__(self):
-        self.build(1)
-
-    def build(self, batch_size: int) -> SelectionStrategy:
-        return SelectionStrategy(batch_size=batch_size, **_shared(self, SelectionStrategy))
-
-
-@dataclass(frozen=True)
 class EnsembleSection:
     hidden_profile: tuple[tuple[int, ...], ...] = DEFAULT_HIDDEN_PROFILE
     activation: str = "relu"
@@ -213,7 +200,7 @@ class AttackSection:
     pool_n: int
     budget: int
     cycles: int
-    strategy: StrategySection
+    strategy: SelectionStrategy
     validation_fraction: float = 0.1
     ensemble: EnsembleSection = EnsembleSection()
     remote: Optional[RemoteSection] = None
@@ -520,7 +507,6 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
             report["victim_arch_index"] = victim_arch_index
 
         with _stage("cycles"):
-            strategy = a.strategy.build(batches[0])
             for c in range(1, a.cycles + 1):
                 train_cycle(state, pool_state, member_cfgs, derive_seed(stage_seed(root, CYCLE_TRAIN), c))
                 spent = val_n + sum(batches[:c])
@@ -530,11 +516,11 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                 )
                 if c < a.cycles:
                     sel = select_queries(
-                        strategy,
-                        state.best_probs(pool) if strategy.kind in SCORED_KINDS else None,
+                        a.strategy,
+                        state.best_probs(pool) if a.strategy.kind in SCORED_KINDS else None,
                         pool_state,
+                        batches[c],
                         seed=derive_seed(stage_seed(root, SELECT), c),
-                        batch_size=batches[c],
                     )
                     if cfg.outputs.scores_csv and sel.scores is not None:
                         chosen = set(sel.selected.tolist())
@@ -551,7 +537,6 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                 "best_member_val_acc": state.best[state.best_member_index()].val_accuracy,
             }
 
-        pseudo_hist = [0] * cfg.victim.data.num_classes
         if cfg.ssl is not None:
             with _stage("ssl"):
                 aug = resolve_augment(pool.layout, stage_seed(root, SSL_STAGE))
@@ -560,8 +545,6 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                 capped, _audit = harvest_pseudo_labels(
                     state.best_models(), pool_state, ssl_cfg, derive_seed(stage_seed(root, SSL_STAGE), 0)
                 )
-                for lab in capped.values():
-                    pseudo_hist[lab] += 1
                 if capped:
                     ssl_train(state, pool_state, ssl_cfg, derive_seed(stage_seed(root, SSL_STAGE), 1))
                 post_agr = _validation_agreement(state, pool_state)
@@ -576,7 +559,7 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                     ]
                 )
                 report["ssl"] = {
-                    "n_pseudo": int(sum(pseudo_hist)),
+                    "n_pseudo": len(capped),
                     "pre_val_agreement": pre_agr,
                     "post_val_agreement": post_agr,
                     "final_ensemble_acc": ev["ensemble_acc"],
@@ -617,9 +600,10 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
         with _stage("reports"):
             bought = pool_state.counts()
             report["budget"]["spent"] = bought["queried"] + bought["validation"]
-            report["pseudo_hist"] = pseudo_hist
+            _, pseudo_labels, _ = pool_state.pseudo_data()
+            report["pseudo_hist"] = np.bincount(pseudo_labels, minlength=cfg.victim.data.num_classes).tolist()
             save_ensemble(state, os.path.join(out_dir, "ensemble"))
-            _emit_reports(out_dir, report, curves_rows, score_rows, pseudo_hist, cfg)
+            _emit_reports(out_dir, report, curves_rows, score_rows, cfg)
         return report
     except StageError as err:
         _emit_failure(out_dir, err, cfg, curves_rows)
@@ -634,13 +618,12 @@ def _emit_reports(
     report: dict,
     curves_rows: list[list],
     score_rows: list[list],
-    pseudo_hist: list[int],
     cfg: ExperimentConfig,
 ) -> None:
     _write_curves(out_dir, cfg, curves_rows)
     _write_lines(
         os.path.join(out_dir, "pseudo_hist.csv"),
-        [PSEUDO_HIST_HEADER, *(f"{i},{n}" for i, n in enumerate(pseudo_hist))],
+        [PSEUDO_HIST_HEADER, *(f"{i},{n}" for i, n in enumerate(report["pseudo_hist"]))],
     )
     if cfg.outputs.scores_csv:
         _write_lines(

@@ -65,6 +65,11 @@ def _pop_line(buf: bytearray, start: int = 0) -> Optional[bytearray]:
     return line
 
 
+def _is_count(v) -> bool:
+    """A JSON integer, not a bool, that fits a non-negative int64."""
+    return type(v) is int and 0 <= v < 1 << 63
+
+
 def _is_batch(x) -> bool:
     """A nonempty list of equal-length lists of numbers."""
     return (
@@ -240,7 +245,9 @@ class RemoteVictimClient:
 
     Request ids start at a seeded random point and count up, so a retried
     request reuses its id and the server's dedup cache answers it without
-    double charging.
+    double charging. Replies are checked, not coerced: labels must be one
+    non-negative int per row and remaining a non-negative int, or the call
+    raises RemoteUnavailableError.
     """
 
     def __init__(
@@ -316,6 +323,8 @@ class RemoteVictimClient:
                 self._drop_connection()
         else:
             raise RemoteUnavailableError(f"victim service unreachable: {last_err}")
+        if not isinstance(reply, dict):
+            raise RemoteUnavailableError(f"malformed reply from victim service: {reply!r:.200}")
         if "error" in reply:
             code = reply.get("code")
             if code == CODE_BUDGET:
@@ -325,29 +334,37 @@ class RemoteVictimClient:
             raise RemoteUnavailableError(f"server error: {reply['error']}")
         return reply
 
-    def _request(self, body: dict) -> dict:
+    def _request(self, body: dict, key: str, valid):
+        """The reply's value under key, checked by valid: a reply without a
+        valid value raises RemoteUnavailableError naming it, never coerced."""
         with self._lock:
             rid = self._next_id
             self._next_id += 1
-            return self._roundtrip({"id": rid, **body})
+            reply = self._roundtrip({"id": rid, **body})
+        if not valid(reply.get(key)):
+            raise RemoteUnavailableError(f"malformed {body['op']} reply from victim service: {reply!r:.200}")
+        return reply[key]
 
     def predict(self, x) -> int:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1:
             raise InvalidInputError(f"expected a flat feature row, got shape {x.shape}")
-        reply = self._request({"op": "predict", "x": x.tolist()})
-        return int(reply["label"])
+        return self._request({"op": "predict", "x": x.tolist()}, "label", _is_count)
 
     def predict_batch(self, X) -> np.ndarray:
         """Labels for every row of X from one atomic request."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise InvalidInputError(f"expected an (n, d) feature batch, got shape {X.shape}")
-        reply = self._request({"op": "predict_batch", "x": X.tolist()})
-        return np.asarray(reply["labels"], dtype=np.int64)
+        labels = self._request(
+            {"op": "predict_batch", "x": X.tolist()},
+            "labels",
+            lambda v: isinstance(v, list) and len(v) == len(X) and all(map(_is_count, v)),
+        )
+        return np.array(labels, dtype=np.int64)
 
     def budget_remaining(self) -> int:
-        return int(self._request({"op": "budget"})["remaining"])
+        return self._request({"op": "budget"}, "remaining", _is_count)
 
 
 class RemoteVictimOracle:
@@ -366,7 +383,4 @@ class RemoteVictimOracle:
         return self._client.budget_remaining()
 
     def query_labels(self, indices, pool_state) -> np.ndarray:
-        idx = pool_state.check_queryable(indices)
-        labels = self._client.predict_batch(pool_state.pool.features[idx])
-        pool_state.mark_queried(idx, labels)
-        return labels
+        return pool_state.query(indices, self._client.predict_batch)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datapool import PoolState
+from .datapool import QUERIED, PoolState
 from .ensemble import label_frequencies
 from .errors import InvalidConfigError, InvalidInputError
 from .seeding import mask64
@@ -132,7 +132,6 @@ def random_select(candidates: np.ndarray, k: int, seed: int) -> np.ndarray:
 @dataclass(frozen=True)
 class SelectionStrategy:
     kind: str
-    batch_size: int
     hybrid_kcenter: bool = False
     hybrid_pool_factor: int = 5
 
@@ -141,8 +140,6 @@ class SelectionStrategy:
             raise InvalidConfigError(
                 f"unknown strategy {self.kind!r}, expected one of {STRATEGY_KINDS}"
             )
-        if self.batch_size < 1:
-            raise InvalidConfigError("batch_size must be positive")
         if self.hybrid_pool_factor < 1:
             raise InvalidConfigError("hybrid_pool_factor must be positive")
         if self.hybrid_kcenter and self.kind not in SCORED_KINDS:
@@ -160,31 +157,26 @@ def select_queries(
     strategy: SelectionStrategy,
     probs: Optional[np.ndarray],
     pool_state: PoolState,
+    k: int,
     seed: int = 0,
-    batch_size: Optional[int] = None,
 ) -> SelectionResult:
-    """Pick the next query batch from the currently unlabeled rows.
+    """Pick the next k queries from the currently unlabeled rows.
 
     Scored strategies rank every candidate by its row of probs, the
     committee's (members, pool rows, classes) softmax over the whole pool;
     random and k-center ignore probs, which may then be None. With
     hybrid_kcenter the top factor*k shortlist is thinned to k by
-    farthest-point coverage against the already-queried rows. batch_size
-    overrides the strategy's default, which lets the final cycle absorb a
-    budget remainder.
+    farthest-point coverage against the already-queried rows.
     """
-    k = strategy.batch_size if batch_size is None else batch_size
     candidates = pool_state.unlabeled_indices()
-    if candidates.size == 0:
-        raise InvalidInputError("no unlabeled rows left to select from")
-    if k > candidates.size:
-        raise InvalidInputError(f"batch {k} exceeds {candidates.size} unlabeled rows")
+    if not 1 <= k <= candidates.size:
+        raise InvalidInputError(f"batch {k} out of range for {candidates.size} unlabeled rows")
     features = pool_state.pool.features
 
     if strategy.kind == "random":
         return SelectionResult(random_select(candidates, k, seed), candidates, None)
     if strategy.kind == "kcenter":
-        centers = pool_state.queried_indices()
+        centers = pool_state.indices_with_status(QUERIED)
         return SelectionResult(kcenter_select(features, candidates, centers, k), candidates, None)
 
     if probs is None or probs.ndim != 3 or probs.shape[1] != pool_state.pool.n:
@@ -197,7 +189,7 @@ def select_queries(
     if strategy.hybrid_kcenter:
         shortlist_n = min(strategy.hybrid_pool_factor * k, candidates.size)
         shortlist = top_k_select(scores, candidates, shortlist_n)
-        centers = pool_state.queried_indices()
+        centers = pool_state.indices_with_status(QUERIED)
         selected = kcenter_select(features, shortlist, centers, k)
     else:
         selected = top_k_select(scores, candidates, k)

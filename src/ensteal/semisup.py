@@ -160,9 +160,7 @@ def harvest_pseudo_labels(
     selected, audit = ssl_filter(models, pool_state, cfg, seed)
     capped = apply_class_cap(selected, audit, cfg.per_class_cap) if selected else {}
     if capped:
-        rows = np.array(sorted(capped), dtype=np.int64)
-        labels = np.array([capped[int(i)] for i in rows], dtype=np.int64)
-        pool_state.mark_pseudo(rows, labels)
+        pool_state.mark_pseudo(list(capped), list(capped.values()))
     return capped, audit
 
 

@@ -149,10 +149,5 @@ class VictimOracle:
         return labels
 
     def query_labels(self, indices, pool_state: PoolState) -> np.ndarray:
-        """Label pool rows, charge the budget once, and record the answers
-        in the pool. Rows must be currently unlabeled and are answered in
-        ascending index order."""
-        idx = pool_state.check_queryable(indices)
-        labels = self.predict_batch(pool_state.pool.features[idx])
-        pool_state.mark_queried(idx, labels)
-        return labels
+        """Label unlabeled pool rows with one charged batch (PoolState.query)."""
+        return pool_state.query(indices, self.predict_batch)

@@ -67,14 +67,44 @@ def test_pool_transitions_and_views():
     assert np.array_equal(y, [3, 2])
     ps.convert_queried_to_validation([1])
     assert ps.status[1] == VALIDATION
-    assert ps.validation_labels == {1: 3}
-    assert ps.queried_labels == {4: 2}
-    ps.mark_pseudo([7], [1])
+    _, yv, iv = ps.validation_data()
+    assert iv.tolist() == [1] and yv.tolist() == [3]
+    _, y, idx = ps.labeled_data()
+    assert idx.tolist() == [4] and y.tolist() == [2]
+    ps.mark_pseudo([9, 7], [0, 1])
     assert ps.status[7] == PSEUDO
-    assert np.array_equal(ps.unlabeled_indices(), [0, 2, 3, 5, 6, 8, 9])
-    assert ps.counts() == {"unlabeled": 7, "queried": 1, "pseudo": 1, "validation": 1}
-    ps.clear_pseudo()
-    assert ps.status[7] == UNLABELED and ps.pseudo_labels == {}
+    Xp, yp, ip = ps.pseudo_data()
+    assert ip.tolist() == [7, 9] and yp.tolist() == [1, 0]
+    assert np.array_equal(Xp, ps.pool.features[[7, 9]])
+    assert np.array_equal(ps.unlabeled_indices(), [0, 2, 3, 5, 6, 8])
+    assert ps.counts() == {"unlabeled": 6, "queried": 1, "pseudo": 2, "validation": 1}
+
+
+def test_pool_query_answers_in_index_order_and_marks_after():
+    ps = make_pool()
+    calls = []
+
+    def predict_batch(X):
+        calls.append(X.copy())
+        return X[:, 0].astype(np.int64) // 3  # row i's first feature is 3 i
+
+    assert ps.query([6, 2, 4], predict_batch).tolist() == [2, 4, 6]
+    assert len(calls) == 1 and np.array_equal(calls[0], ps.pool.features[[2, 4, 6]])
+    _, y, idx = ps.labeled_data()
+    assert idx.tolist() == [2, 4, 6] and y.tolist() == [2, 4, 6]
+
+    def failing(X):
+        assert ps.counts()["queried"] == 3  # nothing marked before the answer
+        raise RuntimeError("oracle down")
+
+    with pytest.raises(RuntimeError):
+        ps.query([0, 1], failing)
+    with pytest.raises(InvalidInputError):
+        ps.query([0, 1], lambda X: np.zeros(1, dtype=np.int64))  # one label short
+    with pytest.raises(InvalidInputError):
+        ps.query([0, 2], predict_batch)  # 2 already queried: predict_batch not called
+    assert len(calls) == 1
+    assert ps.counts()["queried"] == 3 and ps.status[0] == ps.status[1] == UNLABELED
 
 
 def test_pool_rejects_bad_transitions():
@@ -84,7 +114,7 @@ def test_pool_rejects_bad_transitions():
     with pytest.raises(InvalidInputError):
         ps.mark_queried([0, 2], [1, 1])  # 0 already queried
     assert np.array_equal(ps.status, before)  # nothing partially applied
-    assert 2 not in ps.queried_labels
+    assert ps.labeled_data()[2].tolist() == [0]
     with pytest.raises(InvalidInputError):
         ps.mark_queried([3, 3], [1, 1])  # duplicates
     with pytest.raises(InvalidInputError):

@@ -321,6 +321,88 @@ def test_client_rejects_out_of_range_settings(kwargs):
         RemoteVictimClient("127.0.0.1", 1, **kwargs)
 
 
+class LineServer:
+    """A fake victim service for one connection: it answers every request
+    line with the same canned reply line, whatever the request."""
+
+    def __init__(self, reply: bytes):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.host, self.port = self._listener.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, args=(reply,), daemon=True)
+        self._thread.start()
+
+    def _serve(self, reply: bytes) -> None:
+        conn, _ = self._listener.accept()
+        with conn, conn.makefile("rwb") as f:
+            for _ in f:
+                f.write(reply + b"\n")
+                f.flush()
+
+    def __enter__(self) -> "LineServer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._thread.join(timeout=5.0)
+        self._listener.close()
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b'{"id": 1, "labels": [0.7, 2.9]}',  # floats, not truncated to [0, 2]
+        b'{"id": 1, "labels": [1.0, 2.0]}',  # integral floats are still floats
+        b'{"id": 1, "labels": [true, false]}',  # bools, not [1, 0]
+        b'{"id": 1, "labels": [1]}',  # one label short
+        b'{"id": 1, "labels": [1, 2, 0]}',  # one label too many
+        b'{"id": 1, "labels": [1, -2]}',  # not a class index
+        b'{"id": 1, "labels": [1, 18446744073709551616]}',  # beyond int64
+        b'{"id": 1, "labels": "12"}',
+        b'{"id": 1, "labels": null}',
+        b'{"id": 1, "label": 1}',
+        b"[1, 2]",  # not an object
+    ],
+)
+def test_client_rejects_malformed_labels(reply):
+    pool = PoolState(Dataset(np.zeros((5, 3))))
+    with LineServer(reply) as srv, RemoteVictimClient(srv.host, srv.port, timeout=5.0, retries=1) as cl:
+        with pytest.raises(RemoteUnavailableError, match="malformed"):
+            RemoteVictimOracle(cl).query_labels([4, 1], pool)
+    assert pool.counts()["unlabeled"] == 5  # nothing marked
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b'{"id": 1, "remaining": 2.5}',  # not truncated to 2
+        b'{"id": 1, "remaining": 3.0}',
+        b'{"id": 1, "remaining": -1}',
+        b'{"id": 1, "remaining": true}',
+        b'{"id": 1, "remaining": "7"}',
+        b'{"id": 1}',
+        b"7",
+    ],
+)
+def test_client_rejects_malformed_remaining(reply):
+    with LineServer(reply) as srv, RemoteVictimClient(srv.host, srv.port, timeout=5.0, retries=1) as cl:
+        with pytest.raises(RemoteUnavailableError, match="malformed"):
+            RemoteVictimOracle(cl).budget_remaining()
+
+
+@pytest.mark.parametrize("reply", [b'{"id": 1, "label": 1.5}', b'{"id": 1, "label": true}', b'{"id": 1, "labels": [1]}'])
+def test_client_rejects_malformed_label(reply):
+    with LineServer(reply) as srv, RemoteVictimClient(srv.host, srv.port, timeout=5.0, retries=1) as cl:
+        with pytest.raises(RemoteUnavailableError, match="malformed"):
+            cl.predict(np.zeros(3))
+
+
+def test_client_accepts_well_formed_replies():
+    with LineServer(b'{"id": 1, "labels": [0, 2], "remaining": 0}') as srv:
+        with RemoteVictimClient(srv.host, srv.port, timeout=5.0, retries=1) as cl:
+            labels = cl.predict_batch(np.zeros((2, 3)))
+            assert labels.dtype == np.int64 and labels.tolist() == [0, 2]
+            assert cl.budget_remaining() == 0
+
+
 def test_client_unreachable():
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
@@ -345,8 +427,9 @@ def test_remote_oracle_query_labels(service):
         assert np.array_equal(labels, local.query_labels([8, 3, 15], local_pool))
         assert oracle.query_log == local.query_log
         assert pool.counts()["queried"] == 3
-        for i in (3, 8, 15):
-            assert pool.queried_labels[i] == predict_label(model, pool.pool.features[i])
+        _, y, idx = pool.labeled_data()
+        assert idx.tolist() == [3, 8, 15]
+        assert y.tolist() == [predict_label(model, pool.pool.features[i]) for i in (3, 8, 15)]
         assert remote.budget_remaining() == 97
         with pytest.raises(InvalidInputError):
             remote.query_labels([3], pool)  # already queried

@@ -7,6 +7,7 @@ from ensteal.errors import InvalidConfigError, InvalidInputError
 from ensteal.numkit import predict_batch
 from ensteal.selection import (
     SCORED_KINDS,
+    STRATEGY_KINDS,
     SelectionStrategy,
     consensus_entropy_scores,
     disagreement_scores,
@@ -142,13 +143,11 @@ def test_select_k_validation():
 
 def test_strategy_validation():
     with pytest.raises(InvalidConfigError):
-        SelectionStrategy("maximal_vibes", 10)
+        SelectionStrategy("maximal_vibes")
     with pytest.raises(InvalidConfigError):
-        SelectionStrategy("random", 0)
+        SelectionStrategy("random", hybrid_kcenter=True)
     with pytest.raises(InvalidConfigError):
-        SelectionStrategy("random", 5, hybrid_kcenter=True)
-    with pytest.raises(InvalidConfigError):
-        SelectionStrategy("consensus_entropy", 5, hybrid_pool_factor=0)
+        SelectionStrategy("consensus_entropy", hybrid_pool_factor=0)
 
 
 @pytest.fixture()
@@ -162,7 +161,7 @@ def scored_pool(rng):
 
 def test_select_queries_scored_alignment(scored_pool):
     ps, probs = scored_pool
-    res = select_queries(SelectionStrategy("consensus_entropy", 8), probs, ps, seed=0)
+    res = select_queries(SelectionStrategy("consensus_entropy"), probs, ps, 8, seed=0)
     assert res.selected.shape == (8,)
     assert np.array_equal(res.candidates, ps.unlabeled_indices())
     assert res.scores.shape == res.candidates.shape
@@ -174,37 +173,43 @@ def test_select_queries_scored_alignment(scored_pool):
 
 def test_select_queries_hybrid_is_subset_of_shortlist(scored_pool):
     ps, probs = scored_pool
-    strat = SelectionStrategy("label_disagreement", 6, hybrid_kcenter=True, hybrid_pool_factor=4)
-    res = select_queries(strat, probs, ps, seed=0)
+    strat = SelectionStrategy("label_disagreement", hybrid_kcenter=True, hybrid_pool_factor=4)
+    res = select_queries(strat, probs, ps, 6, seed=0)
     shortlist = top_k_select(res.scores, res.candidates, 24)
     assert np.all(np.isin(res.selected, shortlist))
     assert res.selected.size == 6
     # and differs from the plain top-6 at least sometimes given spread-out picks
-    plain = select_queries(SelectionStrategy("label_disagreement", 6), probs, ps, seed=0)
+    plain = select_queries(SelectionStrategy("label_disagreement"), probs, ps, 6, seed=0)
     assert res.selected.shape == plain.selected.shape
 
 
 def test_select_queries_unscored_kinds(scored_pool):
     ps, probs = scored_pool
-    r = select_queries(SelectionStrategy("random", 5), None, ps, seed=3)
+    r = select_queries(SelectionStrategy("random"), None, ps, 5, seed=3)
     assert r.scores is None and r.selected.size == 5
-    assert np.array_equal(select_queries(SelectionStrategy("random", 5), probs, ps, seed=3).selected, r.selected)
-    kc = select_queries(SelectionStrategy("kcenter", 5), None, ps, seed=3)
+    assert np.array_equal(select_queries(SelectionStrategy("random"), probs, ps, 5, seed=3).selected, r.selected)
+    kc = select_queries(SelectionStrategy("kcenter"), None, ps, 5, seed=3)
     want = kcenter_bruteforce(ps.pool.features, ps.unlabeled_indices(), np.arange(10), 5)
     assert np.array_equal(kc.selected, np.sort(want))
 
 
-def test_select_queries_batch_override(scored_pool):
+@pytest.mark.parametrize(
+    "kind, hybrid", [(kind, False) for kind in STRATEGY_KINDS] + [(kind, True) for kind in SCORED_KINDS]
+)
+def test_select_queries_rejects_k_zero(scored_pool, kind, hybrid):
     ps, probs = scored_pool
-    res = select_queries(SelectionStrategy("consensus_entropy", 8), probs, ps, seed=0, batch_size=3)
-    assert res.selected.size == 3
+    strat = SelectionStrategy(kind, hybrid_kcenter=hybrid)
+    for k in (0, -1, ps.unlabeled_indices().size + 1):
+        with pytest.raises(InvalidInputError):
+            select_queries(strat, probs, ps, k, seed=0)
+    assert select_queries(strat, probs, ps, 1, seed=0).selected.size == 1
 
 
 def test_select_queries_exhausted_pool():
     ps = PoolState(Dataset(np.zeros((4, 2))))
     ps.mark_queried([0, 1, 2, 3], [0, 0, 0, 0])
     with pytest.raises(InvalidInputError):
-        select_queries(SelectionStrategy("random", 1), None, ps, seed=0)
+        select_queries(SelectionStrategy("random"), None, ps, 1, seed=0)
 
 
 def _per_candidate_scores(kind, models, X):
@@ -233,8 +238,8 @@ def test_select_queries_matches_per_candidate_scoring(kind, hybrid, rng):
     assert np.min(top2[..., 1] - top2[..., 0]) > 1e-9
     assert np.min(np.diff(np.unique(want_scores))) > 1e-9
 
-    strat = SelectionStrategy(kind, 12, hybrid_kcenter=hybrid, hybrid_pool_factor=3)
-    res = select_queries(strat, probs, ps, seed=0)
+    strat = SelectionStrategy(kind, hybrid_kcenter=hybrid, hybrid_pool_factor=3)
+    res = select_queries(strat, probs, ps, 12, seed=0)
     assert np.array_equal(res.candidates, cands)
     np.testing.assert_allclose(res.scores, want_scores, rtol=0, atol=1e-12)
     if hybrid:
@@ -249,4 +254,4 @@ def test_select_queries_scored_kinds_need_pool_probs(scored_pool, kind):
     ps, probs = scored_pool
     for bad in (None, probs[:, :-1], probs[0]):
         with pytest.raises(InvalidInputError):
-            select_queries(SelectionStrategy(kind, 4), bad, ps, seed=0)
+            select_queries(SelectionStrategy(kind), bad, ps, 4, seed=0)

@@ -158,8 +158,8 @@ def test_harvest_marks_pool(rng):
     assert len(audit) == 60
     counts = ps.counts()
     assert counts["pseudo"] == len(capped)
-    for i, lab in capped.items():
-        assert ps.pseudo_labels[i] == lab
+    _, yp, ip = ps.pseudo_data()
+    assert dict(zip(ip.tolist(), yp.tolist())) == capped
     for lab in set(capped.values()):
         assert sum(1 for v in capped.values() if v == lab) <= 4
 
@@ -201,6 +201,7 @@ def test_ssl_train_noop_without_pseudo(ssl_scenario):
 
 def test_ssl_train_runs_and_traces(ssl_scenario):
     state, ps, full = ssl_scenario
+    ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=3, per_class_cap=30)
     capped, _ = harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
     assert capped, "scenario should produce at least one pseudo row"
@@ -219,11 +220,11 @@ def test_ssl_train_runs_and_traces(ssl_scenario):
         assert b.val_accuracy >= v0
         if b.val_accuracy == v0:
             assert b.cycle == c0
-    ps.clear_pseudo()
 
 
 def test_ssl_train_lambda_zero_skips_pseudo_pass(ssl_scenario):
     state, ps, full = ssl_scenario
+    ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     base = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
     capped, _ = harvest_pseudo_labels(state.best_models(), ps, base, seed=5)
     assert capped
@@ -241,11 +242,11 @@ def test_ssl_train_lambda_zero_skips_pseudo_pass(ssl_scenario):
     for m_a, m_b in zip(s_a.current, s_b.current):
         assert np.array_equal(m_a.params, m_b.params)
     assert [t.total_loss for t in tr_a] == [t.total_loss for t in tr_b]
-    ps.clear_pseudo()
 
 
 def test_ssl_train_deterministic(ssl_scenario):
     state, ps, _ = ssl_scenario
+    ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
     harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
     s_a = copy.deepcopy(state)
@@ -257,13 +258,13 @@ def test_ssl_train_deterministic(ssl_scenario):
         assert np.array_equal(m_a.params, m_b.params)
     tr_c = ssl_train(copy.deepcopy(state), ps, cfg, seed=4)
     assert [t.total_loss for t in tr_c] != [t.total_loss for t in tr_a]
-    ps.clear_pseudo()
 
 
 def test_ssl_train_improves_or_preserves_validation(ssl_scenario):
     # the headline SSL property at desk scale: agreement with the stand-in
     # labels on validation rows does not degrade materially
     state, ps, full = ssl_scenario
+    ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=5, per_class_cap=50)
     harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
     Xv, yv, _ = ps.validation_data()
@@ -272,11 +273,11 @@ def test_ssl_train_improves_or_preserves_validation(ssl_scenario):
     ssl_train(st, ps, cfg, seed=21)
     after = max(accuracy(m, Xv, yv) for m in st.best_models())
     assert after >= before - 0.05
-    ps.clear_pseudo()
 
 
 def test_ssl_train_replaced_checkpoints_get_fresh_outputs(ssl_scenario):
     state, ps, _ = ssl_scenario
+    ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
     harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
     st = copy.deepcopy(state)
@@ -289,11 +290,11 @@ def test_ssl_train_replaced_checkpoints_get_fresh_outputs(ssl_scenario):
     for i, b in enumerate(st.best):
         assert np.array_equal(fresh[i], probs_batch(b.model, ps.pool.features))
         assert not np.array_equal(fresh[i], stale[i])
-    ps.clear_pseudo()
 
 
 def test_ssl_train_skips_saturated_members(ssl_scenario, monkeypatch):
     state, ps, _ = ssl_scenario
+    ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     assert any(b.saturated for b in state.best), "the fixture should saturate a member"
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
     harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
@@ -316,7 +317,6 @@ def test_ssl_train_skips_saturated_members(ssl_scenario, monkeypatch):
     assert saturated.outputs.keys() == outputs.keys()
     assert all(saturated.outputs[k] is v for k, v in outputs.items())
     assert st.current[0] is current
-    ps.clear_pseudo()
 
 
 def _reference_ssl_train(models, ps, cfg, seed):
@@ -352,6 +352,7 @@ def _reference_ssl_train(models, ps, cfg, seed):
 @pytest.mark.parametrize("weight", [0.0, 0.7])
 def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, weight):
     state, ps, _ = ssl_scenario
+    ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(
         augment=tabular_aug(seed=2), confidence_threshold=0.5, epochs=3, per_class_cap=25,
         pseudo_loss_weight=weight, batch_size=16,
@@ -365,4 +366,3 @@ def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, weight):
         assert np.array_equal(model.params, params)
     passes = [(t.labeled_loss, t.pseudo_loss) if weight else (t.labeled_loss,) for t in traces]
     assert [loss for p in passes for loss in p] == ref_losses
-    ps.clear_pseudo()

@@ -53,9 +53,9 @@ def test_oracle_query_marks_pool_and_logs():
     assert oracle.budget_remaining() == 47
     assert len(oracle.query_log) == 3
     # answers recomputed directly match the pool's stored labels
-    for idx in (2, 5, 9):
-        expected = predict_label(model, pool.pool.features[idx])
-        assert pool.queried_labels[idx] == expected
+    _, y, idx = pool.labeled_data()
+    assert idx.tolist() == [2, 5, 9]
+    assert y.tolist() == [predict_label(model, pool.pool.features[i]) for i in (2, 5, 9)]
 
 
 def test_oracle_rejects_before_charging():
