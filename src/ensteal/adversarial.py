@@ -2,10 +2,10 @@
 
 Projected gradient descent under an L-infinity ball: optional uniform
 random start, fixed sign-gradient steps, projection back onto the ball
-(and an optional feature box) after every step. Crafted inputs are then
-replayed against a second model to measure how often fooling the source
-also fools the target; the companion baseline replaces the crafted
-perturbation with uniform random corner noise of the same radius.
+after every step. Crafted inputs are then replayed against a second model
+to measure how often fooling the source also fools the target; the
+companion baseline replaces the crafted perturbation with uniform random
+corner noise of the same radius.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class PgdConfig:
     epsilon: float
     steps: int = 20
     step_size: Optional[float] = None  # defaults to 2.5 * epsilon / steps
-    clamp: Optional[tuple[float, float]] = None
     random_start: bool = True
     seed: int = 0
 
@@ -38,10 +37,6 @@ class PgdConfig:
             raise InvalidConfigError("steps must be positive")
         if self.step_size is not None and self.step_size <= 0:
             raise InvalidConfigError("step_size must be positive")
-        if self.clamp is not None:
-            lo, hi = self.clamp
-            if not lo < hi:
-                raise InvalidConfigError(f"clamp bounds must satisfy lo < hi, got {self.clamp}")
 
     @property
     def resolved_step(self) -> float:
@@ -54,8 +49,8 @@ def pgd_attack_batch(model: MlpModel, X, y, cfg: PgdConfig) -> np.ndarray:
     """Adversarial copies of X targeting higher loss on the true labels.
 
     Every step moves along the sign of each sample's own input gradient and
-    projects back into the epsilon ball around the original row, then into
-    the clamp box when one is set. epsilon 0 returns X unchanged.
+    projects back into the epsilon ball around the original row. epsilon 0
+    returns X unchanged.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -72,22 +67,16 @@ def pgd_attack_batch(model: MlpModel, X, y, cfg: PgdConfig) -> np.ndarray:
         adv = X + rng.uniform(-cfg.epsilon, cfg.epsilon, size=X.shape)
     else:
         adv = X.copy()
-    if cfg.clamp is not None:
-        adv = np.clip(adv, cfg.clamp[0], cfg.clamp[1])
     alpha = cfg.resolved_step
     for _ in range(cfg.steps):
         grads = numkit.input_grad_batch(model, adv, y)
         if not np.all(np.isfinite(grads)):
             raise AttackFailedError("non-finite input gradient during attack")
         adv = np.clip(adv + alpha * np.sign(grads), lo, hi)
-        if cfg.clamp is not None:
-            adv = np.clip(adv, cfg.clamp[0], cfg.clamp[1])
     return adv
 
 
-def random_sign_perturbation(
-    X, epsilon: float, seed: int = 0, clamp: Optional[tuple[float, float]] = None
-) -> np.ndarray:
+def random_sign_perturbation(X, epsilon: float, seed: int = 0) -> np.ndarray:
     """Baseline noise: each coordinate moves by exactly +-epsilon, signs
     drawn uniformly."""
     X = np.asarray(X, dtype=np.float64)
@@ -97,10 +86,7 @@ def random_sign_perturbation(
         return X.copy()
     rng = np.random.default_rng(mask64(seed))
     signs = rng.integers(0, 2, size=X.shape) * 2 - 1
-    out = X + epsilon * signs
-    if clamp is not None:
-        out = np.clip(out, clamp[0], clamp[1])
-    return out
+    return X + epsilon * signs
 
 
 # ── transfer measurement ─────────────────────────────────────────────

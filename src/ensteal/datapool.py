@@ -130,9 +130,12 @@ class PoolState:
         return idx
 
     def _set(self, idx: np.ndarray, status: int, labels) -> None:
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
         if labels.shape != idx.shape:
             raise InvalidInputError("one label per index required")
+        # no coercion: a float or bool label is a caller's bug, not a class
+        if not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0:
+            raise InvalidInputError(f"labels must be nonnegative integers, got dtype {labels.dtype}")
         self.status[idx] = status
         self.labels[idx] = labels
 

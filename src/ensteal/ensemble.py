@@ -2,14 +2,15 @@
 
 The attacker trains several MLPs of different capacities on the same stolen
 labels. Each refresh retrains the members from their seeded initialization
-on the current labeled set (no warm start), scores them on the held-out
-validation rows, and keeps the best checkpoint seen so far per member. Only
-a strictly better score replaces a checkpoint, so a member already at 1.0 on
-validation is skipped: no output could see its retrain. Committee outputs
-(mean probabilities, label frequency vectors, majority vote) always come from
-those best checkpoints. A checkpoint's softmax over a fixed matrix (the
-attack pool, the test set) is computed once and kept on the checkpoint;
-replacing a checkpoint starts it with no stored outputs.
+on the current labeled set (no warm start) and keeps one best checkpoint per
+member. EnsembleState holds the one checkpoint rule that refreshes and
+semi-supervised fine-tuning share: a trained model replaces a checkpoint
+only if it scores strictly better on the held-out validation rows, so a
+member already at 1.0 is not trained at all, since no output could see it.
+Committee outputs (mean probabilities, label frequency vectors, majority
+vote) always come from those best checkpoints. A checkpoint's softmax over a
+fixed matrix (the attack pool, the test set) is computed once and kept on the
+checkpoint; replacing a checkpoint starts it with no stored outputs.
 """
 
 from __future__ import annotations
@@ -35,15 +36,13 @@ DEFAULT_HIDDEN_PROFILE: tuple[tuple[int, ...], ...] = (
     (128, 64),
     (256, 128, 64),
 )
-VICTIM_ARCH_INDEX = 2
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Member architectures plus which member, if any, mirrors the victim."""
+    """Member architectures: at least two, pairwise distinct, one shape."""
 
     members: tuple[MlpSpec, ...]
-    victim_arch_index: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
@@ -55,8 +54,6 @@ class EnsembleSpec:
         dims = {(m.input_dim, m.num_classes) for m in self.members}
         if len(dims) != 1:
             raise InvalidConfigError("members must share input_dim and num_classes")
-        if self.victim_arch_index is not None and not 0 <= self.victim_arch_index < len(self.members):
-            raise InvalidConfigError("victim_arch_index out of range")
 
     @property
     def size(self) -> int:
@@ -69,7 +66,6 @@ def make_default_ensemble(
     rng_seed: int = 0,
     activation: str = "relu",
     hidden_profile: tuple[tuple[int, ...], ...] = DEFAULT_HIDDEN_PROFILE,
-    victim_arch_index: Optional[int] = VICTIM_ARCH_INDEX,
 ) -> EnsembleSpec:
     members = tuple(
         MlpSpec(
@@ -81,9 +77,7 @@ def make_default_ensemble(
         )
         for i, hidden in enumerate(hidden_profile)
     )
-    if victim_arch_index is not None and victim_arch_index >= len(members):
-        victim_arch_index = None
-    return EnsembleSpec(members, victim_arch_index)
+    return EnsembleSpec(members)
 
 
 def default_member_configs(
@@ -123,13 +117,30 @@ class BestCheckpoint:
 
 
 class EnsembleState:
-    """Current members, their best checkpoints, and the refresh counter."""
+    """The members' best checkpoints and the refresh counter.
+
+    trainable() and offer() are the checkpoint rule: a model replaces member
+    i's checkpoint only with a strictly better validation accuracy, so a
+    member whose checkpoint already scores 1.0 is not worth training.
+    """
 
     def __init__(self, spec: EnsembleSpec):
         self.spec = spec
-        self.current: list[MlpModel] = [MlpModel.initialize(m) for m in spec.members]
         self.best: list[Optional[BestCheckpoint]] = [None] * spec.size
         self.cycle = 0
+
+    def trainable(self) -> list[int]:
+        """Members that a trained model could still improve, in order."""
+        return [i for i, b in enumerate(self.best) if b is None or not b.saturated]
+
+    def offer(self, i: int, model: MlpModel, Xv, yv, cycle: int) -> float:
+        """Score model on (Xv, yv) and keep a copy as member i's checkpoint,
+        dated cycle, if it beats the current one. Returns the score."""
+        acc = numkit.accuracy(model, Xv, yv)
+        prev = self.best[i]
+        if prev is None or acc > prev.val_accuracy:
+            self.best[i] = BestCheckpoint(model.copy(), acc, cycle)
+        return acc
 
     def best_models(self) -> list[MlpModel]:
         if any(b is None for b in self.best):
@@ -163,10 +174,9 @@ def train_cycle(
 
     Every member restarts from its spec's seeded initialization and trains
     with its own config; shuffle seeds derive from (seed, member index), so
-    distinct cycles see distinct batch orders. Members whose validation
-    accuracy strictly improves replace their best checkpoint; one already at
-    1.0 is skipped. Returns the per-member validation accuracies of this
-    refresh, None for a skipped member.
+    distinct cycles see distinct batch orders. Only state.trainable() members
+    train, and each result goes to state.offer. Returns the per-member
+    validation accuracies of this refresh, None for a skipped member.
     """
     if len(cfgs) != state.spec.size:
         raise InvalidConfigError("one SGD config per member required")
@@ -178,17 +188,10 @@ def train_cycle(
         raise InvalidInputError("validation rows are required to rank checkpoints")
     state.cycle += 1
     accs: list[Optional[float]] = [None] * state.spec.size
-    for i, member_spec in enumerate(state.spec.members):
-        prev = state.best[i]
-        if prev is not None and prev.saturated:
-            continue
-        fresh = MlpModel.initialize(member_spec)
+    for i in state.trainable():
+        fresh = MlpModel.initialize(state.spec.members[i])
         trained, _ = numkit.train_supervised(fresh, (X, y), cfgs[i], derive_seed(seed, i))
-        acc = numkit.accuracy(trained, Xv, yv)
-        state.current[i] = trained
-        if prev is None or acc > prev.val_accuracy:
-            state.best[i] = BestCheckpoint(trained.copy(), acc, state.cycle)
-        accs[i] = acc
+        accs[i] = state.offer(i, trained, Xv, yv, state.cycle)
     return accs
 
 
@@ -263,7 +266,7 @@ def save_ensemble(state: EnsembleState, directory) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_ensemble(directory, victim_arch_index: Optional[int] = None) -> EnsembleState:
+def load_ensemble(directory) -> EnsembleState:
     """Rebuild an ensemble from saved best checkpoints. Loaded states serve
     scoring and evaluation; member init seeds are not persisted."""
     index_path = os.path.join(directory, "index.txt")
@@ -280,19 +283,14 @@ def load_ensemble(directory, victim_arch_index: Optional[int] = None) -> Ensembl
     size, cycle = int(header[1]), int(header[3])
     if len(lines) != size + 1:
         raise InvalidInputError("ensemble index member count mismatch")
-    models: list[MlpModel] = []
-    checkpoints: list[BestCheckpoint] = []
+    checkpoints: list[Optional[BestCheckpoint]] = []
     for i in range(size):
         fields = lines[i + 1].split()
         if len(fields) != 3 or int(fields[0]) != i:
             raise InvalidInputError(f"malformed ensemble index line: {lines[i + 1]!r}")
         model = numkit.load_model(os.path.join(directory, f"member{i}_best.ckpt"))
-        models.append(model)
         checkpoints.append(BestCheckpoint(model, float(fields[1]), int(fields[2])))
-    spec = EnsembleSpec(tuple(m.spec for m in models), victim_arch_index)
-    state = EnsembleState.__new__(EnsembleState)
-    state.spec = spec
-    state.current = [m.copy() for m in models]
-    state.best = list(checkpoints)
+    state = EnsembleState(EnsembleSpec(tuple(b.model.spec for b in checkpoints)))
+    state.best = checkpoints
     state.cycle = cycle
     return state

@@ -112,15 +112,6 @@ def _typed(value, kind: type, path: str):
     return float(value) if kind is float else value
 
 
-class _Auto:
-    def __repr__(self) -> str:
-        return "AUTO"
-
-
-# Default of a field whose absence means "derive it at run time"; the
-# encoder leaves such a field out.
-AUTO = _Auto()
-
 # victim.data names its source class by this tag
 _SOURCES = {"gaussian_mixture": GaussianMixture, "tiny_digits": TinyDigits}
 _SOURCE_TAGS = {cls: tag for tag, cls in _SOURCES.items()}
@@ -168,17 +159,10 @@ class EnsembleSection:
     activation: str = "relu"
     epochs: int = 30
     batch_size: int = 64
-    # AUTO: the member whose widths equal the victim's, if any; None: no member
-    victim_arch_index: Optional[int] = AUTO
 
     def __post_init__(self):
         members = tuple(MlpSpec(1, hidden, 2, self.activation) for hidden in self.hidden_profile)
-        spec = EnsembleSpec(members, None if self.auto_victim_index else self.victim_arch_index)
-        default_member_configs(spec, self.epochs, self.batch_size)
-
-    @property
-    def auto_victim_index(self) -> bool:
-        return self.victim_arch_index is AUTO
+        default_member_configs(EnsembleSpec(members), self.epochs, self.batch_size)
 
 
 @dataclass(frozen=True)
@@ -314,7 +298,7 @@ def _decode(kind, value, path: str):
 def _encode(value):
     if is_dataclass(value):
         items = ((f.name, getattr(value, f.name)) for f in fields(value))
-        out = {name: _encode(v) for name, v in items if v is not AUTO}
+        out = {name: _encode(v) for name, v in items}
         tag = _SOURCE_TAGS.get(type(value))
         return out if tag is None else {"source": tag, **out}
     if isinstance(value, tuple):
@@ -486,25 +470,19 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
             oracle.query_labels(q0_idx, pool_state)
 
         with _stage("ensemble_setup"):
-            if a.ensemble.auto_victim_index:
-                try:
-                    victim_arch_index = a.ensemble.hidden_profile.index(victim_model.spec.hidden_layers)
-                except ValueError:
-                    victim_arch_index = None
-            else:
-                victim_arch_index = a.ensemble.victim_arch_index
             ens_spec = make_default_ensemble(
                 cfg.victim.data.input_dim,
                 cfg.victim.data.num_classes,
                 rng_seed=stage_seed(root, ENSEMBLE_INIT),
                 activation=a.ensemble.activation,
                 hidden_profile=a.ensemble.hidden_profile,
-                victim_arch_index=victim_arch_index,
             )
             state = EnsembleState(ens_spec)
             member_cfgs = default_member_configs(ens_spec, a.ensemble.epochs, a.ensemble.batch_size)
             report["members"] = [list(m.hidden_layers) for m in ens_spec.members]
-            report["victim_arch_index"] = victim_arch_index
+            # the member whose widths equal the victim's, if any
+            profile, victim_hidden = a.ensemble.hidden_profile, victim_model.spec.hidden_layers
+            report["victim_arch_index"] = profile.index(victim_hidden) if victim_hidden in profile else None
 
         with _stage("cycles"):
             for c in range(1, a.cycles + 1):

@@ -10,21 +10,21 @@ data.
 
 The training stage then minimizes labeled loss plus a weighted pseudo loss,
 where pseudo rows are strongly perturbed afresh every epoch, at a low fixed
-learning rate. Checkpoints still only advance on validation improvement, so
-a member already at 1.0 on validation is not fine-tuned.
+learning rate. The committee's checkpoint rule (EnsembleState.trainable and
+offer) applies unchanged, so a member already at 1.0 on validation is not
+fine-tuned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import numkit
 from .datapool import AugmentConfig, PoolState, strong_augment, weak_augment
-from .ensemble import BestCheckpoint, EnsembleState
-from .errors import InvalidConfigError, InvalidInputError
+from .ensemble import EnsembleState
+from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from .numkit import MlpModel
 from .seeding import derive_seed, mask64
 
@@ -187,10 +187,11 @@ def ssl_train(
     Each epoch runs the labeled minibatches, then the pseudo minibatches
     with gradients scaled by the pseudo loss weight; the shuffled pseudo
     inputs are strongly perturbed anew that epoch, as one batch. The
-    learning rate stays fixed. Members whose validation accuracy strictly
-    improves replace their best checkpoint; one already at 1.0 is skipped,
-    with no traces (random streams are per member). With no pseudo rows
-    recorded this is a no-op returning [].
+    learning rate stays fixed. Only state.trainable() members are tuned, and
+    each result goes to state.offer dated the next cycle; a skipped member
+    has no traces (random streams are per member). A non-finite epoch loss
+    raises TrainingDivergedError. With no pseudo rows recorded this is a
+    no-op returning [].
     """
     Xp, yp, _ = pool_state.pseudo_data()
     if Xp.shape[0] == 0:
@@ -207,9 +208,7 @@ def ssl_train(
     starting_points = state.best_models()
     sgd = numkit.SgdConfig(base_lr=cfg.lr, momentum=cfg.momentum, batch_size=cfg.batch_size)
 
-    for i in range(state.spec.size):
-        if state.best[i].saturated:
-            continue
+    for i in state.trainable():
         model = starting_points[i].copy()
         velocity = np.zeros_like(model.params)
         for e in range(cfg.epochs):
@@ -225,12 +224,10 @@ def ssl_train(
                 pseudo_loss = numkit.sgd_epoch(
                     model, velocity, Xa, yp[order_p], np.arange(order_p.size), sgd, cfg.lr, lam
                 )
-            traces.append(
-                SslEpochTrace(i, e, labeled_loss, pseudo_loss, labeled_loss + lam * pseudo_loss)
-            )
+            total_loss = labeled_loss + lam * pseudo_loss
+            if not np.isfinite(total_loss):
+                raise TrainingDivergedError(e, f"member {i}")
+            traces.append(SslEpochTrace(i, e, labeled_loss, pseudo_loss, total_loss))
         model.epoch_counter += cfg.epochs
-        acc = numkit.accuracy(model, Xv, yv)
-        state.current[i] = model
-        if acc > state.best[i].val_accuracy:
-            state.best[i] = BestCheckpoint(model.copy(), acc, state.cycle + 1)
+        state.offer(i, model, Xv, yv, state.cycle + 1)
     return traces

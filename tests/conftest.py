@@ -18,6 +18,21 @@ def make_sharp_models(k: int, dim: int, classes: int, seed: int, hidden=(5,)) ->
     return models
 
 
+def record_offers(state) -> dict:
+    """Wrap state.offer; the returned dict maps each member index to the
+    last model offered for it, whether or not it replaced the checkpoint.
+    Patch a deep copy only after copying: the wrapper closes over state."""
+    offered = {}
+    real = state.offer
+
+    def offer(i, model, *args):
+        offered[i] = model
+        return real(i, model, *args)
+
+    state.offer = offer
+    return offered
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

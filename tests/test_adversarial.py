@@ -57,12 +57,6 @@ def test_pgd_stays_in_ball_and_box(attack_setup):
     eps = 0.7
     adv = pgd_attack_batch(model, X, y, PgdConfig(epsilon=eps, steps=10, seed=1))
     assert np.max(np.abs(adv - X)) <= eps + 1e-12
-    # with a clamp box, rows already inside the box stay inside it and in
-    # the ball; the box wins for anything else
-    Xb = np.clip(X, -3.0, 3.0)
-    advb = pgd_attack_batch(model, Xb, y, PgdConfig(epsilon=eps, steps=10, clamp=(-3.0, 3.0), seed=1))
-    assert np.max(np.abs(advb - Xb)) <= eps + 1e-12
-    assert advb.min() >= -3.0 - 1e-12 and advb.max() <= 3.0 + 1e-12
 
 
 def test_pgd_reduces_source_accuracy(attack_setup):
@@ -106,8 +100,6 @@ def test_random_sign_perturbation():
     again = random_sign_perturbation(X, 0.25, seed=4)
     assert np.array_equal(out, again)
     assert np.array_equal(random_sign_perturbation(X, 0.0, seed=4), X)
-    clipped = random_sign_perturbation(np.full((5, 3), 0.9), 0.3, clamp=(0.0, 1.0), seed=1)
-    assert clipped.max() <= 1.0
 
 
 # ── transfer bookkeeping ─────────────────────────────────────────────

@@ -125,6 +125,29 @@ def test_pool_rejects_bad_transitions():
         ps.mark_pseudo([0], [1])  # queried, not unlabeled
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [[0.7, 2.0], [True, False], [1, -3], np.array([1.0, 2.0])],
+    ids=["floats", "bools", "negative", "float_array"],
+)
+@pytest.mark.parametrize(
+    "transition",
+    [
+        lambda ps, labels: ps.mark_queried([0, 1], labels),
+        lambda ps, labels: ps.mark_pseudo([0, 1], labels),
+        lambda ps, labels: ps.query([0, 1], lambda X: np.asarray(labels)),
+    ],
+    ids=["mark_queried", "mark_pseudo", "query"],
+)
+def test_pool_rejects_labels_that_are_not_nonnegative_integers(labels, transition):
+    # these were truncated or kept as given: [0.7, -3] stored [0, -3]
+    ps = make_pool()
+    with pytest.raises(InvalidInputError, match="nonnegative integers"):
+        transition(ps, labels)
+    assert np.all(ps.status == UNLABELED)
+    assert not ps.labels.any()
+
+
 # ── augmentation ─────────────────────────────────────────────────────
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import record_offers
 from ensteal import numkit
 from ensteal.datapool import Dataset, GaussianMixture, PoolState, make_synthetic, strip_labels
 from ensteal.ensemble import (
     DEFAULT_HIDDEN_PROFILE,
-    VICTIM_ARCH_INDEX,
     EnsembleSpec,
     EnsembleState,
     consensus_mean,
@@ -29,7 +29,7 @@ def test_default_profile_capacities_strictly_increase():
     counts = [m.param_count() for m in spec.members]
     assert counts == sorted(counts)
     assert len(set(counts)) == len(counts)
-    assert spec.members[VICTIM_ARCH_INDEX].hidden_layers == (64, 64)
+    assert spec.members[2].hidden_layers == (64, 64)  # the reference victim's widths
     assert spec.size == 5
 
 
@@ -49,9 +49,6 @@ def test_ensemble_spec_validation():
     c = MlpSpec(5, (16,), 3, "relu", 2)  # input_dim mismatch
     with pytest.raises(InvalidConfigError):
         EnsembleSpec((a, c))
-    d = MlpSpec(4, (16,), 3, "relu", 2)
-    with pytest.raises(InvalidConfigError):
-        EnsembleSpec((a, d), victim_arch_index=5)
 
 
 def test_default_member_configs():
@@ -120,7 +117,7 @@ def trained_state():
     oracle.query_labels(list(range(0, 60)), pool)
     oracle.query_labels(list(range(300, 330)), pool)
     pool.convert_queried_to_validation(list(range(300, 330)))
-    spec = make_default_ensemble(6, 3, rng_seed=77, hidden_profile=((4,), (8,), (12,)), victim_arch_index=None)
+    spec = make_default_ensemble(6, 3, rng_seed=77, hidden_profile=((4,), (8,), (12,)))
     state = EnsembleState(spec)
     cfgs = default_member_configs(spec, epochs=15)
     accs1 = train_cycle(state, pool, cfgs, seed=31)
@@ -157,11 +154,34 @@ def test_train_cycle_same_init_each_cycle(trained_state):
     # seed produce identical weights
     s1 = EnsembleState(state.spec)
     s2 = EnsembleState(state.spec)
+    t1, t2 = record_offers(s1), record_offers(s2)
     a1 = train_cycle(s1, pool, cfgs, seed=50)
     a2 = train_cycle(s2, pool, cfgs, seed=50)
     assert a1 == a2
-    for m1, m2 in zip(s1.current, s2.current):
-        assert np.array_equal(m1.params, m2.params)
+    assert t1.keys() == t2.keys() == {0, 1, 2}
+    for i in t1:
+        assert np.array_equal(t1[i].params, t2[i].params)
+
+
+def test_offer_keeps_a_copy_only_on_strict_improvement(trained_state):
+    trained, pool, _, _ = trained_state
+    Xv, yv, _ = pool.validation_data()
+    state = EnsembleState(trained.spec)
+    assert state.trainable() == [0, 1, 2]
+    model = trained.best[0].model
+    acc = state.offer(0, model, Xv, yv, 4)
+    kept = state.best[0]
+    assert (kept.val_accuracy, kept.cycle) == (acc, 4) and acc == trained.best[0].val_accuracy
+    assert kept.model is not model and np.array_equal(kept.model.params, model.params)
+    assert state.offer(0, model.copy(), Xv, yv, 5) == acc
+    assert state.best[0] is kept  # an equal score keeps the checkpoint
+    kept.val_accuracy = 1.0
+    assert state.trainable() == [1, 2]
+    diverged = model.copy()
+    diverged.params[0] = np.nan
+    with pytest.raises(InvalidInputError, match="finite"):
+        state.offer(1, diverged, Xv, yv, 5)
+    assert state.best[1] is None
 
 
 def test_best_member_index(trained_state):
@@ -171,7 +191,7 @@ def test_best_member_index(trained_state):
 
 
 def test_best_models_requires_training():
-    spec = make_default_ensemble(4, 3, hidden_profile=((4,), (6,)), victim_arch_index=None)
+    spec = make_default_ensemble(4, 3, hidden_profile=((4,), (6,)))
     state = EnsembleState(spec)
     with pytest.raises(InvalidInputError):
         state.best_models()
@@ -224,7 +244,7 @@ def test_train_cycle_skips_saturated_members(trained_state, monkeypatch):
     state.best[1].val_accuracy = 0.98  # close to saturated, still retrained
     saturated = state.best[0]
     outputs = dict(saturated.outputs)
-    current = list(state.current)
+    offered = record_offers(state)
     trained = []
     real = numkit.train_supervised
     monkeypatch.setattr(numkit, "train_supervised", lambda m, *a: trained.append(m.spec) or real(m, *a))
@@ -235,14 +255,13 @@ def test_train_cycle_skips_saturated_members(trained_state, monkeypatch):
     assert state.best[0] is saturated and saturated.cycle == 1
     assert saturated.outputs.keys() == outputs.keys()
     assert all(saturated.outputs[k] is v for k, v in outputs.items())
-    assert state.current[0] is current[0]
-    assert all(state.current[i] is not current[i] for i in (1, 2))
+    assert offered.keys() == {1, 2}
     assert (state.best[1].cycle == 2) == (accs[1] > 0.98)
 
 
 def test_train_cycle_needs_validation_rows():
     pool = PoolState(Dataset(np.random.default_rng(0).normal(size=(50, 4))))
-    spec = make_default_ensemble(4, 3, hidden_profile=((4,), (6,)), victim_arch_index=None)
+    spec = make_default_ensemble(4, 3, hidden_profile=((4,), (6,)))
     state = EnsembleState(spec)
     cfgs = default_member_configs(spec, epochs=2)
     with pytest.raises(InvalidInputError):
@@ -263,9 +282,6 @@ def test_ensemble_roundtrip(trained_state, tmp_path):
         assert b1.cycle == b0.cycle
         assert np.array_equal(b1.model.params, b0.model.params)
         assert b1.model.spec.architecture() == b0.model.spec.architecture()
-    # victim_arch_index can be supplied on load
-    tagged = load_ensemble(tmp_path, victim_arch_index=1)
-    assert tagged.spec.victim_arch_index == 1
 
 
 def test_load_ensemble_missing_dir(tmp_path):

@@ -91,6 +91,15 @@ def test_parse_rejects_unknown_keys_with_paths():
         parse_config(bad)
 
 
+@pytest.mark.parametrize("value", [None, 1])
+def test_victim_arch_index_is_derived_not_configured(value):
+    # report.json's victim_arch_index comes from the victim's widths
+    raw = base_config()
+    raw["attack"]["ensemble"]["victim_arch_index"] = value
+    with pytest.raises(InvalidConfigError, match=r"unknown key\(s\) in attack\.ensemble: victim_arch_index"):
+        parse_config(raw)
+
+
 def test_parse_requires_core_fields():
     with pytest.raises(InvalidConfigError, match="seed"):
         parse_config({"victim": {}, "attack": {}})
@@ -208,7 +217,6 @@ def _full_config(path: str, value) -> dict:
         ("attack.ensemble.hidden_profile", [[6], 10]),
         ("attack.ensemble.hidden_profile", [[6], [10.0]]),
         ("attack.ensemble.epochs", "10"),
-        ("attack.ensemble.victim_arch_index", 1.0),
         ("attack.remote.port", "4242"),
         ("attack.remote.host", 127),
         ("attack.remote.timeout", None),
@@ -236,7 +244,6 @@ def test_parse_rejects_wrong_types_naming_the_key(path, value):
         ("adversarial.epsilon", -1, "adversarial"),
         ("victim.activation", "gelu", "victim"),
         ("attack.ensemble.hidden_profile", [[0]], "attack.ensemble"),
-        ("attack.ensemble.victim_arch_index", 9, "attack.ensemble"),  # 3 members
         ("attack.remote.timeout", 0, "attack.remote"),
         ("attack.remote.timeout", -1.5, "attack.remote"),
         ("attack.remote.retries", 0, "attack.remote"),
@@ -257,10 +264,9 @@ def test_parse_keeps_int_for_float_fields():
     cfg = parse_config(raw)
     assert cfg.victim.base_lr == 1.0 and isinstance(cfg.victim.base_lr, float)
     assert isinstance(cfg.victim.data.separation, float)
-    raw["attack"]["ensemble"]["victim_arch_index"] = None
     raw["adversarial"] = {"epsilon": 1, "step_size": None}
     cfg = parse_config(raw)
-    assert cfg.attack.ensemble.victim_arch_index is None
+    assert cfg.adversarial.step_size is None
     assert cfg.adversarial.epsilon == 1.0 and isinstance(cfg.adversarial.epsilon, float)
 
 
@@ -319,17 +325,6 @@ FULL_CONFIG_ECHO = (
 def test_config_echo_text_is_pinned():
     cfg = parse_config(_full_config("seed", 5))
     assert json.dumps(config_to_dict(cfg), sort_keys=True) == FULL_CONFIG_ECHO
-
-
-def test_victim_arch_index_auto_detection():
-    cfg = parse_config(base_config())
-    # profile [[6],[10],[16,16]] contains the victim's (16,16) at index 2
-    assert cfg.attack.ensemble.auto_victim_index is True
-    raw = base_config()
-    raw["attack"]["ensemble"]["victim_arch_index"] = 1
-    cfg = parse_config(raw)
-    assert cfg.attack.ensemble.victim_arch_index == 1
-    assert cfg.attack.ensemble.auto_victim_index is False
 
 
 def test_victim_arch_index_auto_detected_against_the_loaded_checkpoint(tmp_path):
@@ -564,7 +559,6 @@ def test_skipping_saturated_members_leaves_every_artifact_unchanged(tmp_path, mo
             fresh = MlpModel.initialize(member_spec)
             trained, _ = numkit.train_supervised(fresh, (X, y), cfgs[i], derive_seed(seed, i))
             acc = numkit.accuracy(trained, Xv, yv)
-            state.current[i] = trained
             if state.best[i] is None or acc > state.best[i].val_accuracy:
                 state.best[i] = BestCheckpoint(trained.copy(), acc, state.cycle)
 
@@ -587,7 +581,6 @@ def test_skipping_saturated_members_leaves_every_artifact_unchanged(tmp_path, mo
                 numkit.sgd_epoch(model, velocity, Xa, yp[order], np.arange(order.size), sgd, ssl_cfg.lr, lam)
             model.epoch_counter += ssl_cfg.epochs
             acc = numkit.accuracy(model, Xv, yv)
-            state.current[i] = model
             if acc > best.val_accuracy:
                 state.best[i] = BestCheckpoint(model.copy(), acc, state.cycle + 1)
 

@@ -228,7 +228,7 @@ def test_select_queries_matches_per_candidate_scoring(kind, hybrid, rng):
     features = rng.normal(size=(400, 6))
     ps = PoolState(Dataset(features))
     queried = np.arange(0, 400, 7)
-    ps.mark_queried(queried, np.zeros(queried.size))
+    ps.mark_queried(queried, np.zeros(queried.size, dtype=np.int64))
     models = make_sharp_models(5, dim=6, classes=4, seed=21)
     probs = member_probs_matrix(models, features)
     cands = ps.unlabeled_indices()

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import make_sharp_models
+from conftest import make_sharp_models, record_offers
 from ensteal.datapool import (
     AugmentConfig,
     Dataset,
@@ -22,7 +22,7 @@ from ensteal.ensemble import (
     train_cycle,
 )
 from ensteal import numkit
-from ensteal.errors import InvalidConfigError
+from ensteal.errors import InvalidConfigError, TrainingDivergedError
 from ensteal.numkit import accuracy, probs_batch, sgd_update
 from ensteal.seeding import derive_seed, mask64
 from ensteal.semisup import (
@@ -176,7 +176,7 @@ def ssl_scenario():
     qi = list(range(0, 90))
     ps.mark_queried(qi, full.labels[qi])
     ps.convert_queried_to_validation(list(range(60, 90)))
-    spec = make_default_ensemble(6, 3, rng_seed=8, hidden_profile=((6,), (10,), (14,)), victim_arch_index=None)
+    spec = make_default_ensemble(6, 3, rng_seed=8, hidden_profile=((6,), (10,), (14,)))
     state = EnsembleState(spec)
     train_cycle(state, ps, default_member_configs(spec, epochs=20), seed=90)
     return state, ps, full
@@ -233,14 +233,16 @@ def test_ssl_train_lambda_zero_skips_pseudo_pass(ssl_scenario):
         per_class_cap=30, pseudo_loss_weight=0.0,
     )
     # snapshot, run, compare: with weight 0 the pseudo rows contribute nothing
-    s_a = copy.deepcopy(state)
-    s_b = copy.deepcopy(state)
+    s_a = unsaturated_copy(state)
+    s_b = unsaturated_copy(state)
+    o_a, o_b = record_offers(s_a), record_offers(s_b)
     tr_a = ssl_train(s_a, ps, cfg0, seed=11)
     assert all(t.pseudo_loss == 0.0 for t in tr_a)
     # identical labeled-only trajectory is reproducible
     tr_b = ssl_train(s_b, ps, cfg0, seed=11)
-    for m_a, m_b in zip(s_a.current, s_b.current):
-        assert np.array_equal(m_a.params, m_b.params)
+    assert o_a.keys() == o_b.keys() == set(range(state.spec.size))
+    for i in o_a:
+        assert np.array_equal(o_a[i].params, o_b[i].params)
     assert [t.total_loss for t in tr_a] == [t.total_loss for t in tr_b]
 
 
@@ -249,14 +251,16 @@ def test_ssl_train_deterministic(ssl_scenario):
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
     harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
-    s_a = copy.deepcopy(state)
-    s_b = copy.deepcopy(state)
+    s_a = unsaturated_copy(state)
+    s_b = unsaturated_copy(state)
+    o_a, o_b = record_offers(s_a), record_offers(s_b)
     tr_a = ssl_train(s_a, ps, cfg, seed=3)
     tr_b = ssl_train(s_b, ps, cfg, seed=3)
     assert tr_a == tr_b
-    for m_a, m_b in zip(s_a.current, s_b.current):
-        assert np.array_equal(m_a.params, m_b.params)
-    tr_c = ssl_train(copy.deepcopy(state), ps, cfg, seed=4)
+    assert o_a.keys() == o_b.keys() == set(range(state.spec.size))
+    for i in o_a:
+        assert np.array_equal(o_a[i].params, o_b[i].params)
+    tr_c = ssl_train(unsaturated_copy(state), ps, cfg, seed=4)
     assert [t.total_loss for t in tr_c] != [t.total_loss for t in tr_a]
 
 
@@ -305,18 +309,32 @@ def test_ssl_train_skips_saturated_members(ssl_scenario, monkeypatch):
     st.best[2].val_accuracy = 1.0
     saturated = st.best[0]
     outputs = dict(saturated.outputs)
-    cycle, current = saturated.cycle, st.current[0]
+    cycle = saturated.cycle
+    offered = record_offers(st)
     trained = []
     real = numkit.sgd_epoch
     monkeypatch.setattr(numkit, "sgd_epoch", lambda m, *a: trained.append(m) or real(m, *a))
     traces = ssl_train(st, ps, cfg, seed=3)
     assert {t.member for t in traces} == {1}
     assert len(traces) == cfg.epochs and len(trained) == 2 * cfg.epochs
-    assert all(m is st.current[1] for m in trained)
+    assert offered.keys() == {1} and all(m is offered[1] for m in trained)
     assert st.best[0] is saturated and saturated.cycle == cycle
     assert saturated.outputs.keys() == outputs.keys()
     assert all(saturated.outputs[k] is v for k, v in outputs.items())
-    assert st.current[0] is current
+
+
+def test_ssl_train_raises_on_divergence_naming_the_member(ssl_scenario):
+    # it used to return NaN losses and NaN parameters, or fail on storing a
+    # NaN checkpoint with "model parameters must be finite"
+    state, ps, _ = ssl_scenario
+    ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
+    cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=3, per_class_cap=30, lr=1e6)
+    harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
+    st = unsaturated_copy(state)
+    before = list(st.best)
+    with pytest.raises(TrainingDivergedError, match="member 0"):
+        ssl_train(st, ps, cfg, seed=7)
+    assert all(b is b0 for b, b0 in zip(st.best, before))
 
 
 def _reference_ssl_train(models, ps, cfg, seed):
@@ -360,9 +378,11 @@ def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, weight):
     harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
     st = unsaturated_copy(state)
     ref_params, ref_losses = _reference_ssl_train(st.best_models(), ps, cfg, seed=13)
+    offered = record_offers(st)
     traces = ssl_train(st, ps, cfg, seed=13)
-    assert len(ref_params) == len(st.current) == st.spec.size
-    for model, params in zip(st.current, ref_params):
-        assert np.array_equal(model.params, params)
+    # every member, whether or not its checkpoint was replaced
+    assert len(ref_params) == len(offered) == st.spec.size
+    for i, params in enumerate(ref_params):
+        assert np.array_equal(offered[i].params, params)
     passes = [(t.labeled_loss, t.pseudo_loss) if weight else (t.labeled_loss,) for t in traces]
     assert [loss for p in passes for loss in p] == ref_losses
