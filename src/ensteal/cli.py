@@ -145,10 +145,9 @@ def _cmd_run_attack(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
         text = None  # echo the effective config, not the overridden file
     report = harness.run_attack(cfg, args.out, config_text=text)
-    final = report.get("final", {})
     print(
         f"done: spent {report['budget']['spent']}/{report['budget']['total']} queries, "
-        f"ensemble agreement {final.get('ensemble_agreement')!r}"
+        f"ensemble agreement {report['final']['ensemble_agreement']!r}"
     )
     return 0
 

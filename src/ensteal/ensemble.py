@@ -213,6 +213,17 @@ def consensus_mean(probs: np.ndarray) -> np.ndarray:
     return probs.mean(axis=0)
 
 
+def _vote_counts(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Per-row int64 vote counts per class from hard votes: (members, n) -> (n, C)."""
+    if labels.ndim != 2:
+        raise InvalidInputError(f"expected (members, rows) labels, got shape {labels.shape}")
+    n = labels.shape[1]
+    counts = np.zeros((n, num_classes), dtype=np.int64)
+    for row in labels:
+        counts[np.arange(n), row] += 1
+    return counts
+
+
 def label_frequencies(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Per-row class frequency vectors from hard votes: (members, n) -> (n, C).
 
@@ -220,13 +231,7 @@ def label_frequencies(labels: np.ndarray, num_classes: int) -> np.ndarray:
     sample j, so each row sums to 1.
     """
     labels = np.asarray(labels)
-    if labels.ndim != 2:
-        raise InvalidInputError(f"expected (members, rows) labels, got shape {labels.shape}")
-    k, n = labels.shape
-    freq = np.zeros((n, num_classes), dtype=np.float64)
-    for row in labels:
-        freq[np.arange(n), row] += 1.0
-    return freq / k
+    return _vote_counts(labels, num_classes) / labels.shape[0]
 
 
 def majority_vote(labels: np.ndarray, consensus: np.ndarray) -> np.ndarray:
@@ -237,18 +242,23 @@ def majority_vote(labels: np.ndarray, consensus: np.ndarray) -> np.ndarray:
     k, n = labels.shape
     if consensus.shape[0] != n:
         raise InvalidInputError("consensus rows must match label columns")
-    freq = label_frequencies(labels, consensus.shape[1])
-    counts = freq * k
+    # whole counts: a float frequency times k can land just below k // 2 + 1
+    counts = _vote_counts(labels, consensus.shape[1])
     top = np.argmax(counts, axis=1)
     need = k // 2 + 1
     out = np.where(counts[np.arange(n), top] >= need, top, np.argmax(consensus, axis=1))
     return out.astype(np.int64)
 
 
+def committee_vote(probs: np.ndarray) -> np.ndarray:
+    """The committee's decision from its (members, rows, classes) softmax:
+    each row's majority label, else the argmax of the mean distribution."""
+    return majority_vote(np.argmax(probs, axis=2), consensus_mean(probs))
+
+
 def ensemble_predict(models: list[MlpModel], X) -> np.ndarray:
     """Majority-vote labels with consensus fallback."""
-    probs = member_probs_matrix(models, X)
-    return majority_vote(np.argmax(probs, axis=2), consensus_mean(probs))
+    return committee_vote(member_probs_matrix(models, X))
 
 
 # ── persistence ──────────────────────────────────────────────────────

@@ -56,10 +56,8 @@ from .ensemble import (
     DEFAULT_HIDDEN_PROFILE,
     EnsembleSpec,
     EnsembleState,
-    consensus_mean,
+    committee_vote,
     default_member_configs,
-    ensemble_predict,
-    majority_vote,
     make_default_ensemble,
     save_ensemble,
     train_cycle,
@@ -356,7 +354,7 @@ def evaluate_models(probs: np.ndarray, victim_labels: np.ndarray, test: Dataset)
         raise InvalidConfigError("evaluation data must be labeled")
     y = test.labels
     labels = np.argmax(probs, axis=2)
-    vote = majority_vote(labels, consensus_mean(probs))
+    vote = committee_vote(probs)
     return {
         "member_accs": [float(np.mean(lab == y)) for lab in labels],
         "member_agreements": [float(np.mean(lab == victim_labels)) for lab in labels],
@@ -366,10 +364,10 @@ def evaluate_models(probs: np.ndarray, victim_labels: np.ndarray, test: Dataset)
     }
 
 
-def _validation_agreement(state: EnsembleState, pool_state: PoolState) -> float:
-    Xv, yv, _ = pool_state.validation_data()
-    vote = ensemble_predict(state.best_models(), Xv)
-    return float(np.mean(vote == yv))
+def _queries_spent(pool_state: PoolState) -> int:
+    """Labels bought so far: validation plus queried rows, not pseudo-labels."""
+    counts = pool_state.counts()
+    return counts["queried"] + counts["validation"]
 
 
 # ── the run itself ───────────────────────────────────────────────────
@@ -398,12 +396,15 @@ def _write_lines(path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_csv(path, header: str, rows) -> None:
+    _write_lines(path, [header, *(",".join(_fmt(v) for v in row) for row in rows)])
+
+
 def _write_curves(out_dir, cfg: ExperimentConfig, curves_rows: list[list]) -> None:
     """curves.csv with one accuracy column per committee member."""
     members = [f"member{i}_acc" for i in range(len(cfg.attack.ensemble.hidden_profile))]
     header = ",".join(["cycle", "queries_spent", *members, "ensemble_acc", "ensemble_agr"])
-    rows = [",".join(_fmt(v) for v in row) for row in curves_rows]
-    _write_lines(os.path.join(out_dir, "curves.csv"), [header, *rows])
+    _write_csv(os.path.join(out_dir, "curves.csv"), header, curves_rows)
 
 
 def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None) -> dict:
@@ -430,21 +431,20 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
         with _stage("data"):
             source = cfg.victim.data
             pool = strip_labels(make_synthetic(source, a.pool_n, stage_seed(root, POOL_DATA)))
-            victim_train = make_synthetic(source, cfg.victim.train_n, stage_seed(root, VICTIM_DATA))
             test = make_synthetic(source, cfg.victim.test_n, stage_seed(root, TEST_DATA))
 
         with _stage("victim"):
             if cfg.victim.checkpoint is not None:
                 victim_model = numkit.load_model(cfg.victim.checkpoint)
-                victim_test_acc = numkit.accuracy(victim_model, test.features, test.labels)
             else:
+                victim_train = make_synthetic(source, cfg.victim.train_n, stage_seed(root, VICTIM_DATA))
                 spec = cfg.victim.spec(derive_seed(stage_seed(root, VICTIM_TRAIN), 0))
-                victim_model, victim_test_acc = train_victim(
-                    victim_train, test, spec, cfg.victim.sgd(), seed=stage_seed(root, VICTIM_TRAIN)
+                victim_model, _ = train_victim(
+                    victim_train, None, spec, cfg.victim.sgd(), seed=stage_seed(root, VICTIM_TRAIN)
                 )
             numkit.save_model(victim_model, os.path.join(out_dir, "victim.ckpt"))
-            report["victim_test_acc"] = victim_test_acc
             victim_test_labels = numkit.predict_batch(victim_model, test.features)
+            report["victim_test_acc"] = float(np.mean(victim_test_labels == test.labels))
             if a.remote is not None:
                 # ids derive from the seed and the config text: another config's
                 # requests never reuse this run's ids, a same-config replay does
@@ -462,12 +462,12 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                 a.pool_n, a.budget, a.cycles, a.validation_fraction, stage_seed(root, SPLIT)
             )
             batches = per_cycle_batches(a.budget, a.cycles, a.validation_fraction)
-            val_n = val_idx.size
 
         with _stage("initial_queries"):
             oracle.query_labels(val_idx, pool_state)
             pool_state.convert_queried_to_validation(val_idx)
             oracle.query_labels(q0_idx, pool_state)
+            val = Dataset(*pool_state.validation_data()[:2])
 
         with _stage("ensemble_setup"):
             ens_spec = make_default_ensemble(
@@ -484,14 +484,20 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
             profile, victim_hidden = a.ensemble.hidden_profile, victim_model.spec.hidden_layers
             report["victim_arch_index"] = profile.index(victim_hidden) if victim_hidden in profile else None
 
+        def evaluate(row: int) -> dict:
+            """The committee on the test set, logged as curves.csv row `row`."""
+            ev = evaluate_models(state.best_probs(test), victim_test_labels, test)
+            spent = _queries_spent(pool_state)
+            curves_rows.append([row, spent, *ev["member_accs"], ev["ensemble_acc"], ev["ensemble_agreement"]])
+            return ev
+
+        def val_agreement() -> float:
+            return float(np.mean(committee_vote(state.best_probs(val)) == val.labels))
+
         with _stage("cycles"):
             for c in range(1, a.cycles + 1):
                 train_cycle(state, pool_state, member_cfgs, derive_seed(stage_seed(root, CYCLE_TRAIN), c))
-                spent = val_n + sum(batches[:c])
-                ev = evaluate_models(state.best_probs(test), victim_test_labels, test)
-                curves_rows.append(
-                    [c, spent, *ev["member_accs"], ev["ensemble_acc"], ev["ensemble_agreement"]]
-                )
+                ev = evaluate(c)
                 if c < a.cycles:
                     sel = select_queries(
                         a.strategy,
@@ -505,41 +511,26 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                         for cand, sc in zip(sel.candidates.tolist(), sel.scores.tolist()):
                             score_rows.append([c, cand, sc, int(cand in chosen)])
                     oracle.query_labels(sel.selected, pool_state)
-            final_eval = evaluate_models(state.best_probs(test), victim_test_labels, test)
-            report["final"] = {
-                "member_accs": final_eval["member_accs"],
-                "member_agreements": final_eval["member_agreements"],
-                "ensemble_acc": final_eval["ensemble_acc"],
-                "ensemble_agreement": final_eval["ensemble_agreement"],
-                "best_member_index": state.best_member_index(),
-                "best_member_val_acc": state.best[state.best_member_index()].val_accuracy,
-            }
+            # the last cycle selects nothing, so its evaluation is the final one
+            best = state.best_member_index()
+            report["final"] = dict(ev, best_member_index=best, best_member_val_acc=state.best[best].val_accuracy)
+            del report["final"]["victim_acc"]
 
         if cfg.ssl is not None:
             with _stage("ssl"):
                 aug = resolve_augment(pool.layout, stage_seed(root, SSL_STAGE))
                 ssl_cfg = cfg.ssl.build(aug)
-                pre_agr = _validation_agreement(state, pool_state)
+                pre_agr = val_agreement()
                 capped, _audit = harvest_pseudo_labels(
                     state.best_models(), pool_state, ssl_cfg, derive_seed(stage_seed(root, SSL_STAGE), 0)
                 )
                 if capped:
                     ssl_train(state, pool_state, ssl_cfg, derive_seed(stage_seed(root, SSL_STAGE), 1))
-                post_agr = _validation_agreement(state, pool_state)
-                ev = evaluate_models(state.best_probs(test), victim_test_labels, test)
-                curves_rows.append(
-                    [
-                        a.cycles + 1,
-                        val_n + sum(batches),
-                        *ev["member_accs"],
-                        ev["ensemble_acc"],
-                        ev["ensemble_agreement"],
-                    ]
-                )
+                ev = evaluate(a.cycles + 1)
                 report["ssl"] = {
                     "n_pseudo": len(capped),
                     "pre_val_agreement": pre_agr,
-                    "post_val_agreement": post_agr,
+                    "post_val_agreement": val_agreement(),
                     "final_ensemble_acc": ev["ensemble_acc"],
                     "final_ensemble_agreement": ev["ensemble_agreement"],
                 }
@@ -576,8 +567,7 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                 report["adversarial"] = adv_report
 
         with _stage("reports"):
-            bought = pool_state.counts()
-            report["budget"]["spent"] = bought["queried"] + bought["validation"]
+            report["budget"]["spent"] = _queries_spent(pool_state)
             _, pseudo_labels, _ = pool_state.pseudo_data()
             report["pseudo_hist"] = np.bincount(pseudo_labels, minlength=cfg.victim.data.num_classes).tolist()
             save_ensemble(state, os.path.join(out_dir, "ensemble"))
@@ -599,32 +589,23 @@ def _emit_reports(
     cfg: ExperimentConfig,
 ) -> None:
     _write_curves(out_dir, cfg, curves_rows)
-    _write_lines(
-        os.path.join(out_dir, "pseudo_hist.csv"),
-        [PSEUDO_HIST_HEADER, *(f"{i},{n}" for i, n in enumerate(report["pseudo_hist"]))],
-    )
+    _write_csv(os.path.join(out_dir, "pseudo_hist.csv"), PSEUDO_HIST_HEADER, enumerate(report["pseudo_hist"]))
     if cfg.outputs.scores_csv:
-        _write_lines(
-            os.path.join(out_dir, "scores.csv"),
-            [SCORES_HEADER, *(",".join(_fmt(v) for v in row) for row in score_rows)],
-        )
+        _write_csv(os.path.join(out_dir, "scores.csv"), SCORES_HEADER, score_rows)
     with open(os.path.join(out_dir, "report.json"), "w", newline="") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    final = report["final"]
     lines = [
         f"strategy: {report['strategy']}",
-        f"victim test accuracy: {_fmt(report.get('victim_test_acc'))}",
-        f"budget: {report['budget'].get('spent', 0)}/{report['budget']['total']} queries spent",
+        f"victim test accuracy: {_fmt(report['victim_test_acc'])}",
+        f"budget: {report['budget']['spent']}/{report['budget']['total']} queries spent",
         f"cycles: {report['cycles']}",
+        f"final ensemble accuracy: {_fmt(final['ensemble_acc'])}",
+        f"final ensemble agreement: {_fmt(final['ensemble_agreement'])}",
+        f"best member: {final['best_member_index']} "
+        f"(validation accuracy {_fmt(final['best_member_val_acc'])})",
     ]
-    final = report.get("final")
-    if final is not None:
-        lines += [
-            f"final ensemble accuracy: {_fmt(final['ensemble_acc'])}",
-            f"final ensemble agreement: {_fmt(final['ensemble_agreement'])}",
-            f"best member: {final['best_member_index']} "
-            f"(validation accuracy {_fmt(final['best_member_val_acc'])})",
-        ]
     ssl_rep = report.get("ssl")
     if ssl_rep is not None:
         lines.append(

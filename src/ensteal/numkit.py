@@ -122,17 +122,6 @@ def _layer_views(spec: MlpSpec, flat: np.ndarray) -> list[tuple[np.ndarray, np.n
 # ── validation helpers ───────────────────────────────────────────────
 
 
-def _as_row(model: MlpModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.spec.input_dim:
-        raise InvalidInputError(
-            f"expected a feature row of length {model.spec.input_dim}, got shape {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("feature row contains non-finite values")
-    return x
-
-
 def _as_batch(model: MlpModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.spec.input_dim:
@@ -207,23 +196,9 @@ def probs_batch(model: MlpModel, X) -> np.ndarray:
     return _softmax_inplace(logits)
 
 
-def softmax_probs(model: MlpModel, x) -> np.ndarray:
-    """Softmax output for one feature row: sums to 1, entries in (0, 1).
-
-    Computed with max-subtraction so large logits cannot overflow.
-    """
-    x = _as_row(model, x)
-    return probs_batch(model, x[None, :])[0]
-
-
 def predict_batch(model: MlpModel, X) -> np.ndarray:
     # argmax returns the first (lowest-index) maximum, which is the tie rule.
     return np.argmax(probs_batch(model, X), axis=1).astype(np.int64)
-
-
-def predict_label(model: MlpModel, x) -> int:
-    """Most-probable class; ties resolve to the lowest class index."""
-    return int(np.argmax(softmax_probs(model, x)))
 
 
 # ── loss and gradients ───────────────────────────────────────────────

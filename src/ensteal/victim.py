@@ -121,10 +121,6 @@ class VictimOracle:
         self.query_log: list[tuple[str, int]] = []
 
     @property
-    def num_classes(self) -> int:
-        return self._model.spec.num_classes
-
-    @property
     def input_dim(self) -> int:
         return self._model.spec.input_dim
 

@@ -8,6 +8,7 @@ from ensteal.ensemble import (
     DEFAULT_HIDDEN_PROFILE,
     EnsembleSpec,
     EnsembleState,
+    committee_vote,
     consensus_mean,
     default_member_configs,
     ensemble_predict,
@@ -84,6 +85,16 @@ def test_majority_vote_needs_strict_majority():
     assert out[1] == 0  # no majority: argmax of mean probabilities
 
 
+@pytest.mark.parametrize("k", [47, 55, 77, 94, 107])
+def test_majority_vote_carries_a_bare_majority(k):
+    # k // 2 + 1 votes carry the row even where that count, taken as a
+    # frequency times k, reads just below k // 2 + 1
+    need = k // 2 + 1
+    labels = np.array([[0]] * need + [[1]] * (k - need))
+    assert majority_vote(labels, np.array([[0.4, 0.6]])).tolist() == [0]
+    assert np.array_equal(label_frequencies(labels, 2), np.array([[need, k - need]]) / k)
+
+
 def test_vote_matrices_shapes(small_pool):
     models = [
         MlpModel.initialize(MlpSpec(small_pool.dim, (h,), 4, "relu", i))
@@ -101,6 +112,7 @@ def test_vote_matrices_shapes(small_pool):
     assert np.array_equal(labels, np.stack([predict_batch(m, X) for m in models]))
     pred = ensemble_predict(models, X)
     assert pred.shape == (7,)
+    assert np.array_equal(pred, committee_vote(probs))
 
 
 # ── training cycles ──────────────────────────────────────────────────

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ensteal import harness, numkit
-from ensteal.datapool import GaussianMixture, ImageLayout, make_synthetic, strong_augment
+from ensteal.datapool import GaussianMixture, ImageLayout, make_synthetic, per_cycle_batches, strong_augment
 from ensteal.ensemble import BestCheckpoint, ensemble_predict, member_probs_matrix
 from ensteal.errors import InvalidConfigError, StageError
 from ensteal.harness import (
@@ -15,6 +15,7 @@ from ensteal.harness import (
     CYCLE_TRAIN,
     POOL_DATA,
     SELECT,
+    TEST_DATA,
     config_to_dict,
     evaluate_models,
     load_config,
@@ -49,6 +50,12 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def victim_test_accuracy(cfg, out) -> float:
+    """numkit.accuracy of the run's saved victim on the run's test set."""
+    test = make_synthetic(cfg.victim.data, cfg.victim.test_n, stage_seed(mask64(cfg.seed), TEST_DATA))
+    return numkit.accuracy(load_model(out / "victim.ckpt"), test.features, test.labels)
 
 
 # ── seeds ────────────────────────────────────────────────────────────
@@ -337,8 +344,10 @@ def test_victim_arch_index_auto_detected_against_the_loaded_checkpoint(tmp_path)
     raw["victim"]["checkpoint"] = str(ckpt)
     raw["attack"]["cycles"] = 1
     raw["attack"]["ensemble"] = {"hidden_profile": [[6], [12, 12]], "epochs": 2}
-    report = run_attack(parse_config(raw), tmp_path / "run")
+    cfg = parse_config(raw)
+    report = run_attack(cfg, tmp_path / "run")
     assert report["victim_arch_index"] == 1
+    assert report["victim_test_acc"] == victim_test_accuracy(cfg, tmp_path / "run")
 
 
 def test_load_config_returns_raw_text(tmp_path):
@@ -432,7 +441,7 @@ def test_run_attack_emits_all_files(tiny_run):
 
 
 def test_run_attack_curves_shape(tiny_run):
-    cfg, out, _ = tiny_run
+    cfg, out, report = tiny_run
     lines = (out / "curves.csv").read_text().strip().split("\n")
     # one accuracy column per member of the 3-member committee
     assert lines[0] == (
@@ -441,13 +450,22 @@ def test_run_attack_curves_shape(tiny_run):
     assert all(ln.count(",") == lines[0].count(",") for ln in lines[1:])
     # cycles + 1 ssl row
     assert len(lines) == 1 + cfg.attack.cycles + 1
-    first = lines[1].split(",")
-    assert first[0] == "1"
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [r[0] for r in rows] == [str(c) for c in range(1, cfg.attack.cycles + 2)]
+    # queries_spent counts the labels bought by each row: validation plus the
+    # batches queried so far; the SSL row's pseudo-labels are not bought
     val_n = round(cfg.attack.budget * cfg.attack.validation_fraction)
-    q0 = (cfg.attack.budget - val_n) // cfg.attack.cycles
-    assert first[1] == str(val_n + q0)
-    last = lines[-1].split(",")
-    assert last[1] == str(cfg.attack.budget)
+    batches = per_cycle_batches(cfg.attack.budget, cfg.attack.cycles, cfg.attack.validation_fraction)
+    bought = [val_n + sum(batches[:c]) for c in range(1, cfg.attack.cycles + 1)]
+    assert [int(r[1]) for r in rows] == [*bought, cfg.attack.budget]
+    assert report["ssl"]["n_pseudo"] > 0
+    # report["final"] is the last cycle's row, read back from its repr
+    final = report["final"]
+    assert [float(v) for v in rows[cfg.attack.cycles - 1][2:]] == [
+        *final["member_accs"],
+        final["ensemble_acc"],
+        final["ensemble_agreement"],
+    ]
 
 
 def test_run_attack_budget_accounting(tiny_run):
@@ -459,6 +477,7 @@ def test_run_attack_budget_accounting(tiny_run):
 def test_run_attack_report_sections(tiny_run):
     cfg, out, report = tiny_run
     assert report["victim_test_acc"] > 0.8
+    assert report["victim_test_acc"] == victim_test_accuracy(cfg, out)
     assert report["cycles"] == cfg.attack.cycles
     assert report["members"] == [[6], [10], [16, 16]]
     assert report["victim_arch_index"] == 2

@@ -15,7 +15,7 @@ from ensteal.errors import (
     RemoteUnavailableError,
 )
 from ensteal.netvictim import RemoteVictimClient, RemoteVictimOracle, VictimService
-from ensteal.numkit import MlpModel, MlpSpec, predict_batch, predict_label
+from ensteal.numkit import MlpModel, MlpSpec, predict_batch
 from ensteal.victim import QueryBudget, VictimOracle
 
 
@@ -50,7 +50,7 @@ def test_predict_over_wire_matches_local(service):
         json.dumps({"id": 7, "op": "predict", "x": x}).encode() + b"\n",
         json.dumps({"id": 8, "op": "predict_batch", "x": X.tolist()}).encode() + b"\n",
     )
-    assert single == {"id": 7, "label": predict_label(model, np.array(x))}
+    assert single == {"id": 7, "label": predict_batch(model, np.array([x]))[0]}
     assert batch == {"id": 8, "labels": predict_batch(model, X).tolist()}
     assert oracle.budget_remaining() == 100 - 1 - 12
 
@@ -81,7 +81,7 @@ def test_duplicate_id_answered_from_cache(service):
     assert oracle.budget_remaining() == 96
     # the same id with another payload is refused, not answered from the cache
     x = np.array([-3.0, 0.0, 3.0, 0.0])
-    assert predict_label(model, x) != a["labels"][0]
+    assert predict_batch(model, x[None])[0] != a["labels"][0]
     (c,) = raw_exchange(svc, b'{"id": 43, "op": "predict_batch", "x": [[-3, 0, 3, 0]]}\n')
     (d,) = raw_exchange(svc, b'{"id": 42, "op": "predict", "x": [-3, 0, 3, 0]}\n')
     assert c["code"] == d["code"] == "BAD_INPUT"
@@ -173,7 +173,7 @@ def test_lines_split_across_reads(service):
         s.sendall(line[:-1])
         time.sleep(0.05)
         s.sendall(line[-1:] + b'{"id":4,"op":"budget"}\n')
-        assert json.loads(f.readline()) == {"id": 3, "label": predict_label(model, np.array(x))}
+        assert json.loads(f.readline()) == {"id": 3, "label": predict_batch(model, np.array([x]))[0]}
         assert json.loads(f.readline()) == {"id": 4, "remaining": 99}
 
 
@@ -287,7 +287,7 @@ def test_client_roundtrip_and_error_mapping(service):
     with RemoteVictimClient(svc.host, svc.port) as cl:
         assert cl.budget_remaining() == 100
         x = np.array([1.0, 0.0, -1.0, 0.5])
-        assert cl.predict(x) == predict_label(model, x)
+        assert cl.predict(x) == predict_batch(model, x[None])[0]
         with pytest.raises(InvalidInputError):
             cl.predict(np.zeros((2, 2)))  # local shape check
         with pytest.raises(InvalidInputError):
@@ -309,9 +309,9 @@ def test_client_reconnects_after_drop(service):
     svc, model, oracle = service
     with RemoteVictimClient(svc.host, svc.port, retries=3) as cl:
         x = np.array([0.0, 1.0, 0.0, 1.0])
-        assert cl.predict(x) == predict_label(model, x)
+        assert cl.predict(x) == predict_batch(model, x[None])[0]
         cl._sock.close()  # sever the transport under the client
-        assert cl.predict(x) == predict_label(model, x)  # silently reconnects
+        assert cl.predict(x) == predict_batch(model, x[None])[0]  # silently reconnects
         assert oracle.budget_remaining() == 98
 
 
@@ -429,7 +429,7 @@ def test_remote_oracle_query_labels(service):
         assert pool.counts()["queried"] == 3
         _, y, idx = pool.labeled_data()
         assert idx.tolist() == [3, 8, 15]
-        assert y.tolist() == [predict_label(model, pool.pool.features[i]) for i in (3, 8, 15)]
+        assert y.tolist() == [predict_batch(model, pool.pool.features[i : i + 1])[0] for i in (3, 8, 15)]
         assert remote.budget_remaining() == 97
         with pytest.raises(InvalidInputError):
             remote.query_labels([3], pool)  # already queried

@@ -15,12 +15,10 @@ from ensteal.numkit import (
     load_model,
     loss_and_grad,
     predict_batch,
-    predict_label,
     probs_batch,
     save_model,
     sgd_epoch,
     sgd_update,
-    softmax_probs,
     train_supervised,
 )
 from ensteal.seeding import mask64
@@ -83,7 +81,7 @@ def test_model_validates_params():
 
 def test_softmax_is_distribution(rng):
     model = small_model()
-    p = softmax_probs(model, rng.normal(size=5))
+    p = probs_batch(model, rng.normal(size=(1, 5)))[0]
     assert p.shape == (3,)
     assert np.all(p > 0) and abs(p.sum() - 1.0) < 1e-12
 
@@ -91,7 +89,7 @@ def test_softmax_is_distribution(rng):
 def test_softmax_overflow_safe():
     model = small_model()
     model.params *= 200.0  # drive logits into the hundreds
-    p = softmax_probs(model, np.ones(5) * 10)
+    p = probs_batch(model, np.ones((1, 5)) * 10)[0]
     assert np.all(np.isfinite(p)) and abs(p.sum() - 1.0) < 1e-12
 
 
@@ -99,7 +97,7 @@ def test_predict_tie_breaks_low():
     # a zero-weight model yields identical logits for every class
     spec = MlpSpec(4, (), 5)
     model = MlpModel(spec, np.zeros(spec.param_count()))
-    assert predict_label(model, np.ones(4)) == 0
+    assert predict_batch(model, np.ones((1, 4)))[0] == 0
     assert np.all(predict_batch(model, np.ones((6, 4))) == 0)
 
 
@@ -110,15 +108,13 @@ def test_batch_matches_single(rng):
     X = rng.normal(size=(9, 5))
     batch = probs_batch(model, X)
     for i in range(9):
-        single = softmax_probs(model, X[i])
+        single = probs_batch(model, X[i : i + 1])[0]
         assert np.allclose(batch[i], single, rtol=1e-12, atol=1e-14)
         assert np.argmax(batch[i]) == np.argmax(single)
 
 
 def test_input_validation(rng):
     model = small_model()
-    with pytest.raises(InvalidInputError):
-        softmax_probs(model, np.ones(4))
     with pytest.raises(InvalidInputError):
         probs_batch(model, np.ones((3, 6)))
     with pytest.raises(InvalidInputError):

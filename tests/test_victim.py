@@ -3,7 +3,7 @@ import pytest
 
 from ensteal.datapool import Dataset, GaussianMixture, PoolState, make_synthetic, strip_labels
 from ensteal.errors import BudgetExhaustedError, InvalidConfigError, InvalidInputError
-from ensteal.numkit import MlpModel, MlpSpec, predict_label
+from ensteal.numkit import MlpModel, MlpSpec, predict_batch
 from ensteal.victim import (
     DEFAULT_VICTIM_HIDDEN,
     QueryBudget,
@@ -55,7 +55,7 @@ def test_oracle_query_marks_pool_and_logs():
     # answers recomputed directly match the pool's stored labels
     _, y, idx = pool.labeled_data()
     assert idx.tolist() == [2, 5, 9]
-    assert y.tolist() == [predict_label(model, pool.pool.features[i]) for i in (2, 5, 9)]
+    assert y.tolist() == [predict_batch(model, pool.pool.features[i : i + 1])[0] for i in (2, 5, 9)]
 
 
 def test_oracle_rejects_before_charging():
@@ -87,7 +87,7 @@ def test_single_row_batch_charges():
     x = pool.pool.features[:1]
     a = oracle.predict_batch(x)
     b = oracle.predict_batch(x)  # no caching: every call pays
-    assert a.tolist() == b.tolist() == [predict_label(model, x[0])]
+    assert a.tolist() == b.tolist() == [predict_batch(model, x)[0]]
     with pytest.raises(BudgetExhaustedError):
         oracle.predict_batch(x)
     assert len(oracle.query_log) == 2
@@ -97,7 +97,7 @@ def test_single_row_batch_charges():
         oracle.predict_batch(pool.pool.features[:4])  # refused whole
     assert oracle.budget_remaining() == 3 and oracle.query_log == []
     labels = oracle.predict_batch(pool.pool.features[:3])
-    assert labels.tolist() == [predict_label(model, row) for row in pool.pool.features[:3]]
+    assert labels.tolist() == [predict_batch(model, row[None])[0] for row in pool.pool.features[:3]]
     assert oracle.budget_remaining() == 0 and len(oracle.query_log) == 3
 
 
