@@ -150,9 +150,6 @@ class PoolState:
         self._set(idx, QUERIED, labels)
         return labels
 
-    def mark_queried(self, indices, labels) -> None:
-        self._set(self._check(indices, UNLABELED), QUERIED, labels)
-
     def convert_queried_to_validation(self, indices) -> None:
         idx = self._check(indices, QUERIED)
         self._set(idx, VALIDATION, self.labels[idx])

@@ -198,21 +198,6 @@ def train_cycle(
 # ── committee outputs ────────────────────────────────────────────────
 
 
-def member_probs_matrix(models: list[MlpModel], X) -> np.ndarray:
-    """(members, rows, classes) stack of softmax outputs."""
-    if not models:
-        raise InvalidInputError("no models given")
-    return np.stack([numkit.probs_batch(m, X) for m in models])
-
-
-def consensus_mean(probs: np.ndarray) -> np.ndarray:
-    """Mean class distribution over members: (members, n, C) -> (n, C)."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 3:
-        raise InvalidInputError(f"expected (members, rows, classes), got shape {probs.shape}")
-    return probs.mean(axis=0)
-
-
 def _vote_counts(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Per-row int64 vote counts per class from hard votes: (members, n) -> (n, C)."""
     if labels.ndim != 2:
@@ -253,12 +238,12 @@ def majority_vote(labels: np.ndarray, consensus: np.ndarray) -> np.ndarray:
 def committee_vote(probs: np.ndarray) -> np.ndarray:
     """The committee's decision from its (members, rows, classes) softmax:
     each row's majority label, else the argmax of the mean distribution."""
-    return majority_vote(np.argmax(probs, axis=2), consensus_mean(probs))
+    return majority_vote(np.argmax(probs, axis=2), probs.mean(axis=0))
 
 
 def ensemble_predict(models: list[MlpModel], X) -> np.ndarray:
     """Majority-vote labels with consensus fallback."""
-    return committee_vote(member_probs_matrix(models, X))
+    return committee_vote(np.stack([numkit.probs_batch(m, X) for m in models]))
 
 
 # ── persistence ──────────────────────────────────────────────────────

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -98,14 +99,17 @@ def stage_seed(root: int, offset: int) -> int:
 # mostly by building the runtime objects its values feed, so a bad value is
 # rejected before any stage runs. _decode and _encode walk these classes.
 
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
 def _typed(value, kind: type, path: str):
     """value if it has the field's JSON type, else InvalidConfigError naming
-    path. Int fields reject bools and floats; float fields take ints (as
-    floats) but not bools; bool fields take only true/false."""
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+    path. Int fields reject bools and floats; float fields take finite ints
+    (as floats) and floats, not bools, NaN or Infinity (which json.loads
+    reads); bool fields take only true/false."""
+    ok = isinstance(value, bool) == (kind is bool) and isinstance(value, (int, float) if kind is float else kind)
+    # NaN fails every comparison, and int-float comparisons are exact
+    if not ok or kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
         raise InvalidConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return float(value) if kind is float else value
 
@@ -518,14 +522,14 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
 
         if cfg.ssl is not None:
             with _stage("ssl"):
-                aug = resolve_augment(pool.layout, stage_seed(root, SSL_STAGE))
-                ssl_cfg = cfg.ssl.build(aug)
+                ssl_seed = stage_seed(root, SSL_STAGE)
+                ssl_cfg = cfg.ssl.build(resolve_augment(pool.layout, ssl_seed))
                 pre_agr = val_agreement()
                 capped, _audit = harvest_pseudo_labels(
-                    state.best_models(), pool_state, ssl_cfg, derive_seed(stage_seed(root, SSL_STAGE), 0)
+                    state.best_models(), state.best_probs(pool), pool_state, ssl_cfg, derive_seed(ssl_seed, 0)
                 )
                 if capped:
-                    ssl_train(state, pool_state, ssl_cfg, derive_seed(stage_seed(root, SSL_STAGE), 1))
+                    ssl_train(state, pool_state, ssl_cfg, derive_seed(ssl_seed, 1))
                 ev = evaluate(a.cycles + 1)
                 report["ssl"] = {
                     "n_pseudo": len(capped),

@@ -7,8 +7,10 @@ schedule. Training arithmetic runs in float32 inside `sgd_epoch`; parameters,
 inference, `loss_and_grad`, input gradients and checkpoints stay float64.
 One forward pass serves all of them: bias, activation and softmax are
 applied in each matmul's own output, and derivatives use activation outputs.
-Models are plain values (flat parameter vector + immutable spec): cheap to
-copy, safe to train in parallel, bitwise reproducible from a seed.
+Inference runs over fixed blocks of BLOCK_ROWS rows, so a row's softmax has
+the same bits in every batch of at least that many. Models are plain values
+(flat parameter vector + immutable spec): cheap to copy, safe to train in
+parallel, bitwise reproducible from a seed.
 
 Parameter layout is canonical: layer by layer, weights then biases, with the
 weight matrix of layer l stored row-major as (fan_in, fan_out).
@@ -29,6 +31,8 @@ _CODE_ACT = {v: k for k, v in _ACT_CODE.items()}
 
 CHECKPOINT_MAGIC = b"AOTM"
 CHECKPOINT_VERSION = 1
+
+BLOCK_ROWS = 256  # rows per matrix product in inference (see probs_batch)
 
 
 # ── model definition ─────────────────────────────────────────────────
@@ -190,10 +194,17 @@ def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
 
 
 def probs_batch(model: MlpModel, X) -> np.ndarray:
-    """Softmax class probabilities, one distribution per row."""
+    """Softmax class probabilities, one distribution per row, computed over
+    blocks of exactly BLOCK_ROWS rows (fewer rows as one block), so a row's
+    bits are the same in every batch of at least BLOCK_ROWS rows."""
     X = _as_batch(model, X)
-    logits, _ = _forward(model.layers(), model.spec.activation, X)
-    return _softmax_inplace(logits)
+    layers, act, n = model.layers(), model.spec.activation, X.shape[0]
+    size = min(n, BLOCK_ROWS)
+    out = np.empty((n, model.spec.num_classes))
+    for start in range(0, n, size):
+        start = min(start, n - size)  # the last block overlaps the one before
+        out[start : start + size] = _softmax_inplace(_forward(layers, act, X[start : start + size])[0])
+    return out
 
 
 def predict_batch(model: MlpModel, X) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Pseudo-label harvesting and consistency training.
 
 After the query budget is gone, the committee mines the remaining unlabeled
-rows for inputs it is collectively sure about: a row is accepted when at
-most a fixed number of members change their label under a weak
-perturbation, every member agrees on the unperturbed label, and the least
-confident member still clears a probability threshold. Accepted rows are
-capped per class (most confident first) and become pseudo-labeled training
-data.
+rows for inputs it is collectively sure about: a row is accepted when at most
+a fixed number of members change their label under a weak perturbation, every
+member agrees on the unperturbed label, and the least confident member still
+clears a probability threshold. Unperturbed votes are read from the
+committee's pool softmax (EnsembleState.best_probs). Accepted rows, capped
+per class (most confident first), become pseudo-labeled training data.
 
 The training stage then minimizes labeled loss plus a weighted pseudo loss,
 where pseudo rows are strongly perturbed afresh every epoch, at a low fixed
@@ -86,6 +86,7 @@ def _row_entropy(seed: int, aug_seed: int, rows: np.ndarray) -> np.ndarray:
 
 def ssl_filter(
     models: list[MlpModel],
+    probs: np.ndarray,
     pool_state: PoolState,
     cfg: SslConfig,
     seed: int = 0,
@@ -96,11 +97,12 @@ def ssl_filter(
     flips between x and x', require at most cfg.max_label_changes flips,
     require all members to agree on the label of x itself, and require every
     member's probability for its own label on x to be at least the
-    confidence threshold. Returns (accepted row -> label) plus an audit
-    record for every evaluated row.
+    confidence threshold. Labels and probabilities on x are read from probs,
+    the (members, pool rows, classes) softmax over the whole pool. Returns
+    (accepted row -> label) plus an audit record for every evaluated row.
     """
-    if not models:
-        raise InvalidInputError("no models given")
+    if not models or probs.ndim != 3 or probs.shape[:2] != (len(models), pool_state.pool.n):
+        raise InvalidInputError("the filter needs models and their softmax over the pool")
     idx = pool_state.unlabeled_indices()
     if idx.size == 0:
         return {}, {}
@@ -112,14 +114,13 @@ def ssl_filter(
             for x, words in zip(Xu, _row_entropy(seed, cfg.augment.rng_seed, idx))
         ]
     )
-    orig_probs = np.stack([numkit.probs_batch(m, Xu) for m in models])
-    orig_labels = np.argmax(orig_probs, axis=2)
+    clean = probs[:, idx]
+    orig_labels = np.argmax(clean, axis=2)
     aug_labels = np.stack([numkit.predict_batch(m, Xw) for m in models])
 
     changes = (orig_labels != aug_labels).sum(axis=0)
     unanimous = np.all(orig_labels == orig_labels[0], axis=0)
-    own_conf = np.take_along_axis(orig_probs, orig_labels[:, :, None], axis=2)[:, :, 0]
-    min_conf = own_conf.min(axis=0)
+    min_conf = clean.max(axis=2).min(axis=0)  # the least own-label probability
     keep = (changes <= cfg.max_label_changes) & unanimous & (min_conf >= cfg.confidence_threshold)
 
     selected: dict[int, int] = {}
@@ -152,12 +153,13 @@ def apply_class_cap(
 
 def harvest_pseudo_labels(
     models: list[MlpModel],
+    probs: np.ndarray,
     pool_state: PoolState,
     cfg: SslConfig,
     seed: int = 0,
 ) -> tuple[dict[int, int], dict[int, FilterRecord]]:
     """Filter, cap, and record pseudo-labels in the pool in one call."""
-    selected, audit = ssl_filter(models, pool_state, cfg, seed)
+    selected, audit = ssl_filter(models, probs, pool_state, cfg, seed)
     capped = apply_class_cap(selected, audit, cfg.per_class_cap) if selected else {}
     if capped:
         pool_state.mark_pseudo(list(capped), list(capped.values()))

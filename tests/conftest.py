@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ensteal.datapool import Dataset, GaussianMixture, make_synthetic, strip_labels
-from ensteal.numkit import MlpModel, MlpSpec, SgdConfig, train_supervised
+from ensteal.numkit import MlpModel, MlpSpec, SgdConfig, probs_batch, train_supervised
 
 
 def make_sharp_models(k: int, dim: int, classes: int, seed: int, hidden=(5,)) -> list[MlpModel]:
@@ -16,6 +16,11 @@ def make_sharp_models(k: int, dim: int, classes: int, seed: int, hidden=(5,)) ->
         m.params *= float(rng.uniform(4.0, 10.0))
         models.append(m)
     return models
+
+
+def committee_probs(models: list[MlpModel], X) -> np.ndarray:
+    """(members, rows, classes) stack of each model's softmax over X."""
+    return np.stack([probs_batch(m, X) for m in models])
 
 
 def record_offers(state) -> dict:

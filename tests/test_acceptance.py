@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_sharp_models
+from conftest import committee_probs, make_sharp_models
 from ensteal import adversarial as adv
 from ensteal import harness, numkit
 from ensteal.cli import main as cli_main
@@ -252,7 +252,7 @@ def test_criterion_3_filter_equivalence():
             n_pre = int(rng.integers(0, 50))
             if n_pre:
                 pre = np.sort(rng.choice(200, size=n_pre, replace=False))
-                ps.mark_queried(pre, [0] * n_pre)
+                ps.query(pre, lambda X: np.zeros(len(X), dtype=np.int64))
             cfg = SslConfig(
                 augment=AugmentConfig(
                     weak=GaussianJitter(0.05),
@@ -260,7 +260,8 @@ def test_criterion_3_filter_equivalence():
                     rng_seed=trial,
                 ),
             )  # stock guards: at most 1 flip, unanimity, min confidence 0.9
-            sel, audit = ssl_filter(models, ps, cfg, seed=trial * 101)
+            probs = committee_probs(models, ps.pool.features)
+            sel, audit = ssl_filter(models, probs, ps, cfg, seed=trial * 101)
             sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, seed=trial * 101)
             assert sel == sel_ref, f"trial {trial}: acceptance sets differ"
             assert set(audit) == set(audit_ref)

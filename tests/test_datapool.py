@@ -60,7 +60,7 @@ def test_pool_requires_unlabeled():
 
 def test_pool_transitions_and_views():
     ps = make_pool()
-    ps.mark_queried([4, 1], [2, 3])
+    ps.query([4, 1], lambda X: np.array([3, 2]))  # rows 1 and 4, in index order
     assert ps.status[1] == QUERIED and ps.status[4] == QUERIED
     X, y, idx = ps.labeled_data()
     assert np.array_equal(idx, [1, 4])  # ascending order
@@ -109,16 +109,20 @@ def test_pool_query_answers_in_index_order_and_marks_after():
 
 def test_pool_rejects_bad_transitions():
     ps = make_pool()
-    ps.mark_queried([0], [1])
+
+    def ones(X):
+        return np.ones(len(X), dtype=np.int64)
+
+    ps.query([0], ones)
     before = ps.status.copy()
     with pytest.raises(InvalidInputError):
-        ps.mark_queried([0, 2], [1, 1])  # 0 already queried
+        ps.query([0, 2], ones)  # 0 already queried
     assert np.array_equal(ps.status, before)  # nothing partially applied
     assert ps.labeled_data()[2].tolist() == [0]
     with pytest.raises(InvalidInputError):
-        ps.mark_queried([3, 3], [1, 1])  # duplicates
+        ps.query([3, 3], ones)  # duplicates
     with pytest.raises(InvalidInputError):
-        ps.mark_queried([99], [1])
+        ps.query([99], ones)
     with pytest.raises(InvalidInputError):
         ps.convert_queried_to_validation([5])  # not queried
     with pytest.raises(InvalidInputError):
@@ -133,11 +137,10 @@ def test_pool_rejects_bad_transitions():
 @pytest.mark.parametrize(
     "transition",
     [
-        lambda ps, labels: ps.mark_queried([0, 1], labels),
         lambda ps, labels: ps.mark_pseudo([0, 1], labels),
         lambda ps, labels: ps.query([0, 1], lambda X: np.asarray(labels)),
     ],
-    ids=["mark_queried", "mark_pseudo", "query"],
+    ids=["mark_pseudo", "query"],
 )
 def test_pool_rejects_labels_that_are_not_nonnegative_integers(labels, transition):
     # these were truncated or kept as given: [0.7, -3] stored [0, -3]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import record_offers
+from conftest import committee_probs, record_offers
 from ensteal import numkit
 from ensteal.datapool import Dataset, GaussianMixture, PoolState, make_synthetic, strip_labels
 from ensteal.ensemble import (
@@ -9,14 +9,12 @@ from ensteal.ensemble import (
     EnsembleSpec,
     EnsembleState,
     committee_vote,
-    consensus_mean,
     default_member_configs,
     ensemble_predict,
     label_frequencies,
     load_ensemble,
     majority_vote,
     make_default_ensemble,
-    member_probs_matrix,
     save_ensemble,
     train_cycle,
 )
@@ -101,12 +99,9 @@ def test_vote_matrices_shapes(small_pool):
         for i, h in enumerate((4, 8, 12))
     ]
     X = small_pool.features[:7]
-    probs = member_probs_matrix(models, X)
+    probs = committee_probs(models, X)
     assert probs.shape == (3, 7, 4)
     assert np.allclose(probs.sum(axis=2), 1.0)
-    cons = consensus_mean(probs)
-    assert cons.shape == (7, 4)
-    assert np.allclose(cons, probs.mean(axis=0))
     labels = np.argmax(probs, axis=2)
     assert labels.shape == (3, 7)
     assert np.array_equal(labels, np.stack([predict_batch(m, X) for m in models]))

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import committee_probs
 from ensteal import harness, numkit
 from ensteal.datapool import GaussianMixture, ImageLayout, make_synthetic, per_cycle_batches, strong_augment
-from ensteal.ensemble import BestCheckpoint, ensemble_predict, member_probs_matrix
+from ensteal.ensemble import BestCheckpoint, ensemble_predict
 from ensteal.errors import InvalidConfigError, StageError
 from ensteal.harness import (
     ADV_STAGE,
@@ -233,6 +234,14 @@ def _full_config(path: str, value) -> dict:
         ("adversarial.random_start", "yes"),
         ("adversarial.step_size", True),
         ("outputs.scores_csv", 1),
+        # json.loads reads NaN and Infinity; no number field means either
+        ("adversarial.step_size", float("inf")),
+        ("adversarial.epsilon", float("nan")),
+        ("victim.weight_decay", float("nan")),
+        ("victim.base_lr", float("-inf")),
+        ("victim.data.separation", float("inf")),
+        ("attack.remote.timeout", float("nan")),
+        pytest.param("ssl.confidence_threshold", 10**400, id="ssl.confidence_threshold-int_past_float_range"),
     ],
 )
 def test_parse_rejects_wrong_types_naming_the_key(path, value):
@@ -362,6 +371,17 @@ def test_load_config_returns_raw_text(tmp_path):
         load_config(p)
 
 
+def test_load_config_rejects_a_literal_nan(tmp_path):
+    # a NaN weight decay used to train as if it were 0 (NaN > 0 is False)
+    raw = base_config()
+    raw["victim"]["weight_decay"] = float("nan")
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(raw))
+    assert "NaN" in p.read_text()
+    with pytest.raises(InvalidConfigError, match=re.escape("victim.weight_decay")):
+        load_config(p)
+
+
 # ── augment resolution ───────────────────────────────────────────────
 
 
@@ -383,7 +403,7 @@ def test_evaluate_models_keys():
     victim, _ = train_victim(train, test, cfg=default_victim_sgd(epochs=15), seed=0)
     other, _ = train_victim(train, test, cfg=default_victim_sgd(epochs=10), seed=1)
     victim_labels = predict_batch(victim, test.features)
-    out = evaluate_models(member_probs_matrix([victim, other], test.features), victim_labels, test)
+    out = evaluate_models(committee_probs([victim, other], test.features), victim_labels, test)
     assert set(out) == {
         "member_accs",
         "member_agreements",

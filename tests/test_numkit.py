@@ -2,10 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from ensteal.ensemble import make_default_ensemble
 from ensteal.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from ensteal.numkit import (
+    BLOCK_ROWS,
     MlpModel,
     MlpSpec,
     SgdConfig,
@@ -167,20 +171,56 @@ def test_inference_bitwise_matches_references(rng, act, hidden, n):
 
 @pytest.mark.parametrize("classes", [4, 64])
 def test_inference_allocates_only_its_layer_outputs(rng, classes):
-    # bias, activation and softmax are applied in each matmul's own output, so
-    # one call holds only its layer outputs; a pass that keeps pre-activations
-    # beside separate activation arrays holds about twice that. A temporary
-    # bias add shows with 4 classes, a softmax through temporaries with 64.
+    # the network runs one block at a time, and bias, activation and softmax
+    # are applied in each matmul's own output, so one call holds its (n,
+    # classes) result plus one block's layer outputs; the slack covers
+    # numpy's fixed 8192-element buffer for the broadcast bias add. A pass
+    # that kept every row's layers would hold 78 times the block's share, a
+    # temporary bias add shows with 4 classes, a softmax through temporaries
+    # with 64.
     model = MlpModel.initialize(MlpSpec(8, (256, 128, 64), classes, rng_seed=1))
-    X = rng.normal(size=(5000, 8))
-    layer_bytes = X.shape[0] * (256 + 128 + 64 + classes) * X.itemsize
+    X = rng.normal(size=(20_000, 8))
+    out_bytes = X.shape[0] * classes * X.itemsize
+    block_bytes = BLOCK_ROWS * (256 + 128 + 64 + classes) * X.itemsize
     tracemalloc.start()
     try:
         probs_batch(model, X)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * layer_bytes
+    assert peak <= out_bytes + 1.1 * block_bytes
+
+
+@pytest.mark.parametrize("dim, classes", [(8, 4), (60, 10)])
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(BLOCK_ROWS, 3 * BLOCK_ROWS), seed=st.integers(0, 2**32 - 1))
+def test_inference_bitwise_independent_of_the_batch(dim, classes, n, seed):
+    # a row's softmax keeps its bits in any batch of at least BLOCK_ROWS rows,
+    # although BLAS gives other bits in products of other shapes (at d=60 a
+    # 2-row call already differs from a 256-row one)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, dim)) * 2.0
+    perm = rng.permutation(n)
+    subset = np.sort(rng.choice(n, size=int(rng.integers(BLOCK_ROWS, n + 1)), replace=False))
+    for spec in make_default_ensemble(dim, classes, rng_seed=seed).members:
+        model = MlpModel.initialize(spec)
+        full = probs_batch(model, X)
+        assert np.array_equal(probs_batch(model, X[perm]), full[perm])
+        assert np.array_equal(probs_batch(model, X[subset]), full[subset])
+
+
+@pytest.mark.parametrize("dim, classes", [(8, 4), (60, 10)])
+def test_inference_bitwise_at_every_block_position(rng, dim, classes):
+    # block p of the stacked matrix is the first block rolled by p rows, so
+    # every row of it runs once at each position of a block
+    block = rng.normal(size=(BLOCK_ROWS, dim)) * 2.0
+    rolled = np.concatenate([np.roll(block, p, axis=0) for p in range(BLOCK_ROWS)])
+    for spec in make_default_ensemble(dim, classes, rng_seed=3).members:
+        model = MlpModel.initialize(spec)
+        want = probs_batch(model, block)
+        got = probs_batch(model, rolled).reshape(BLOCK_ROWS, BLOCK_ROWS, classes)
+        for p in range(BLOCK_ROWS):
+            assert np.array_equal(np.roll(got[p], -p, axis=0), want), f"{spec.hidden_layers} at offset {p}"
 
 
 # ── gradients ────────────────────────────────────────────────────────

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ensteal.datapool import Dataset, PoolState
-from ensteal.ensemble import label_frequencies, member_probs_matrix
+from ensteal.ensemble import label_frequencies
 from ensteal.errors import InvalidConfigError, InvalidInputError
 from ensteal.numkit import predict_batch
 from ensteal.selection import (
@@ -19,7 +19,7 @@ from ensteal.selection import (
     top_k_select,
 )
 
-from conftest import make_sharp_models
+from conftest import committee_probs, make_sharp_models
 from oracles import entropy_direct, kcenter_bruteforce, topk_bruteforce
 
 
@@ -65,7 +65,7 @@ def test_disagreement_scores_live_in_partition_set(rng):
     # 5, so the score can only take one of the 7 partition entropies
     models = make_sharp_models(5, dim=6, classes=6, seed=3)
     X = rng.normal(size=(300, 6))
-    scores = disagreement_scores(member_probs_matrix(models, X), np.arange(300))
+    scores = disagreement_scores(committee_probs(models, X), np.arange(300))
     parts = [
         (5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1),
     ]
@@ -77,7 +77,7 @@ def test_consensus_entropy_bounds(rng):
     models = make_sharp_models(4, dim=5, classes=3, seed=1)
     X = rng.normal(size=(50, 5))
     rows = np.arange(3, 50, 2)
-    scores = consensus_entropy_scores(member_probs_matrix(models, X), rows)
+    scores = consensus_entropy_scores(committee_probs(models, X), rows)
     assert scores.shape == rows.shape
     assert np.all(scores >= 0.0) and np.all(scores <= np.log(3) + 1e-12)
 
@@ -154,9 +154,9 @@ def test_strategy_validation():
 def scored_pool(rng):
     features = rng.normal(size=(120, 6))
     ps = PoolState(Dataset(features))
-    ps.mark_queried(list(range(10)), [0] * 10)
+    ps.query(range(10), lambda X: np.zeros(len(X), dtype=np.int64))
     models = make_sharp_models(5, dim=6, classes=4, seed=9)
-    return ps, member_probs_matrix(models, features)
+    return ps, committee_probs(models, features)
 
 
 def test_select_queries_scored_alignment(scored_pool):
@@ -207,7 +207,7 @@ def test_select_queries_rejects_k_zero(scored_pool, kind, hybrid):
 
 def test_select_queries_exhausted_pool():
     ps = PoolState(Dataset(np.zeros((4, 2))))
-    ps.mark_queried([0, 1, 2, 3], [0, 0, 0, 0])
+    ps.query([0, 1, 2, 3], lambda X: np.zeros(len(X), dtype=np.int64))
     with pytest.raises(InvalidInputError):
         select_queries(SelectionStrategy("random"), None, ps, 1, seed=0)
 
@@ -217,7 +217,7 @@ def _per_candidate_scores(kind, models, X):
     votes from predict_batch: how they were computed before the committee's
     pool-wide softmax was reused."""
     if kind == "consensus_entropy":
-        return entropy_rows(member_probs_matrix(models, X).mean(axis=0))
+        return entropy_rows(committee_probs(models, X).mean(axis=0))
     labels = np.stack([predict_batch(m, X) for m in models])
     return entropy_rows(label_frequencies(labels, models[0].spec.num_classes))
 
@@ -228,9 +228,9 @@ def test_select_queries_matches_per_candidate_scoring(kind, hybrid, rng):
     features = rng.normal(size=(400, 6))
     ps = PoolState(Dataset(features))
     queried = np.arange(0, 400, 7)
-    ps.mark_queried(queried, np.zeros(queried.size, dtype=np.int64))
+    ps.query(queried, lambda X: np.zeros(len(X), dtype=np.int64))
     models = make_sharp_models(5, dim=6, classes=4, seed=21)
-    probs = member_probs_matrix(models, features)
+    probs = committee_probs(models, features)
     cands = ps.unlabeled_indices()
     want_scores = _per_candidate_scores(kind, models, features[cands])
     # no near-ties: neither between a member's top two classes nor between scores

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import make_sharp_models, record_offers
+from conftest import committee_probs, make_sharp_models, record_offers
 from ensteal.datapool import (
     AugmentConfig,
     Dataset,
@@ -22,7 +22,7 @@ from ensteal.ensemble import (
     train_cycle,
 )
 from ensteal import numkit
-from ensteal.errors import InvalidConfigError, TrainingDivergedError
+from ensteal.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from ensteal.numkit import accuracy, probs_batch, sgd_update
 from ensteal.seeding import derive_seed, mask64
 from ensteal.semisup import (
@@ -79,9 +79,10 @@ def test_filter_matches_bruteforce_bitwise(rng):
         ps = PoolState(Dataset(rng.normal(size=(n, d))))
         pre = rng.choice(n, size=int(rng.integers(0, n // 3 + 1)), replace=False)
         if pre.size:
-            ps.mark_queried(np.sort(pre), [0] * pre.size)
+            ps.query(pre, lambda X: np.zeros(len(X), dtype=np.int64))
         cfg = SslConfig(augment=tabular_aug(seed=trial), confidence_threshold=0.6)
-        sel, audit = ssl_filter(models, ps, cfg, seed=trial * 13)
+        probs = committee_probs(models, ps.pool.features)
+        sel, audit = ssl_filter(models, probs, ps, cfg, seed=trial * 13)
         sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, seed=trial * 13)
         assert sel == sel_ref, f"trial {trial}"
         assert set(audit) == set(audit_ref)
@@ -121,8 +122,9 @@ def test_filter_threshold_is_inclusive():
 def test_filter_empty_pool():
     models = make_sharp_models(3, dim=4, classes=3, seed=0)
     ps = PoolState(Dataset(np.zeros((3, 4))))
-    ps.mark_queried([0, 1, 2], [0, 1, 2])
-    sel, audit = ssl_filter(models, ps, SslConfig(augment=tabular_aug()), seed=0)
+    ps.query([0, 1, 2], lambda X: np.arange(3))
+    probs = committee_probs(models, ps.pool.features)
+    sel, audit = ssl_filter(models, probs, ps, SslConfig(augment=tabular_aug()), seed=0)
     assert sel == {} and audit == {}
 
 
@@ -154,7 +156,8 @@ def test_harvest_marks_pool(rng):
     models = make_sharp_models(5, dim=5, classes=3, seed=4)
     ps = PoolState(Dataset(rng.normal(size=(60, 5))))
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, per_class_cap=4)
-    capped, audit = harvest_pseudo_labels(models, ps, cfg, seed=1)
+    probs = committee_probs(models, ps.pool.features)
+    capped, audit = harvest_pseudo_labels(models, probs, ps, cfg, seed=1)
     assert len(audit) == 60
     counts = ps.counts()
     assert counts["pseudo"] == len(capped)
@@ -162,6 +165,40 @@ def test_harvest_marks_pool(rng):
     assert dict(zip(ip.tolist(), yp.tolist())) == capped
     for lab in set(capped.values()):
         assert sum(1 for v in capped.values() if v == lab) <= 4
+
+
+def test_harvest_runs_the_models_only_on_the_perturbed_rows(rng, monkeypatch):
+    # the clean labels and confidences come from the committee's pool pass
+    models = make_sharp_models(5, dim=5, classes=3, seed=4)
+    ps = PoolState(Dataset(rng.normal(size=(60, 5))))
+    ps.query(range(0, 60, 3), lambda X: np.zeros(len(X), dtype=np.int64))
+    probs = committee_probs(models, ps.pool.features)
+    Xu = ps.pool.features[ps.unlabeled_indices()]
+    seen = []
+    real = numkit.probs_batch
+    monkeypatch.setattr(numkit, "probs_batch", lambda m, X: seen.append((m, X)) or real(m, X))
+    cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5)
+    harvest_pseudo_labels(models, probs, ps, cfg, seed=1)
+    assert [m for m, _ in seen] == models
+    for _, X in seen:
+        assert X.shape == Xu.shape
+        assert np.all(X != Xu) and np.all(np.abs(X - Xu) < 1.0)  # each row's jittered copy
+
+
+def test_filter_rejects_a_softmax_not_over_the_pool(rng):
+    models = make_sharp_models(3, dim=4, classes=3, seed=0)
+    ps = PoolState(Dataset(rng.normal(size=(10, 4))))
+    ps.query([0, 1], lambda X: np.zeros(len(X), dtype=np.int64))
+    probs = committee_probs(models, ps.pool.features)
+    cfg = SslConfig(augment=tabular_aug())
+    for bad_models, bad_probs in [
+        (models, probs[:, ps.unlabeled_indices()]),  # the unlabeled rows only
+        (models[:2], probs),
+        (models, probs[0]),
+        ([], probs[:0]),
+    ]:
+        with pytest.raises(InvalidInputError, match="softmax over the pool"):
+            ssl_filter(bad_models, bad_probs, ps, cfg)
 
 
 # ── consistency training ─────────────────────────────────────────────
@@ -174,7 +211,7 @@ def ssl_scenario():
     ps = PoolState(strip_labels(full))
     # simulate the query stage using the true labels as stand-in answers
     qi = list(range(0, 90))
-    ps.mark_queried(qi, full.labels[qi])
+    ps.query(qi, lambda X: full.labels[qi])
     ps.convert_queried_to_validation(list(range(60, 90)))
     spec = make_default_ensemble(6, 3, rng_seed=8, hidden_profile=((6,), (10,), (14,)))
     state = EnsembleState(spec)
@@ -203,7 +240,7 @@ def test_ssl_train_runs_and_traces(ssl_scenario):
     state, ps, full = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=3, per_class_cap=30)
-    capped, _ = harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
+    capped, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
     assert capped, "scenario should produce at least one pseudo row"
     st = unsaturated_copy(state)
     before_best = [b.val_accuracy for b in st.best]
@@ -226,7 +263,7 @@ def test_ssl_train_lambda_zero_skips_pseudo_pass(ssl_scenario):
     state, ps, full = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     base = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
-    capped, _ = harvest_pseudo_labels(state.best_models(), ps, base, seed=5)
+    capped, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, base, seed=5)
     assert capped
     cfg0 = SslConfig(
         augment=tabular_aug(), confidence_threshold=0.5, epochs=2,
@@ -250,7 +287,7 @@ def test_ssl_train_deterministic(ssl_scenario):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
-    harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
     s_a = unsaturated_copy(state)
     s_b = unsaturated_copy(state)
     o_a, o_b = record_offers(s_a), record_offers(s_b)
@@ -270,7 +307,7 @@ def test_ssl_train_improves_or_preserves_validation(ssl_scenario):
     state, ps, full = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=5, per_class_cap=50)
-    harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
     Xv, yv, _ = ps.validation_data()
     st = copy.deepcopy(state)
     before = max(accuracy(m, Xv, yv) for m in st.best_models())
@@ -283,7 +320,7 @@ def test_ssl_train_replaced_checkpoints_get_fresh_outputs(ssl_scenario):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
-    harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
     st = copy.deepcopy(state)
     stale = st.best_probs(ps.pool)
     for b in st.best:
@@ -301,7 +338,7 @@ def test_ssl_train_skips_saturated_members(ssl_scenario, monkeypatch):
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     assert any(b.saturated for b in state.best), "the fixture should saturate a member"
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
-    harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
     st = copy.deepcopy(state)
     st.best_probs(ps.pool)
     st.best[0].val_accuracy = 1.0
@@ -329,7 +366,7 @@ def test_ssl_train_raises_on_divergence_naming_the_member(ssl_scenario):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=3, per_class_cap=30, lr=1e6)
-    harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
     st = unsaturated_copy(state)
     before = list(st.best)
     with pytest.raises(TrainingDivergedError, match="member 0"):
@@ -375,7 +412,7 @@ def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, weight):
         augment=tabular_aug(seed=2), confidence_threshold=0.5, epochs=3, per_class_cap=25,
         pseudo_loss_weight=weight, batch_size=16,
     )
-    harvest_pseudo_labels(state.best_models(), ps, cfg, seed=5)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
     st = unsaturated_copy(state)
     ref_params, ref_losses = _reference_ssl_train(st.best_models(), ps, cfg, seed=13)
     offered = record_offers(st)
