@@ -11,6 +11,7 @@ corner noise of the same radius.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,12 +32,12 @@ class PgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise InvalidConfigError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < math.inf:
+            raise InvalidConfigError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
         if self.steps < 1:
             raise InvalidConfigError("steps must be positive")
-        if self.step_size is not None and self.step_size <= 0:
-            raise InvalidConfigError("step_size must be positive")
+        if self.step_size is not None and not 0 < self.step_size < math.inf:
+            raise InvalidConfigError(f"step_size must be finite and positive, got {self.step_size!r}")
 
     @property
     def resolved_step(self) -> float:
@@ -80,8 +81,8 @@ def random_sign_perturbation(X, epsilon: float, seed: int = 0) -> np.ndarray:
     """Baseline noise: each coordinate moves by exactly +-epsilon, signs
     drawn uniformly."""
     X = np.asarray(X, dtype=np.float64)
-    if epsilon < 0:
-        raise InvalidConfigError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise InvalidConfigError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     if epsilon == 0.0:
         return X.copy()
     rng = np.random.default_rng(mask64(seed))

@@ -15,6 +15,7 @@ low-res digit glyphs) cover desk-scale experiments without external data.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -333,8 +334,8 @@ class GaussianMixture:
             raise InvalidConfigError("a mixture needs at least two classes")
         if self.dim < 1:
             raise InvalidConfigError("dim must be positive")
-        if self.separation <= 0:
-            raise InvalidConfigError("separation must be positive")
+        if not 0 < self.separation < math.inf:
+            raise InvalidConfigError(f"separation must be finite and positive, got {self.separation!r}")
 
     @property
     def input_dim(self) -> int:

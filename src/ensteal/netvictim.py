@@ -14,12 +14,17 @@ Failures answer {"id": ..., "error": msg, "code": code} with code one of
 BUDGET_EXHAUSTED, BAD_INPUT, or INTERNAL; a line that does not parse gets
 id 0 and BAD_INPUT, and the connection stays open either way.
 
-The server keeps a bounded most-recently-used cache of predict answers keyed
-by (id, digest of the op and x), so a client that lost a response can resend
-the same request and receive the original answer without spending budget
-again. A reused id with a different payload is refused as BAD_INPUT, and
-budget replies are never cached. Budget charging itself lives in the wrapped
-oracle's single lock, which keeps concurrent connections honest.
+The server keeps a most-recently-used cache of the predict answers to the
+last DEDUP_WINDOW ids, keyed by (id, digest of the op and x), so a client
+that lost a response can resend the same request and receive the original
+answer without spending budget again. A reused id with a different payload
+is refused as BAD_INPUT, and budget replies are never cached. Budget
+charging itself lives in the wrapped oracle's single lock, which keeps
+concurrent connections honest.
+
+VictimService runs on socketserver: one thread accepts connections and each
+connection is answered on a thread of its own. Once close() begins, a
+request is neither answered nor charged, and its connection ends.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import csv
 import hashlib
 import json
 import socket
+import socketserver
 import threading
 import time
 from collections import OrderedDict
@@ -47,22 +53,11 @@ from .victim import VictimOracle
 CODE_BUDGET = "BUDGET_EXHAUSTED"
 CODE_BAD_INPUT = "BAD_INPUT"
 CODE_INTERNAL = "INTERNAL"
+DEDUP_WINDOW = 1024  # predict answers the server keeps for resent requests
 
 
 def _encode(obj: dict) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
-
-
-def _pop_line(buf: bytearray, start: int = 0) -> Optional[bytearray]:
-    """Remove and return the first complete line of buf, or None if there is
-    none. Bytes before start are known to hold no newline, so the search
-    skips them and reading a long line stays linear in its length."""
-    nl = buf.find(b"\n", start)
-    if nl < 0:
-        return None
-    line = buf[:nl]
-    del buf[: nl + 1]
-    return line
 
 
 def _is_count(v) -> bool:
@@ -80,34 +75,51 @@ def _is_batch(x) -> bool:
     )
 
 
+class _Server(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+    block_on_close = False  # close() does not wait for idle connections
+    allow_reuse_address = True  # a restarted server can rebind its port at once
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    def handle(self) -> None:
+        try:
+            for line in self.rfile:
+                if not line.endswith(b"\n"):
+                    return  # the peer closed mid-line: nothing to answer
+                if not line.strip():
+                    continue
+                reply = self.server.service._respond(line)
+                if reply is None:
+                    return
+                self.wfile.write(reply)
+        except OSError:
+            pass  # the client dropped the connection
+
+
 class VictimService:
     """Threaded TCP front end for a VictimOracle.
 
-    One accept loop plus one thread per connection. close() stops the
-    listener, waits for handlers, and, when a log path was given, writes the
-    oracle's query log as CSV (sample_hash,label).
+    A socketserver.ThreadingTCPServer accepts on a background thread and
+    answers each connection on a thread of its own. close() refuses every
+    request that arrives after it: a request already being answered
+    finishes, is charged and is logged, and any later one gets no answer,
+    no charge and its connection ends. close() then stops accepting and,
+    when a log path was given, writes the oracle's query log as CSV
+    (sample_hash,label). It does not wait for idle connections.
     """
 
-    def __init__(
-        self,
-        oracle: VictimOracle,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        log_path=None,
-        dedup_window: int = 1024,
-    ):
+    def __init__(self, oracle: VictimOracle, host: str = "127.0.0.1", port: int = 0, log_path=None):
         self._oracle = oracle
         self._log_path = log_path
         self._seen: OrderedDict[int, tuple[bytes, bytes]] = OrderedDict()
-        self._seen_limit = max(1, int(dedup_window))
         self._seen_lock = threading.Lock()
-        self._listener = socket.create_server((host, port))
-        self._listener.settimeout(0.2)
-        self.host, self.port = self._listener.getsockname()[:2]
-        self._stop = threading.Event()
-        self._handlers: list[threading.Thread] = []
-        self._accepter = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accepter.start()
+        self._closed = False
+        self._server = _Server((host, port), _Handler)
+        self._server.service = self
+        self.host, self.port = self._server.server_address[:2]
+        # serve_forever looks for a shutdown() request once per poll interval
+        threading.Thread(target=self._server.serve_forever, args=(0.05,), daemon=True).start()
 
     # -- lifecycle
 
@@ -118,16 +130,12 @@ class VictimService:
         self.close()
 
     def close(self) -> None:
-        if self._stop.is_set():
-            return
-        self._stop.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        self._accepter.join(timeout=2.0)
-        for t in self._handlers:
-            t.join(timeout=2.0)
+        with self._seen_lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._server.shutdown()
+        self._server.server_close()
         if self._log_path is not None:
             with open(self._log_path, "w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -136,58 +144,25 @@ class VictimService:
 
     # -- serving
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            self._handlers = [t for t in self._handlers if t.is_alive()]
-            t = threading.Thread(target=self._handle, args=(conn,), daemon=True)
-            t.start()
-            self._handlers.append(t)
-
-    def _handle(self, conn: socket.socket) -> None:
-        conn.settimeout(0.2)
-        buf = bytearray()
-        with conn:
-            while not self._stop.is_set():
-                try:
-                    chunk = conn.recv(65536)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return
-                if not chunk:
-                    return
-                start = len(buf)
-                buf += chunk
-                while (line := _pop_line(buf, start)) is not None:
-                    start = 0
-                    if not line.strip():
-                        continue
-                    try:
-                        conn.sendall(self._respond(line))
-                    except OSError:
-                        return
-
-    def _respond(self, line: bytes) -> bytes:
-        try:
-            req = json.loads(line)
-        except (ValueError, UnicodeDecodeError):
-            return _encode({"id": 0, "error": "unparseable request line", "code": CODE_BAD_INPUT})
-        if not isinstance(req, dict) or not isinstance(req.get("id"), int):
-            return _encode({"id": 0, "error": "missing integer id", "code": CODE_BAD_INPUT})
-        rid = req["id"]
-        if req.get("op") == "budget":
-            return _encode({"id": rid, "remaining": self._oracle.budget_remaining()})
-        payload = json.dumps([req.get("op"), req.get("x")], separators=(",", ":"))
-        digest = hashlib.sha256(payload.encode()).digest()
-        # one lock over lookup and charge, so a request resent on several
-        # connections at once is still charged once
+    def _respond(self, line: bytes) -> Optional[bytes]:
+        """The reply line to one request line, or None once close() began.
+        One lock covers the closed check, the cache lookup and the charge,
+        so a request resent on several connections at once is still
+        charged once."""
         with self._seen_lock:
+            if self._closed:
+                return None
+            try:
+                req = json.loads(line)
+            except (ValueError, UnicodeDecodeError):
+                return _encode({"id": 0, "error": "unparseable request line", "code": CODE_BAD_INPUT})
+            if not isinstance(req, dict) or not isinstance(req.get("id"), int):
+                return _encode({"id": 0, "error": "missing integer id", "code": CODE_BAD_INPUT})
+            rid = req["id"]
+            if req.get("op") == "budget":
+                return _encode({"id": rid, "remaining": self._oracle.budget_remaining()})
+            payload = json.dumps([req.get("op"), req.get("x")], separators=(",", ":"))
+            digest = hashlib.sha256(payload.encode()).digest()
             cached = self._seen.get(rid)
             if cached is not None:
                 if cached[0] != digest:
@@ -198,9 +173,9 @@ class VictimService:
                 return cached[1]
             reply = self._dispatch(rid, req)
             self._seen[rid] = (digest, reply)
-            while len(self._seen) > self._seen_limit:
+            while len(self._seen) > DEDUP_WINDOW:
                 self._seen.popitem(last=False)
-        return reply
+            return reply
 
     def _dispatch(self, rid: int, req: dict) -> bytes:
         op = req.get("op")
@@ -268,7 +243,7 @@ class RemoteVictimClient:
         rng = np.random.default_rng(mask64(id_seed))
         self._next_id = int(rng.integers(1, 1 << 62))
         self._sock: Optional[socket.socket] = None
-        self._buf = bytearray()
+        self._reader = None  # the socket's makefile("rb"), which holds its fd open too
         self._lock = threading.Lock()
 
     def close(self) -> None:
@@ -283,12 +258,9 @@ class RemoteVictimClient:
 
     def _drop_connection(self) -> None:
         if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-        self._buf = bytearray()
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def _ensure_connected(self) -> socket.socket:
         if self._sock is None:
@@ -296,25 +268,18 @@ class RemoteVictimClient:
                 self._sock = socket.create_connection(self._addr, timeout=self._timeout)
             except OSError as exc:
                 raise RemoteUnavailableError(f"cannot reach victim service: {exc}") from exc
+            self._reader = self._sock.makefile("rb")
         return self._sock
-
-    def _read_line(self, sock: socket.socket) -> bytearray:
-        start = 0
-        while (line := _pop_line(self._buf, start)) is None:
-            start = len(self._buf)
-            chunk = sock.recv(65536)
-            if not chunk:
-                raise OSError("connection closed by server")
-            self._buf += chunk
-        return line
 
     def _roundtrip(self, payload: dict) -> dict:
         last_err: Optional[Exception] = None
         for _ in range(self._retries):
             try:
-                sock = self._ensure_connected()
-                sock.sendall(_encode(payload))
-                reply = json.loads(self._read_line(sock))
+                self._ensure_connected().sendall(_encode(payload))
+                line = self._reader.readline()
+                if not line.endswith(b"\n"):
+                    raise OSError("connection closed by server")
+                reply = json.loads(line)
                 break
             except RemoteUnavailableError as exc:
                 last_err = exc

@@ -42,6 +42,16 @@ def test_pgd_config_validation():
     assert custom.resolved_step == 0.01
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_pgd_config_rejects_non_finite(bad):
+    with pytest.raises(InvalidConfigError, match="epsilon"):
+        PgdConfig(epsilon=bad)
+    with pytest.raises(InvalidConfigError, match="step_size"):
+        PgdConfig(epsilon=0.5, step_size=bad)
+    with pytest.raises(InvalidConfigError, match="epsilon"):
+        random_sign_perturbation(np.zeros((2, 3)), bad)
+
+
 def test_pgd_zero_epsilon_is_exact_identity(attack_setup):
     model, _, test = attack_setup
     X = test.features[:20]

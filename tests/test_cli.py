@@ -201,6 +201,24 @@ def test_adv_transfer_needs_labels(tmp_path, victim_ckpt):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flag", [["--epsilon", "inf"], ["--epsilon", "nan"], ["--epsilon", "0.5", "--step-size", "inf"]])
+def test_adv_transfer_rejects_non_finite_settings(data_files, victim_ckpt, capsys, flag):
+    _, test = data_files
+    rc = run_cli("adv-transfer", "--source", str(victim_ckpt), "--victim", str(victim_ckpt),
+                 "--data", str(test), "--n-eval", "20", *flag)
+    assert rc == 1
+    assert "InvalidConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("separation", ["nan", "inf"])
+def test_gen_data_rejects_non_finite_separation(tmp_path, capsys, separation):
+    rc = run_cli("gen-data", "--source", "gaussian_mixture", "--classes", "3", "--dim", "5",
+                 "--separation", separation, "--n", "20", "--out", str(tmp_path / "d.aotd"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "InvalidConfigError" in err and "separation" in err  # not Dataset's finite check
+
+
 def test_remote_attack_through_served_checkpoint(tmp_path, victim_ckpt):
     # spin the server through its library surface (the CLI command runs the
     # same serve() loop but blocks the process), then run the attack against

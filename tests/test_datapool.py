@@ -283,6 +283,12 @@ def test_mixture_separation_is_exact():
     assert dists.min() == pytest.approx(3.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_mixture_rejects_bad_separation(bad):
+    with pytest.raises(InvalidConfigError, match="separation"):
+        GaussianMixture(3, 4, bad)
+
+
 def test_mixture_labels_cycle():
     data = make_synthetic(GaussianMixture(3, 4, 2.0), 10, seed=0)
     assert np.array_equal(data.labels, [0, 1, 2, 0, 1, 2, 0, 1, 2, 0])

@@ -1,5 +1,6 @@
 import json
 import socket
+import struct
 import sys
 import threading
 import time
@@ -39,6 +40,14 @@ def raw_exchange(svc, *lines):
             f.flush()
             out.append(json.loads(f.readline()))
         return out
+
+
+def assert_threads_end(before: set) -> None:
+    """Wait up to 5 s for every thread not in before to end."""
+    deadline = time.monotonic() + 5.0
+    while set(threading.enumerate()) - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not set(threading.enumerate()) - before
 
 
 def test_predict_over_wire_matches_local(service):
@@ -177,14 +186,78 @@ def test_lines_split_across_reads(service):
         assert json.loads(f.readline()) == {"id": 4, "remaining": 99}
 
 
+def test_unterminated_last_line_is_not_answered(service):
+    svc, _, oracle = service
+    with socket.create_connection((svc.host, svc.port), timeout=5) as s:
+        s.sendall(b'{"id": 3, "op": "predict", "x": [1, 0, 0, 0]}')  # no newline
+        s.shutdown(socket.SHUT_WR)
+        assert s.recv(100) == b""  # the server ends the connection without a reply
+    assert oracle.budget_remaining() == 100 and oracle.query_log == []
+
+
 def test_finished_handlers_are_dropped(service):
     svc, _, _ = service
+    before = set(threading.enumerate())
     for i in range(50):
         raw_exchange(svc, b'{"id": 1, "op": "budget"}\n')
-    for t in list(svc._handlers):
-        t.join(timeout=5.0)
-    raw_exchange(svc, b'{"id": 1, "op": "budget"}\n')
-    assert len(svc._handlers) <= 1  # only the latest connection's handler
+    assert_threads_end(before)  # no thread outlives its connection
+
+
+def test_dropped_connections_end_quietly(service, capsys):
+    svc, _, _ = service
+    before = set(threading.enumerate())
+    line = json.dumps({"id": 5, "op": "predict_batch", "x": [[0.5, 1, 2, 3]] * 2000}).encode() + b"\n"
+    for _ in range(10):
+        s = socket.create_connection((svc.host, svc.port), timeout=5)
+        s.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        s.sendall(line[:-1])
+        s.close()  # a reset, with a partial request in flight
+    assert_threads_end(before)
+    assert capsys.readouterr().err == ""  # no traceback from a handler
+
+
+def test_close_with_idle_client(tmp_path):
+    spec = MlpSpec(3, (4,), 2, "relu", rng_seed=0)
+    oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(5))
+    log = tmp_path / "log.csv"
+    svc = VictimService(oracle, log_path=log)
+    with socket.create_connection((svc.host, svc.port), timeout=5) as s, s.makefile("rwb") as f:
+        f.write(b'{"id": 1, "op": "predict", "x": [1, 2, 3]}\n')
+        f.flush()
+        assert "label" in json.loads(f.readline())
+        t0 = time.monotonic()
+        svc.close()  # the connection above is still open and idle
+        assert time.monotonic() - t0 < 2.0
+        # a request sent after close() is neither answered nor charged, and
+        # its connection ends
+        try:
+            f.write(b'{"id": 2, "op": "predict", "x": [3, 2, 1]}\n')
+            f.flush()
+            reply = f.readline()
+        except ConnectionResetError:
+            reply = b""
+        assert reply == b""
+    assert oracle.budget_remaining() == 4
+    assert len(oracle.query_log) == 1
+    assert len(log.read_text().splitlines()) == 2  # header and the one answered row
+    svc.close()  # idempotent
+
+
+def test_dedup_cache_keeps_the_most_recently_used_ids():
+    spec = MlpSpec(2, (4,), 2, "relu", rng_seed=1)
+    oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(2000))
+
+    def line(rid):
+        return json.dumps({"id": rid, "op": "predict", "x": [rid % 7, 1]}).encode() + b"\n"
+
+    with VictimService(oracle) as svc:
+        raw_exchange(svc, *map(line, range(1, 1025)))  # fills the window; id 1 is least recent
+        raw_exchange(svc, line(2))  # a replay moves id 2 to the front, uncharged
+        assert oracle.budget_remaining() == 2000 - 1024
+        raw_exchange(svc, line(1025))  # evicts id 1
+        raw_exchange(svc, line(2), line(1))  # id 2 is still cached; id 1 is charged again
+        assert oracle.budget_remaining() == 2000 - 1026
+        assert len(oracle.query_log) == 1026
 
 
 def test_budget_exhausted_code(tmp_path):
@@ -310,8 +383,10 @@ def test_client_reconnects_after_drop(service):
     with RemoteVictimClient(svc.host, svc.port, retries=3) as cl:
         x = np.array([0.0, 1.0, 0.0, 1.0])
         assert cl.predict(x) == predict_batch(model, x[None])[0]
-        cl._sock.close()  # sever the transport under the client
+        severed = cl._sock
+        severed.shutdown(socket.SHUT_RDWR)  # sever the transport under the client
         assert cl.predict(x) == predict_batch(model, x[None])[0]  # silently reconnects
+        assert cl._sock is not None and cl._sock is not severed
         assert oracle.budget_remaining() == 98
 
 
@@ -344,6 +419,7 @@ class LineServer:
     def __exit__(self, *exc) -> None:
         self._thread.join(timeout=5.0)
         self._listener.close()
+        assert not self._thread.is_alive()  # the client closed its connection
 
 
 @pytest.mark.parametrize(
