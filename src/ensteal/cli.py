@@ -16,7 +16,7 @@ import signal
 import sys
 
 from . import adversarial as adv
-from . import harness, netvictim, numkit
+from . import harness, numkit
 from .datapool import GaussianMixture, TinyDigits, load_dataset, make_synthetic, save_dataset, strip_labels
 from .ensemble import load_ensemble
 from .errors import StageError
@@ -135,7 +135,9 @@ def _cmd_serve_victim(args) -> int:
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _sigterm)
-    netvictim.serve(oracle, args.host, args.port, args.log_path)
+    from .netvictim import serve
+
+    serve(oracle, args.host, args.port, args.log_path)
     return 0
 
 

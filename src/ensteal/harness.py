@@ -31,7 +31,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -64,12 +64,14 @@ from .ensemble import (
     train_cycle,
 )
 from .errors import InvalidConfigError, StageError
-from .netvictim import RemoteVictimClient, RemoteVictimOracle
 from .numkit import MlpSpec, SgdConfig
 from .seeding import derive_seed, mask64
 from .selection import SCORED_KINDS, SelectionStrategy, select_queries
 from .semisup import SslConfig, harvest_pseudo_labels, ssl_train
 from .victim import DEFAULT_VICTIM_HIDDEN, QueryBudget, VictimOracle, default_victim_sgd, train_victim
+
+if TYPE_CHECKING:
+    from .netvictim import RemoteVictimClient
 
 # Stage offsets XORed into the root seed; every stage owns one.
 POOL_DATA = 1
@@ -178,6 +180,9 @@ class RemoteSection:
         self.client(0)
 
     def client(self, id_seed: int) -> RemoteVictimClient:
+        # the server stack is imported only by runs that talk to one
+        from .netvictim import RemoteVictimClient
+
         return RemoteVictimClient(self.host, self.port, self.timeout, self.retries, id_seed)
 
 
@@ -456,6 +461,8 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                 client = a.remote.client(
                     derive_seed(stage_seed(root, CLIENT_IDS), int.from_bytes(config_digest, "big"))
                 )
+                from .netvictim import RemoteVictimOracle
+
                 oracle = RemoteVictimOracle(client)
             else:
                 oracle = VictimOracle(victim_model, QueryBudget(a.budget))

@@ -7,10 +7,14 @@ schedule. Training arithmetic runs in float32 inside `sgd_epoch`; parameters,
 inference, `loss_and_grad`, input gradients and checkpoints stay float64.
 One forward pass serves all of them: bias, activation and softmax are
 applied in each matmul's own output, and derivatives use activation outputs.
+A training pass runs its steps in buffers allocated once for the pass (one
+backprop kernel serves `loss_and_grad` too); the steps make the operations
+of steps that allocate anew, in the same order, so the bits are the same.
 Inference runs over fixed blocks of BLOCK_ROWS rows, so a row's softmax has
 the same bits in every batch of at least that many. Models are plain values
 (flat parameter vector + immutable spec): cheap to copy, safe to train in
-parallel, bitwise reproducible from a seed.
+parallel (buffers live per call, never in module state), bitwise
+reproducible from a seed.
 
 Parameter layout is canonical: layer by layer, weights then biases, with the
 weight matrix of layer l stored row-major as (fan_in, fan_out).
@@ -158,31 +162,34 @@ def _as_labels(model: MlpModel, y, n: int) -> np.ndarray:
 # ── forward / inference ──────────────────────────────────────────────
 
 
-def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    """Activation derivative from the activation's output a: relu's a > 0 is
-    exactly z > 0, and tanh's 1 - a*a is exactly 1 - tanh(z)**2."""
+def _activate_grad_into(a: np.ndarray, kind: str) -> np.ndarray:
+    """Overwrites the activation output a with the activation's derivative
+    and returns it: relu's 1.0 or 0.0 of a > 0, exactly z > 0, and tanh's
+    1 - a*a, exactly 1 - tanh(z)**2."""
     if kind == "relu":
-        return (a > 0.0).astype(a.dtype)
-    return 1.0 - a * a
+        return np.greater(a, 0.0, out=a)
+    np.multiply(a, a, out=a)
+    return np.subtract(1.0, a, out=a)
 
 
-def _forward(layers: list, act: str, X: np.ndarray):
+def _forward(layers: list, act: str, X: np.ndarray, outs: list | None = None):
     """Returns (logits, activations incl. input). Each layer's bias add and
-    activation write into that layer's matmul output; X is never written."""
+    activation write into that layer's matmul output: a new array, or with
+    `outs` (one buffer per layer, logits last) the first X.shape[0] rows of
+    the layer's buffer. X is never written."""
     a = X
     acts: list[np.ndarray] = [X]
-    for w, b in layers[:-1]:
-        a = a @ w
+    last = len(layers) - 1
+    for li, (w, b) in enumerate(layers):
+        a = a @ w if outs is None else np.matmul(a, w, out=outs[li][: X.shape[0]])
         a += b
+        if li == last:
+            return a, acts
         if act == "relu":
             np.maximum(a, 0.0, out=a)
         else:
             np.tanh(a, out=a)
         acts.append(a)
-    w, b = layers[-1]
-    logits = a @ w
-    logits += b
-    return logits, acts
 
 
 def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
@@ -220,34 +227,73 @@ def loss_and_grad(model: MlpModel, X, y) -> tuple[float, np.ndarray]:
     gradient, flattened in canonical parameter order."""
     X = _as_batch(model, X)
     y = _as_labels(model, y, X.shape[0])
+    spec, n = model.spec, X.shape[0]
     grad = np.empty_like(model.params)
-    loss = _loss_grad_into(model.layers(), _layer_views(model.spec, grad), model.spec.activation, X, y)
+    loss = _loss_grad_into(
+        _Workspace(spec, n, np.float64), model.layers(), _layer_views(spec, grad), spec.activation,
+        X, *_targets(y, spec.num_classes, n, np.float64),
+    )
     return loss, grad
 
 
-def _loss_grad_into(layers: list, grads: list, act: str, X: np.ndarray, y: np.ndarray) -> float:
-    """Kernel behind loss_and_grad on already validated inputs: returns the
+class _Workspace:
+    """Every intermediate of one backprop kernel call on up to `rows` rows:
+    each layer's output (logits last), each hidden layer's back-propagated
+    delta, and the row max, row sum and true-class logit. A call on m rows
+    uses the first m rows of each buffer."""
+
+    __slots__ = ("outs", "deltas", "row_max", "row_sum", "picked")
+
+    def __init__(self, spec: MlpSpec, rows: int, dtype):
+        widths = (*spec.hidden_layers, spec.num_classes)
+        self.outs = [np.empty((rows, w), dtype) for w in widths]
+        self.deltas = [np.empty((rows, w), dtype) for w in spec.hidden_layers]
+        self.row_max = np.empty((rows, 1), dtype)
+        self.row_sum = np.empty(rows, dtype)
+        self.picked = np.empty(rows, dtype)
+
+
+def _targets(y: np.ndarray, num_classes: int, rows: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The labels y as one-hot rows, and each label's flat index into the
+    logits of its batch when batches of `rows` rows start at row 0."""
+    onehot = np.zeros((y.size, num_classes), dtype)
+    onehot[np.arange(y.size), y] = 1.0
+    return onehot, np.arange(y.size) % rows * num_classes + y
+
+
+def _loss_grad_into(
+    ws: _Workspace, layers: list, grads: list, act: str, X: np.ndarray, onehot: np.ndarray, flat: np.ndarray
+) -> float:
+    """The backprop kernel, on already validated inputs: returns the batch's
     mean loss and writes the gradient into `grads`, (dW, db) views laid out
-    like `layers`."""
-    n = X.shape[0]
-    logits, acts = _forward(layers, act, X)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    rows = np.arange(n)
+    like `layers`. Labels come as `_targets` rows for X. Every intermediate
+    is written into `ws`, so a call allocates no array."""
+    m = X.shape[0]
+    z, acts = _forward(layers, act, X, ws.outs)
+    np.subtract(z, np.maximum.reduce(z, axis=1, out=ws.row_max[:m], keepdims=True), out=z)
     # log-softmax form: in float32 the true-class probability underflows to 0
     # once its logit trails the top one by about 103, and log(0) would read
-    # as divergence
-    loss = float(np.mean(np.log(total[:, 0]) - shifted[rows, y]))
-    dz = e / total  # softmax, turned into d(loss)/d(logits) in place
-    dz[rows, y] -= 1.0
-    dz /= n
+    # as divergence. The indices are in range; mode="clip" only spares take
+    # the buffered copy that its default mode makes of `out`
+    picked = np.take(z.reshape(-1), flat, out=ws.picked[:m], mode="clip")
+    np.exp(z, out=z)
+    total = np.add.reduce(z, axis=1, out=ws.row_sum[:m])
+    np.divide(z, total[:, None], out=z)  # softmax, turned into d(loss)/d(logits) in place
+    np.log(total, out=total)
+    # np.mean's value: for float32 it divides in float64 and rounds to this quotient
+    loss = float(np.add.reduce(np.subtract(total, picked, out=total)) / m)
+    np.subtract(z, onehot, out=z)  # subtracting 0.0 leaves a value's bits as they are
+    np.divide(z, m, out=z)
+    dz = z
     for li in range(len(layers) - 1, -1, -1):
         gw, gb = grads[li]
         np.matmul(acts[li].T, dz, out=gw)
-        np.sum(dz, axis=0, out=gb)
+        np.add.reduce(dz, axis=0, out=gb)
         if li > 0:
-            dz = (dz @ layers[li][0].T) * _activate_grad(acts[li], act)
+            # the activations are dead once their weight gradient is taken
+            deriv = _activate_grad_into(acts[li], act)
+            dz = np.matmul(dz, layers[li][0].T, out=ws.deltas[li - 1][:m])
+            dz *= deriv
     return loss
 
 
@@ -261,7 +307,9 @@ def input_grad_batch(model: MlpModel, X, y) -> np.ndarray:
     dz = _softmax_inplace(logits)
     dz[np.arange(X.shape[0]), y] -= 1.0
     for li in range(len(layers) - 1, 0, -1):
-        dz = (dz @ layers[li][0].T) * _activate_grad(acts[li], act)
+        deriv = _activate_grad_into(acts[li], act)
+        dz = dz @ layers[li][0].T
+        dz *= deriv
     return dz @ layers[0][0].T
 
 
@@ -301,10 +349,11 @@ def effective_lr(cfg: SgdConfig, epoch: int) -> float:
 
 
 def sgd_update(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray, lr: float, momentum: float) -> None:
-    """In-place momentum step: v <- mu*v + g; params <- params - lr*v."""
+    """In-place momentum step: v <- mu*v + g; params <- params - lr*v.
+    grad is spent as scratch: it holds lr*v on return."""
     velocity *= momentum
     velocity += grad
-    params -= lr * velocity
+    params -= np.multiply(velocity, lr, out=grad)
 
 
 def sgd_epoch(
@@ -326,27 +375,34 @@ def sgd_epoch(
     velocity and gradient, and writes params and velocity back at the end.
     The float64 copies then hold float32 values exactly, so consecutive
     passes chain as one float32 run. Inputs are validated once per pass.
+    Every buffer a step writes (layer outputs, deltas, softmax rows, the
+    one-hot targets) is allocated once per pass, and a short last batch uses
+    their first rows. A step runs the same operations in the same order as
+    one that allocates its arrays anew, so the bits are the same.
     """
     X = _as_batch(model, X)
     y = _as_labels(model, y, X.shape[0])
     X, y = X[order].astype(np.float32), y[order]
     params = model.params.astype(np.float32)
     vel = velocity.astype(np.float32)
-    layers = _layer_views(model.spec, params)
-    grad = np.empty_like(params)
-    grads = _layer_views(model.spec, grad)
-    act = model.spec.activation
+    grad, decay = np.empty_like(params), np.empty_like(params)
+    spec, bs = model.spec, cfg.batch_size
+    layers, grads = _layer_views(spec, params), _layer_views(spec, grad)
+    ws = _Workspace(spec, min(bs, y.size), np.float32)
+    onehot, flat = _targets(y, spec.num_classes, bs, np.float32)
     total = 0.0
     # float32 overflows far sooner than float64; a non-finite loss is what
     # reports divergence, so the intermediate warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, order.size, cfg.batch_size):
-            batch = slice(start, start + cfg.batch_size)
-            total += _loss_grad_into(layers, grads, act, X[batch], y[batch]) * y[batch].size
+        for start in range(0, y.size, bs):
+            batch = slice(start, start + bs)
+            Xb = X[batch]
+            loss = _loss_grad_into(ws, layers, grads, spec.activation, Xb, onehot[batch], flat[batch])
+            total += loss * Xb.shape[0]
             if grad_scale != 1.0:
                 grad *= grad_scale
             if cfg.weight_decay > 0.0:
-                grad += cfg.weight_decay * params
+                grad += np.multiply(params, cfg.weight_decay, out=decay)
             sgd_update(params, vel, grad, lr, cfg.momentum)
     model.params[:] = params
     velocity[:] = vel

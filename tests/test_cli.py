@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ensteal
 from ensteal.cli import main
 from ensteal.datapool import load_dataset
 from ensteal.numkit import load_model
@@ -237,6 +242,17 @@ def test_remote_attack_through_served_checkpoint(tmp_path, victim_ckpt):
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["budget"]["spent"] == 90
+
+
+def test_cli_import_leaves_out_the_server_stack():
+    # only serve-victim and remote runs import netvictim, and with it socketserver
+    code = (
+        "import sys, ensteal.cli; "
+        "print([m for m in ('ensteal.netvictim', 'socketserver') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ensteal.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_unknown_strategy_fails_cleanly(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -321,7 +324,7 @@ def test_train_is_deterministic_and_counts_epochs(rng):
     assert np.all(np.isfinite(t1.params))
 
 
-def _reference_train(model, X, y, cfg, seed):
+def _reference_train(model, X, y, cfg, seed, grad_scale=1.0):
     """The minibatch loop written out in float32 from the oracle's gradient."""
     params = model.params.astype(np.float32)
     velocity = np.zeros_like(params)
@@ -334,6 +337,8 @@ def _reference_train(model, X, y, cfg, seed):
             idx = order[start : start + cfg.batch_size]
             loss, grad = oracles.loss_grad_float32(model.spec, params, X[idx], y[idx])
             total += float(loss) * idx.size
+            if grad_scale != 1.0:
+                grad = grad * grad_scale
             if cfg.weight_decay > 0.0:
                 grad = grad + cfg.weight_decay * params
             sgd_update(params, velocity, grad, effective_lr(cfg, epoch), cfg.momentum)
@@ -360,6 +365,70 @@ def test_train_matches_reference_loop_bitwise(rng, act, momentum, weight_decay):
     assert trained.params.dtype == np.float64
     assert np.array_equal(trained.params, ref_params)
     assert losses == ref_losses
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 9), max_size=3).map(tuple),
+    classes=st.integers(1, 7),
+    n=st.integers(1, 40),
+    batch_extra=st.integers(0, 45),
+    act=st.sampled_from(["relu", "tanh"]),
+    weight_decay=st.sampled_from([0.0, 0.02]),
+    grad_scale=st.sampled_from([0.37, 1.0, 2.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_train_matches_reference_loop_bitwise_property(
+    hidden, classes, n, batch_extra, act, weight_decay, grad_scale, seed
+):
+    # sgd_epoch, driven pass by pass as ssl_train drives it with grad_scale,
+    # against the reference loop: batches from one row to more than all rows,
+    # with a short last batch whenever the size does not divide n
+    rng = np.random.default_rng(seed)
+    model = MlpModel.initialize(MlpSpec(4, hidden, classes, act, rng_seed=seed))
+    X = rng.normal(size=(n, 4)) * 2.0
+    y = rng.integers(0, classes, n)
+    cfg = SgdConfig(
+        base_lr=0.1, momentum=0.9, lr_decay_factor=0.5, lr_decay_every=2,
+        weight_decay=weight_decay, epochs=4, batch_size=1 + batch_extra,
+    )
+    trained, velocity, losses = model.copy(), np.zeros_like(model.params), []
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng(mask64(mask64(seed) ^ epoch)).permutation(n)
+        losses.append(sgd_epoch(trained, velocity, X, y, order, cfg, effective_lr(cfg, epoch), grad_scale))
+    ref_params, ref_losses = _reference_train(model, X, y, cfg, seed, grad_scale)
+    assert trained.params.tobytes() == ref_params.astype(np.float64).tobytes()
+    assert np.array(losses).tobytes() == np.array(ref_losses).tobytes()
+
+
+def test_concurrent_training_keeps_each_models_bits(rng):
+    # every pass allocates its own workspace, so models of one shape trained
+    # on more threads than cores, switching often, keep the bytes of their
+    # sequential runs
+    cfg = SgdConfig(base_lr=0.05, momentum=0.9, weight_decay=0.01, epochs=15, batch_size=32)
+    jobs = [
+        (small_model(seed=s, hidden=(32, 16)), (rng.normal(size=(300, 5)), rng.integers(0, 3, 300)), s)
+        for s in (41, 42, 43)
+    ]
+    sequential = [train_supervised(model, data, cfg, s) for model, data, s in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def train(model, data, s):
+        start.wait(timeout=30)
+        return train_supervised(model, data, cfg, s)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            futures = [pool.submit(train, *job) for job in jobs]
+            concurrent = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (want, want_losses), (got, got_losses) in zip(sequential, concurrent):
+        assert got.params.tobytes() == want.params.tobytes()
+        assert got_losses == want_losses
+    assert len({model.params.tobytes() for model, _ in sequential}) == len(jobs)
 
 
 @pytest.mark.parametrize("act", ["relu", "tanh"])
