@@ -53,6 +53,18 @@ class ImageLayout:
         return self.height * self.width * self.channels
 
 
+def _as_labels(labels, n: int) -> np.ndarray:
+    """labels as int64 if they are n nonnegative integers of an integer
+    dtype, else InvalidInputError. No coercion: a float or bool label is a
+    caller's bug, not a class."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise InvalidInputError(f"expected {n} labels, got shape {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer) or (n and labels.min() < 0):
+        raise InvalidInputError(f"labels must be nonnegative integers, got dtype {labels.dtype}")
+    return labels.astype(np.int64)
+
+
 class Dataset:
     """Feature matrix (n, d) float64, optional int64 labels, optional layout."""
 
@@ -69,20 +81,8 @@ class Dataset:
                 f"layout {layout} implies {layout.flat_dim} features per row, "
                 f"matrix has {features.shape[1]}"
             )
-        if labels is not None:
-            labels = np.asarray(labels)
-            if labels.shape != (features.shape[0],):
-                raise InvalidInputError(
-                    f"labels shape {labels.shape} does not match {features.shape[0]} rows"
-                )
-            if not np.issubdtype(labels.dtype, np.integer):
-                if not np.all(labels == np.floor(labels)):
-                    raise InvalidInputError("labels must be integers")
-            labels = labels.astype(np.int64)
-            if labels.size and labels.min() < 0:
-                raise InvalidInputError("labels must be nonnegative")
         self.features = features
-        self.labels = labels
+        self.labels = None if labels is None else _as_labels(labels, features.shape[0])
         self.layout = layout
 
     @property
@@ -131,12 +131,7 @@ class PoolState:
         return idx
 
     def _set(self, idx: np.ndarray, status: int, labels) -> None:
-        labels = np.asarray(labels)
-        if labels.shape != idx.shape:
-            raise InvalidInputError("one label per index required")
-        # no coercion: a float or bool label is a caller's bug, not a class
-        if not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0:
-            raise InvalidInputError(f"labels must be nonnegative integers, got dtype {labels.dtype}")
+        labels = _as_labels(labels, idx.size)
         self.status[idx] = status
         self.labels[idx] = labels
 

@@ -273,18 +273,25 @@ def load_ensemble(directory) -> EnsembleState:
     if not lines:
         raise InvalidInputError(f"ensemble index {index_path} is empty")
     header = lines[0].split()
-    if len(header) != 4 or header[0] != "members" or header[2] != "cycle":
-        raise InvalidInputError(f"malformed ensemble index header: {lines[0]!r}")
-    size, cycle = int(header[1]), int(header[3])
+    try:  # a wrong layout and a non-numeric field get the same error
+        if len(header) != 4 or header[0] != "members" or header[2] != "cycle":
+            raise ValueError
+        size, cycle = int(header[1]), int(header[3])
+    except ValueError:
+        raise InvalidInputError(f"malformed ensemble index header: {lines[0]!r}") from None
     if len(lines) != size + 1:
         raise InvalidInputError("ensemble index member count mismatch")
     checkpoints: list[Optional[BestCheckpoint]] = []
-    for i in range(size):
-        fields = lines[i + 1].split()
-        if len(fields) != 3 or int(fields[0]) != i:
-            raise InvalidInputError(f"malformed ensemble index line: {lines[i + 1]!r}")
+    for i, line in enumerate(lines[1:]):
+        fields = line.split()
+        try:
+            if len(fields) != 3 or int(fields[0]) != i:
+                raise ValueError
+            val_accuracy, best_cycle = float(fields[1]), int(fields[2])
+        except ValueError:
+            raise InvalidInputError(f"malformed ensemble index line: {line!r}") from None
         model = numkit.load_model(os.path.join(directory, f"member{i}_best.ckpt"))
-        checkpoints.append(BestCheckpoint(model, float(fields[1]), int(fields[2])))
+        checkpoints.append(BestCheckpoint(model, val_accuracy, best_cycle))
     state = EnsembleState(EnsembleSpec(tuple(b.model.spec for b in checkpoints)))
     state.best = checkpoints
     state.cycle = cycle

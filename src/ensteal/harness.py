@@ -532,14 +532,13 @@ def run_attack(cfg: ExperimentConfig, out_dir, config_text: Optional[str] = None
                 ssl_seed = stage_seed(root, SSL_STAGE)
                 ssl_cfg = cfg.ssl.build(resolve_augment(pool.layout, ssl_seed))
                 pre_agr = val_agreement()
-                capped, _audit = harvest_pseudo_labels(
+                kept, _, _ = harvest_pseudo_labels(
                     state.best_models(), state.best_probs(pool), pool_state, ssl_cfg, derive_seed(ssl_seed, 0)
                 )
-                if capped:
-                    ssl_train(state, pool_state, ssl_cfg, derive_seed(ssl_seed, 1))
+                ssl_train(state, pool_state, ssl_cfg, derive_seed(ssl_seed, 1))  # a no-op if none were kept
                 ev = evaluate(a.cycles + 1)
                 report["ssl"] = {
-                    "n_pseudo": len(capped),
+                    "n_pseudo": len(kept),
                     "pre_val_agreement": pre_agr,
                     "post_val_agreement": val_agreement(),
                     "final_ensemble_acc": ev["ensemble_acc"],

@@ -237,6 +237,8 @@ class RemoteVictimClient:
             raise InvalidConfigError(f"timeout must be positive, got {timeout!r}")
         if retries < 1:
             raise InvalidConfigError(f"retries must be at least 1, got {retries!r}")
+        if not 1 <= port <= 65535:  # the OS would wrap 70000 to 4464, another server
+            raise InvalidConfigError(f"port must lie in [1, 65535], got {port!r}")
         self._addr = (host, port)
         self._timeout = timeout
         self._retries = retries

@@ -147,9 +147,8 @@ def _as_labels(model: MlpModel, y, n: int) -> np.ndarray:
     y = np.asarray(y)
     if y.shape != (n,):
         raise InvalidInputError(f"expected {n} labels, got shape {y.shape}")
-    if not np.issubdtype(y.dtype, np.integer):
-        if not np.all(y == np.floor(y)):
-            raise InvalidInputError("labels must be integers")
+    if not np.issubdtype(y.dtype, np.integer):  # a float or bool label is a caller's bug
+        raise InvalidInputError(f"labels must be integers, got dtype {y.dtype}")
     y = y.astype(np.int64)
     if y.min() < 0 or y.max() >= model.spec.num_classes:
         raise InvalidInputError(

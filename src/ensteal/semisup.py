@@ -5,8 +5,10 @@ rows for inputs it is collectively sure about: a row is accepted when at most
 a fixed number of members change their label under a weak perturbation, every
 member agrees on the unperturbed label, and the least confident member still
 clears a probability threshold. Unperturbed votes are read from the
-committee's pool softmax (EnsembleState.best_probs). Accepted rows, capped
-per class (most confident first), become pseudo-labeled training data.
+committee's pool softmax (EnsembleState.best_probs). The filter's verdicts
+are aligned arrays over the unlabeled rows (FilterVerdicts). Accepted rows,
+capped per class (most confident first, then the lower row), become
+pseudo-labeled training data.
 
 The training stage then minimizes labeled loss plus a weighted pseudo loss,
 where pseudo rows are strongly perturbed afresh every epoch, at a low fixed
@@ -18,6 +20,7 @@ fine-tuned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,13 +67,16 @@ class SslConfig:
             raise InvalidConfigError("batch_size must be positive")
 
 
-@dataclass(frozen=True)
-class FilterRecord:
-    """Audit row for one evaluated candidate."""
+class FilterVerdicts(NamedTuple):
+    """The filter's verdict on each unlabeled row: aligned arrays, one entry
+    per row, rows ascending."""
 
-    label_changes: int
-    unanimous: bool
-    min_confidence: float
+    rows: np.ndarray  # pool row index
+    labels: np.ndarray  # member 0's label on the clean row
+    changes: np.ndarray  # members whose label flips under the weak perturbation
+    unanimous: np.ndarray  # every member agrees on the clean row
+    min_confidence: np.ndarray  # the least own-label probability on the clean row
+    accepted: np.ndarray  # passes all three guards
 
 
 def _row_entropy(seed: int, aug_seed: int, rows: np.ndarray) -> np.ndarray:
@@ -90,65 +96,52 @@ def ssl_filter(
     pool_state: PoolState,
     cfg: SslConfig,
     seed: int = 0,
-) -> tuple[dict[int, int], dict[int, FilterRecord]]:
-    """Score every unlabeled row and keep the stable, unanimous, confident ones.
+) -> FilterVerdicts:
+    """Score every unlabeled row and accept the stable, unanimous, confident ones.
 
     For each row x with weakly perturbed copy x': count members whose label
     flips between x and x', require at most cfg.max_label_changes flips,
     require all members to agree on the label of x itself, and require every
     member's probability for its own label on x to be at least the
     confidence threshold. Labels and probabilities on x are read from probs,
-    the (members, pool rows, classes) softmax over the whole pool. Returns
-    (accepted row -> label) plus an audit record for every evaluated row.
+    the (members, pool rows, classes) softmax over the whole pool.
     """
     if not models or probs.ndim != 3 or probs.shape[:2] != (len(models), pool_state.pool.n):
         raise InvalidInputError("the filter needs models and their softmax over the pool")
     idx = pool_state.unlabeled_indices()
-    if idx.size == 0:
-        return {}, {}
-    layout = pool_state.pool.layout
-    Xu = pool_state.pool.features[idx]
-    Xw = np.stack(
-        [
-            weak_augment(x, cfg.augment, layout, np.random.default_rng(words))
-            for x, words in zip(Xu, _row_entropy(seed, cfg.augment.rng_seed, idx))
-        ]
-    )
+    aug_labels = np.zeros((len(models), 0), dtype=np.int64)
+    if idx.size:  # the members see an empty batch as an error
+        layout, entropy = pool_state.pool.layout, _row_entropy(seed, cfg.augment.rng_seed, idx)
+        Xw = np.stack(
+            [
+                weak_augment(x, cfg.augment, layout, np.random.default_rng(words))
+                for x, words in zip(pool_state.pool.features[idx], entropy)
+            ]
+        )
+        aug_labels = np.stack([numkit.predict_batch(m, Xw) for m in models])
+    # sliced only now, so the clean softmax does not add to the peak of building Xw
     clean = probs[:, idx]
-    orig_labels = np.argmax(clean, axis=2)
-    aug_labels = np.stack([numkit.predict_batch(m, Xw) for m in models])
-
-    changes = (orig_labels != aug_labels).sum(axis=0)
-    unanimous = np.all(orig_labels == orig_labels[0], axis=0)
-    min_conf = clean.max(axis=2).min(axis=0)  # the least own-label probability
-    keep = (changes <= cfg.max_label_changes) & unanimous & (min_conf >= cfg.confidence_threshold)
-
-    selected: dict[int, int] = {}
-    audit: dict[int, FilterRecord] = {}
-    for j, i in enumerate(idx.tolist()):
-        audit[i] = FilterRecord(int(changes[j]), bool(unanimous[j]), float(min_conf[j]))
-        if keep[j]:
-            selected[i] = int(orig_labels[0, j])
-    return selected, audit
+    clean_labels = np.argmax(clean, axis=2)  # (members, rows)
+    changes = (clean_labels != aug_labels).sum(axis=0)
+    unanimous = np.all(clean_labels == clean_labels[0], axis=0)
+    min_conf = clean.max(axis=2).min(axis=0)
+    accepted = (changes <= cfg.max_label_changes) & unanimous & (min_conf >= cfg.confidence_threshold)
+    return FilterVerdicts(idx, clean_labels[0], changes, unanimous, min_conf, accepted)
 
 
 def apply_class_cap(
-    selected: dict[int, int],
-    audit: dict[int, FilterRecord],
-    cap: int,
-) -> dict[int, int]:
-    """At most cap rows per class, keeping the highest minimum confidence;
-    confidence ties keep the lower row index. Output is index-sorted."""
+    rows: np.ndarray, labels: np.ndarray, confidence: np.ndarray, cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """At most cap rows per class, keeping the highest confidence; confidence
+    ties keep the lower row. Returns the kept (rows, labels), rows ascending."""
     if cap < 1:
         raise InvalidConfigError("cap must be positive")
-    by_class: dict[int, list[int]] = {}
-    for i, lab in selected.items():
-        by_class.setdefault(lab, []).append(i)
-    kept: list[tuple[int, int]] = []
-    for lab, rows in by_class.items():
-        rows.sort(key=lambda i: (-audit[i].min_confidence, i))
-        kept.extend((i, lab) for i in rows[:cap])
-    return dict(sorted(kept))
+    order = np.lexsort((rows, -confidence, labels))
+    sorted_labels = labels[order]
+    rank_in_class = np.arange(order.size) - np.searchsorted(sorted_labels, sorted_labels)
+    kept = order[rank_in_class < cap]
+    kept = kept[np.argsort(rows[kept])]
+    return rows[kept], labels[kept]
 
 
 def harvest_pseudo_labels(
@@ -157,13 +150,17 @@ def harvest_pseudo_labels(
     pool_state: PoolState,
     cfg: SslConfig,
     seed: int = 0,
-) -> tuple[dict[int, int], dict[int, FilterRecord]]:
-    """Filter, cap, and record pseudo-labels in the pool in one call."""
-    selected, audit = ssl_filter(models, probs, pool_state, cfg, seed)
-    capped = apply_class_cap(selected, audit, cfg.per_class_cap) if selected else {}
-    if capped:
-        pool_state.mark_pseudo(list(capped), list(capped.values()))
-    return capped, audit
+) -> tuple[np.ndarray, np.ndarray, FilterVerdicts]:
+    """Filter, cap, and record pseudo-labels in the pool in one call. Returns
+    the kept (rows, labels), rows ascending, and the filter's verdicts, from
+    which every reject count can be read."""
+    v = ssl_filter(models, probs, pool_state, cfg, seed)
+    rows, labels = apply_class_cap(
+        v.rows[v.accepted], v.labels[v.accepted], v.min_confidence[v.accepted], cfg.per_class_cap
+    )
+    if rows.size:
+        pool_state.mark_pseudo(rows, labels)
+    return rows, labels, v
 
 
 # ── consistency training ─────────────────────────────────────────────

@@ -23,6 +23,21 @@ def committee_probs(models: list[MlpModel], X) -> np.ndarray:
     return np.stack([probs_batch(m, X) for m in models])
 
 
+def verdicts_as_oracle_shapes(verdicts):
+    """ssl_filter's verdict arrays in the shapes of
+    oracles.ssl_filter_bruteforce: (accepted row -> label, row -> (changes,
+    unanimous, min_confidence))."""
+    v = verdicts
+    selected = dict(zip(v.rows[v.accepted].tolist(), v.labels[v.accepted].tolist()))
+    audit = {
+        row: (changes, unanimous, min_conf)
+        for row, changes, unanimous, min_conf in zip(
+            v.rows.tolist(), v.changes.tolist(), v.unanimous.tolist(), v.min_confidence.tolist()
+        )
+    }
+    return selected, audit
+
+
 def record_offers(state) -> dict:
     """Wrap state.offer; the returned dict maps each member index to the
     last model offered for it, whether or not it replaced the checkpoint.

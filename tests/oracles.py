@@ -197,6 +197,16 @@ def ssl_filter_bruteforce(models, pool_state, cfg, seed: int):
     return selected, audit
 
 
+def class_cap_bruteforce(rows, labels, confidence, cap: int):
+    """Per class, sort by (-confidence, row) and keep the first cap rows.
+    Returns the kept (rows, labels) as lists, rows ascending."""
+    by_class: dict[int, list[tuple[float, int]]] = {}
+    for row, lab, conf in zip(rows, labels, confidence):
+        by_class.setdefault(int(lab), []).append((-float(conf), int(row)))
+    kept = sorted((row, lab) for lab, entries in by_class.items() for _, row in sorted(entries)[:cap])
+    return [row for row, _ in kept], [lab for _, lab in kept]
+
+
 def fd_loss_gradient(loss_fn, params: np.ndarray, coords, h: float = 1e-5) -> dict[int, float]:
     """Central finite differences of a scalar loss over chosen coordinates."""
     out = {}

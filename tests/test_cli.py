@@ -174,6 +174,15 @@ def test_evaluate_cli(tmp_path, data_files, victim_ckpt, capsys):
     assert len(metrics["member_accs"]) == 2
 
 
+@pytest.mark.parametrize("index", ["members x cycle 1\n0 0.5 1\n", "members 1 cycle 1\n0 high 1\n"])
+def test_evaluate_reports_a_malformed_ensemble_index(tmp_path, data_files, victim_ckpt, capsys, index):
+    _, test = data_files
+    (tmp_path / "index.txt").write_text(index)
+    rc = run_cli("evaluate", "--ensemble", str(tmp_path), "--victim", str(victim_ckpt), "--data", str(test))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error (InvalidInputError): malformed ensemble index")
+
+
 def test_adv_transfer_cli(tmp_path, data_files, victim_ckpt, capsys):
     train, test = data_files
     other = tmp_path / "other.ckpt"

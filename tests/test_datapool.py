@@ -28,6 +28,7 @@ from ensteal.datapool import (
     weak_augment,
 )
 from ensteal.errors import InvalidConfigError, InvalidInputError
+from ensteal.numkit import MlpModel, MlpSpec, SgdConfig, accuracy, train_supervised
 
 
 # ── datasets ─────────────────────────────────────────────────────────
@@ -149,6 +150,28 @@ def test_pool_rejects_labels_that_are_not_nonnegative_integers(labels, transitio
         transition(ps, labels)
     assert np.all(ps.status == UNLABELED)
     assert not ps.labels.any()
+
+
+_MODEL = MlpModel.initialize(MlpSpec(2, (3,), 2, "relu", rng_seed=0))
+LABEL_TAKERS = {
+    "Dataset": lambda y: Dataset(np.zeros((4, 2)), y),
+    "train_supervised": lambda y: train_supervised(_MODEL, (np.zeros((4, 2)), y), SgdConfig(base_lr=0.1), 0),
+    "accuracy": lambda y: accuracy(_MODEL, np.zeros((4, 2)), y),
+    "PoolState.query": lambda y: make_pool().query([0, 1, 2, 3], lambda X: np.asarray(y)),
+}
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[True, False, True, False], [1.0, 0.0, 1.0, 1.0], np.array([0, 1, 1, 0], dtype=np.float32)],
+    ids=["bools", "integral_floats", "float32_array"],
+)
+@pytest.mark.parametrize("take", LABEL_TAKERS.values(), ids=LABEL_TAKERS.keys())
+def test_labels_must_have_an_integer_dtype(take, labels):
+    # bools and integral floats used to pass Dataset and numkit as 1/0 classes
+    with pytest.raises(InvalidInputError, match="labels must be (nonnegative )?integers, got dtype"):
+        take(labels)
+    take(np.asarray(labels).astype(np.int64))  # the same classes as integers are taken
 
 
 # ── augmentation ─────────────────────────────────────────────────────

@@ -298,3 +298,20 @@ def test_load_ensemble_missing_dir(tmp_path):
     (tmp_path / "index.txt").write_text("")
     with pytest.raises(InvalidInputError):
         load_ensemble(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "index, bad_line",
+    [
+        ("members x cycle 1\n0 0.5 1\n", "members x cycle 1"),
+        ("members 1 cycle 1.5\n0 0.5 1\n", "members 1 cycle 1.5"),
+        ("members 1 cycle 1\n0 high 1\n", "0 high 1"),
+        ("members 1 cycle 1\nzero 0.5 1\n", "zero 0.5 1"),
+        ("members 1 cycle 1\n0 0.5 one\n", "0 0.5 one"),
+    ],
+)
+def test_load_ensemble_names_a_malformed_index_line(tmp_path, index, bad_line):
+    # a non-numeric field used to leak a bare ValueError from int() or float()
+    (tmp_path / "index.txt").write_text(index)
+    with pytest.raises(InvalidInputError, match=f"malformed ensemble index .*{bad_line!r}"):
+        load_ensemble(tmp_path)

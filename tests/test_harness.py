@@ -264,6 +264,10 @@ def test_parse_rejects_wrong_types_naming_the_key(path, value):
         ("attack.remote.timeout", -1.5, "attack.remote"),
         ("attack.remote.retries", 0, "attack.remote"),
         ("attack.remote.retries", -3, "attack.remote"),
+        ("attack.remote.port", 0, "attack.remote"),
+        ("attack.remote.port", -1, "attack.remote"),
+        ("attack.remote.port", 65536, "attack.remote"),
+        ("attack.remote.port", 70000, "attack.remote"),
     ],
 )
 def test_parse_rejects_values_a_later_stage_would_reject(path, value, section):

@@ -390,10 +390,18 @@ def test_client_reconnects_after_drop(service):
         assert oracle.budget_remaining() == 98
 
 
-@pytest.mark.parametrize("kwargs", [{"retries": 0}, {"retries": -3}, {"timeout": 0}, {"timeout": -1.0}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"retries": 0}, {"retries": -3}, {"timeout": 0}, {"timeout": -1.0},
+        # 70000 used to reach whatever listened on 70000 - 65536
+        {"port": 0}, {"port": -1}, {"port": 65536}, {"port": 70000},
+    ],
+)
 def test_client_rejects_out_of_range_settings(kwargs):
     with pytest.raises(InvalidConfigError):
-        RemoteVictimClient("127.0.0.1", 1, **kwargs)
+        RemoteVictimClient(**{"host": "127.0.0.1", "port": 1, **kwargs})
+    RemoteVictimClient("127.0.0.1", 65535).close()  # the top port is accepted; it connects at the first query
 
 
 class LineServer:

@@ -3,7 +3,10 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import committee_probs, make_sharp_models, record_offers
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from conftest import committee_probs, make_sharp_models, record_offers, verdicts_as_oracle_shapes
 from ensteal.datapool import (
     AugmentConfig,
     Dataset,
@@ -26,7 +29,6 @@ from ensteal.errors import InvalidConfigError, InvalidInputError, TrainingDiverg
 from ensteal.numkit import accuracy, probs_batch, sgd_update
 from ensteal.seeding import derive_seed, mask64
 from ensteal.semisup import (
-    FilterRecord,
     SslConfig,
     _row_entropy,
     apply_class_cap,
@@ -34,7 +36,7 @@ from ensteal.semisup import (
     ssl_filter,
     ssl_train,
 )
-from oracles import loss_grad_float32, ssl_filter_bruteforce
+from oracles import class_cap_bruteforce, loss_grad_float32, ssl_filter_bruteforce
 
 
 def tabular_aug(seed=0):
@@ -82,15 +84,12 @@ def test_filter_matches_bruteforce_bitwise(rng):
             ps.query(pre, lambda X: np.zeros(len(X), dtype=np.int64))
         cfg = SslConfig(augment=tabular_aug(seed=trial), confidence_threshold=0.6)
         probs = committee_probs(models, ps.pool.features)
-        sel, audit = ssl_filter(models, probs, ps, cfg, seed=trial * 13)
+        sel, audit = verdicts_as_oracle_shapes(ssl_filter(models, probs, ps, cfg, seed=trial * 13))
         sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, seed=trial * 13)
         assert sel == sel_ref, f"trial {trial}"
-        assert set(audit) == set(audit_ref)
-        for i, rec in audit.items():
-            changes, unanimous, min_conf = audit_ref[i]
-            assert rec.label_changes == changes
-            assert rec.unanimous == unanimous
-            assert rec.min_confidence == min_conf  # bit-for-bit
+        # every row's (changes, unanimous, min confidence); the confidences
+        # are positive floats, so == compares them bit for bit
+        assert audit == audit_ref, f"trial {trial}"
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**64 - 5])
@@ -107,16 +106,16 @@ def test_row_entropy_replays_the_tuple_seeded_stream(seed):
             assert np.array_equal(fast.uniform(size=6), ref.uniform(size=6))
 
 
+def capped_map(rows, labels, confidence, cap):
+    rows, labels = apply_class_cap(np.array(rows), np.array(labels), np.array(confidence), cap)
+    assert rows.dtype == labels.dtype == np.int64
+    return dict(zip(rows.tolist(), labels.tolist()))
+
+
 def test_filter_threshold_is_inclusive():
     # fabricate an audit boundary: a row whose min confidence equals the
     # threshold exactly must pass the confidence leg
-    sel = {3: 1, 7: 1}
-    audit = {
-        3: FilterRecord(0, True, 0.9),
-        7: FilterRecord(0, True, 0.95),
-    }
-    capped = apply_class_cap(sel, audit, cap=1)
-    assert capped == {7: 1}  # higher confidence wins the single slot
+    assert capped_map([3, 7], [1, 1], [0.9, 0.95], cap=1) == {7: 1}  # higher confidence wins the single slot
 
 
 def test_filter_empty_pool():
@@ -124,47 +123,62 @@ def test_filter_empty_pool():
     ps = PoolState(Dataset(np.zeros((3, 4))))
     ps.query([0, 1, 2], lambda X: np.arange(3))
     probs = committee_probs(models, ps.pool.features)
-    sel, audit = ssl_filter(models, probs, ps, SslConfig(augment=tabular_aug()), seed=0)
-    assert sel == {} and audit == {}
+    v = ssl_filter(models, probs, ps, SslConfig(augment=tabular_aug()), seed=0)
+    assert all(a.shape == (0,) for a in v)
+    assert verdicts_as_oracle_shapes(v) == ({}, {})
 
 
 def test_class_cap_ordering_and_ties():
-    sel = {i: 0 for i in range(6)}
-    audit = {
-        0: FilterRecord(0, True, 0.97),
-        1: FilterRecord(0, True, 0.99),
-        2: FilterRecord(0, True, 0.99),  # tie with 1: lower index first
-        3: FilterRecord(0, True, 0.91),
-        4: FilterRecord(0, True, 0.93),
-        5: FilterRecord(0, True, 0.95),
-    }
-    capped = apply_class_cap(sel, audit, cap=3)
+    # rows 1 and 2 tie at 0.99: the lower row goes first
+    capped = capped_map(range(6), [0] * 6, [0.97, 0.99, 0.99, 0.91, 0.93, 0.95], cap=3)
     assert capped == {0: 0, 1: 0, 2: 0}
     assert list(capped) == sorted(capped)
+    assert capped_map([2, 1, 0], [0, 0, 0], [0.99, 0.99, 0.5], cap=1) == {1: 0}
 
 
 def test_class_cap_is_per_class():
-    sel = {0: 0, 1: 0, 2: 1, 3: 1, 4: 1}
-    audit = {i: FilterRecord(0, True, 0.9 + 0.01 * i) for i in range(5)}
-    capped = apply_class_cap(sel, audit, cap=2)
+    capped = capped_map(range(5), [0, 0, 1, 1, 1], [0.9 + 0.01 * i for i in range(5)], cap=2)
     assert sum(1 for v in capped.values() if v == 0) == 2
     assert sum(1 for v in capped.values() if v == 1) == 2
     assert 2 not in capped  # lowest-confidence class-1 row dropped
 
 
+@hst.composite
+def cap_instances(draw):
+    rows = draw(hst.lists(hst.integers(0, 2**40), unique=True, max_size=40))  # in any order
+    n = len(rows)
+    labels = draw(hst.lists(hst.integers(0, 4), min_size=n, max_size=n))
+    levels = hst.sampled_from([0.25, 0.5, 0.9, 1.0])  # a few values, so many exact ties
+    conf = draw(hst.lists(levels | hst.floats(0.0, 1.0), min_size=n, max_size=n))
+    return rows, labels, conf, draw(hst.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cap_instances())
+def test_class_cap_matches_the_per_class_reference(instance):
+    rows, labels, conf, cap = instance
+    got_rows, got_labels = apply_class_cap(
+        np.array(rows, dtype=np.int64), np.array(labels, dtype=np.int64), np.array(conf), cap
+    )
+    assert (got_rows.tolist(), got_labels.tolist()) == class_cap_bruteforce(rows, labels, conf, cap)
+
+
 def test_harvest_marks_pool(rng):
-    models = make_sharp_models(5, dim=5, classes=3, seed=4)
+    # five copies of one model agree on every row, so rows pass and the cap bites
+    models = [m.copy() for m in make_sharp_models(1, dim=5, classes=3, seed=4) * 5]
     ps = PoolState(Dataset(rng.normal(size=(60, 5))))
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, per_class_cap=4)
     probs = committee_probs(models, ps.pool.features)
-    capped, audit = harvest_pseudo_labels(models, probs, ps, cfg, seed=1)
-    assert len(audit) == 60
-    counts = ps.counts()
-    assert counts["pseudo"] == len(capped)
+    rows, labels, verdicts = harvest_pseudo_labels(models, probs, ps, cfg, seed=1)
+    assert len(verdicts.rows) == 60
+    assert ps.counts()["pseudo"] == rows.size
     _, yp, ip = ps.pseudo_data()
-    assert dict(zip(ip.tolist(), yp.tolist())) == capped
-    for lab in set(capped.values()):
-        assert sum(1 for v in capped.values() if v == lab) <= 4
+    assert np.array_equal(ip, rows) and np.array_equal(yp, labels)
+    assert rows.size and np.bincount(labels).max() <= 4
+    ok = verdicts.accepted
+    assert (rows.tolist(), labels.tolist()) == class_cap_bruteforce(
+        verdicts.rows[ok], verdicts.labels[ok], verdicts.min_confidence[ok], 4
+    )
 
 
 def test_harvest_runs_the_models_only_on_the_perturbed_rows(rng, monkeypatch):
@@ -240,8 +254,8 @@ def test_ssl_train_runs_and_traces(ssl_scenario):
     state, ps, full = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=3, per_class_cap=30)
-    capped, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
-    assert capped, "scenario should produce at least one pseudo row"
+    kept, _, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
+    assert kept.size, "scenario should produce at least one pseudo row"
     st = unsaturated_copy(state)
     before_best = [b.val_accuracy for b in st.best]
     before_cycle = [b.cycle for b in st.best]
@@ -263,8 +277,8 @@ def test_ssl_train_lambda_zero_skips_pseudo_pass(ssl_scenario):
     state, ps, full = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     base = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
-    capped, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, base, seed=5)
-    assert capped
+    kept, _, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, base, seed=5)
+    assert kept.size
     cfg0 = SslConfig(
         augment=tabular_aug(), confidence_threshold=0.5, epochs=2,
         per_class_cap=30, pseudo_loss_weight=0.0,
