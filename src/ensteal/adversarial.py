@@ -22,6 +22,9 @@ from .errors import AttackFailedError, InvalidConfigError, InvalidInputError
 from .numkit import MlpModel
 from .seeding import mask64
 
+# what a transfer rate divides by: the source-fooling rows, or every row
+DENOMINATORS = ("source_fooled", "all")
+
 
 @dataclass(frozen=True)
 class PgdConfig:
@@ -124,7 +127,7 @@ def transfer_from_adversarials(
     rows and is None when that count is zero; denominator="all" divides by
     the full row count instead.
     """
-    if denominator not in ("source_fooled", "all"):
+    if denominator not in DENOMINATORS:
         raise InvalidConfigError(f"unknown denominator {denominator!r}")
     X = np.asarray(X, dtype=np.float64)
     X_adv = np.asarray(X_adv, dtype=np.float64)

@@ -16,7 +16,7 @@ import signal
 import sys
 
 from . import adversarial as adv
-from . import harness, numkit
+from . import config, harness, numkit
 from .datapool import GaussianMixture, TinyDigits, load_dataset, make_synthetic, save_dataset, strip_labels
 from .ensemble import load_ensemble
 from .errors import StageError
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-size", type=float)
     p.add_argument("--no-random-start", action="store_true")
     p.add_argument("--n-eval", type=int, default=200)
-    p.add_argument("--denominator", choices=["source_fooled", "all"], default="source_fooled")
+    p.add_argument("--denominator", choices=adv.DENOMINATORS, default="source_fooled")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write per-sample labels CSV here")
     return parser
@@ -142,7 +142,7 @@ def _cmd_serve_victim(args) -> int:
 
 
 def _cmd_run_attack(args) -> int:
-    cfg, text = harness.load_config(args.config)
+    cfg, text = config.load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
         text = None  # echo the effective config, not the overridden file

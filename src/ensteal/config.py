@@ -1,0 +1,292 @@
+"""The experiment config: one JSON object that describes a whole run.
+
+The config is a tree of frozen section dataclasses: `parse_config` decodes
+JSON into it by walking their fields (JSON types checked, unknown keys
+rejected, each section range-checked as it is built), and `config_to_dict`
+walks it back to the JSON that config_echo.json holds. Parsing builds no
+network client and imports no server code.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import Optional, Union, get_args, get_origin, get_type_hints
+
+from . import adversarial as adv
+from .datapool import (
+    AugmentConfig,
+    GaussianJitter,
+    GaussianMixture,
+    HorizontalFlip,
+    JitterDrop,
+    RandLite,
+    SyntheticSource,
+    TinyDigits,
+    per_cycle_batches,
+)
+from .ensemble import DEFAULT_HIDDEN_PROFILE, EnsembleSpec, default_member_configs
+from .errors import InvalidConfigError
+from .numkit import MlpSpec, SgdConfig
+from .selection import SelectionStrategy
+from .semisup import SslConfig
+from .victim import DEFAULT_VICTIM_HIDDEN, default_victim_sgd
+
+# Each section is a frozen dataclass whose fields are its JSON keys: a field
+# without a default is required, and __post_init__ range-checks the section,
+# mostly by building the runtime objects its values feed, so a bad value is
+# rejected before any stage runs. _decode and _encode walk these classes.
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+
+
+def _typed(value, kind: type, path: str):
+    """value if it has the field's JSON type, else InvalidConfigError naming
+    path. Int fields reject bools and floats; float fields take finite ints
+    (as floats) and floats, not bools, NaN or Infinity (which json.loads
+    reads); bool fields take only true/false."""
+    ok = isinstance(value, bool) == (kind is bool) and isinstance(value, (int, float) if kind is float else kind)
+    # NaN fails every comparison, and int-float comparisons are exact
+    if not ok or kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise InvalidConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+# victim.data names its source class by this tag
+_SOURCES = {"gaussian_mixture": GaussianMixture, "tiny_digits": TinyDigits}
+_SOURCE_TAGS = {cls: tag for tag, cls in _SOURCES.items()}
+_VICTIM_SGD = default_victim_sgd()
+
+
+def _shared(section, runtime: type) -> dict:
+    """The section's values for the fields that a runtime config also has."""
+    names = {f.name for f in fields(runtime)}
+    return {f.name: getattr(section, f.name) for f in fields(section) if f.name in names}
+
+
+@dataclass(frozen=True)
+class VictimSection:
+    data: SyntheticSource
+    train_n: int = 4000
+    test_n: int = 2000
+    hidden_layers: tuple[int, ...] = DEFAULT_VICTIM_HIDDEN
+    activation: str = "relu"
+    base_lr: float = _VICTIM_SGD.base_lr
+    momentum: float = _VICTIM_SGD.momentum
+    lr_decay_factor: float = _VICTIM_SGD.lr_decay_factor
+    lr_decay_every: int = _VICTIM_SGD.lr_decay_every
+    weight_decay: float = _VICTIM_SGD.weight_decay
+    epochs: int = _VICTIM_SGD.epochs
+    batch_size: int = _VICTIM_SGD.batch_size
+    checkpoint: Optional[str] = None
+
+    def __post_init__(self):
+        if self.train_n < 1 or self.test_n < 1:
+            raise InvalidConfigError("train_n and test_n must be positive")
+        self.sgd()
+        self.spec(0)
+
+    def sgd(self) -> SgdConfig:
+        return SgdConfig(**_shared(self, SgdConfig))
+
+    def spec(self, rng_seed: int) -> MlpSpec:
+        return MlpSpec(self.data.input_dim, self.hidden_layers, self.data.num_classes, self.activation, rng_seed)
+
+
+@dataclass(frozen=True)
+class EnsembleSection:
+    hidden_profile: tuple[tuple[int, ...], ...] = DEFAULT_HIDDEN_PROFILE
+    activation: str = "relu"
+    epochs: int = 30
+    batch_size: int = 64
+
+    def __post_init__(self):
+        members = tuple(MlpSpec(1, hidden, 2, self.activation) for hidden in self.hidden_profile)
+        default_member_configs(EnsembleSpec(members), self.epochs, self.batch_size)
+
+
+@dataclass(frozen=True)
+class RemoteSection:
+    """A victim service's address and the client's retry policy. These are
+    the one copy of the endpoint rules: netvictim's client builds a section
+    to check its own arguments."""
+
+    host: str
+    port: int
+    timeout: float = 10.0
+    retries: int = 3
+
+    def __post_init__(self):
+        if not self.timeout > 0:
+            raise InvalidConfigError(f"timeout must be positive, got {self.timeout:g}")
+        if self.retries < 1:
+            raise InvalidConfigError(f"retries must be at least 1, got {self.retries!r}")
+        if not 1 <= self.port <= 65535:  # the OS would wrap 70000 to 4464, another server
+            raise InvalidConfigError(f"port must lie in [1, 65535], got {self.port!r}")
+
+
+@dataclass(frozen=True)
+class AttackSection:
+    pool_n: int
+    budget: int
+    cycles: int
+    strategy: SelectionStrategy
+    validation_fraction: float = 0.1
+    ensemble: EnsembleSection = EnsembleSection()
+    remote: Optional[RemoteSection] = None
+
+    def __post_init__(self):
+        if self.pool_n < 1:
+            raise InvalidConfigError("pool_n must be positive")
+        per_cycle_batches(self.budget, self.cycles, self.validation_fraction)
+        if round(self.validation_fraction * self.budget) < 1:
+            raise InvalidConfigError(f"validation_fraction {self.validation_fraction} gives no validation rows")
+        if self.pool_n < self.budget:
+            raise InvalidConfigError(f"pool_n {self.pool_n} is smaller than the budget {self.budget}")
+
+
+@dataclass(frozen=True)
+class SslSection:
+    confidence_threshold: float = SslConfig.confidence_threshold
+    max_label_changes: int = SslConfig.max_label_changes
+    per_class_cap: int = SslConfig.per_class_cap
+    pseudo_loss_weight: float = SslConfig.pseudo_loss_weight
+    lr: float = SslConfig.lr
+    momentum: float = SslConfig.momentum
+    epochs: int = SslConfig.epochs
+    batch_size: int = SslConfig.batch_size
+    # always null: resolve_augment picks the perturbations from the data layout
+    augment: None = None
+
+    def __post_init__(self):
+        self.build(resolve_augment(None, 0))
+
+    def build(self, augment: AugmentConfig) -> SslConfig:
+        return SslConfig(**{**_shared(self, SslConfig), "augment": augment})
+
+
+@dataclass(frozen=True)
+class AdvSection:
+    epsilon: float
+    steps: int = adv.PgdConfig.steps
+    step_size: Optional[float] = adv.PgdConfig.step_size
+    random_start: bool = adv.PgdConfig.random_start
+    n_eval: int = 200
+    denominator: str = "source_fooled"
+
+    def __post_init__(self):
+        if self.n_eval < 1:
+            raise InvalidConfigError("n_eval must be positive")
+        if self.denominator not in adv.DENOMINATORS:
+            raise InvalidConfigError(f"denominator must be {' or '.join(adv.DENOMINATORS)}")
+        self.pgd(0)
+
+    def pgd(self, seed: int) -> adv.PgdConfig:
+        return adv.PgdConfig(seed=seed, **_shared(self, adv.PgdConfig))
+
+
+@dataclass(frozen=True)
+class OutputSection:
+    scores_csv: bool = False
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    seed: int
+    victim: VictimSection
+    attack: AttackSection
+    ssl: Optional[SslSection] = None
+    adversarial: Optional[AdvSection] = None
+    outputs: OutputSection = OutputSection()
+
+
+def _decode(kind, value, path: str):
+    """The JSON value at path, checked against kind and converted to it:
+    a section dataclass, a tagged data source, Optional[X], tuple[X, ...],
+    None, or a scalar type."""
+    if kind is type(None):
+        if value is not None:
+            raise InvalidConfigError(f"{path} must be null, got {value!r}")
+        return None
+    if kind == SyntheticSource:
+        tag = value.get("source") if isinstance(value, dict) else None
+        if not isinstance(tag, str) or tag not in _SOURCES:
+            raise InvalidConfigError(f"{path}.source must be {' or '.join(_SOURCES)}")
+        return _decode(_SOURCES[tag], {k: v for k, v in value.items() if k != "source"}, path)
+    if get_origin(kind) is Union:  # Optional[X]
+        return None if value is None else _decode(get_args(kind)[0], value, path)
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise InvalidConfigError(f"{path} must be a list, got {value!r}")
+        return tuple(_decode(get_args(kind)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if not is_dataclass(kind):
+        return _typed(value, kind, path)
+    where = path or "config"
+    if not isinstance(value, dict):
+        raise InvalidConfigError(f"{where} must be an object")
+    unknown = sorted(set(value) - {f.name for f in fields(kind)})
+    if unknown:
+        raise InvalidConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    hints = get_type_hints(kind)
+    kwargs = {}
+    for f in fields(kind):
+        key = f"{path}.{f.name}" if path else f.name
+        if f.name in value:
+            kwargs[f.name] = _decode(hints[f.name], value[f.name], key)
+        elif f.default is MISSING:
+            raise InvalidConfigError(f"{key} is required")
+    try:
+        return kind(**kwargs)
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{where}: {exc}") from exc
+
+
+def _encode(value):
+    if is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in fields(value))
+        out = {name: _encode(v) for name, v in items}
+        tag = _SOURCE_TAGS.get(type(value))
+        return out if tag is None else {"source": tag, **out}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def parse_config(obj: dict) -> ExperimentConfig:
+    return _decode(ExperimentConfig, obj, "")
+
+
+def load_config(path) -> tuple[ExperimentConfig, str]:
+    """Parse a config file; also returns the raw text for the echo file."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise InvalidConfigError(f"config is not valid JSON: {exc}") from exc
+    return parse_config(obj), text
+
+
+def config_to_dict(cfg: ExperimentConfig) -> dict:
+    return _encode(cfg)
+
+
+# ── augment resolution ───────────────────────────────────────────────
+
+
+def resolve_augment(layout, seed: int) -> AugmentConfig:
+    """Default weak/strong perturbation pair for the data at hand: light
+    jitter vs jitter-plus-dropout on tabular rows, flips vs structural
+    edits on images."""
+    if layout is None:
+        return AugmentConfig(
+            weak=GaussianJitter(0.05),
+            strong=JitterDrop(sigma=0.2, drop_frac=0.1),
+            rng_seed=seed,
+        )
+    return AugmentConfig(
+        weak=HorizontalFlip(0.5),
+        strong=RandLite(n_ops=2, magnitude=0.3),
+        rng_seed=seed,
+    )

@@ -53,7 +53,7 @@ class ImageLayout:
         return self.height * self.width * self.channels
 
 
-def _as_labels(labels, n: int) -> np.ndarray:
+def as_labels(labels, n: int) -> np.ndarray:
     """labels as int64 if they are n nonnegative integers of an integer
     dtype, else InvalidInputError. No coercion: a float or bool label is a
     caller's bug, not a class."""
@@ -82,7 +82,7 @@ class Dataset:
                 f"matrix has {features.shape[1]}"
             )
         self.features = features
-        self.labels = None if labels is None else _as_labels(labels, features.shape[0])
+        self.labels = None if labels is None else as_labels(labels, features.shape[0])
         self.layout = layout
 
     @property
@@ -131,7 +131,7 @@ class PoolState:
         return idx
 
     def _set(self, idx: np.ndarray, status: int, labels) -> None:
-        labels = _as_labels(labels, idx.size)
+        labels = as_labels(labels, idx.size)
         self.status[idx] = status
         self.labels[idx] = labels
 

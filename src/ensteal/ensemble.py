@@ -273,10 +273,14 @@ def load_ensemble(directory) -> EnsembleState:
     if not lines:
         raise InvalidInputError(f"ensemble index {index_path} is empty")
     header = lines[0].split()
-    try:  # a wrong layout and a non-numeric field get the same error
+    # a wrong layout, a non-numeric field and a value that save_ensemble never
+    # writes (an accuracy outside [0, 1], a negative cycle) get the same error
+    try:
         if len(header) != 4 or header[0] != "members" or header[2] != "cycle":
             raise ValueError
         size, cycle = int(header[1]), int(header[3])
+        if cycle < 0:
+            raise ValueError
     except ValueError:
         raise InvalidInputError(f"malformed ensemble index header: {lines[0]!r}") from None
     if len(lines) != size + 1:
@@ -288,6 +292,8 @@ def load_ensemble(directory) -> EnsembleState:
             if len(fields) != 3 or int(fields[0]) != i:
                 raise ValueError
             val_accuracy, best_cycle = float(fields[1]), int(fields[2])
+            if not 0 <= val_accuracy <= 1 or best_cycle < 0:  # NaN fails too
+                raise ValueError
         except ValueError:
             raise InvalidInputError(f"malformed ensemble index line: {line!r}") from None
         model = numkit.load_model(os.path.join(directory, f"member{i}_best.ckpt"))

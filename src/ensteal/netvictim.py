@@ -41,12 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BudgetExhaustedError,
-    InvalidConfigError,
-    InvalidInputError,
-    RemoteUnavailableError,
-)
+from .config import RemoteSection
+from .errors import BudgetExhaustedError, InvalidInputError, RemoteUnavailableError
 from .seeding import mask64
 from .victim import VictimOracle
 
@@ -233,12 +229,7 @@ class RemoteVictimClient:
         retries: int = 3,
         id_seed: int = 0,
     ):
-        if not timeout > 0:
-            raise InvalidConfigError(f"timeout must be positive, got {timeout!r}")
-        if retries < 1:
-            raise InvalidConfigError(f"retries must be at least 1, got {retries!r}")
-        if not 1 <= port <= 65535:  # the OS would wrap 70000 to 4464, another server
-            raise InvalidConfigError(f"port must lie in [1, 65535], got {port!r}")
+        RemoteSection(host, port, timeout, retries)  # InvalidConfigError for a bad endpoint
         self._addr = (host, port)
         self._timeout = timeout
         self._retries = retries

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datapool import as_labels
 from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from .seeding import mask64
 
@@ -130,7 +131,9 @@ def _layer_views(spec: MlpSpec, flat: np.ndarray) -> list[tuple[np.ndarray, np.n
 # ── validation helpers ───────────────────────────────────────────────
 
 
-def _as_batch(model: MlpModel, X) -> np.ndarray:
+def as_batch(model: MlpModel, X) -> np.ndarray:
+    """X as a float64 (n, input_dim) matrix of finite values with n >= 1,
+    else InvalidInputError."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.spec.input_dim:
         raise InvalidInputError(
@@ -144,13 +147,8 @@ def _as_batch(model: MlpModel, X) -> np.ndarray:
 
 
 def _as_labels(model: MlpModel, y, n: int) -> np.ndarray:
-    y = np.asarray(y)
-    if y.shape != (n,):
-        raise InvalidInputError(f"expected {n} labels, got shape {y.shape}")
-    if not np.issubdtype(y.dtype, np.integer):  # a float or bool label is a caller's bug
-        raise InvalidInputError(f"labels must be integers, got dtype {y.dtype}")
-    y = y.astype(np.int64)
-    if y.min() < 0 or y.max() >= model.spec.num_classes:
+    y = as_labels(y, n)
+    if y.max() >= model.spec.num_classes:
         raise InvalidInputError(
             f"labels must lie in [0, {model.spec.num_classes}), got range "
             f"[{y.min()}, {y.max()}]"
@@ -203,7 +201,7 @@ def probs_batch(model: MlpModel, X) -> np.ndarray:
     """Softmax class probabilities, one distribution per row, computed over
     blocks of exactly BLOCK_ROWS rows (fewer rows as one block), so a row's
     bits are the same in every batch of at least BLOCK_ROWS rows."""
-    X = _as_batch(model, X)
+    X = as_batch(model, X)
     layers, act, n = model.layers(), model.spec.activation, X.shape[0]
     size = min(n, BLOCK_ROWS)
     out = np.empty((n, model.spec.num_classes))
@@ -224,7 +222,7 @@ def predict_batch(model: MlpModel, X) -> np.ndarray:
 def loss_and_grad(model: MlpModel, X, y) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over the batch and its exact analytic
     gradient, flattened in canonical parameter order."""
-    X = _as_batch(model, X)
+    X = as_batch(model, X)
     y = _as_labels(model, y, X.shape[0])
     spec, n = model.spec, X.shape[0]
     grad = np.empty_like(model.params)
@@ -298,7 +296,7 @@ def _loss_grad_into(
 
 def input_grad_batch(model: MlpModel, X, y) -> np.ndarray:
     """Per-row gradient of each sample's own cross-entropy w.r.t. its input."""
-    X = _as_batch(model, X)
+    X = as_batch(model, X)
     y = _as_labels(model, y, X.shape[0])
     act = model.spec.activation
     layers = model.layers()
@@ -379,7 +377,7 @@ def sgd_epoch(
     their first rows. A step runs the same operations in the same order as
     one that allocates its arrays anew, so the bits are the same.
     """
-    X = _as_batch(model, X)
+    X = as_batch(model, X)
     y = _as_labels(model, y, X.shape[0])
     X, y = X[order].astype(np.float32), y[order]
     params = model.params.astype(np.float32)
@@ -423,7 +421,7 @@ def train_supervised(
     """
     X, y = data
     out = model.copy()
-    X = _as_batch(out, X)
+    X = as_batch(out, X)
     y = _as_labels(out, y, X.shape[0])
     rng_seed = mask64(rng_seed)
 
@@ -441,7 +439,7 @@ def train_supervised(
 
 def accuracy(model: MlpModel, X, y) -> float:
     """Fraction of rows whose predicted label matches y."""
-    X = _as_batch(model, X)
+    X = as_batch(model, X)
     y = _as_labels(model, y, X.shape[0])
     return float(np.mean(predict_batch(model, X) == y))
 

@@ -120,10 +120,6 @@ class VictimOracle:
         self._lock = threading.Lock()
         self.query_log: list[tuple[str, int]] = []
 
-    @property
-    def input_dim(self) -> int:
-        return self._model.spec.input_dim
-
     def budget_remaining(self) -> int:
         with self._lock:
             return self._budget.remaining
@@ -131,13 +127,7 @@ class VictimOracle:
     def predict_batch(self, X) -> np.ndarray:
         """Answer a batch of inputs, all or nothing: the batch is charged
         once, and a batch that does not fit the budget changes nothing."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != self.input_dim:
-            raise InvalidInputError(
-                f"expected a nonempty (n, {self.input_dim}) feature batch, got shape {X.shape}"
-            )
-        if not np.all(np.isfinite(X)):
-            raise InvalidInputError("feature batch contains non-finite values")
+        X = numkit.as_batch(self._model, X)  # a bad batch charges nothing
         with self._lock:
             self._budget.charge(X.shape[0])
             labels = numkit.predict_batch(self._model, X)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import committee_probs, make_sharp_models, verdicts_as_oracle_shapes
 from ensteal import adversarial as adv
-from ensteal import harness, numkit
+from ensteal import config, harness, numkit
 from ensteal.cli import main as cli_main
 from ensteal.datapool import (
     Dataset,
@@ -95,7 +95,7 @@ def desk_config(seed, kind, checkpoint=None, ssl=None, adversarial=None):
         raw["ssl"] = ssl
     if adversarial is not None:
         raw["adversarial"] = adversarial
-    return harness.parse_config(raw)
+    return config.parse_config(raw)
 
 
 @pytest.fixture(scope="session")
@@ -361,7 +361,7 @@ def small_run_config(seed=11, checkpoint=None, remote=None):
         raw["victim"]["checkpoint"] = str(checkpoint)
     if remote is not None:
         raw["attack"]["remote"] = remote
-    return harness.parse_config(raw)
+    return config.parse_config(raw)
 
 
 def _tree_bytes(root, skip=frozenset()):

@@ -308,6 +308,13 @@ def test_load_ensemble_missing_dir(tmp_path):
         ("members 1 cycle 1\n0 high 1\n", "0 high 1"),
         ("members 1 cycle 1\nzero 0.5 1\n", "zero 0.5 1"),
         ("members 1 cycle 1\n0 0.5 one\n", "0 0.5 one"),
+        # values save_ensemble never writes: a NaN accuracy used to load and win best_member_index
+        ("members 1 cycle 1\n0 nan 1\n", "0 nan 1"),
+        ("members 1 cycle 1\n0 inf 1\n", "0 inf 1"),
+        ("members 1 cycle 1\n0 -0.1 1\n", "0 -0.1 1"),
+        ("members 1 cycle 1\n0 1.5 1\n", "0 1.5 1"),
+        ("members 1 cycle -1\n0 0.5 1\n", "members 1 cycle -1"),
+        ("members 1 cycle 1\n0 0.5 -3\n", "0 0.5 -3"),
     ],
 )
 def test_load_ensemble_names_a_malformed_index_line(tmp_path, index, bad_line):
@@ -315,3 +322,12 @@ def test_load_ensemble_names_a_malformed_index_line(tmp_path, index, bad_line):
     (tmp_path / "index.txt").write_text(index)
     with pytest.raises(InvalidInputError, match=f"malformed ensemble index .*{bad_line!r}"):
         load_ensemble(tmp_path)
+
+
+def test_load_ensemble_takes_a_member_cycle_past_the_header(trained_state, tmp_path):
+    # ssl_train dates its checkpoints state.cycle + 1 without raising state.cycle
+    save_ensemble(trained_state[0], tmp_path)
+    (tmp_path / "index.txt").write_text("members 3 cycle 2\n0 0.0 0\n1 1.0 3\n2 0.5 2\n")
+    back = load_ensemble(tmp_path)
+    assert back.cycle == 2
+    assert [(b.val_accuracy, b.cycle) for b in back.best] == [(0.0, 0), (1.0, 3), (0.5, 2)]

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 from conftest import committee_probs
 from ensteal import harness, numkit
+from ensteal.config import config_to_dict, load_config, parse_config, resolve_augment
 from ensteal.datapool import GaussianMixture, ImageLayout, make_synthetic, per_cycle_batches, strong_augment
 from ensteal.ensemble import BestCheckpoint, ensemble_predict
 from ensteal.errors import InvalidConfigError, StageError
@@ -17,11 +21,7 @@ from ensteal.harness import (
     POOL_DATA,
     SELECT,
     TEST_DATA,
-    config_to_dict,
     evaluate_models,
-    load_config,
-    parse_config,
-    resolve_augment,
     run_attack,
     stage_seed,
 )
@@ -185,6 +185,20 @@ def test_parse_tiny_digits_and_remote():
     raw["victim"]["data"]["source"] = "cosmic_rays"
     with pytest.raises(InvalidConfigError):
         parse_config(raw)
+
+
+def test_parsing_a_remote_section_leaves_out_the_server_stack():
+    # the section checks its endpoint itself; it used to build a throwaway client
+    raw = base_config()
+    raw["attack"]["remote"] = {"host": "127.0.0.1", "port": 4242}
+    code = (
+        "import json, sys; from ensteal.config import parse_config; "
+        f"parse_config(json.loads({json.dumps(raw)!r})); "
+        "print([m for m in ('ensteal.netvictim', 'socketserver') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def _full_config(path: str, value) -> dict:

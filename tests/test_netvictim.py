@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from ensteal.config import parse_config
 from ensteal.datapool import Dataset, PoolState
 from ensteal.errors import (
     BudgetExhaustedError,
@@ -399,9 +400,19 @@ def test_client_reconnects_after_drop(service):
     ],
 )
 def test_client_rejects_out_of_range_settings(kwargs):
-    with pytest.raises(InvalidConfigError):
-        RemoteVictimClient(**{"host": "127.0.0.1", "port": 1, **kwargs})
+    settings = {"host": "127.0.0.1", "port": 1, **kwargs}
+    with pytest.raises(InvalidConfigError) as client_error:
+        RemoteVictimClient(**settings)
     RemoteVictimClient("127.0.0.1", 65535).close()  # the top port is accepted; it connects at the first query
+    # a config's remote section obeys the same rules, with the same words
+    raw = {
+        "seed": 0,
+        "victim": {"data": {"source": "gaussian_mixture", "classes": 2, "dim": 4, "separation": 3.0}},
+        "attack": {"pool_n": 40, "budget": 20, "cycles": 2, "strategy": {"kind": "random"}, "remote": settings},
+    }
+    with pytest.raises(InvalidConfigError) as parse_error:
+        parse_config(raw)
+    assert str(parse_error.value) == f"attack.remote: {client_error.value}"
 
 
 class LineServer:
