@@ -22,7 +22,7 @@ from .ensemble import load_ensemble
 from .errors import StageError
 from .numkit import MlpSpec
 from .seeding import derive_seed
-from .victim import QueryBudget, VictimOracle, default_victim_sgd, train_victim
+from .victim import DEFAULT_VICTIM_HIDDEN, QueryBudget, VictimOracle, default_victim_sgd, train_victim
 
 
 def _hidden(text: str) -> tuple[int, ...]:
@@ -41,8 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--separation", type=float, default=5.0)
-    p.add_argument("--height", type=int, default=10)
-    p.add_argument("--width", type=int, default=6)
+    p.add_argument("--height", type=int, default=TinyDigits.height)
+    p.add_argument("--width", type=int, default=TinyDigits.width)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--unlabeled", action="store_true", help="strip labels before writing")
@@ -51,10 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-victim", help="fit the target model on a dataset file")
     p.add_argument("--train", required=True)
     p.add_argument("--test")
-    p.add_argument("--hidden", type=_hidden, default=(64, 64), help="comma-separated widths")
+    p.add_argument("--hidden", type=_hidden, default=DEFAULT_VICTIM_HIDDEN, help="comma-separated widths")
     p.add_argument("--activation", choices=["relu", "tanh"], default="relu")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--epochs", type=int, default=default_victim_sgd().epochs)
+    p.add_argument("--batch-size", type=int, default=default_victim_sgd().batch_size)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--victim", required=True)
     p.add_argument("--data", required=True, help="labeled dataset file")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=int, default=adv.PgdConfig.steps)
     p.add_argument("--step-size", type=float)
     p.add_argument("--no-random-start", action="store_true")
     p.add_argument("--n-eval", type=int, default=200)

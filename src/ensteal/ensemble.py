@@ -298,7 +298,11 @@ def load_ensemble(directory) -> EnsembleState:
             raise InvalidInputError(f"malformed ensemble index line: {line!r}") from None
         model = numkit.load_model(os.path.join(directory, f"member{i}_best.ckpt"))
         checkpoints.append(BestCheckpoint(model, val_accuracy, best_cycle))
-    state = EnsembleState(EnsembleSpec(tuple(b.model.spec for b in checkpoints)))
+    try:
+        spec = EnsembleSpec(tuple(b.model.spec for b in checkpoints))
+    except InvalidConfigError as exc:
+        raise InvalidInputError(f"malformed ensemble index {index_path}: {exc} ({lines[0]!r})") from None
+    state = EnsembleState(spec)
     state.best = checkpoints
     state.cycle = cycle
     return state

@@ -1,9 +1,8 @@
 """Serving the oracle over a socket.
 
 Wire protocol: one JSON object per newline-terminated line, both ways.
-Requests carry a caller-chosen integer id, echoed back in the response:
+Requests carry a caller-chosen integer id, echoed back. The two ops:
 
-    {"id": 7, "op": "predict", "x": [0.1, ...]}  ->  {"id": 7, "label": 3}
     {"id": 9, "op": "predict_batch", "x": [[0.1, ...], ...]}
                                                  ->  {"id": 9, "labels": [3, ...]}
     {"id": 8, "op": "budget"}                    ->  {"id": 8, "remaining": 512}
@@ -11,16 +10,17 @@ Requests carry a caller-chosen integer id, echoed back in the response:
 A predict_batch is all or nothing: it is charged once, and a batch larger
 than the remaining budget is refused whole, charging and logging nothing.
 Failures answer {"id": ..., "error": msg, "code": code} with code one of
-BUDGET_EXHAUSTED, BAD_INPUT, or INTERNAL; a line that does not parse gets
-id 0 and BAD_INPUT, and the connection stays open either way.
+BUDGET_EXHAUSTED, BAD_INPUT, or INTERNAL; a line that does not parse or has
+no integer id (a bool is not one) gets id 0 and BAD_INPUT, and the
+connection stays open either way.
 
-The server keeps a most-recently-used cache of the predict answers to the
-last DEDUP_WINDOW ids, keyed by (id, digest of the op and x), so a client
-that lost a response can resend the same request and receive the original
-answer without spending budget again. A reused id with a different payload
-is refused as BAD_INPUT, and budget replies are never cached. Budget
-charging itself lives in the wrapped oracle's single lock, which keeps
-concurrent connections honest.
+The server caches the answers to the last DEDUP_WINDOW ids, most recently
+used kept, keyed by (id, sha256 of the request line as received): a client
+that lost a response resends the byte-identical line and receives the
+original answer without spending budget again. A reused id with any other
+line, an equal payload in other bytes included, is refused as BAD_INPUT,
+and budget replies are never cached. Budget charging itself lives in the
+wrapped oracle's single lock, which keeps concurrent connections honest.
 
 VictimService runs on socketserver: one thread accepts connections and each
 connection is answered on a thread of its own. Once close() begins, a
@@ -49,7 +49,7 @@ from .victim import VictimOracle
 CODE_BUDGET = "BUDGET_EXHAUSTED"
 CODE_BAD_INPUT = "BAD_INPUT"
 CODE_INTERNAL = "INTERNAL"
-DEDUP_WINDOW = 1024  # predict answers the server keeps for resent requests
+DEDUP_WINDOW = 1024  # predict_batch answers the server keeps for resent requests
 
 
 def _encode(obj: dict) -> bytes:
@@ -152,13 +152,12 @@ class VictimService:
                 req = json.loads(line)
             except (ValueError, UnicodeDecodeError):
                 return _encode({"id": 0, "error": "unparseable request line", "code": CODE_BAD_INPUT})
-            if not isinstance(req, dict) or not isinstance(req.get("id"), int):
+            if not isinstance(req, dict) or type(req.get("id")) is not int:
                 return _encode({"id": 0, "error": "missing integer id", "code": CODE_BAD_INPUT})
             rid = req["id"]
             if req.get("op") == "budget":
                 return _encode({"id": rid, "remaining": self._oracle.budget_remaining()})
-            payload = json.dumps([req.get("op"), req.get("x")], separators=(",", ":"))
-            digest = hashlib.sha256(payload.encode()).digest()
+            digest = hashlib.sha256(line).digest()
             cached = self._seen.get(rid)
             if cached is not None:
                 if cached[0] != digest:
@@ -174,24 +173,20 @@ class VictimService:
             return reply
 
     def _dispatch(self, rid: int, req: dict) -> bytes:
-        op = req.get("op")
-        if op not in ("predict", "predict_batch"):
+        op, x = req.get("op"), req.get("x")
+        if op != "predict_batch":
             return _encode({"id": rid, "error": f"unknown op {op!r}", "code": CODE_BAD_INPUT})
-        x = req.get("x")
-        rows = [x] if op == "predict" else x
-        if not _is_batch(rows):
-            shape = "a list of numbers" if op == "predict" else "a nonempty list of equal-length lists of numbers"
-            return _encode({"id": rid, "error": f"x must be {shape}", "code": CODE_BAD_INPUT})
+        if not _is_batch(x):
+            error = "x must be a nonempty list of equal-length lists of numbers"
+            return _encode({"id": rid, "error": error, "code": CODE_BAD_INPUT})
         try:
-            labels = self._oracle.predict_batch(np.asarray(rows, dtype=np.float64))
+            labels = self._oracle.predict_batch(np.asarray(x, dtype=np.float64))
         except BudgetExhaustedError as exc:
             return _encode({"id": rid, "error": str(exc), "code": CODE_BUDGET})
         except InvalidInputError as exc:
             return _encode({"id": rid, "error": str(exc), "code": CODE_BAD_INPUT})
         except Exception as exc:  # noqa: BLE001 - the wire must answer something
             return _encode({"id": rid, "error": f"{type(exc).__name__}: {exc}", "code": CODE_INTERNAL})
-        if op == "predict":
-            return _encode({"id": rid, "label": int(labels[0])})
         return _encode({"id": rid, "labels": labels.tolist()})
 
 
@@ -307,7 +302,7 @@ class RemoteVictimClient:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1:
             raise InvalidInputError(f"expected a flat feature row, got shape {x.shape}")
-        return self._request({"op": "predict", "x": x.tolist()}, "label", _is_count)
+        return int(self.predict_batch(x[None])[0])
 
     def predict_batch(self, X) -> np.ndarray:
         """Labels for every row of X from one atomic request."""

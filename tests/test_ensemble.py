@@ -315,11 +315,17 @@ def test_load_ensemble_missing_dir(tmp_path):
         ("members 1 cycle 1\n0 1.5 1\n", "0 1.5 1"),
         ("members 1 cycle -1\n0 0.5 1\n", "members 1 cycle -1"),
         ("members 1 cycle 1\n0 0.5 -3\n", "0 0.5 -3"),
+        # lines that parse but name no valid committee: one member, one architecture twice
+        ("members 1 cycle 1\n0 0.5 1\n", "members 1 cycle 1"),
+        ("members 2 cycle 1\n0 0.5 1\n1 0.5 1\n", "members 2 cycle 1"),
     ],
 )
 def test_load_ensemble_names_a_malformed_index_line(tmp_path, index, bad_line):
     # a non-numeric field used to leak a bare ValueError from int() or float()
     (tmp_path / "index.txt").write_text(index)
+    model = MlpModel.initialize(MlpSpec(3, (4,), 2, "relu", rng_seed=0))
+    for i in range(2):
+        numkit.save_model(model, tmp_path / f"member{i}_best.ckpt")
     with pytest.raises(InvalidInputError, match=f"malformed ensemble index .*{bad_line!r}"):
         load_ensemble(tmp_path)
 

@@ -57,10 +57,10 @@ def test_predict_over_wire_matches_local(service):
     X = np.random.default_rng(5).normal(size=(12, 4)) * 3
     single, batch = raw_exchange(
         svc,
-        json.dumps({"id": 7, "op": "predict", "x": x}).encode() + b"\n",
+        json.dumps({"id": 7, "op": "predict_batch", "x": [x]}).encode() + b"\n",
         json.dumps({"id": 8, "op": "predict_batch", "x": X.tolist()}).encode() + b"\n",
     )
-    assert single == {"id": 7, "label": predict_batch(model, np.array([x]))[0]}
+    assert single == {"id": 7, "labels": predict_batch(model, np.array([x])).tolist()}
     assert batch == {"id": 8, "labels": predict_batch(model, X).tolist()}
     assert oracle.budget_remaining() == 100 - 1 - 12
 
@@ -70,7 +70,7 @@ def test_budget_op_and_charging(service):
     replies = raw_exchange(
         svc,
         b'{"id": 1, "op": "budget"}\n',
-        b'{"id": 2, "op": "predict", "x": [0, 0, 0, 0]}\n',
+        b'{"id": 2, "op": "predict_batch", "x": [[0, 0, 0, 0]]}\n',
         b'{"id": 3, "op": "budget"}\n',
         b'{"id": 1, "op": "budget"}\n',  # budget replies are never cached
     )
@@ -81,7 +81,7 @@ def test_budget_op_and_charging(service):
 
 def test_duplicate_id_answered_from_cache(service):
     svc, model, oracle = service
-    line = b'{"id": 42, "op": "predict", "x": [1, 1, 1, 1]}\n'
+    line = b'{"id": 42, "op": "predict_batch", "x": [[1, 1, 1, 1]]}\n'
     a, b = raw_exchange(svc, line, line)
     assert a == b
     assert oracle.budget_remaining() == 99  # charged once, not twice
@@ -93,15 +93,50 @@ def test_duplicate_id_answered_from_cache(service):
     x = np.array([-3.0, 0.0, 3.0, 0.0])
     assert predict_batch(model, x[None])[0] != a["labels"][0]
     (c,) = raw_exchange(svc, b'{"id": 43, "op": "predict_batch", "x": [[-3, 0, 3, 0]]}\n')
-    (d,) = raw_exchange(svc, b'{"id": 42, "op": "predict", "x": [-3, 0, 3, 0]}\n')
+    (d,) = raw_exchange(svc, b'{"id": 42, "op": "predict_batch", "x": [[-3, 0, 3, 0]]}\n')
     assert c["code"] == d["code"] == "BAD_INPUT"
     assert oracle.budget_remaining() == 96
     assert len(oracle.query_log) == 4
 
 
+def test_resend_in_other_bytes_is_refused(service):
+    # a replay is the byte-identical line: an equal payload encoded in other
+    # bytes under a used id is refused, and charges nothing
+    svc, _, oracle = service
+    (first,) = raw_exchange(svc, b'{"id": 4, "op": "predict_batch", "x": [[1, 0, 0, 0]]}\n')
+    assert "labels" in first
+    resends = raw_exchange(
+        svc,
+        b'{"id":4,"op":"predict_batch","x":[[1,0,0,0]]}\n',
+        b'{"x": [[1, 0, 0, 0]], "op": "predict_batch", "id": 4}\n',
+        b'{"id": 4, "op": "predict_batch", "x": [[1.0, 0.0, 0.0, 0.0]]}\n',
+    )
+    assert resends == [{"id": 4, "error": "id reused with a different payload", "code": "BAD_INPUT"}] * 3
+    assert oracle.budget_remaining() == 99 and len(oracle.query_log) == 1
+
+
+def test_predict_is_an_unknown_op(service):
+    svc, _, oracle = service
+    (reply,) = raw_exchange(svc, b'{"id": 7, "op": "predict", "x": [0, 0, 0, 0]}\n')
+    assert reply == {"id": 7, "error": "unknown op 'predict'", "code": "BAD_INPUT"}
+    assert oracle.budget_remaining() == 100 and oracle.query_log == []
+
+
+def test_bool_id_is_not_an_integer_id(service):
+    svc, _, oracle = service
+    replies = raw_exchange(
+        svc,
+        b'{"id": 1, "op": "predict_batch", "x": [[1, 0, 0, 0]]}\n',
+        b'{"id": true, "op": "predict_batch", "x": [[1, 0, 0, 0]]}\n',  # not id 1's cached reply
+        b'{"id": false, "op": "predict_batch", "x": [[0, 1, 0, 0]]}\n',
+        b'{"id": true, "op": "budget"}\n',
+    )
+    assert replies[1:] == [{"id": 0, "error": "missing integer id", "code": "BAD_INPUT"}] * 3
+    assert oracle.budget_remaining() == 99 and len(oracle.query_log) == 1
+
 def test_duplicate_id_across_connections(service):
     svc, _, oracle = service
-    line = b'{"id": 9, "op": "predict", "x": [2, 0, 1, 0]}\n'
+    line = b'{"id": 9, "op": "predict_batch", "x": [[2, 0, 1, 0]]}\n'
     (a,) = raw_exchange(svc, line)
     (b,) = raw_exchange(svc, line)  # new TCP connection, same id
     assert a == b
@@ -144,11 +179,11 @@ def test_bad_input_codes_keep_connection_open(service):
     replies = raw_exchange(
         svc,
         b"this is not json\n",
-        b'{"id": "nope", "op": "predict"}\n',
+        b'{"id": "nope", "op": "predict_batch"}\n',
         b'{"id": 5, "op": "dance"}\n',
-        b'{"id": 6, "op": "predict", "x": "wat"}\n',
-        b'{"id": 8, "op": "predict", "x": [1, 2]}\n',
-        b'{"id": 12, "op": "predict", "x": [1, NaN, 0, 0]}\n',
+        b'{"id": 6, "op": "predict_batch", "x": "wat"}\n',
+        b'{"id": 8, "op": "predict_batch", "x": [[1, 2]]}\n',
+        b'{"id": 12, "op": "predict_batch", "x": [[1, NaN, 0, 0]]}\n',
         b'{"id": 13, "op": "predict_batch", "x": [[0, 0, 0, 0], [1, NaN, 0, 0]]}\n',
         b'{"id": 14, "op": "predict_batch", "x": [[0, 0, 0, 0], [1, 2, 3]]}\n',
         b'{"id": 15, "op": "predict_batch", "x": []}\n',
@@ -176,21 +211,21 @@ def test_bad_input_codes_keep_connection_open(service):
 def test_lines_split_across_reads(service):
     svc, model, _ = service
     x = [0.5, -1.0, 2.0, 0.25]
-    line = json.dumps({"id": 3, "op": "predict", "x": x}).encode() + b"\n"
+    line = json.dumps({"id": 3, "op": "predict_batch", "x": [x]}).encode() + b"\n"
     with socket.create_connection((svc.host, svc.port), timeout=5) as s:
         f = s.makefile("rb")
         # a partial line, then its last byte with a second, shorter line
         s.sendall(line[:-1])
         time.sleep(0.05)
         s.sendall(line[-1:] + b'{"id":4,"op":"budget"}\n')
-        assert json.loads(f.readline()) == {"id": 3, "label": predict_batch(model, np.array([x]))[0]}
+        assert json.loads(f.readline()) == {"id": 3, "labels": predict_batch(model, np.array([x])).tolist()}
         assert json.loads(f.readline()) == {"id": 4, "remaining": 99}
 
 
 def test_unterminated_last_line_is_not_answered(service):
     svc, _, oracle = service
     with socket.create_connection((svc.host, svc.port), timeout=5) as s:
-        s.sendall(b'{"id": 3, "op": "predict", "x": [1, 0, 0, 0]}')  # no newline
+        s.sendall(b'{"id": 3, "op": "predict_batch", "x": [[1, 0, 0, 0]]}')  # no newline
         s.shutdown(socket.SHUT_WR)
         assert s.recv(100) == b""  # the server ends the connection without a reply
     assert oracle.budget_remaining() == 100 and oracle.query_log == []
@@ -223,16 +258,16 @@ def test_close_with_idle_client(tmp_path):
     log = tmp_path / "log.csv"
     svc = VictimService(oracle, log_path=log)
     with socket.create_connection((svc.host, svc.port), timeout=5) as s, s.makefile("rwb") as f:
-        f.write(b'{"id": 1, "op": "predict", "x": [1, 2, 3]}\n')
+        f.write(b'{"id": 1, "op": "predict_batch", "x": [[1, 2, 3]]}\n')
         f.flush()
-        assert "label" in json.loads(f.readline())
+        assert "labels" in json.loads(f.readline())
         t0 = time.monotonic()
         svc.close()  # the connection above is still open and idle
         assert time.monotonic() - t0 < 2.0
         # a request sent after close() is neither answered nor charged, and
         # its connection ends
         try:
-            f.write(b'{"id": 2, "op": "predict", "x": [3, 2, 1]}\n')
+            f.write(b'{"id": 2, "op": "predict_batch", "x": [[3, 2, 1]]}\n')
             f.flush()
             reply = f.readline()
         except ConnectionResetError:
@@ -249,7 +284,7 @@ def test_dedup_cache_keeps_the_most_recently_used_ids():
     oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(2000))
 
     def line(rid):
-        return json.dumps({"id": rid, "op": "predict", "x": [rid % 7, 1]}).encode() + b"\n"
+        return json.dumps({"id": rid, "op": "predict_batch", "x": [[rid % 7, 1]]}).encode() + b"\n"
 
     with VictimService(oracle) as svc:
         raw_exchange(svc, *map(line, range(1, 1025)))  # fills the window; id 1 is least recent
@@ -267,10 +302,10 @@ def test_budget_exhausted_code(tmp_path):
     with VictimService(oracle) as svc:
         replies = raw_exchange(
             svc,
-            b'{"id": 1, "op": "predict", "x": [0, 0, 0]}\n',
-            b'{"id": 2, "op": "predict", "x": [0, 0, 0]}\n',
+            b'{"id": 1, "op": "predict_batch", "x": [[0, 0, 0]]}\n',
+            b'{"id": 2, "op": "predict_batch", "x": [[0, 0, 0]]}\n',
         )
-        assert "label" in replies[0]
+        assert "labels" in replies[0]
         assert replies[1]["code"] == "BUDGET_EXHAUSTED"
     oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(2))
     with VictimService(oracle) as svc:
@@ -285,7 +320,7 @@ def test_query_log_written_on_close(tmp_path):
     oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(5))
     log = tmp_path / "log.csv"
     svc = VictimService(oracle, log_path=log)
-    raw_exchange(svc, b'{"id": 1, "op": "predict", "x": [1, 2, 3]}\n')
+    raw_exchange(svc, b'{"id": 1, "op": "predict_batch", "x": [[1, 2, 3]]}\n')
     svc.close()
     lines = log.read_text().strip().split("\n")
     assert lines[0] == "sample_hash,label"
@@ -483,7 +518,7 @@ def test_client_rejects_malformed_remaining(reply):
             RemoteVictimOracle(cl).budget_remaining()
 
 
-@pytest.mark.parametrize("reply", [b'{"id": 1, "label": 1.5}', b'{"id": 1, "label": true}', b'{"id": 1, "labels": [1]}'])
+@pytest.mark.parametrize("reply", [b'{"id": 1, "label": 1.5}', b'{"id": 1, "label": true}', b'{"id": 1, "labels": [1, 2]}'])
 def test_client_rejects_malformed_label(reply):
     with LineServer(reply) as srv, RemoteVictimClient(srv.host, srv.port, timeout=5.0, retries=1) as cl:
         with pytest.raises(RemoteUnavailableError, match="malformed"):
