@@ -6,8 +6,9 @@ entropy, committee disagreement, diversity baselines), optionally grows the
 training set with filtered pseudo-labels plus consistency training, and
 measures how well adversarial examples crafted on the substitutes carry
 over to the target. Everything runs on seeded numpy and reproduces bit for
-bit: training arithmetic is float32 inside `numkit.sgd_epoch`, everything
-else, checkpoints included, is float64.
+bit: training arithmetic inside `numkit.sgd_epoch` and the committee's
+inference are float32; everything else, the target model's inference and
+checkpoints included, is float64.
 """
 
 from .datapool import Dataset, ImageLayout, PoolState

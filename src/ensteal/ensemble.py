@@ -8,9 +8,12 @@ semi-supervised fine-tuning share: a trained model replaces a checkpoint
 only if it scores strictly better on the held-out validation rows, so a
 member already at 1.0 is not trained at all, since no output could see it.
 Committee outputs (mean probabilities, label frequency vectors, majority
-vote) always come from those best checkpoints. A checkpoint's softmax over a
-fixed matrix (the attack pool, the test set) is computed once and kept on the
-checkpoint; replacing a checkpoint starts it with no stored outputs.
+vote) always come from those best checkpoints. Members infer in float32
+(MEMBER_DTYPE), the precision they train in, for their stored outputs and
+their validation score alike. A checkpoint's float32 softmax over a fixed
+matrix (the attack pool, the validation and test rows) is computed once and
+kept on the checkpoint; replacing a checkpoint starts it with no stored
+outputs.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ DEFAULT_HIDDEN_PROFILE: tuple[tuple[int, ...], ...] = (
     (128, 64),
     (256, 128, 64),
 )
+
+# Members train in float32 (numkit.sgd_epoch), so they infer in float32 too.
+MEMBER_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,7 @@ class BestCheckpoint:
     model: MlpModel
     val_accuracy: float
     cycle: int
-    # read-only (rows, classes) softmax per Dataset, keyed by identity
+    # read-only (rows, classes) float32 softmax per Dataset, keyed by identity
     outputs: dict = field(default_factory=dict)
 
     @property
@@ -136,7 +142,7 @@ class EnsembleState:
     def offer(self, i: int, model: MlpModel, Xv, yv, cycle: int) -> float:
         """Score model on (Xv, yv) and keep a copy as member i's checkpoint,
         dated cycle, if it beats the current one. Returns the score."""
-        acc = numkit.accuracy(model, Xv, yv)
+        acc = numkit.accuracy(model, Xv, yv, MEMBER_DTYPE)
         prev = self.best[i]
         if prev is None or acc > prev.val_accuracy:
             self.best[i] = BestCheckpoint(model.copy(), acc, cycle)
@@ -153,7 +159,7 @@ class EnsembleState:
         self.best_models()  # raises until every member has a checkpoint
         for b in self.best:
             if data not in b.outputs:
-                probs = numkit.probs_batch(b.model, data.features)
+                probs = numkit.probs_batch(b.model, data.features, MEMBER_DTYPE)
                 probs.flags.writeable = False
                 b.outputs[data] = probs
         return np.stack([b.outputs[data] for b in self.best])
@@ -243,7 +249,7 @@ def committee_vote(probs: np.ndarray) -> np.ndarray:
 
 def ensemble_predict(models: list[MlpModel], X) -> np.ndarray:
     """Majority-vote labels with consensus fallback."""
-    return committee_vote(np.stack([numkit.probs_batch(m, X) for m in models]))
+    return committee_vote(np.stack([numkit.probs_batch(m, X, MEMBER_DTYPE) for m in models]))
 
 
 # ── persistence ──────────────────────────────────────────────────────

@@ -62,12 +62,13 @@ def _is_count(v) -> bool:
 
 
 def _is_batch(x) -> bool:
-    """A nonempty list of equal-length lists of numbers."""
+    """A nonempty list of equal-length lists of numbers; JSON true and false
+    are not numbers, although Python's bool is an int."""
     return (
         isinstance(x, list)
         and len(x) > 0
         and all(isinstance(row, list) and len(row) == len(x[0]) for row in x)
-        and all(isinstance(v, (int, float)) for row in x for v in row)
+        and all(type(v) in (int, float) for row in x for v in row)
     )
 
 

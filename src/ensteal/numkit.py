@@ -3,18 +3,20 @@
 Small MLP classifiers over float64 numpy arrays: seeded initialization,
 overflow-safe softmax inference, analytic backpropagation for mean
 cross-entropy, and mini-batch SGD with momentum under a step learning-rate
-schedule. Training arithmetic runs in float32 inside `sgd_epoch`; parameters,
-inference, `loss_and_grad`, input gradients and checkpoints stay float64.
+schedule. Training arithmetic runs in float32 inside `sgd_epoch`, and so does
+inference when asked (`probs_batch(model, X, np.float32)`, which the
+committee uses); parameters, default inference (the victim's),
+`loss_and_grad`, input gradients and checkpoints stay float64.
 One forward pass serves all of them: bias, activation and softmax are
 applied in each matmul's own output, and derivatives use activation outputs.
 A training pass runs its steps in buffers allocated once for the pass (one
 backprop kernel serves `loss_and_grad` too); the steps make the operations
 of steps that allocate anew, in the same order, so the bits are the same.
-Inference runs over fixed blocks of BLOCK_ROWS rows, so a row's softmax has
-the same bits in every batch of at least that many. Models are plain values
-(flat parameter vector + immutable spec): cheap to copy, safe to train in
-parallel (buffers live per call, never in module state), bitwise
-reproducible from a seed.
+Inference in either dtype runs over fixed blocks of BLOCK_ROWS rows, so a
+row's softmax has the same bits in every batch of at least that many.
+Models are plain values (flat parameter vector + immutable spec): cheap to
+copy, safe to train in parallel (buffers live per call, never in module
+state), bitwise reproducible from a seed.
 
 Parameter layout is canonical: layer by layer, weights then biases, with the
 weight matrix of layer l stored row-major as (fan_in, fan_out).
@@ -197,23 +199,29 @@ def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def probs_batch(model: MlpModel, X) -> np.ndarray:
+def probs_batch(model: MlpModel, X, dtype=np.float64) -> np.ndarray:
     """Softmax class probabilities, one distribution per row, computed over
     blocks of exactly BLOCK_ROWS rows (fewer rows as one block), so a row's
-    bits are the same in every batch of at least BLOCK_ROWS rows."""
+    bits are the same in every batch of at least BLOCK_ROWS rows.
+
+    dtype is float64 or float32: the pass runs on the parameters cast to it
+    (no copy for float64) and on each block of X cast to it (likewise), and
+    the softmax comes back in it."""
     X = as_batch(model, X)
-    layers, act, n = model.layers(), model.spec.activation, X.shape[0]
+    layers = _layer_views(model.spec, model.params.astype(dtype, copy=False))
+    act, n = model.spec.activation, X.shape[0]
     size = min(n, BLOCK_ROWS)
-    out = np.empty((n, model.spec.num_classes))
+    out = np.empty((n, model.spec.num_classes), dtype)
     for start in range(0, n, size):
         start = min(start, n - size)  # the last block overlaps the one before
-        out[start : start + size] = _softmax_inplace(_forward(layers, act, X[start : start + size])[0])
+        block = X[start : start + size].astype(dtype, copy=False)
+        out[start : start + size] = _softmax_inplace(_forward(layers, act, block)[0])
     return out
 
 
-def predict_batch(model: MlpModel, X) -> np.ndarray:
+def predict_batch(model: MlpModel, X, dtype=np.float64) -> np.ndarray:
     # argmax returns the first (lowest-index) maximum, which is the tie rule.
-    return np.argmax(probs_batch(model, X), axis=1).astype(np.int64)
+    return np.argmax(probs_batch(model, X, dtype), axis=1).astype(np.int64)
 
 
 # ── loss and gradients ───────────────────────────────────────────────
@@ -437,11 +445,11 @@ def train_supervised(
     return out, losses
 
 
-def accuracy(model: MlpModel, X, y) -> float:
-    """Fraction of rows whose predicted label matches y."""
+def accuracy(model: MlpModel, X, y, dtype=np.float64) -> float:
+    """Fraction of rows whose predicted label, inferred in dtype, matches y."""
     X = as_batch(model, X)
     y = _as_labels(model, y, X.shape[0])
-    return float(np.mean(predict_batch(model, X) == y))
+    return float(np.mean(predict_batch(model, X, dtype) == y))
 
 
 # ── checkpoint files ─────────────────────────────────────────────────

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numkit
 from .datapool import AugmentConfig, PoolState, strong_augment, weak_augment
-from .ensemble import EnsembleState
+from .ensemble import MEMBER_DTYPE, EnsembleState
 from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from .numkit import MlpModel
 from .seeding import derive_seed, mask64
@@ -75,7 +75,7 @@ class FilterVerdicts(NamedTuple):
     labels: np.ndarray  # member 0's label on the clean row
     changes: np.ndarray  # members whose label flips under the weak perturbation
     unanimous: np.ndarray  # every member agrees on the clean row
-    min_confidence: np.ndarray  # the least own-label probability on the clean row
+    min_confidence: np.ndarray  # the least own-label probability on the clean row, float64
     accepted: np.ndarray  # passes all three guards
 
 
@@ -118,13 +118,15 @@ def ssl_filter(
                 for x, words in zip(pool_state.pool.features[idx], entropy)
             ]
         )
-        aug_labels = np.stack([numkit.predict_batch(m, Xw) for m in models])
+        aug_labels = np.stack([numkit.predict_batch(m, Xw, MEMBER_DTYPE) for m in models])
     # sliced only now, so the clean softmax does not add to the peak of building Xw
     clean = probs[:, idx]
     clean_labels = np.argmax(clean, axis=2)  # (members, rows)
     changes = (clean_labels != aug_labels).sum(axis=0)
     unanimous = np.all(clean_labels == clean_labels[0], axis=0)
-    min_conf = clean.max(axis=2).min(axis=0)
+    # widened, so the threshold is compared as it is given: in float32 a 0.9
+    # threshold would round to 0.89999998 and pass a confidence of that value
+    min_conf = clean.max(axis=2).min(axis=0).astype(np.float64)
     accepted = (changes <= cfg.max_label_changes) & unanimous & (min_conf >= cfg.confidence_threshold)
     return FilterVerdicts(idx, clean_labels[0], changes, unanimous, min_conf, accepted)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ensteal.datapool import Dataset, GaussianMixture, make_synthetic, strip_labels
+from ensteal.ensemble import MEMBER_DTYPE
 from ensteal.numkit import MlpModel, MlpSpec, SgdConfig, probs_batch, train_supervised
 
 
@@ -19,8 +20,9 @@ def make_sharp_models(k: int, dim: int, classes: int, seed: int, hidden=(5,)) ->
 
 
 def committee_probs(models: list[MlpModel], X) -> np.ndarray:
-    """(members, rows, classes) stack of each model's softmax over X."""
-    return np.stack([probs_batch(m, X) for m in models])
+    """(members, rows, classes) stack of each model's softmax over X, in the
+    committee's float32: what EnsembleState.best_probs returns for them."""
+    return np.stack([probs_batch(m, X, MEMBER_DTYPE) for m in models])
 
 
 def verdicts_as_oracle_shapes(verdicts):

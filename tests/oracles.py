@@ -76,6 +76,31 @@ def forward_probs(model, X) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def forward_probs_float32(model, X) -> np.ndarray:
+    """Softmax outputs computed entirely in float32: the flat parameters and
+    X cast to float32, then every layer recomputed as in forward_probs."""
+    params = np.asarray(model.params, dtype=np.float32)
+    a = np.asarray(X, dtype=np.float32)
+    dims = [model.spec.input_dim, *model.spec.hidden_layers, model.spec.num_classes]
+    offset = 0
+    for li in range(len(dims) - 1):
+        fi, fo = dims[li], dims[li + 1]
+        W = params[offset : offset + fi * fo].reshape(fi, fo)
+        offset += fi * fo
+        b = params[offset : offset + fo]
+        offset += fo
+        z = a @ W + b
+        if li < len(dims) - 2:
+            a = np.maximum(z, 0.0) if model.spec.activation == "relu" else np.tanh(z)
+        else:
+            a = z
+    shifted = a - a.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=1, keepdims=True)
+    assert out.dtype == np.float32
+    return out
+
+
 def loss_grad_float32(spec, params, X, y):
     """Mean cross-entropy and its gradient computed entirely in float32 from a
     flat float32 parameter vector, with the loss in log-softmax form.
@@ -154,9 +179,10 @@ def _replay_weak_transform(x, op, layout, rng) -> np.ndarray:
 def ssl_filter_bruteforce(models, pool_state, cfg, seed: int):
     """Row-by-row re-derivation of the pseudo-label filter.
 
-    For each unlabeled row: run every member on the row and its weakly
-    perturbed copy, count label flips, check unanimity on the clean row,
-    and check every member's own-label probability against the threshold.
+    For each unlabeled row: run every member in float32, as the committee
+    infers, on the row and its weakly perturbed copy, count label flips,
+    check unanimity on the clean row, and check every member's own-label
+    probability against the threshold.
     Returns (selected, audit_tuples) where audit maps row -> (changes,
     unanimous, min_confidence).
     """
@@ -179,8 +205,8 @@ def ssl_filter_bruteforce(models, pool_state, cfg, seed: int):
             for j, i in enumerate(idx)
         ]
     )
-    probs = [forward_probs(m, X) for m in models]
-    probs_w = [forward_probs(m, Xw) for m in models]
+    probs = [forward_probs_float32(m, X) for m in models]
+    probs_w = [forward_probs_float32(m, Xw) for m in models]
     for j, i in enumerate(idx):
         labels = [int(np.argmax(p[j])) for p in probs]
         labels_w = [int(np.argmax(p[j])) for p in probs_w]

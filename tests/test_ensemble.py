@@ -6,6 +6,8 @@ from ensteal import numkit
 from ensteal.datapool import Dataset, GaussianMixture, PoolState, make_synthetic, strip_labels
 from ensteal.ensemble import (
     DEFAULT_HIDDEN_PROFILE,
+    MEMBER_DTYPE,
+    BestCheckpoint,
     EnsembleSpec,
     EnsembleState,
     committee_vote,
@@ -104,7 +106,7 @@ def test_vote_matrices_shapes(small_pool):
     assert np.allclose(probs.sum(axis=2), 1.0)
     labels = np.argmax(probs, axis=2)
     assert labels.shape == (3, 7)
-    assert np.array_equal(labels, np.stack([predict_batch(m, X) for m in models]))
+    assert np.array_equal(labels, np.stack([predict_batch(m, X, MEMBER_DTYPE) for m in models]))
     pred = ensemble_predict(models, X)
     assert pred.shape == (7,)
     assert np.array_equal(pred, committee_vote(probs))
@@ -197,6 +199,38 @@ def test_best_member_index(trained_state):
     assert state.best_member_index() == int(np.argmax(accs))
 
 
+def _bias_only_committee(biases, rows: int):
+    """A committee whose members output softmax(bias) on every row (zero
+    weights, one architecture each), with its best_probs over random rows."""
+    members = []
+    for i, bias in enumerate(biases):
+        spec = MlpSpec(4, (2,) * i, len(bias))
+        params = np.zeros(spec.param_count())
+        params[-len(bias) :] = bias
+        members.append(MlpModel(spec, params))
+    state = EnsembleState(EnsembleSpec(tuple(m.spec for m in members)))
+    state.best = [BestCheckpoint(m, 0.5, 1) for m in members]
+    data = Dataset(np.random.default_rng(0).normal(size=(rows, 4)))
+    return members, data, state.best_probs(data)
+
+
+def test_float32_ties_go_to_the_lowest_class():
+    # a member's exact tie: the uniform member votes 0, the (a, b, b) one 1
+    members, data, probs = _bias_only_committee([(0.0, 0.0, 0.0), (0.0, 1.0, 1.0)], rows=5)
+    assert probs.dtype == np.float32
+    assert np.all(probs[0] == probs[0, :, :1]) and np.all(probs[1, :, 1] == probs[1, :, 2])
+    assert np.argmax(probs, axis=2).tolist() == [[0] * 5, [1] * 5]
+    assert [predict_batch(m, data.features, MEMBER_DTYPE).tolist() for m in members] == [[0] * 5, [1] * 5]
+
+    # the fallback's exact tie: votes 1 and 2 are no majority of two, and the
+    # mean softmax (x, (x+y)/2, (y+x)/2) ties classes 1 and 2
+    members, data, probs = _bias_only_committee([(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)], rows=5)
+    mean = probs.mean(axis=0)
+    assert np.all(mean[:, 1] == mean[:, 2]) and np.all(mean[:, 0] < mean[:, 1])
+    assert committee_vote(probs).tolist() == [1] * 5
+    assert ensemble_predict(members, data.features).tolist() == [1] * 5
+
+
 def test_best_models_requires_training():
     spec = make_default_ensemble(4, 3, hidden_profile=((4,), (6,)))
     state = EnsembleState(spec)
@@ -214,14 +248,14 @@ def test_best_probs_reused_until_checkpoint_replaced(trained_state, monkeypatch)
     first = state.best_probs(data)
     assert first.shape == (3, data.n, 3)
     for b in state.best:
-        assert np.array_equal(b.outputs[data], numkit.probs_batch(b.model, data.features))
+        assert np.array_equal(b.outputs[data], committee_probs([b.model], data.features)[0])
         assert not b.outputs[data].flags.writeable
     with pytest.raises(ValueError):
         state.best[0].outputs[data][0, 0] = 0.5
 
     calls = []
     real = numkit.probs_batch
-    monkeypatch.setattr(numkit, "probs_batch", lambda m, X: calls.append(len(X)) or real(m, X))
+    monkeypatch.setattr(numkit, "probs_batch", lambda m, X, *rest: calls.append(len(X)) or real(m, X, *rest))
     # the same seed retrains every member to the same accuracy: none improves
     train_cycle(state, pool, cfgs, seed=31)
     assert [b.cycle for b in state.best] == [1, 1, 1]
@@ -235,11 +269,11 @@ def test_best_probs_reused_until_checkpoint_replaced(trained_state, monkeypatch)
     train_cycle(state, pool, cfgs, seed=32)
     assert state.best[0].cycle == 3
     again = state.best_probs(data)
-    assert np.array_equal(again[0], real(state.best[0].model, data.features))
+    assert np.array_equal(again[0], committee_probs([state.best[0].model], data.features)[0])
     assert not np.array_equal(again[0], first[0])
     for b, old in zip(state.best[1:], kept[1:]):
         assert (b.outputs[data] is old) == (b.cycle == 1)
-        assert np.array_equal(b.outputs[data], real(b.model, data.features))
+        assert np.array_equal(b.outputs[data], committee_probs([b.model], data.features)[0])
 
 
 def test_train_cycle_skips_saturated_members(trained_state, monkeypatch):

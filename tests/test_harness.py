@@ -13,7 +13,7 @@ from conftest import committee_probs
 from ensteal import harness, numkit
 from ensteal.config import config_to_dict, load_config, parse_config, resolve_augment
 from ensteal.datapool import GaussianMixture, ImageLayout, make_synthetic, per_cycle_batches, strong_augment
-from ensteal.ensemble import BestCheckpoint, ensemble_predict
+from ensteal.ensemble import MEMBER_DTYPE, BestCheckpoint, ensemble_predict
 from ensteal.errors import InvalidConfigError, StageError
 from ensteal.harness import (
     ADV_STAGE,
@@ -432,7 +432,7 @@ def test_evaluate_models_keys():
     assert out["member_agreements"][0] == 1.0  # the victim agrees with itself
     assert 0.0 <= out["ensemble_acc"] <= 1.0
     # the same figures as a forward pass per model on every evaluation
-    labels = [predict_batch(m, test.features) for m in (victim, other)]
+    labels = [predict_batch(m, test.features, MEMBER_DTYPE) for m in (victim, other)]
     vote = ensemble_predict([victim, other], test.features)
     assert out == {
         "member_accs": [float(np.mean(lab == test.labels)) for lab in labels],
@@ -547,7 +547,7 @@ def test_run_attack_scores_cover_candidates(tiny_run):
 def test_only_scored_strategies_run_the_committee_over_the_pool(tmp_path, monkeypatch, kind, scored):
     rows = []
     real = numkit.probs_batch
-    monkeypatch.setattr(numkit, "probs_batch", lambda m, X: rows.append(len(X)) or real(m, X))
+    monkeypatch.setattr(numkit, "probs_batch", lambda m, X, *rest: rows.append(len(X)) or real(m, X, *rest))
     raw = base_config()
     raw["attack"]["strategy"]["kind"] = kind
     run_attack(parse_config(raw), tmp_path)
@@ -615,7 +615,7 @@ def test_skipping_saturated_members_leaves_every_artifact_unchanged(tmp_path, mo
         for i, member_spec in enumerate(state.spec.members):
             fresh = MlpModel.initialize(member_spec)
             trained, _ = numkit.train_supervised(fresh, (X, y), cfgs[i], derive_seed(seed, i))
-            acc = numkit.accuracy(trained, Xv, yv)
+            acc = numkit.accuracy(trained, Xv, yv, MEMBER_DTYPE)
             if state.best[i] is None or acc > state.best[i].val_accuracy:
                 state.best[i] = BestCheckpoint(trained.copy(), acc, state.cycle)
 
@@ -637,7 +637,7 @@ def test_skipping_saturated_members_leaves_every_artifact_unchanged(tmp_path, mo
                 Xa = strong_augment(Xp[order], ssl_cfg.augment, pool_state.pool.layout, aug_rng)
                 numkit.sgd_epoch(model, velocity, Xa, yp[order], np.arange(order.size), sgd, ssl_cfg.lr, lam)
             model.epoch_counter += ssl_cfg.epochs
-            acc = numkit.accuracy(model, Xv, yv)
+            acc = numkit.accuracy(model, Xv, yv, MEMBER_DTYPE)
             if acc > best.val_accuracy:
                 state.best[i] = BestCheckpoint(model.copy(), acc, state.cycle + 1)
 

@@ -190,6 +190,7 @@ def test_bad_input_codes_keep_connection_open(service):
         b'{"id": 16, "op": "predict_batch", "x": [[0, 0, 0], [1, 2, 3]]}\n',
         b'{"id": 17, "op": "predict_batch", "x": [0, 0, 0, 0]}\n',
         b'{"id": 18, "op": "predict_batch", "x": [["0", 0, 0, 0]]}\n',
+        b'{"id": 19, "op": "predict_batch", "x": [[true, false, 0, 0]]}\n',
         b'{"id": 11, "op": "budget"}\n',
     )
     assert replies[0] == {"id": 0, "error": "unparseable request line", "code": "BAD_INPUT"}
@@ -204,7 +205,8 @@ def test_bad_input_codes_keep_connection_open(service):
     assert replies[9]["code"] == "BAD_INPUT"  # wrong width
     assert replies[10]["code"] == "BAD_INPUT"  # a flat row is not a batch
     assert replies[11]["code"] == "BAD_INPUT"  # a string is not a number
-    assert replies[12]["remaining"] == 100  # nothing above was charged
+    assert replies[12]["code"] == "BAD_INPUT"  # nor is a JSON bool
+    assert replies[13]["remaining"] == 100  # nothing above was charged
     assert oracle.query_log == []
 
 

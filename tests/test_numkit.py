@@ -172,6 +172,34 @@ def test_inference_bitwise_matches_references(rng, act, hidden, n):
     assert np.array_equal(X, X_before)
 
 
+@pytest.mark.parametrize("act", ["relu", "tanh"])
+@pytest.mark.parametrize("hidden", [(), (9,), (9, 6, 4)])
+@pytest.mark.parametrize("n", [1, 300])
+def test_float32_inference_bitwise_matches_reference(rng, act, hidden, n):
+    # the committee's float32 pass keeps the bits of a plain float32 forward
+    # pass on the parameters and rows cast to float32
+    model = MlpModel.initialize(MlpSpec(5, hidden, 3, act, rng_seed=21))
+    model.params *= 3.0
+    X = rng.normal(size=(n, 5)) * 2.0
+    X_before, params_before = X.copy(), model.params.copy()
+    want = oracles.forward_probs_float32(model, X)
+    got = probs_batch(model, X, np.float32)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, want)
+    assert np.array_equal(predict_batch(model, X, np.float32), np.argmax(want, axis=1))
+    assert np.array_equal(X, X_before) and np.array_equal(model.params, params_before)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 @pytest.mark.parametrize("classes", [4, 64])
 def test_inference_allocates_only_its_layer_outputs(rng, classes):
     # the network runs one block at a time, and bias, activation and softmax
@@ -185,13 +213,33 @@ def test_inference_allocates_only_its_layer_outputs(rng, classes):
     X = rng.normal(size=(20_000, 8))
     out_bytes = X.shape[0] * classes * X.itemsize
     block_bytes = BLOCK_ROWS * (256 + 128 + 64 + classes) * X.itemsize
-    tracemalloc.start()
-    try:
-        probs_batch(model, X)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= out_bytes + 1.1 * block_bytes
+    assert _peak_bytes(lambda: probs_batch(model, X)) <= out_bytes + 1.1 * block_bytes
+
+
+@pytest.mark.parametrize("classes", [4, 64])
+def test_float32_inference_allocates_only_its_layer_outputs(rng, classes):
+    # the bound above in float32, plus the float32 copies the pass makes: the
+    # parameters once per call and one block of rows at a time. Casting all
+    # rows at once, or a float64 result, would add at least 320 kB
+    model = MlpModel.initialize(MlpSpec(8, (256, 128, 64), classes, rng_seed=1))
+    X = rng.normal(size=(20_000, 8))
+    out_bytes = X.shape[0] * classes * 4
+    block_bytes = BLOCK_ROWS * (8 + 256 + 128 + 64 + classes) * 4
+    param_bytes = model.params.size * 4
+    peak = _peak_bytes(lambda: probs_batch(model, X, np.float32))
+    assert peak <= out_bytes + param_bytes + 1.1 * block_bytes
+
+
+def _check_batch_independence(dim, classes, n, seed, dtype):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, dim)) * 2.0
+    perm = rng.permutation(n)
+    subset = np.sort(rng.choice(n, size=int(rng.integers(BLOCK_ROWS, n + 1)), replace=False))
+    for spec in make_default_ensemble(dim, classes, rng_seed=seed).members:
+        model = MlpModel.initialize(spec)
+        full = probs_batch(model, X, dtype)
+        assert np.array_equal(probs_batch(model, X[perm], dtype), full[perm])
+        assert np.array_equal(probs_batch(model, X[subset], dtype), full[subset])
 
 
 @pytest.mark.parametrize("dim, classes", [(8, 4), (60, 10)])
@@ -201,29 +249,38 @@ def test_inference_bitwise_independent_of_the_batch(dim, classes, n, seed):
     # a row's softmax keeps its bits in any batch of at least BLOCK_ROWS rows,
     # although BLAS gives other bits in products of other shapes (at d=60 a
     # 2-row call already differs from a 256-row one)
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, dim)) * 2.0
-    perm = rng.permutation(n)
-    subset = np.sort(rng.choice(n, size=int(rng.integers(BLOCK_ROWS, n + 1)), replace=False))
-    for spec in make_default_ensemble(dim, classes, rng_seed=seed).members:
-        model = MlpModel.initialize(spec)
-        full = probs_batch(model, X)
-        assert np.array_equal(probs_batch(model, X[perm]), full[perm])
-        assert np.array_equal(probs_batch(model, X[subset]), full[subset])
+    _check_batch_independence(dim, classes, n, seed, np.float64)
 
 
 @pytest.mark.parametrize("dim, classes", [(8, 4), (60, 10)])
-def test_inference_bitwise_at_every_block_position(rng, dim, classes):
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(BLOCK_ROWS, 3 * BLOCK_ROWS), seed=st.integers(0, 2**32 - 1))
+def test_float32_inference_bitwise_independent_of_the_batch(dim, classes, n, seed):
+    # the same rule for the committee's float32 pass, which runs sgemm
+    _check_batch_independence(dim, classes, n, seed, np.float32)
+
+
+def _check_every_block_position(rng, dim, classes, dtype):
     # block p of the stacked matrix is the first block rolled by p rows, so
     # every row of it runs once at each position of a block
     block = rng.normal(size=(BLOCK_ROWS, dim)) * 2.0
     rolled = np.concatenate([np.roll(block, p, axis=0) for p in range(BLOCK_ROWS)])
     for spec in make_default_ensemble(dim, classes, rng_seed=3).members:
         model = MlpModel.initialize(spec)
-        want = probs_batch(model, block)
-        got = probs_batch(model, rolled).reshape(BLOCK_ROWS, BLOCK_ROWS, classes)
+        want = probs_batch(model, block, dtype)
+        got = probs_batch(model, rolled, dtype).reshape(BLOCK_ROWS, BLOCK_ROWS, classes)
         for p in range(BLOCK_ROWS):
             assert np.array_equal(np.roll(got[p], -p, axis=0), want), f"{spec.hidden_layers} at offset {p}"
+
+
+@pytest.mark.parametrize("dim, classes", [(8, 4), (60, 10)])
+def test_inference_bitwise_at_every_block_position(rng, dim, classes):
+    _check_every_block_position(rng, dim, classes, np.float64)
+
+
+@pytest.mark.parametrize("dim, classes", [(8, 4), (60, 10)])
+def test_float32_inference_bitwise_at_every_block_position(rng, dim, classes):
+    _check_every_block_position(rng, dim, classes, np.float32)
 
 
 # ── gradients ────────────────────────────────────────────────────────

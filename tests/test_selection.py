@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ensteal.datapool import Dataset, PoolState
-from ensteal.ensemble import label_frequencies
+from ensteal.ensemble import MEMBER_DTYPE, label_frequencies
 from ensteal.errors import InvalidConfigError, InvalidInputError
 from ensteal.numkit import predict_batch
 from ensteal.selection import (
@@ -218,7 +218,7 @@ def _per_candidate_scores(kind, models, X):
     pool-wide softmax was reused."""
     if kind == "consensus_entropy":
         return entropy_rows(committee_probs(models, X).mean(axis=0))
-    labels = np.stack([predict_batch(m, X) for m in models])
+    labels = np.stack([predict_batch(m, X, MEMBER_DTYPE) for m in models])
     return entropy_rows(label_frequencies(labels, models[0].spec.num_classes))
 
 

@@ -26,7 +26,7 @@ from ensteal.ensemble import (
 )
 from ensteal import numkit
 from ensteal.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
-from ensteal.numkit import accuracy, probs_batch, sgd_update
+from ensteal.numkit import accuracy, sgd_update
 from ensteal.seeding import derive_seed, mask64
 from ensteal.semisup import (
     SslConfig,
@@ -190,13 +190,29 @@ def test_harvest_runs_the_models_only_on_the_perturbed_rows(rng, monkeypatch):
     Xu = ps.pool.features[ps.unlabeled_indices()]
     seen = []
     real = numkit.probs_batch
-    monkeypatch.setattr(numkit, "probs_batch", lambda m, X: seen.append((m, X)) or real(m, X))
+    monkeypatch.setattr(numkit, "probs_batch", lambda m, X, *rest: seen.append((m, X)) or real(m, X, *rest))
     cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5)
     harvest_pseudo_labels(models, probs, ps, cfg, seed=1)
     assert [m for m, _ in seen] == models
     for _, X in seen:
         assert X.shape == Xu.shape
         assert np.all(X != Xu) and np.all(np.abs(X - Xu) < 1.0)  # each row's jittered copy
+
+
+def test_filter_compares_float32_confidences_with_the_threshold_as_given(rng):
+    # the committee's softmax is float32; float32(0.9) is 0.89999998 and must
+    # not pass a 0.9 threshold, while the next float32 up does
+    models = make_sharp_models(2, dim=4, classes=3, seed=0)
+    ps = PoolState(Dataset(rng.normal(size=(2, 4))))
+    below = np.float32(0.9)
+    above = np.nextafter(below, np.float32(1.0))
+    probs = np.zeros((2, 2, 3), dtype=np.float32)
+    probs[:, 0] = [below, 0.05, 0.05]
+    probs[:, 1] = [above, 0.05, 0.05]
+    cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.9, max_label_changes=2)
+    v = ssl_filter(models, probs, ps, cfg)
+    assert v.min_confidence.tolist() == [float(below), float(above)]
+    assert v.accepted.tolist() == [False, True]
 
 
 def test_filter_rejects_a_softmax_not_over_the_pool(rng):
@@ -343,7 +359,7 @@ def test_ssl_train_replaced_checkpoints_get_fresh_outputs(ssl_scenario):
     assert all(b.cycle == st.cycle + 1 for b in st.best)
     fresh = st.best_probs(ps.pool)
     for i, b in enumerate(st.best):
-        assert np.array_equal(fresh[i], probs_batch(b.model, ps.pool.features))
+        assert np.array_equal(fresh[i], committee_probs([b.model], ps.pool.features)[0])
         assert not np.array_equal(fresh[i], stale[i])
 
 

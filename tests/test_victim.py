@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from ensteal.datapool import Dataset, GaussianMixture, PoolState, make_synthetic, strip_labels
 from ensteal.errors import BudgetExhaustedError, InvalidConfigError, InvalidInputError
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
@@ -18,6 +19,22 @@ def make_oracle(budget=50, n=20, d=4, classes=3, seed=0):
     model = MlpModel.initialize(spec)
     pool = PoolState(Dataset(np.random.default_rng(seed).normal(size=(n, d))))
     return VictimOracle(model, QueryBudget(budget)), pool, model
+
+
+def test_victim_labels_equal_the_float64_reference_bitwise():
+    # the victim is the ground truth and infers in float64 while the committee
+    # infers in float32. Class 1's weight exceeds class 0's by 1e-9, below
+    # float32 resolution: float64 labels every row with x0 > 0 as 1, a float32
+    # pass sees a tie and answers 0
+    spec = MlpSpec(2, (), 2)
+    model = MlpModel(spec, np.array([1.0, 1.0 + 1e-9, 0.0, 0.0, 0.0, 0.0]))
+    X = np.random.default_rng(3).uniform(0.5, 2.0, size=(300, 2))
+    want = np.argmax(oracles.forward_probs(model, X), axis=1)
+    assert want.tolist() == [1] * 300
+    assert predict_batch(model, X, np.float32).tolist() == [0] * 300  # not vacuous
+    oracle = VictimOracle(model, QueryBudget(300))
+    assert oracle.predict_batch(X).tolist() == want.tolist()
+    assert np.array_equal(predict_batch(model, X), want)
 
 
 def test_budget_charging():
