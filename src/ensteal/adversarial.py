@@ -57,11 +57,9 @@ def pgd_attack_batch(model: MlpModel, X, y, cfg: PgdConfig) -> np.ndarray:
     returns X unchanged.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2:
         raise InvalidInputError(f"expected a feature matrix, got shape {X.shape}")
-    if y.shape != (X.shape[0],):
-        raise InvalidInputError("one label per row required")
+    y = numkit.as_class_labels(model, y, X.shape[0])
     if cfg.epsilon == 0.0:
         return X.copy()
     lo = X - cfg.epsilon
@@ -131,10 +129,11 @@ def transfer_from_adversarials(
         raise InvalidConfigError(f"unknown denominator {denominator!r}")
     X = np.asarray(X, dtype=np.float64)
     X_adv = np.asarray(X_adv, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     if X.shape != X_adv.shape:
         raise InvalidInputError("clean and adversarial matrices must align")
     n = X.shape[0]
+    y = numkit.as_class_labels(source, y, n)
+    numkit.as_class_labels(target, y, n)
     clean_src = numkit.predict_batch(source, X)
     clean_tgt = numkit.predict_batch(target, X)
     adv_src = numkit.predict_batch(source, X_adv)
@@ -172,7 +171,7 @@ def transferability(
     denominator: str = "source_fooled",
 ) -> TransferResult:
     """Craft on the source with PGD, then measure transfer to the target."""
-    X_adv = pgd_attack_batch(source, X, np.asarray(y, dtype=np.int64), cfg)
+    X_adv = pgd_attack_batch(source, X, y, cfg)
     return transfer_from_adversarials(source, target, X, y, X_adv, denominator)
 
 

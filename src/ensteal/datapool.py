@@ -257,15 +257,12 @@ class AugmentConfig:
 
 
 def apply_transform(x, op: Transform, layout: Optional[ImageLayout], rng: np.random.Generator) -> np.ndarray:
-    """Perturbed copies of an (n, d) batch of flat feature rows; a 1-d row is
-    a batch of one and comes back as a row. Each op draws its random numbers
-    batch-wise in a fixed order, so a given generator state yields exactly
-    one outcome, and a one-row GaussianJitter or HorizontalFlip draws the
-    same numbers as a per-row draw from that state would."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2):
-        raise InvalidInputError(f"expected a feature row or an (n, d) batch, got shape {x.shape}")
-    X = np.atleast_2d(x)
+    """Perturbed copies of an (n, d) batch of flat feature rows. Each op draws
+    its random numbers batch-wise in a fixed order, so a given generator
+    state yields exactly one outcome."""
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim != 2:
+        raise InvalidInputError(f"expected an (n, d) batch, got shape {X.shape}")
     n, d = X.shape
     if isinstance(op, (GaussianJitter, JitterDrop)):
         out = X + rng.normal(0.0, op.sigma, size=X.shape) if op.sigma > 0 else X.copy()
@@ -301,7 +298,7 @@ def apply_transform(x, op: Transform, layout: Optional[ImageLayout], rng: np.ran
         out = imgs.reshape(n, d)
     else:
         raise InvalidInputError(f"unknown transform {op!r}")
-    return out if x.ndim == 2 else out[0]
+    return out
 
 
 def weak_augment(x, cfg: AugmentConfig, layout: Optional[ImageLayout], rng: np.random.Generator) -> np.ndarray:
@@ -523,13 +520,15 @@ def load_dataset(path) -> Dataset:
             raise InvalidInputError(f"unknown layout flag {layout_flag}")
         (has_labels,) = struct.unpack_from("<B", blob, offset)
         offset += 1
-        features = np.frombuffer(blob, dtype="<f4", count=n * d, offset=offset)
-        offset += 4 * n * d
-        labels = None
-        if has_labels == 1:
-            labels = np.frombuffer(blob, dtype="<u4", count=n, offset=offset).astype(np.int64)
-        elif has_labels != 0:
+        if has_labels not in (0, 1):
             raise InvalidInputError(f"unknown label flag {has_labels}")
+        size = offset + 4 * n * (d + has_labels)
+        if len(blob) != size:
+            raise InvalidInputError(f"dataset file holds {len(blob)} bytes, its header implies {size}")
+        features = np.frombuffer(blob, dtype="<f4", count=n * d, offset=offset)
+        labels = None
+        if has_labels:
+            labels = np.frombuffer(blob, dtype="<u4", count=n, offset=offset + 4 * n * d).astype(np.int64)
     except (struct.error, ValueError) as exc:
         raise InvalidInputError(f"truncated dataset file: {exc}") from exc
     return Dataset(features.astype(np.float64).reshape(n, d), labels, layout)

@@ -148,9 +148,11 @@ def as_batch(model: MlpModel, X) -> np.ndarray:
     return X
 
 
-def _as_labels(model: MlpModel, y, n: int) -> np.ndarray:
+def as_class_labels(model: MlpModel, y, n: int) -> np.ndarray:
+    """y as int64 if it is n integer labels of model's classes, else
+    InvalidInputError."""
     y = as_labels(y, n)
-    if y.max() >= model.spec.num_classes:
+    if n and y.max() >= model.spec.num_classes:
         raise InvalidInputError(
             f"labels must lie in [0, {model.spec.num_classes}), got range "
             f"[{y.min()}, {y.max()}]"
@@ -231,7 +233,7 @@ def loss_and_grad(model: MlpModel, X, y) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over the batch and its exact analytic
     gradient, flattened in canonical parameter order."""
     X = as_batch(model, X)
-    y = _as_labels(model, y, X.shape[0])
+    y = as_class_labels(model, y, X.shape[0])
     spec, n = model.spec, X.shape[0]
     grad = np.empty_like(model.params)
     loss = _loss_grad_into(
@@ -305,7 +307,7 @@ def _loss_grad_into(
 def input_grad_batch(model: MlpModel, X, y) -> np.ndarray:
     """Per-row gradient of each sample's own cross-entropy w.r.t. its input."""
     X = as_batch(model, X)
-    y = _as_labels(model, y, X.shape[0])
+    y = as_class_labels(model, y, X.shape[0])
     act = model.spec.activation
     layers = model.layers()
     logits, acts = _forward(layers, act, X)
@@ -386,7 +388,7 @@ def sgd_epoch(
     one that allocates its arrays anew, so the bits are the same.
     """
     X = as_batch(model, X)
-    y = _as_labels(model, y, X.shape[0])
+    y = as_class_labels(model, y, X.shape[0])
     X, y = X[order].astype(np.float32), y[order]
     params = model.params.astype(np.float32)
     vel = velocity.astype(np.float32)
@@ -430,7 +432,7 @@ def train_supervised(
     X, y = data
     out = model.copy()
     X = as_batch(out, X)
-    y = _as_labels(out, y, X.shape[0])
+    y = as_class_labels(out, y, X.shape[0])
     rng_seed = mask64(rng_seed)
 
     velocity = np.zeros_like(out.params)
@@ -448,7 +450,7 @@ def train_supervised(
 def accuracy(model: MlpModel, X, y, dtype=np.float64) -> float:
     """Fraction of rows whose predicted label, inferred in dtype, matches y."""
     X = as_batch(model, X)
-    y = _as_labels(model, y, X.shape[0])
+    y = as_class_labels(model, y, X.shape[0])
     return float(np.mean(predict_batch(model, X, dtype) == y))
 
 

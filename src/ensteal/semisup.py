@@ -5,10 +5,14 @@ rows for inputs it is collectively sure about: a row is accepted when at most
 a fixed number of members change their label under a weak perturbation, every
 member agrees on the unperturbed label, and the least confident member still
 clears a probability threshold. Unperturbed votes are read from the
-committee's pool softmax (EnsembleState.best_probs). The filter's verdicts
-are aligned arrays over the unlabeled rows (FilterVerdicts). Accepted rows,
-capped per class (most confident first, then the lower row), become
-pseudo-labeled training data.
+committee's pool softmax (EnsembleState.best_probs). The weak perturbation
+is drawn once over the whole pool, from a generator seeded by the run seed
+and the augmentation seed, and read at the unlabeled rows: a row's
+perturbation depends only on its pool index and the pool's shape, never on
+which other rows are still unlabeled. The filter's verdicts are aligned
+arrays over the unlabeled rows (FilterVerdicts). Accepted rows, capped per
+class (most confident first, then the lower row), become pseudo-labeled
+training data.
 
 The training stage then minimizes labeled loss plus a weighted pseudo loss,
 where pseudo rows are strongly perturbed afresh every epoch, at a low fixed
@@ -79,17 +83,6 @@ class FilterVerdicts(NamedTuple):
     accepted: np.ndarray  # passes all three guards
 
 
-def _row_entropy(seed: int, aug_seed: int, rows: np.ndarray) -> np.ndarray:
-    """Row j seeds the stream of default_rng((mask64(seed), mask64(aug_seed),
-    rows[j])) without coercing a tuple per row, so any row's perturbation
-    replays in isolation. Raises OverflowError for a row index >= 2**32."""
-    prefix: list[int] = []
-    for n in (mask64(seed), mask64(aug_seed)):
-        # SeedSequence codes an int as its little-endian 32-bit words, at least one
-        prefix += [n & 0xFFFFFFFF, n >> 32] if n >> 32 else [n]
-    return np.array([prefix + [row] for row in rows.tolist()], dtype=np.uint32)
-
-
 def ssl_filter(
     models: list[MlpModel],
     probs: np.ndarray,
@@ -99,25 +92,21 @@ def ssl_filter(
 ) -> FilterVerdicts:
     """Score every unlabeled row and accept the stable, unanimous, confident ones.
 
-    For each row x with weakly perturbed copy x': count members whose label
-    flips between x and x', require at most cfg.max_label_changes flips,
-    require all members to agree on the label of x itself, and require every
-    member's probability for its own label on x to be at least the
-    confidence threshold. Labels and probabilities on x are read from probs,
-    the (members, pool rows, classes) softmax over the whole pool.
+    For each row x with weakly perturbed copy x' (drawn once over the whole
+    pool and read at x's pool row): count members whose label flips between
+    x and x', require at most cfg.max_label_changes flips, require all
+    members to agree on the label of x itself, and require every member's
+    probability for its own label on x to be at least the confidence
+    threshold. Labels and probabilities on x are read from probs, the
+    (members, pool rows, classes) softmax over the whole pool.
     """
     if not models or probs.ndim != 3 or probs.shape[:2] != (len(models), pool_state.pool.n):
         raise InvalidInputError("the filter needs models and their softmax over the pool")
     idx = pool_state.unlabeled_indices()
     aug_labels = np.zeros((len(models), 0), dtype=np.int64)
     if idx.size:  # the members see an empty batch as an error
-        layout, entropy = pool_state.pool.layout, _row_entropy(seed, cfg.augment.rng_seed, idx)
-        Xw = np.stack(
-            [
-                weak_augment(x, cfg.augment, layout, np.random.default_rng(words))
-                for x, words in zip(pool_state.pool.features[idx], entropy)
-            ]
-        )
+        rng = np.random.default_rng((mask64(seed), cfg.augment.rng_seed))
+        Xw = weak_augment(pool_state.pool.features, cfg.augment, pool_state.pool.layout, rng)[idx]
         aug_labels = np.stack([numkit.predict_batch(m, Xw, MEMBER_DTYPE) for m in models])
     # sliced only now, so the clean softmax does not add to the peak of building Xw
     clean = probs[:, idx]

@@ -153,25 +153,31 @@ def loss_grad_float32(spec, params, X, y):
     return loss, grad
 
 
-def _replay_weak_transform(x, op, layout, rng) -> np.ndarray:
-    """Re-derive the documented perturbation draw protocol for the transforms
-    the filter oracle needs (noise-style ops and probabilistic flips)."""
-    x = np.asarray(x, dtype=np.float64)
+def replay_weak_draw(X, op, layout, rng) -> np.ndarray:
+    """Re-derive the documented batch draw protocol over a whole (n, d)
+    matrix, for the transforms the filter oracle needs. Jitter draws one
+    normal per coordinate, row-major; JitterDrop then draws one uniform per
+    coordinate, and each row zeroes the coordinates of its round(frac * d)
+    smallest uniforms; a flip draws one uniform per row and mirrors the rows
+    whose uniform is below p."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
     name = type(op).__name__
-    if name == "GaussianJitter":
-        if op.sigma > 0:
-            return x + rng.normal(0.0, op.sigma, size=x.size)
-        return x.copy()
-    if name == "HorizontalFlip":
-        if rng.random() < op.p:
-            img = x.reshape(layout.height, layout.width, layout.channels)
-            return img[:, ::-1, :].ravel().copy()
-        return x.copy()
-    if name == "JitterDrop":
-        out = x + rng.normal(0.0, op.sigma, size=x.size) if op.sigma > 0 else x.copy()
-        ndrop = int(round(op.drop_frac * x.size))
+    if name in ("GaussianJitter", "JitterDrop"):
+        out = X + rng.normal(0.0, op.sigma, size=(n, d)) if op.sigma > 0 else X.copy()
+        ndrop = int(round(op.drop_frac * d)) if name == "JitterDrop" else 0
         if ndrop > 0:
-            out[rng.choice(x.size, size=ndrop, replace=False)] = 0.0
+            u = rng.random((n, d))
+            for r in range(n):
+                out[r, np.argsort(u[r])[:ndrop]] = 0.0
+        return out
+    if name == "HorizontalFlip":
+        u = rng.random(n)
+        out = X.copy()
+        for r in range(n):
+            if u[r] < op.p:
+                img = X[r].reshape(layout.height, layout.width, layout.channels)
+                out[r] = img[:, ::-1, :].ravel()
         return out
     raise AssertionError(f"oracle does not replay {name}")
 
@@ -179,32 +185,25 @@ def _replay_weak_transform(x, op, layout, rng) -> np.ndarray:
 def ssl_filter_bruteforce(models, pool_state, cfg, seed: int):
     """Row-by-row re-derivation of the pseudo-label filter.
 
-    For each unlabeled row: run every member in float32, as the committee
-    infers, on the row and its weakly perturbed copy, count label flips,
-    check unanimity on the clean row, and check every member's own-label
-    probability against the threshold.
+    The weak perturbation is drawn once over the whole pool from a generator
+    seeded by (seed, augmentation seed), each 64-bit masked, and read at the
+    unlabeled rows. For each unlabeled row: run every member in float32, as
+    the committee infers, on the row and its perturbed copy, count label
+    flips, check unanimity on the clean row, and check every member's
+    own-label probability against the threshold.
     Returns (selected, audit_tuples) where audit maps row -> (changes,
     unanimous, min_confidence).
     """
     mask = (1 << 64) - 1
-    layout = pool_state.pool.layout
     selected: dict[int, int] = {}
     audit: dict[int, tuple[int, bool, float]] = {}
     idx = [int(i) for i in np.flatnonzero(pool_state.status == 0)]
     if not idx:
         return selected, audit
-    X = pool_state.pool.features[np.array(idx)]
-    Xw = np.stack(
-        [
-            _replay_weak_transform(
-                X[j],
-                cfg.augment.weak,
-                layout,
-                np.random.default_rng((seed & mask, cfg.augment.rng_seed & mask, i)),
-            )
-            for j, i in enumerate(idx)
-        ]
-    )
+    features = pool_state.pool.features
+    rng = np.random.default_rng((seed & mask, cfg.augment.rng_seed & mask))
+    Xw = replay_weak_draw(features, cfg.augment.weak, pool_state.pool.layout, rng)[idx]
+    X = features[idx]
     probs = [forward_probs_float32(m, X) for m in models]
     probs_w = [forward_probs_float32(m, Xw) for m in models]
     for j, i in enumerate(idx):

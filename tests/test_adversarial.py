@@ -155,6 +155,23 @@ def test_transfer_denominator_validation(attack_setup):
         transfer_from_adversarials(model, other, X, y, X[:3])
 
 
+@pytest.mark.parametrize(
+    "bad", [[0.7, 1.9, 1.0], [True, False, True], [0, -1, 1], [0, 1, 2], [0, 1, 5], [[0, 1, 1]], [0, 1]]
+)
+def test_attack_and_transfer_reject_bad_labels(bad):
+    # float, bool, negative and out-of-range labels are a caller's bug; they
+    # must not be truncated or scored as always fooled (two classes here)
+    src, tgt = make_sharp_models(2, dim=4, classes=2, seed=8)
+    X = np.random.default_rng(0).normal(size=(3, 4))
+    for eps in (0.0, 0.5):
+        with pytest.raises(InvalidInputError, match="labels"):
+            pgd_attack_batch(src, X, bad, PgdConfig(epsilon=eps, steps=2, seed=1))
+    with pytest.raises(InvalidInputError, match="labels"):
+        transfer_from_adversarials(src, tgt, X, bad, X.copy())
+    with pytest.raises(InvalidInputError, match="labels"):
+        transferability(src, tgt, X, bad, PgdConfig(epsilon=0.5, steps=2, seed=1))
+
+
 def test_transferability_end_to_end(attack_setup):
     model, other, test = attack_setup
     X, y = test.features[:100], test.labels[:100]

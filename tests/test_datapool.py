@@ -192,7 +192,7 @@ def test_transform_validation():
 
 def test_hflip_mirrors_width():
     layout = ImageLayout(2, 3, 1)
-    img = np.arange(6.0)
+    img = np.arange(6.0)[None, :]
     out = apply_transform(img, HorizontalFlip(p=1.0), layout, np.random.default_rng(0))
     assert np.array_equal(out.reshape(2, 3), [[2, 1, 0], [5, 4, 3]])
     # p=0 never flips
@@ -200,43 +200,46 @@ def test_hflip_mirrors_width():
     assert np.array_equal(same, img)
     with pytest.raises(InvalidInputError):
         apply_transform(img, HorizontalFlip(p=1.0), None, np.random.default_rng(0))
-    # a batch flips row by row; a one-row batch replays the per-row draw
-    batch = np.stack([img, img + 10.0])
-    both = apply_transform(batch, HorizontalFlip(p=1.0), layout, np.random.default_rng(0))
-    assert np.array_equal(both, np.stack([out, out + 10.0]))
+    with pytest.raises(InvalidInputError, match="batch"):
+        apply_transform(img[0], HorizontalFlip(p=1.0), layout, np.random.default_rng(0))
+    # a batch flips row by row, as the filter oracle replays the draw
+    batch = np.concatenate([img, img + 10.0, -img])
+    both = apply_transform(batch[:2], HorizontalFlip(p=1.0), layout, np.random.default_rng(0))
+    assert np.array_equal(both, np.concatenate([out, out + 10.0]))
     for seed in range(8):
-        row = apply_transform(img[None, :], HorizontalFlip(p=0.5), layout, np.random.default_rng(seed))
-        ref = oracles._replay_weak_transform(img, HorizontalFlip(p=0.5), layout, np.random.default_rng(seed))
-        assert row.shape == (1, 6) and np.array_equal(row[0], ref)
+        rows = apply_transform(batch, HorizontalFlip(p=0.5), layout, np.random.default_rng(seed))
+        ref = oracles.replay_weak_draw(batch, HorizontalFlip(p=0.5), layout, np.random.default_rng(seed))
+        assert np.array_equal(rows, ref)
 
 
 def test_jitter_statistics_and_identity(rng):
-    x = np.zeros(2000)
+    x = np.zeros((1, 2000))
     out = apply_transform(x, GaussianJitter(0.5), None, rng)
     assert abs(out.std() - 0.5) < 0.05
     same = apply_transform(x, GaussianJitter(0.0), None, rng)
     assert np.array_equal(same, x) and same is not x
-    # a 1-d row gives the same result as a one-row batch
-    row = apply_transform(x[:10], GaussianJitter(0.5), None, np.random.default_rng(4))
-    batch = apply_transform(x[None, :10], GaussianJitter(0.5), None, np.random.default_rng(4))
-    assert row.shape == (10,) and np.array_equal(row, batch[0])
 
 
 def test_jitter_drop_zeroes_coords(rng):
-    x = np.full(100, 7.0)
+    x = np.full((1, 100), 7.0)
     out = apply_transform(x, JitterDrop(sigma=0.01, drop_frac=0.25), None, rng)
     assert (out == 0.0).sum() == 25
     # every row of a batch loses exactly round(frac * d) coordinates
     batch = apply_transform(np.full((6, 30), 7.0), JitterDrop(sigma=0.01, drop_frac=0.1), None, rng)
     assert np.array_equal((batch == 0.0).sum(axis=1), [3] * 6)
     assert len({tuple(np.flatnonzero(r == 0.0)) for r in batch}) > 1  # rows draw their own coords
+    # the filter oracle zeroes the same coordinates: each row's smallest uniforms
+    op, X = JitterDrop(sigma=0.01, drop_frac=0.25), np.full((5, 12), 7.0)
+    for seed in range(3):
+        got = apply_transform(X, op, None, np.random.default_rng(seed))
+        assert np.array_equal(got, oracles.replay_weak_draw(X, op, None, np.random.default_rng(seed)))
 
 
 def test_rand_lite_identity_at_zero_magnitude():
     layout = ImageLayout(4, 4, 1)
     x = np.arange(16.0)
-    out = apply_transform(x, RandLite(n_ops=3, magnitude=0.0), layout, np.random.default_rng(5))
-    assert np.array_equal(out, x)
+    out = apply_transform(x[None, :], RandLite(n_ops=3, magnitude=0.0), layout, np.random.default_rng(5))
+    assert np.array_equal(out[0], x)
     batch = np.stack([x, -x, x * 2.0])
     out = apply_transform(batch, RandLite(n_ops=3, magnitude=0.0), layout, np.random.default_rng(5))
     assert np.array_equal(out, batch)
@@ -245,14 +248,12 @@ def test_rand_lite_identity_at_zero_magnitude():
 def test_rand_lite_perturbs(rng):
     layout = ImageLayout(6, 6, 1)
     x = np.arange(36.0)
-    outs = [apply_transform(x, RandLite(2, 0.4), layout, np.random.default_rng(s)) for s in range(8)]
-    assert any(not np.array_equal(o, x) for o in outs)
+    outs = [apply_transform(x[None, :], RandLite(2, 0.4), layout, np.random.default_rng(s)) for s in range(8)]
+    assert any(not np.array_equal(o[0], x) for o in outs)
     # deterministic per generator state
-    a = apply_transform(x, RandLite(2, 0.4), layout, np.random.default_rng(3))
-    b = apply_transform(x, RandLite(2, 0.4), layout, np.random.default_rng(3))
+    a = apply_transform(x[None, :], RandLite(2, 0.4), layout, np.random.default_rng(3))
+    b = apply_transform(x[None, :], RandLite(2, 0.4), layout, np.random.default_rng(3))
     assert np.array_equal(a, b)
-    # a 1-d row gives the same result as a one-row batch
-    assert np.array_equal(a, apply_transform(x[None, :], RandLite(2, 0.4), layout, np.random.default_rng(3))[0])
     # a batch is deterministic per generator state too, and perturbs its rows independently
     batch = np.tile(x, (12, 1))
     a = apply_transform(batch, RandLite(2, 0.4), layout, np.random.default_rng(3))
@@ -278,9 +279,9 @@ def test_rand_lite_perturbs(rng):
 
 def test_weak_augment_uses_config():
     cfg = AugmentConfig(weak=GaussianJitter(0.1), strong=JitterDrop(0.5, 0.2), rng_seed=4)
-    x = np.zeros(10)
+    x = np.zeros((1, 10))
     out = weak_augment(x, cfg, None, np.random.default_rng(2))
-    ref = np.random.default_rng(2).normal(0.0, 0.1, 10)
+    ref = np.random.default_rng(2).normal(0.0, 0.1, (1, 10))
     assert np.array_equal(out, ref)
 
 
@@ -407,3 +408,15 @@ def test_dataset_file_rejects_garbage(tmp_path):
     p.write_bytes(b"AOTD\x01\x00\x00\x00")
     with pytest.raises(InvalidInputError):
         load_dataset(p)
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+def test_dataset_file_rejects_a_length_its_header_does_not_imply(tmp_path, labeled):
+    data = make_synthetic(GaussianMixture(3, 5, 4.0), 5, seed=1)
+    path = tmp_path / "d.aotd"
+    save_dataset(data if labeled else strip_labels(data), path)
+    blob = path.read_bytes()
+    for bad in (blob + b"garbage!", blob + b"\x00", blob[:-1]):
+        path.write_bytes(bad)
+        with pytest.raises(InvalidInputError):
+            load_dataset(path)

@@ -30,7 +30,6 @@ from ensteal.numkit import accuracy, sgd_update
 from ensteal.seeding import derive_seed, mask64
 from ensteal.semisup import (
     SslConfig,
-    _row_entropy,
     apply_class_cap,
     harvest_pseudo_labels,
     ssl_filter,
@@ -73,7 +72,9 @@ def test_ssl_defaults():
 
 def test_filter_matches_bruteforce_bitwise(rng):
     # the acceptance suite hammers this at scale; here a quick spot check
-    # across layouts of queried/unlabeled rows
+    # across layouts of queried/unlabeled rows, with jitter and with
+    # jitter-and-drop as the weak perturbation
+    flips = 0
     for trial in range(20):
         n = int(rng.integers(30, 80))
         d = int(rng.integers(4, 8))
@@ -82,28 +83,43 @@ def test_filter_matches_bruteforce_bitwise(rng):
         pre = rng.choice(n, size=int(rng.integers(0, n // 3 + 1)), replace=False)
         if pre.size:
             ps.query(pre, lambda X: np.zeros(len(X), dtype=np.int64))
-        cfg = SslConfig(augment=tabular_aug(seed=trial), confidence_threshold=0.6)
         probs = committee_probs(models, ps.pool.features)
-        sel, audit = verdicts_as_oracle_shapes(ssl_filter(models, probs, ps, cfg, seed=trial * 13))
-        sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, seed=trial * 13)
-        assert sel == sel_ref, f"trial {trial}"
-        # every row's (changes, unanimous, min confidence); the confidences
-        # are positive floats, so == compares them bit for bit
-        assert audit == audit_ref, f"trial {trial}"
+        for weak in (GaussianJitter(0.05), JitterDrop(0.05, 0.25)):
+            aug = AugmentConfig(weak=weak, strong=JitterDrop(0.2, 0.1), rng_seed=trial)
+            cfg = SslConfig(augment=aug, confidence_threshold=0.6)
+            v = ssl_filter(models, probs, ps, cfg, seed=trial * 13)
+            sel, audit = verdicts_as_oracle_shapes(v)
+            sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, seed=trial * 13)
+            assert sel == sel_ref, f"trial {trial} {weak}"
+            # every row's (changes, unanimous, min confidence); the confidences
+            # are positive floats, so == compares them bit for bit
+            assert audit == audit_ref, f"trial {trial} {weak}"
+            flips += int(v.changes.sum()) if isinstance(weak, JitterDrop) else 0
+    assert flips > 0  # the dropped coordinates flip some labels
 
 
-@pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**64 - 5])
-def test_row_entropy_replays_the_tuple_seeded_stream(seed):
-    # seeds of one and two 32-bit words, the aug seed both ways, rows up to
-    # the largest one-word index
-    rows = np.array([0, 2**31, 2**32 - 1])
-    for aug_seed in (seed, 7):
-        entropy = _row_entropy(seed, aug_seed, rows)
-        for j, row in enumerate(rows.tolist()):
-            fast = np.random.default_rng(entropy[j])
-            ref = np.random.default_rng((mask64(seed), mask64(aug_seed), row))
-            assert np.array_equal(fast.normal(size=6), ref.normal(size=6))
-            assert np.array_equal(fast.uniform(size=6), ref.uniform(size=6))
+@pytest.mark.parametrize("weak", [GaussianJitter(0.3), JitterDrop(0.05, 0.25)])
+def test_filter_verdicts_do_not_depend_on_the_unlabeled_set(rng, weak):
+    # one pool, two pool states: the second has more rows queried; a row
+    # unlabeled in both gets the same perturbation, so the same verdict
+    models = make_sharp_models(5, dim=6, classes=4, seed=3)
+    pool = Dataset(rng.normal(size=(150, 6)))
+    fewer, more = PoolState(pool), PoolState(pool)
+    first = rng.choice(150, size=20, replace=False)
+    extra = rng.choice(np.setdiff1d(np.arange(150), first), size=40, replace=False)
+    fewer.query(first, lambda X: np.zeros(len(X), dtype=np.int64))
+    more.query(np.union1d(first, extra), lambda X: np.zeros(len(X), dtype=np.int64))
+    aug = AugmentConfig(weak=weak, strong=JitterDrop(0.5, 0.1), rng_seed=9)
+    cfg = SslConfig(augment=aug, confidence_threshold=0.6)
+    probs = committee_probs(models, pool.features)
+    a = ssl_filter(models, probs, fewer, cfg, seed=17)
+    b = ssl_filter(models, probs, more, cfg, seed=17)
+    both = np.intersect1d(a.rows, b.rows)
+    assert both.size == 150 - 60
+    ia, ib = np.searchsorted(a.rows, both), np.searchsorted(b.rows, both)
+    for field in ("labels", "changes", "unanimous", "min_confidence", "accepted"):
+        assert np.array_equal(getattr(a, field)[ia], getattr(b, field)[ib]), field
+    assert a.changes[ia].any() and a.accepted[ia].any()  # the check is not vacuous
 
 
 def capped_map(rows, labels, confidence, cap):
