@@ -81,11 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--victim", required=True)
     p.add_argument("--data", required=True, help="labeled dataset file")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--steps", type=int, default=adv.PgdConfig.steps)
-    p.add_argument("--step-size", type=float)
+    p.add_argument("--steps", type=int, default=config.AdvSection.steps)
+    p.add_argument("--step-size", type=float, default=config.AdvSection.step_size)
     p.add_argument("--no-random-start", action="store_true")
-    p.add_argument("--n-eval", type=int, default=200)
-    p.add_argument("--denominator", choices=adv.DENOMINATORS, default="source_fooled")
+    p.add_argument("--n-eval", type=int, default=config.AdvSection.n_eval)
+    p.add_argument("--denominator", choices=adv.DENOMINATORS, default=config.AdvSection.denominator)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write per-sample labels CSV here")
     return parser
@@ -169,22 +169,19 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_adv_transfer(args) -> int:
+    settings = config.AdvSection(
+        epsilon=args.epsilon, steps=args.steps, step_size=args.step_size,
+        random_start=not args.no_random_start, n_eval=args.n_eval, denominator=args.denominator,
+    )
     source = numkit.load_model(args.source)
     victim_model = numkit.load_model(args.victim)
     data = load_dataset(args.data)
     if data.labels is None:
         print("error: dataset has no labels", file=sys.stderr)
         return 1
-    n = min(args.n_eval, data.n)
-    cfg = adv.PgdConfig(
-        epsilon=args.epsilon,
-        steps=args.steps,
-        step_size=args.step_size,
-        random_start=not args.no_random_start,
-        seed=args.seed,
-    )
+    n = min(settings.n_eval, data.n)
     result = adv.transferability(
-        source, victim_model, data.features[:n], data.labels[:n], cfg, args.denominator
+        source, victim_model, data.features[:n], data.labels[:n], settings.pgd(args.seed), settings.denominator
     )
     if args.out:
         adv.write_transfer_csv(args.out, result)

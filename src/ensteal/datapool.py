@@ -56,7 +56,10 @@ class ImageLayout:
 def as_labels(labels, n: int) -> np.ndarray:
     """labels as int64 if they are n nonnegative integers of an integer
     dtype, else InvalidInputError. No coercion: a float or bool label is a
-    caller's bug, not a class."""
+    caller's bug, not a class, and so is one bool among the ints of a list
+    (np.asarray would make it an int)."""
+    if isinstance(labels, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in labels):
+        raise InvalidInputError(f"labels must be nonnegative integers, got dtype bool in a {type(labels).__name__}")
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise InvalidInputError(f"expected {n} labels, got shape {labels.shape}")

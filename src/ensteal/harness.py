@@ -170,15 +170,15 @@ def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str]
             report["victim_test_acc"] = float(np.mean(victim_test_labels == test.labels))
             if a.remote is not None:
                 # the server stack is imported only by runs that talk to one
-                from .netvictim import RemoteVictimClient, RemoteVictimOracle
+                from .netvictim import RemoteVictimClient
 
                 # ids derive from the seed and the config text: another config's
                 # requests never reuse this run's ids, a same-config replay does
                 config_digest = hashlib.sha256(config_text.encode()).digest()[:8]
                 id_seed = derive_seed(stage_seed(root, CLIENT_IDS), int.from_bytes(config_digest, "big"))
-                remote = a.remote
-                client = RemoteVictimClient(remote.host, remote.port, remote.timeout, remote.retries, id_seed)
-                oracle = RemoteVictimOracle(client)
+                oracle = client = RemoteVictimClient(
+                    a.remote.host, a.remote.port, a.remote.timeout, a.remote.retries, id_seed
+                )
             else:
                 oracle = VictimOracle(victim_model, QueryBudget(a.budget))
 

@@ -1,4 +1,4 @@
-"""Serving the oracle over a socket.
+"""Serving the oracle over a socket, and RemoteVictimClient, the remote oracle.
 
 Wire protocol: one JSON object per newline-terminated line, both ways.
 Requests carry a caller-chosen integer id, echoed back. The two ops:
@@ -25,6 +25,9 @@ wrapped oracle's single lock, which keeps concurrent connections honest.
 VictimService runs on socketserver: one thread accepts connections and each
 connection is answered on a thread of its own. Once close() begins, a
 request is neither answered nor charged, and its connection ends.
+
+RemoteVictimClient has VictimOracle's surface (predict_batch,
+budget_remaining, query_labels), so run_attack drives both the same way.
 """
 
 from __future__ import annotations
@@ -208,13 +211,17 @@ def serve(oracle: VictimOracle, host: str = "127.0.0.1", port: int = 0, log_path
 
 
 class RemoteVictimClient:
-    """Line-JSON client with reconnect-and-resend retries.
+    """The remote oracle: VictimOracle's surface over line-JSON, with
+    reconnect-and-resend retries.
 
     Request ids start at a seeded random point and count up, so a retried
     request reuses its id and the server's dedup cache answers it without
     double charging. Replies are checked, not coerced: labels must be one
     non-negative int per row and remaining a non-negative int, or the call
-    raises RemoteUnavailableError.
+    raises RemoteUnavailableError. query_labels sends the rows as one
+    predict_batch request, which the server answers or refuses whole, and
+    records the answers in the pool only after the whole reply arrived, so
+    a failed batch leaves pool state unchanged.
     """
 
     def __init__(
@@ -320,21 +327,10 @@ class RemoteVictimClient:
     def budget_remaining(self) -> int:
         return self._request({"op": "budget"}, "remaining", _is_count)
 
-
-class RemoteVictimOracle:
-    """Drop-in oracle surface backed by a RemoteVictimClient.
-
-    Batch labeling sends the rows as one predict_batch request, which the
-    server answers or refuses whole, and records the answers in the pool
-    only after the whole reply arrived, so a failed batch leaves pool state
-    unchanged.
-    """
-
-    def __init__(self, client: RemoteVictimClient):
-        self._client = client
-
-    def budget_remaining(self) -> int:
-        return self._client.budget_remaining()
-
     def query_labels(self, indices, pool_state) -> np.ndarray:
-        return pool_state.query(indices, self._client.predict_batch)
+        return pool_state.query(indices, self.predict_batch)
+
+
+# Only the benchmark tracer (perfbench/spans.py) still names this alias;
+# ROADMAP item 1b deletes it.
+RemoteVictimOracle = RemoteVictimClient

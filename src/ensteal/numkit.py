@@ -493,11 +493,12 @@ def load_model(path) -> MlpModel:
         if act_code not in _CODE_ACT:
             raise InvalidInputError(f"unknown activation code {act_code}")
         spec = MlpSpec(input_dim, tuple(widths), num_classes, _CODE_ACT[act_code])
-        params = np.frombuffer(blob, dtype="<f8", offset=offset)
-        if params.size != spec.param_count():
-            raise InvalidInputError(
-                f"checkpoint holds {params.size} parameters, spec needs {spec.param_count()}"
-            )
     except struct.error as exc:
         raise InvalidInputError(f"truncated checkpoint: {exc}") from exc
+    except InvalidConfigError as exc:
+        raise InvalidInputError(f"bad checkpoint header: {exc}") from exc
+    size = offset + 8 * spec.param_count()
+    if len(blob) != size:
+        raise InvalidInputError(f"checkpoint holds {len(blob)} bytes, its header implies {size}")
+    params = np.frombuffer(blob, dtype="<f8", offset=offset)
     return MlpModel(spec, params.astype(np.float64), epoch_counter=int(epochs))

@@ -156,11 +156,13 @@ def test_transfer_denominator_validation(attack_setup):
 
 
 @pytest.mark.parametrize(
-    "bad", [[0.7, 1.9, 1.0], [True, False, True], [0, -1, 1], [0, 1, 2], [0, 1, 5], [[0, 1, 1]], [0, 1]]
+    "bad",
+    [[0.7, 1.9, 1.0], [True, False, True], [0, -1, 1], [0, 1, 2], [0, 1, 5], [[0, 1, 1]], [0, 1], [0, 1, True]],
 )
 def test_attack_and_transfer_reject_bad_labels(bad):
-    # float, bool, negative and out-of-range labels are a caller's bug; they
-    # must not be truncated or scored as always fooled (two classes here)
+    # float, bool (also one among ints), negative and out-of-range labels are
+    # a caller's bug; they must not be truncated or scored as always fooled
+    # (two classes here)
     src, tgt = make_sharp_models(2, dim=4, classes=2, seed=8)
     X = np.random.default_rng(0).normal(size=(3, 4))
     for eps in (0.0, 0.5):

@@ -224,6 +224,18 @@ def test_adv_transfer_rejects_non_finite_settings(data_files, victim_ckpt, capsy
     assert "InvalidConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_eval", ["-5", "0"])
+def test_adv_transfer_rejects_a_non_positive_n_eval(tmp_path, data_files, victim_ckpt, capsys, n_eval):
+    # -5 attacked rows [:-5] and wrote their CSV; 0 failed on an empty batch
+    _, test = data_files
+    csv_out = tmp_path / "transfer.csv"
+    rc = run_cli("adv-transfer", "--source", str(victim_ckpt), "--victim", str(victim_ckpt),
+                 "--data", str(test), "--epsilon", "0.5", "--n-eval", n_eval, "--out", str(csv_out))
+    assert rc == 1
+    assert "InvalidConfigError" in capsys.readouterr().err
+    assert not csv_out.exists()
+
+
 @pytest.mark.parametrize("separation", ["nan", "inf"])
 def test_gen_data_rejects_non_finite_separation(tmp_path, capsys, separation):
     rc = run_cli("gen-data", "--source", "gaussian_mixture", "--classes", "3", "--dim", "5",

@@ -18,6 +18,7 @@ from ensteal.datapool import (
     RandLite,
     TinyDigits,
     apply_transform,
+    as_labels,
     initial_split,
     load_dataset,
     make_synthetic,
@@ -157,18 +158,26 @@ LABEL_TAKERS = {
     "Dataset": lambda y: Dataset(np.zeros((4, 2)), y),
     "train_supervised": lambda y: train_supervised(_MODEL, (np.zeros((4, 2)), y), SgdConfig(base_lr=0.1), 0),
     "accuracy": lambda y: accuracy(_MODEL, np.zeros((4, 2)), y),
-    "PoolState.query": lambda y: make_pool().query([0, 1, 2, 3], lambda X: np.asarray(y)),
+    "PoolState.query": lambda y: make_pool().query([0, 1, 2, 3], lambda X: y),
+    "as_labels": lambda y: as_labels(y, 4),
 }
 
 
 @pytest.mark.parametrize(
     "labels",
-    [[True, False, True, False], [1.0, 0.0, 1.0, 1.0], np.array([0, 1, 1, 0], dtype=np.float32)],
-    ids=["bools", "integral_floats", "float32_array"],
+    [
+        [True, False, True, False],
+        [1.0, 0.0, 1.0, 1.0],
+        np.array([0, 1, 1, 0], dtype=np.float32),
+        [0, 1, True, 0],
+        [0, 1, np.True_, 0],
+    ],
+    ids=["bools", "integral_floats", "float32_array", "bool_in_int_list", "numpy_bool_in_int_list"],
 )
 @pytest.mark.parametrize("take", LABEL_TAKERS.values(), ids=LABEL_TAKERS.keys())
 def test_labels_must_have_an_integer_dtype(take, labels):
-    # bools and integral floats used to pass Dataset and numkit as 1/0 classes
+    # bools and integral floats used to pass Dataset and numkit as 1/0 classes;
+    # a bool among ints made an int64 array, so [0, 1, True, 0] was taken as [0, 1, 1, 0]
     with pytest.raises(InvalidInputError, match="labels must be (nonnegative )?integers, got dtype"):
         take(labels)
     take(np.asarray(labels).astype(np.int64))  # the same classes as integers are taken

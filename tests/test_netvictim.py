@@ -1,3 +1,4 @@
+import contextlib
 import json
 import socket
 import struct
@@ -16,7 +17,7 @@ from ensteal.errors import (
     InvalidInputError,
     RemoteUnavailableError,
 )
-from ensteal.netvictim import RemoteVictimClient, RemoteVictimOracle, VictimService
+from ensteal.netvictim import RemoteVictimClient, VictimService
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
 from ensteal.victim import QueryBudget, VictimOracle
 
@@ -498,7 +499,7 @@ def test_client_rejects_malformed_labels(reply):
     pool = PoolState(Dataset(np.zeros((5, 3))))
     with LineServer(reply) as srv, RemoteVictimClient(srv.host, srv.port, timeout=5.0, retries=1) as cl:
         with pytest.raises(RemoteUnavailableError, match="malformed"):
-            RemoteVictimOracle(cl).query_labels([4, 1], pool)
+            cl.query_labels([4, 1], pool)
     assert pool.counts()["unlabeled"] == 5  # nothing marked
 
 
@@ -517,7 +518,7 @@ def test_client_rejects_malformed_labels(reply):
 def test_client_rejects_malformed_remaining(reply):
     with LineServer(reply) as srv, RemoteVictimClient(srv.host, srv.port, timeout=5.0, retries=1) as cl:
         with pytest.raises(RemoteUnavailableError, match="malformed"):
-            RemoteVictimOracle(cl).budget_remaining()
+            cl.budget_remaining()
 
 
 @pytest.mark.parametrize("reply", [b'{"id": 1, "label": 1.5}', b'{"id": 1, "label": true}', b'{"id": 1, "labels": [1, 2]}'])
@@ -552,8 +553,7 @@ def test_remote_oracle_query_labels(service):
     pool = PoolState(Dataset(np.random.default_rng(3).normal(size=(20, 4))))
     local_pool = PoolState(pool.pool)
     local = VictimOracle(model, QueryBudget(100))
-    with RemoteVictimClient(svc.host, svc.port) as cl:
-        remote = RemoteVictimOracle(cl)
+    with RemoteVictimClient(svc.host, svc.port) as remote:
         labels = remote.query_labels([8, 3, 15], pool)
         assert labels.shape == (3,)
         assert np.array_equal(labels, local.query_labels([8, 3, 15], local_pool))
@@ -569,17 +569,33 @@ def test_remote_oracle_query_labels(service):
             remote.query_labels([1, 1], pool)
 
 
-def test_remote_oracle_precheck_blocks_partial_batches(tmp_path):
-    spec = MlpSpec(4, (6,), 3, "relu", rng_seed=2)
-    oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(2))
+@pytest.mark.parametrize("remote", [False, True], ids=["local", "remote"])
+def test_remote_oracle_precheck_blocks_partial_batches(remote):
+    # the local oracle and the remote client have one surface: a batch over
+    # the budget is refused whole, a batch that fits is charged once
+    model = MlpModel.initialize(MlpSpec(4, (6,), 3, "relu", rng_seed=2))
+    ledger = VictimOracle(model, QueryBudget(4))
     pool = PoolState(Dataset(np.random.default_rng(4).normal(size=(10, 4))))
-    with VictimService(oracle) as svc:
-        with RemoteVictimClient(svc.host, svc.port) as cl:
-            remote = RemoteVictimOracle(cl)
-            with pytest.raises(BudgetExhaustedError):
-                remote.query_labels([1, 2, 3], pool)
-            assert pool.counts()["queried"] == 0  # nothing marked
-            assert oracle.budget_remaining() == 2  # nothing spent
-            assert oracle.query_log == []
-            remote.query_labels([1, 2], pool)
-            assert oracle.budget_remaining() == 0
+    with contextlib.ExitStack() as stack:
+        oracle = ledger
+        if remote:
+            svc = stack.enter_context(VictimService(ledger))
+            oracle = stack.enter_context(RemoteVictimClient(svc.host, svc.port))
+        with pytest.raises(BudgetExhaustedError):
+            oracle.query_labels([1, 2, 3, 4, 5], pool)
+        assert pool.counts()["queried"] == 0  # nothing marked
+        assert oracle.budget_remaining() == ledger.budget_remaining() == 4  # nothing spent
+        assert ledger.query_log == []
+        oracle.query_labels([0, 1, 2], pool)
+        assert oracle.budget_remaining() == ledger.budget_remaining() == 1
+        with pytest.raises(BudgetExhaustedError):
+            oracle.query_labels([3, 4], pool)
+        assert pool.counts()["queried"] == 3  # the refused batch marked nothing
+        assert oracle.budget_remaining() == ledger.budget_remaining() == 1
+        assert len(ledger.query_log) == 3
+        labels = oracle.query_labels([3], pool)
+        assert oracle.budget_remaining() == ledger.budget_remaining() == 0
+        _, y, idx = pool.labeled_data()
+        assert idx.tolist() == [0, 1, 2, 3]
+        assert y.tolist() == predict_batch(model, pool.pool.features[:4]).tolist()
+        assert labels.tolist() == y[3:].tolist()

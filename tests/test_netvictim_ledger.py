@@ -4,9 +4,9 @@ One VictimService in this process takes an interleaved sequence of requests
 on several connections: new predict_batch requests from raw sockets (some
 over budget, refused whole), replays of an id on the same or another
 connection, resends after a connection dropped before its reply was read,
-reused ids with another payload, budget requests, and RemoteVictimOracle
-queries that label a PoolState. A reference count of the rows that should
-have been charged is kept alongside.
+reused ids with another payload, budget requests, and RemoteVictimClient
+query_labels calls that label a PoolState. A reference count of the rows
+that should have been charged is kept alongside.
 """
 
 import json
@@ -19,7 +19,7 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
 from ensteal.datapool import Dataset, PoolState
 from ensteal.errors import BudgetExhaustedError, InvalidInputError
-from ensteal.netvictim import RemoteVictimClient, RemoteVictimOracle, VictimService
+from ensteal.netvictim import RemoteVictimClient, VictimService
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
 from ensteal.victim import QueryBudget, VictimOracle
 
@@ -45,7 +45,6 @@ class WireLedgerMachine(RuleBasedStateMachine):
         self.conns = [socket.create_connection(self.addr, timeout=5) for _ in range(CONNECTIONS)]
         self.files = [conn.makefile("rwb") for conn in self.conns]
         self.client = RemoteVictimClient(*self.addr, timeout=5.0, id_seed=3)
-        self.remote = RemoteVictimOracle(self.client)
         self.next_id = 1
         self.lines: dict[int, tuple[bytes, bytes]] = {}  # id -> (request, reply)
         self.charged = 0  # rows the server should have charged
@@ -115,7 +114,7 @@ class WireLedgerMachine(RuleBasedStateMachine):
         unlabeled = not any(i in self.bought for i in indices)
         fits = len(indices) <= BUDGET - self.charged
         try:
-            labels = self.remote.query_labels(indices, self.pool)
+            labels = self.client.query_labels(indices, self.pool)
         except InvalidInputError:
             assert not unlabeled
         except BudgetExhaustedError:

@@ -575,3 +575,26 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"AOTM" + b"\x01")
     with pytest.raises(InvalidInputError):
         load_model(p)
+
+
+def test_checkpoint_rejects_a_length_its_header_does_not_imply(tmp_path):
+    # 3 bytes cut or appended raised numpy's bare ValueError
+    path = tmp_path / "m.ckpt"
+    save_model(small_model(), path)
+    blob = path.read_bytes()
+    for bad in (blob[:-3], blob + b"abc", blob[:-8], blob + b"\x00" * 8):
+        path.write_bytes(bad)
+        with pytest.raises(InvalidInputError, match="header implies"):
+            load_model(path)
+
+
+def test_checkpoint_rejects_a_header_no_spec_allows(tmp_path):
+    # an input_dim of 0 raised MlpSpec's InvalidConfigError: the file is
+    # the bad input, not a config
+    path = tmp_path / "m.ckpt"
+    save_model(small_model(), path)
+    blob = bytearray(path.read_bytes())
+    blob[8:12] = (0).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(InvalidInputError, match="input_dim"):
+        load_model(path)

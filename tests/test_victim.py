@@ -88,17 +88,6 @@ def test_oracle_rejects_before_charging():
     assert oracle.budget_remaining() == 4
 
 
-def test_oracle_budget_exhaustion_is_atomic():
-    oracle, pool, model = make_oracle(budget=4)
-    oracle.query_labels([0, 1, 2], pool)
-    with pytest.raises(BudgetExhaustedError):
-        oracle.query_labels([3, 4], pool)
-    assert pool.counts()["queried"] == 3  # the failing batch marked nothing
-    assert oracle.budget_remaining() == 1
-    oracle.query_labels([3], pool)
-    assert oracle.budget_remaining() == 0
-
-
 def test_single_row_batch_charges():
     oracle, pool, model = make_oracle(budget=2)
     x = pool.pool.features[:1]
