@@ -14,15 +14,14 @@ import dataclasses
 import json
 import signal
 import sys
+from typing import get_type_hints
 
 from . import adversarial as adv
 from . import config, harness, numkit
-from .datapool import GaussianMixture, TinyDigits, load_dataset, make_synthetic, save_dataset, strip_labels
+from .datapool import load_dataset, make_synthetic, save_dataset, strip_labels
 from .ensemble import load_ensemble
 from .errors import StageError
-from .numkit import MlpSpec
-from .seeding import derive_seed
-from .victim import DEFAULT_VICTIM_HIDDEN, QueryBudget, VictimOracle, default_victim_sgd, train_victim
+from .victim import QueryBudget, VictimOracle, VictimRecipe, train_victim
 
 
 def _hidden(text: str) -> tuple[int, ...]:
@@ -37,12 +36,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="synthesize a dataset file")
-    p.add_argument("--source", choices=["gaussian_mixture", "tiny_digits"], required=True)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--separation", type=float, default=5.0)
-    p.add_argument("--height", type=int, default=TinyDigits.height)
-    p.add_argument("--width", type=int, default=TinyDigits.width)
+    p.add_argument("--source", choices=list(config.SOURCES), required=True)
+    for source in config.SOURCES.values():  # one flag per victim.data key
+        hints = get_type_hints(source)
+        for f in dataclasses.fields(source):
+            p.add_argument(f"--{f.name}", type=hints[f.name], default=f.default)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--unlabeled", action="store_true", help="strip labels before writing")
@@ -51,10 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-victim", help="fit the target model on a dataset file")
     p.add_argument("--train", required=True)
     p.add_argument("--test")
-    p.add_argument("--hidden", type=_hidden, default=DEFAULT_VICTIM_HIDDEN, help="comma-separated widths")
-    p.add_argument("--activation", choices=["relu", "tanh"], default="relu")
-    p.add_argument("--epochs", type=int, default=default_victim_sgd().epochs)
-    p.add_argument("--batch-size", type=int, default=default_victim_sgd().batch_size)
+    p.add_argument("--hidden", type=_hidden, default=VictimRecipe.hidden_layers, help="comma-separated widths")
+    p.add_argument("--activation", choices=list(numkit.ACTIVATION_CODES), default=VictimRecipe.activation)
+    p.add_argument("--epochs", type=int, default=VictimRecipe.epochs)
+    p.add_argument("--batch-size", type=int, default=VictimRecipe.batch_size)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -92,10 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_data(args) -> int:
-    if args.source == "gaussian_mixture":
-        source = GaussianMixture(args.classes, args.dim, args.separation)
-    else:
-        source = TinyDigits(args.height, args.width)
+    kind = config.SOURCES[args.source]
+    source = kind(**{f.name: getattr(args, f.name) for f in dataclasses.fields(kind)})
     data = make_synthetic(source, args.n, args.seed)
     if args.unlabeled:
         data = strip_labels(data)
@@ -107,18 +103,10 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train_victim(args) -> int:
     train = load_dataset(args.train)
     test = load_dataset(args.test) if args.test else None
-    if train.labels is None:
-        print("error: training data has no labels", file=sys.stderr)
-        return 1
-    spec = MlpSpec(
-        input_dim=train.dim,
-        hidden_layers=args.hidden,
-        num_classes=int(train.labels.max()) + 1,
-        activation=args.activation,
-        rng_seed=derive_seed(args.seed, 0),
+    recipe = VictimRecipe(
+        hidden_layers=args.hidden, activation=args.activation, epochs=args.epochs, batch_size=args.batch_size
     )
-    cfg = default_victim_sgd(epochs=args.epochs, batch_size=args.batch_size)
-    model, acc = train_victim(train, test, spec, cfg, seed=args.seed)
+    model, acc = train_victim(train, test, recipe, args.seed)
     numkit.save_model(model, args.out)
     if acc is None:
         print(f"wrote checkpoint to {args.out}")

@@ -28,10 +28,10 @@ from .datapool import (
 )
 from .ensemble import DEFAULT_HIDDEN_PROFILE, EnsembleSpec, default_member_configs
 from .errors import InvalidConfigError
-from .numkit import MlpSpec, SgdConfig
+from .numkit import MlpSpec
 from .selection import SelectionStrategy
 from .semisup import SslConfig
-from .victim import DEFAULT_VICTIM_HIDDEN, default_victim_sgd
+from .victim import VictimRecipe
 
 # Each section is a frozen dataclass whose fields are its JSON keys: a field
 # without a default is required, and __post_init__ range-checks the section,
@@ -53,10 +53,9 @@ def _typed(value, kind: type, path: str):
     return float(value) if kind is float else value
 
 
-# victim.data names its source class by this tag
-_SOURCES = {"gaussian_mixture": GaussianMixture, "tiny_digits": TinyDigits}
-_SOURCE_TAGS = {cls: tag for tag, cls in _SOURCES.items()}
-_VICTIM_SGD = default_victim_sgd()
+# victim.data names its source class by this tag; gen-data's flags are their fields
+SOURCES = {"gaussian_mixture": GaussianMixture, "tiny_digits": TinyDigits}
+_SOURCE_TAGS = {cls: tag for tag, cls in SOURCES.items()}
 
 
 def _shared(section, runtime: type) -> dict:
@@ -65,33 +64,20 @@ def _shared(section, runtime: type) -> dict:
     return {f.name: getattr(section, f.name) for f in fields(section) if f.name in names}
 
 
-@dataclass(frozen=True)
-class VictimSection:
+@dataclass(frozen=True, kw_only=True)
+class VictimSection(VictimRecipe):
+    """The victim's recipe plus where its data comes from, or the checkpoint
+    to load in place of training."""
+
     data: SyntheticSource
     train_n: int = 4000
     test_n: int = 2000
-    hidden_layers: tuple[int, ...] = DEFAULT_VICTIM_HIDDEN
-    activation: str = "relu"
-    base_lr: float = _VICTIM_SGD.base_lr
-    momentum: float = _VICTIM_SGD.momentum
-    lr_decay_factor: float = _VICTIM_SGD.lr_decay_factor
-    lr_decay_every: int = _VICTIM_SGD.lr_decay_every
-    weight_decay: float = _VICTIM_SGD.weight_decay
-    epochs: int = _VICTIM_SGD.epochs
-    batch_size: int = _VICTIM_SGD.batch_size
     checkpoint: Optional[str] = None
 
     def __post_init__(self):
         if self.train_n < 1 or self.test_n < 1:
             raise InvalidConfigError("train_n and test_n must be positive")
-        self.sgd()
-        self.spec(0)
-
-    def sgd(self) -> SgdConfig:
-        return SgdConfig(**_shared(self, SgdConfig))
-
-    def spec(self, rng_seed: int) -> MlpSpec:
-        return MlpSpec(self.data.input_dim, self.hidden_layers, self.data.num_classes, self.activation, rng_seed)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -211,9 +197,9 @@ def _decode(kind, value, path: str):
         return None
     if kind == SyntheticSource:
         tag = value.get("source") if isinstance(value, dict) else None
-        if not isinstance(tag, str) or tag not in _SOURCES:
-            raise InvalidConfigError(f"{path}.source must be {' or '.join(_SOURCES)}")
-        return _decode(_SOURCES[tag], {k: v for k, v in value.items() if k != "source"}, path)
+        if not isinstance(tag, str) or tag not in SOURCES:
+            raise InvalidConfigError(f"{path}.source must be {' or '.join(SOURCES)}")
+        return _decode(SOURCES[tag], {k: v for k, v in value.items() if k != "source"}, path)
     if get_origin(kind) is Union:  # Optional[X]
         return None if value is None else _decode(get_args(kind)[0], value, path)
     if get_origin(kind) is tuple:

@@ -320,9 +320,9 @@ class GaussianMixture:
     """Unit-variance Gaussian blobs whose closest pair of means sits exactly
     `separation` apart; class labels cycle 0..classes-1 over the rows."""
 
-    classes: int
-    dim: int
-    separation: float
+    classes: int = 4
+    dim: int = 8
+    separation: float = 5.0
 
     def __post_init__(self):
         if self.classes < 2:

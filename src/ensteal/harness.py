@@ -39,7 +39,7 @@ from .ensemble import (
     save_ensemble,
     train_cycle,
 )
-from .errors import InvalidConfigError, StageError
+from .errors import InvalidConfigError, InvalidInputError, StageError
 from .seeding import derive_seed, mask64
 from .selection import SCORED_KINDS, select_queries
 from .semisup import harvest_pseudo_labels, ssl_train
@@ -159,11 +159,16 @@ def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str]
         with _stage("victim"):
             if cfg.victim.checkpoint is not None:
                 victim_model = numkit.load_model(cfg.victim.checkpoint)
+                shape = (victim_model.spec.input_dim, victim_model.spec.num_classes)
+                if shape != (source.input_dim, source.num_classes):  # refused before any label is bought
+                    raise InvalidInputError(
+                        f"checkpoint has (input_dim, num_classes) {shape}, "
+                        f"victim.data has {(source.input_dim, source.num_classes)}"
+                    )
             else:
                 victim_train = make_synthetic(source, cfg.victim.train_n, stage_seed(root, VICTIM_DATA))
-                spec = cfg.victim.spec(derive_seed(stage_seed(root, VICTIM_TRAIN), 0))
                 victim_model, _ = train_victim(
-                    victim_train, None, spec, cfg.victim.sgd(), seed=stage_seed(root, VICTIM_TRAIN)
+                    victim_train, None, cfg.victim, stage_seed(root, VICTIM_TRAIN), num_classes=source.num_classes
                 )
             numkit.save_model(victim_model, os.path.join(out_dir, "victim.ckpt"))
             victim_test_labels = numkit.predict_batch(victim_model, test.features)

@@ -10,7 +10,8 @@ Requests carry a caller-chosen integer id, echoed back. The two ops:
 A predict_batch is all or nothing: it is charged once, and a batch larger
 than the remaining budget is refused whole, charging and logging nothing.
 Failures answer {"id": ..., "error": msg, "code": code} with code one of
-BUDGET_EXHAUSTED, BAD_INPUT, or INTERNAL; a line that does not parse or has
+BUDGET_EXHAUSTED, BAD_INPUT (any fault of the request, an integer beyond
+float range included), or INTERNAL; a line that does not parse or has
 no integer id (a bool is not one) gets id 0 and BAD_INPUT, and the
 connection stays open either way.
 
@@ -184,7 +185,11 @@ class VictimService:
             error = "x must be a nonempty list of equal-length lists of numbers"
             return _encode({"id": rid, "error": error, "code": CODE_BAD_INPUT})
         try:
-            labels = self._oracle.predict_batch(np.asarray(x, dtype=np.float64))
+            X = np.asarray(x, dtype=np.float64)
+        except OverflowError:  # an integer such as 10**400, as far out of range as 1e400
+            return _encode({"id": rid, "error": "x holds a number beyond float range", "code": CODE_BAD_INPUT})
+        try:
+            labels = self._oracle.predict_batch(X)
         except BudgetExhaustedError as exc:
             return _encode({"id": rid, "error": str(exc), "code": CODE_BUDGET})
         except InvalidInputError as exc:

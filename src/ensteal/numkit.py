@@ -33,8 +33,9 @@ from .datapool import as_labels
 from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from .seeding import mask64
 
-_ACT_CODE = {"relu": 0, "tanh": 1}
-_CODE_ACT = {v: k for k, v in _ACT_CODE.items()}
+# every activation, by its checkpoint code
+ACTIVATION_CODES = {"relu": 0, "tanh": 1}
+_CODE_ACT = {v: k for k, v in ACTIVATION_CODES.items()}
 
 CHECKPOINT_MAGIC = b"AOTM"
 CHECKPOINT_VERSION = 1
@@ -64,7 +65,7 @@ class MlpSpec:
             raise InvalidConfigError(f"num_classes must be positive, got {self.num_classes}")
         if any(w < 1 for w in self.hidden_layers):
             raise InvalidConfigError(f"hidden layer widths must be positive, got {self.hidden_layers}")
-        if self.activation not in _ACT_CODE:
+        if self.activation not in ACTIVATION_CODES:
             raise InvalidConfigError(f"unknown activation {self.activation!r}")
 
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -467,7 +468,7 @@ def save_model(model: MlpModel, path) -> None:
     parts = [
         struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, spec.input_dim),
         struct.pack(f"<I{len(spec.hidden_layers)}I", len(spec.hidden_layers), *spec.hidden_layers),
-        struct.pack("<IBQ", spec.num_classes, _ACT_CODE[spec.activation], model.epoch_counter),
+        struct.pack("<IBQ", spec.num_classes, ACTIVATION_CODES[spec.activation], model.epoch_counter),
         model.params.astype("<f8").tobytes(),
     ]
     with open(path, "wb") as fh:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -23,51 +23,56 @@ from .errors import BudgetExhaustedError, InvalidConfigError, InvalidInputError
 from .numkit import MlpModel, MlpSpec, SgdConfig
 from .seeding import derive_seed
 
-DEFAULT_VICTIM_HIDDEN = (64, 64)
 
+@dataclass(frozen=True)
+class VictimRecipe:
+    """How the target model is built and fit. The defaults are the reference
+    victim: two relu layers of 64, lr 0.1 with momentum 0.5, decayed 10x
+    every 30 epochs, no weight decay, 200 epochs of batches of 64."""
 
-def default_victim_sgd(epochs: int = 200, batch_size: int = 64) -> SgdConfig:
-    """Reference victim recipe: lr 0.1 with momentum 0.5, decayed 10x every
-    30 epochs, no weight decay."""
-    return SgdConfig(
-        base_lr=0.1,
-        momentum=0.5,
-        lr_decay_factor=0.1,
-        lr_decay_every=30,
-        weight_decay=0.0,
-        epochs=epochs,
-        batch_size=batch_size,
-    )
+    hidden_layers: tuple[int, ...] = (64, 64)
+    activation: str = "relu"
+    base_lr: float = 0.1
+    momentum: float = 0.5
+    lr_decay_factor: float = 0.1
+    lr_decay_every: int = 30
+    weight_decay: float = 0.0
+    epochs: int = 200
+    batch_size: int = 64
+
+    def __post_init__(self):
+        self.sgd()
+        self.spec(1, 2, 0)
+
+    def sgd(self) -> SgdConfig:
+        return SgdConfig(**{f.name: getattr(self, f.name) for f in fields(SgdConfig)})
+
+    def spec(self, input_dim: int, num_classes: int, rng_seed: int) -> MlpSpec:
+        return MlpSpec(input_dim, self.hidden_layers, num_classes, self.activation, rng_seed)
 
 
 def train_victim(
     train: Dataset,
-    test: Optional[Dataset] = None,
-    spec: Optional[MlpSpec] = None,
-    cfg: Optional[SgdConfig] = None,
-    seed: int = 0,
+    test: Optional[Dataset],
+    recipe: VictimRecipe,
+    seed: int,
+    num_classes: Optional[int] = None,
 ) -> tuple[MlpModel, Optional[float]]:
-    """Fit the target model on labeled data; returns (model, test accuracy)."""
+    """Fit the target model on labeled data; returns (model, test accuracy).
+    num_classes defaults to the largest training label plus one. A test set
+    that could not be scored is refused before the first epoch."""
     if train.labels is None:
         raise InvalidInputError("victim training data must be labeled")
-    if spec is None:
+    if test is not None and test.labels is None:
+        raise InvalidInputError("test data must be labeled")
+    if num_classes is None:
         num_classes = int(train.labels.max()) + 1
-        spec = MlpSpec(
-            input_dim=train.dim,
-            hidden_layers=DEFAULT_VICTIM_HIDDEN,
-            num_classes=num_classes,
-            activation="relu",
-            rng_seed=derive_seed(seed, 0),
-        )
-    if cfg is None:
-        cfg = default_victim_sgd()
-    model = MlpModel.initialize(spec)
-    model, _ = numkit.train_supervised(model, (train.features, train.labels), cfg, derive_seed(seed, 1))
-    acc = None
-    if test is not None:
-        if test.labels is None:
-            raise InvalidInputError("test data must be labeled")
-        acc = numkit.accuracy(model, test.features, test.labels)
+    model = MlpModel.initialize(recipe.spec(train.dim, num_classes, derive_seed(seed, 0)))
+    if test is not None:  # its width and label range, as accuracy() will check them
+        numkit.as_batch(model, test.features)
+        numkit.as_class_labels(model, test.labels, test.n)
+    model, _ = numkit.train_supervised(model, (train.features, train.labels), recipe.sgd(), derive_seed(seed, 1))
+    acc = None if test is None else numkit.accuracy(model, test.features, test.labels)
     return model, acc
 
 

@@ -13,8 +13,8 @@ from ensteal.adversarial import (
 )
 from ensteal.datapool import GaussianMixture, make_synthetic
 from ensteal.errors import InvalidConfigError, InvalidInputError
-from ensteal.numkit import MlpModel, MlpSpec, predict_batch
-from ensteal.victim import default_victim_sgd, train_victim
+from ensteal.numkit import MlpModel, predict_batch
+from ensteal.victim import VictimRecipe, train_victim
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +22,9 @@ def attack_setup():
     src = GaussianMixture(3, 5, 4.0)
     train = make_synthetic(src, 800, seed=70)
     test = make_synthetic(src, 200, seed=71)
-    cfg = default_victim_sgd(epochs=30)
-    model, acc = train_victim(train, test, cfg=cfg, seed=3)
+    model, acc = train_victim(train, test, VictimRecipe(epochs=30), seed=3)
     assert acc > 0.9
-    other, _ = train_victim(train, test, spec=MlpSpec(5, (24,), 3, "relu", 99), cfg=cfg, seed=4)
+    other, _ = train_victim(train, test, VictimRecipe(hidden_layers=(24,), epochs=30), seed=4)
     return model, other, test
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import ensteal
-from ensteal.cli import main
-from ensteal.datapool import load_dataset
+from ensteal import numkit
+from ensteal.cli import _build_parser, main
+from ensteal.datapool import GaussianMixture, load_dataset, make_synthetic, save_dataset
 from ensteal.numkit import load_model
 
 
@@ -66,6 +68,14 @@ def test_gen_data_identical_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_data_source_flags_default_to_the_source_fields(tmp_path):
+    out = tmp_path / "d.aotd"
+    assert run_cli("gen-data", "--source", "gaussian_mixture", "--n", "40", "--seed", "9", "--out", str(out)) == 0
+    want = tmp_path / "want.aotd"
+    save_dataset(make_synthetic(GaussianMixture(), 40, 9), want)
+    assert out.read_bytes() == want.read_bytes()
+
+
 def test_train_victim_checkpoint(victim_ckpt, data_files, capsys):
     model = load_model(victim_ckpt)
     assert model.spec.hidden_layers == (12, 12)
@@ -73,11 +83,29 @@ def test_train_victim_checkpoint(victim_ckpt, data_files, capsys):
     assert model.epoch_counter == 25
 
 
-def test_train_victim_rejects_unlabeled(tmp_path):
+def test_train_victim_rejects_unlabeled(tmp_path, capsys):
     bare = tmp_path / "bare.aotd"
     run_cli("gen-data", "--source", "gaussian_mixture", "--n", "20", "--unlabeled", "--out", str(bare))
     rc = run_cli("train-victim", "--train", str(bare), "--out", str(tmp_path / "x.ckpt"))
     assert rc == 1
+    assert capsys.readouterr().err == "error (InvalidInputError): victim training data must be labeled\n"
+
+
+def test_train_victim_rejects_an_unlabeled_test_set_before_training(tmp_path, data_files, monkeypatch, capsys):
+    # it once trained the whole schedule and failed only when scoring
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(numkit, "train_supervised", no_training)
+    train, _ = data_files
+    bare = tmp_path / "bare.aotd"
+    run_cli("gen-data", "--source", "gaussian_mixture", "--classes", "3", "--dim", "5",
+            "--n", "20", "--unlabeled", "--out", str(bare))
+    out = tmp_path / "x.ckpt"
+    rc = run_cli("train-victim", "--train", str(train), "--test", str(bare), "--out", str(out))
+    assert rc == 1
+    assert capsys.readouterr().err == "error (InvalidInputError): test data must be labeled\n"
+    assert not out.exists()
 
 
 def test_missing_file_returns_error_code(tmp_path, capsys):
@@ -293,3 +321,87 @@ def test_out_of_range_value_fails_before_the_run(tmp_path, capsys):
     assert rc == 1
     assert "ssl: confidence_threshold" in capsys.readouterr().err
     assert not out.exists()  # nothing written, no stage run, no query spent
+
+
+# Every subcommand's options as (option strings, default, type, choices,
+# required), taken from the parser before its flags were derived from the
+# source table and VictimRecipe: the derivation must not move any of them.
+CLI_SURFACE = {
+    "gen-data": [
+        (["--source"], None, None, ["gaussian_mixture", "tiny_digits"], True),
+        (["--classes"], 4, "int", None, False),
+        (["--dim"], 8, "int", None, False),
+        (["--separation"], 5.0, "float", None, False),
+        (["--height"], 10, "int", None, False),
+        (["--width"], 6, "int", None, False),
+        (["--n"], None, "int", None, True),
+        (["--seed"], 0, "int", None, False),
+        (["--unlabeled"], False, None, None, False),
+        (["--out"], None, None, None, True),
+    ],
+    "train-victim": [
+        (["--train"], None, None, None, True),
+        (["--test"], None, None, None, False),
+        (["--hidden"], (64, 64), "_hidden", None, False),
+        (["--activation"], "relu", None, ["relu", "tanh"], False),
+        (["--epochs"], 200, "int", None, False),
+        (["--batch-size"], 64, "int", None, False),
+        (["--seed"], 0, "int", None, False),
+        (["--out"], None, None, None, True),
+    ],
+    "serve-victim": [
+        (["--checkpoint"], None, None, None, True),
+        (["--budget"], None, "int", None, True),
+        (["--host"], "127.0.0.1", None, None, False),
+        (["--port"], 0, "int", None, False),
+        (["--log-path"], None, None, None, False),
+    ],
+    "run-attack": [
+        (["--config"], None, None, None, True),
+        (["--seed"], None, "int", None, False),
+        (["--out"], None, None, None, True),
+    ],
+    "evaluate": [
+        (["--ensemble"], None, None, None, True),
+        (["--victim"], None, None, None, True),
+        (["--data"], None, None, None, True),
+        (["--out"], None, None, None, False),
+    ],
+    "adv-transfer": [
+        (["--source"], None, None, None, True),
+        (["--victim"], None, None, None, True),
+        (["--data"], None, None, None, True),
+        (["--epsilon"], None, "float", None, True),
+        (["--steps"], 20, "int", None, False),
+        (["--step-size"], None, "float", None, False),
+        (["--no-random-start"], False, None, None, False),
+        (["--n-eval"], 200, "int", None, False),
+        (["--denominator"], "source_fooled", None, ["source_fooled", "all"], False),
+        (["--seed"], 0, "int", None, False),
+        (["--out"], None, None, None, False),
+    ],
+}
+
+
+def test_cli_surface_is_pinned():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: [
+            (
+                a.option_strings,
+                a.default,
+                None if a.type is None else a.type.__name__,
+                None if a.choices is None else list(a.choices),
+                a.required,
+            )
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, parser in sub.choices.items()
+    }
+    assert surface == CLI_SURFACE
+    # and each default its type: 5.0 == 5, but --separation defaults to a float
+    def default_types(table):
+        return {name: [type(row[1]) for row in rows] for name, rows in table.items()}
+
+    assert default_types(surface) == default_types(CLI_SURFACE)

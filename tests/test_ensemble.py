@@ -22,7 +22,7 @@ from ensteal.ensemble import (
 )
 from ensteal.errors import InvalidConfigError, InvalidInputError
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
-from ensteal.victim import QueryBudget, VictimOracle, default_victim_sgd, train_victim
+from ensteal.victim import QueryBudget, VictimOracle, VictimRecipe, train_victim
 
 
 def test_default_profile_capacities_strictly_increase():
@@ -121,7 +121,7 @@ def trained_state():
     pool = PoolState(strip_labels(make_synthetic(src, 400, seed=21)))
     victim_train = make_synthetic(src, 800, seed=22)
     victim_test = make_synthetic(src, 300, seed=23)
-    victim, _ = train_victim(victim_train, victim_test, cfg=default_victim_sgd(epochs=30), seed=5)
+    victim, _ = train_victim(victim_train, victim_test, VictimRecipe(epochs=30), seed=5)
     oracle = VictimOracle(victim, QueryBudget(200))
     oracle.query_labels(list(range(0, 60)), pool)
     oracle.query_labels(list(range(300, 330)), pool)

@@ -14,7 +14,7 @@ from ensteal import harness, numkit
 from ensteal.config import config_to_dict, load_config, parse_config, resolve_augment
 from ensteal.datapool import GaussianMixture, ImageLayout, make_synthetic, per_cycle_batches, strong_augment
 from ensteal.ensemble import MEMBER_DTYPE, BestCheckpoint, ensemble_predict
-from ensteal.errors import InvalidConfigError, StageError
+from ensteal.errors import InvalidConfigError, InvalidInputError, StageError
 from ensteal.harness import (
     ADV_STAGE,
     CYCLE_TRAIN,
@@ -28,7 +28,7 @@ from ensteal.harness import (
 from ensteal.netvictim import VictimService
 from ensteal.numkit import MlpModel, load_model, predict_batch, save_model
 from ensteal.seeding import derive_seed, mask64
-from ensteal.victim import QueryBudget, VictimOracle, default_victim_sgd, train_victim
+from ensteal.victim import QueryBudget, VictimOracle, VictimRecipe, train_victim
 
 
 def base_config(**overrides):
@@ -116,9 +116,18 @@ def test_parse_requires_core_fields():
     with pytest.raises(InvalidConfigError):
         parse_config(cfg)
     cfg = base_config()
-    del cfg["victim"]["data"]["classes"]
-    with pytest.raises(InvalidConfigError):
+    del cfg["victim"]["data"]
+    with pytest.raises(InvalidConfigError, match="victim.data is required"):
         parse_config(cfg)
+
+
+def test_parse_gaussian_mixture_defaults():
+    # the mixture's keys are optional; gen-data's flags default to the same values
+    raw = base_config()
+    raw["victim"]["data"] = {"source": "gaussian_mixture"}
+    assert parse_config(raw).victim.data == GaussianMixture(4, 8, 5.0)
+    raw["victim"]["data"]["dim"] = 3
+    assert parse_config(raw).victim.data == GaussianMixture(4, 3, 5.0)
 
 
 def test_parse_validates_budget_arithmetic():
@@ -418,8 +427,8 @@ def test_evaluate_models_keys():
     src = GaussianMixture(3, 5, 4.0)
     train = make_synthetic(src, 400, seed=1)
     test = make_synthetic(src, 150, seed=2)
-    victim, _ = train_victim(train, test, cfg=default_victim_sgd(epochs=15), seed=0)
-    other, _ = train_victim(train, test, cfg=default_victim_sgd(epochs=10), seed=1)
+    victim, _ = train_victim(train, test, VictimRecipe(epochs=15), seed=0)
+    other, _ = train_victim(train, test, VictimRecipe(epochs=10), seed=1)
     victim_labels = predict_batch(victim, test.features)
     out = evaluate_models(committee_probs([victim, other], test.features), victim_labels, test)
     assert set(out) == {
@@ -585,6 +594,41 @@ def test_run_attack_failure_labels_stage(tmp_path):
     assert header.split(",")[2:-2] == ["member0_acc", "member1_acc", "member2_acc"]
 
 
+@pytest.mark.parametrize(
+    "input_dim, classes, adversarial",
+    [(6, 5, False), (6, 2, True), (5, 3, False)],
+    ids=["more_classes", "fewer_classes_with_pgd", "other_width"],
+)
+def test_a_checkpoint_that_does_not_fit_the_data_fails_the_victim_stage(
+    tmp_path, monkeypatch, input_dim, classes, adversarial
+):
+    # base_config's data has 6 features and 3 classes. A 5-class checkpoint
+    # once bought the validation and initial labels before failing in
+    # `cycles`, and a 2-class one with PGD on spent the whole budget before
+    # failing in `adversarial`.
+    ckpt = tmp_path / "other.ckpt"
+    save_model(MlpModel.initialize(numkit.MlpSpec(input_dim, (16, 16), classes, rng_seed=1)), ckpt)
+    raw = base_config()
+    raw["victim"]["checkpoint"] = str(ckpt)
+    if adversarial:
+        raw["adversarial"] = {"epsilon": 0.5}
+    built = []
+
+    class RecordingOracle(VictimOracle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(harness, "VictimOracle", RecordingOracle)
+    out = tmp_path / "run"
+    with pytest.raises(StageError) as err:
+        run_attack(parse_config(raw), out)
+    assert err.value.stage == "victim" and isinstance(err.value.cause, InvalidInputError)
+    assert (out / "summary.txt").read_text().startswith("run failed: stage 'victim' failed: checkpoint")
+    assert built == []  # no oracle was built, so no label was bought
+    assert not (out / "victim.ckpt").exists()
+
+
 def _artifacts(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -694,7 +738,7 @@ def test_artifacts_agree_on_the_committee_size(tmp_path, k):
 def served_checkpoint(tmp_path_factory):
     """A saved victim matching base_config's data (6 features, 3 classes)."""
     src = GaussianMixture(3, 6, 4.0)
-    model, _ = train_victim(make_synthetic(src, 400, seed=1), cfg=default_victim_sgd(epochs=10), seed=0)
+    model, _ = train_victim(make_synthetic(src, 400, seed=1), None, VictimRecipe(epochs=10), seed=0)
     path = tmp_path_factory.mktemp("served") / "victim.ckpt"
     save_model(model, path)
     return path

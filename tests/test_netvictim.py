@@ -211,6 +211,20 @@ def test_bad_input_codes_keep_connection_open(service):
     assert oracle.query_log == []
 
 
+def test_an_integer_beyond_float_range_is_bad_input(service):
+    # 10**400 once reached the oracle and came back INTERNAL (OverflowError);
+    # 1e400 already parsed to inf and was refused as BAD_INPUT
+    svc, _, oracle = service
+    huge = json.dumps({"id": 21, "op": "predict_batch", "x": [[10**400, 1]]}).encode() + b"\n"
+    reply, budget = raw_exchange(svc, huge, b'{"id": 22, "op": "budget"}\n')
+    assert reply == {"id": 21, "error": "x holds a number beyond float range", "code": "BAD_INPUT"}
+    assert budget == {"id": 22, "remaining": 100}
+    with RemoteVictimClient(svc.host, svc.port) as client:
+        with pytest.raises(InvalidInputError, match="beyond float range"):
+            client._request({"op": "predict_batch", "x": [[10**400, 1, 0, 0]]}, "labels", bool)
+    assert oracle.budget_remaining() == 100 and oracle.query_log == []
+
+
 def test_lines_split_across_reads(service):
     svc, model, _ = service
     x = [0.5, -1.0, 2.0, 0.25]

@@ -2,16 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
+from ensteal import numkit
 from ensteal.datapool import Dataset, GaussianMixture, PoolState, make_synthetic, strip_labels
 from ensteal.errors import BudgetExhaustedError, InvalidConfigError, InvalidInputError
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
-from ensteal.victim import (
-    DEFAULT_VICTIM_HIDDEN,
-    QueryBudget,
-    VictimOracle,
-    default_victim_sgd,
-    train_victim,
-)
+from ensteal.victim import QueryBudget, VictimOracle, VictimRecipe, train_victim
 
 
 def make_oracle(budget=50, n=20, d=4, classes=3, seed=0):
@@ -111,12 +106,13 @@ def test_train_victim_defaults_and_accuracy():
     src = GaussianMixture(4, 8, 4.5)
     train = make_synthetic(src, 1500, seed=100)
     test = make_synthetic(src, 500, seed=101)
-    cfg = default_victim_sgd(epochs=40)
-    model, acc = train_victim(train, test, cfg=cfg, seed=7)
-    assert model.spec.hidden_layers == DEFAULT_VICTIM_HIDDEN
+    recipe = VictimRecipe(epochs=40)
+    model, acc = train_victim(train, test, recipe, seed=7)
+    assert model.spec.hidden_layers == (64, 64)
+    assert model.spec.num_classes == 4  # the largest training label plus one
     assert acc > 0.9
     # deterministic
-    model2, acc2 = train_victim(train, test, cfg=cfg, seed=7)
+    model2, acc2 = train_victim(train, test, recipe, seed=7)
     assert acc == acc2
     assert np.array_equal(model.params, model2.params)
 
@@ -126,11 +122,46 @@ def test_train_victim_needs_labels():
     train = strip_labels(make_synthetic(src, 60, seed=0))
     test = make_synthetic(src, 30, seed=1)
     with pytest.raises(InvalidInputError):
-        train_victim(train, test, seed=0)
+        train_victim(train, test, VictimRecipe(), seed=0)
 
 
-def test_default_victim_sgd_constants():
-    cfg = default_victim_sgd()
+@pytest.mark.parametrize(
+    "test_set",
+    [
+        lambda src: strip_labels(make_synthetic(src, 30, seed=1)),  # unlabeled
+        lambda src: make_synthetic(GaussianMixture(3, 5, 3.0), 30, seed=1),  # 5 features, not 4
+        lambda src: make_synthetic(GaussianMixture(5, 4, 3.0), 30, seed=1),  # labels 3 and 4
+    ],
+    ids=["unlabeled", "wrong_width", "label_out_of_range"],
+)
+def test_train_victim_refuses_an_unscorable_test_set_before_training(monkeypatch, test_set):
+    # each of these once trained the whole schedule and failed only when scoring
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(numkit, "train_supervised", no_training)
+    src = GaussianMixture(3, 4, 3.0)
+    with pytest.raises(InvalidInputError):
+        train_victim(make_synthetic(src, 60, seed=0), test_set(src), VictimRecipe(), seed=0)
+
+
+def test_train_victim_takes_the_class_count_it_is_given():
+    train = make_synthetic(GaussianMixture(3, 4, 3.0), 60, seed=0)
+    model, _ = train_victim(train, None, VictimRecipe(hidden_layers=(5,), epochs=2), seed=0, num_classes=5)
+    assert model.spec.num_classes == 5 and model.spec.hidden_layers == (5,)
+
+
+@pytest.mark.parametrize("bad", [{"epochs": 0}, {"momentum": 1.0}, {"activation": "gelu"}, {"hidden_layers": (0,)}])
+def test_victim_recipe_range_checks(bad):
+    with pytest.raises(InvalidConfigError):
+        VictimRecipe(**bad)
+
+
+def test_victim_recipe_defaults():
+    recipe = VictimRecipe()
+    assert recipe.hidden_layers == (64, 64) and recipe.activation == "relu"
+    cfg = recipe.sgd()
+    assert cfg.batch_size == 64
     assert cfg.base_lr == 0.1
     assert cfg.momentum == 0.5
     assert cfg.epochs == 200
