@@ -12,7 +12,7 @@ checkpoints included, is float64.
 """
 
 from .datapool import Dataset, ImageLayout, PoolState
-from .ensemble import EnsembleSpec, EnsembleState, make_default_ensemble
+from .ensemble import EnsembleRecipe, EnsembleSpec, EnsembleState
 from .errors import (
     AttackFailedError,
     BudgetExhaustedError,
@@ -31,6 +31,7 @@ __all__ = [
     "AttackFailedError",
     "BudgetExhaustedError",
     "Dataset",
+    "EnsembleRecipe",
     "EnsembleSpec",
     "EnsembleState",
     "ImageLayout",
@@ -45,6 +46,5 @@ __all__ = [
     "StageError",
     "TrainingDivergedError",
     "VictimOracle",
-    "make_default_ensemble",
     "__version__",
 ]

@@ -32,7 +32,6 @@ class PgdConfig:
     steps: int = 20
     step_size: Optional[float] = None  # defaults to 2.5 * epsilon / steps
     random_start: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 <= self.epsilon < math.inf:
@@ -49,12 +48,12 @@ class PgdConfig:
         return 2.5 * self.epsilon / self.steps
 
 
-def pgd_attack_batch(model: MlpModel, X, y, cfg: PgdConfig) -> np.ndarray:
+def pgd_attack_batch(model: MlpModel, X, y, cfg: PgdConfig, seed: int = 0) -> np.ndarray:
     """Adversarial copies of X targeting higher loss on the true labels.
 
     Every step moves along the sign of each sample's own input gradient and
-    projects back into the epsilon ball around the original row. epsilon 0
-    returns X unchanged.
+    projects back into the epsilon ball around the original row; the random
+    start is drawn from seed. epsilon 0 returns X unchanged.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -65,7 +64,7 @@ def pgd_attack_batch(model: MlpModel, X, y, cfg: PgdConfig) -> np.ndarray:
     lo = X - cfg.epsilon
     hi = X + cfg.epsilon
     if cfg.random_start:
-        rng = np.random.default_rng(mask64(cfg.seed))
+        rng = np.random.default_rng(mask64(seed))
         adv = X + rng.uniform(-cfg.epsilon, cfg.epsilon, size=X.shape)
     else:
         adv = X.copy()
@@ -168,10 +167,11 @@ def transferability(
     X,
     y,
     cfg: PgdConfig,
+    seed: int = 0,
     denominator: str = "source_fooled",
 ) -> TransferResult:
     """Craft on the source with PGD, then measure transfer to the target."""
-    X_adv = pgd_attack_batch(source, X, y, cfg)
+    X_adv = pgd_attack_batch(source, X, y, cfg, seed)
     return transfer_from_adversarials(source, target, X, y, X_adv, denominator)
 
 

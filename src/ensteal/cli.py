@@ -20,7 +20,7 @@ from . import adversarial as adv
 from . import config, harness, numkit
 from .datapool import load_dataset, make_synthetic, save_dataset, strip_labels
 from .ensemble import load_ensemble
-from .errors import StageError
+from .errors import InvalidConfigError, InvalidInputError, StageError
 from .victim import QueryBudget, VictimOracle, VictimRecipe, train_victim
 
 
@@ -91,6 +91,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_data(args) -> int:
     kind = config.SOURCES[args.source]
+    for other in config.SOURCES.values():  # a flag another source takes would change nothing
+        for f in dataclasses.fields(other):
+            if other is not kind and getattr(args, f.name) != f.default:
+                raise InvalidConfigError(f"--{f.name} does not apply to --source {args.source}")
     source = kind(**{f.name: getattr(args, f.name) for f in dataclasses.fields(kind)})
     data = make_synthetic(source, args.n, args.seed)
     if args.unlabeled:
@@ -145,7 +149,13 @@ def _cmd_run_attack(args) -> int:
 def _cmd_evaluate(args) -> int:
     state = load_ensemble(args.ensemble)
     victim_model = numkit.load_model(args.victim)
+    member = state.spec.members[0]
+    shape, want = (victim_model.spec.input_dim, victim_model.spec.num_classes), (member.input_dim, member.num_classes)
+    if shape != want:
+        raise InvalidInputError(f"victim has (input_dim, num_classes) {shape}, the ensemble has {want}")
     data = load_dataset(args.data)
+    if data.labels is not None:
+        numkit.as_class_labels(victim_model, data.labels, data.n)
     victim_labels = numkit.predict_batch(victim_model, data.features)
     metrics = harness.evaluate_models(state.best_probs(data), victim_labels, data)
     blob = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
@@ -169,7 +179,7 @@ def _cmd_adv_transfer(args) -> int:
         return 1
     n = min(settings.n_eval, data.n)
     result = adv.transferability(
-        source, victim_model, data.features[:n], data.labels[:n], settings.pgd(args.seed), settings.denominator
+        source, victim_model, data.features[:n], data.labels[:n], settings, args.seed, settings.denominator
     )
     if args.out:
         adv.write_transfer_csv(args.out, result)

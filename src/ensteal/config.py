@@ -1,10 +1,14 @@
-"""The experiment config: one JSON object that describes a whole run.
+"""The experiment config's schema: one JSON object that describes a whole run.
 
-The config is a tree of frozen section dataclasses: `parse_config` decodes
-JSON into it by walking their fields (JSON types checked, unknown keys
-rejected, each section range-checked as it is built), and `config_to_dict`
-walks it back to the JSON that config_echo.json holds. Parsing builds no
-network client and imports no server code.
+This module is schema only. The config is a tree of frozen section
+dataclasses: `parse_config` decodes JSON into it by walking their fields
+(JSON types checked, unknown keys rejected, each section range-checked as it
+is built), and `config_to_dict` walks it back to the JSON that
+config_echo.json holds. The victim, committee, SSL and PGD sections are the
+runtime recipes that the modules doing the work define (VictimRecipe,
+EnsembleRecipe, SslConfig, PgdConfig), plus only the keys those recipes do
+not hold; each setting and its default are declared once, there. Parsing
+builds no network client and imports no server code.
 """
 
 from __future__ import annotations
@@ -15,28 +19,17 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import adversarial as adv
-from .datapool import (
-    AugmentConfig,
-    GaussianJitter,
-    GaussianMixture,
-    HorizontalFlip,
-    JitterDrop,
-    RandLite,
-    SyntheticSource,
-    TinyDigits,
-    per_cycle_batches,
-)
-from .ensemble import DEFAULT_HIDDEN_PROFILE, EnsembleSpec, default_member_configs
+from .datapool import GaussianMixture, SyntheticSource, TinyDigits, per_cycle_batches
+from .ensemble import EnsembleRecipe
 from .errors import InvalidConfigError
-from .numkit import MlpSpec
 from .selection import SelectionStrategy
 from .semisup import SslConfig
 from .victim import VictimRecipe
 
 # Each section is a frozen dataclass whose fields are its JSON keys: a field
 # without a default is required, and __post_init__ range-checks the section,
-# mostly by building the runtime objects its values feed, so a bad value is
-# rejected before any stage runs. _decode and _encode walk these classes.
+# so a bad value is rejected before any stage runs. _decode and _encode walk
+# these classes, inherited fields included.
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
@@ -58,12 +51,6 @@ SOURCES = {"gaussian_mixture": GaussianMixture, "tiny_digits": TinyDigits}
 _SOURCE_TAGS = {cls: tag for tag, cls in SOURCES.items()}
 
 
-def _shared(section, runtime: type) -> dict:
-    """The section's values for the fields that a runtime config also has."""
-    names = {f.name for f in fields(runtime)}
-    return {f.name: getattr(section, f.name) for f in fields(section) if f.name in names}
-
-
 @dataclass(frozen=True, kw_only=True)
 class VictimSection(VictimRecipe):
     """The victim's recipe plus where its data comes from, or the checkpoint
@@ -78,18 +65,6 @@ class VictimSection(VictimRecipe):
         if self.train_n < 1 or self.test_n < 1:
             raise InvalidConfigError("train_n and test_n must be positive")
         super().__post_init__()
-
-
-@dataclass(frozen=True)
-class EnsembleSection:
-    hidden_profile: tuple[tuple[int, ...], ...] = DEFAULT_HIDDEN_PROFILE
-    activation: str = "relu"
-    epochs: int = 30
-    batch_size: int = 64
-
-    def __post_init__(self):
-        members = tuple(MlpSpec(1, hidden, 2, self.activation) for hidden in self.hidden_profile)
-        default_member_configs(EnsembleSpec(members), self.epochs, self.batch_size)
 
 
 @dataclass(frozen=True)
@@ -119,7 +94,7 @@ class AttackSection:
     cycles: int
     strategy: SelectionStrategy
     validation_fraction: float = 0.1
-    ensemble: EnsembleSection = EnsembleSection()
+    ensemble: EnsembleRecipe = EnsembleRecipe()
     remote: Optional[RemoteSection] = None
 
     def __post_init__(self):
@@ -133,31 +108,16 @@ class AttackSection:
 
 
 @dataclass(frozen=True)
-class SslSection:
-    confidence_threshold: float = SslConfig.confidence_threshold
-    max_label_changes: int = SslConfig.max_label_changes
-    per_class_cap: int = SslConfig.per_class_cap
-    pseudo_loss_weight: float = SslConfig.pseudo_loss_weight
-    lr: float = SslConfig.lr
-    momentum: float = SslConfig.momentum
-    epochs: int = SslConfig.epochs
-    batch_size: int = SslConfig.batch_size
-    # always null: resolve_augment picks the perturbations from the data layout
+class SslSection(SslConfig):
+    # always null: semisup.resolve_augment picks the perturbations from the data layout
     augment: None = None
-
-    def __post_init__(self):
-        self.build(resolve_augment(None, 0))
-
-    def build(self, augment: AugmentConfig) -> SslConfig:
-        return SslConfig(**{**_shared(self, SslConfig), "augment": augment})
 
 
 @dataclass(frozen=True)
-class AdvSection:
-    epsilon: float
-    steps: int = adv.PgdConfig.steps
-    step_size: Optional[float] = adv.PgdConfig.step_size
-    random_start: bool = adv.PgdConfig.random_start
+class AdvSection(adv.PgdConfig):
+    """The PGD recipe plus how many test rows to attack and what a transfer
+    rate divides by."""
+
     n_eval: int = 200
     denominator: str = "source_fooled"
 
@@ -166,10 +126,7 @@ class AdvSection:
             raise InvalidConfigError("n_eval must be positive")
         if self.denominator not in adv.DENOMINATORS:
             raise InvalidConfigError(f"denominator must be {' or '.join(adv.DENOMINATORS)}")
-        self.pgd(0)
-
-    def pgd(self, seed: int) -> adv.PgdConfig:
-        return adv.PgdConfig(seed=seed, **_shared(self, adv.PgdConfig))
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -257,22 +214,3 @@ def load_config(path) -> tuple[ExperimentConfig, str]:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return _encode(cfg)
 
-
-# ── augment resolution ───────────────────────────────────────────────
-
-
-def resolve_augment(layout, seed: int) -> AugmentConfig:
-    """Default weak/strong perturbation pair for the data at hand: light
-    jitter vs jitter-plus-dropout on tabular rows, flips vs structural
-    edits on images."""
-    if layout is None:
-        return AugmentConfig(
-            weak=GaussianJitter(0.05),
-            strong=JitterDrop(sigma=0.2, drop_frac=0.1),
-            rng_seed=seed,
-        )
-    return AugmentConfig(
-        weak=HorizontalFlip(0.5),
-        strong=RandLite(n_ops=2, magnitude=0.3),
-        rng_seed=seed,
-    )

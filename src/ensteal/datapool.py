@@ -532,6 +532,8 @@ def load_dataset(path) -> Dataset:
         labels = None
         if has_labels:
             labels = np.frombuffer(blob, dtype="<u4", count=n, offset=offset + 4 * n * d).astype(np.int64)
-    except (struct.error, ValueError) as exc:
+    except struct.error as exc:
         raise InvalidInputError(f"truncated dataset file: {exc}") from exc
+    except InvalidConfigError as exc:
+        raise InvalidInputError(f"bad dataset header: {exc}") from exc
     return Dataset(features.astype(np.float64).reshape(n, d), labels, layout)

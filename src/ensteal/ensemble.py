@@ -30,16 +30,6 @@ from .errors import InvalidConfigError, InvalidInputError
 from .numkit import MlpModel, MlpSpec, SgdConfig
 from .seeding import derive_seed
 
-# Capacity ladder for the default five-member committee; index 2 matches the
-# reference victim's architecture.
-DEFAULT_HIDDEN_PROFILE: tuple[tuple[int, ...], ...] = (
-    (8,),
-    (32,),
-    (64, 64),
-    (128, 64),
-    (256, 128, 64),
-)
-
 # Members train in float32 (numkit.sgd_epoch), so they infer in float32 too.
 MEMBER_DTYPE = np.float32
 
@@ -66,47 +56,48 @@ class EnsembleSpec:
         return len(self.members)
 
 
-def make_default_ensemble(
-    input_dim: int,
-    num_classes: int,
-    rng_seed: int = 0,
-    activation: str = "relu",
-    hidden_profile: tuple[tuple[int, ...], ...] = DEFAULT_HIDDEN_PROFILE,
-) -> EnsembleSpec:
-    members = tuple(
-        MlpSpec(
-            input_dim=input_dim,
-            hidden_layers=hidden,
-            num_classes=num_classes,
-            activation=activation,
-            rng_seed=derive_seed(rng_seed, i),
-        )
-        for i, hidden in enumerate(hidden_profile)
-    )
-    return EnsembleSpec(members)
+@dataclass(frozen=True)
+class EnsembleRecipe:
+    """How the committee is built and fit. The default capacity ladder has
+    five members, and its (64, 64) member matches the reference victim's
+    architecture. Every member trains with momentum 0.9 and its lr decayed
+    10x every 30 epochs: lr 0.01 for the smallest-capacity member and 0.02
+    for the rest."""
 
+    hidden_profile: tuple[tuple[int, ...], ...] = ((8,), (32,), (64, 64), (128, 64), (256, 128, 64))
+    activation: str = "relu"
+    epochs: int = 30
+    batch_size: int = 64
 
-def default_member_configs(
-    spec: EnsembleSpec,
-    epochs: int = 30,
-    batch_size: int = 64,
-) -> list[SgdConfig]:
-    """Per-member recipes: momentum 0.9, lr decayed 10x every 30 epochs,
-    lr 0.01 for the smallest-capacity member and 0.02 for the rest."""
-    counts = [m.param_count() for m in spec.members]
-    smallest = int(np.argmin(counts))
-    return [
-        SgdConfig(
-            base_lr=0.01 if i == smallest else 0.02,
-            momentum=0.9,
-            lr_decay_factor=0.1,
-            lr_decay_every=30,
-            weight_decay=0.0,
-            epochs=epochs,
-            batch_size=batch_size,
+    def __post_init__(self):
+        # built without spec(): its seed derivation would import numpy.random
+        # while the config is parsed, and the checks do not read the seeds
+        self.sgd(EnsembleSpec(tuple(MlpSpec(1, hidden, 2, self.activation) for hidden in self.hidden_profile)))
+
+    def spec(self, input_dim: int, num_classes: int, rng_seed: int) -> EnsembleSpec:
+        """Member i is initialized from derive_seed(rng_seed, i)."""
+        return EnsembleSpec(
+            tuple(
+                MlpSpec(input_dim, hidden, num_classes, self.activation, derive_seed(rng_seed, i))
+                for i, hidden in enumerate(self.hidden_profile)
+            )
         )
-        for i in range(spec.size)
-    ]
+
+    def sgd(self, spec: EnsembleSpec) -> list[SgdConfig]:
+        """One SGD config per member of spec."""
+        smallest = int(np.argmin([m.param_count() for m in spec.members]))
+        return [
+            SgdConfig(
+                base_lr=0.01 if i == smallest else 0.02,
+                momentum=0.9,
+                lr_decay_factor=0.1,
+                lr_decay_every=30,
+                weight_decay=0.0,
+                epochs=self.epochs,
+                batch_size=self.batch_size,
+            )
+            for i in range(spec.size)
+        ]
 
 
 @dataclass

@@ -31,18 +31,11 @@ import numpy as np
 from . import adversarial as adv
 from . import config, numkit
 from .datapool import Dataset, PoolState, initial_split, make_synthetic, per_cycle_batches, strip_labels
-from .ensemble import (
-    EnsembleState,
-    committee_vote,
-    default_member_configs,
-    make_default_ensemble,
-    save_ensemble,
-    train_cycle,
-)
-from .errors import InvalidConfigError, InvalidInputError, StageError
+from .ensemble import EnsembleState, committee_vote, save_ensemble, train_cycle
+from .errors import InvalidInputError, StageError
 from .seeding import derive_seed, mask64
 from .selection import SCORED_KINDS, select_queries
-from .semisup import harvest_pseudo_labels, ssl_train
+from .semisup import harvest_pseudo_labels, resolve_augment, ssl_train
 from .victim import QueryBudget, VictimOracle, train_victim
 
 # Stage offsets XORed into the root seed; every stage owns one.
@@ -74,7 +67,7 @@ def evaluate_models(probs: np.ndarray, victim_labels: np.ndarray, test: Dataset)
     the target model's labels, from the members' (members, rows, classes)
     softmax over test and the target's labels for the same rows."""
     if test.labels is None:
-        raise InvalidConfigError("evaluation data must be labeled")
+        raise InvalidInputError("evaluation data must be labeled")
     y = test.labels
     labels = np.argmax(probs, axis=2)
     vote = committee_vote(probs)
@@ -201,15 +194,9 @@ def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str]
             val = Dataset(*pool_state.validation_data()[:2])
 
         with _stage("ensemble_setup"):
-            ens_spec = make_default_ensemble(
-                cfg.victim.data.input_dim,
-                cfg.victim.data.num_classes,
-                rng_seed=stage_seed(root, ENSEMBLE_INIT),
-                activation=a.ensemble.activation,
-                hidden_profile=a.ensemble.hidden_profile,
-            )
+            ens_spec = a.ensemble.spec(source.input_dim, source.num_classes, stage_seed(root, ENSEMBLE_INIT))
             state = EnsembleState(ens_spec)
-            member_cfgs = default_member_configs(ens_spec, a.ensemble.epochs, a.ensemble.batch_size)
+            member_cfgs = a.ensemble.sgd(ens_spec)
             report["members"] = [list(m.hidden_layers) for m in ens_spec.members]
             # the member whose widths equal the victim's, if any
             profile, victim_hidden = a.ensemble.hidden_profile, victim_model.spec.hidden_layers
@@ -250,12 +237,12 @@ def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str]
         if cfg.ssl is not None:
             with _stage("ssl"):
                 ssl_seed = stage_seed(root, SSL_STAGE)
-                ssl_cfg = cfg.ssl.build(config.resolve_augment(pool.layout, ssl_seed))
+                augment = resolve_augment(pool.layout, ssl_seed)
                 pre_agr = val_agreement()
                 kept, _, _ = harvest_pseudo_labels(
-                    state.best_models(), state.best_probs(pool), pool_state, ssl_cfg, derive_seed(ssl_seed, 0)
+                    state.best_models(), state.best_probs(pool), pool_state, cfg.ssl, augment, derive_seed(ssl_seed, 0)
                 )
-                ssl_train(state, pool_state, ssl_cfg, derive_seed(ssl_seed, 1))  # a no-op if none were kept
+                ssl_train(state, pool_state, cfg.ssl, augment, derive_seed(ssl_seed, 1))  # a no-op if none were kept
                 ev = evaluate(a.cycles + 1)
                 report["ssl"] = {
                     "n_pseudo": len(kept),
@@ -272,8 +259,8 @@ def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str]
                 Xe, ye = test.features[:n_eval], test.labels[:n_eval]
                 adv_report = []
                 for i, model in enumerate(state.best_models()):
-                    pgd_cfg = ac.pgd(derive_seed(stage_seed(root, ADV_STAGE), i))
-                    res = adv.transferability(model, victim_model, Xe, ye, pgd_cfg, ac.denominator)
+                    pgd_seed = derive_seed(stage_seed(root, ADV_STAGE), i)
+                    res = adv.transferability(model, victim_model, Xe, ye, ac, pgd_seed, ac.denominator)
                     X_rand = adv.random_sign_perturbation(
                         Xe, ac.epsilon, seed=derive_seed(stage_seed(root, ADV_STAGE), i, 1)
                     )

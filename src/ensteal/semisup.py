@@ -29,7 +29,16 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numkit
-from .datapool import AugmentConfig, PoolState, strong_augment, weak_augment
+from .datapool import (
+    AugmentConfig,
+    GaussianJitter,
+    HorizontalFlip,
+    JitterDrop,
+    PoolState,
+    RandLite,
+    strong_augment,
+    weak_augment,
+)
 from .ensemble import MEMBER_DTYPE, EnsembleState
 from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from .numkit import MlpModel
@@ -40,7 +49,6 @@ from .seeding import derive_seed, mask64
 class SslConfig:
     """Knobs for the filter and the consistency-training pass."""
 
-    augment: AugmentConfig
     confidence_threshold: float = 0.9
     max_label_changes: int = 1
     per_class_cap: int = 100
@@ -51,8 +59,6 @@ class SslConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        if not isinstance(self.augment, AugmentConfig):
-            raise InvalidConfigError("augment must be an AugmentConfig")
         if not 0.0 < self.confidence_threshold <= 1.0:
             raise InvalidConfigError("confidence_threshold must lie in (0, 1]")
         if self.max_label_changes < 0:
@@ -69,6 +75,23 @@ class SslConfig:
             raise InvalidConfigError("epochs must be positive")
         if self.batch_size < 1:
             raise InvalidConfigError("batch_size must be positive")
+
+
+def resolve_augment(layout, seed: int) -> AugmentConfig:
+    """Default weak/strong perturbation pair for the data at hand: light
+    jitter vs jitter-plus-dropout on tabular rows, flips vs structural
+    edits on images."""
+    if layout is None:
+        return AugmentConfig(
+            weak=GaussianJitter(0.05),
+            strong=JitterDrop(sigma=0.2, drop_frac=0.1),
+            rng_seed=seed,
+        )
+    return AugmentConfig(
+        weak=HorizontalFlip(0.5),
+        strong=RandLite(n_ops=2, magnitude=0.3),
+        rng_seed=seed,
+    )
 
 
 class FilterVerdicts(NamedTuple):
@@ -88,6 +111,7 @@ def ssl_filter(
     probs: np.ndarray,
     pool_state: PoolState,
     cfg: SslConfig,
+    augment: AugmentConfig,
     seed: int = 0,
 ) -> FilterVerdicts:
     """Score every unlabeled row and accept the stable, unanimous, confident ones.
@@ -105,8 +129,8 @@ def ssl_filter(
     idx = pool_state.unlabeled_indices()
     aug_labels = np.zeros((len(models), 0), dtype=np.int64)
     if idx.size:  # the members see an empty batch as an error
-        rng = np.random.default_rng((mask64(seed), cfg.augment.rng_seed))
-        Xw = weak_augment(pool_state.pool.features, cfg.augment, pool_state.pool.layout, rng)[idx]
+        rng = np.random.default_rng((mask64(seed), augment.rng_seed))
+        Xw = weak_augment(pool_state.pool.features, augment, pool_state.pool.layout, rng)[idx]
         aug_labels = np.stack([numkit.predict_batch(m, Xw, MEMBER_DTYPE) for m in models])
     # sliced only now, so the clean softmax does not add to the peak of building Xw
     clean = probs[:, idx]
@@ -140,12 +164,13 @@ def harvest_pseudo_labels(
     probs: np.ndarray,
     pool_state: PoolState,
     cfg: SslConfig,
+    augment: AugmentConfig,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, FilterVerdicts]:
     """Filter, cap, and record pseudo-labels in the pool in one call. Returns
     the kept (rows, labels), rows ascending, and the filter's verdicts, from
     which every reject count can be read."""
-    v = ssl_filter(models, probs, pool_state, cfg, seed)
+    v = ssl_filter(models, probs, pool_state, cfg, augment, seed)
     rows, labels = apply_class_cap(
         v.rows[v.accepted], v.labels[v.accepted], v.min_confidence[v.accepted], cfg.per_class_cap
     )
@@ -170,6 +195,7 @@ def ssl_train(
     state: EnsembleState,
     pool_state: PoolState,
     cfg: SslConfig,
+    augment: AugmentConfig,
     seed: int = 0,
 ) -> list[SslEpochTrace]:
     """Fine-tune each member's best checkpoint on labeled plus pseudo rows.
@@ -207,10 +233,8 @@ def ssl_train(
             pseudo_loss = 0.0
             if lam > 0.0:
                 order_p = np.random.default_rng(derive_seed(seed, i, e, 1)).permutation(Xp.shape[0])
-                aug_rng = np.random.default_rng(
-                    (mask64(seed), mask64(cfg.augment.rng_seed), i, e, 1)
-                )
-                Xa = strong_augment(Xp[order_p], cfg.augment, layout, aug_rng)
+                aug_rng = np.random.default_rng((mask64(seed), mask64(augment.rng_seed), i, e, 1))
+                Xa = strong_augment(Xp[order_p], augment, layout, aug_rng)
                 pseudo_loss = numkit.sgd_epoch(
                     model, velocity, Xa, yp[order_p], np.arange(order_p.size), sgd, cfg.lr, lam
                 )

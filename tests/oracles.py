@@ -182,7 +182,7 @@ def replay_weak_draw(X, op, layout, rng) -> np.ndarray:
     raise AssertionError(f"oracle does not replay {name}")
 
 
-def ssl_filter_bruteforce(models, pool_state, cfg, seed: int):
+def ssl_filter_bruteforce(models, pool_state, cfg, augment, seed: int):
     """Row-by-row re-derivation of the pseudo-label filter.
 
     The weak perturbation is drawn once over the whole pool from a generator
@@ -201,8 +201,8 @@ def ssl_filter_bruteforce(models, pool_state, cfg, seed: int):
     if not idx:
         return selected, audit
     features = pool_state.pool.features
-    rng = np.random.default_rng((seed & mask, cfg.augment.rng_seed & mask))
-    Xw = replay_weak_draw(features, cfg.augment.weak, pool_state.pool.layout, rng)[idx]
+    rng = np.random.default_rng((seed & mask, augment.rng_seed & mask))
+    Xw = replay_weak_draw(features, augment.weak, pool_state.pool.layout, rng)[idx]
     X = features[idx]
     probs = [forward_probs_float32(m, X) for m in models]
     probs_w = [forward_probs_float32(m, Xw) for m in models]

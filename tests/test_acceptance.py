@@ -253,16 +253,15 @@ def test_criterion_3_filter_equivalence():
             if n_pre:
                 pre = np.sort(rng.choice(200, size=n_pre, replace=False))
                 ps.query(pre, lambda X: np.zeros(len(X), dtype=np.int64))
-            cfg = SslConfig(
-                augment=AugmentConfig(
-                    weak=GaussianJitter(0.05),
-                    strong=JitterDrop(0.2, 0.1),
-                    rng_seed=trial,
-                ),
-            )  # stock guards: at most 1 flip, unanimity, min confidence 0.9
+            cfg = SslConfig()  # stock guards: at most 1 flip, unanimity, min confidence 0.9
+            aug = AugmentConfig(
+                weak=GaussianJitter(0.05),
+                strong=JitterDrop(0.2, 0.1),
+                rng_seed=trial,
+            )
             probs = committee_probs(models, ps.pool.features)
-            sel, audit = verdicts_as_oracle_shapes(ssl_filter(models, probs, ps, cfg, seed=trial * 101))
-            sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, seed=trial * 101)
+            sel, audit = verdicts_as_oracle_shapes(ssl_filter(models, probs, ps, cfg, aug, seed=trial * 101))
+            sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, aug, seed=trial * 101)
             assert sel == sel_ref, f"trial {trial}: acceptance sets differ"
             assert set(audit) == set(audit_ref)
             for i, rec in audit.items():
@@ -453,29 +452,23 @@ def test_criterion_6_adversarial_transfer(reference_run):
         X, y = test.features[:200], test.labels[:200]
 
         # zero-budget attack returns the inputs untouched
-        X0 = adv.pgd_attack_batch(models[2], X, y, adv.PgdConfig(epsilon=0.0, steps=20, seed=1))
+        X0 = adv.pgd_attack_batch(models[2], X, y, adv.PgdConfig(epsilon=0.0, steps=20), seed=1)
         assert np.array_equal(X0, X)
 
         # the crafted-on model's accuracy never recovers as the ball grows
         for i, m in enumerate(models):
             accs = []
             for eps in (0.0, 0.5, 1.0):
-                cfg = adv.PgdConfig(
-                    epsilon=eps,
-                    steps=20,
-                    seed=derive_seed(harness.stage_seed(root, harness.ADV_STAGE), i),
-                )
-                accs.append(adv.transferability(m, victim, X, y, cfg).adv_source_acc)
+                cfg = adv.PgdConfig(epsilon=eps, steps=20)
+                seed = derive_seed(harness.stage_seed(root, harness.ADV_STAGE), i)
+                accs.append(adv.transferability(m, victim, X, y, cfg, seed).adv_source_acc)
             assert accs[0] >= accs[1] >= accs[2], f"member {i}: accs {accs}"
 
         # crafted perturbations carry to the victim better than sign noise
         for i, m in enumerate(models):
-            cfg = adv.PgdConfig(
-                epsilon=1.0,
-                steps=20,
-                seed=derive_seed(harness.stage_seed(root, harness.ADV_STAGE), i),
-            )
-            pgd = adv.transferability(m, victim, X, y, cfg, denominator="all")
+            cfg = adv.PgdConfig(epsilon=1.0, steps=20)
+            seed = derive_seed(harness.stage_seed(root, harness.ADV_STAGE), i)
+            pgd = adv.transferability(m, victim, X, y, cfg, seed, denominator="all")
             X_rand = adv.random_sign_perturbation(
                 X, 1.0, seed=derive_seed(harness.stage_seed(root, harness.ADV_STAGE), i, 1)
             )

@@ -54,7 +54,7 @@ def test_pgd_config_rejects_non_finite(bad):
 def test_pgd_zero_epsilon_is_exact_identity(attack_setup):
     model, _, test = attack_setup
     X = test.features[:20]
-    out = pgd_attack_batch(model, X, test.labels[:20], PgdConfig(epsilon=0.0, seed=5))
+    out = pgd_attack_batch(model, X, test.labels[:20], PgdConfig(epsilon=0.0), 5)
     assert np.array_equal(out, X)
     assert out is not X
 
@@ -64,7 +64,7 @@ def test_pgd_stays_in_ball_and_box(attack_setup):
     X = test.features[:40]
     y = test.labels[:40]
     eps = 0.7
-    adv = pgd_attack_batch(model, X, y, PgdConfig(epsilon=eps, steps=10, seed=1))
+    adv = pgd_attack_batch(model, X, y, PgdConfig(epsilon=eps, steps=10), 1)
     assert np.max(np.abs(adv - X)) <= eps + 1e-12
 
 
@@ -74,7 +74,7 @@ def test_pgd_reduces_source_accuracy(attack_setup):
     clean_acc = float(np.mean(predict_batch(model, X) == y))
     accs = [clean_acc]
     for eps in (0.5, 1.0, 2.0):
-        adv = pgd_attack_batch(model, X, y, PgdConfig(epsilon=eps, steps=15, seed=2))
+        adv = pgd_attack_batch(model, X, y, PgdConfig(epsilon=eps, steps=15), 2)
         accs.append(float(np.mean(predict_batch(model, adv) == y)))
     assert accs[1] < accs[0]
     assert accs[-1] < 0.5  # large budget breaks most rows
@@ -85,20 +85,20 @@ def test_pgd_reduces_source_accuracy(attack_setup):
 def test_pgd_deterministic(attack_setup):
     model, _, test = attack_setup
     X, y = test.features[:30], test.labels[:30]
-    cfg = PgdConfig(epsilon=0.6, steps=8, seed=12)
-    a = pgd_attack_batch(model, X, y, cfg)
-    b = pgd_attack_batch(model, X, y, cfg)
+    cfg = PgdConfig(epsilon=0.6, steps=8)
+    a = pgd_attack_batch(model, X, y, cfg, 12)
+    b = pgd_attack_batch(model, X, y, cfg, 12)
     assert np.array_equal(a, b)
-    c = pgd_attack_batch(model, X, y, PgdConfig(epsilon=0.6, steps=8, seed=13))
+    c = pgd_attack_batch(model, X, y, PgdConfig(epsilon=0.6, steps=8), 13)
     assert not np.array_equal(a, c)  # random start varies with the seed
 
 
 def test_pgd_no_random_start_from_clean(attack_setup):
     model, _, test = attack_setup
     X, y = test.features[:10], test.labels[:10]
-    cfg = PgdConfig(epsilon=0.4, steps=5, random_start=False, seed=0)
-    a = pgd_attack_batch(model, X, y, cfg)
-    b = pgd_attack_batch(model, X, y, PgdConfig(epsilon=0.4, steps=5, random_start=False, seed=77))
+    cfg = PgdConfig(epsilon=0.4, steps=5, random_start=False)
+    a = pgd_attack_batch(model, X, y, cfg, 0)
+    b = pgd_attack_batch(model, X, y, PgdConfig(epsilon=0.4, steps=5, random_start=False), 77)
     assert np.array_equal(a, b)  # seed only matters for the random start
 
 
@@ -166,17 +166,17 @@ def test_attack_and_transfer_reject_bad_labels(bad):
     X = np.random.default_rng(0).normal(size=(3, 4))
     for eps in (0.0, 0.5):
         with pytest.raises(InvalidInputError, match="labels"):
-            pgd_attack_batch(src, X, bad, PgdConfig(epsilon=eps, steps=2, seed=1))
+            pgd_attack_batch(src, X, bad, PgdConfig(epsilon=eps, steps=2), 1)
     with pytest.raises(InvalidInputError, match="labels"):
         transfer_from_adversarials(src, tgt, X, bad, X.copy())
     with pytest.raises(InvalidInputError, match="labels"):
-        transferability(src, tgt, X, bad, PgdConfig(epsilon=0.5, steps=2, seed=1))
+        transferability(src, tgt, X, bad, PgdConfig(epsilon=0.5, steps=2), 1)
 
 
 def test_transferability_end_to_end(attack_setup):
     model, other, test = attack_setup
     X, y = test.features[:100], test.labels[:100]
-    res = transferability(other, model, X, y, PgdConfig(epsilon=1.0, steps=10, seed=6))
+    res = transferability(other, model, X, y, PgdConfig(epsilon=1.0, steps=10), 6)
     assert res.source_fooled > 0
     assert 0 <= res.both_fooled <= res.source_fooled
     assert res.adv_source_acc < res.clean_source_acc
@@ -185,7 +185,7 @@ def test_transferability_end_to_end(attack_setup):
 def test_transfer_csv_format(attack_setup, tmp_path):
     model, other, test = attack_setup
     X, y = test.features[:12], test.labels[:12]
-    res = transferability(other, model, X, y, PgdConfig(epsilon=0.8, steps=5, seed=2))
+    res = transferability(other, model, X, y, PgdConfig(epsilon=0.8, steps=5), 2)
     path = tmp_path / "t.csv"
     write_transfer_csv(path, res)
     lines = path.read_text().strip().split("\n")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ensteal
+from ensteal import adversarial as adv
 from ensteal import numkit
 from ensteal.cli import _build_parser, main
 from ensteal.datapool import GaussianMixture, load_dataset, make_synthetic, save_dataset
@@ -209,6 +210,61 @@ def test_evaluate_reports_a_malformed_ensemble_index(tmp_path, data_files, victi
     rc = run_cli("evaluate", "--ensemble", str(tmp_path), "--victim", str(victim_ckpt), "--data", str(test))
     assert rc == 1
     assert capsys.readouterr().err.startswith("error (InvalidInputError): malformed ensemble index")
+
+
+@pytest.fixture(scope="module")
+def attack_out(victim_ckpt, tmp_path_factory):
+    d = tmp_path_factory.mktemp("attack")
+    cfg_path = make_attack_config(d, victim_ckpt=victim_ckpt)
+    assert run_cli("run-attack", "--config", str(cfg_path), "--out", str(d / "run")) == 0
+    return d / "run"
+
+
+def test_evaluate_refuses_inputs_it_cannot_score(tmp_path, data_files, victim_ckpt, attack_out, capsys):
+    # a 3-class ensemble was scored against a 5-class victim, and against
+    # labels up to 6, with exit 0
+    _, test = data_files
+    made = {}
+    for name, flags in [("five", ["5"]), ("seven", ["7"]), ("bare", ["3", "--unlabeled"])]:
+        made[name] = tmp_path / f"{name}.aotd"
+        gen = ["gen-data", "--source", "gaussian_mixture", "--dim", "5", "--n", "50", "--classes", *flags]
+        assert run_cli(*gen, "--out", str(made[name])) == 0
+    victim5 = tmp_path / "v5.ckpt"
+    assert run_cli("train-victim", "--train", str(made["five"]), "--hidden", "8", "--epochs", "2", "--out", str(victim5)) == 0
+    for victim, data, err in [
+        (victim5, test, "victim has (input_dim, num_classes) (5, 5), the ensemble has (5, 3)"),
+        (victim_ckpt, made["seven"], "labels must lie in [0, 3), got range [0, 6]"),
+        (victim_ckpt, made["bare"], "evaluation data must be labeled"),
+    ]:
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--ensemble", str(attack_out / "ensemble"), "--victim", str(victim), "--data", str(data))
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error (InvalidInputError): {err}\n")
+
+
+@pytest.mark.parametrize("source, flag", [("gaussian_mixture", ["--height", "2"]), ("tiny_digits", ["--classes", "3"])])
+def test_gen_data_refuses_another_sources_flag(tmp_path, capsys, source, flag):
+    # --source gaussian_mixture --height 2 wrote a mixture file, exit 0
+    out = tmp_path / "d.aotd"
+    assert run_cli("gen-data", "--source", source, *flag, "--n", "5", "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error (InvalidConfigError): {flag[0]} does not apply to --source {source}\n"
+    assert not out.exists()
+
+
+def test_adv_transfer_writes_the_csv_of_transferability_at_its_seed(tmp_path, data_files, victim_ckpt):
+    train, test = data_files
+    other = tmp_path / "other.ckpt"
+    assert run_cli("train-victim", "--train", str(train), "--hidden", "8", "--epochs", "5", "--out", str(other)) == 0
+    csv_out, want = tmp_path / "transfer.csv", tmp_path / "want.csv"
+    assert run_cli(
+        "adv-transfer", "--source", str(other), "--victim", str(victim_ckpt), "--data", str(test),
+        "--epsilon", "0.8", "--steps", "6", "--n-eval", "40", "--seed", "7", "--out", str(csv_out),
+    ) == 0
+    data = load_dataset(test)
+    X, y = data.features[:40], data.labels[:40]
+    result = adv.transferability(load_model(other), load_model(victim_ckpt), X, y, adv.PgdConfig(0.8, 6), 7)
+    adv.write_transfer_csv(want, result)
+    assert csv_out.read_bytes() == want.read_bytes()
 
 
 def test_adv_transfer_cli(tmp_path, data_files, victim_ckpt, capsys):

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -417,6 +420,29 @@ def test_dataset_file_rejects_garbage(tmp_path):
     p.write_bytes(b"AOTD\x01\x00\x00\x00")
     with pytest.raises(InvalidInputError):
         load_dataset(p)
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, values, error",
+    [
+        # the image layout follows the 16-byte header and the layout flag
+        (17, "<III", (0, 4, 1), "bad dataset header: image layout must be positive"),
+        (17, "<III", (5, 0, 1), "bad dataset header: image layout must be positive"),
+        (17, "<III", (5, 4, 0), "bad dataset header: image layout must be positive"),
+        (0, "<4s", (b"WHAT",), "bad dataset magic b'WHAT'"),
+        (4, "<I", (9,), "unsupported dataset version 9"),
+        (16, "<B", (2,), "unknown layout flag 2"),
+    ],
+)
+def test_a_bad_dataset_header_is_not_called_truncated(tmp_path, offset, fmt, values, error):
+    # each was reported as "truncated dataset file: ..."
+    path = tmp_path / "d.aotd"
+    save_dataset(make_synthetic(TinyDigits(5, 4), 3, seed=1), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into(fmt, blob, offset, *values)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(error)}"):
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("labeled", [True, False])

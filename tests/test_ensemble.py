@@ -5,18 +5,16 @@ from conftest import committee_probs, record_offers
 from ensteal import numkit
 from ensteal.datapool import Dataset, GaussianMixture, PoolState, make_synthetic, strip_labels
 from ensteal.ensemble import (
-    DEFAULT_HIDDEN_PROFILE,
     MEMBER_DTYPE,
     BestCheckpoint,
+    EnsembleRecipe,
     EnsembleSpec,
     EnsembleState,
     committee_vote,
-    default_member_configs,
     ensemble_predict,
     label_frequencies,
     load_ensemble,
     majority_vote,
-    make_default_ensemble,
     save_ensemble,
     train_cycle,
 )
@@ -26,7 +24,7 @@ from ensteal.victim import QueryBudget, VictimOracle, VictimRecipe, train_victim
 
 
 def test_default_profile_capacities_strictly_increase():
-    spec = make_default_ensemble(8, 4, rng_seed=0)
+    spec = EnsembleRecipe().spec(8, 4, 0)
     counts = [m.param_count() for m in spec.members]
     assert counts == sorted(counts)
     assert len(set(counts)) == len(counts)
@@ -35,7 +33,7 @@ def test_default_profile_capacities_strictly_increase():
 
 
 def test_member_seeds_differ():
-    spec = make_default_ensemble(8, 4, rng_seed=7)
+    spec = EnsembleRecipe().spec(8, 4, 7)
     seeds = {m.rng_seed for m in spec.members}
     assert len(seeds) == 5
 
@@ -53,8 +51,8 @@ def test_ensemble_spec_validation():
 
 
 def test_default_member_configs():
-    spec = make_default_ensemble(8, 4)
-    cfgs = default_member_configs(spec, epochs=12, batch_size=32)
+    recipe = EnsembleRecipe(epochs=12, batch_size=32)
+    cfgs = recipe.sgd(recipe.spec(8, 4, 0))
     lrs = [c.base_lr for c in cfgs]
     assert lrs == [0.01, 0.02, 0.02, 0.02, 0.02]  # smallest member trains slower
     for c in cfgs:
@@ -126,9 +124,10 @@ def trained_state():
     oracle.query_labels(list(range(0, 60)), pool)
     oracle.query_labels(list(range(300, 330)), pool)
     pool.convert_queried_to_validation(list(range(300, 330)))
-    spec = make_default_ensemble(6, 3, rng_seed=77, hidden_profile=((4,), (8,), (12,)))
+    recipe = EnsembleRecipe(hidden_profile=((4,), (8,), (12,)), epochs=15)
+    spec = recipe.spec(6, 3, 77)
     state = EnsembleState(spec)
-    cfgs = default_member_configs(spec, epochs=15)
+    cfgs = recipe.sgd(spec)
     accs1 = train_cycle(state, pool, cfgs, seed=31)
     return state, pool, cfgs, accs1
 
@@ -232,7 +231,7 @@ def test_float32_ties_go_to_the_lowest_class():
 
 
 def test_best_models_requires_training():
-    spec = make_default_ensemble(4, 3, hidden_profile=((4,), (6,)))
+    spec = EnsembleRecipe(hidden_profile=((4,), (6,))).spec(4, 3, 0)
     state = EnsembleState(spec)
     with pytest.raises(InvalidInputError):
         state.best_models()
@@ -302,9 +301,10 @@ def test_train_cycle_skips_saturated_members(trained_state, monkeypatch):
 
 def test_train_cycle_needs_validation_rows():
     pool = PoolState(Dataset(np.random.default_rng(0).normal(size=(50, 4))))
-    spec = make_default_ensemble(4, 3, hidden_profile=((4,), (6,)))
+    recipe = EnsembleRecipe(hidden_profile=((4,), (6,)), epochs=2)
+    spec = recipe.spec(4, 3, 0)
     state = EnsembleState(spec)
-    cfgs = default_member_configs(spec, epochs=2)
+    cfgs = recipe.sgd(spec)
     with pytest.raises(InvalidInputError):
         train_cycle(state, pool, cfgs, seed=0)
 

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import committee_probs
 from ensteal import harness, numkit
-from ensteal.config import config_to_dict, load_config, parse_config, resolve_augment
+from ensteal.config import config_to_dict, load_config, parse_config
 from ensteal.datapool import GaussianMixture, ImageLayout, make_synthetic, per_cycle_batches, strong_augment
 from ensteal.ensemble import MEMBER_DTYPE, BestCheckpoint, ensemble_predict
 from ensteal.errors import InvalidConfigError, InvalidInputError, StageError
@@ -28,6 +28,7 @@ from ensteal.harness import (
 from ensteal.netvictim import VictimService
 from ensteal.numkit import MlpModel, load_model, predict_batch, save_model
 from ensteal.seeding import derive_seed, mask64
+from ensteal.semisup import resolve_augment
 from ensteal.victim import QueryBudget, VictimOracle, VictimRecipe, train_victim
 
 
@@ -663,7 +664,7 @@ def test_skipping_saturated_members_leaves_every_artifact_unchanged(tmp_path, mo
             if state.best[i] is None or acc > state.best[i].val_accuracy:
                 state.best[i] = BestCheckpoint(trained.copy(), acc, state.cycle)
 
-    def finetune_every_member(state, pool_state, ssl_cfg, seed):
+    def finetune_every_member(state, pool_state, ssl_cfg, augment, seed):
         saturated_at["ssl"].append([b.val_accuracy == 1.0 for b in state.best])
         Xl, yl, _ = pool_state.labeled_data()
         Xp, yp, _ = pool_state.pseudo_data()
@@ -677,8 +678,8 @@ def test_skipping_saturated_members_leaves_every_artifact_unchanged(tmp_path, mo
                 order = np.random.default_rng(derive_seed(seed, i, e, 0)).permutation(len(Xl))
                 numkit.sgd_epoch(model, velocity, Xl, yl, order, sgd, ssl_cfg.lr)
                 order = np.random.default_rng(derive_seed(seed, i, e, 1)).permutation(len(Xp))
-                aug_rng = np.random.default_rng((mask64(seed), mask64(ssl_cfg.augment.rng_seed), i, e, 1))
-                Xa = strong_augment(Xp[order], ssl_cfg.augment, pool_state.pool.layout, aug_rng)
+                aug_rng = np.random.default_rng((mask64(seed), mask64(augment.rng_seed), i, e, 1))
+                Xa = strong_augment(Xp[order], augment, pool_state.pool.layout, aug_rng)
                 numkit.sgd_epoch(model, velocity, Xa, yp[order], np.arange(order.size), sgd, ssl_cfg.lr, lam)
             model.epoch_counter += ssl_cfg.epochs
             acc = numkit.accuracy(model, Xv, yv, MEMBER_DTYPE)

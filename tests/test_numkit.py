@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ensteal.ensemble import make_default_ensemble
+from ensteal.ensemble import EnsembleRecipe
 from ensteal.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from ensteal.numkit import (
     BLOCK_ROWS,
@@ -235,7 +235,7 @@ def _check_batch_independence(dim, classes, n, seed, dtype):
     X = rng.normal(size=(n, dim)) * 2.0
     perm = rng.permutation(n)
     subset = np.sort(rng.choice(n, size=int(rng.integers(BLOCK_ROWS, n + 1)), replace=False))
-    for spec in make_default_ensemble(dim, classes, rng_seed=seed).members:
+    for spec in EnsembleRecipe().spec(dim, classes, seed).members:
         model = MlpModel.initialize(spec)
         full = probs_batch(model, X, dtype)
         assert np.array_equal(probs_batch(model, X[perm], dtype), full[perm])
@@ -265,7 +265,7 @@ def _check_every_block_position(rng, dim, classes, dtype):
     # every row of it runs once at each position of a block
     block = rng.normal(size=(BLOCK_ROWS, dim)) * 2.0
     rolled = np.concatenate([np.roll(block, p, axis=0) for p in range(BLOCK_ROWS)])
-    for spec in make_default_ensemble(dim, classes, rng_seed=3).members:
+    for spec in EnsembleRecipe().spec(dim, classes, 3).members:
         model = MlpModel.initialize(spec)
         want = probs_batch(model, block, dtype)
         got = probs_batch(model, rolled, dtype).reshape(BLOCK_ROWS, BLOCK_ROWS, classes)

@@ -18,12 +18,7 @@ from ensteal.datapool import (
     strip_labels,
     strong_augment,
 )
-from ensteal.ensemble import (
-    EnsembleState,
-    default_member_configs,
-    make_default_ensemble,
-    train_cycle,
-)
+from ensteal.ensemble import EnsembleRecipe, EnsembleState, train_cycle
 from ensteal import numkit
 from ensteal.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from ensteal.numkit import accuracy, sgd_update
@@ -43,23 +38,20 @@ def tabular_aug(seed=0):
 
 
 def test_ssl_config_validation():
-    aug = tabular_aug()
     with pytest.raises(InvalidConfigError):
-        SslConfig(augment=None)
+        SslConfig(confidence_threshold=0.0)
     with pytest.raises(InvalidConfigError):
-        SslConfig(augment=aug, confidence_threshold=0.0)
+        SslConfig(max_label_changes=-1)
     with pytest.raises(InvalidConfigError):
-        SslConfig(augment=aug, max_label_changes=-1)
+        SslConfig(per_class_cap=0)
     with pytest.raises(InvalidConfigError):
-        SslConfig(augment=aug, per_class_cap=0)
+        SslConfig(pseudo_loss_weight=-0.5)
     with pytest.raises(InvalidConfigError):
-        SslConfig(augment=aug, pseudo_loss_weight=-0.5)
-    with pytest.raises(InvalidConfigError):
-        SslConfig(augment=aug, lr=0.0)
+        SslConfig(lr=0.0)
 
 
 def test_ssl_defaults():
-    cfg = SslConfig(augment=tabular_aug())
+    cfg = SslConfig()
     assert cfg.confidence_threshold == 0.9
     assert cfg.max_label_changes == 1
     assert cfg.per_class_cap == 100
@@ -86,10 +78,10 @@ def test_filter_matches_bruteforce_bitwise(rng):
         probs = committee_probs(models, ps.pool.features)
         for weak in (GaussianJitter(0.05), JitterDrop(0.05, 0.25)):
             aug = AugmentConfig(weak=weak, strong=JitterDrop(0.2, 0.1), rng_seed=trial)
-            cfg = SslConfig(augment=aug, confidence_threshold=0.6)
-            v = ssl_filter(models, probs, ps, cfg, seed=trial * 13)
+            cfg = SslConfig(confidence_threshold=0.6)
+            v = ssl_filter(models, probs, ps, cfg, aug, seed=trial * 13)
             sel, audit = verdicts_as_oracle_shapes(v)
-            sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, seed=trial * 13)
+            sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, aug, seed=trial * 13)
             assert sel == sel_ref, f"trial {trial} {weak}"
             # every row's (changes, unanimous, min confidence); the confidences
             # are positive floats, so == compares them bit for bit
@@ -110,10 +102,10 @@ def test_filter_verdicts_do_not_depend_on_the_unlabeled_set(rng, weak):
     fewer.query(first, lambda X: np.zeros(len(X), dtype=np.int64))
     more.query(np.union1d(first, extra), lambda X: np.zeros(len(X), dtype=np.int64))
     aug = AugmentConfig(weak=weak, strong=JitterDrop(0.5, 0.1), rng_seed=9)
-    cfg = SslConfig(augment=aug, confidence_threshold=0.6)
+    cfg = SslConfig(confidence_threshold=0.6)
     probs = committee_probs(models, pool.features)
-    a = ssl_filter(models, probs, fewer, cfg, seed=17)
-    b = ssl_filter(models, probs, more, cfg, seed=17)
+    a = ssl_filter(models, probs, fewer, cfg, aug, seed=17)
+    b = ssl_filter(models, probs, more, cfg, aug, seed=17)
     both = np.intersect1d(a.rows, b.rows)
     assert both.size == 150 - 60
     ia, ib = np.searchsorted(a.rows, both), np.searchsorted(b.rows, both)
@@ -139,7 +131,7 @@ def test_filter_empty_pool():
     ps = PoolState(Dataset(np.zeros((3, 4))))
     ps.query([0, 1, 2], lambda X: np.arange(3))
     probs = committee_probs(models, ps.pool.features)
-    v = ssl_filter(models, probs, ps, SslConfig(augment=tabular_aug()), seed=0)
+    v = ssl_filter(models, probs, ps, SslConfig(), tabular_aug(), seed=0)
     assert all(a.shape == (0,) for a in v)
     assert verdicts_as_oracle_shapes(v) == ({}, {})
 
@@ -183,9 +175,9 @@ def test_harvest_marks_pool(rng):
     # five copies of one model agree on every row, so rows pass and the cap bites
     models = [m.copy() for m in make_sharp_models(1, dim=5, classes=3, seed=4) * 5]
     ps = PoolState(Dataset(rng.normal(size=(60, 5))))
-    cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, per_class_cap=4)
+    cfg = SslConfig(confidence_threshold=0.5, per_class_cap=4)
     probs = committee_probs(models, ps.pool.features)
-    rows, labels, verdicts = harvest_pseudo_labels(models, probs, ps, cfg, seed=1)
+    rows, labels, verdicts = harvest_pseudo_labels(models, probs, ps, cfg, tabular_aug(), seed=1)
     assert len(verdicts.rows) == 60
     assert ps.counts()["pseudo"] == rows.size
     _, yp, ip = ps.pseudo_data()
@@ -207,8 +199,8 @@ def test_harvest_runs_the_models_only_on_the_perturbed_rows(rng, monkeypatch):
     seen = []
     real = numkit.probs_batch
     monkeypatch.setattr(numkit, "probs_batch", lambda m, X, *rest: seen.append((m, X)) or real(m, X, *rest))
-    cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5)
-    harvest_pseudo_labels(models, probs, ps, cfg, seed=1)
+    cfg = SslConfig(confidence_threshold=0.5)
+    harvest_pseudo_labels(models, probs, ps, cfg, tabular_aug(), seed=1)
     assert [m for m, _ in seen] == models
     for _, X in seen:
         assert X.shape == Xu.shape
@@ -225,8 +217,8 @@ def test_filter_compares_float32_confidences_with_the_threshold_as_given(rng):
     probs = np.zeros((2, 2, 3), dtype=np.float32)
     probs[:, 0] = [below, 0.05, 0.05]
     probs[:, 1] = [above, 0.05, 0.05]
-    cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.9, max_label_changes=2)
-    v = ssl_filter(models, probs, ps, cfg)
+    cfg = SslConfig(confidence_threshold=0.9, max_label_changes=2)
+    v = ssl_filter(models, probs, ps, cfg, tabular_aug())
     assert v.min_confidence.tolist() == [float(below), float(above)]
     assert v.accepted.tolist() == [False, True]
 
@@ -236,7 +228,7 @@ def test_filter_rejects_a_softmax_not_over_the_pool(rng):
     ps = PoolState(Dataset(rng.normal(size=(10, 4))))
     ps.query([0, 1], lambda X: np.zeros(len(X), dtype=np.int64))
     probs = committee_probs(models, ps.pool.features)
-    cfg = SslConfig(augment=tabular_aug())
+    cfg = SslConfig()
     for bad_models, bad_probs in [
         (models, probs[:, ps.unlabeled_indices()]),  # the unlabeled rows only
         (models[:2], probs),
@@ -244,7 +236,7 @@ def test_filter_rejects_a_softmax_not_over_the_pool(rng):
         ([], probs[:0]),
     ]:
         with pytest.raises(InvalidInputError, match="softmax over the pool"):
-            ssl_filter(bad_models, bad_probs, ps, cfg)
+            ssl_filter(bad_models, bad_probs, ps, cfg, tabular_aug())
 
 
 # ── consistency training ─────────────────────────────────────────────
@@ -259,9 +251,10 @@ def ssl_scenario():
     qi = list(range(0, 90))
     ps.query(qi, lambda X: full.labels[qi])
     ps.convert_queried_to_validation(list(range(60, 90)))
-    spec = make_default_ensemble(6, 3, rng_seed=8, hidden_profile=((6,), (10,), (14,)))
+    recipe = EnsembleRecipe(hidden_profile=((6,), (10,), (14,)), epochs=20)
+    spec = recipe.spec(6, 3, 8)
     state = EnsembleState(spec)
-    train_cycle(state, ps, default_member_configs(spec, epochs=20), seed=90)
+    train_cycle(state, ps, recipe.sgd(spec), seed=90)
     return state, ps, full
 
 
@@ -276,22 +269,22 @@ def unsaturated_copy(state, val_accuracy=0.98):
 
 def test_ssl_train_noop_without_pseudo(ssl_scenario):
     state, ps, _ = ssl_scenario
-    cfg = SslConfig(augment=tabular_aug(), epochs=2)
+    cfg = SslConfig(epochs=2)
     assert ps.counts()["pseudo"] == 0
-    traces = ssl_train(state, ps, cfg, seed=0)
+    traces = ssl_train(state, ps, cfg, tabular_aug(), seed=0)
     assert traces == []
 
 
 def test_ssl_train_runs_and_traces(ssl_scenario):
     state, ps, full = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
-    cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=3, per_class_cap=30)
-    kept, _, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
+    cfg = SslConfig(confidence_threshold=0.5, epochs=3, per_class_cap=30)
+    kept, _, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, tabular_aug(), seed=5)
     assert kept.size, "scenario should produce at least one pseudo row"
     st = unsaturated_copy(state)
     before_best = [b.val_accuracy for b in st.best]
     before_cycle = [b.cycle for b in st.best]
-    traces = ssl_train(st, ps, cfg, seed=7)
+    traces = ssl_train(st, ps, cfg, tabular_aug(), seed=7)
     assert len(traces) == st.spec.size * cfg.epochs
     for t in traces:
         assert t.total_loss == pytest.approx(
@@ -308,21 +301,21 @@ def test_ssl_train_runs_and_traces(ssl_scenario):
 def test_ssl_train_lambda_zero_skips_pseudo_pass(ssl_scenario):
     state, ps, full = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
-    base = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
-    kept, _, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, base, seed=5)
+    base = SslConfig(confidence_threshold=0.5, epochs=2, per_class_cap=30)
+    kept, _, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, base, tabular_aug(), seed=5)
     assert kept.size
     cfg0 = SslConfig(
-        augment=tabular_aug(), confidence_threshold=0.5, epochs=2,
+        confidence_threshold=0.5, epochs=2,
         per_class_cap=30, pseudo_loss_weight=0.0,
     )
     # snapshot, run, compare: with weight 0 the pseudo rows contribute nothing
     s_a = unsaturated_copy(state)
     s_b = unsaturated_copy(state)
     o_a, o_b = record_offers(s_a), record_offers(s_b)
-    tr_a = ssl_train(s_a, ps, cfg0, seed=11)
+    tr_a = ssl_train(s_a, ps, cfg0, tabular_aug(), seed=11)
     assert all(t.pseudo_loss == 0.0 for t in tr_a)
     # identical labeled-only trajectory is reproducible
-    tr_b = ssl_train(s_b, ps, cfg0, seed=11)
+    tr_b = ssl_train(s_b, ps, cfg0, tabular_aug(), seed=11)
     assert o_a.keys() == o_b.keys() == set(range(state.spec.size))
     for i in o_a:
         assert np.array_equal(o_a[i].params, o_b[i].params)
@@ -332,18 +325,18 @@ def test_ssl_train_lambda_zero_skips_pseudo_pass(ssl_scenario):
 def test_ssl_train_deterministic(ssl_scenario):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
-    cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
-    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
+    cfg = SslConfig(confidence_threshold=0.5, epochs=2, per_class_cap=30)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, tabular_aug(), seed=5)
     s_a = unsaturated_copy(state)
     s_b = unsaturated_copy(state)
     o_a, o_b = record_offers(s_a), record_offers(s_b)
-    tr_a = ssl_train(s_a, ps, cfg, seed=3)
-    tr_b = ssl_train(s_b, ps, cfg, seed=3)
+    tr_a = ssl_train(s_a, ps, cfg, tabular_aug(), seed=3)
+    tr_b = ssl_train(s_b, ps, cfg, tabular_aug(), seed=3)
     assert tr_a == tr_b
     assert o_a.keys() == o_b.keys() == set(range(state.spec.size))
     for i in o_a:
         assert np.array_equal(o_a[i].params, o_b[i].params)
-    tr_c = ssl_train(unsaturated_copy(state), ps, cfg, seed=4)
+    tr_c = ssl_train(unsaturated_copy(state), ps, cfg, tabular_aug(), seed=4)
     assert [t.total_loss for t in tr_c] != [t.total_loss for t in tr_a]
 
 
@@ -352,12 +345,12 @@ def test_ssl_train_improves_or_preserves_validation(ssl_scenario):
     # labels on validation rows does not degrade materially
     state, ps, full = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
-    cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=5, per_class_cap=50)
-    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
+    cfg = SslConfig(confidence_threshold=0.5, epochs=5, per_class_cap=50)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, tabular_aug(), seed=5)
     Xv, yv, _ = ps.validation_data()
     st = copy.deepcopy(state)
     before = max(accuracy(m, Xv, yv) for m in st.best_models())
-    ssl_train(st, ps, cfg, seed=21)
+    ssl_train(st, ps, cfg, tabular_aug(), seed=21)
     after = max(accuracy(m, Xv, yv) for m in st.best_models())
     assert after >= before - 0.05
 
@@ -365,13 +358,13 @@ def test_ssl_train_improves_or_preserves_validation(ssl_scenario):
 def test_ssl_train_replaced_checkpoints_get_fresh_outputs(ssl_scenario):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
-    cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
-    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
+    cfg = SslConfig(confidence_threshold=0.5, epochs=2, per_class_cap=30)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, tabular_aug(), seed=5)
     st = copy.deepcopy(state)
     stale = st.best_probs(ps.pool)
     for b in st.best:
         b.val_accuracy = -1.0  # any fine-tuned member now counts as an improvement
-    ssl_train(st, ps, cfg, seed=3)
+    ssl_train(st, ps, cfg, tabular_aug(), seed=3)
     assert all(b.cycle == st.cycle + 1 for b in st.best)
     fresh = st.best_probs(ps.pool)
     for i, b in enumerate(st.best):
@@ -383,8 +376,8 @@ def test_ssl_train_skips_saturated_members(ssl_scenario, monkeypatch):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     assert any(b.saturated for b in state.best), "the fixture should saturate a member"
-    cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=2, per_class_cap=30)
-    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
+    cfg = SslConfig(confidence_threshold=0.5, epochs=2, per_class_cap=30)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, tabular_aug(), seed=5)
     st = copy.deepcopy(state)
     st.best_probs(ps.pool)
     st.best[0].val_accuracy = 1.0
@@ -397,7 +390,7 @@ def test_ssl_train_skips_saturated_members(ssl_scenario, monkeypatch):
     trained = []
     real = numkit.sgd_epoch
     monkeypatch.setattr(numkit, "sgd_epoch", lambda m, *a: trained.append(m) or real(m, *a))
-    traces = ssl_train(st, ps, cfg, seed=3)
+    traces = ssl_train(st, ps, cfg, tabular_aug(), seed=3)
     assert {t.member for t in traces} == {1}
     assert len(traces) == cfg.epochs and len(trained) == 2 * cfg.epochs
     assert offered.keys() == {1} and all(m is offered[1] for m in trained)
@@ -411,16 +404,16 @@ def test_ssl_train_raises_on_divergence_naming_the_member(ssl_scenario):
     # NaN checkpoint with "model parameters must be finite"
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
-    cfg = SslConfig(augment=tabular_aug(), confidence_threshold=0.5, epochs=3, per_class_cap=30, lr=1e6)
-    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
+    cfg = SslConfig(confidence_threshold=0.5, epochs=3, per_class_cap=30, lr=1e6)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, tabular_aug(), seed=5)
     st = unsaturated_copy(state)
     before = list(st.best)
     with pytest.raises(TrainingDivergedError, match="member 0"):
-        ssl_train(st, ps, cfg, seed=7)
+        ssl_train(st, ps, cfg, tabular_aug(), seed=7)
     assert all(b is b0 for b, b0 in zip(st.best, before))
 
 
-def _reference_ssl_train(models, ps, cfg, seed):
+def _reference_ssl_train(models, ps, cfg, augment, seed):
     """ssl_train's fine-tuning loop written out in float32 from the oracle's
     gradient: final parameters per member and every pass's mean loss."""
     Xl, yl, _ = ps.labeled_data()
@@ -434,8 +427,8 @@ def _reference_ssl_train(models, ps, cfg, seed):
             passes = [(Xl, yl, np.random.default_rng(derive_seed(seed, i, e, 0)).permutation(len(Xl)), 1.0)]
             if lam > 0.0:
                 order = np.random.default_rng(derive_seed(seed, i, e, 1)).permutation(len(Xp))
-                aug_rng = np.random.default_rng((mask64(seed), cfg.augment.rng_seed, i, e, 1))
-                Xa = strong_augment(Xp[order], cfg.augment, None, aug_rng)
+                aug_rng = np.random.default_rng((mask64(seed), augment.rng_seed, i, e, 1))
+                Xa = strong_augment(Xp[order], augment, None, aug_rng)
                 passes.append((Xa, yp[order], np.arange(order.size), lam))
             for X, y, order, scale in passes:
                 X = X.astype(np.float32)
@@ -454,15 +447,16 @@ def _reference_ssl_train(models, ps, cfg, seed):
 def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, weight):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
+    aug = tabular_aug(seed=2)
     cfg = SslConfig(
-        augment=tabular_aug(seed=2), confidence_threshold=0.5, epochs=3, per_class_cap=25,
+        confidence_threshold=0.5, epochs=3, per_class_cap=25,
         pseudo_loss_weight=weight, batch_size=16,
     )
-    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, aug, seed=5)
     st = unsaturated_copy(state)
-    ref_params, ref_losses = _reference_ssl_train(st.best_models(), ps, cfg, seed=13)
+    ref_params, ref_losses = _reference_ssl_train(st.best_models(), ps, cfg, aug, seed=13)
     offered = record_offers(st)
-    traces = ssl_train(st, ps, cfg, seed=13)
+    traces = ssl_train(st, ps, cfg, aug, seed=13)
     # every member, whether or not its checkpoint was replaced
     assert len(ref_params) == len(offered) == st.spec.size
     for i, params in enumerate(ref_params):

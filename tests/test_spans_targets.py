@@ -38,8 +38,8 @@ def test_semisup_work_counts_are_rows_filtered_and_kept(rng):
     ps = PoolState(Dataset(rng.normal(size=(60, 5))))
     ps.query(range(0, 60, 4), lambda X: np.zeros(len(X), dtype=np.int64))
     aug = AugmentConfig(weak=GaussianJitter(0.05), strong=JitterDrop(0.2, 0.1), rng_seed=0)
-    cfg = SslConfig(augment=aug, confidence_threshold=0.5, per_class_cap=4)
-    args = (models, committee_probs(models, ps.pool.features), ps, cfg, 1)
+    cfg = SslConfig(confidence_threshold=0.5, per_class_cap=4)
+    args = (models, committee_probs(models, ps.pool.features), ps, cfg, aug, 1)
     filtered = work["semisup.ssl_filter"](args, {}, ssl_filter(*args))
     assert filtered == ps.unlabeled_indices().size == 45
     kept = work["semisup.harvest_pseudo_labels"](args, {}, harvest_pseudo_labels(*args))
