@@ -170,7 +170,9 @@ def transferability(
     seed: int = 0,
     denominator: str = "source_fooled",
 ) -> TransferResult:
-    """Craft on the source with PGD, then measure transfer to the target."""
+    """Craft on the source with PGD, then measure transfer to the target. A
+    target of another (input_dim, num_classes) is refused before the attack."""
+    numkit.check_shape(target, (source.spec.input_dim, source.spec.num_classes), "target", "the source")
     X_adv = pgd_attack_batch(source, X, y, cfg, seed)
     return transfer_from_adversarials(source, target, X, y, X_adv, denominator)
 

@@ -20,7 +20,7 @@ from . import adversarial as adv
 from . import config, harness, numkit
 from .datapool import load_dataset, make_synthetic, save_dataset, strip_labels
 from .ensemble import load_ensemble
-from .errors import InvalidConfigError, InvalidInputError, StageError
+from .errors import InvalidConfigError, StageError
 from .victim import QueryBudget, VictimOracle, VictimRecipe, train_victim
 
 
@@ -150,9 +150,7 @@ def _cmd_evaluate(args) -> int:
     state = load_ensemble(args.ensemble)
     victim_model = numkit.load_model(args.victim)
     member = state.spec.members[0]
-    shape, want = (victim_model.spec.input_dim, victim_model.spec.num_classes), (member.input_dim, member.num_classes)
-    if shape != want:
-        raise InvalidInputError(f"victim has (input_dim, num_classes) {shape}, the ensemble has {want}")
+    numkit.check_shape(victim_model, (member.input_dim, member.num_classes), "victim", "the ensemble")
     data = load_dataset(args.data)
     if data.labels is not None:
         numkit.as_class_labels(victim_model, data.labels, data.n)

@@ -3,10 +3,11 @@
 The attacker trains several MLPs of different capacities on the same stolen
 labels. Each refresh retrains the members from their seeded initialization
 on the current labeled set (no warm start) and keeps one best checkpoint per
-member. EnsembleState holds the one checkpoint rule that refreshes and
-semi-supervised fine-tuning share: a trained model replaces a checkpoint
-only if it scores strictly better on the held-out validation rows, so a
-member already at 1.0 is not trained at all, since no output could see it.
+member. EnsembleState holds the one loop over members (refit) and the one
+checkpoint rule that refreshes and semi-supervised fine-tuning share: a
+trained model replaces a checkpoint only if it scores strictly better on the
+held-out validation rows, so a member already at 1.0 is not trained at all,
+since no output could see it.
 Committee outputs (mean probabilities, label frequency vectors, majority
 vote) always come from those best checkpoints. Members infer in float32
 (MEMBER_DTYPE), the precision they train in, for their stored outputs and
@@ -20,13 +21,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import numkit
 from .datapool import Dataset, PoolState
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from .numkit import MlpModel, MlpSpec, SgdConfig
 from .seeding import derive_seed
 
@@ -139,6 +140,25 @@ class EnsembleState:
             self.best[i] = BestCheckpoint(model.copy(), acc, cycle)
         return acc
 
+    def refit(self, pool_state: PoolState, cycle: int, fit: Callable[[int], MlpModel]) -> list[Optional[float]]:
+        """The one loop over members: fit(i) trains each trainable() member,
+        and every result is offered dated cycle once all are fit, so a
+        divergence (raised naming the member) changes no checkpoint. Returns
+        the validation accuracies, None for a skipped member."""
+        Xv, yv, _ = pool_state.validation_data()
+        if Xv.shape[0] == 0:
+            raise InvalidInputError("validation rows are required to rank checkpoints")
+        trained = {}
+        for i in self.trainable():
+            try:
+                trained[i] = fit(i)
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(exc.epoch, f"member {i}") from None
+        accs: list[Optional[float]] = [None] * self.spec.size
+        for i, model in trained.items():
+            accs[i] = self.offer(i, model, Xv, yv, cycle)
+        return accs
+
     def best_models(self) -> list[MlpModel]:
         if any(b is None for b in self.best):
             raise InvalidInputError("ensemble has no trained checkpoint yet")
@@ -167,28 +187,21 @@ def train_cycle(
     cfgs: list[SgdConfig],
     seed: int,
 ) -> list[Optional[float]]:
-    """One committee refresh on the oracle-labeled rows.
-
-    Every member restarts from its spec's seeded initialization and trains
-    with its own config; shuffle seeds derive from (seed, member index), so
-    distinct cycles see distinct batch orders. Only state.trainable() members
-    train, and each result goes to state.offer. Returns the per-member
-    validation accuracies of this refresh, None for a skipped member.
-    """
+    """One committee refresh on the oracle-labeled rows: state.refit of every
+    member from its spec's seeded initialization with its own config, and
+    shuffle seeds from (seed, member index). state.cycle advances on success."""
     if len(cfgs) != state.spec.size:
         raise InvalidConfigError("one SGD config per member required")
     X, y, _ = pool_state.labeled_data()
     if X.shape[0] == 0:
         raise InvalidInputError("no labeled rows to train on")
-    Xv, yv, _ = pool_state.validation_data()
-    if Xv.shape[0] == 0:
-        raise InvalidInputError("validation rows are required to rank checkpoints")
-    state.cycle += 1
-    accs: list[Optional[float]] = [None] * state.spec.size
-    for i in state.trainable():
+
+    def member_fit(i: int) -> MlpModel:
         fresh = MlpModel.initialize(state.spec.members[i])
-        trained, _ = numkit.train_supervised(fresh, (X, y), cfgs[i], derive_seed(seed, i))
-        accs[i] = state.offer(i, trained, Xv, yv, state.cycle)
+        return numkit.train_supervised(fresh, (X, y), cfgs[i], derive_seed(seed, i))[0]
+
+    accs = state.refit(pool_state, state.cycle + 1, member_fit)
+    state.cycle += 1
     return accs
 
 

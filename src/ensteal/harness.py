@@ -152,12 +152,8 @@ def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str]
         with _stage("victim"):
             if cfg.victim.checkpoint is not None:
                 victim_model = numkit.load_model(cfg.victim.checkpoint)
-                shape = (victim_model.spec.input_dim, victim_model.spec.num_classes)
-                if shape != (source.input_dim, source.num_classes):  # refused before any label is bought
-                    raise InvalidInputError(
-                        f"checkpoint has (input_dim, num_classes) {shape}, "
-                        f"victim.data has {(source.input_dim, source.num_classes)}"
-                    )
+                # refused before any label is bought
+                numkit.check_shape(victim_model, (source.input_dim, source.num_classes), "checkpoint", "victim.data")
             else:
                 victim_train = make_synthetic(source, cfg.victim.train_n, stage_seed(root, VICTIM_DATA))
                 victim_model, _ = train_victim(

@@ -3,7 +3,8 @@
 Small MLP classifiers over float64 numpy arrays: seeded initialization,
 overflow-safe softmax inference, analytic backpropagation for mean
 cross-entropy, and mini-batch SGD with momentum under a step learning-rate
-schedule. Training arithmetic runs in float32 inside `sgd_epoch`, and so does
+schedule, in one epoch loop (`fit`) that every training runs through.
+Training arithmetic runs in float32 inside `sgd_epoch`, and so does
 inference when asked (`probs_batch(model, X, np.float32)`, which the
 committee uses); parameters, default inference (the victim's),
 `loss_and_grad`, input gradients and checkpoints stay float64.
@@ -159,6 +160,14 @@ def as_class_labels(model: MlpModel, y, n: int) -> np.ndarray:
             f"[{y.min()}, {y.max()}]"
         )
     return y
+
+
+def check_shape(model: MlpModel, want: tuple[int, int], name: str, other: str) -> None:
+    """InvalidInputError, naming model as name and want's owner as other,
+    unless model's (input_dim, num_classes) equals want."""
+    shape = (model.spec.input_dim, model.spec.num_classes)
+    if shape != want:
+        raise InvalidInputError(f"{name} has (input_dim, num_classes) {shape}, {other} has {want}")
 
 
 # ── forward / inference ──────────────────────────────────────────────
@@ -417,35 +426,38 @@ def sgd_epoch(
     return total / order.size
 
 
-def train_supervised(
-    model: MlpModel,
-    data: tuple,
-    cfg: SgdConfig,
-    rng_seed: int,
-) -> tuple[MlpModel, list[float]]:
-    """Mini-batch SGD with momentum on mean cross-entropy.
-
-    Returns a trained copy (the input model is untouched) and the per-epoch
-    mean loss trace. Batch order is reshuffled each epoch from the derived
-    seed (rng_seed XOR epoch index), so runs replay exactly. Weight decay, if
-    nonzero, is added to the gradient as wd * params.
-    """
-    X, y = data
+def fit(model: MlpModel, cfg: SgdConfig, passes) -> tuple[MlpModel, list[float]]:
+    """The one training loop: cfg.epochs epochs of momentum SGD, with one
+    velocity, on a copy of model. passes(epoch) yields (X, y, order,
+    grad_scale) passes, each run by sgd_epoch at the epoch's scheduled lr.
+    Returns the copy and every pass's mean loss; a non-finite one raises
+    TrainingDivergedError."""
     out = model.copy()
-    X = as_batch(out, X)
-    y = as_class_labels(out, y, X.shape[0])
-    rng_seed = mask64(rng_seed)
-
     velocity = np.zeros_like(out.params)
     losses: list[float] = []
     for epoch in range(cfg.epochs):
-        order = np.random.default_rng(mask64(rng_seed ^ epoch)).permutation(X.shape[0])
-        mean_loss = sgd_epoch(out, velocity, X, y, order, cfg, effective_lr(cfg, epoch))
-        if not np.isfinite(mean_loss):
-            raise TrainingDivergedError(epoch)
-        losses.append(mean_loss)
+        lr = effective_lr(cfg, epoch)
+        for X, y, order, grad_scale in passes(epoch):
+            loss = sgd_epoch(out, velocity, X, y, order, cfg, lr, grad_scale)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch)
+            losses.append(loss)
     out.epoch_counter += cfg.epochs
     return out, losses
+
+
+def train_supervised(model: MlpModel, data: tuple, cfg: SgdConfig, rng_seed: int) -> tuple[MlpModel, list[float]]:
+    """fit with one pass over every row per epoch, in an order reshuffled
+    from the derived seed (rng_seed XOR epoch index), so runs replay exactly."""
+    X, y = data
+    X = as_batch(model, X)
+    y = as_class_labels(model, y, X.shape[0])
+    rng_seed = mask64(rng_seed)
+
+    def passes(epoch: int):
+        yield X, y, np.random.default_rng(mask64(rng_seed ^ epoch)).permutation(X.shape[0]), 1.0
+
+    return fit(model, cfg, passes)
 
 
 def accuracy(model: MlpModel, X, y, dtype=np.float64) -> float:

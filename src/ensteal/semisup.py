@@ -14,17 +14,17 @@ arrays over the unlabeled rows (FilterVerdicts). Accepted rows, capped per
 class (most confident first, then the lower row), become pseudo-labeled
 training data.
 
-The training stage then minimizes labeled loss plus a weighted pseudo loss,
-where pseudo rows are strongly perturbed afresh every epoch, at a low fixed
-learning rate. The committee's checkpoint rule (EnsembleState.trainable and
-offer) applies unchanged, so a member already at 1.0 on validation is not
-fine-tuned.
+The training stage then runs numkit.fit from each member's checkpoint at a
+low fixed learning rate: per epoch a labeled pass, then a pass weighted by
+the pseudo loss weight over pseudo rows strongly perturbed afresh. It goes
+through EnsembleState.refit, as a committee refresh does, so a member
+already at 1.0 on validation is not fine-tuned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .datapool import (
     weak_augment,
 )
 from .ensemble import MEMBER_DTYPE, EnsembleState
-from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
+from .errors import InvalidConfigError, InvalidInputError
 from .numkit import MlpModel
 from .seeding import derive_seed, mask64
 
@@ -182,66 +182,44 @@ def harvest_pseudo_labels(
 # ── consistency training ─────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class SslEpochTrace:
-    member: int
-    epoch: int
-    labeled_loss: float
-    pseudo_loss: float
-    total_loss: float
-
-
 def ssl_train(
     state: EnsembleState,
     pool_state: PoolState,
     cfg: SslConfig,
     augment: AugmentConfig,
     seed: int = 0,
-) -> list[SslEpochTrace]:
+) -> list[Optional[float]]:
     """Fine-tune each member's best checkpoint on labeled plus pseudo rows.
 
-    Each epoch runs the labeled minibatches, then the pseudo minibatches
-    with gradients scaled by the pseudo loss weight; the shuffled pseudo
-    inputs are strongly perturbed anew that epoch, as one batch. The
-    learning rate stays fixed. Only state.trainable() members are tuned, and
-    each result goes to state.offer dated the next cycle; a skipped member
-    has no traces (random streams are per member). A non-finite epoch loss
-    raises TrainingDivergedError. With no pseudo rows recorded this is a
-    no-op returning [].
+    state.refit, dated the next cycle, runs numkit.fit from each trainable
+    member's checkpoint at the fixed lr. Each epoch runs a labeled pass,
+    then a pseudo pass with gradients scaled by the pseudo loss weight (none
+    when the weight is 0); the shuffled pseudo inputs are strongly perturbed
+    anew that epoch, as one batch. Random streams are per member and epoch,
+    so a skipped member changes no other member's draws. Returns refit's
+    per-member accuracies, every entry None when no pseudo rows were
+    recorded (nothing is trained then).
     """
     Xp, yp, _ = pool_state.pseudo_data()
     if Xp.shape[0] == 0:
-        return []
+        return [None] * state.spec.size
     Xl, yl, _ = pool_state.labeled_data()
     if Xl.shape[0] == 0:
         raise InvalidInputError("labeled rows are required for consistency training")
-    Xv, yv, _ = pool_state.validation_data()
-    if Xv.shape[0] == 0:
-        raise InvalidInputError("validation rows are required to rank checkpoints")
     layout = pool_state.pool.layout
     lam = cfg.pseudo_loss_weight
-    traces: list[SslEpochTrace] = []
     starting_points = state.best_models()
-    sgd = numkit.SgdConfig(base_lr=cfg.lr, momentum=cfg.momentum, batch_size=cfg.batch_size)
+    sgd = numkit.SgdConfig(base_lr=cfg.lr, momentum=cfg.momentum, epochs=cfg.epochs, batch_size=cfg.batch_size)
 
-    for i in state.trainable():
-        model = starting_points[i].copy()
-        velocity = np.zeros_like(model.params)
-        for e in range(cfg.epochs):
-            order_l = np.random.default_rng(derive_seed(seed, i, e, 0)).permutation(Xl.shape[0])
-            labeled_loss = numkit.sgd_epoch(model, velocity, Xl, yl, order_l, sgd, cfg.lr)
-            pseudo_loss = 0.0
+    def member_fit(i: int) -> MlpModel:
+        def passes(e: int):
+            yield Xl, yl, np.random.default_rng(derive_seed(seed, i, e, 0)).permutation(Xl.shape[0]), 1.0
             if lam > 0.0:
-                order_p = np.random.default_rng(derive_seed(seed, i, e, 1)).permutation(Xp.shape[0])
+                order = np.random.default_rng(derive_seed(seed, i, e, 1)).permutation(Xp.shape[0])
                 aug_rng = np.random.default_rng((mask64(seed), mask64(augment.rng_seed), i, e, 1))
-                Xa = strong_augment(Xp[order_p], augment, layout, aug_rng)
-                pseudo_loss = numkit.sgd_epoch(
-                    model, velocity, Xa, yp[order_p], np.arange(order_p.size), sgd, cfg.lr, lam
-                )
-            total_loss = labeled_loss + lam * pseudo_loss
-            if not np.isfinite(total_loss):
-                raise TrainingDivergedError(e, f"member {i}")
-            traces.append(SslEpochTrace(i, e, labeled_loss, pseudo_loss, total_loss))
-        model.epoch_counter += cfg.epochs
-        state.offer(i, model, Xv, yv, state.cycle + 1)
-    return traces
+                Xa = strong_augment(Xp[order], augment, layout, aug_rng)
+                yield Xa, yp[order], np.arange(order.size), lam
+
+        return numkit.fit(starting_points[i], sgd, passes)[0]
+
+    return state.refit(pool_state, state.cycle + 1, member_fit)

@@ -267,6 +267,31 @@ def test_adv_transfer_writes_the_csv_of_transferability_at_its_seed(tmp_path, da
     assert csv_out.read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("dim, classes", [("8", "3"), ("5", "4")])
+def test_adv_transfer_refuses_a_victim_of_another_shape_before_the_attack(
+    tmp_path, data_files, victim_ckpt, capsys, monkeypatch, dim, classes
+):
+    # an 8-feature source against the 5-feature victim failed only after
+    # PGD had run, and a 4-class source against the 3-class victim printed
+    # a transfer rate with exit 0
+    _, test = data_files
+    train, source = tmp_path / "train.aotd", tmp_path / "source.ckpt"
+    gen = ["gen-data", "--source", "gaussian_mixture", "--dim", dim, "--classes", classes, "--n", "60"]
+    assert run_cli(*gen, "--out", str(train)) == 0
+    assert run_cli("train-victim", "--train", str(train), "--hidden", "8", "--epochs", "2", "--out", str(source)) == 0
+    grads = []
+    real = numkit.input_grad_batch
+    monkeypatch.setattr(numkit, "input_grad_batch", lambda *a: grads.append(a) or real(*a))
+    capsys.readouterr()
+    data = train if dim == "8" else test
+    rc = run_cli("adv-transfer", "--source", str(source), "--victim", str(victim_ckpt), "--data", str(data),
+                 "--epsilon", "0.5", "--steps", "3", "--n-eval", "20")
+    assert rc == 1
+    err = f"target has (input_dim, num_classes) (5, 3), the source has ({dim}, {classes})"
+    assert capsys.readouterr() == ("", f"error (InvalidInputError): {err}\n")
+    assert grads == []
+
+
 def test_adv_transfer_cli(tmp_path, data_files, victim_ckpt, capsys):
     train, test = data_files
     other = tmp_path / "other.ckpt"

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from ensteal.ensemble import (
     save_ensemble,
     train_cycle,
 )
-from ensteal.errors import InvalidConfigError, InvalidInputError
+from ensteal.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
 from ensteal.victim import QueryBudget, VictimOracle, VictimRecipe, train_victim
 
@@ -297,6 +300,25 @@ def test_train_cycle_skips_saturated_members(trained_state, monkeypatch):
     assert all(saturated.outputs[k] is v for k, v in outputs.items())
     assert offered.keys() == {1, 2}
     assert (state.best[1].cycle == 2) == (accs[1] > 0.98)
+
+
+@pytest.mark.parametrize("scale, diverging", [(1e3, [0, 1, 2]), (1.0, [1])])
+def test_a_diverging_retrain_names_the_member_and_changes_no_checkpoint(trained_state, scale, diverging):
+    # it raised "non-finite loss at epoch 0" without naming the member
+    state, pool, cfgs, _ = trained_state
+    pool = copy.deepcopy(pool)
+    pool.pool = Dataset(pool.pool.features * scale)
+    cfgs = [dataclasses.replace(c, base_lr=1e9) if i in diverging else c for i, c in enumerate(cfgs)]
+    st = copy.deepcopy(state)
+    for b in st.best:
+        b.val_accuracy = -1.0  # any finished fit would replace the checkpoint
+    before = [(b, b.model.params.copy(), b.cycle) for b in st.best]
+    offered = record_offers(st)
+    with pytest.raises(TrainingDivergedError, match=rf"^non-finite loss at epoch \d+: member {diverging[0]}$"):
+        train_cycle(st, pool, cfgs, seed=32)
+    assert offered == {} and st.cycle == state.cycle
+    for b, (b0, params, cycle) in zip(st.best, before):
+        assert b is b0 and b.cycle == cycle and np.array_equal(b.model.params, params)
 
 
 def test_train_cycle_needs_validation_rows():

@@ -18,8 +18,8 @@ from ensteal.datapool import (
     strip_labels,
     strong_augment,
 )
-from ensteal.ensemble import EnsembleRecipe, EnsembleState, train_cycle
-from ensteal import numkit
+from ensteal.ensemble import MEMBER_DTYPE, EnsembleRecipe, EnsembleState, train_cycle
+from ensteal import numkit, semisup
 from ensteal.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from ensteal.numkit import accuracy, sgd_update
 from ensteal.seeding import derive_seed, mask64
@@ -267,15 +267,34 @@ def unsaturated_copy(state, val_accuracy=0.98):
     return st
 
 
-def test_ssl_train_noop_without_pseudo(ssl_scenario):
+def spy_fit(monkeypatch) -> list:
+    """Wrap numkit.fit; the returned list gets each call's (trained model,
+    pass losses), in call order."""
+    calls = []
+    real = numkit.fit
+
+    def fit(*args):
+        out = real(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(numkit, "fit", fit)
+    return calls
+
+
+def test_ssl_train_noop_without_pseudo(ssl_scenario, monkeypatch):
     state, ps, _ = ssl_scenario
     cfg = SslConfig(epochs=2)
     assert ps.counts()["pseudo"] == 0
-    traces = ssl_train(state, ps, cfg, tabular_aug(), seed=0)
-    assert traces == []
+    st = copy.deepcopy(state)
+    before = list(st.best)
+    offered, fits = record_offers(st), spy_fit(monkeypatch)
+    assert ssl_train(st, ps, cfg, tabular_aug(), seed=0) == [None] * st.spec.size
+    assert offered == {} and fits == []
+    assert all(b is b0 for b, b0 in zip(st.best, before))
 
 
-def test_ssl_train_runs_and_traces(ssl_scenario):
+def test_ssl_train_runs_and_traces(ssl_scenario, monkeypatch):
     state, ps, full = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(confidence_threshold=0.5, epochs=3, per_class_cap=30)
@@ -284,13 +303,18 @@ def test_ssl_train_runs_and_traces(ssl_scenario):
     st = unsaturated_copy(state)
     before_best = [b.val_accuracy for b in st.best]
     before_cycle = [b.cycle for b in st.best]
-    traces = ssl_train(st, ps, cfg, tabular_aug(), seed=7)
-    assert len(traces) == st.spec.size * cfg.epochs
-    for t in traces:
-        assert t.total_loss == pytest.approx(
-            t.labeled_loss + cfg.pseudo_loss_weight * t.pseudo_loss
-        )
-        assert t.pseudo_loss > 0.0
+    start_epochs = [m.epoch_counter for m in st.best_models()]
+    offered, fits = record_offers(st), spy_fit(monkeypatch)
+    accs = ssl_train(st, ps, cfg, tabular_aug(), seed=7)
+    # every member fine-tuned: a labeled and a pseudo pass per epoch, each
+    # with a positive finite loss, and the trained model offered
+    assert len(fits) == len(accs) == st.spec.size and all(isinstance(a, float) for a in accs)
+    Xv, yv, _ = ps.validation_data()
+    for i, (model, losses) in enumerate(fits):
+        assert offered[i] is model and model.epoch_counter == start_epochs[i] + cfg.epochs
+        assert accs[i] == accuracy(model, Xv, yv, MEMBER_DTYPE)
+        assert len(losses) == 2 * cfg.epochs
+        assert all(np.isfinite(loss) and loss > 0.0 for loss in losses)
     # best checkpoints only advance on strict improvement
     for b, v0, c0 in zip(st.best, before_best, before_cycle):
         assert b.val_accuracy >= v0
@@ -298,7 +322,7 @@ def test_ssl_train_runs_and_traces(ssl_scenario):
             assert b.cycle == c0
 
 
-def test_ssl_train_lambda_zero_skips_pseudo_pass(ssl_scenario):
+def test_ssl_train_lambda_zero_skips_pseudo_pass(ssl_scenario, monkeypatch):
     state, ps, full = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     base = SslConfig(confidence_threshold=0.5, epochs=2, per_class_cap=30)
@@ -312,17 +336,24 @@ def test_ssl_train_lambda_zero_skips_pseudo_pass(ssl_scenario):
     s_a = unsaturated_copy(state)
     s_b = unsaturated_copy(state)
     o_a, o_b = record_offers(s_a), record_offers(s_b)
-    tr_a = ssl_train(s_a, ps, cfg0, tabular_aug(), seed=11)
-    assert all(t.pseudo_loss == 0.0 for t in tr_a)
+    fits = spy_fit(monkeypatch)
+    augmented = []
+    monkeypatch.setattr(semisup, "strong_augment", lambda *a: augmented.append(a))
+    acc_a = ssl_train(s_a, ps, cfg0, tabular_aug(), seed=11)
+    # one labeled pass per epoch and member, and no pseudo row is perturbed
+    assert [len(losses) for _, losses in fits] == [cfg0.epochs] * state.spec.size
+    assert augmented == []
     # identical labeled-only trajectory is reproducible
-    tr_b = ssl_train(s_b, ps, cfg0, tabular_aug(), seed=11)
+    acc_b = ssl_train(s_b, ps, cfg0, tabular_aug(), seed=11)
+    assert acc_a == acc_b and all(isinstance(a, float) for a in acc_a)
     assert o_a.keys() == o_b.keys() == set(range(state.spec.size))
     for i in o_a:
         assert np.array_equal(o_a[i].params, o_b[i].params)
-    assert [t.total_loss for t in tr_a] == [t.total_loss for t in tr_b]
+    n = state.spec.size
+    assert [losses for _, losses in fits[:n]] == [losses for _, losses in fits[n:]]
 
 
-def test_ssl_train_deterministic(ssl_scenario):
+def test_ssl_train_deterministic(ssl_scenario, monkeypatch):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(confidence_threshold=0.5, epochs=2, per_class_cap=30)
@@ -330,14 +361,18 @@ def test_ssl_train_deterministic(ssl_scenario):
     s_a = unsaturated_copy(state)
     s_b = unsaturated_copy(state)
     o_a, o_b = record_offers(s_a), record_offers(s_b)
-    tr_a = ssl_train(s_a, ps, cfg, tabular_aug(), seed=3)
-    tr_b = ssl_train(s_b, ps, cfg, tabular_aug(), seed=3)
-    assert tr_a == tr_b
-    assert o_a.keys() == o_b.keys() == set(range(state.spec.size))
+    fits = spy_fit(monkeypatch)
+    n = state.spec.size
+    acc_a = ssl_train(s_a, ps, cfg, tabular_aug(), seed=3)
+    acc_b = ssl_train(s_b, ps, cfg, tabular_aug(), seed=3)
+    assert acc_a == acc_b and len(acc_a) == n and None not in acc_a
+    assert o_a.keys() == o_b.keys() == set(range(n))
     for i in o_a:
         assert np.array_equal(o_a[i].params, o_b[i].params)
-    tr_c = ssl_train(unsaturated_copy(state), ps, cfg, tabular_aug(), seed=4)
-    assert [t.total_loss for t in tr_c] != [t.total_loss for t in tr_a]
+    losses_a, losses_b = [f[1] for f in fits[:n]], [f[1] for f in fits[n:]]
+    assert losses_a == losses_b
+    ssl_train(unsaturated_copy(state), ps, cfg, tabular_aug(), seed=4)
+    assert [f[1] for f in fits[2 * n :]] != losses_a
 
 
 def test_ssl_train_improves_or_preserves_validation(ssl_scenario):
@@ -386,14 +421,15 @@ def test_ssl_train_skips_saturated_members(ssl_scenario, monkeypatch):
     saturated = st.best[0]
     outputs = dict(saturated.outputs)
     cycle = saturated.cycle
-    offered = record_offers(st)
+    offered, fits = record_offers(st), spy_fit(monkeypatch)
     trained = []
     real = numkit.sgd_epoch
     monkeypatch.setattr(numkit, "sgd_epoch", lambda m, *a: trained.append(m) or real(m, *a))
-    traces = ssl_train(st, ps, cfg, tabular_aug(), seed=3)
-    assert {t.member for t in traces} == {1}
-    assert len(traces) == cfg.epochs and len(trained) == 2 * cfg.epochs
+    accs = ssl_train(st, ps, cfg, tabular_aug(), seed=3)
+    assert accs[0] is None and accs[2] is None and isinstance(accs[1], float)
+    assert len(fits) == 1 and len(fits[0][1]) == len(trained) == 2 * cfg.epochs
     assert offered.keys() == {1} and all(m is offered[1] for m in trained)
+    assert fits[0][0] is offered[1]
     assert st.best[0] is saturated and saturated.cycle == cycle
     assert saturated.outputs.keys() == outputs.keys()
     assert all(saturated.outputs[k] is v for k, v in outputs.items())
@@ -444,7 +480,7 @@ def _reference_ssl_train(models, ps, cfg, augment, seed):
 
 
 @pytest.mark.parametrize("weight", [0.0, 0.7])
-def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, weight):
+def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, weight, monkeypatch):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     aug = tabular_aug(seed=2)
@@ -455,11 +491,10 @@ def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, weight):
     harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, aug, seed=5)
     st = unsaturated_copy(state)
     ref_params, ref_losses = _reference_ssl_train(st.best_models(), ps, cfg, aug, seed=13)
-    offered = record_offers(st)
-    traces = ssl_train(st, ps, cfg, aug, seed=13)
+    offered, fits = record_offers(st), spy_fit(monkeypatch)
+    ssl_train(st, ps, cfg, aug, seed=13)
     # every member, whether or not its checkpoint was replaced
-    assert len(ref_params) == len(offered) == st.spec.size
+    assert len(ref_params) == len(offered) == len(fits) == st.spec.size
     for i, params in enumerate(ref_params):
         assert np.array_equal(offered[i].params, params)
-    passes = [(t.labeled_loss, t.pseudo_loss) if weight else (t.labeled_loss,) for t in traces]
-    assert [loss for p in passes for loss in p] == ref_losses
+    assert [loss for _, losses in fits for loss in losses] == ref_losses
