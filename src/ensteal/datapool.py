@@ -125,7 +125,8 @@ class PoolState:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1 or idx.size == 0:
             raise InvalidInputError("expected a nonempty 1-d index array")
-        if np.unique(idx).size != idx.size:
+        ordered = np.sort(idx)  # np.unique would import numpy.ma on first use
+        if np.any(ordered[1:] == ordered[:-1]):
             raise InvalidInputError("indices contain duplicates")
         if idx.min() < 0 or idx.max() >= self.pool.n:
             raise InvalidInputError(f"indices out of range [0, {self.pool.n})")

@@ -3,17 +3,25 @@
 Wire protocol: one JSON object per newline-terminated line, both ways.
 Requests carry a caller-chosen integer id, echoed back. The two ops:
 
-    {"id": 9, "op": "predict_batch", "x": [[0.1, ...], ...]}
+    {"id": 9, "op": "predict_batch", "cols": 4, "x": "<base64>"}
                                                  ->  {"id": 9, "labels": [3, ...]}
     {"id": 8, "op": "budget"}                    ->  {"id": 8, "remaining": 512}
+
+A predict_batch carries its rows as their exact float64 values: "x" is the
+RFC 4648 base64 of the rows' little-endian float64 bytes, row-major, and
+"cols" is the row width. encode_rows builds these two fields and
+decode_rows reads them back; nothing else knows the format. A request is
+BAD_INPUT when "x" is not a string of valid base64, "cols" is not an
+integer of at least 1, or the decoded length is 0 or not a multiple of
+8 x cols; the oracle then refuses a width other than its input_dim and
+any non-finite value.
 
 A predict_batch is all or nothing: it is charged once, and a batch larger
 than the remaining budget is refused whole, charging and logging nothing.
 Failures answer {"id": ..., "error": msg, "code": code} with code one of
-BUDGET_EXHAUSTED, BAD_INPUT (any fault of the request, an integer beyond
-float range included), or INTERNAL; a line that does not parse or has
-no integer id (a bool is not one) gets id 0 and BAD_INPUT, and the
-connection stays open either way.
+BUDGET_EXHAUSTED, BAD_INPUT (any fault of the request), or INTERNAL; a
+line that does not parse or has no integer id (a bool is not one) gets
+id 0 and BAD_INPUT, and the connection stays open either way.
 
 The server caches the answers to the last DEDUP_WINDOW ids, most recently
 used kept, keyed by (id, sha256 of the request line as received): a client
@@ -33,6 +41,7 @@ budget_remaining, query_labels), so run_attack drives both the same way.
 
 from __future__ import annotations
 
+import base64
 import csv
 import hashlib
 import json
@@ -65,15 +74,30 @@ def _is_count(v) -> bool:
     return type(v) is int and 0 <= v < 1 << 63
 
 
-def _is_batch(x) -> bool:
-    """A nonempty list of equal-length lists of numbers; JSON true and false
-    are not numbers, although Python's bool is an int."""
-    return (
-        isinstance(x, list)
-        and len(x) > 0
-        and all(isinstance(row, list) and len(row) == len(x[0]) for row in x)
-        and all(type(v) in (int, float) for row in x for v in row)
-    )
+def encode_rows(X: np.ndarray) -> dict:
+    """The predict_batch fields for the (n, d) batch X: "cols" is d and "x"
+    the base64 of X's little-endian float64 bytes, row-major."""
+    X = np.ascontiguousarray(X, dtype="<f8")
+    return {"cols": X.shape[1], "x": base64.b64encode(X.tobytes()).decode("ascii")}
+
+
+def decode_rows(req: dict) -> np.ndarray:
+    """The read-only (n, cols) float64 batch of a predict_batch request,
+    else InvalidInputError. Width and finiteness are the oracle's checks."""
+    x, cols = req.get("x"), req.get("cols")
+    if not isinstance(x, str):
+        raise InvalidInputError("x must be a base64 string of little-endian float64 rows")
+    if not (_is_count(cols) and cols >= 1):
+        raise InvalidInputError("cols must be an integer of at least 1")
+    try:
+        raw = base64.b64decode(x, validate=True)
+    except ValueError as exc:  # binascii.Error
+        raise InvalidInputError(f"x is not valid base64: {exc}") from None
+    if not raw or len(raw) % (8 * cols):
+        raise InvalidInputError(
+            f"x decodes to {len(raw)} bytes, not a nonzero multiple of 8 x cols = {8 * cols}"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, cols)
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -178,18 +202,11 @@ class VictimService:
             return reply
 
     def _dispatch(self, rid: int, req: dict) -> bytes:
-        op, x = req.get("op"), req.get("x")
+        op = req.get("op")
         if op != "predict_batch":
             return _encode({"id": rid, "error": f"unknown op {op!r}", "code": CODE_BAD_INPUT})
-        if not _is_batch(x):
-            error = "x must be a nonempty list of equal-length lists of numbers"
-            return _encode({"id": rid, "error": error, "code": CODE_BAD_INPUT})
         try:
-            X = np.asarray(x, dtype=np.float64)
-        except OverflowError:  # an integer such as 10**400, as far out of range as 1e400
-            return _encode({"id": rid, "error": "x holds a number beyond float range", "code": CODE_BAD_INPUT})
-        try:
-            labels = self._oracle.predict_batch(X)
+            labels = self._oracle.predict_batch(decode_rows(req))
         except BudgetExhaustedError as exc:
             return _encode({"id": rid, "error": str(exc), "code": CODE_BUDGET})
         except InvalidInputError as exc:
@@ -323,7 +340,7 @@ class RemoteVictimClient:
         if X.ndim != 2:
             raise InvalidInputError(f"expected an (n, d) feature batch, got shape {X.shape}")
         labels = self._request(
-            {"op": "predict_batch", "x": X.tolist()},
+            {"op": "predict_batch", **encode_rows(X)},
             "labels",
             lambda v: isinstance(v, list) and len(v) == len(X) and all(map(_is_count, v)),
         )

@@ -1,9 +1,14 @@
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ensteal
 import oracles
 from ensteal.datapool import (
     PSEUDO,
@@ -132,6 +137,29 @@ def test_pool_rejects_bad_transitions():
         ps.convert_queried_to_validation([5])  # not queried
     with pytest.raises(InvalidInputError):
         ps.mark_pseudo([0], [1])  # queried, not unlabeled
+
+
+def test_pool_transitions_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, which once cost the first
+    # query of every run about 20 ms
+    code = """
+import sys
+import numpy as np
+from ensteal.datapool import Dataset, PoolState
+from ensteal.errors import InvalidInputError
+ps = PoolState(Dataset(np.zeros((6, 2))))
+ps.query([4, 1, 2], lambda X: np.ones(len(X), dtype=np.int64))
+ps.convert_queried_to_validation([2, 1])
+ps.mark_pseudo([0, 5], [1, 0])
+try:
+    ps.mark_pseudo([3, 3], [1, 1])
+except InvalidInputError as exc:
+    print(exc)
+print(ps.status.tolist(), "numpy.ma" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(ensteal.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["indices contain duplicates", "[2, 3, 3, 0, 1, 2] False"]
 
 
 @pytest.mark.parametrize(

@@ -17,9 +17,9 @@ from ensteal.errors import (
     InvalidInputError,
     RemoteUnavailableError,
 )
-from ensteal.netvictim import RemoteVictimClient, VictimService
+from ensteal.netvictim import RemoteVictimClient, VictimService, decode_rows, encode_rows
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
-from ensteal.victim import QueryBudget, VictimOracle
+from ensteal.victim import QueryBudget, VictimOracle, _row_hash
 
 
 @pytest.fixture()
@@ -30,6 +30,13 @@ def service(tmp_path):
     svc = VictimService(oracle, log_path=tmp_path / "qlog.csv")
     yield svc, model, oracle
     svc.close()
+
+
+def predict_line(rid, rows, **fields) -> bytes:
+    """A predict_batch request line for the (n, d) rows, encoded by
+    netvictim's encoder; fields add to or replace the request's fields."""
+    req = {"id": rid, "op": "predict_batch", **encode_rows(np.asarray(rows, dtype=np.float64)), **fields}
+    return json.dumps(req).encode() + b"\n"
 
 
 def raw_exchange(svc, *lines):
@@ -58,8 +65,8 @@ def test_predict_over_wire_matches_local(service):
     X = np.random.default_rng(5).normal(size=(12, 4)) * 3
     single, batch = raw_exchange(
         svc,
-        json.dumps({"id": 7, "op": "predict_batch", "x": [x]}).encode() + b"\n",
-        json.dumps({"id": 8, "op": "predict_batch", "x": X.tolist()}).encode() + b"\n",
+        predict_line(7, [x]),
+        predict_line(8, X),
     )
     assert single == {"id": 7, "labels": predict_batch(model, np.array([x])).tolist()}
     assert batch == {"id": 8, "labels": predict_batch(model, X).tolist()}
@@ -71,7 +78,7 @@ def test_budget_op_and_charging(service):
     replies = raw_exchange(
         svc,
         b'{"id": 1, "op": "budget"}\n',
-        b'{"id": 2, "op": "predict_batch", "x": [[0, 0, 0, 0]]}\n',
+        predict_line(2, [[0, 0, 0, 0]]),
         b'{"id": 3, "op": "budget"}\n',
         b'{"id": 1, "op": "budget"}\n',  # budget replies are never cached
     )
@@ -82,19 +89,19 @@ def test_budget_op_and_charging(service):
 
 def test_duplicate_id_answered_from_cache(service):
     svc, model, oracle = service
-    line = b'{"id": 42, "op": "predict_batch", "x": [[1, 1, 1, 1]]}\n'
+    line = predict_line(42, [[1, 1, 1, 1]])
     a, b = raw_exchange(svc, line, line)
     assert a == b
     assert oracle.budget_remaining() == 99  # charged once, not twice
-    batch = b'{"id": 43, "op": "predict_batch", "x": [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0]]}\n'
+    batch = predict_line(43, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0]])
     a, b = raw_exchange(svc, batch, batch)
     assert a == b and len(a["labels"]) == 3
     assert oracle.budget_remaining() == 96
     # the same id with another payload is refused, not answered from the cache
     x = np.array([-3.0, 0.0, 3.0, 0.0])
     assert predict_batch(model, x[None])[0] != a["labels"][0]
-    (c,) = raw_exchange(svc, b'{"id": 43, "op": "predict_batch", "x": [[-3, 0, 3, 0]]}\n')
-    (d,) = raw_exchange(svc, b'{"id": 42, "op": "predict_batch", "x": [[-3, 0, 3, 0]]}\n')
+    (c,) = raw_exchange(svc, predict_line(43, [x]))
+    (d,) = raw_exchange(svc, predict_line(42, [x]))
     assert c["code"] == d["code"] == "BAD_INPUT"
     assert oracle.budget_remaining() == 96
     assert len(oracle.query_log) == 4
@@ -104,13 +111,18 @@ def test_resend_in_other_bytes_is_refused(service):
     # a replay is the byte-identical line: an equal payload encoded in other
     # bytes under a used id is refused, and charges nothing
     svc, _, oracle = service
-    (first,) = raw_exchange(svc, b'{"id": 4, "op": "predict_batch", "x": [[1, 0, 0, 0]]}\n')
+    line = predict_line(4, [[1, 0, 0, 0]])
+    (first,) = raw_exchange(svc, line)
     assert "labels" in first
+    req = json.loads(line)
+    x = req["x"]
+    escaped = line.replace(x.encode(), f"\\u{ord(x[0]):04x}{x[1:]}".encode())  # JSON for the same string
+    assert json.loads(escaped) == req
     resends = raw_exchange(
         svc,
-        b'{"id":4,"op":"predict_batch","x":[[1,0,0,0]]}\n',
-        b'{"x": [[1, 0, 0, 0]], "op": "predict_batch", "id": 4}\n',
-        b'{"id": 4, "op": "predict_batch", "x": [[1.0, 0.0, 0.0, 0.0]]}\n',
+        json.dumps(req, separators=(",", ":")).encode() + b"\n",
+        json.dumps(dict(reversed(req.items()))).encode() + b"\n",
+        escaped,
     )
     assert resends == [{"id": 4, "error": "id reused with a different payload", "code": "BAD_INPUT"}] * 3
     assert oracle.budget_remaining() == 99 and len(oracle.query_log) == 1
@@ -118,7 +130,7 @@ def test_resend_in_other_bytes_is_refused(service):
 
 def test_predict_is_an_unknown_op(service):
     svc, _, oracle = service
-    (reply,) = raw_exchange(svc, b'{"id": 7, "op": "predict", "x": [0, 0, 0, 0]}\n')
+    (reply,) = raw_exchange(svc, predict_line(7, [[0, 0, 0, 0]], op="predict"))
     assert reply == {"id": 7, "error": "unknown op 'predict'", "code": "BAD_INPUT"}
     assert oracle.budget_remaining() == 100 and oracle.query_log == []
 
@@ -127,22 +139,23 @@ def test_bool_id_is_not_an_integer_id(service):
     svc, _, oracle = service
     replies = raw_exchange(
         svc,
-        b'{"id": 1, "op": "predict_batch", "x": [[1, 0, 0, 0]]}\n',
-        b'{"id": true, "op": "predict_batch", "x": [[1, 0, 0, 0]]}\n',  # not id 1's cached reply
-        b'{"id": false, "op": "predict_batch", "x": [[0, 1, 0, 0]]}\n',
+        predict_line(1, [[1, 0, 0, 0]]),
+        predict_line(True, [[1, 0, 0, 0]]),  # not id 1's cached reply
+        predict_line(False, [[0, 1, 0, 0]]),
         b'{"id": true, "op": "budget"}\n',
     )
     assert replies[1:] == [{"id": 0, "error": "missing integer id", "code": "BAD_INPUT"}] * 3
     assert oracle.budget_remaining() == 99 and len(oracle.query_log) == 1
 
+
 def test_duplicate_id_across_connections(service):
     svc, _, oracle = service
-    line = b'{"id": 9, "op": "predict_batch", "x": [[2, 0, 1, 0]]}\n'
+    line = predict_line(9, [[2, 0, 1, 0]])
     (a,) = raw_exchange(svc, line)
     (b,) = raw_exchange(svc, line)  # new TCP connection, same id
     assert a == b
     assert oracle.budget_remaining() == 99
-    batch = b'{"id": 10, "op": "predict_batch", "x": [[2, 0, 1, 0], [0, 1, 0, 2]]}\n'
+    batch = predict_line(10, [[2, 0, 1, 0], [0, 1, 0, 2]])
     (a,) = raw_exchange(svc, batch)
     (b,) = raw_exchange(svc, batch)
     assert a == b and len(a["labels"]) == 2
@@ -155,7 +168,7 @@ def test_duplicate_id_concurrent_charged_once(service):
     sys.setswitchinterval(1e-6)
     try:
         for rid in range(100, 110):
-            line = json.dumps({"id": rid, "op": "predict_batch", "x": [[rid, 0, 0, 0]]}).encode() + b"\n"
+            line = predict_line(rid, [[rid, 0, 0, 0]])
             gate = threading.Barrier(6)
             replies = []
 
@@ -177,58 +190,98 @@ def test_duplicate_id_concurrent_charged_once(service):
 
 def test_bad_input_codes_keep_connection_open(service):
     svc, _, oracle = service
+    nan = float("nan")
+    zero = encode_rows(np.zeros((1, 4)))["x"]
     replies = raw_exchange(
         svc,
         b"this is not json\n",
         b'{"id": "nope", "op": "predict_batch"}\n',
         b'{"id": 5, "op": "dance"}\n',
-        b'{"id": 6, "op": "predict_batch", "x": "wat"}\n',
-        b'{"id": 8, "op": "predict_batch", "x": [[1, 2]]}\n',
-        b'{"id": 12, "op": "predict_batch", "x": [[1, NaN, 0, 0]]}\n',
-        b'{"id": 13, "op": "predict_batch", "x": [[0, 0, 0, 0], [1, NaN, 0, 0]]}\n',
-        b'{"id": 14, "op": "predict_batch", "x": [[0, 0, 0, 0], [1, 2, 3]]}\n',
-        b'{"id": 15, "op": "predict_batch", "x": []}\n',
-        b'{"id": 16, "op": "predict_batch", "x": [[0, 0, 0], [1, 2, 3]]}\n',
-        b'{"id": 17, "op": "predict_batch", "x": [0, 0, 0, 0]}\n',
-        b'{"id": 18, "op": "predict_batch", "x": [["0", 0, 0, 0]]}\n',
-        b'{"id": 19, "op": "predict_batch", "x": [[true, false, 0, 0]]}\n',
+        predict_line(6, [[0, 0, 0, 0]], x="wat"),
+        predict_line(8, [[1, 2]]),
+        predict_line(12, [[1, nan, 0, 0]]),
+        predict_line(13, [[0, 0, 0, 0], [1, nan, 0, 0]]),
+        predict_line(14, [[0, 0, 0, 0, 1, 2, 3]], cols=4),
+        predict_line(15, np.zeros((0, 4))),
+        predict_line(16, [[0, 0, 0], [1, 2, 3]]),
+        predict_line(17, [[0, 0, 0, 0]], x=[0, 0, 0, 0]),
+        predict_line(18, [[0, 0, 0, 0]], cols="4"),
+        predict_line(19, [[0, 0, 0, 0]], cols=True),
+        predict_line(20, [[0, 0, 0, 0]], x=[[0, 0, 0, 0]]),
+        predict_line(21, [[0, 0, 0, 0]], x="!" + zero[1:]),
+        predict_line(22, [[0, 0, 0, 0]], x=zero[:20] + "\n" + zero[20:]),
+        predict_line(23, [[0, 0, 0, 0]], cols=0),
+        predict_line(24, [[0, 0, 0, 0]], cols=10**400),
         b'{"id": 11, "op": "budget"}\n',
     )
+    not_b64 = "x must be a base64 string of little-endian float64 rows"
+    bad_cols = "cols must be an integer of at least 1"
     assert replies[0] == {"id": 0, "error": "unparseable request line", "code": "BAD_INPUT"}
     assert replies[1]["code"] == "BAD_INPUT"
     assert replies[2]["code"] == "BAD_INPUT"
-    assert replies[3]["code"] == "BAD_INPUT"
+    assert replies[3]["code"] == "BAD_INPUT" and replies[3]["error"].startswith("x is not valid base64")
     assert replies[4]["code"] == "BAD_INPUT"  # wrong input_dim
     assert replies[5]["code"] == "BAD_INPUT"  # NaN row
     assert replies[6]["code"] == "BAD_INPUT"  # NaN row in a batch
-    assert replies[7]["code"] == "BAD_INPUT"  # ragged batch
-    assert replies[8]["code"] == "BAD_INPUT"  # empty batch
+    assert replies[7] == {  # ragged: 7 values do not fill rows of 4
+        "id": 14, "error": "x decodes to 56 bytes, not a nonzero multiple of 8 x cols = 32", "code": "BAD_INPUT"
+    }
+    assert replies[8] == {  # empty batch
+        "id": 15, "error": "x decodes to 0 bytes, not a nonzero multiple of 8 x cols = 32", "code": "BAD_INPUT"
+    }
     assert replies[9]["code"] == "BAD_INPUT"  # wrong width
-    assert replies[10]["code"] == "BAD_INPUT"  # a flat row is not a batch
-    assert replies[11]["code"] == "BAD_INPUT"  # a string is not a number
-    assert replies[12]["code"] == "BAD_INPUT"  # nor is a JSON bool
-    assert replies[13]["remaining"] == 100  # nothing above was charged
+    assert replies[10] == {"id": 17, "error": not_b64, "code": "BAD_INPUT"}  # a flat row
+    assert replies[11] == {"id": 18, "error": bad_cols, "code": "BAD_INPUT"}  # a string is not a number
+    assert replies[12] == {"id": 19, "error": bad_cols, "code": "BAD_INPUT"}  # nor is a JSON bool
+    assert replies[13] == {"id": 20, "error": not_b64, "code": "BAD_INPUT"}  # the list form
+    assert replies[14]["code"] == "BAD_INPUT" and replies[14]["error"].startswith("x is not valid base64")
+    assert replies[15]["code"] == "BAD_INPUT" and replies[15]["error"].startswith("x is not valid base64")
+    assert replies[16] == {"id": 23, "error": bad_cols, "code": "BAD_INPUT"}
+    assert replies[17] == {"id": 24, "error": bad_cols, "code": "BAD_INPUT"}
+    assert replies[18]["remaining"] == 100  # nothing above was charged
     assert oracle.query_log == []
 
 
 def test_an_integer_beyond_float_range_is_bad_input(service):
-    # 10**400 once reached the oracle and came back INTERNAL (OverflowError);
-    # 1e400 already parsed to inf and was refused as BAD_INPUT
+    # base64 float64 bytes cannot hold 10**400, so the integer the wire still
+    # parses is cols; the old list form of such a row is refused for its type
     svc, _, oracle = service
-    huge = json.dumps({"id": 21, "op": "predict_batch", "x": [[10**400, 1]]}).encode() + b"\n"
+    huge = predict_line(21, [[0, 0, 0, 0]], cols=10**400)
     reply, budget = raw_exchange(svc, huge, b'{"id": 22, "op": "budget"}\n')
-    assert reply == {"id": 21, "error": "x holds a number beyond float range", "code": "BAD_INPUT"}
+    assert reply == {"id": 21, "error": "cols must be an integer of at least 1", "code": "BAD_INPUT"}
     assert budget == {"id": 22, "remaining": 100}
     with RemoteVictimClient(svc.host, svc.port) as client:
-        with pytest.raises(InvalidInputError, match="beyond float range"):
-            client._request({"op": "predict_batch", "x": [[10**400, 1, 0, 0]]}, "labels", bool)
+        with pytest.raises(InvalidInputError, match="base64 string"):
+            client._request({"op": "predict_batch", "cols": 4, "x": [[10**400, 1, 0, 0]]}, "labels", bool)
     assert oracle.budget_remaining() == 100 and oracle.query_log == []
+
+
+def test_the_wire_carries_rows_bit_for_bit(service):
+    # values whose shortest repr needs 17 digits, a negative zero, the
+    # smallest subnormal and the largest finite float reach the oracle exactly
+    svc, model, oracle = service
+    X = np.array(
+        [
+            [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2],
+            [1 / 3, -2 / 3, np.nextafter(1.0, 2.0), -1e-310],
+            [2.0**-1074, -1.7976931348623157e308, 0.0, 9007199254740993.0],
+        ]
+    )
+    assert repr(float(X[0, 3])) == "0.30000000000000004"
+    line = predict_line(1, X)
+    assert np.array_equal(decode_rows(json.loads(line)).view(np.uint64), X.view(np.uint64))
+    local = VictimOracle(model, QueryBudget(100))
+    with RemoteVictimClient(svc.host, svc.port) as client:
+        labels = client.predict_batch(X)
+    assert labels.tolist() == local.predict_batch(X).tolist()
+    assert [h for h, _ in oracle.query_log] == [_row_hash(row) for row in X]
+    assert oracle.query_log == local.query_log
 
 
 def test_lines_split_across_reads(service):
     svc, model, _ = service
     x = [0.5, -1.0, 2.0, 0.25]
-    line = json.dumps({"id": 3, "op": "predict_batch", "x": [x]}).encode() + b"\n"
+    line = predict_line(3, [x])
     with socket.create_connection((svc.host, svc.port), timeout=5) as s:
         f = s.makefile("rb")
         # a partial line, then its last byte with a second, shorter line
@@ -242,7 +295,7 @@ def test_lines_split_across_reads(service):
 def test_unterminated_last_line_is_not_answered(service):
     svc, _, oracle = service
     with socket.create_connection((svc.host, svc.port), timeout=5) as s:
-        s.sendall(b'{"id": 3, "op": "predict_batch", "x": [[1, 0, 0, 0]]}')  # no newline
+        s.sendall(predict_line(3, [[1, 0, 0, 0]])[:-1])  # no newline
         s.shutdown(socket.SHUT_WR)
         assert s.recv(100) == b""  # the server ends the connection without a reply
     assert oracle.budget_remaining() == 100 and oracle.query_log == []
@@ -259,7 +312,7 @@ def test_finished_handlers_are_dropped(service):
 def test_dropped_connections_end_quietly(service, capsys):
     svc, _, _ = service
     before = set(threading.enumerate())
-    line = json.dumps({"id": 5, "op": "predict_batch", "x": [[0.5, 1, 2, 3]] * 2000}).encode() + b"\n"
+    line = predict_line(5, [[0.5, 1, 2, 3]] * 2000)
     for _ in range(10):
         s = socket.create_connection((svc.host, svc.port), timeout=5)
         s.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
@@ -275,7 +328,7 @@ def test_close_with_idle_client(tmp_path):
     log = tmp_path / "log.csv"
     svc = VictimService(oracle, log_path=log)
     with socket.create_connection((svc.host, svc.port), timeout=5) as s, s.makefile("rwb") as f:
-        f.write(b'{"id": 1, "op": "predict_batch", "x": [[1, 2, 3]]}\n')
+        f.write(predict_line(1, [[1, 2, 3]]))
         f.flush()
         assert "labels" in json.loads(f.readline())
         t0 = time.monotonic()
@@ -284,7 +337,7 @@ def test_close_with_idle_client(tmp_path):
         # a request sent after close() is neither answered nor charged, and
         # its connection ends
         try:
-            f.write(b'{"id": 2, "op": "predict_batch", "x": [[3, 2, 1]]}\n')
+            f.write(predict_line(2, [[3, 2, 1]]))
             f.flush()
             reply = f.readline()
         except ConnectionResetError:
@@ -301,7 +354,7 @@ def test_dedup_cache_keeps_the_most_recently_used_ids():
     oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(2000))
 
     def line(rid):
-        return json.dumps({"id": rid, "op": "predict_batch", "x": [[rid % 7, 1]]}).encode() + b"\n"
+        return predict_line(rid, [[rid % 7, 1]])
 
     with VictimService(oracle) as svc:
         raw_exchange(svc, *map(line, range(1, 1025)))  # fills the window; id 1 is least recent
@@ -319,14 +372,14 @@ def test_budget_exhausted_code(tmp_path):
     with VictimService(oracle) as svc:
         replies = raw_exchange(
             svc,
-            b'{"id": 1, "op": "predict_batch", "x": [[0, 0, 0]]}\n',
-            b'{"id": 2, "op": "predict_batch", "x": [[0, 0, 0]]}\n',
+            predict_line(1, [[0, 0, 0]]),
+            predict_line(2, [[0, 0, 0]]),
         )
         assert "labels" in replies[0]
         assert replies[1]["code"] == "BUDGET_EXHAUSTED"
     oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(2))
     with VictimService(oracle) as svc:
-        (reply,) = raw_exchange(svc, b'{"id": 1, "op": "predict_batch", "x": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}\n')
+        (reply,) = raw_exchange(svc, predict_line(1, [[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
         assert reply["code"] == "BUDGET_EXHAUSTED"  # refused whole: no label answered
         assert oracle.budget_remaining() == 2
         assert oracle.query_log == []
@@ -337,7 +390,7 @@ def test_query_log_written_on_close(tmp_path):
     oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(5))
     log = tmp_path / "log.csv"
     svc = VictimService(oracle, log_path=log)
-    raw_exchange(svc, b'{"id": 1, "op": "predict_batch", "x": [[1, 2, 3]]}\n')
+    raw_exchange(svc, predict_line(1, [[1, 2, 3]]))
     svc.close()
     lines = log.read_text().strip().split("\n")
     assert lines[0] == "sample_hash,label"

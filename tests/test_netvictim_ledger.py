@@ -4,9 +4,10 @@ One VictimService in this process takes an interleaved sequence of requests
 on several connections: new predict_batch requests from raw sockets (some
 over budget, refused whole), replays of an id on the same or another
 connection, resends after a connection dropped before its reply was read,
-reused ids with another payload, budget requests, and RemoteVictimClient
-query_labels calls that label a PoolState. A reference count of the rows
-that should have been charged is kept alongside.
+reused ids with another payload, the same payload in other bytes, budget
+requests, and RemoteVictimClient query_labels calls that label a PoolState.
+Request lines carry their rows through netvictim's encoder. A reference
+count of the rows that should have been charged is kept alongside.
 """
 
 import json
@@ -19,7 +20,7 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
 from ensteal.datapool import Dataset, PoolState
 from ensteal.errors import BudgetExhaustedError, InvalidInputError
-from ensteal.netvictim import RemoteVictimClient, VictimService
+from ensteal.netvictim import RemoteVictimClient, VictimService, encode_rows
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
 from ensteal.victim import QueryBudget, VictimOracle
 
@@ -59,8 +60,8 @@ class WireLedgerMachine(RuleBasedStateMachine):
         self.service.close()
 
     def _request(self, rid: int, batch) -> bytes:
-        x = self.pool.pool.features[batch].tolist()
-        return json.dumps({"id": rid, "op": "predict_batch", "x": x}).encode() + b"\n"
+        x = encode_rows(self.pool.pool.features[batch])
+        return json.dumps({"id": rid, "op": "predict_batch", **x}).encode() + b"\n"
 
     def _exchange(self, conn: int, line: bytes) -> bytes:
         f = self.files[conn]
@@ -102,6 +103,14 @@ class WireLedgerMachine(RuleBasedStateMachine):
             return  # the same payload is a replay
         reply = json.loads(self._exchange(conn, line))
         assert reply["id"] == rid and reply["code"] == "BAD_INPUT"
+
+    @rule(conn=connections, rid=sent)
+    def resend_in_other_bytes(self, conn, rid):
+        # the same rows re-encoded with other spacing and key order
+        req = json.loads(self.lines[rid][0])
+        line = json.dumps(dict(reversed(req.items())), separators=(",", ":")).encode() + b"\n"
+        reply = json.loads(self._exchange(conn, line))
+        assert reply == {"id": rid, "error": "id reused with a different payload", "code": "BAD_INPUT"}
 
     @rule(conn=connections)
     def budget(self, conn):
