@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import adversarial as adv
-from .datapool import GaussianMixture, SyntheticSource, TinyDigits, per_cycle_batches
+from .datapool import GaussianMixture, SyntheticSource, TinyDigits, split_budget
 from .ensemble import EnsembleRecipe
 from .errors import InvalidConfigError
 from .selection import SelectionStrategy
@@ -100,11 +100,14 @@ class AttackSection:
     def __post_init__(self):
         if self.pool_n < 1:
             raise InvalidConfigError("pool_n must be positive")
-        per_cycle_batches(self.budget, self.cycles, self.validation_fraction)
-        if round(self.validation_fraction * self.budget) < 1:
+        if self.split()[0] < 1:
             raise InvalidConfigError(f"validation_fraction {self.validation_fraction} gives no validation rows")
         if self.pool_n < self.budget:
             raise InvalidConfigError(f"pool_n {self.pool_n} is smaller than the budget {self.budget}")
+
+    def split(self) -> tuple[int, list[int]]:
+        """(validation queries, per-cycle batch sizes); see split_budget."""
+        return split_budget(self.budget, self.cycles, self.validation_fraction)
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,23 @@ def as_labels(labels, n: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+def as_indices(indices) -> np.ndarray:
+    """indices as int64 if they have an integer dtype, else InvalidInputError.
+    No coercion: a float, string or bool index is a caller's bug, not a row
+    (np.asarray would take 0.7 as row 0, '7' as row 7 and True as row 1). A
+    list or tuple must hold Python ints only; an empty one is an empty index
+    array."""
+    if isinstance(indices, (list, tuple)):
+        bad = next((v for v in indices if type(v) is not int), None)  # bool is an int subclass
+        if bad is not None:
+            raise InvalidInputError(f"indices must be integers, got {type(bad).__name__} in a {type(indices).__name__}")
+        indices = np.asarray(indices) if indices else np.zeros(0, dtype=np.int64)
+    idx = np.asarray(indices)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise InvalidInputError(f"indices must be integers, got dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 class Dataset:
     """Feature matrix (n, d) float64, optional int64 labels, optional layout."""
 
@@ -120,9 +137,9 @@ class PoolState:
     # -- helpers
 
     def _check(self, indices, status: int) -> np.ndarray:
-        """indices as int64 if they are nonempty, unique, in range and all in
-        the given status, else InvalidInputError."""
-        idx = np.asarray(indices, dtype=np.int64)
+        """as_indices(indices) if they are nonempty, unique, in range and all
+        in the given status, else InvalidInputError."""
+        idx = as_indices(indices)
         if idx.ndim != 1 or idx.size == 0:
             raise InvalidInputError("expected a nonempty 1-d index array")
         ordered = np.sort(idx)  # np.unique would import numpy.ma on first use
@@ -198,17 +215,6 @@ class HorizontalFlip:
 
 
 @dataclass(frozen=True)
-class GaussianJitter:
-    """Add iid Gaussian noise with the given standard deviation."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise InvalidConfigError("jitter sigma must be nonnegative")
-
-
-@dataclass(frozen=True)
 class RandLite:
     """Compose n_ops randomly chosen structural edits (column shift, noise,
     square cutout filled with the dataset mean), each scaled by magnitude.
@@ -227,7 +233,8 @@ class RandLite:
 
 @dataclass(frozen=True)
 class JitterDrop:
-    """Gaussian noise followed by zeroing a random fraction of coordinates."""
+    """Gaussian noise followed by zeroing a random fraction of coordinates;
+    with drop_frac 0 it is plain jitter and draws no uniforms."""
 
     sigma: float
     drop_frac: float = 0.1
@@ -239,7 +246,7 @@ class JitterDrop:
             raise InvalidConfigError("drop fraction must lie in [0, 1]")
 
 
-Transform = Union[HorizontalFlip, GaussianJitter, RandLite, JitterDrop]
+Transform = Union[HorizontalFlip, RandLite, JitterDrop]
 
 
 @dataclass(frozen=True)
@@ -268,9 +275,9 @@ def apply_transform(x, op: Transform, layout: Optional[ImageLayout], rng: np.ran
     if X.ndim != 2:
         raise InvalidInputError(f"expected an (n, d) batch, got shape {X.shape}")
     n, d = X.shape
-    if isinstance(op, (GaussianJitter, JitterDrop)):
+    if isinstance(op, JitterDrop):
         out = X + rng.normal(0.0, op.sigma, size=X.shape) if op.sigma > 0 else X.copy()
-        ndrop = int(round(op.drop_frac * d)) if isinstance(op, JitterDrop) else 0
+        ndrop = int(round(op.drop_frac * d))
         if ndrop > 0:
             np.put_along_axis(out, rng.random(X.shape).argsort(axis=1)[:, :ndrop], 0.0, axis=1)
     elif layout is None:
@@ -433,51 +440,36 @@ def strip_labels(data: Dataset) -> Dataset:
 # ── budget split ─────────────────────────────────────────────────────
 
 
-def initial_split(
-    pool_size: int,
-    total_budget: int,
-    cycles: int,
-    validation_fraction: float = 0.1,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Partition the query budget into a held-out validation draw plus the
-    first training batch.
-
-    Validation gets round(fraction * budget) queries; the remainder splits
-    evenly over the cycles, with the integer division remainder left for the
-    final cycle to spend. Both index arrays come from one uniform draw
-    without replacement (validation rows first) and are returned sorted.
-    """
-    if pool_size < 1:
-        raise InvalidInputError("pool is empty")
-    per_cycle = per_cycle_batches(total_budget, cycles, validation_fraction)[0]
-    val_n = int(round(validation_fraction * total_budget))
-    if val_n + per_cycle > pool_size:
-        raise InvalidInputError("pool smaller than the initial draw")
-    rng = np.random.default_rng(mask64(seed))
-    pick = rng.choice(pool_size, size=val_n + per_cycle, replace=False)
-    return np.sort(pick[:val_n]).astype(np.int64), np.sort(pick[val_n:]).astype(np.int64)
-
-
-def per_cycle_batches(total_budget: int, cycles: int, validation_fraction: float) -> list[int]:
-    """Query batch size for each cycle; the last batch absorbs the remainder.
-    Every batch holds at least one query, or the split is rejected."""
-    if total_budget < 1:
+def split_budget(budget: int, cycles: int, validation_fraction: float) -> tuple[int, list[int]]:
+    """The query budget as (validation queries, per-cycle batch sizes): the
+    one copy of this rule. Validation gets round(fraction * budget), half to
+    even; the rest splits evenly over the cycles, the last batch taking the
+    remainder. A split that leaves a batch empty is rejected."""
+    if budget < 1:
         raise InvalidConfigError("query budget must be positive")
     if cycles < 1:
         raise InvalidConfigError("cycles must be positive")
     if not 0.0 <= validation_fraction < 1.0:
         raise InvalidConfigError("validation fraction must lie in [0, 1)")
-    val_n = int(round(validation_fraction * total_budget))
-    per_cycle = (total_budget - val_n) // cycles
+    validation = int(round(validation_fraction * budget))
+    per_cycle = (budget - validation) // cycles
     if per_cycle < 1:
         raise InvalidConfigError(
-            f"budget {total_budget} too small for {cycles} cycles after "
-            f"{val_n} validation queries"
+            f"budget {budget} too small for {cycles} cycles after {validation} validation queries"
         )
-    sizes = [per_cycle] * cycles
-    sizes[-1] += (total_budget - val_n) - per_cycle * cycles
-    return sizes
+    return validation, [per_cycle] * (cycles - 1) + [budget - validation - per_cycle * (cycles - 1)]
+
+
+def initial_split(pool_size: int, validation: int, first: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The validation rows and the first training batch, from one uniform
+    draw without replacement (validation rows first), each returned sorted."""
+    if pool_size < 1:
+        raise InvalidInputError("pool is empty")
+    if validation + first > pool_size:
+        raise InvalidInputError("pool smaller than the initial draw")
+    rng = np.random.default_rng(mask64(seed))
+    pick = rng.choice(pool_size, size=validation + first, replace=False)
+    return np.sort(pick[:validation]).astype(np.int64), np.sort(pick[validation:]).astype(np.int64)
 
 
 # ── dataset files ────────────────────────────────────────────────────

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import adversarial as adv
 from . import config, numkit
-from .datapool import Dataset, PoolState, initial_split, make_synthetic, per_cycle_batches, strip_labels
+from .datapool import Dataset, PoolState, initial_split, make_synthetic, strip_labels
 from .ensemble import EnsembleState, committee_vote, save_ensemble, train_cycle
-from .errors import InvalidInputError, StageError
+from .errors import InvalidConfigError, InvalidInputError, StageError
 from .seeding import derive_seed, mask64
 from .selection import SCORED_KINDS, select_queries
 from .semisup import harvest_pseudo_labels, resolve_augment, ssl_train
@@ -128,9 +128,12 @@ def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str]
 
     Returns the report dictionary (same content as report.json). Failures
     raise StageError naming the stage; whatever per-cycle rows exist by then
-    are still flushed.
+    are still flushed. A non-empty out_dir, which would mix two runs' files,
+    is refused with InvalidConfigError before anything is read or written.
     """
     os.makedirs(out_dir, exist_ok=True)
+    if os.listdir(out_dir):
+        raise InvalidConfigError(f"output directory {out_dir} is not empty")
     root = mask64(cfg.seed)
     a = cfg.attack
     curves_rows: list[list] = []
@@ -178,10 +181,8 @@ def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str]
 
         with _stage("split"):
             pool_state = PoolState(pool)
-            val_idx, q0_idx = initial_split(
-                a.pool_n, a.budget, a.cycles, a.validation_fraction, stage_seed(root, SPLIT)
-            )
-            batches = per_cycle_batches(a.budget, a.cycles, a.validation_fraction)
+            val_n, batches = a.split()
+            val_idx, q0_idx = initial_split(a.pool_n, val_n, batches[0], stage_seed(root, SPLIT))
 
         with _stage("initial_queries"):
             oracle.query_labels(val_idx, pool_state)

@@ -354,5 +354,5 @@ class RemoteVictimClient:
 
 
 # Only the benchmark tracer (perfbench/spans.py) still names this alias;
-# ROADMAP item 1b deletes it.
+# ROADMAP item 2 deletes it.
 RemoteVictimOracle = RemoteVictimClient

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datapool import QUERIED, PoolState
+from .datapool import QUERIED, PoolState, as_indices
 from .ensemble import label_frequencies
 from .errors import InvalidConfigError, InvalidInputError
 from .seeding import mask64
@@ -76,7 +76,7 @@ def disagreement_scores(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def top_k_select(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k highest scores; equal scores prefer the lower index."""
     scores = np.asarray(scores, dtype=np.float64)
-    candidates = np.asarray(candidates, dtype=np.int64)
+    candidates = as_indices(candidates)
     if scores.shape != candidates.shape:
         raise InvalidInputError("scores and candidates must align")
     if not 1 <= k <= candidates.size:
@@ -96,8 +96,8 @@ def kcenter_select(
 
     With no centers yet, the first pick is the lowest candidate index.
     """
-    candidates = np.sort(np.asarray(candidates, dtype=np.int64))
-    center_indices = np.asarray(center_indices, dtype=np.int64)
+    candidates = np.sort(as_indices(candidates))
+    center_indices = as_indices(center_indices)
     if not 1 <= k <= candidates.size:
         raise InvalidInputError(f"k={k} out of range for {candidates.size} candidates")
     cand_X = features[candidates]
@@ -119,7 +119,7 @@ def kcenter_select(
 
 def random_select(candidates: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Uniform draw without replacement, seeded."""
-    candidates = np.sort(np.asarray(candidates, dtype=np.int64))
+    candidates = np.sort(as_indices(candidates))
     if not 1 <= k <= candidates.size:
         raise InvalidInputError(f"k={k} out of range for {candidates.size} candidates")
     rng = np.random.default_rng(mask64(seed))

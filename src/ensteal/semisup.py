@@ -31,7 +31,6 @@ import numpy as np
 from . import numkit
 from .datapool import (
     AugmentConfig,
-    GaussianJitter,
     HorizontalFlip,
     JitterDrop,
     PoolState,
@@ -67,14 +66,13 @@ class SslConfig:
             raise InvalidConfigError("per_class_cap must be positive")
         if self.pseudo_loss_weight < 0:
             raise InvalidConfigError("pseudo_loss_weight must be nonnegative")
-        if self.lr <= 0:
+        if self.lr <= 0:  # checked here, so the message names the JSON key
             raise InvalidConfigError("lr must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InvalidConfigError("momentum must lie in [0, 1)")
-        if self.epochs < 1:
-            raise InvalidConfigError("epochs must be positive")
-        if self.batch_size < 1:
-            raise InvalidConfigError("batch_size must be positive")
+        self.sgd()
+
+    def sgd(self) -> numkit.SgdConfig:
+        """The fine-tune's optimizer: a fixed lr with momentum."""
+        return numkit.SgdConfig(base_lr=self.lr, momentum=self.momentum, epochs=self.epochs, batch_size=self.batch_size)
 
 
 def resolve_augment(layout, seed: int) -> AugmentConfig:
@@ -83,7 +81,7 @@ def resolve_augment(layout, seed: int) -> AugmentConfig:
     edits on images."""
     if layout is None:
         return AugmentConfig(
-            weak=GaussianJitter(0.05),
+            weak=JitterDrop(0.05, drop_frac=0.0),
             strong=JitterDrop(sigma=0.2, drop_frac=0.1),
             rng_seed=seed,
         )
@@ -209,7 +207,6 @@ def ssl_train(
     layout = pool_state.pool.layout
     lam = cfg.pseudo_loss_weight
     starting_points = state.best_models()
-    sgd = numkit.SgdConfig(base_lr=cfg.lr, momentum=cfg.momentum, epochs=cfg.epochs, batch_size=cfg.batch_size)
 
     def member_fit(i: int) -> MlpModel:
         def passes(e: int):
@@ -220,6 +217,6 @@ def ssl_train(
                 Xa = strong_augment(Xp[order], augment, layout, aug_rng)
                 yield Xa, yp[order], np.arange(order.size), lam
 
-        return numkit.fit(starting_points[i], sgd, passes)[0]
+        return numkit.fit(starting_points[i], cfg.sgd(), passes)[0]
 
     return state.refit(pool_state, state.cycle + 1, member_fit)

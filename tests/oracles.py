@@ -156,16 +156,16 @@ def loss_grad_float32(spec, params, X, y):
 def replay_weak_draw(X, op, layout, rng) -> np.ndarray:
     """Re-derive the documented batch draw protocol over a whole (n, d)
     matrix, for the transforms the filter oracle needs. Jitter draws one
-    normal per coordinate, row-major; JitterDrop then draws one uniform per
-    coordinate, and each row zeroes the coordinates of its round(frac * d)
-    smallest uniforms; a flip draws one uniform per row and mirrors the rows
-    whose uniform is below p."""
+    normal per coordinate, row-major; with drop_frac above 0 it then draws
+    one uniform per coordinate, and each row zeroes the coordinates of its
+    round(frac * d) smallest uniforms; a flip draws one uniform per row and
+    mirrors the rows whose uniform is below p."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     name = type(op).__name__
-    if name in ("GaussianJitter", "JitterDrop"):
+    if name == "JitterDrop":
         out = X + rng.normal(0.0, op.sigma, size=(n, d)) if op.sigma > 0 else X.copy()
-        ndrop = int(round(op.drop_frac * d)) if name == "JitterDrop" else 0
+        ndrop = int(round(op.drop_frac * d))
         if ndrop > 0:
             u = rng.random((n, d))
             for r in range(n):

@@ -25,7 +25,7 @@ from ensteal.datapool import (
     PoolState,
     initial_split,
     make_synthetic,
-    per_cycle_batches,
+    split_budget,
 )
 from ensteal.ensemble import label_frequencies, load_ensemble
 from ensteal.errors import BudgetExhaustedError
@@ -239,7 +239,7 @@ def test_criterion_2_selection_oracles():
 
 
 def test_criterion_3_filter_equivalence():
-    from ensteal.datapool import AugmentConfig, GaussianJitter, JitterDrop
+    from ensteal.datapool import AugmentConfig, JitterDrop
     from ensteal.semisup import SslConfig, ssl_filter
 
     with criterion(3, "pseudo-label filter matches a brute-force reference bit-for-bit") as c:
@@ -255,7 +255,7 @@ def test_criterion_3_filter_equivalence():
                 ps.query(pre, lambda X: np.zeros(len(X), dtype=np.int64))
             cfg = SslConfig()  # stock guards: at most 1 flip, unanimity, min confidence 0.9
             aug = AugmentConfig(
-                weak=GaussianJitter(0.05),
+                weak=JitterDrop(0.05, 0.0),
                 strong=JitterDrop(0.2, 0.1),
                 rng_seed=trial,
             )
@@ -289,14 +289,15 @@ def budget_property(pool_n, budget, cycles, vf, seed):
     val_n = round(budget * vf)
     assume(budget < pool_n)  # keep an unlabeled row around for the probes
     assume(cycles <= max(budget - val_n, 0))
-    batches = per_cycle_batches(budget, cycles, vf)
+    split_val, batches = split_budget(budget, cycles, vf)
     assume(min(batches) >= 1)
+    assert split_val == val_n
 
     rng = np.random.default_rng(seed)
     spec = MlpSpec(3, (4,), 2, "relu", rng_seed=0)
     oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(budget))
     ps = PoolState(Dataset(rng.normal(size=(pool_n, 3))))
-    val_idx, q0 = initial_split(pool_n, budget, cycles, vf, seed)
+    val_idx, q0 = initial_split(pool_n, split_val, batches[0], seed)
     assert val_idx.size == val_n
     assert q0.size == batches[0]
     assert val_n + sum(batches) == budget

@@ -151,6 +151,11 @@ def test_run_attack_cli(tmp_path, capsys):
     assert (out / "report.json").exists()
     # the echo preserves the file's own formatting byte for byte
     assert (out / "config_echo.json").read_text() == cfg_path.read_text()
+    # a second run into the same directory is refused and leaves the first's report
+    report = (out / "report.json").read_bytes()
+    assert run_cli("run-attack", "--config", str(cfg_path), "--out", str(out)) == 1
+    assert f"output directory {out} is not empty" in capsys.readouterr().err
+    assert (out / "report.json").read_bytes() == report
 
 
 def test_run_attack_rejects_pool_smaller_than_budget_before_writing(tmp_path, capsys):

@@ -17,7 +17,6 @@ from ensteal.datapool import (
     VALIDATION,
     AugmentConfig,
     Dataset,
-    GaussianJitter,
     GaussianMixture,
     HorizontalFlip,
     ImageLayout,
@@ -26,18 +25,20 @@ from ensteal.datapool import (
     RandLite,
     TinyDigits,
     apply_transform,
+    as_indices,
     as_labels,
     initial_split,
     load_dataset,
     make_synthetic,
     mixture_means,
-    per_cycle_batches,
     save_dataset,
+    split_budget,
     strip_labels,
     weak_augment,
 )
 from ensteal.errors import InvalidConfigError, InvalidInputError
 from ensteal.numkit import MlpModel, MlpSpec, SgdConfig, accuracy, train_supervised
+from ensteal.selection import kcenter_select, random_select, top_k_select
 
 
 # ── datasets ─────────────────────────────────────────────────────────
@@ -214,6 +215,49 @@ def test_labels_must_have_an_integer_dtype(take, labels):
     take(np.asarray(labels).astype(np.int64))  # the same classes as integers are taken
 
 
+def _all_queried(n=10):
+    ps = make_pool(n)
+    ps.query(np.arange(n), lambda X: np.zeros(len(X), dtype=np.int64))
+    return ps
+
+
+INDEX_TAKERS = {
+    "PoolState.query": lambda ix: make_pool().query(ix, lambda X: np.zeros(len(X), dtype=np.int64)),
+    "convert_queried_to_validation": lambda ix: _all_queried().convert_queried_to_validation(ix),
+    "mark_pseudo": lambda ix: make_pool().mark_pseudo(ix, np.zeros(len(ix), dtype=np.int64)),
+    "top_k_select": lambda ix: top_k_select(np.arange(len(ix), dtype=np.float64), ix, 1),
+    "kcenter_candidates": lambda ix: kcenter_select(np.zeros((10, 1)), ix, np.zeros(0, dtype=np.int64), 1),
+    "kcenter_centers": lambda ix: kcenter_select(np.arange(10.0)[:, None], np.array([0, 9]), ix, 1),
+    "random_select": lambda ix: random_select(ix, 1, seed=0),
+    "as_indices": as_indices,
+}
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[0.7, 2.2], np.array([4.0, 6.0]), ["7", "8"], [True, False], np.array([True, False]), [3, True]],
+    ids=["floats", "float_array", "strings", "bools", "bool_array", "bool_in_int_list"],
+)
+@pytest.mark.parametrize("take", INDEX_TAKERS.values(), ids=INDEX_TAKERS.keys())
+def test_indices_must_have_an_integer_dtype(take, indices):
+    # np.asarray(..., dtype=np.int64) bought rows 0 and 2 for [0.7, 2.2],
+    # rows 7 and 8 for ['7', '8'] and rows 1 and 0 for [True, False]
+    with pytest.raises(InvalidInputError, match="indices must be integers, got "):
+        take(indices)
+    take(np.asarray(indices).astype(np.int64))  # the same rows as integers are taken
+
+
+def test_as_indices_keeps_integers_and_the_empty_message():
+    assert as_indices([2, 0]).dtype == np.int64 and as_indices([2, 0]).tolist() == [2, 0]
+    assert as_indices(np.array([5, 1], dtype=np.uint8)).tolist() == [5, 1]
+    assert as_indices(range(3)).tolist() == [0, 1, 2]
+    assert as_indices([]).dtype == as_indices(()).dtype == np.int64
+    with pytest.raises(InvalidInputError, match="got float64 in a list"):
+        as_indices([np.float64(1.0)])
+    with pytest.raises(InvalidInputError, match="expected a nonempty 1-d index array"):
+        make_pool().query([], lambda X: np.zeros(0, dtype=np.int64))
+
+
 # ── augmentation ─────────────────────────────────────────────────────
 
 
@@ -221,13 +265,13 @@ def test_transform_validation():
     with pytest.raises(InvalidConfigError):
         HorizontalFlip(p=1.5)
     with pytest.raises(InvalidConfigError):
-        GaussianJitter(-0.1)
+        JitterDrop(-0.1)
     with pytest.raises(InvalidConfigError):
         RandLite(n_ops=0)
     with pytest.raises(InvalidConfigError):
         JitterDrop(0.1, drop_frac=2.0)
     with pytest.raises(InvalidConfigError):
-        AugmentConfig(weak=GaussianJitter(0.5), strong=GaussianJitter(0.1))
+        AugmentConfig(weak=JitterDrop(0.5, 0.0), strong=JitterDrop(0.1, 0.0))
 
 
 def test_hflip_mirrors_width():
@@ -254,10 +298,23 @@ def test_hflip_mirrors_width():
 
 def test_jitter_statistics_and_identity(rng):
     x = np.zeros((1, 2000))
-    out = apply_transform(x, GaussianJitter(0.5), None, rng)
+    out = apply_transform(x, JitterDrop(0.5, drop_frac=0.0), None, rng)
     assert abs(out.std() - 0.5) < 0.05
-    same = apply_transform(x, GaussianJitter(0.0), None, rng)
+    same = apply_transform(x, JitterDrop(0.0, drop_frac=0.0), None, rng)
     assert np.array_equal(same, x) and same is not x
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.3])
+def test_jitter_without_drop_draws_only_the_noise(sigma):
+    # plain jitter is JitterDrop with drop_frac 0: one normal per coordinate
+    # (none at sigma 0) and no uniforms, so the generator ends where the
+    # normals alone leave it
+    x = np.arange(12.0).reshape(3, 4)
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    out = apply_transform(x, JitterDrop(sigma, drop_frac=0.0), None, rng)
+    want = x + ref.normal(0.0, sigma, size=x.shape) if sigma > 0 else x
+    assert np.array_equal(out, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_jitter_drop_zeroes_coords(rng):
@@ -318,7 +375,7 @@ def test_rand_lite_perturbs(rng):
 
 
 def test_weak_augment_uses_config():
-    cfg = AugmentConfig(weak=GaussianJitter(0.1), strong=JitterDrop(0.5, 0.2), rng_seed=4)
+    cfg = AugmentConfig(weak=JitterDrop(0.1, drop_frac=0.0), strong=JitterDrop(0.5, 0.2), rng_seed=4)
     x = np.zeros((1, 10))
     out = weak_augment(x, cfg, None, np.random.default_rng(2))
     ref = np.random.default_rng(2).normal(0.0, 0.1, (1, 10))
@@ -387,30 +444,38 @@ def test_strip_labels():
 
 
 def test_initial_split_sizes_and_disjointness():
-    val, q0 = initial_split(1000, 600, 10, 0.1, seed=4)
+    val, q0 = initial_split(1000, 60, 54, seed=4)
     assert val.size == 60 and q0.size == 54
+    assert val.dtype == q0.dtype == np.int64
     assert np.intersect1d(val, q0).size == 0
     assert np.all(np.diff(val) > 0) and np.all(np.diff(q0) > 0)
-    v2, q2 = initial_split(1000, 600, 10, 0.1, seed=4)
+    v2, q2 = initial_split(1000, 60, 54, seed=4)
     assert np.array_equal(val, v2) and np.array_equal(q0, q2)
+    # one draw of validation + first rows, cut after the validation rows
+    _, q_alone = initial_split(1000, 0, 114, seed=4)
+    assert np.array_equal(np.sort(np.concatenate([val, q0])), q_alone)
 
 
 def test_initial_split_validation():
-    with pytest.raises(InvalidConfigError):
-        initial_split(100, 0, 3)
-    with pytest.raises(InvalidConfigError):
-        initial_split(100, 10, 20)  # empty per-cycle batch
-    with pytest.raises(InvalidInputError):
-        initial_split(10, 600, 2, 0.1)  # pool too small
+    with pytest.raises(InvalidInputError, match="pool is empty"):
+        initial_split(0, 0, 1)
+    with pytest.raises(InvalidInputError, match="pool smaller than the initial draw"):
+        initial_split(10, 6, 5)
+    assert initial_split(10, 6, 4)[1].size == 4  # the whole pool is drawn
 
 
-def test_per_cycle_batches_remainder():
-    sizes = per_cycle_batches(600, 10, 0.1)
-    assert sizes == [54] * 10
-    sizes = per_cycle_batches(100, 3, 0.1)
-    assert sizes == [30, 30, 30] and sum(sizes) == 90
-    sizes = per_cycle_batches(103, 3, 0.0)
-    assert sizes == [34, 34, 35] and sum(sizes) == 103
+def test_split_budget_remainder():
+    assert split_budget(600, 10, 0.1) == (60, [54] * 10)
+    assert split_budget(100, 3, 0.1) == (10, [30, 30, 30])
+    assert split_budget(103, 3, 0.0) == (0, [34, 34, 35])
+    with pytest.raises(InvalidConfigError, match="query budget must be positive"):
+        split_budget(0, 3, 0.1)
+    with pytest.raises(InvalidConfigError, match="cycles must be positive"):
+        split_budget(10, 0, 0.1)
+    with pytest.raises(InvalidConfigError, match="validation fraction must lie in"):
+        split_budget(10, 1, 1.0)
+    with pytest.raises(InvalidConfigError, match="budget 10 too small for 20 cycles after 1 validation"):
+        split_budget(10, 20, 0.1)  # empty per-cycle batch
 
 
 # ── dataset files ────────────────────────────────────────────────────

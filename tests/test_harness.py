@@ -12,7 +12,7 @@ import pytest
 from conftest import committee_probs
 from ensteal import harness, numkit
 from ensteal.config import config_to_dict, load_config, parse_config
-from ensteal.datapool import GaussianMixture, ImageLayout, make_synthetic, per_cycle_batches, strong_augment
+from ensteal.datapool import GaussianMixture, ImageLayout, initial_split, make_synthetic, split_budget, strong_augment
 from ensteal.ensemble import MEMBER_DTYPE, BestCheckpoint, ensemble_predict
 from ensteal.errors import InvalidConfigError, InvalidInputError, StageError
 from ensteal.harness import (
@@ -162,6 +162,26 @@ def test_parse_rejects_a_split_without_validation_rows():
             parse_config(cfg)
     cfg["attack"]["validation_fraction"] = 0.005  # round(0.6) == 1
     assert parse_config(cfg).attack.validation_fraction == 0.005
+
+
+@pytest.mark.parametrize(
+    "budget, fraction, validation",
+    [(20, 0.125, 2), (12, 0.125, 2), (60, 0.025, 2), (10, 0.05, 0)],
+    ids=["2.5", "1.5", "60x0.025", "0.5"],
+)
+def test_the_config_and_the_draw_split_exact_halves_alike(budget, fraction, validation):
+    # round() takes a half to the even neighbour: 2.5 -> 2, 1.5 -> 2, 0.5 -> 0
+    assert split_budget(budget, 3, fraction)[0] == validation
+    raw = base_config()
+    raw["attack"].update(budget=budget, validation_fraction=fraction)
+    if validation == 0:
+        with pytest.raises(InvalidConfigError, match="gives no validation rows"):
+            parse_config(raw)
+        return
+    val_n, batches = parse_config(raw).attack.split()
+    assert (val_n, batches) == split_budget(budget, 3, fraction)
+    val_idx, _ = initial_split(raw["attack"]["pool_n"], val_n, batches[0], seed=0)
+    assert val_idx.size == validation and val_n + sum(batches) == budget
 
 
 def test_parse_ssl_and_adv_sections():
@@ -503,7 +523,7 @@ def test_run_attack_curves_shape(tiny_run):
     # queries_spent counts the labels bought by each row: validation plus the
     # batches queried so far; the SSL row's pseudo-labels are not bought
     val_n = round(cfg.attack.budget * cfg.attack.validation_fraction)
-    batches = per_cycle_batches(cfg.attack.budget, cfg.attack.cycles, cfg.attack.validation_fraction)
+    batches = split_budget(cfg.attack.budget, cfg.attack.cycles, cfg.attack.validation_fraction)[1]
     bought = [val_n + sum(batches[:c]) for c in range(1, cfg.attack.cycles + 1)]
     assert [int(r[1]) for r in rows] == [*bought, cfg.attack.budget]
     assert report["ssl"]["n_pseudo"] > 0
@@ -699,6 +719,45 @@ def test_skipping_saturated_members_leaves_every_artifact_unchanged(tmp_path, mo
     assert skip.keys() == every.keys()
     for name in skip:
         assert skip[name] == every[name], name
+
+
+def test_a_run_directory_refuses_a_second_run_beside_the_first(tmp_path):
+    # a 2-member run without PGD or scores.csv, after a 3-member run with
+    # both, left adv_member0-2.csv, scores.csv and ensemble/member2_best.ckpt
+    # beside a report.json that names 2 members
+    first = base_config(adversarial={"epsilon": 0.8, "steps": 3, "n_eval": 20}, outputs={"scores_csv": True})
+    run_attack(parse_config(first), tmp_path)  # an existing empty directory is taken
+    before = _artifacts(tmp_path)
+    assert {"adv_member2.csv", "scores.csv", "ensemble/member2_best.ckpt"} <= set(before)
+    second = base_config()
+    second["attack"]["ensemble"]["hidden_profile"] = [[6], [10]]
+    with pytest.raises(InvalidConfigError, match=f"^output directory {re.escape(str(tmp_path))} is not empty$"):
+        run_attack(parse_config(second), tmp_path)
+    assert _artifacts(tmp_path) == before
+
+
+def test_a_failing_run_leaves_an_earlier_success_as_it_was(tmp_path, monkeypatch):
+    # a run that failed in `cycles` after a success into the same directory
+    # wrote "run failed" to summary.txt beside the first run's report.json
+    cfg = parse_config(base_config())
+    out = tmp_path / "run"
+    run_attack(cfg, out)
+    before = _artifacts(out)
+    made = []
+    real = harness.make_synthetic
+    monkeypatch.setattr(harness, "make_synthetic", lambda *args: made.append(args) or real(*args))
+
+    def cycle_down(*args):
+        raise RuntimeError("cycle down")
+
+    monkeypatch.setattr(harness, "train_cycle", cycle_down)
+    with pytest.raises(InvalidConfigError, match="is not empty"):
+        run_attack(cfg, out)
+    assert made == []  # refused before any data was made, trained on or bought
+    assert _artifacts(out) == before
+    with pytest.raises(StageError) as err:  # the same run fails in a fresh directory
+        run_attack(cfg, tmp_path / "fresh")
+    assert err.value.stage == "cycles" and made
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])

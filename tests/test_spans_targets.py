@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import committee_probs, make_sharp_models
-from ensteal.datapool import AugmentConfig, Dataset, GaussianJitter, JitterDrop, PoolState
+from ensteal.datapool import AugmentConfig, Dataset, JitterDrop, PoolState
 from ensteal.semisup import SslConfig, harvest_pseudo_labels, ssl_filter
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -37,7 +37,7 @@ def test_semisup_work_counts_are_rows_filtered_and_kept(rng):
     models = [m.copy() for m in make_sharp_models(1, dim=5, classes=3, seed=4) * 5]  # unanimous
     ps = PoolState(Dataset(rng.normal(size=(60, 5))))
     ps.query(range(0, 60, 4), lambda X: np.zeros(len(X), dtype=np.int64))
-    aug = AugmentConfig(weak=GaussianJitter(0.05), strong=JitterDrop(0.2, 0.1), rng_seed=0)
+    aug = AugmentConfig(weak=JitterDrop(0.05, 0.0), strong=JitterDrop(0.2, 0.1), rng_seed=0)
     cfg = SslConfig(confidence_threshold=0.5, per_class_cap=4)
     args = (models, committee_probs(models, ps.pool.features), ps, cfg, aug, 1)
     filtered = work["semisup.ssl_filter"](args, {}, ssl_filter(*args))
