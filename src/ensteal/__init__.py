@@ -23,7 +23,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .numkit import MlpModel, MlpSpec, SgdConfig
-from .victim import QueryBudget, VictimOracle
+from .victim import VictimOracle
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "MlpModel",
     "MlpSpec",
     "PoolState",
-    "QueryBudget",
     "RemoteUnavailableError",
     "SgdConfig",
     "StageError",

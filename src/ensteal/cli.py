@@ -21,7 +21,7 @@ from . import config, harness, numkit
 from .datapool import load_dataset, make_synthetic, save_dataset, strip_labels
 from .ensemble import load_ensemble
 from .errors import InvalidConfigError, StageError
-from .victim import QueryBudget, VictimOracle, VictimRecipe, train_victim
+from .victim import VictimOracle, VictimRecipe, train_victim
 
 
 def _hidden(text: str) -> tuple[int, ...]:
@@ -121,7 +121,7 @@ def _cmd_train_victim(args) -> int:
 
 def _cmd_serve_victim(args) -> int:
     model = numkit.load_model(args.checkpoint)
-    oracle = VictimOracle(model, QueryBudget(args.budget))
+    oracle = VictimOracle(model, args.budget)
 
     def _sigterm(signum, frame):
         raise KeyboardInterrupt

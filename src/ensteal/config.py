@@ -70,8 +70,8 @@ class VictimSection(VictimRecipe):
 @dataclass(frozen=True)
 class RemoteSection:
     """A victim service's address and the client's retry policy. These are
-    the one copy of the endpoint rules: netvictim's client builds a section
-    to check its own arguments."""
+    the one copy of the endpoint rules: netvictim's client takes a section,
+    so its settings are checked where it is built."""
 
     host: str
     port: int

@@ -53,36 +53,47 @@ class ImageLayout:
         return self.height * self.width * self.channels
 
 
+def is_integer(v) -> bool:
+    """v is an int or a NumPy integer, and not a bool (an int subclass)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _integers(values, must: str) -> np.ndarray:
+    """values as an array of an integer dtype, else InvalidInputError(f"{must},
+    got ..."). No coercion: a list or tuple holds is_integer values only
+    (np.asarray would take 0.7 as 0, '7' as 7 and True as 1), an empty one is
+    an empty int64 array, and a uint64 above the int64 maximum is refused (a
+    cast to int64 would wrap it negative)."""
+    if isinstance(values, (list, tuple)):
+        bad = next((v for v in values if not is_integer(v)), None)
+        if bad is not None:
+            raise InvalidInputError(f"{must}, got {type(bad).__name__} in a {type(values).__name__}")
+        values = np.asarray(values) if values else np.zeros(0, dtype=np.int64)
+    arr = np.asarray(values)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise InvalidInputError(f"{must}, got dtype {arr.dtype}")
+    if arr.dtype == np.uint64 and arr.size and arr.max() > np.iinfo(np.int64).max:
+        raise InvalidInputError(f"{must}, got uint64 value {arr.max()} above the int64 maximum")
+    return arr
+
+
 def as_labels(labels, n: int) -> np.ndarray:
-    """labels as int64 if they are n nonnegative integers of an integer
-    dtype, else InvalidInputError. No coercion: a float or bool label is a
-    caller's bug, not a class, and so is one bool among the ints of a list
-    (np.asarray would make it an int)."""
-    if isinstance(labels, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in labels):
-        raise InvalidInputError(f"labels must be nonnegative integers, got dtype bool in a {type(labels).__name__}")
-    labels = np.asarray(labels)
+    """labels as int64 if they are n nonnegative integers (see _integers),
+    else InvalidInputError: a float or bool label is a caller's bug, not a
+    class."""
+    labels = _integers(labels, "labels must be nonnegative integers")
     if labels.shape != (n,):
         raise InvalidInputError(f"expected {n} labels, got shape {labels.shape}")
-    if not np.issubdtype(labels.dtype, np.integer) or (n and labels.min() < 0):
+    if n and labels.min() < 0:
         raise InvalidInputError(f"labels must be nonnegative integers, got dtype {labels.dtype}")
     return labels.astype(np.int64)
 
 
 def as_indices(indices) -> np.ndarray:
-    """indices as int64 if they have an integer dtype, else InvalidInputError.
-    No coercion: a float, string or bool index is a caller's bug, not a row
-    (np.asarray would take 0.7 as row 0, '7' as row 7 and True as row 1). A
-    list or tuple must hold Python ints only; an empty one is an empty index
-    array."""
-    if isinstance(indices, (list, tuple)):
-        bad = next((v for v in indices if type(v) is not int), None)  # bool is an int subclass
-        if bad is not None:
-            raise InvalidInputError(f"indices must be integers, got {type(bad).__name__} in a {type(indices).__name__}")
-        indices = np.asarray(indices) if indices else np.zeros(0, dtype=np.int64)
-    idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise InvalidInputError(f"indices must be integers, got dtype {idx.dtype}")
-    return idx.astype(np.int64, copy=False)
+    """indices as int64 if they are integers (see _integers), else
+    InvalidInputError: a float, string or bool index is a caller's bug, not
+    a row."""
+    return _integers(indices, "indices must be integers").astype(np.int64, copy=False)
 
 
 class Dataset:

@@ -36,7 +36,7 @@ from .errors import InvalidConfigError, InvalidInputError, StageError
 from .seeding import derive_seed, mask64
 from .selection import SCORED_KINDS, select_queries
 from .semisup import harvest_pseudo_labels, resolve_augment, ssl_train
-from .victim import QueryBudget, VictimOracle, train_victim
+from .victim import VictimOracle, train_victim
 
 # Stage offsets XORed into the root seed; every stage owns one.
 POOL_DATA = 1
@@ -173,11 +173,9 @@ def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str]
                 # requests never reuse this run's ids, a same-config replay does
                 config_digest = hashlib.sha256(config_text.encode()).digest()[:8]
                 id_seed = derive_seed(stage_seed(root, CLIENT_IDS), int.from_bytes(config_digest, "big"))
-                oracle = client = RemoteVictimClient(
-                    a.remote.host, a.remote.port, a.remote.timeout, a.remote.retries, id_seed
-                )
+                oracle = client = RemoteVictimClient(a.remote, id_seed)
             else:
-                oracle = VictimOracle(victim_model, QueryBudget(a.budget))
+                oracle = VictimOracle(victim_model, a.budget)
 
         with _stage("split"):
             pool_state = PoolState(pool)

@@ -17,7 +17,8 @@ integer of at least 1, or the decoded length is 0 or not a multiple of
 any non-finite value.
 
 A predict_batch is all or nothing: it is charged once, and a batch larger
-than the remaining budget is refused whole, charging and logging nothing.
+than the remaining budget, or one the model fails to answer (INTERNAL), is
+refused whole, charging and logging nothing.
 Failures answer {"id": ..., "error": msg, "code": code} with code one of
 BUDGET_EXHAUSTED, BAD_INPUT (any fault of the request), or INTERNAL; a
 line that does not parse or has no integer id (a bool is not one) gets
@@ -35,8 +36,11 @@ VictimService runs on socketserver: one thread accepts connections and each
 connection is answered on a thread of its own. Once close() begins, a
 request is neither answered nor charged, and its connection ends.
 
-RemoteVictimClient has VictimOracle's surface (predict_batch,
-budget_remaining, query_labels), so run_attack drives both the same way.
+RemoteVictimClient(endpoint: RemoteSection, id_seed=0) is the remote
+oracle: the section gives the address, the socket timeout and the number of
+tries, and id_seed the first request id. It has VictimOracle's surface
+(predict_batch, budget_remaining, query_labels), so run_attack drives both
+the same way.
 """
 
 from __future__ import annotations
@@ -246,18 +250,9 @@ class RemoteVictimClient:
     a failed batch leaves pool state unchanged.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 10.0,
-        retries: int = 3,
-        id_seed: int = 0,
-    ):
-        RemoteSection(host, port, timeout, retries)  # InvalidConfigError for a bad endpoint
-        self._addr = (host, port)
-        self._timeout = timeout
-        self._retries = retries
+    def __init__(self, endpoint: RemoteSection, id_seed: int = 0):
+        self._endpoint = endpoint
+        self._addr = (endpoint.host, endpoint.port)
         rng = np.random.default_rng(mask64(id_seed))
         self._next_id = int(rng.integers(1, 1 << 62))
         self._sock: Optional[socket.socket] = None
@@ -283,7 +278,7 @@ class RemoteVictimClient:
     def _ensure_connected(self) -> socket.socket:
         if self._sock is None:
             try:
-                self._sock = socket.create_connection(self._addr, timeout=self._timeout)
+                self._sock = socket.create_connection(self._addr, timeout=self._endpoint.timeout)
             except OSError as exc:
                 raise RemoteUnavailableError(f"cannot reach victim service: {exc}") from exc
             self._reader = self._sock.makefile("rb")
@@ -291,7 +286,7 @@ class RemoteVictimClient:
 
     def _roundtrip(self, payload: dict) -> dict:
         last_err: Optional[Exception] = None
-        for _ in range(self._retries):
+        for _ in range(self._endpoint.retries):
             try:
                 self._ensure_connected().sendall(_encode(payload))
                 line = self._reader.readline()

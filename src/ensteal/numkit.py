@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datapool import as_labels
+from .datapool import as_labels, is_integer
 from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from .seeding import mask64
 
@@ -58,6 +58,8 @@ class MlpSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not all(map(is_integer, self.hidden_layers)):  # int() would take 8.7, True and '8'
+            raise InvalidConfigError(f"hidden layer widths must be integers, got {self.hidden_layers!r}")
         object.__setattr__(self, "hidden_layers", tuple(int(w) for w in self.hidden_layers))
         object.__setattr__(self, "rng_seed", mask64(self.rng_seed))
         if self.input_dim < 1:

@@ -1,8 +1,9 @@
 """The model under attack, wrapped behind a hard-label budgeted oracle.
 
-The oracle answers argmax labels only. Every answered input burns budget
-through a single atomic ledger: a batch either fits in the remaining budget
-and is charged once, or the whole call is rejected and nothing changes.
+The oracle answers argmax labels only. The budget ledger lives in the
+oracle (VictimOracle(model, budget)), behind its one lock: a batch either
+fits in the remaining budget, is answered and is charged once, or the whole
+call is rejected and nothing changes.
 Confidence vectors, logits, and the underlying model never cross this
 boundary; experiment code that wants ground-truth metrics must keep its own
 reference to the raw model.
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import numkit
-from .datapool import Dataset, PoolState
+from .datapool import Dataset, PoolState, is_integer
 from .errors import BudgetExhaustedError, InvalidConfigError, InvalidInputError
 from .numkit import MlpModel, MlpSpec, SgdConfig
 from .seeding import derive_seed
@@ -76,66 +77,46 @@ def train_victim(
     return model, acc
 
 
-# ── budget ledger ────────────────────────────────────────────────────
-
-
-@dataclass
-class QueryBudget:
-    """Monotone spend counter with an immutable ceiling."""
-
-    total: int
-    spent: int = 0
-
-    def __post_init__(self):
-        if self.total < 0:
-            raise InvalidConfigError("budget total must be nonnegative")
-        if not 0 <= self.spent <= self.total:
-            raise InvalidConfigError("spent must lie in [0, total]")
-
-    @property
-    def remaining(self) -> int:
-        return self.total - self.spent
-
-    def charge(self, n: int) -> None:
-        """Spend n queries, atomically: rejects leave the counter untouched."""
-        if n < 1:
-            raise InvalidInputError("charge must be positive")
-        if n > self.remaining:
-            raise BudgetExhaustedError(
-                f"query budget exhausted: need {n}, have {self.remaining} of {self.total}"
-            )
-        self.spent += n
-
-
 def _row_hash(x: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(x, dtype=np.float64).tobytes()).hexdigest()[:16]
 
 
 class VictimOracle:
-    """Hard-label query interface with budget accounting and an audit log.
+    """Hard-label query interface with its budget ledger and an audit log.
 
-    The log records (input hash, answered label) in answer order. All entry
-    points charge the ledger under one lock, so concurrent callers cannot
-    overspend even when their requests interleave.
+    The oracle owns the ledger: `budget` queries in total, spent only under
+    the oracle's one lock, so concurrent callers cannot overspend even when
+    their requests interleave. The log records (input hash, answered label)
+    in answer order.
     """
 
-    def __init__(self, model: MlpModel, budget: QueryBudget):
+    def __init__(self, model: MlpModel, budget: int):
+        if not is_integer(budget):
+            raise InvalidConfigError(f"budget total must be an integer, got {budget!r}")
+        if budget < 0:
+            raise InvalidConfigError("budget total must be nonnegative")
         self._model = model
-        self._budget = budget
+        self._total = int(budget)
+        self._spent = 0
         self._lock = threading.Lock()
         self.query_log: list[tuple[str, int]] = []
 
     def budget_remaining(self) -> int:
         with self._lock:
-            return self._budget.remaining
+            return self._total - self._spent
 
     def predict_batch(self, X) -> np.ndarray:
-        """Answer a batch of inputs, all or nothing: the batch is charged
-        once, and a batch that does not fit the budget changes nothing."""
+        """Answer a batch of inputs, all or nothing: a batch that does not
+        fit the budget, or that the model fails to answer, changes nothing;
+        an answered batch is charged once and logged."""
         X = numkit.as_batch(self._model, X)  # a bad batch charges nothing
+        n = X.shape[0]
         with self._lock:
-            self._budget.charge(X.shape[0])
+            remaining = self._total - self._spent
+            if n > remaining:
+                raise BudgetExhaustedError(f"query budget exhausted: need {n}, have {remaining} of {self._total}")
             labels = numkit.predict_batch(self._model, X)
+            self._spent += n
             self.query_log.extend(zip(map(_row_hash, X), labels.tolist()))
         return labels
 

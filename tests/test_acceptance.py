@@ -33,7 +33,7 @@ from ensteal.netvictim import VictimService
 from ensteal.numkit import MlpModel, MlpSpec, loss_and_grad
 from ensteal.seeding import derive_seed
 from ensteal.selection import entropy, entropy_rows, kcenter_select, top_k_select
-from ensteal.victim import QueryBudget, VictimOracle
+from ensteal.victim import VictimOracle
 from oracles import (
     entropy_direct,
     fd_loss_gradient,
@@ -295,7 +295,7 @@ def budget_property(pool_n, budget, cycles, vf, seed):
 
     rng = np.random.default_rng(seed)
     spec = MlpSpec(3, (4,), 2, "relu", rng_seed=0)
-    oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(budget))
+    oracle = VictimOracle(MlpModel.initialize(spec), budget)
     ps = PoolState(Dataset(rng.normal(size=(pool_n, 3))))
     val_idx, q0 = initial_split(pool_n, split_val, batches[0], seed)
     assert val_idx.size == val_n
@@ -386,7 +386,7 @@ def test_criterion_4_budget_invariants(tmp_path):
         assert local_report["budget"]["spent"] == 120
 
         model = numkit.load_model(local_out / "victim.ckpt")
-        with VictimService(VictimOracle(model, QueryBudget(120))) as svc:
+        with VictimService(VictimOracle(model, 120)) as svc:
             remote_out = tmp_path / "remote"
             remote_report = harness.run_attack(
                 small_run_config(

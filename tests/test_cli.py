@@ -364,10 +364,10 @@ def test_remote_attack_through_served_checkpoint(tmp_path, victim_ckpt):
     # same serve() loop but blocks the process), then run the attack against
     # it with the config's remote section
     from ensteal.netvictim import VictimService
-    from ensteal.victim import QueryBudget, VictimOracle
+    from ensteal.victim import VictimOracle
 
     model = load_model(victim_ckpt)
-    with VictimService(VictimOracle(model, QueryBudget(90))) as svc:
+    with VictimService(VictimOracle(model, 90)) as svc:
         cfg_path = make_attack_config(tmp_path, victim_ckpt=victim_ckpt)
         raw = json.loads(cfg_path.read_text())
         raw["attack"]["remote"] = {"host": svc.host, "port": svc.port}
@@ -377,6 +377,12 @@ def test_remote_attack_through_served_checkpoint(tmp_path, victim_ckpt):
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["budget"]["spent"] == 90
+
+
+def test_serve_victim_refuses_a_negative_budget(victim_ckpt, capsys):
+    # refused when the oracle is built, before any socket is opened
+    assert main(["serve-victim", "--checkpoint", str(victim_ckpt), "--budget", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error (InvalidConfigError): budget total must be nonnegative\n")
 
 
 def test_cli_import_leaves_out_the_server_stack():

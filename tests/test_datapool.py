@@ -210,9 +210,22 @@ LABEL_TAKERS = {
 def test_labels_must_have_an_integer_dtype(take, labels):
     # bools and integral floats used to pass Dataset and numkit as 1/0 classes;
     # a bool among ints made an int64 array, so [0, 1, True, 0] was taken as [0, 1, 1, 0]
-    with pytest.raises(InvalidInputError, match="labels must be (nonnegative )?integers, got dtype"):
+    with pytest.raises(InvalidInputError, match="labels must be (nonnegative )?integers, got "):
         take(labels)
     take(np.asarray(labels).astype(np.int64))  # the same classes as integers are taken
+
+
+# a uint64 above the int64 maximum used to wrap to a negative number: labels
+# [-9223372036854775803, ...] and index -9223372036854775803
+_HUGE = np.array([2**63 + 5, 0, 1, 0], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("take", LABEL_TAKERS.values(), ids=LABEL_TAKERS.keys())
+def test_labels_follow_the_integer_rule(take):
+    with pytest.raises(InvalidInputError, match="labels must be nonnegative integers, got uint64 value 92233"):
+        take(_HUGE)
+    take(np.array([1, 0, 1, 0], dtype=np.uint64))  # small unsigned labels are taken
+    take([np.int64(1), 0, 1, 0])  # a NumPy integer in a list is an integer, as for indices
 
 
 def _all_queried(n=10):
@@ -245,6 +258,13 @@ def test_indices_must_have_an_integer_dtype(take, indices):
     with pytest.raises(InvalidInputError, match="indices must be integers, got "):
         take(indices)
     take(np.asarray(indices).astype(np.int64))  # the same rows as integers are taken
+
+
+@pytest.mark.parametrize("take", INDEX_TAKERS.values(), ids=INDEX_TAKERS.keys())
+def test_indices_follow_the_integer_rule(take):
+    with pytest.raises(InvalidInputError, match="indices must be integers, got uint64 value 92233"):
+        take(_HUGE[:2])
+    take([np.int64(3), 1])  # a NumPy integer in a list is an integer, as for labels
 
 
 def test_as_indices_keeps_integers_and_the_empty_message():

@@ -23,7 +23,7 @@ from ensteal.ensemble import (
 )
 from ensteal.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
-from ensteal.victim import QueryBudget, VictimOracle, VictimRecipe, train_victim
+from ensteal.victim import VictimOracle, VictimRecipe, train_victim
 
 
 def test_default_profile_capacities_strictly_increase():
@@ -123,7 +123,7 @@ def trained_state():
     victim_train = make_synthetic(src, 800, seed=22)
     victim_test = make_synthetic(src, 300, seed=23)
     victim, _ = train_victim(victim_train, victim_test, VictimRecipe(epochs=30), seed=5)
-    oracle = VictimOracle(victim, QueryBudget(200))
+    oracle = VictimOracle(victim, 200)
     oracle.query_labels(list(range(0, 60)), pool)
     oracle.query_labels(list(range(300, 330)), pool)
     pool.convert_queried_to_validation(list(range(300, 330)))

@@ -29,7 +29,7 @@ from ensteal.netvictim import VictimService
 from ensteal.numkit import MlpModel, load_model, predict_batch, save_model
 from ensteal.seeding import derive_seed, mask64
 from ensteal.semisup import resolve_augment
-from ensteal.victim import QueryBudget, VictimOracle, VictimRecipe, train_victim
+from ensteal.victim import VictimOracle, VictimRecipe, train_victim
 
 
 def base_config(**overrides):
@@ -814,7 +814,7 @@ def _remote_config(checkpoint, svc, kind="consensus_entropy") -> dict:
 
 def test_remote_run_reports_rows_it_bought(tmp_path, served_checkpoint):
     # the server's budget (1000) is not the config's (120)
-    oracle = VictimOracle(load_model(served_checkpoint), QueryBudget(1000))
+    oracle = VictimOracle(load_model(served_checkpoint), 1000)
     with VictimService(oracle) as svc:
         report = run_attack(parse_config(_remote_config(served_checkpoint, svc)), tmp_path)
     assert report["budget"] == {"total": 120, "spent": 120}
@@ -826,7 +826,7 @@ def test_remote_runs_of_other_configs_share_one_server(tmp_path, served_checkpoi
     # same seed, another strategy: the runs send different batches, so their
     # request ids must differ too; a same-config replay keeps its ids and is
     # answered from the server's cache
-    oracle = VictimOracle(load_model(served_checkpoint), QueryBudget(1000))
+    oracle = VictimOracle(load_model(served_checkpoint), 1000)
     with VictimService(oracle) as svc:
         for kind in ("consensus_entropy", "random"):
             report = run_attack(parse_config(_remote_config(served_checkpoint, svc, kind)), tmp_path / kind)

@@ -14,7 +14,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from ensteal.datapool import PSEUDO, QUERIED, UNLABELED, VALIDATION, Dataset, PoolState
 from ensteal.errors import BudgetExhaustedError, InvalidInputError
 from ensteal.numkit import MlpModel, MlpSpec
-from ensteal.victim import QueryBudget, VictimOracle
+from ensteal.victim import VictimOracle
 
 POOL_N = 12
 BUDGET = 8
@@ -30,7 +30,7 @@ class LedgerMachine(RuleBasedStateMachine):
         rng = np.random.default_rng(0)
         model = MlpModel.initialize(MlpSpec(3, (5,), CLASSES, "relu", rng_seed=1))
         self.pool = PoolState(Dataset(rng.normal(size=(POOL_N, 3))))
-        self.oracle = VictimOracle(model, QueryBudget(BUDGET))
+        self.oracle = VictimOracle(model, BUDGET)
         self.status = {i: UNLABELED for i in range(POOL_N)}
         self.labels: dict[int, int] = {}
 

@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from ensteal.config import parse_config
+from ensteal import numkit
+from ensteal.config import RemoteSection, parse_config
 from ensteal.datapool import Dataset, PoolState
 from ensteal.errors import (
     BudgetExhaustedError,
@@ -19,14 +20,14 @@ from ensteal.errors import (
 )
 from ensteal.netvictim import RemoteVictimClient, VictimService, decode_rows, encode_rows
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
-from ensteal.victim import QueryBudget, VictimOracle, _row_hash
+from ensteal.victim import VictimOracle, _row_hash
 
 
 @pytest.fixture()
 def service(tmp_path):
     spec = MlpSpec(4, (6,), 3, "relu", rng_seed=2)
     model = MlpModel.initialize(spec)
-    oracle = VictimOracle(model, QueryBudget(100))
+    oracle = VictimOracle(model, 100)
     svc = VictimService(oracle, log_path=tmp_path / "qlog.csv")
     yield svc, model, oracle
     svc.close()
@@ -250,7 +251,7 @@ def test_an_integer_beyond_float_range_is_bad_input(service):
     reply, budget = raw_exchange(svc, huge, b'{"id": 22, "op": "budget"}\n')
     assert reply == {"id": 21, "error": "cols must be an integer of at least 1", "code": "BAD_INPUT"}
     assert budget == {"id": 22, "remaining": 100}
-    with RemoteVictimClient(svc.host, svc.port) as client:
+    with RemoteVictimClient(RemoteSection(svc.host, svc.port)) as client:
         with pytest.raises(InvalidInputError, match="base64 string"):
             client._request({"op": "predict_batch", "cols": 4, "x": [[10**400, 1, 0, 0]]}, "labels", bool)
     assert oracle.budget_remaining() == 100 and oracle.query_log == []
@@ -270,8 +271,8 @@ def test_the_wire_carries_rows_bit_for_bit(service):
     assert repr(float(X[0, 3])) == "0.30000000000000004"
     line = predict_line(1, X)
     assert np.array_equal(decode_rows(json.loads(line)).view(np.uint64), X.view(np.uint64))
-    local = VictimOracle(model, QueryBudget(100))
-    with RemoteVictimClient(svc.host, svc.port) as client:
+    local = VictimOracle(model, 100)
+    with RemoteVictimClient(RemoteSection(svc.host, svc.port)) as client:
         labels = client.predict_batch(X)
     assert labels.tolist() == local.predict_batch(X).tolist()
     assert [h for h, _ in oracle.query_log] == [_row_hash(row) for row in X]
@@ -324,7 +325,7 @@ def test_dropped_connections_end_quietly(service, capsys):
 
 def test_close_with_idle_client(tmp_path):
     spec = MlpSpec(3, (4,), 2, "relu", rng_seed=0)
-    oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(5))
+    oracle = VictimOracle(MlpModel.initialize(spec), 5)
     log = tmp_path / "log.csv"
     svc = VictimService(oracle, log_path=log)
     with socket.create_connection((svc.host, svc.port), timeout=5) as s, s.makefile("rwb") as f:
@@ -351,7 +352,7 @@ def test_close_with_idle_client(tmp_path):
 
 def test_dedup_cache_keeps_the_most_recently_used_ids():
     spec = MlpSpec(2, (4,), 2, "relu", rng_seed=1)
-    oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(2000))
+    oracle = VictimOracle(MlpModel.initialize(spec), 2000)
 
     def line(rid):
         return predict_line(rid, [[rid % 7, 1]])
@@ -368,7 +369,7 @@ def test_dedup_cache_keeps_the_most_recently_used_ids():
 
 def test_budget_exhausted_code(tmp_path):
     spec = MlpSpec(3, (4,), 2, "relu", rng_seed=0)
-    oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(1))
+    oracle = VictimOracle(MlpModel.initialize(spec), 1)
     with VictimService(oracle) as svc:
         replies = raw_exchange(
             svc,
@@ -377,7 +378,7 @@ def test_budget_exhausted_code(tmp_path):
         )
         assert "labels" in replies[0]
         assert replies[1]["code"] == "BUDGET_EXHAUSTED"
-    oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(2))
+    oracle = VictimOracle(MlpModel.initialize(spec), 2)
     with VictimService(oracle) as svc:
         (reply,) = raw_exchange(svc, predict_line(1, [[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
         assert reply["code"] == "BUDGET_EXHAUSTED"  # refused whole: no label answered
@@ -385,9 +386,24 @@ def test_budget_exhausted_code(tmp_path):
         assert oracle.query_log == []
 
 
+def test_a_failed_answer_is_internal_and_charges_nothing(service, monkeypatch):
+    # the server used to answer INTERNAL yet keep the charge, so its ledger
+    # and its query log disagreed
+    svc, _, oracle = service
+
+    def fail(model, X):
+        raise RuntimeError("model failed")
+
+    monkeypatch.setattr(numkit, "predict_batch", fail)
+    failed, budget = raw_exchange(svc, predict_line(1, np.zeros((3, 4))), b'{"id": 2, "op": "budget"}\n')
+    assert failed == {"id": 1, "error": "RuntimeError: model failed", "code": "INTERNAL"}
+    assert budget == {"id": 2, "remaining": 100}
+    assert oracle.query_log == []
+
+
 def test_query_log_written_on_close(tmp_path):
     spec = MlpSpec(3, (4,), 2, "relu", rng_seed=0)
-    oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(5))
+    oracle = VictimOracle(MlpModel.initialize(spec), 5)
     log = tmp_path / "log.csv"
     svc = VictimService(oracle, log_path=log)
     raw_exchange(svc, predict_line(1, [[1, 2, 3]]))
@@ -401,14 +417,14 @@ def test_query_log_written_on_close(tmp_path):
 
 def test_concurrent_clients_never_overspend():
     spec = MlpSpec(2, (4,), 2, "relu", rng_seed=1)
-    oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(40))
+    oracle = VictimOracle(MlpModel.initialize(spec), 40)
     with VictimService(oracle) as svc:
         errors: list[str] = []
         answered = []
 
         def worker(wid):
             try:
-                with RemoteVictimClient(svc.host, svc.port, id_seed=wid) as cl:
+                with RemoteVictimClient(RemoteSection(svc.host, svc.port), id_seed=wid) as cl:
                     for j in range(10):
                         try:
                             cl.predict([wid * 0.1, j * 0.1])
@@ -428,14 +444,14 @@ def test_concurrent_clients_never_overspend():
         assert oracle.budget_remaining() == 0
 
     # batches of 3 against budget 40: each batch is answered or refused whole
-    oracle = VictimOracle(MlpModel.initialize(spec), QueryBudget(40))
+    oracle = VictimOracle(MlpModel.initialize(spec), 40)
     with VictimService(oracle) as svc:
         errors.clear()
         batches: list[np.ndarray] = []
 
         def batch_worker(wid):
             try:
-                with RemoteVictimClient(svc.host, svc.port, id_seed=wid) as cl:
+                with RemoteVictimClient(RemoteSection(svc.host, svc.port), id_seed=wid) as cl:
                     for j in range(10):
                         X = [[wid * 0.1, j * 0.1], [j * 0.1, wid * 0.1], [wid * 0.1, -j * 0.1]]
                         try:
@@ -463,7 +479,7 @@ def test_concurrent_clients_never_overspend():
 
 def test_client_roundtrip_and_error_mapping(service):
     svc, model, _ = service
-    with RemoteVictimClient(svc.host, svc.port) as cl:
+    with RemoteVictimClient(RemoteSection(svc.host, svc.port)) as cl:
         assert cl.budget_remaining() == 100
         x = np.array([1.0, 0.0, -1.0, 0.5])
         assert cl.predict(x) == predict_batch(model, x[None])[0]
@@ -475,10 +491,10 @@ def test_client_roundtrip_and_error_mapping(service):
 
 def test_client_seeded_ids_deterministic(service):
     svc, _, _ = service
-    a = RemoteVictimClient(svc.host, svc.port, id_seed=5)
-    b = RemoteVictimClient(svc.host, svc.port, id_seed=5)
+    a = RemoteVictimClient(RemoteSection(svc.host, svc.port), id_seed=5)
+    b = RemoteVictimClient(RemoteSection(svc.host, svc.port), id_seed=5)
     assert a._next_id == b._next_id
-    c = RemoteVictimClient(svc.host, svc.port, id_seed=6)
+    c = RemoteVictimClient(RemoteSection(svc.host, svc.port), id_seed=6)
     assert a._next_id != c._next_id
     for cl in (a, b, c):
         cl.close()
@@ -486,7 +502,7 @@ def test_client_seeded_ids_deterministic(service):
 
 def test_client_reconnects_after_drop(service):
     svc, model, oracle = service
-    with RemoteVictimClient(svc.host, svc.port, retries=3) as cl:
+    with RemoteVictimClient(RemoteSection(svc.host, svc.port, retries=3)) as cl:
         x = np.array([0.0, 1.0, 0.0, 1.0])
         assert cl.predict(x) == predict_batch(model, x[None])[0]
         severed = cl._sock
@@ -507,8 +523,9 @@ def test_client_reconnects_after_drop(service):
 def test_client_rejects_out_of_range_settings(kwargs):
     settings = {"host": "127.0.0.1", "port": 1, **kwargs}
     with pytest.raises(InvalidConfigError) as client_error:
-        RemoteVictimClient(**settings)
-    RemoteVictimClient("127.0.0.1", 65535).close()  # the top port is accepted; it connects at the first query
+        RemoteVictimClient(RemoteSection(**settings))  # the client's settings are a section
+    # the top port is accepted; the client connects at the first query
+    RemoteVictimClient(RemoteSection("127.0.0.1", 65535)).close()
     # a config's remote section obeys the same rules, with the same words
     raw = {
         "seed": 0,
@@ -518,6 +535,11 @@ def test_client_rejects_out_of_range_settings(kwargs):
     with pytest.raises(InvalidConfigError) as parse_error:
         parse_config(raw)
     assert str(parse_error.value) == f"attack.remote: {client_error.value}"
+
+
+def one_try_client(srv) -> RemoteVictimClient:
+    """A client of srv that sends each request once."""
+    return RemoteVictimClient(RemoteSection(srv.host, srv.port, timeout=5.0, retries=1))
 
 
 class LineServer:
@@ -564,7 +586,7 @@ class LineServer:
 )
 def test_client_rejects_malformed_labels(reply):
     pool = PoolState(Dataset(np.zeros((5, 3))))
-    with LineServer(reply) as srv, RemoteVictimClient(srv.host, srv.port, timeout=5.0, retries=1) as cl:
+    with LineServer(reply) as srv, one_try_client(srv) as cl:
         with pytest.raises(RemoteUnavailableError, match="malformed"):
             cl.query_labels([4, 1], pool)
     assert pool.counts()["unlabeled"] == 5  # nothing marked
@@ -583,21 +605,21 @@ def test_client_rejects_malformed_labels(reply):
     ],
 )
 def test_client_rejects_malformed_remaining(reply):
-    with LineServer(reply) as srv, RemoteVictimClient(srv.host, srv.port, timeout=5.0, retries=1) as cl:
+    with LineServer(reply) as srv, one_try_client(srv) as cl:
         with pytest.raises(RemoteUnavailableError, match="malformed"):
             cl.budget_remaining()
 
 
 @pytest.mark.parametrize("reply", [b'{"id": 1, "label": 1.5}', b'{"id": 1, "label": true}', b'{"id": 1, "labels": [1, 2]}'])
 def test_client_rejects_malformed_label(reply):
-    with LineServer(reply) as srv, RemoteVictimClient(srv.host, srv.port, timeout=5.0, retries=1) as cl:
+    with LineServer(reply) as srv, one_try_client(srv) as cl:
         with pytest.raises(RemoteUnavailableError, match="malformed"):
             cl.predict(np.zeros(3))
 
 
 def test_client_accepts_well_formed_replies():
     with LineServer(b'{"id": 1, "labels": [0, 2], "remaining": 0}') as srv:
-        with RemoteVictimClient(srv.host, srv.port, timeout=5.0, retries=1) as cl:
+        with one_try_client(srv) as cl:
             labels = cl.predict_batch(np.zeros((2, 3)))
             assert labels.dtype == np.int64 and labels.tolist() == [0, 2]
             assert cl.budget_remaining() == 0
@@ -607,7 +629,7 @@ def test_client_unreachable():
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         dead_port = probe.getsockname()[1]
-    cl = RemoteVictimClient("127.0.0.1", dead_port, timeout=0.3, retries=2)
+    cl = RemoteVictimClient(RemoteSection("127.0.0.1", dead_port, timeout=0.3, retries=2))
     with pytest.raises(RemoteUnavailableError):
         cl.budget_remaining()
 
@@ -619,8 +641,8 @@ def test_remote_oracle_query_labels(service):
     svc, model, oracle = service
     pool = PoolState(Dataset(np.random.default_rng(3).normal(size=(20, 4))))
     local_pool = PoolState(pool.pool)
-    local = VictimOracle(model, QueryBudget(100))
-    with RemoteVictimClient(svc.host, svc.port) as remote:
+    local = VictimOracle(model, 100)
+    with RemoteVictimClient(RemoteSection(svc.host, svc.port)) as remote:
         labels = remote.query_labels([8, 3, 15], pool)
         assert labels.shape == (3,)
         assert np.array_equal(labels, local.query_labels([8, 3, 15], local_pool))
@@ -641,13 +663,13 @@ def test_remote_oracle_precheck_blocks_partial_batches(remote):
     # the local oracle and the remote client have one surface: a batch over
     # the budget is refused whole, a batch that fits is charged once
     model = MlpModel.initialize(MlpSpec(4, (6,), 3, "relu", rng_seed=2))
-    ledger = VictimOracle(model, QueryBudget(4))
+    ledger = VictimOracle(model, 4)
     pool = PoolState(Dataset(np.random.default_rng(4).normal(size=(10, 4))))
     with contextlib.ExitStack() as stack:
         oracle = ledger
         if remote:
             svc = stack.enter_context(VictimService(ledger))
-            oracle = stack.enter_context(RemoteVictimClient(svc.host, svc.port))
+            oracle = stack.enter_context(RemoteVictimClient(RemoteSection(svc.host, svc.port)))
         with pytest.raises(BudgetExhaustedError):
             oracle.query_labels([1, 2, 3, 4, 5], pool)
         assert pool.counts()["queried"] == 0  # nothing marked

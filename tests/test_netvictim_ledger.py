@@ -18,11 +18,12 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
+from ensteal.config import RemoteSection
 from ensteal.datapool import Dataset, PoolState
 from ensteal.errors import BudgetExhaustedError, InvalidInputError
 from ensteal.netvictim import RemoteVictimClient, VictimService, encode_rows
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
-from ensteal.victim import QueryBudget, VictimOracle
+from ensteal.victim import VictimOracle
 
 POOL_N = 10
 BUDGET = 12
@@ -40,12 +41,12 @@ class WireLedgerMachine(RuleBasedStateMachine):
         super().__init__()
         self.model = MlpModel.initialize(MlpSpec(3, (5,), 3, "relu", rng_seed=1))
         self.pool = PoolState(Dataset(np.random.default_rng(0).normal(size=(POOL_N, 3))))
-        self.oracle = VictimOracle(self.model, QueryBudget(BUDGET))
+        self.oracle = VictimOracle(self.model, BUDGET)
         self.service = VictimService(self.oracle)
         self.addr = (self.service.host, self.service.port)
         self.conns = [socket.create_connection(self.addr, timeout=5) for _ in range(CONNECTIONS)]
         self.files = [conn.makefile("rwb") for conn in self.conns]
-        self.client = RemoteVictimClient(*self.addr, timeout=5.0, id_seed=3)
+        self.client = RemoteVictimClient(RemoteSection(*self.addr, timeout=5.0), id_seed=3)
         self.next_id = 1
         self.lines: dict[int, tuple[bytes, bytes]] = {}  # id -> (request, reply)
         self.charged = 0  # rows the server should have charged

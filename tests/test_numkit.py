@@ -49,6 +49,15 @@ def test_spec_validation():
         MlpSpec(3, (4,), 2, activation="gelu")
 
 
+@pytest.mark.parametrize("widths", [(8.7,), (True,), ("8",), (8, np.float64(4.0))])
+def test_hidden_widths_are_refused_not_coerced(widths):
+    # int() made (8.7,) and ('8',) a width of 8 and (True,) a width of 1
+    with pytest.raises(InvalidConfigError, match="^hidden layer widths must be integers, got "):
+        MlpSpec(3, widths, 2)
+    spec = MlpSpec(3, (np.int64(8), 4), 2)
+    assert spec.hidden_layers == (8, 4) and all(type(w) is int for w in spec.hidden_layers)
+
+
 def test_param_count_and_layout():
     spec = MlpSpec(5, (7, 4), 3)
     assert spec.param_count() == (5 * 7 + 7) + (7 * 4 + 4) + (4 * 3 + 3)

@@ -6,14 +6,14 @@ from ensteal import numkit
 from ensteal.datapool import Dataset, GaussianMixture, PoolState, make_synthetic, strip_labels
 from ensteal.errors import BudgetExhaustedError, InvalidConfigError, InvalidInputError
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
-from ensteal.victim import QueryBudget, VictimOracle, VictimRecipe, train_victim
+from ensteal.victim import VictimOracle, VictimRecipe, train_victim
 
 
 def make_oracle(budget=50, n=20, d=4, classes=3, seed=0):
     spec = MlpSpec(d, (6,), classes, "relu", rng_seed=seed)
     model = MlpModel.initialize(spec)
     pool = PoolState(Dataset(np.random.default_rng(seed).normal(size=(n, d))))
-    return VictimOracle(model, QueryBudget(budget)), pool, model
+    return VictimOracle(model, budget), pool, model
 
 
 def test_victim_labels_equal_the_float64_reference_bitwise():
@@ -27,34 +27,62 @@ def test_victim_labels_equal_the_float64_reference_bitwise():
     want = np.argmax(oracles.forward_probs(model, X), axis=1)
     assert want.tolist() == [1] * 300
     assert predict_batch(model, X, np.float32).tolist() == [0] * 300  # not vacuous
-    oracle = VictimOracle(model, QueryBudget(300))
+    oracle = VictimOracle(model, 300)
     assert oracle.predict_batch(X).tolist() == want.tolist()
     assert np.array_equal(predict_batch(model, X), want)
 
 
 def test_budget_charging():
-    b = QueryBudget(10)
-    b.charge(4)
-    assert b.spent == 4 and b.remaining == 6
-    with pytest.raises(BudgetExhaustedError):
-        b.charge(7)
-    assert b.spent == 4  # rejected charge leaves the ledger untouched
-    b.charge(6)
-    assert b.remaining == 0
-    with pytest.raises(BudgetExhaustedError):
-        b.charge(1)
+    oracle, pool, _ = make_oracle(budget=10)
+    X = pool.pool.features
+    oracle.predict_batch(X[:4])
+    assert oracle.budget_remaining() == 6
+    with pytest.raises(BudgetExhaustedError, match=r"^query budget exhausted: need 7, have 6 of 10$"):
+        oracle.predict_batch(X[:7])
+    assert oracle.budget_remaining() == 6 and len(oracle.query_log) == 4  # a refused batch changes nothing
+    oracle.predict_batch(X[4:10])
+    assert oracle.budget_remaining() == 0
+    with pytest.raises(BudgetExhaustedError, match="need 1, have 0 of 10"):
+        oracle.predict_batch(X[:1])
 
 
 def test_budget_validation():
-    with pytest.raises(InvalidConfigError):
-        QueryBudget(-1)
-    with pytest.raises(InvalidConfigError):
-        QueryBudget(5, spent=6)
-    b = QueryBudget(5)
-    with pytest.raises(InvalidInputError):
-        b.charge(0)
-    with pytest.raises(InvalidInputError):
-        b.charge(-2)
+    model = make_oracle()[2]
+    with pytest.raises(InvalidConfigError, match="^budget total must be nonnegative$"):
+        VictimOracle(model, -1)
+    with pytest.raises(InvalidInputError, match="batch is empty"):  # refused before the ledger
+        VictimOracle(model, 5).predict_batch(np.zeros((0, 4)))
+    empty = VictimOracle(model, 0)
+    with pytest.raises(BudgetExhaustedError, match="need 1, have 0 of 0"):
+        empty.predict_batch(np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("budget", [True, 2.5, np.float64(3.0), "5", None])
+def test_budget_must_be_an_integer(budget):
+    # True was a budget of 1 query and 2.5 one of 2.5, which a remote
+    # client would refuse as a malformed budget reply
+    model = make_oracle()[2]
+    with pytest.raises(InvalidConfigError, match="^budget total must be an integer, got "):
+        VictimOracle(model, budget)
+    oracle = VictimOracle(model, np.int64(5))
+    assert oracle.budget_remaining() == 5 and type(oracle.budget_remaining()) is int
+
+
+def test_a_failed_answer_charges_nothing(monkeypatch):
+    # the ledger was charged before the model answered: a 10-query oracle
+    # whose model raised reported 7 queries left and an empty log
+    oracle, pool, _ = make_oracle(budget=10)
+
+    def fail(model, X):
+        raise RuntimeError("model failed")
+
+    monkeypatch.setattr(numkit, "predict_batch", fail)
+    with pytest.raises(RuntimeError, match="model failed"):
+        oracle.predict_batch(pool.pool.features[:3])
+    assert oracle.budget_remaining() == 10 and oracle.query_log == []
+    monkeypatch.undo()
+    oracle.predict_batch(pool.pool.features[:3])
+    assert oracle.budget_remaining() == 7 and len(oracle.query_log) == 3
 
 
 def test_oracle_query_marks_pool_and_logs():
