@@ -10,7 +10,6 @@ corner noise of the same radius.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -18,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import numkit
+from .datapool import write_csv
 from .errors import AttackFailedError, InvalidConfigError, InvalidInputError
 from .numkit import MlpModel
 from .seeding import mask64
@@ -182,16 +182,5 @@ TRANSFER_CSV_HEADER = ("sample_index", "clean_src", "clean_victim", "adv_src", "
 
 def write_transfer_csv(path, result: TransferResult) -> None:
     """Per-sample predicted labels, one row per attacked input."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRANSFER_CSV_HEADER)
-        for i in range(result.n):
-            writer.writerow(
-                [
-                    i,
-                    int(result.clean_source_labels[i]),
-                    int(result.clean_target_labels[i]),
-                    int(result.adv_source_labels[i]),
-                    int(result.adv_target_labels[i]),
-                ]
-            )
+    cols = (result.clean_source_labels, result.clean_target_labels, result.adv_source_labels, result.adv_target_labels)
+    write_csv(path, TRANSFER_CSV_HEADER, ([i, *(int(c[i]) for c in cols)] for i in range(result.n)))

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import signal
 import sys
 from typing import get_type_hints
 
 from . import adversarial as adv
 from . import config, harness, numkit
-from .datapool import load_dataset, make_synthetic, save_dataset, strip_labels
+from .datapool import json_text, load_dataset, make_synthetic, save_dataset, strip_labels, write_text
 from .ensemble import load_ensemble
-from .errors import InvalidConfigError, StageError
+from .errors import InvalidConfigError, InvalidInputError, StageError
 from .victim import VictimOracle, VictimRecipe, train_victim
 
 
@@ -156,10 +155,9 @@ def _cmd_evaluate(args) -> int:
         numkit.as_class_labels(victim_model, data.labels, data.n)
     victim_labels = numkit.predict_batch(victim_model, data.features)
     metrics = harness.evaluate_models(state.best_probs(data), victim_labels, data)
-    blob = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
+    blob = json_text(metrics)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(blob)
+        write_text(args.out, blob)
     sys.stdout.write(blob)
     return 0
 
@@ -173,8 +171,7 @@ def _cmd_adv_transfer(args) -> int:
     victim_model = numkit.load_model(args.victim)
     data = load_dataset(args.data)
     if data.labels is None:
-        print("error: dataset has no labels", file=sys.stderr)
-        return 1
+        raise InvalidInputError("dataset has no labels")
     n = min(settings.n_eval, data.n)
     result = adv.transferability(
         source, victim_model, data.features[:n], data.labels[:n], settings, args.seed, settings.denominator

@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import adversarial as adv
-from .datapool import GaussianMixture, SyntheticSource, TinyDigits, split_budget
+from .datapool import GaussianMixture, SyntheticSource, TinyDigits, read_text, split_budget
 from .ensemble import EnsembleRecipe
 from .errors import InvalidConfigError
 from .selection import SelectionStrategy
@@ -205,11 +205,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
 def load_config(path) -> tuple[ExperimentConfig, str]:
     """Parse a config file; also returns the raw text for the echo file."""
-    with open(path) as fh:
-        text = fh.read()
     try:
+        text = read_text(path)
         obj = json.loads(text)
-    except ValueError as exc:
+    except ValueError as exc:  # a UnicodeDecodeError too: JSON text is UTF-8
         raise InvalidConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(obj), text
 

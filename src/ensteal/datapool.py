@@ -11,10 +11,14 @@ Augmentations are small declarative configs applied to a batch of rows
 through an explicit numpy Generator, which keeps every perturbation
 replayable. Synthetic sources (a separable Gaussian mixture and noisy
 low-res digit glyphs) cover desk-scale experiments without external data.
+
+Every text file goes through the text codec here: UTF-8, "\n" line ends,
+CSV cells by format_cell, JSON by json_text (two-space indent, sorted keys).
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from dataclasses import dataclass
@@ -61,14 +65,18 @@ def is_integer(v) -> bool:
 def _integers(values, must: str) -> np.ndarray:
     """values as an array of an integer dtype, else InvalidInputError(f"{must},
     got ..."). No coercion: a list or tuple holds is_integer values only
-    (np.asarray would take 0.7 as 0, '7' as 7 and True as 1), an empty one is
-    an empty int64 array, and a uint64 above the int64 maximum is refused (a
-    cast to int64 would wrap it negative)."""
+    (np.asarray would take 0.7 as 0, '7' as 7 and True as 1) and becomes
+    int64, a value outside int64 refused by its value; a uint64 array above
+    the int64 maximum is refused too (a cast would wrap it negative)."""
     if isinstance(values, (list, tuple)):
         bad = next((v for v in values if not is_integer(v)), None)
         if bad is not None:
             raise InvalidInputError(f"{must}, got {type(bad).__name__} in a {type(values).__name__}")
-        values = np.asarray(values) if values else np.zeros(0, dtype=np.int64)
+        values = [int(v) for v in values]  # np.asarray makes float64 of a uint64 beside a signed value
+        off = next((v for v in values if not -(2**63) <= v < 2**63), None)
+        if off is not None:
+            raise InvalidInputError(f"{must}, got value {off} outside the int64 range")
+        values = np.array(values, dtype=np.int64)
     arr = np.asarray(values)
     if not np.issubdtype(arr.dtype, np.integer):
         raise InvalidInputError(f"{must}, got dtype {arr.dtype}")
@@ -541,3 +549,33 @@ def load_dataset(path) -> Dataset:
     except InvalidConfigError as exc:
         raise InvalidInputError(f"bad dataset header: {exc}") from exc
     return Dataset(features.astype(np.float64).reshape(n, d), labels, layout)
+
+
+# ── text files ───────────────────────────────────────────────────────
+
+
+def read_text(path) -> str:
+    with open(path, encoding="utf-8") as fh:  # universal newlines: "\r\n" reads as "\n"
+        return fh.read()
+
+
+def write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:  # "\n" is written as "\n"
+        fh.write(text)
+
+
+def write_lines(path, lines) -> None:
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def format_cell(v) -> str:
+    """A CSV cell, or a value in a text line: empty for None, repr for a float."""
+    return "" if v is None else repr(v) if isinstance(v, float) else str(v)
+
+
+def write_csv(path, header, rows) -> None:
+    write_lines(path, [",".join(header), *(",".join(map(format_cell, row)) for row in rows)])
+
+
+def json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numkit
-from .datapool import Dataset, PoolState
+from .datapool import Dataset, PoolState, read_text, write_lines
 from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from .numkit import MlpModel, MlpSpec, SgdConfig
 from .seeding import derive_seed
@@ -267,8 +267,7 @@ def save_ensemble(state: EnsembleState, directory) -> None:
     for i, (model, ckpt) in enumerate(zip(models, state.best)):
         numkit.save_model(model, os.path.join(directory, f"member{i}_best.ckpt"))
         lines.append(f"{i} {ckpt.val_accuracy!r} {ckpt.cycle}")  # type: ignore[union-attr]
-    with open(os.path.join(directory, "index.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(os.path.join(directory, "index.txt"), lines)
 
 
 def load_ensemble(directory) -> EnsembleState:
@@ -276,9 +275,8 @@ def load_ensemble(directory) -> EnsembleState:
     scoring and evaluation; member init seeds are not persisted."""
     index_path = os.path.join(directory, "index.txt")
     try:
-        with open(index_path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+        lines = [ln.strip() for ln in read_text(index_path).split("\n") if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read ensemble index: {exc}") from exc
     if not lines:
         raise InvalidInputError(f"ensemble index {index_path} is empty")

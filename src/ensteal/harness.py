@@ -21,7 +21,6 @@ the final ensemble directory.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from contextlib import contextmanager
 from typing import Optional
@@ -31,6 +30,7 @@ import numpy as np
 from . import adversarial as adv
 from . import config, numkit
 from .datapool import Dataset, PoolState, initial_split, make_synthetic, strip_labels
+from .datapool import format_cell, json_text, write_csv, write_lines, write_text
 from .ensemble import EnsembleState, committee_vote, save_ensemble, train_cycle
 from .errors import InvalidConfigError, InvalidInputError, StageError
 from .seeding import derive_seed, mask64
@@ -50,9 +50,6 @@ SELECT = 8
 SSL_STAGE = 9
 ADV_STAGE = 10
 CLIENT_IDS = 11
-
-SCORES_HEADER = "cycle,sample_index,score,selected"
-PSEUDO_HIST_HEADER = "class,count"
 
 
 def stage_seed(root: int, offset: int) -> int:
@@ -99,28 +96,11 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _write_lines(path, lines: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_csv(path, header: str, rows) -> None:
-    _write_lines(path, [header, *(",".join(_fmt(v) for v in row) for row in rows)])
-
-
 def _write_curves(out_dir, cfg: config.ExperimentConfig, curves_rows: list[list]) -> None:
     """curves.csv with one accuracy column per committee member."""
     members = [f"member{i}_acc" for i in range(len(cfg.attack.ensemble.hidden_profile))]
-    header = ",".join(["cycle", "queries_spent", *members, "ensemble_acc", "ensemble_agr"])
-    _write_csv(os.path.join(out_dir, "curves.csv"), header, curves_rows)
+    header = ["cycle", "queries_spent", *members, "ensemble_acc", "ensemble_agr"]
+    write_csv(os.path.join(out_dir, "curves.csv"), header, curves_rows)
 
 
 def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str] = None) -> dict:
@@ -142,9 +122,8 @@ def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str]
     client = None
 
     if config_text is None:
-        config_text = json.dumps(config.config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
-    with open(os.path.join(out_dir, "config_echo.json"), "w", newline="") as fh:
-        fh.write(config_text)
+        config_text = json_text(config.config_to_dict(cfg))
+    write_text(os.path.join(out_dir, "config_echo.json"), config_text)
 
     try:
         with _stage("data"):
@@ -301,41 +280,39 @@ def _emit_reports(
     cfg: config.ExperimentConfig,
 ) -> None:
     _write_curves(out_dir, cfg, curves_rows)
-    _write_csv(os.path.join(out_dir, "pseudo_hist.csv"), PSEUDO_HIST_HEADER, enumerate(report["pseudo_hist"]))
+    write_csv(os.path.join(out_dir, "pseudo_hist.csv"), ("class", "count"), enumerate(report["pseudo_hist"]))
     if cfg.outputs.scores_csv:
-        _write_csv(os.path.join(out_dir, "scores.csv"), SCORES_HEADER, score_rows)
-    with open(os.path.join(out_dir, "report.json"), "w", newline="") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_csv(os.path.join(out_dir, "scores.csv"), ("cycle", "sample_index", "score", "selected"), score_rows)
+    write_text(os.path.join(out_dir, "report.json"), json_text(report))
     final = report["final"]
     lines = [
         f"strategy: {report['strategy']}",
-        f"victim test accuracy: {_fmt(report['victim_test_acc'])}",
+        f"victim test accuracy: {format_cell(report['victim_test_acc'])}",
         f"budget: {report['budget']['spent']}/{report['budget']['total']} queries spent",
         f"cycles: {report['cycles']}",
-        f"final ensemble accuracy: {_fmt(final['ensemble_acc'])}",
-        f"final ensemble agreement: {_fmt(final['ensemble_agreement'])}",
+        f"final ensemble accuracy: {format_cell(final['ensemble_acc'])}",
+        f"final ensemble agreement: {format_cell(final['ensemble_agreement'])}",
         f"best member: {final['best_member_index']} "
-        f"(validation accuracy {_fmt(final['best_member_val_acc'])})",
+        f"(validation accuracy {format_cell(final['best_member_val_acc'])})",
     ]
     ssl_rep = report.get("ssl")
     if ssl_rep is not None:
         lines.append(
             f"pseudo-labels kept: {ssl_rep['n_pseudo']} "
-            f"(validation agreement {_fmt(ssl_rep['pre_val_agreement'])} -> "
-            f"{_fmt(ssl_rep['post_val_agreement'])})"
+            f"(validation agreement {format_cell(ssl_rep['pre_val_agreement'])} -> "
+            f"{format_cell(ssl_rep['post_val_agreement'])})"
         )
     for row in report.get("adversarial", []):
         lines.append(
-            f"member {row['member']} transfer rate: {_fmt(row['transfer_rate'])} "
-            f"(random baseline {_fmt(row['random_transfer_rate'])})"
+            f"member {row['member']} transfer rate: {format_cell(row['transfer_rate'])} "
+            f"(random baseline {format_cell(row['random_transfer_rate'])})"
         )
-    _write_lines(os.path.join(out_dir, "summary.txt"), lines)
+    write_lines(os.path.join(out_dir, "summary.txt"), lines)
 
 
 def _emit_failure(out_dir, err: StageError, cfg: config.ExperimentConfig, curves_rows: list[list]) -> None:
     try:
         _write_curves(out_dir, cfg, curves_rows)
-        _write_lines(os.path.join(out_dir, "summary.txt"), [f"run failed: {err}"])
+        write_lines(os.path.join(out_dir, "summary.txt"), [f"run failed: {err}"])
     except OSError:
         pass

@@ -34,7 +34,9 @@ wrapped oracle's single lock, which keeps concurrent connections honest.
 
 VictimService runs on socketserver: one thread accepts connections and each
 connection is answered on a thread of its own. Once close() begins, a
-request is neither answered nor charged, and its connection ends.
+request is neither answered nor charged, and its connection ends. Given a
+log path, close() writes the query log with datapool.write_csv: UTF-8 CSV
+with "\n" line ends, like every text file ensteal writes.
 
 RemoteVictimClient(endpoint: RemoteSection, id_seed=0) is the remote
 oracle: the section gives the address, the socket timeout and the number of
@@ -46,7 +48,6 @@ the same way.
 from __future__ import annotations
 
 import base64
-import csv
 import hashlib
 import json
 import socket
@@ -59,6 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .config import RemoteSection
+from .datapool import write_csv
 from .errors import BudgetExhaustedError, InvalidInputError, RemoteUnavailableError
 from .seeding import mask64
 from .victim import VictimOracle
@@ -166,10 +168,7 @@ class VictimService:
         self._server.shutdown()
         self._server.server_close()
         if self._log_path is not None:
-            with open(self._log_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["sample_hash", "label"])
-                writer.writerows(self._oracle.query_log)
+            write_csv(self._log_path, ("sample_hash", "label"), self._oracle.query_log)
 
     # -- serving
 

@@ -62,10 +62,12 @@ class MlpSpec:
             raise InvalidConfigError(f"hidden layer widths must be integers, got {self.hidden_layers!r}")
         object.__setattr__(self, "hidden_layers", tuple(int(w) for w in self.hidden_layers))
         object.__setattr__(self, "rng_seed", mask64(self.rng_seed))
-        if self.input_dim < 1:
-            raise InvalidConfigError(f"input_dim must be positive, got {self.input_dim}")
-        if self.num_classes < 1:
-            raise InvalidConfigError(f"num_classes must be positive, got {self.num_classes}")
+        for name in ("input_dim", "num_classes"):
+            n = getattr(self, name)
+            if not is_integer(n):  # MlpModel.initialize would fail on 4.0, and take True as 1
+                raise InvalidConfigError(f"{name} must be an integer, got {n!r}")
+            if n < 1:
+                raise InvalidConfigError(f"{name} must be positive, got {n}")
         if any(w < 1 for w in self.hidden_layers):
             raise InvalidConfigError(f"hidden layer widths must be positive, got {self.hidden_layers}")
         if self.activation not in ACTIVATION_CODES:

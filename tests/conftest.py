@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,14 @@ def verdicts_as_oracle_shapes(verdicts):
         )
     }
     return selected, audit
+
+
+def assert_lf_text(path) -> str:
+    """The file's text, after checking that it decodes as UTF-8 and ends
+    every line, the last one included, in "\n" alone."""
+    blob = Path(path).read_bytes()
+    assert b"\r" not in blob and blob.endswith(b"\n"), path
+    return blob.decode("utf-8")
 
 
 def record_offers(state) -> dict:

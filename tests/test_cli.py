@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ensteal
+from conftest import assert_lf_text
 from ensteal import adversarial as adv
 from ensteal import numkit
 from ensteal.cli import _build_parser, main
@@ -318,15 +319,34 @@ def test_adv_transfer_cli(tmp_path, data_files, victim_ckpt, capsys):
     assert len(lines) == 61
 
 
-def test_adv_transfer_needs_labels(tmp_path, victim_ckpt):
-    bare = tmp_path / "bare.aotd"
+def test_adv_transfer_needs_labels(tmp_path, victim_ckpt, capsys):
+    # the command printed "error: dataset has no labels" itself, unlike every
+    # other refusal, which main reports with the error's class
+    bare, csv_out = tmp_path / "bare.aotd", tmp_path / "transfer.csv"
     run_cli("gen-data", "--source", "gaussian_mixture", "--dim", "5", "--classes", "3",
             "--n", "20", "--unlabeled", "--out", str(bare))
+    capsys.readouterr()
     rc = run_cli(
         "adv-transfer", "--source", str(victim_ckpt), "--victim", str(victim_ckpt),
-        "--data", str(bare), "--epsilon", "0.5",
+        "--data", str(bare), "--epsilon", "0.5", "--out", str(csv_out),
     )
     assert rc == 1
+    assert capsys.readouterr() == ("", "error (InvalidInputError): dataset has no labels\n")
+    assert not csv_out.exists()
+
+
+def test_evaluate_and_adv_transfer_write_utf8_with_lf_line_ends(tmp_path, data_files, victim_ckpt, attack_out):
+    # adv-transfer's CSV came from csv.writer and ended its lines in "\r\n"
+    _, test = data_files
+    metrics, csv_out = tmp_path / "metrics.json", tmp_path / "transfer.csv"
+    rc = run_cli("evaluate", "--ensemble", str(attack_out / "ensemble"), "--victim", str(victim_ckpt),
+                 "--data", str(test), "--out", str(metrics))
+    assert rc == 0
+    rc = run_cli("adv-transfer", "--source", str(victim_ckpt), "--victim", str(victim_ckpt), "--data", str(test),
+                 "--epsilon", "0.5", "--steps", "2", "--n-eval", "20", "--out", str(csv_out))
+    assert rc == 0
+    assert json.loads(assert_lf_text(metrics))["victim_acc"] >= 0
+    assert assert_lf_text(csv_out).split("\n")[0] == ",".join(adv.TRANSFER_CSV_HEADER)
 
 
 @pytest.mark.parametrize("flag", [["--epsilon", "inf"], ["--epsilon", "nan"], ["--epsilon", "0.5", "--step-size", "inf"]])

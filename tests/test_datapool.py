@@ -267,6 +267,19 @@ def test_indices_follow_the_integer_rule(take):
     take([np.int64(3), 1])  # a NumPy integer in a list is an integer, as for labels
 
 
+def test_a_list_of_mixed_numpy_integers_is_taken_exactly():
+    # np.asarray made float64 of a uint64 beside a signed value, so these
+    # lists were refused as "got dtype float64"
+    assert as_indices([np.uint64(3), np.int64(4)]).tolist() == [3, 4]
+    assert as_labels([np.uint64(1), 2], 2).tolist() == [1, 2]
+    assert as_indices([np.uint64(2**63 - 1), -(2**63)]).tolist() == [2**63 - 1, -(2**63)]
+    for values in ([-1, 2**63 + 5], [np.int64(-1), np.uint64(2**63 + 5)]):
+        with pytest.raises(InvalidInputError, match=r"^indices must be integers, got value 9223372036854775813 outside"):
+            as_indices(values)
+    with pytest.raises(InvalidInputError, match=r"^labels must be nonnegative integers, got value -9223372036854775809 "):
+        as_labels([0, -(2**63) - 1], 2)
+
+
 def test_as_indices_keeps_integers_and_the_empty_message():
     assert as_indices([2, 0]).dtype == np.int64 and as_indices([2, 0]).tolist() == [2, 0]
     assert as_indices(np.array([5, 1], dtype=np.uint8)).tolist() == [5, 1]

@@ -356,6 +356,13 @@ def test_load_ensemble_missing_dir(tmp_path):
         load_ensemble(tmp_path)
 
 
+def test_load_ensemble_refuses_an_index_that_is_not_utf8(tmp_path):
+    # the decode error escaped as a bare UnicodeDecodeError
+    (tmp_path / "index.txt").write_bytes(b"members 1 cycle 1\n0 0.5\xff 1\n")
+    with pytest.raises(InvalidInputError, match="cannot read ensemble index: 'utf-8' codec can't decode"):
+        load_ensemble(tmp_path)
+
+
 @pytest.mark.parametrize(
     "index, bad_line",
     [

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import committee_probs
+from conftest import assert_lf_text, committee_probs
 from ensteal import harness, numkit
 from ensteal.config import config_to_dict, load_config, parse_config
 from ensteal.datapool import GaussianMixture, ImageLayout, initial_split, make_synthetic, split_budget, strong_augment
@@ -419,6 +419,14 @@ def test_load_config_returns_raw_text(tmp_path):
         load_config(p)
 
 
+def test_load_config_refuses_a_file_that_is_not_utf8(tmp_path):
+    # the decode error escaped as a bare UnicodeDecodeError
+    p = tmp_path / "c.json"
+    p.write_bytes(b'{"seed": 1\xff}')
+    with pytest.raises(InvalidConfigError, match="config is not valid JSON: 'utf-8' codec can't decode byte 0xff"):
+        load_config(p)
+
+
 def test_load_config_rejects_a_literal_nan(tmp_path):
     # a NaN weight decay used to train as if it were 0 (NaN > 0 is False)
     raw = base_config()
@@ -506,6 +514,18 @@ def test_run_attack_emits_all_files(tiny_run):
     assert (out / "adv_member0.csv").exists()
     on_disk = json.loads((out / "report.json").read_text())
     assert on_disk == report
+
+
+def test_run_attack_writes_every_text_file_in_utf8_with_lf_line_ends(tiny_run):
+    # adv_member{i}.csv came from csv.writer and ended its lines in "\r\n"
+    _, out, _ = tiny_run
+    texts = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.suffix in (".csv", ".json", ".txt"))
+    assert texts == [
+        "adv_member0.csv", "adv_member1.csv", "adv_member2.csv", "config_echo.json", "curves.csv",
+        "ensemble/index.txt", "pseudo_hist.csv", "report.json", "scores.csv", "summary.txt",
+    ]
+    for name in texts:
+        assert_lf_text(out / name)
 
 
 def test_run_attack_curves_shape(tiny_run):

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import assert_lf_text
 from ensteal import numkit
 from ensteal.config import RemoteSection, parse_config
 from ensteal.datapool import Dataset, PoolState
@@ -413,6 +414,18 @@ def test_query_log_written_on_close(tmp_path):
     assert len(lines) == 2
     h, lab = lines[1].split(",")
     assert len(h) == 16 and lab in ("0", "1")
+
+
+def test_query_log_is_utf8_with_lf_line_ends(tmp_path):
+    # csv.writer ended every line of the log in "\r\n"
+    oracle = VictimOracle(MlpModel.initialize(MlpSpec(3, (4,), 2, "relu", rng_seed=0)), 5)
+    log = tmp_path / "log.csv"
+    svc = VictimService(oracle, log_path=log)
+    raw_exchange(svc, predict_line(1, [[1, 2, 3], [3, 2, 1]]), predict_line(2, [[0, 0, 1]]))
+    svc.close()
+    rows = [f"{h},{label}" for h, label in oracle.query_log]
+    assert len(rows) == 3
+    assert assert_lf_text(log) == "\n".join(["sample_hash,label", *rows]) + "\n"
 
 
 def test_concurrent_clients_never_overspend():

@@ -58,6 +58,19 @@ def test_hidden_widths_are_refused_not_coerced(widths):
     assert spec.hidden_layers == (8, 4) and all(type(w) is int for w in spec.hidden_layers)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [((True, (4,), 3), "input_dim"), ((4.0, (4,), 3), "input_dim"), (("4", (4,), 3), "input_dim"),
+     ((4, (4,), True), "num_classes"), ((4, (4,), 3.0), "num_classes")],
+)
+def test_input_dim_and_num_classes_are_refused_not_coerced(args, name):
+    # True built a network with 1 input; 4.0 built a spec that failed in
+    # MlpModel.initialize with NumPy's TypeError
+    with pytest.raises(InvalidConfigError, match=f"^{name} must be an integer, got "):
+        MlpSpec(*args)
+    assert MlpSpec(np.int64(4), (4,), np.int64(3)).param_count() == MlpSpec(4, (4,), 3).param_count()
+
+
 def test_param_count_and_layout():
     spec = MlpSpec(5, (7, 4), 3)
     assert spec.param_count() == (5 * 7 + 7) + (7 * 4 + 4) + (4 * 3 + 3)
