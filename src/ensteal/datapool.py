@@ -12,15 +12,18 @@ through an explicit numpy Generator, which keeps every perturbation
 replayable. Synthetic sources (a separable Gaussian mixture and noisy
 low-res digit glyphs) cover desk-scale experiments without external data.
 
-Every text file goes through the text codec here: UTF-8, "\n" line ends,
-CSV cells by format_cell, JSON by json_text (two-space indent, sorted keys).
+Every file is written by write_bytes here, whole or not at all, and every
+text file goes through the text codec here: UTF-8, "\n" line ends, CSV cells
+by format_cell, JSON by json_text (two-space indent, sorted keys).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -510,13 +513,11 @@ def save_dataset(data: Dataset, path) -> None:
     parts.append(data.features.astype("<f4").tobytes())
     if data.labels is not None:
         parts.append(data.labels.astype("<u4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    write_bytes(path, b"".join(parts))
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = read_bytes(path)
     try:
         magic, version, n, d = struct.unpack_from("<4sIII", blob, 0)
         if magic != DATASET_MAGIC:
@@ -551,7 +552,26 @@ def load_dataset(path) -> Dataset:
     return Dataset(features.astype(np.float64).reshape(n, d), labels, layout)
 
 
-# ── text files ───────────────────────────────────────────────────────
+# ── files ────────────────────────────────────────────────────────────
+
+
+def read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def write_bytes(path, data: bytes) -> None:
+    """The one file writer: data lands at path whole or not at all, by way
+    of path + ".tmp" beside it, which is removed if anything raises."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_text(path) -> str:
@@ -560,8 +580,7 @@ def read_text(path) -> str:
 
 
 def write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:  # "\n" is written as "\n"
-        fh.write(text)
+    write_bytes(path, text.encode("utf-8"))
 
 
 def write_lines(path, lines) -> None:

@@ -211,8 +211,6 @@ def train_cycle(
 def vote_counts(probs: np.ndarray) -> np.ndarray:
     """The one vote count: (members, rows, classes) softmax -> (rows, classes)
     int64 count of members whose argmax is each class, lowest class on ties."""
-    # the votes first: argmax may copy a fancy-indexed stack, and that copy
-    # is freed before the counts are allocated
     labels = np.argmax(probs, axis=2)
     n = labels.shape[1]
     counts = np.zeros((n, probs.shape[2]), dtype=np.int64)
@@ -232,7 +230,7 @@ def committee_vote(probs: np.ndarray) -> np.ndarray:
     return np.where(majority, top, np.argmax(np.asarray(probs.mean(axis=0), dtype=np.float64), axis=1))
 
 
-# Kept only for the benchmark tracer (perfbench/spans.py); ROADMAP item 2 deletes it.
+# Kept only for the benchmark tracer (perfbench/spans.py); ROADMAP item 3 deletes it.
 def ensemble_predict(models: list[MlpModel], X) -> np.ndarray:
     """Majority-vote labels with consensus fallback."""
     return committee_vote(np.stack([numkit.probs_batch(m, X, MEMBER_DTYPE) for m in models]))

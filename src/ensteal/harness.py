@@ -108,8 +108,9 @@ def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str]
 
     Returns the report dictionary (same content as report.json). Failures
     raise StageError naming the stage; whatever per-cycle rows exist by then
-    are still flushed. A non-empty out_dir, which would mix two runs' files,
-    is refused with InvalidConfigError before anything is read or written.
+    are still flushed. report.json, written last, exists only after a success.
+    A non-empty out_dir, which would mix two runs' files, is refused with
+    InvalidConfigError before anything is read or written.
     """
     os.makedirs(out_dir, exist_ok=True)
     if os.listdir(out_dir):
@@ -123,9 +124,11 @@ def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str]
 
     if config_text is None:
         config_text = json_text(config.config_to_dict(cfg))
-    write_text(os.path.join(out_dir, "config_echo.json"), config_text)
 
     try:
+        with _stage("config_echo"):
+            write_text(os.path.join(out_dir, "config_echo.json"), config_text)
+
         with _stage("data"):
             source = cfg.victim.data
             pool = strip_labels(make_synthetic(source, a.pool_n, stage_seed(root, POOL_DATA)))
@@ -283,7 +286,6 @@ def _emit_reports(
     write_csv(os.path.join(out_dir, "pseudo_hist.csv"), ("class", "count"), enumerate(report["pseudo_hist"]))
     if cfg.outputs.scores_csv:
         write_csv(os.path.join(out_dir, "scores.csv"), ("cycle", "sample_index", "score", "selected"), score_rows)
-    write_text(os.path.join(out_dir, "report.json"), json_text(report))
     final = report["final"]
     lines = [
         f"strategy: {report['strategy']}",
@@ -308,6 +310,7 @@ def _emit_reports(
             f"(random baseline {format_cell(row['random_transfer_rate'])})"
         )
     write_lines(os.path.join(out_dir, "summary.txt"), lines)
+    write_text(os.path.join(out_dir, "report.json"), json_text(report))  # last: it marks a success
 
 
 def _emit_failure(out_dir, err: StageError, cfg: config.ExperimentConfig, curves_rows: list[list]) -> None:

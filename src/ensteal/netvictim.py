@@ -348,5 +348,5 @@ class RemoteVictimClient:
 
 
 # Only the benchmark tracer (perfbench/spans.py) still names this alias;
-# ROADMAP item 2 deletes it.
+# ROADMAP item 3 deletes it.
 RemoteVictimOracle = RemoteVictimClient

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datapool import as_labels, is_integer
+from .datapool import as_labels, is_integer, read_bytes, write_bytes
 from .errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from .seeding import mask64
 
@@ -487,13 +487,11 @@ def save_model(model: MlpModel, path) -> None:
         struct.pack("<IBQ", spec.num_classes, ACTIVATION_CODES[spec.activation], model.epoch_counter),
         model.params.astype("<f8").tobytes(),
     ]
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    write_bytes(path, b"".join(parts))
 
 
 def load_model(path) -> MlpModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = read_bytes(path)
     try:
         magic, version, input_dim = struct.unpack_from("<4sII", blob, 0)
         if magic != CHECKPOINT_MAGIC:

@@ -53,7 +53,7 @@ def disagreement_scores(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     k members the score lives on a finite grid: it depends only on the
     partition of k votes among classes.
     """
-    return entropy_rows(vote_counts(probs[:, rows]) / probs.shape[0])
+    return entropy_rows(vote_counts(probs)[rows] / probs.shape[0])
 
 
 # ── primitive selectors ──────────────────────────────────────────────

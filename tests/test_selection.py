@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ensteal.datapool import Dataset, PoolState
-from ensteal.ensemble import MEMBER_DTYPE
+from ensteal.ensemble import MEMBER_DTYPE, vote_counts
 from ensteal.errors import InvalidConfigError, InvalidInputError
 from ensteal.numkit import predict_batch
 from ensteal.selection import (
@@ -61,6 +61,17 @@ def test_disagreement_scores_live_in_partition_set(rng):
     ]
     allowed = {round(entropy_direct(np.array(p) / 5.0), 12) for p in parts}
     assert {round(float(s), 12) for s in scores} <= allowed
+
+
+@pytest.mark.parametrize("members", range(2, 10))
+def test_disagreement_scores_keep_their_bits_when_votes_are_counted_over_the_pool(rng, members):
+    # the votes were counted over a copy of the listed rows' stack; the counts
+    # are integers, so counting the whole pool and taking the rows is exact
+    models = make_sharp_models(members, dim=6, classes=5, seed=members)
+    probs = committee_probs(models, rng.normal(size=(400, 6)))
+    rows = np.sort(rng.choice(400, size=300, replace=False))
+    copied = entropy_rows(vote_counts(probs[:, rows]) / members)
+    assert disagreement_scores(probs, rows).tobytes() == copied.tobytes()
 
 
 def test_consensus_entropy_bounds(rng):
