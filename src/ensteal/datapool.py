@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 from contextlib import suppress
 from dataclasses import dataclass
@@ -273,7 +274,12 @@ Transform = Union[HorizontalFlip, RandLite, JitterDrop]
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """A weak and a strong perturbation sharing one seed namespace."""
+    """A weak and a strong perturbation sharing one seed namespace.
+
+    The weak one is a flip or plain jitter (JitterDrop with drop_frac 0):
+    each draws one row-major array (a uniform per row, a normal per value),
+    so the pseudo-label filter's slice-by-slice draw equals one draw over
+    the whole pool."""
 
     weak: Transform
     strong: Transform
@@ -281,6 +287,10 @@ class AugmentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "rng_seed", mask64(self.rng_seed))
+        if not isinstance(self.weak, (HorizontalFlip, JitterDrop)) or getattr(self.weak, "drop_frac", 0.0) != 0.0:
+            raise InvalidConfigError(
+                f"the weak perturbation must be a flip or plain jitter (drop_frac 0), got {self.weak!r}"
+            )
         w_sigma = getattr(self.weak, "sigma", None)
         s_sigma = getattr(self.strong, "sigma", None)
         if w_sigma is not None and s_sigma is not None and not w_sigma < s_sigma:
@@ -561,13 +571,25 @@ def read_bytes(path) -> bytes:
 
 
 def write_bytes(path, data: bytes) -> None:
-    """The one file writer: data lands at path whole or not at all, by way
-    of path + ".tmp" beside it, which is removed if anything raises."""
-    tmp = f"{path}.tmp"
+    """The one file writer: data lands whole or not at all in the file path
+    names (through any symlinks), by way of a ".tmp" file beside it, which
+    is removed if anything raises. An existing file keeps its permission
+    bits; an existing target that is not a regular file is refused before
+    anything is written."""
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        raise InvalidInputError(f"cannot write {path}: not a regular file")
+    tmp = f"{target}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
-        os.replace(tmp, path)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
     except BaseException:
         with suppress(FileNotFoundError):
             os.remove(tmp)

@@ -226,7 +226,8 @@ def committee_vote(probs: np.ndarray) -> np.ndarray:
     top = np.argmax(counts, axis=1)
     majority = counts[np.arange(counts.shape[0]), top] > probs.shape[0] // 2
     # the exact float64 cast changes no label; its allocation moves glibc's mmap
-    # threshold, without which ssl_digits' peak RSS read 0.6 MB higher (2 vCPUs)
+    # threshold: without it desk_ref's peak RSS read 0.14-0.21 MB higher and
+    # ssl_digits' 0.34-0.36 MB lower (3 pairs each, 2 vCPUs)
     return np.where(majority, top, np.argmax(np.asarray(probs.mean(axis=0), dtype=np.float64), axis=1))
 
 

@@ -24,6 +24,14 @@ BUDGET_EXHAUSTED, BAD_INPUT (any fault of the request), or INTERNAL; a
 line that does not parse or has no integer id (a bool is not one) gets
 id 0 and BAD_INPUT, and the connection stays open either way.
 
+Lines are bounded both ways, so one peer cannot make the other buffer
+without end. The server reads at most request_line_limit(budget total,
+input_dim) bytes of a line: the whole budget's rows in base64 plus
+LINE_ALLOWANCE. A longer line gets one BAD_INPUT reply with id 0 and no
+charge, and its connection ends. The client reads at most
+reply_line_limit(rows) bytes of a reply and raises RemoteUnavailableError
+on a longer one.
+
 The server caches the answers to the last DEDUP_WINDOW ids, most recently
 used kept, keyed by (id, sha256 of the request line as received): a client
 that lost a response resends the byte-identical line and receives the
@@ -69,6 +77,20 @@ CODE_BUDGET = "BUDGET_EXHAUSTED"
 CODE_BAD_INPUT = "BAD_INPUT"
 CODE_INTERNAL = "INTERNAL"
 DEDUP_WINDOW = 1024  # predict_batch answers the server keeps for resent requests
+LINE_ALLOWANCE = 4096  # bytes a line may hold beyond its rows or labels: keys, id, op, an error
+
+
+def request_line_limit(rows: int, cols: int) -> int:
+    """The longest request line a service answers, its newline included:
+    rows x cols float64 values in base64, plus LINE_ALLOWANCE."""
+    return 4 * -(-8 * rows * cols // 3) + LINE_ALLOWANCE
+
+
+def reply_line_limit(rows: int) -> int:
+    """The longest reply line a client reads for a request of rows rows (0
+    for a budget request): a label of at most 19 digits and a comma per
+    row, plus LINE_ALLOWANCE."""
+    return 20 * rows + LINE_ALLOWANCE
 
 
 def _encode(obj: dict) -> bytes:
@@ -114,16 +136,22 @@ class _Server(socketserver.ThreadingTCPServer):
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
+        service = self.server.service
         try:
-            for line in self.rfile:
-                if not line.endswith(b"\n"):
-                    return  # the peer closed mid-line: nothing to answer
-                if not line.strip():
-                    continue
-                reply = self.server.service._respond(line)
+            while True:
+                line = self.rfile.readline(service.line_limit + 1)
+                too_long = len(line) > service.line_limit
+                if not too_long:
+                    if not line.endswith(b"\n"):
+                        return  # the peer closed, mid-line or between lines: nothing to answer
+                    if not line.strip():
+                        continue
+                reply = service._respond(line)
                 if reply is None:
                     return
                 self.wfile.write(reply)
+                if too_long:
+                    return  # the rest of the line is never read
         except OSError:
             pass  # the client dropped the connection
 
@@ -146,6 +174,7 @@ class VictimService:
         self._seen: OrderedDict[int, tuple[bytes, bytes]] = OrderedDict()
         self._seen_lock = threading.Lock()
         self._closed = False
+        self.line_limit = request_line_limit(oracle.budget_total, oracle.input_dim)
         self._server = _Server((host, port), _Handler)
         self._server.service = self
         self.host, self.port = self._server.server_address[:2]
@@ -180,6 +209,10 @@ class VictimService:
         with self._seen_lock:
             if self._closed:
                 return None
+            if len(line) > self.line_limit:
+                return _encode(
+                    {"id": 0, "error": f"request line longer than {self.line_limit} bytes", "code": CODE_BAD_INPUT}
+                )
             try:
                 req = json.loads(line)
             except (ValueError, UnicodeDecodeError):
@@ -283,12 +316,14 @@ class RemoteVictimClient:
             self._reader = self._sock.makefile("rb")
         return self._sock
 
-    def _roundtrip(self, payload: dict) -> dict:
+    def _roundtrip(self, payload: dict, reply_limit: int) -> dict:
         last_err: Optional[Exception] = None
         for _ in range(self._endpoint.retries):
             try:
                 self._ensure_connected().sendall(_encode(payload))
-                line = self._reader.readline()
+                line = self._reader.readline(reply_limit + 1)
+                if len(line) > reply_limit:
+                    raise OSError(f"reply line longer than {reply_limit} bytes")
                 if not line.endswith(b"\n"):
                     raise OSError("connection closed by server")
                 reply = json.loads(line)
@@ -311,13 +346,14 @@ class RemoteVictimClient:
             raise RemoteUnavailableError(f"server error: {reply['error']}")
         return reply
 
-    def _request(self, body: dict, key: str, valid):
+    def _request(self, body: dict, key: str, valid, rows: int = 0):
         """The reply's value under key, checked by valid: a reply without a
-        valid value raises RemoteUnavailableError naming it, never coerced."""
+        valid value raises RemoteUnavailableError naming it, never coerced.
+        rows is the request's row count, which bounds the reply line."""
         with self._lock:
             rid = self._next_id
             self._next_id += 1
-            reply = self._roundtrip({"id": rid, **body})
+            reply = self._roundtrip({"id": rid, **body}, reply_line_limit(rows))
         if not valid(reply.get(key)):
             raise RemoteUnavailableError(f"malformed {body['op']} reply from victim service: {reply!r:.200}")
         return reply[key]
@@ -337,6 +373,7 @@ class RemoteVictimClient:
             {"op": "predict_batch", **encode_rows(X)},
             "labels",
             lambda v: isinstance(v, list) and len(v) == len(X) and all(map(_is_count, v)),
+            len(X),
         )
         return np.array(labels, dtype=np.int64)
 

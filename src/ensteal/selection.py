@@ -37,13 +37,15 @@ def entropy_rows(P: np.ndarray) -> np.ndarray:
     """Row-wise entropy of a (n, C) stack of distributions."""
     P = np.asarray(P, dtype=np.float64)
     safe = np.where(P > 0, P, 1.0)
-    return -(P * np.log(safe)).sum(axis=1)
+    np.log(safe, out=safe)
+    safe *= P  # P * log(P), each term in the buffer it was taken in
+    return -safe.sum(axis=1)
 
 
 def consensus_entropy_scores(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Entropy of the mean member softmax, one score per listed row of the
     (members, n, classes) stack."""
-    return entropy_rows(probs[:, rows].mean(axis=0))
+    return entropy_rows(probs.mean(axis=0)[rows])
 
 
 def disagreement_scores(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -5,14 +5,17 @@ rows for inputs it is collectively sure about: a row is accepted when at most
 a fixed number of members change their label under a weak perturbation, every
 member agrees on the unperturbed label, and the least confident member still
 clears a probability threshold. Unperturbed votes are read from the
-committee's pool softmax (EnsembleState.best_probs). The weak perturbation
-is drawn once over the whole pool, from a generator seeded by the run seed
-and the augmentation seed, and read at the unlabeled rows: a row's
-perturbation depends only on its pool index and the pool's shape, never on
-which other rows are still unlabeled. The filter's verdicts are aligned
-arrays over the unlabeled rows (FilterVerdicts). Accepted rows, capped per
-class (most confident first, then the lower row), become pseudo-labeled
-training data.
+committee's pool softmax (EnsembleState.best_probs). The filter walks the
+unlabeled rows in slices of SLICE_ROWS, so its working memory does not grow
+with the pool. The weak perturbation is drawn slice by slice over the pool
+rows in order, from one generator seeded by the run seed and the
+augmentation seed, and read at the unlabeled rows. For the two weak
+transforms an AugmentConfig allows (a flip, plain jitter) that equals one
+whole-pool draw, so a row's perturbation depends only on its pool index and
+the pool's shape, never on which other rows are still unlabeled. The
+filter's verdicts are aligned arrays over the unlabeled rows
+(FilterVerdicts). Accepted rows, capped per class (most confident first,
+then the lower row), become pseudo-labeled training data.
 
 The training stage then runs numkit.fit from each member's checkpoint at a
 low fixed learning rate: per epoch a labeled pass, then a pass weighted by
@@ -42,6 +45,8 @@ from .ensemble import MEMBER_DTYPE, EnsembleState
 from .errors import InvalidConfigError, InvalidInputError
 from .numkit import MlpModel
 from .seeding import derive_seed, mask64
+
+SLICE_ROWS = 4 * numkit.BLOCK_ROWS  # unlabeled rows the filter perturbs and labels at a time
 
 
 @dataclass(frozen=True)
@@ -114,32 +119,50 @@ def ssl_filter(
 ) -> FilterVerdicts:
     """Score every unlabeled row and accept the stable, unanimous, confident ones.
 
-    For each row x with weakly perturbed copy x' (drawn once over the whole
-    pool and read at x's pool row): count members whose label flips between
-    x and x', require at most cfg.max_label_changes flips, require all
-    members to agree on the label of x itself, and require every member's
-    probability for its own label on x to be at least the confidence
-    threshold. Labels and probabilities on x are read from probs, the
-    (members, pool rows, classes) softmax over the whole pool.
+    For each row x with weakly perturbed copy x': count members whose label
+    flips between x and x', require at most cfg.max_label_changes flips,
+    require all members to agree on the label of x itself, and require
+    every member's probability for its own label on x to be at least the
+    confidence threshold. Labels and probabilities on x are read from probs,
+    the (members, pool rows, classes) softmax over the whole pool.
+
+    The unlabeled rows are taken SLICE_ROWS at a time, a tail shorter than
+    numkit.BLOCK_ROWS joining the slice before it, so each member call sees
+    at least BLOCK_ROWS rows (or all of them) and each row's float32 softmax
+    has the bits of one whole-pool call. Each slice perturbs the pool rows
+    from the previous slice's end through its own last row with one
+    generator: for the weak transforms an AugmentConfig allows, the values
+    one whole-pool draw gives those rows.
     """
     if not models or probs.ndim != 3 or probs.shape[:2] != (len(models), pool_state.pool.n):
         raise InvalidInputError("the filter needs models and their softmax over the pool")
     idx = pool_state.unlabeled_indices()
-    aug_labels = np.zeros((len(models), 0), dtype=np.int64)
-    if idx.size:  # the members see an empty batch as an error
-        rng = np.random.default_rng((mask64(seed), augment.rng_seed))
-        Xw = weak_augment(pool_state.pool.features, augment, pool_state.pool.layout, rng)[idx]
-        aug_labels = np.stack([numkit.predict_batch(m, Xw, MEMBER_DTYPE) for m in models])
-    # sliced only now, so the clean softmax does not add to the peak of building Xw
-    clean = probs[:, idx]
-    clean_labels = np.argmax(clean, axis=2)  # (members, rows)
-    changes = (clean_labels != aug_labels).sum(axis=0)
-    unanimous = np.all(clean_labels == clean_labels[0], axis=0)
+    features, layout = pool_state.pool.features, pool_state.pool.layout
+    labels = np.empty(idx.size, dtype=np.int64)
+    changes = np.empty(idx.size, dtype=np.int64)
+    unanimous = np.empty(idx.size, dtype=bool)
     # widened, so the threshold is compared as it is given: in float32 a 0.9
     # threshold would round to 0.89999998 and pass a confidence of that value
-    min_conf = clean.max(axis=2).min(axis=0).astype(np.float64)
+    min_conf = np.empty(idx.size, dtype=np.float64)
+    rng = np.random.default_rng((mask64(seed), augment.rng_seed))
+    # no slice when no row is unlabeled: the members see an empty batch as an error
+    ends = [*range(SLICE_ROWS, idx.size - numkit.BLOCK_ROWS + 1, SLICE_ROWS), idx.size] if idx.size else []
+    lo = drawn = 0
+    for hi in ends:
+        rows = idx[lo:hi]
+        stop = int(rows[-1]) + 1
+        Xw = weak_augment(features[drawn:stop], augment, layout, rng)[rows - drawn]
+        aug_labels = np.stack([numkit.predict_batch(m, Xw, MEMBER_DTYPE) for m in models])
+        del Xw  # freed before the clean rows are read and the next slice is drawn
+        clean = probs[:, rows]
+        clean_labels = np.argmax(clean, axis=2)  # (members, rows)
+        labels[lo:hi] = clean_labels[0]
+        changes[lo:hi] = (clean_labels != aug_labels).sum(axis=0)
+        unanimous[lo:hi] = np.all(clean_labels == clean_labels[0], axis=0)
+        min_conf[lo:hi] = clean.max(axis=2).min(axis=0)
+        lo, drawn = hi, stop
     accepted = (changes <= cfg.max_label_changes) & unanimous & (min_conf >= cfg.confidence_threshold)
-    return FilterVerdicts(idx, clean_labels[0], changes, unanimous, min_conf, accepted)
+    return FilterVerdicts(idx, labels, changes, unanimous, min_conf, accepted)
 
 
 def apply_class_cap(

@@ -103,6 +103,14 @@ class VictimOracle:
         self._lock = threading.Lock()
         self.query_log: list[tuple[str, int]] = []
 
+    @property
+    def budget_total(self) -> int:
+        return self._total
+
+    @property
+    def input_dim(self) -> int:
+        return self._model.spec.input_dim
+
     def budget_remaining(self) -> int:
         with self._lock:
             return self._total - self._spent

@@ -187,7 +187,10 @@ def ssl_filter_bruteforce(models, pool_state, cfg, augment, seed: int):
 
     The weak perturbation is drawn once over the whole pool from a generator
     seeded by (seed, augmentation seed), each 64-bit masked, and read at the
-    unlabeled rows. For each unlabeled row: run every member in float32, as
+    unlabeled rows. The filter draws it slice by slice from that one
+    generator instead, which gives the same values for the two weak
+    transforms an AugmentConfig accepts (a flip, plain jitter): each draws
+    one row-major array. For each unlabeled row: run every member in float32, as
     the committee infers, on the row and its perturbed copy, count label
     flips, check unanimity on the clean row, and check every member's
     own-label probability against the threshold.

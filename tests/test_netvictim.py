@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_lf_text
-from ensteal import numkit
+from ensteal import netvictim, numkit
 from ensteal.config import RemoteSection, parse_config
 from ensteal.datapool import Dataset, PoolState
 from ensteal.errors import (
@@ -301,6 +301,47 @@ def test_unterminated_last_line_is_not_answered(service):
         s.shutdown(socket.SHUT_WR)
         assert s.recv(100) == b""  # the server ends the connection without a reply
     assert oracle.budget_remaining() == 100 and oracle.query_log == []
+
+
+def padded_line(req: dict, length: int) -> bytes:
+    """req as a JSON line of exactly length bytes, its newline included:
+    spaces pad it before the closing brace."""
+    body = json.dumps(req).encode()
+    assert len(body) < length
+    return body[:-1] + b" " * (length - len(body) - 1) + b"}\n"
+
+
+def test_the_longest_answerable_request_line_is_answered(service):
+    # the bound is the whole budget of rows in base64 plus a fixed allowance
+    svc, model, oracle = service
+    X = np.random.default_rng(5).normal(size=(100, 4))
+    assert svc.line_limit == netvictim.request_line_limit(100, 4)
+    line = padded_line({"id": 5, "op": "predict_batch", **encode_rows(X)}, svc.line_limit)
+    (reply,) = raw_exchange(svc, line)
+    assert reply == {"id": 5, "labels": predict_batch(model, X).tolist()}
+    assert oracle.budget_remaining() == 0
+
+
+def test_a_request_line_over_the_bound_is_refused_uncharged_and_ends_its_connection(service, tmp_path):
+    # the server used to buffer a line of any length until its newline came
+    svc, model, oracle = service
+    limit = svc.line_limit
+    refused = {"id": 0, "error": f"request line longer than {limit} bytes", "code": "BAD_INPUT"}
+    over = padded_line({"id": 5, "op": "predict_batch", **encode_rows(np.zeros((1, 4)))}, limit + 1)
+    # one byte over, and limit + 1 bytes of a line whose end never comes
+    for sent in (over, b"x" * (limit + 1)):
+        with socket.create_connection((svc.host, svc.port), timeout=5) as s, s.makefile("rb") as f:
+            s.sendall(sent)
+            assert json.loads(f.readline()) == refused
+            assert f.readline() == b""  # the server closed the connection
+    # a new connection is served, and the refused lines charged and logged nothing
+    x = [0.5, -1.0, 2.0, 0.25]
+    reply, budget = raw_exchange(svc, predict_line(5, [x]), b'{"id": 6, "op": "budget"}\n')
+    assert reply == {"id": 5, "labels": predict_batch(model, np.array([x])).tolist()}
+    assert budget == {"id": 6, "remaining": 99}
+    svc.close()
+    label = reply["labels"][0]
+    assert (tmp_path / "qlog.csv").read_bytes() == f"sample_hash,label\n{_row_hash(np.array(x))},{label}\n".encode()
 
 
 def test_finished_handlers_are_dropped(service):
@@ -636,6 +677,22 @@ def test_client_accepts_well_formed_replies():
             labels = cl.predict_batch(np.zeros((2, 3)))
             assert labels.dtype == np.int64 and labels.tolist() == [0, 2]
             assert cl.budget_remaining() == 0
+
+
+def test_client_refuses_a_reply_line_over_its_bound():
+    # a reply to n rows needs at most n labels of 19 digits and a comma each
+    limit = netvictim.reply_line_limit(2)
+    assert limit == 2 * 20 + netvictim.reply_line_limit(0)
+    longest = padded_line({"id": 1, "labels": [0, 2]}, limit)[:-1]  # LineServer adds the newline
+    with LineServer(longest) as srv, one_try_client(srv) as cl:
+        assert cl.predict_batch(np.zeros((2, 3))).tolist() == [0, 2]
+    with LineServer(longest + b" ") as srv, one_try_client(srv) as cl:
+        with pytest.raises(RemoteUnavailableError, match=f"reply line longer than {limit} bytes"):
+            cl.predict_batch(np.zeros((2, 3)))
+    remaining = padded_line({"id": 1, "remaining": 7}, netvictim.reply_line_limit(0) + 1)[:-1]
+    with LineServer(remaining) as srv, one_try_client(srv) as cl:
+        with pytest.raises(RemoteUnavailableError, match="reply line longer than"):
+            cl.budget_remaining()
 
 
 def test_client_unreachable():

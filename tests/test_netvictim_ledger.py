@@ -4,8 +4,9 @@ One VictimService in this process takes an interleaved sequence of requests
 on several connections: new predict_batch requests from raw sockets (some
 over budget, refused whole), replays of an id on the same or another
 connection, resends after a connection dropped before its reply was read,
-reused ids with another payload, the same payload in other bytes, budget
-requests, and RemoteVictimClient query_labels calls that label a PoolState.
+reused ids with another payload, the same payload in other bytes, request
+lines one byte over the service's line bound, budget requests, and
+RemoteVictimClient query_labels calls that label a PoolState.
 Request lines carry their rows through netvictim's encoder. A reference
 count of the rows that should have been charged is kept alongside.
 """
@@ -112,6 +113,22 @@ class WireLedgerMachine(RuleBasedStateMachine):
         line = json.dumps(dict(reversed(req.items())), separators=(",", ":")).encode() + b"\n"
         reply = json.loads(self._exchange(conn, line))
         assert reply == {"id": rid, "error": "id reused with a different payload", "code": "BAD_INPUT"}
+
+    @rule(batch=batches)
+    def over_long_line(self, batch):
+        # a new request padded one byte past the bound: refused uncharged, and
+        # its connection ends
+        rid, self.next_id = self.next_id, self.next_id + 1
+        line = self._request(rid, batch)
+        line = line[:-2] + b" " * (self.service.line_limit + 1 - len(line)) + line[-2:]
+        with socket.create_connection(self.addr, timeout=5) as s, s.makefile("rb") as f:
+            s.sendall(line)
+            assert json.loads(f.readline()) == {
+                "id": 0,
+                "error": f"request line longer than {self.service.line_limit} bytes",
+                "code": "BAD_INPUT",
+            }
+            assert f.readline() == b""
 
     @rule(conn=connections)
     def budget(self, conn):

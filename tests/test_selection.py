@@ -74,6 +74,20 @@ def test_disagreement_scores_keep_their_bits_when_votes_are_counted_over_the_poo
     assert disagreement_scores(probs, rows).tobytes() == copied.tobytes()
 
 
+@pytest.mark.parametrize("members", range(1, 10))
+def test_consensus_entropy_scores_keep_their_bits_when_the_mean_is_taken_over_the_pool(rng, members):
+    # the mean was taken over a copy of the listed rows' stack, and the entropy
+    # as -(P * log(where(P > 0, P, 1))).sum(1); the mean over members is
+    # elementwise, so it is the same per row, and so is each entropy term
+    models = make_sharp_models(members, dim=6, classes=5, seed=members)
+    probs = committee_probs(models, rng.normal(size=(400, 6)))
+    probs[:, ::7, 2] = 0.0  # zero entries take the 0 * log(0) = 0 branch
+    rows = np.sort(rng.choice(400, size=300, replace=False))
+    P = probs[:, rows].mean(axis=0).astype(np.float64)
+    copied = -(P * np.log(np.where(P > 0, P, 1.0))).sum(axis=1)
+    assert consensus_entropy_scores(probs, rows).tobytes() == copied.tobytes()
+
+
 def test_consensus_entropy_bounds(rng):
     models = make_sharp_models(4, dim=5, classes=3, seed=1)
     X = rng.normal(size=(50, 5))

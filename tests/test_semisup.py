@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from ensteal.datapool import (
     AugmentConfig,
     Dataset,
     GaussianMixture,
+    HorizontalFlip,
+    ImageLayout,
     JitterDrop,
     PoolState,
+    RandLite,
     make_synthetic,
     strip_labels,
     strong_augment,
@@ -23,6 +27,7 @@ from ensteal.errors import InvalidConfigError, InvalidInputError, TrainingDiverg
 from ensteal.numkit import accuracy, sgd_update
 from ensteal.seeding import derive_seed, mask64
 from ensteal.semisup import (
+    SLICE_ROWS,
     SslConfig,
     apply_class_cap,
     harvest_pseudo_labels,
@@ -63,19 +68,20 @@ def test_ssl_defaults():
 
 def test_filter_matches_bruteforce_bitwise(rng):
     # the acceptance suite hammers this at scale; here a quick spot check
-    # across layouts of queried/unlabeled rows, with jitter and with
-    # jitter-and-drop as the weak perturbation
+    # across layouts of queried/unlabeled rows, with jitter and with a flip
+    # of the image rows as the weak perturbation
     flips = 0
     for trial in range(20):
         n = int(rng.integers(30, 80))
-        d = int(rng.integers(4, 8))
+        layout = ImageLayout(2, int(rng.integers(2, 5)))
+        d = layout.flat_dim
         models = make_sharp_models(5, dim=d, classes=4, seed=trial)
-        ps = PoolState(Dataset(rng.normal(size=(n, d))))
+        ps = PoolState(Dataset(rng.normal(size=(n, d)), layout=layout))
         pre = rng.choice(n, size=int(rng.integers(0, n // 3 + 1)), replace=False)
         if pre.size:
             ps.query(pre, lambda X: np.zeros(len(X), dtype=np.int64))
         probs = committee_probs(models, ps.pool.features)
-        for weak in (JitterDrop(0.05, 0.0), JitterDrop(0.05, 0.25)):
+        for weak in (JitterDrop(0.05, 0.0), HorizontalFlip(0.5)):
             aug = AugmentConfig(weak=weak, strong=JitterDrop(0.2, 0.1), rng_seed=trial)
             cfg = SslConfig(confidence_threshold=0.6)
             v = ssl_filter(models, probs, ps, cfg, aug, seed=trial * 13)
@@ -85,19 +91,63 @@ def test_filter_matches_bruteforce_bitwise(rng):
             # every row's (changes, unanimous, min confidence); the confidences
             # are positive floats, so == compares them bit for bit
             assert audit == audit_ref, f"trial {trial} {weak}"
-            flips += int(v.changes.sum()) if weak.drop_frac > 0 else 0
-    assert flips > 0  # the dropped coordinates flip some labels
+            flips += int(v.changes.sum()) if isinstance(weak, HorizontalFlip) else 0
+    assert flips > 0  # the mirrored images flip some labels
 
 
-@pytest.mark.parametrize("weak", [JitterDrop(0.3, 0.0), JitterDrop(0.05, 0.25)])
+def queried_pool(rng, n, unlabeled, layout):
+    """A PoolState over n random image rows of which a random unlabeled are
+    left unlabeled, the rest queried."""
+    ps = PoolState(Dataset(rng.normal(size=(n, layout.flat_dim)), layout=layout))
+    ps.query(rng.choice(n, size=n - unlabeled, replace=False), lambda X: np.zeros(len(X), dtype=np.int64))
+    return ps
+
+
+@pytest.mark.parametrize(
+    "unlabeled, slices",
+    [
+        (numkit.BLOCK_ROWS - 1, [numkit.BLOCK_ROWS - 1]),  # one short slice: the whole set
+        (2 * SLICE_ROWS, [SLICE_ROWS, SLICE_ROWS]),  # an exact multiple
+        (2 * SLICE_ROWS + numkit.BLOCK_ROWS - 1, [SLICE_ROWS, SLICE_ROWS + numkit.BLOCK_ROWS - 1]),  # the tail merges
+        (SLICE_ROWS + numkit.BLOCK_ROWS, [SLICE_ROWS, numkit.BLOCK_ROWS]),  # a tail long enough stands alone
+    ],
+)
+@pytest.mark.parametrize("weak", [JitterDrop(0.05, 0.0), HorizontalFlip(0.5)])
+def test_streamed_filter_matches_bruteforce_bitwise(rng, monkeypatch, unlabeled, slices, weak):
+    # pools of several slices: the verdicts equal the oracle's, which draws
+    # the perturbation once over the whole pool and runs each member once
+    layout = ImageLayout(3, 2)
+    models = make_sharp_models(3, dim=layout.flat_dim, classes=3, seed=unlabeled)
+    ps = queried_pool(rng, unlabeled + 300, unlabeled, layout)
+    probs = committee_probs(models, ps.pool.features)
+    aug = AugmentConfig(weak=weak, strong=JitterDrop(0.2, 0.1), rng_seed=5)
+    cfg = SslConfig(confidence_threshold=0.6)
+    labeled, drawn = [], []
+    real_predict, real_augment = numkit.predict_batch, semisup.weak_augment
+    monkeypatch.setattr(numkit, "predict_batch", lambda m, X, *a: labeled.append(len(X)) or real_predict(m, X, *a))
+    monkeypatch.setattr(semisup, "weak_augment", lambda X, *a: drawn.append(len(X)) or real_augment(X, *a))
+    v = ssl_filter(models, probs, ps, cfg, aug, seed=21)
+    assert labeled == [size for size in slices for _ in models]
+    # each pool row through the last unlabeled one is drawn once, in order
+    assert len(drawn) == len(slices) and sum(drawn) == ps.unlabeled_indices()[-1] + 1
+    sel, audit = verdicts_as_oracle_shapes(v)
+    sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, aug, seed=21)
+    assert sel == sel_ref
+    assert audit == audit_ref
+    assert v.changes.any() and v.accepted.any()  # the check is not vacuous
+
+
+@pytest.mark.parametrize("weak", [JitterDrop(0.3, 0.0), HorizontalFlip(0.5)])
 def test_filter_verdicts_do_not_depend_on_the_unlabeled_set(rng, weak):
     # one pool, two pool states: the second has more rows queried; a row
-    # unlabeled in both gets the same perturbation, so the same verdict
+    # unlabeled in both gets the same perturbation, so the same verdict; the
+    # pool spans several slices, whose bounds differ between the two states
+    n = 3 * SLICE_ROWS
     models = make_sharp_models(5, dim=6, classes=4, seed=3)
-    pool = Dataset(rng.normal(size=(150, 6)))
+    pool = Dataset(rng.normal(size=(n, 6)), layout=ImageLayout(3, 2))
     fewer, more = PoolState(pool), PoolState(pool)
-    first = rng.choice(150, size=20, replace=False)
-    extra = rng.choice(np.setdiff1d(np.arange(150), first), size=40, replace=False)
+    first = rng.choice(n, size=200, replace=False)
+    extra = rng.choice(np.setdiff1d(np.arange(n), first), size=400, replace=False)
     fewer.query(first, lambda X: np.zeros(len(X), dtype=np.int64))
     more.query(np.union1d(first, extra), lambda X: np.zeros(len(X), dtype=np.int64))
     aug = AugmentConfig(weak=weak, strong=JitterDrop(0.5, 0.1), rng_seed=9)
@@ -106,11 +156,45 @@ def test_filter_verdicts_do_not_depend_on_the_unlabeled_set(rng, weak):
     a = ssl_filter(models, probs, fewer, cfg, aug, seed=17)
     b = ssl_filter(models, probs, more, cfg, aug, seed=17)
     both = np.intersect1d(a.rows, b.rows)
-    assert both.size == 150 - 60
+    assert both.size == n - 600
     ia, ib = np.searchsorted(a.rows, both), np.searchsorted(b.rows, both)
     for field in ("labels", "changes", "unanimous", "min_confidence", "accepted"):
         assert np.array_equal(getattr(a, field)[ia], getattr(b, field)[ib]), field
     assert a.changes[ia].any() and a.accepted[ia].any()  # the check is not vacuous
+
+
+def filter_peak(rng, n) -> int:
+    """Bytes ssl_filter allocates at its peak above what was traced before
+    it, on n image rows of 128 values with a quarter of them queried."""
+    layout = ImageLayout(16, 8)
+    models = make_sharp_models(3, dim=layout.flat_dim, classes=4, seed=0)
+    ps = queried_pool(rng, n, 3 * n // 4, layout)
+    probs = committee_probs(models, ps.pool.features)
+    aug = AugmentConfig(weak=HorizontalFlip(0.5), strong=JitterDrop(0.2, 0.1), rng_seed=1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ssl_filter(models, probs, ps, SslConfig(), aug, seed=2)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_filter_memory_does_not_grow_with_the_pool(rng):
+    # the filter holds its verdicts, a few bytes per unlabeled row, but
+    # perturbs and labels a bounded slice at a time: a pool 4x larger raises
+    # its peak by less than one float64 copy of the small pool's features
+    small = 2 * SLICE_ROWS
+    grown = filter_peak(rng, 4 * small) - filter_peak(rng, small)
+    assert grown < small * 128 * 8, grown
+
+
+@pytest.mark.parametrize("weak", [RandLite(2, 0.3), JitterDrop(0.05, 0.25), JitterDrop(0.05, 0.01)])
+def test_augment_config_refuses_a_weak_transform_other_than_flip_or_plain_jitter(weak):
+    # the filter draws the weak perturbation slice by slice, which equals one
+    # whole-pool draw only for transforms drawing one row-major array
+    with pytest.raises(InvalidConfigError, match="weak perturbation must be a flip or plain jitter"):
+        AugmentConfig(weak=weak, strong=JitterDrop(0.5, 0.1))
 
 
 def capped_map(rows, labels, confidence, cap):

@@ -12,7 +12,9 @@ import builtins
 import errno
 import json
 import os
+import re
 import signal
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +28,7 @@ from ensteal.cli import main
 from ensteal.config import RemoteSection, parse_config
 from ensteal.datapool import GaussianMixture, load_dataset, make_synthetic, save_dataset
 from ensteal.ensemble import load_ensemble
-from ensteal.errors import StageError
+from ensteal.errors import InvalidInputError, StageError
 from ensteal.numkit import load_model
 
 
@@ -297,3 +299,59 @@ def test_a_run_killed_mid_write_leaves_no_torn_artifact(tmp_path, name):
     assert_whole(out, allow_tmp=True)
     assert not (out / "report.json").exists()
     assert not (out / name).exists()
+
+
+# ── the writer's targets ─────────────────────────────────────────────
+
+
+def test_a_write_through_a_symlink_lands_in_the_file_it_names(tmp_path, disk):
+    # the writer used to replace the link itself with a new regular file
+    real = tmp_path / "real.csv"
+    real.write_bytes(b"old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    datapool.write_text(link, "new\n")
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == b"new\n"
+    # a dangling link: the file it names is made
+    dangling = tmp_path / "dangling.csv"
+    dangling.symlink_to(tmp_path / "made.csv")
+    datapool.write_text(dangling, "made\n")
+    assert dangling.is_symlink() and (tmp_path / "made.csv").read_bytes() == b"made\n"
+    assert disk.written == [f"{os.path.realpath(p)}.tmp" for p in (real, tmp_path / "made.csv")]
+    assert_whole(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling.csv", "link.csv", "made.csv", "real.csv"]
+
+
+def test_a_write_keeps_an_existing_targets_permission_bits(tmp_path):
+    # the writer used to leave the umask's mode on a replaced file
+    old = tmp_path / "old.json"
+    old.write_bytes(b"{}\n")
+    old.chmod(0o640)
+    datapool.write_text(old, '{"a": 1}\n')
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640 and old.read_bytes() == b'{"a": 1}\n'
+    new = tmp_path / "new.json"
+    datapool.write_text(new, "{}\n")  # a new file still gets the umask's mode
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+    assert_whole(tmp_path)
+
+
+def test_a_target_that_is_not_a_regular_file_is_refused_before_anything_is_written(tmp_path, monkeypatch):
+    # the writer used to make path.tmp and replace whatever sat at path
+    opened = []
+
+    def refuse_open(file, mode="r", *args, **kwargs):
+        opened.append(os.fspath(file))
+        raise AssertionError(f"opened {file}")
+
+    monkeypatch.setattr(datapool, "open", refuse_open, raising=False)
+    (tmp_path / "adir").mkdir()
+    os.mkfifo(tmp_path / "fifo")
+    (tmp_path / "to_dir").symlink_to(tmp_path / "adir")
+    for target in (tmp_path / "adir", tmp_path / "fifo", tmp_path / "to_dir", Path(os.devnull)):
+        with pytest.raises(InvalidInputError, match=f"cannot write {re.escape(str(target))}: not a regular file"):
+            datapool.write_bytes(target, b"x")
+    assert opened == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "fifo", "to_dir"]
