@@ -200,7 +200,7 @@ class PoolState:
     # -- views
 
     def indices_with_status(self, status: int) -> np.ndarray:
-        return np.flatnonzero(self.status == status).astype(np.int64)
+        return np.flatnonzero(self.status == status).astype(np.int64, copy=False)
 
     def unlabeled_indices(self) -> np.ndarray:
         return self.indices_with_status(UNLABELED)
@@ -447,22 +447,26 @@ def mixture_means(source: GaussianMixture) -> np.ndarray:
 
 def make_synthetic(source: SyntheticSource, n: int, seed: int) -> Dataset:
     """n iid rows from the source, labels cycling over the classes. The seed
-    drives only the sample noise; the class structure is the source's own."""
+    drives only the sample noise; the class structure is the source's own.
+    The noise is drawn as the result and each class's mean or flat template
+    is added to its rows in place, so synthesis holds no array beside it."""
     if n < 1:
         raise InvalidInputError("n must be positive")
     rng = np.random.default_rng(mask64(seed))
     if isinstance(source, GaussianMixture):
-        means = mixture_means(source)
-        labels = np.arange(n, dtype=np.int64) % source.classes
-        features = means[labels] + rng.standard_normal((n, source.dim))
-        return Dataset(features, labels, layout=None)
-    if isinstance(source, TinyDigits):
-        templates = _digit_templates(source.height, source.width)
-        labels = np.arange(n, dtype=np.int64) % 10
-        flat = templates[labels].reshape(n, -1)
-        features = flat + rng.normal(0.0, 0.15, size=flat.shape)
-        return Dataset(features, labels, ImageLayout(source.height, source.width, 1))
-    raise InvalidInputError(f"unknown synthetic source {source!r}")
+        centers = mixture_means(source)
+        features = rng.standard_normal((n, source.dim))
+        layout = None
+    elif isinstance(source, TinyDigits):
+        centers = _digit_templates(source.height, source.width).reshape(10, -1)
+        features = rng.normal(0.0, 0.15, size=(n, centers.shape[1]))
+        layout = ImageLayout(source.height, source.width, 1)
+    else:
+        raise InvalidInputError(f"unknown synthetic source {source!r}")
+    classes = centers.shape[0]
+    for c in range(classes):
+        features[c::classes] += centers[c]  # noise + center has the bits of center + noise
+    return Dataset(features, np.arange(n, dtype=np.int64) % classes, layout)
 
 
 def strip_labels(data: Dataset) -> Dataset:

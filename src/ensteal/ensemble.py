@@ -11,16 +11,18 @@ since no output could see it.
 Committee outputs always come from those best checkpoints, and vote_counts
 is the one count of their hard votes. Members infer in float32
 (MEMBER_DTYPE), the precision they train in, for their stored outputs and
-their validation score alike. A checkpoint's float32 softmax over a fixed
-matrix (the attack pool, the validation and test rows) is computed once and
-kept on the checkpoint; replacing a checkpoint starts it with no stored
-outputs.
+their validation score alike. The state keeps one (members, rows, classes)
+float32 table of the members' softmax per fixed matrix (the attack pool,
+the validation and test rows): best_probs fills a member's row of it once
+per checkpoint, in place, and returns the table itself, read-only, so the
+committee's outputs over a pool take one pool-sized array however often
+they are read.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -106,8 +108,6 @@ class BestCheckpoint:
     model: MlpModel
     val_accuracy: float
     cycle: int
-    # read-only (rows, classes) float32 softmax per Dataset, keyed by identity
-    outputs: dict = field(default_factory=dict)
 
     @property
     def saturated(self) -> bool:  # no strictly better validation score exists
@@ -126,6 +126,9 @@ class EnsembleState:
         self.spec = spec
         self.best: list[Optional[BestCheckpoint]] = [None] * spec.size
         self.cycle = 0
+        # per Dataset, keyed by identity: the output table and the checkpoint
+        # behind each of its rows
+        self._tables: dict = {}
 
     def trainable(self) -> list[int]:
         """Members that a trained model could still improve, in order."""
@@ -165,15 +168,24 @@ class EnsembleState:
         return [b.model for b in self.best]  # type: ignore[union-attr]
 
     def best_probs(self, data: Dataset) -> np.ndarray:
-        """(members, rows, classes) softmax of the best checkpoints over
-        data; each checkpoint runs its forward pass once per Dataset."""
-        self.best_models()  # raises until every member has a checkpoint
-        for b in self.best:
-            if data not in b.outputs:
-                probs = numkit.probs_batch(b.model, data.features, MEMBER_DTYPE)
-                probs.flags.writeable = False
-                b.outputs[data] = probs
-        return np.stack([b.outputs[data] for b in self.best])
+        """The read-only (members, rows, classes) float32 softmax of the best
+        checkpoints over data: one table per Dataset, in which each
+        checkpoint runs its forward pass once. A member whose checkpoint was
+        replaced since the last call has its row overwritten in place, so
+        the table returned is valid until a later call after a refit; read
+        it before refitting, or copy it."""
+        models = self.best_models()  # raises until every member has a checkpoint
+        if data not in self._tables:
+            table = np.empty((self.spec.size, data.n, self.spec.members[0].num_classes), MEMBER_DTYPE)
+            self._tables[data] = (table, [None] * self.spec.size)
+        table, owners = self._tables[data]
+        for i, b in enumerate(self.best):
+            if owners[i] is not b:
+                numkit.probs_batch(models[i], data.features, MEMBER_DTYPE, table[i])
+                owners[i] = b
+        view = table.view()  # the table itself, read-only to callers
+        view.flags.writeable = False
+        return view
 
     def best_member_index(self) -> int:
         """Member with the top validation accuracy; ties go to the lower index."""
@@ -212,11 +224,9 @@ def vote_counts(probs: np.ndarray) -> np.ndarray:
     """The one vote count: (members, rows, classes) softmax -> (rows, classes)
     int64 count of members whose argmax is each class, lowest class on ties."""
     labels = np.argmax(probs, axis=2)
-    n = labels.shape[1]
-    counts = np.zeros((n, probs.shape[2]), dtype=np.int64)
-    for row in labels:
-        counts[np.arange(n), row] += 1
-    return counts
+    n, classes = labels.shape[1], probs.shape[2]
+    labels += np.arange(0, n * classes, classes)  # row r's votes fall in bins r*classes + label
+    return np.bincount(labels.ravel(), minlength=n * classes).reshape(n, classes).astype(np.int64, copy=False)
 
 
 def committee_vote(probs: np.ndarray) -> np.ndarray:
@@ -225,9 +235,10 @@ def committee_vote(probs: np.ndarray) -> np.ndarray:
     counts = vote_counts(probs)
     top = np.argmax(counts, axis=1)
     majority = counts[np.arange(counts.shape[0]), top] > probs.shape[0] // 2
-    # the exact float64 cast changes no label; its allocation moves glibc's mmap
-    # threshold: without it desk_ref's peak RSS read 0.14-0.21 MB higher and
-    # ssl_digits' 0.34-0.36 MB lower (3 pairs each, 2 vCPUs)
+    # the exact float64 cast changes no label; its allocation moves glibc's heap
+    # layout: without it desk_ref's peak RSS read 0.05-0.09 MB higher, and
+    # ssl_digits' 0.31-0.36 MB and remote_oracle's 0.04-0.07 MB lower
+    # (3 alternating pairs each, 2 vCPUs)
     return np.where(majority, top, np.argmax(np.asarray(probs.mean(axis=0), dtype=np.float64), axis=1))
 
 

@@ -41,7 +41,10 @@ and budget replies are never cached. Budget charging itself lives in the
 wrapped oracle's single lock, which keeps concurrent connections honest.
 
 VictimService runs on socketserver: one thread accepts connections and each
-connection is answered on a thread of its own. Once close() begins, a
+connection is answered on a thread of its own. A connection parses and
+decodes each request line before it takes the service's one lock, which
+covers only the closed check, the budget read, the dedup lookup and the
+charge, so a long line holds up no other connection. Once close() begins, a
 request is neither answered nor charged, and its connection ends. Given a
 log path, close() writes the query log with datapool.write_csv: UTF-8 CSV
 with "\n" line ends, like every text file ensteal writes.
@@ -203,26 +206,20 @@ class VictimService:
 
     def _respond(self, line: bytes) -> Optional[bytes]:
         """The reply line to one request line, or None once close() began.
-        One lock covers the closed check, the cache lookup and the charge,
-        so a request resent on several connections at once is still
-        charged once."""
+        The line is parsed and its rows decoded before the lock is taken, so
+        a long line holds up no other connection. One lock covers the closed
+        check, the budget read, the cache lookup and the charge, so a request
+        resent on several connections at once is still charged once."""
+        req, rows = self._parse(line)
+        digest = hashlib.sha256(line).digest()
         with self._seen_lock:
             if self._closed:
                 return None
-            if len(line) > self.line_limit:
-                return _encode(
-                    {"id": 0, "error": f"request line longer than {self.line_limit} bytes", "code": CODE_BAD_INPUT}
-                )
-            try:
-                req = json.loads(line)
-            except (ValueError, UnicodeDecodeError):
-                return _encode({"id": 0, "error": "unparseable request line", "code": CODE_BAD_INPUT})
-            if not isinstance(req, dict) or type(req.get("id")) is not int:
-                return _encode({"id": 0, "error": "missing integer id", "code": CODE_BAD_INPUT})
+            if isinstance(req, bytes):
+                return req
             rid = req["id"]
             if req.get("op") == "budget":
                 return _encode({"id": rid, "remaining": self._oracle.budget_remaining()})
-            digest = hashlib.sha256(line).digest()
             cached = self._seen.get(rid)
             if cached is not None:
                 if cached[0] != digest:
@@ -231,18 +228,40 @@ class VictimService:
                     )
                 self._seen.move_to_end(rid)
                 return cached[1]
-            reply = self._dispatch(rid, req)
+            reply = self._dispatch(rid, req, rows)
             self._seen[rid] = (digest, reply)
             while len(self._seen) > DEDUP_WINDOW:
                 self._seen.popitem(last=False)
             return reply
 
-    def _dispatch(self, rid: int, req: dict) -> bytes:
+    def _parse(self, line: bytes) -> tuple:
+        """(request, rows): the request dict and, for a predict_batch, its
+        decoded rows or the message of the InvalidInputError that decoding
+        raised; (the BAD_INPUT reply, None) for a line with no integer id."""
+        if len(line) > self.line_limit:
+            error = f"request line longer than {self.line_limit} bytes"
+            return _encode({"id": 0, "error": error, "code": CODE_BAD_INPUT}), None
+        try:
+            req = json.loads(line)
+        except (ValueError, UnicodeDecodeError):
+            return _encode({"id": 0, "error": "unparseable request line", "code": CODE_BAD_INPUT}), None
+        if not isinstance(req, dict) or type(req.get("id")) is not int:
+            return _encode({"id": 0, "error": "missing integer id", "code": CODE_BAD_INPUT}), None
+        if req.get("op") != "predict_batch":
+            return req, None
+        try:
+            return req, decode_rows(req)
+        except InvalidInputError as exc:
+            return req, str(exc)
+
+    def _dispatch(self, rid: int, req: dict, rows) -> bytes:
         op = req.get("op")
         if op != "predict_batch":
             return _encode({"id": rid, "error": f"unknown op {op!r}", "code": CODE_BAD_INPUT})
+        if isinstance(rows, str):
+            return _encode({"id": rid, "error": rows, "code": CODE_BAD_INPUT})
         try:
-            labels = self._oracle.predict_batch(decode_rows(req))
+            labels = self._oracle.predict_batch(rows)
         except BudgetExhaustedError as exc:
             return _encode({"id": rid, "error": str(exc), "code": CODE_BUDGET})
         except InvalidInputError as exc:

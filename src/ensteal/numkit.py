@@ -15,6 +15,8 @@ backprop kernel serves `loss_and_grad` too); the steps make the operations
 of steps that allocate anew, in the same order, so the bits are the same.
 Inference in either dtype runs over fixed blocks of BLOCK_ROWS rows, so a
 row's softmax has the same bits in every batch of at least that many.
+Passes over a whole pool that must not grow with it (the selection scorers,
+the pseudo-label filter) read it SLICE_ROWS rows at a time.
 Models are plain values (flat parameter vector + immutable spec): cheap to
 copy, safe to train in parallel (buffers live per call, never in module
 state), bitwise reproducible from a seed.
@@ -42,6 +44,7 @@ CHECKPOINT_MAGIC = b"AOTM"
 CHECKPOINT_VERSION = 1
 
 BLOCK_ROWS = 256  # rows per matrix product in inference (see probs_batch)
+SLICE_ROWS = 4 * BLOCK_ROWS  # pool rows a streamed pass over the pool reads at a time
 
 
 # ── model definition ─────────────────────────────────────────────────
@@ -215,23 +218,28 @@ def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def probs_batch(model: MlpModel, X, dtype=np.float64) -> np.ndarray:
+def probs_batch(model: MlpModel, X, dtype=np.float64, out=None) -> np.ndarray:
     """Softmax class probabilities, one distribution per row, computed over
     blocks of exactly BLOCK_ROWS rows (fewer rows as one block), so a row's
     bits are the same in every batch of at least BLOCK_ROWS rows.
 
     dtype is float64 or float32: the pass runs on the parameters cast to it
     (no copy for float64) and on each block of X cast to it (likewise), and
-    the softmax comes back in it."""
+    the softmax comes back in it, written into out when given (a C-ordered
+    (rows, classes) array of dtype). Each hidden layer's block buffer is
+    allocated once per call, and the logits of a block are taken in its
+    rows of the result."""
     X = as_batch(model, X)
     layers = _layer_views(model.spec, model.params.astype(dtype, copy=False))
     act, n = model.spec.activation, X.shape[0]
     size = min(n, BLOCK_ROWS)
-    out = np.empty((n, model.spec.num_classes), dtype)
+    if out is None:
+        out = np.empty((n, model.spec.num_classes), dtype)
+    hidden = [np.empty((size, w), dtype) for w in model.spec.hidden_layers]
     for start in range(0, n, size):
         start = min(start, n - size)  # the last block overlaps the one before
         block = X[start : start + size].astype(dtype, copy=False)
-        out[start : start + size] = _softmax_inplace(_forward(layers, act, block)[0])
+        _softmax_inplace(_forward(layers, act, block, [*hidden, out[start : start + size]])[0])
     return out
 
 
@@ -406,7 +414,8 @@ def sgd_epoch(
     X, y = X[order].astype(np.float32), y[order]
     params = model.params.astype(np.float32)
     vel = velocity.astype(np.float32)
-    grad, decay = np.empty_like(params), np.empty_like(params)
+    grad = np.empty_like(params)
+    decay = np.empty_like(params) if cfg.weight_decay > 0.0 else None
     spec, bs = model.spec, cfg.batch_size
     layers, grads = _layer_views(spec, params), _layer_views(spec, grad)
     ws = _Workspace(spec, min(bs, y.size), np.float32)

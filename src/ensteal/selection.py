@@ -5,10 +5,12 @@ Two committee-driven scores: entropy of the members' mean class distribution
 vector (how split the committee is), counted by ensemble.vote_counts, the
 one vote count. Both read the committee's softmax over the whole pool, a
 (members, pool rows, classes) stack, at the candidate rows, and use natural
-log and the 0*log(0)=0 convention. Baselines: uniform random draws and
-greedy farthest-point k-center coverage in raw feature space. Score-based
-strategies can optionally shortlist the top scores and then spread the
-shortlist with k-center before spending budget.
+log and the 0*log(0)=0 convention. They walk the pool in contiguous slices
+of numkit.SLICE_ROWS rows, so their scratch memory does not grow with it.
+Baselines: uniform random draws and greedy farthest-point k-center coverage
+in raw feature space. Score-based strategies can optionally shortlist the
+top scores and then spread the shortlist with k-center before spending
+budget.
 
 All selections break ties toward the lowest pool index and return sorted
 index arrays, which keeps every strategy replayable bit for bit.
@@ -24,6 +26,7 @@ import numpy as np
 from .datapool import QUERIED, PoolState, as_indices
 from .ensemble import vote_counts
 from .errors import InvalidConfigError, InvalidInputError
+from .numkit import SLICE_ROWS
 from .seeding import mask64
 
 SCORED_KINDS = ("consensus_entropy", "label_disagreement")
@@ -42,20 +45,39 @@ def entropy_rows(P: np.ndarray) -> np.ndarray:
     return -safe.sum(axis=1)
 
 
+def _slice_entropies(probs: np.ndarray, rows: np.ndarray, dist) -> np.ndarray:
+    """Entropy of dist(probs[:, lo:hi]), a (hi - lo, classes) distribution
+    per pool row, at each of the ascending rows: the pool is read one
+    contiguous slice of SLICE_ROWS rows at a time, and a slice that holds
+    no listed row is skipped. A row's entropy depends on that row alone, so
+    each slice is scored whole and its listed rows are read from the scores,
+    which is cheaper than gathering their distributions when the rows are
+    dense, as the unlabeled rows of a pool are, and costs at most the work
+    of scoring the whole pool."""
+    scores = np.empty(rows.size, dtype=np.float64)
+    starts = range(0, probs.shape[1], SLICE_ROWS)
+    bounds = np.searchsorted(rows, [*starts, probs.shape[1]])  # rows[a:b] lie in the slice at lo
+    for lo, a, b in zip(starts, bounds[:-1], bounds[1:]):
+        if a < b:
+            scores[a:b] = entropy_rows(dist(probs[:, lo : lo + SLICE_ROWS]))[rows[a:b] - lo]
+    return scores
+
+
 def consensus_entropy_scores(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Entropy of the mean member softmax, one score per listed row of the
-    (members, n, classes) stack."""
-    return entropy_rows(probs.mean(axis=0)[rows])
+    (members, n, classes) stack; rows ascend."""
+    return _slice_entropies(probs, rows, lambda p: p.mean(axis=0))
 
 
 def disagreement_scores(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Entropy of the committee's hard-vote frequency vector, per listed row.
+    """Entropy of the committee's hard-vote frequency vector, per listed row;
+    rows ascend.
 
     Each member votes the argmax of its softmax, lowest class on ties. With
     k members the score lives on a finite grid: it depends only on the
     partition of k votes among classes.
     """
-    return entropy_rows(vote_counts(probs)[rows] / probs.shape[0])
+    return _slice_entropies(probs, rows, lambda p: vote_counts(p) / probs.shape[0])
 
 
 # ── primitive selectors ──────────────────────────────────────────────

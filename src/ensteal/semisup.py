@@ -6,9 +6,9 @@ a fixed number of members change their label under a weak perturbation, every
 member agrees on the unperturbed label, and the least confident member still
 clears a probability threshold. Unperturbed votes are read from the
 committee's pool softmax (EnsembleState.best_probs). The filter walks the
-unlabeled rows in slices of SLICE_ROWS, so its working memory does not grow
-with the pool. The weak perturbation is drawn slice by slice over the pool
-rows in order, from one generator seeded by the run seed and the
+unlabeled rows in slices of numkit.SLICE_ROWS, so its working memory does
+not grow with the pool. The weak perturbation is drawn slice by slice over
+the pool rows in order, from one generator seeded by the run seed and the
 augmentation seed, and read at the unlabeled rows. For the two weak
 transforms an AugmentConfig allows (a flip, plain jitter) that equals one
 whole-pool draw, so a row's perturbation depends only on its pool index and
@@ -43,10 +43,8 @@ from .datapool import (
 )
 from .ensemble import MEMBER_DTYPE, EnsembleState
 from .errors import InvalidConfigError, InvalidInputError
-from .numkit import MlpModel
+from .numkit import SLICE_ROWS, MlpModel
 from .seeding import derive_seed, mask64
-
-SLICE_ROWS = 4 * numkit.BLOCK_ROWS  # unlabeled rows the filter perturbs and labels at a time
 
 
 @dataclass(frozen=True)

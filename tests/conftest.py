@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ensteal import numkit
 from ensteal.datapool import Dataset, GaussianMixture, make_synthetic, strip_labels
 from ensteal.ensemble import MEMBER_DTYPE
 from ensteal.numkit import MlpModel, MlpSpec, SgdConfig, probs_batch, train_supervised
@@ -63,6 +64,14 @@ def record_offers(state) -> dict:
 
     state.offer = offer
     return offered
+
+
+def spy_probs_batch(monkeypatch) -> list:
+    """Wrap numkit.probs_batch; the returned list gets each call's model."""
+    calls = []
+    real = numkit.probs_batch
+    monkeypatch.setattr(numkit, "probs_batch", lambda m, *a: calls.append(m) or real(m, *a))
+    return calls
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +36,11 @@ from ensteal.datapool import (
     split_budget,
     strip_labels,
     weak_augment,
+    _digit_templates,
 )
 from ensteal.errors import InvalidConfigError, InvalidInputError
 from ensteal.numkit import MlpModel, MlpSpec, SgdConfig, accuracy, train_supervised
+from ensteal.seeding import mask64
 from ensteal.selection import kcenter_select, random_select, top_k_select
 
 
@@ -465,6 +468,41 @@ def test_make_synthetic_deterministic():
     a = make_synthetic(src, 50, seed=9)
     b = make_synthetic(src, 50, seed=9)
     assert np.array_equal(a.features, b.features)
+
+
+def _synthetic_by_gather(source, n: int, seed: int) -> np.ndarray:
+    """make_synthetic's features as a gather of each row's class center plus
+    a separate noise array: the form it had before it wrote in place."""
+    rng = np.random.default_rng(mask64(seed))
+    if isinstance(source, GaussianMixture):
+        labels = np.arange(n, dtype=np.int64) % source.classes
+        return mixture_means(source)[labels] + rng.standard_normal((n, source.dim))
+    labels = np.arange(n, dtype=np.int64) % 10
+    flat = _digit_templates(source.height, source.width)[labels].reshape(n, -1)
+    return flat + rng.normal(0.0, 0.15, size=flat.shape)
+
+
+@pytest.mark.parametrize("source", [GaussianMixture(4, 6, 5.0), TinyDigits(10, 6), TinyDigits(7, 4)])
+@pytest.mark.parametrize("n", [1, 3, 13, 40, 1001])  # one row, fewer than the classes, no multiple, a multiple
+def test_make_synthetic_bitwise_matches_the_gathered_form(source, n):
+    data = make_synthetic(source, n, seed=n)
+    want = _synthetic_by_gather(source, n, seed=n)
+    assert data.features.shape == want.shape
+    assert data.features.tobytes() == want.tobytes()
+    assert np.array_equal(data.labels, np.arange(n) % source.num_classes)
+
+
+@pytest.mark.parametrize("source, n", [(TinyDigits(10, 6), 12_000), (GaussianMixture(4, 8, 4.5), 20_000)])
+def test_make_synthetic_holds_its_output_and_under_1_mb(source, n):
+    # the noise is drawn as the result and the centers added in place: no
+    # gathered centers or separate noise array beside the features
+    tracemalloc.start()
+    try:
+        data = make_synthetic(source, n, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < data.features.nbytes + 2**20, peak
 
 
 def test_strip_labels():

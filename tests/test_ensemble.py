@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import committee_probs, record_offers
+from conftest import committee_probs, record_offers, spy_probs_batch
 from oracles import entropy_direct
 from ensteal import numkit
 from ensteal.datapool import Dataset, GaussianMixture, PoolState, make_synthetic, strip_labels
@@ -307,45 +307,70 @@ def test_best_probs_reused_until_checkpoint_replaced(trained_state, monkeypatch)
     state = EnsembleState(trained_state[0].spec)
     train_cycle(state, pool, cfgs, seed=31)
     first = state.best_probs(data)
-    assert first.shape == (3, data.n, 3)
-    for b in state.best:
-        assert np.array_equal(b.outputs[data], committee_probs([b.model], data.features)[0])
-        assert not b.outputs[data].flags.writeable
+    assert first.shape == (3, data.n, 3) and first.dtype == MEMBER_DTYPE
+    for b, row in zip(state.best, first):
+        assert np.array_equal(row, committee_probs([b.model], data.features)[0])
+    assert not first.flags.writeable
     with pytest.raises(ValueError):
-        state.best[0].outputs[data][0, 0] = 0.5
+        first[0, 0, 0] = 0.5
+    snapshot = first.copy()  # the table itself is rewritten in place below
 
-    calls = []
-    real = numkit.probs_batch
-    monkeypatch.setattr(numkit, "probs_batch", lambda m, X, *rest: calls.append(len(X)) or real(m, X, *rest))
+    calls = spy_probs_batch(monkeypatch)
     # the same seed retrains every member to the same accuracy: none improves
     train_cycle(state, pool, cfgs, seed=31)
     assert [b.cycle for b in state.best] == [1, 1, 1]
     calls.clear()
-    assert np.array_equal(state.best_probs(data), first)
+    assert np.shares_memory(state.best_probs(data), first)  # the table itself, no copy
+    assert first.tobytes() == snapshot.tobytes()
     assert calls == []
 
-    # a checkpoint the next retrain beats is replaced and gets fresh outputs
+    # a checkpoint the next retrain beats is replaced, and only its row is
+    # recomputed, in place: the other rows keep their bits
     state.best[0].val_accuracy = -1.0
-    kept = [b.outputs[data] for b in state.best]
+    kept = list(state.best)
     train_cycle(state, pool, cfgs, seed=32)
     assert state.best[0].cycle == 3
+    calls.clear()
     again = state.best_probs(data)
-    assert np.array_equal(again[0], committee_probs([state.best[0].model], data.features)[0])
-    assert not np.array_equal(again[0], first[0])
-    for b, old in zip(state.best[1:], kept[1:]):
-        assert (b.outputs[data] is old) == (b.cycle == 1)
-        assert np.array_equal(b.outputs[data], committee_probs([b.model], data.features)[0])
+    assert np.shares_memory(again, first) and not again.flags.writeable
+    replaced = [b is not old for b, old in zip(state.best, kept)]
+    assert replaced[0] and [b.cycle == 3 for b in state.best] == replaced
+    assert calls == [b.model for b, new in zip(state.best, replaced) if new]
+    assert not np.array_equal(again[0], snapshot[0])
+    for i, b in enumerate(state.best):
+        assert np.array_equal(again[i], committee_probs([b.model], data.features)[0])
+        if not replaced[i]:
+            assert again[i].tobytes() == snapshot[i].tobytes()
+
+
+def test_best_probs_keeps_one_table_per_dataset(trained_state):
+    state, pool, _, _ = trained_state
+    other = Dataset(pool.pool.features[:40])
+    a, b = state.best_probs(pool.pool), state.best_probs(other)
+    assert a.shape[1] == pool.pool.n and b.shape[1] == 40
+    assert not np.shares_memory(a, b)
+    assert np.shares_memory(state.best_probs(pool.pool), a) and np.shares_memory(state.best_probs(other), b)
+    # a deep copy of the state with its data has a table of its own, and a
+    # checkpoint replaced in the copy shows in what the copy returns
+    st, data = copy.deepcopy((state, pool.pool))
+    before = st.best_probs(data).copy()
+    fresh = MlpModel.initialize(st.spec.members[0])
+    st.best[0] = BestCheckpoint(fresh, 0.5, 9)
+    got = st.best_probs(data)
+    assert not np.shares_memory(got, a)
+    assert np.array_equal(got[0], committee_probs([fresh], data.features)[0])
+    assert got[1:].tobytes() == before[1:].tobytes()
+    assert not np.array_equal(got[0], a[0])
 
 
 def test_train_cycle_skips_saturated_members(trained_state, monkeypatch):
     _, pool, cfgs, _ = trained_state
     state = EnsembleState(trained_state[0].spec)
     train_cycle(state, pool, cfgs, seed=31)
-    state.best_probs(pool.pool)
+    before = state.best_probs(pool.pool).copy()
     state.best[0].val_accuracy = 1.0
     state.best[1].val_accuracy = 0.98  # close to saturated, still retrained
     saturated = state.best[0]
-    outputs = dict(saturated.outputs)
     offered = record_offers(state)
     trained = []
     real = numkit.train_supervised
@@ -355,8 +380,11 @@ def test_train_cycle_skips_saturated_members(trained_state, monkeypatch):
     assert accs[0] is None and all(isinstance(a, float) for a in accs[1:])
     assert state.cycle == 2
     assert state.best[0] is saturated and saturated.cycle == 1
-    assert saturated.outputs.keys() == outputs.keys()
-    assert all(saturated.outputs[k] is v for k, v in outputs.items())
+    # the skipped member's outputs are neither recomputed nor changed
+    calls = spy_probs_batch(monkeypatch)
+    after = state.best_probs(pool.pool)
+    assert all(m is not saturated.model for m in calls)
+    assert after[0].tobytes() == before[0].tobytes()
     assert offered.keys() == {1, 2}
     assert (state.best[1].cycle == 2) == (accs[1] > 0.98)
 

@@ -190,6 +190,35 @@ def test_duplicate_id_concurrent_charged_once(service):
     assert oracle.budget_remaining() == 90  # one charge per id, however many resent it
 
 
+def test_a_request_being_decoded_holds_up_no_other_connection(service, monkeypatch):
+    # connection A's predict stalls inside decode_rows; a budget request on
+    # connection B is answered meanwhile, and A is charged once it goes on
+    svc, _, oracle = service
+    entered, release = threading.Event(), threading.Event()
+    real = netvictim.decode_rows
+
+    def stalled(req):
+        entered.set()
+        release.wait(timeout=30)
+        return real(req)
+
+    monkeypatch.setattr(netvictim, "decode_rows", stalled)
+    replies = []
+    a = threading.Thread(target=lambda: replies.extend(raw_exchange(svc, predict_line(5, [[1, 0, 0, 0]]))))
+    a.start()
+    try:
+        assert entered.wait(timeout=10)
+        with socket.create_connection((svc.host, svc.port), timeout=2) as s:
+            s.sendall(b'{"id": 6, "op": "budget"}\n')
+            assert json.loads(s.makefile("rb").readline()) == {"id": 6, "remaining": 100}
+    finally:
+        release.set()
+        a.join(timeout=10)
+    assert not a.is_alive()
+    assert len(replies) == 1 and len(replies[0]["labels"]) == 1
+    assert oracle.budget_remaining() == 99 and len(oracle.query_log) == 1
+
+
 def test_bad_input_codes_keep_connection_open(service):
     svc, _, oracle = service
     nan = float("nan")

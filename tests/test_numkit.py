@@ -208,6 +208,12 @@ def test_float32_inference_bitwise_matches_reference(rng, act, hidden, n):
     got = probs_batch(model, X, np.float32)
     assert got.dtype == np.float32
     assert np.array_equal(got, want)
+    # written into one row of a committee's output table, the same bits, and
+    # the other rows untouched
+    table = np.full((3, n, 3), np.nan, np.float32)
+    probs_batch(model, X, np.float32, out=table[1])
+    assert table[1].tobytes() == want.tobytes()
+    assert np.isnan(table[[0, 2]]).all()
     assert np.array_equal(predict_batch(model, X, np.float32), np.argmax(want, axis=1))
     assert np.array_equal(X, X_before) and np.array_equal(model.params, params_before)
 
@@ -250,6 +256,21 @@ def test_float32_inference_allocates_only_its_layer_outputs(rng, classes):
     param_bytes = model.params.size * 4
     peak = _peak_bytes(lambda: probs_batch(model, X, np.float32))
     assert peak <= out_bytes + param_bytes + 1.1 * block_bytes
+
+
+@pytest.mark.parametrize("classes", [4, 64])
+def test_inference_into_a_given_output_allocates_only_its_block_buffers(rng, classes):
+    # with out given, the result is not allocated: each hidden layer's block
+    # buffer is allocated once per call, the logits of a block are taken in
+    # its rows of out, and the parameters and a block of rows are cast
+    model = MlpModel.initialize(MlpSpec(8, (256, 128, 64), classes, rng_seed=1))
+    X = rng.normal(size=(20_000, 8))
+    out = np.empty((X.shape[0], classes), np.float32)
+    block_bytes = BLOCK_ROWS * (8 + 256 + 128 + 64) * 4
+    param_bytes = model.params.size * 4
+    peak = _peak_bytes(lambda: probs_batch(model, X, np.float32, out=out))
+    assert peak <= param_bytes + 1.1 * block_bytes
+    assert out.tobytes() == probs_batch(model, X, np.float32).tobytes()
 
 
 def _check_batch_independence(dim, classes, n, seed, dtype):

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ensteal.datapool import Dataset, PoolState
 from ensteal.ensemble import MEMBER_DTYPE, vote_counts
 from ensteal.errors import InvalidConfigError, InvalidInputError
-from ensteal.numkit import predict_batch
+from ensteal.numkit import SLICE_ROWS, predict_batch
 from ensteal.selection import (
     SCORED_KINDS,
     STRATEGY_KINDS,
@@ -63,29 +65,89 @@ def test_disagreement_scores_live_in_partition_set(rng):
     assert {round(float(s), 12) for s in scores} <= allowed
 
 
+def _slices_pool(rng, members: int):
+    """A committee's float32 softmax over a pool of three whole slices and a
+    partial one, with exact zeros on every seventh row."""
+    models = make_sharp_models(members, dim=6, classes=5, seed=members)
+    probs = committee_probs(models, rng.normal(size=(3 * SLICE_ROWS + 100, 6)))
+    probs[:, ::7, 2] = 0.0  # zero entries take the 0 * log(0) = 0 branch
+    return probs
+
+
+def _candidate_sets(rng, n: int) -> dict:
+    """Ascending candidate rows of an n-row pool: at and around one slice's
+    size, single rows, the whole pool, and rows that skip whole slices."""
+
+    def some(size, within=np.arange(n)):
+        return np.sort(rng.choice(within, size=size, replace=False))
+
+    return {
+        "first row": np.array([0]),
+        "last row": np.array([n - 1]),
+        "a slice's first row": np.array([SLICE_ROWS]),
+        "SLICE_ROWS - 1": some(SLICE_ROWS - 1),
+        "SLICE_ROWS": some(SLICE_ROWS),
+        "SLICE_ROWS + 1": some(SLICE_ROWS + 1),
+        "one whole slice": np.arange(SLICE_ROWS, 2 * SLICE_ROWS),
+        "the whole pool": np.arange(n),
+        # rows in the first and last slices only: the middle two are skipped
+        "skipping slices": np.concatenate([some(50, np.arange(SLICE_ROWS)), some(60, np.arange(3 * SLICE_ROWS, n))]),
+    }
+
+
 @pytest.mark.parametrize("members", range(2, 10))
 def test_disagreement_scores_keep_their_bits_when_votes_are_counted_over_the_pool(rng, members):
-    # the votes were counted over a copy of the listed rows' stack; the counts
-    # are integers, so counting the whole pool and taking the rows is exact
-    models = make_sharp_models(members, dim=6, classes=5, seed=members)
-    probs = committee_probs(models, rng.normal(size=(400, 6)))
-    rows = np.sort(rng.choice(400, size=300, replace=False))
-    copied = entropy_rows(vote_counts(probs[:, rows]) / members)
-    assert disagreement_scores(probs, rows).tobytes() == copied.tobytes()
+    # the scorer counts votes one pool slice at a time; the votes were once
+    # counted over the whole pool and then over a copy of the listed rows'
+    # stack. The counts are integers, so every form is exact
+    probs = _slices_pool(rng, members)
+    votes = vote_counts(probs)
+    for name, rows in _candidate_sets(rng, probs.shape[1]).items():
+        got = disagreement_scores(probs, rows).tobytes()
+        assert got == entropy_rows(votes[rows] / members).tobytes(), name
+        assert got == entropy_rows(vote_counts(probs[:, rows]) / members).tobytes(), name
 
 
 @pytest.mark.parametrize("members", range(1, 10))
 def test_consensus_entropy_scores_keep_their_bits_when_the_mean_is_taken_over_the_pool(rng, members):
-    # the mean was taken over a copy of the listed rows' stack, and the entropy
-    # as -(P * log(where(P > 0, P, 1))).sum(1); the mean over members is
-    # elementwise, so it is the same per row, and so is each entropy term
-    models = make_sharp_models(members, dim=6, classes=5, seed=members)
-    probs = committee_probs(models, rng.normal(size=(400, 6)))
-    probs[:, ::7, 2] = 0.0  # zero entries take the 0 * log(0) = 0 branch
-    rows = np.sort(rng.choice(400, size=300, replace=False))
-    P = probs[:, rows].mean(axis=0).astype(np.float64)
-    copied = -(P * np.log(np.where(P > 0, P, 1.0))).sum(axis=1)
-    assert consensus_entropy_scores(probs, rows).tobytes() == copied.tobytes()
+    # the scorer takes the member mean one pool slice at a time; it was once
+    # taken over the whole pool and then over a copy of the listed rows'
+    # stack, and the entropy as -(P * log(where(P > 0, P, 1))).sum(1); the
+    # mean over members is elementwise, so it is the same per row, and so is
+    # each entropy term
+    probs = _slices_pool(rng, members)
+    mean = probs.mean(axis=0)
+    assert (mean == 0.0).any()  # the zero branch is reached
+    for name, rows in _candidate_sets(rng, probs.shape[1]).items():
+        got = consensus_entropy_scores(probs, rows).tobytes()
+        assert got == entropy_rows(mean[rows]).tobytes(), name
+        P = probs[:, rows].mean(axis=0).astype(np.float64)
+        assert got == (-(P * np.log(np.where(P > 0, P, 1.0))).sum(axis=1)).tobytes(), name
+
+
+def scorer_peak(rng, n: int, scorer) -> int:
+    """Bytes a scorer allocates at its peak beyond its scores, with every
+    row of an n-row pool listed."""
+    models = make_sharp_models(4, dim=6, classes=5, seed=0)
+    probs = committee_probs(models, rng.normal(size=(n, 6)))
+    rows = np.arange(n)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        scorer(probs, rows)
+        return tracemalloc.get_traced_memory()[1] - start - 8 * n
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scorer", [consensus_entropy_scores, disagreement_scores])
+def test_scorer_memory_does_not_grow_with_the_pool(rng, scorer):
+    # beyond the scores themselves, a scorer holds one slice's mean or votes
+    # and entropy buffers: a pool 4x larger raises its peak by less than one
+    # float32 mean over the added rows
+    small = 2 * SLICE_ROWS
+    grown = scorer_peak(rng, 4 * small, scorer) - scorer_peak(rng, small, scorer)
+    assert grown < 3 * small * 5 * 4, grown
 
 
 def test_consensus_entropy_bounds(rng):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import committee_probs, make_sharp_models, record_offers, verdicts_as_oracle_shapes
+from conftest import committee_probs, make_sharp_models, record_offers, spy_probs_batch, verdicts_as_oracle_shapes
 from ensteal.datapool import (
     AugmentConfig,
     Dataset,
@@ -24,10 +24,9 @@ from ensteal.datapool import (
 from ensteal.ensemble import MEMBER_DTYPE, EnsembleRecipe, EnsembleState, train_cycle
 from ensteal import numkit, semisup
 from ensteal.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
-from ensteal.numkit import accuracy, sgd_update
+from ensteal.numkit import SLICE_ROWS, accuracy, sgd_update
 from ensteal.seeding import derive_seed, mask64
 from ensteal.semisup import (
-    SLICE_ROWS,
     SslConfig,
     apply_class_cap,
     harvest_pseudo_labels,
@@ -473,18 +472,20 @@ def test_ssl_train_improves_or_preserves_validation(ssl_scenario):
     assert after >= before - 0.05
 
 
-def test_ssl_train_replaced_checkpoints_get_fresh_outputs(ssl_scenario):
+def test_ssl_train_replaced_checkpoints_get_fresh_outputs(ssl_scenario, monkeypatch):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(confidence_threshold=0.5, epochs=2, per_class_cap=30)
     harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, tabular_aug(), seed=5)
     st = copy.deepcopy(state)
-    stale = st.best_probs(ps.pool)
+    stale = st.best_probs(ps.pool).copy()  # the table itself is rewritten in place below
     for b in st.best:
         b.val_accuracy = -1.0  # any fine-tuned member now counts as an improvement
     ssl_train(st, ps, cfg, tabular_aug(), seed=3)
     assert all(b.cycle == st.cycle + 1 for b in st.best)
+    calls = spy_probs_batch(monkeypatch)
     fresh = st.best_probs(ps.pool)
+    assert calls == st.best_models()  # every member's row, once
     for i, b in enumerate(st.best):
         assert np.array_equal(fresh[i], committee_probs([b.model], ps.pool.features)[0])
         assert not np.array_equal(fresh[i], stale[i])
@@ -497,12 +498,11 @@ def test_ssl_train_skips_saturated_members(ssl_scenario, monkeypatch):
     cfg = SslConfig(confidence_threshold=0.5, epochs=2, per_class_cap=30)
     harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, tabular_aug(), seed=5)
     st = copy.deepcopy(state)
-    st.best_probs(ps.pool)
+    before = st.best_probs(ps.pool).copy()
     st.best[0].val_accuracy = 1.0
     st.best[1].val_accuracy = 0.98  # close to saturated, still fine-tuned
     st.best[2].val_accuracy = 1.0
     saturated = st.best[0]
-    outputs = dict(saturated.outputs)
     cycle = saturated.cycle
     offered, fits = record_offers(st), spy_fit(monkeypatch)
     trained = []
@@ -514,8 +514,11 @@ def test_ssl_train_skips_saturated_members(ssl_scenario, monkeypatch):
     assert offered.keys() == {1} and all(m is offered[1] for m in trained)
     assert fits[0][0] is offered[1]
     assert st.best[0] is saturated and saturated.cycle == cycle
-    assert saturated.outputs.keys() == outputs.keys()
-    assert all(saturated.outputs[k] is v for k, v in outputs.items())
+    # the skipped members' outputs are neither recomputed nor changed
+    calls = spy_probs_batch(monkeypatch)
+    after = st.best_probs(ps.pool)
+    assert all(m is not st.best[i].model for m in calls for i in (0, 2))
+    assert after[[0, 2]].tobytes() == before[[0, 2]].tobytes()
 
 
 def test_ssl_train_raises_on_divergence_naming_the_member(ssl_scenario):
