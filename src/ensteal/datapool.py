@@ -108,6 +108,25 @@ def as_indices(indices) -> np.ndarray:
     return _integers(indices, "indices must be integers").astype(np.int64, copy=False)
 
 
+def as_rows(indices, n: Optional[int], k: Optional[int] = None) -> np.ndarray:
+    """as_indices(indices) if they are a 1-d array of distinct rows, each in
+    [0, n) unless n is None, of which k can be picked (1 <= k <= their
+    count) when k is given; else InvalidInputError. The one copy of the
+    pool-index rules: PoolState's transitions and the selectors both check
+    their rows here."""
+    idx = as_indices(indices)
+    if idx.ndim != 1:
+        raise InvalidInputError(f"expected a 1-d index array, got shape {idx.shape}")
+    ordered = np.sort(idx)  # np.unique would import numpy.ma on first use
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise InvalidInputError("indices contain duplicates")
+    if n is not None and idx.size and (ordered[0] < 0 or ordered[-1] >= n):
+        raise InvalidInputError(f"indices out of range [0, {n})")
+    if k is not None and not 1 <= k <= idx.size:
+        raise InvalidInputError(f"k={k} out of range for {idx.size} candidates")
+    return idx
+
+
 class Dataset:
     """Feature matrix (n, d) float64, optional int64 labels, optional layout."""
 
@@ -160,16 +179,11 @@ class PoolState:
     # -- helpers
 
     def _check(self, indices, status: int) -> np.ndarray:
-        """as_indices(indices) if they are nonempty, unique, in range and all
-        in the given status, else InvalidInputError."""
-        idx = as_indices(indices)
-        if idx.ndim != 1 or idx.size == 0:
+        """as_rows(indices, pool rows) if they are nonempty and all in the
+        given status, else InvalidInputError."""
+        idx = as_rows(indices, self.pool.n)
+        if idx.size == 0:
             raise InvalidInputError("expected a nonempty 1-d index array")
-        ordered = np.sort(idx)  # np.unique would import numpy.ma on first use
-        if np.any(ordered[1:] == ordered[:-1]):
-            raise InvalidInputError("indices contain duplicates")
-        if idx.min() < 0 or idx.max() >= self.pool.n:
-            raise InvalidInputError(f"indices out of range [0, {self.pool.n})")
         if np.any(self.status[idx] != status):
             raise InvalidInputError(f"expected only {STATUS_NAMES[status]} rows")
         return idx

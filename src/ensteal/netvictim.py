@@ -19,10 +19,12 @@ any non-finite value.
 A predict_batch is all or nothing: it is charged once, and a batch larger
 than the remaining budget, or one the model fails to answer (INTERNAL), is
 refused whole, charging and logging nothing.
-Failures answer {"id": ..., "error": msg, "code": code} with code one of
-BUDGET_EXHAUSTED, BAD_INPUT (any fault of the request), or INTERNAL; a
-line that does not parse or has no integer id (a bool is not one) gets
-id 0 and BAD_INPUT, and the connection stays open either way.
+Failures answer {"id": ..., "error": msg, "code": code}, all built by
+_error. ERROR_CODES, read both ways by server and client, pairs
+BUDGET_EXHAUSTED with BudgetExhaustedError and BAD_INPUT (any fault of the
+request) with InvalidInputError; any other failure is INTERNAL. A line
+that does not parse or has no integer id (datapool.is_integer: a bool is
+not one) gets id 0 and BAD_INPUT; the connection stays open either way.
 
 Lines are bounded both ways, so one peer cannot make the other buffer
 without end. The server reads at most request_line_limit(budget total,
@@ -41,13 +43,15 @@ and budget replies are never cached. Budget charging itself lives in the
 wrapped oracle's single lock, which keeps concurrent connections honest.
 
 VictimService runs on socketserver: one thread accepts connections and each
-connection is answered on a thread of its own. A connection parses and
-decodes each request line before it takes the service's one lock, which
-covers only the closed check, the budget read, the dedup lookup and the
-charge, so a long line holds up no other connection. Once close() begins, a
-request is neither answered nor charged, and its connection ends. Given a
-log path, close() writes the query log with datapool.write_csv: UTF-8 CSV
-with "\n" line ends, like every text file ensteal writes.
+is answered on a thread of its own, along one path. The handler tests a
+line's bound; _parse alone decides what the line is (a refusal without an
+id, a budget request, or a predict_batch with its decoded rows or its
+BAD_INPUT reply), before the one lock that _respond takes for the closed
+check, the budget read, the dedup lookup and the charge in _answer, so a
+long line holds up no other connection. Once close() begins, a request is
+neither answered nor charged, and its connection ends. Given a log path,
+close() writes the query log with datapool.write_csv: UTF-8 CSV with "\n"
+line ends, like every text file ensteal writes.
 
 RemoteVictimClient(endpoint: RemoteSection, id_seed=0) is the remote
 oracle: the section gives the address, the socket timeout and the number of
@@ -59,6 +63,7 @@ the same way.
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import socket
@@ -66,19 +71,19 @@ import socketserver
 import threading
 import time
 from collections import OrderedDict
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .config import RemoteSection
-from .datapool import write_csv
+from .datapool import is_integer, write_csv
 from .errors import BudgetExhaustedError, InvalidInputError, RemoteUnavailableError
 from .seeding import mask64
 from .victim import VictimOracle
 
-CODE_BUDGET = "BUDGET_EXHAUSTED"
-CODE_BAD_INPUT = "BAD_INPUT"
-CODE_INTERNAL = "INTERNAL"
+# the codes of ensteal's own errors, one table read both ways: the server
+# from error to code, the client from code to error
+ERROR_CODES = (("BUDGET_EXHAUSTED", BudgetExhaustedError), ("BAD_INPUT", InvalidInputError))
 DEDUP_WINDOW = 1024  # predict_batch answers the server keeps for resent requests
 LINE_ALLOWANCE = 4096  # bytes a line may hold beyond its rows or labels: keys, id, op, an error
 
@@ -100,9 +105,14 @@ def _encode(obj: dict) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
 
 
+def _error(rid: int, message: str, code: str = "BAD_INPUT") -> bytes:
+    """The reply line that refuses request rid: every refusal is built here."""
+    return _encode({"id": rid, "error": message, "code": code})
+
+
 def _is_count(v) -> bool:
-    """A JSON integer, not a bool, that fits a non-negative int64."""
-    return type(v) is int and 0 <= v < 1 << 63
+    """An integer (datapool.is_integer: not a bool) that fits a non-negative int64."""
+    return is_integer(v) and 0 <= v < 1 << 63
 
 
 def encode_rows(X: np.ndarray) -> dict:
@@ -149,7 +159,7 @@ class _Handler(socketserver.StreamRequestHandler):
                         return  # the peer closed, mid-line or between lines: nothing to answer
                     if not line.strip():
                         continue
-                reply = service._respond(line)
+                reply = service._respond(line, too_long)
                 if reply is None:
                     return
                 self.wfile.write(reply)
@@ -162,13 +172,11 @@ class _Handler(socketserver.StreamRequestHandler):
 class VictimService:
     """Threaded TCP front end for a VictimOracle.
 
-    A socketserver.ThreadingTCPServer accepts on a background thread and
-    answers each connection on a thread of its own. close() refuses every
-    request that arrives after it: a request already being answered
-    finishes, is charged and is logged, and any later one gets no answer,
-    no charge and its connection ends. close() then stops accepting and,
-    when a log path was given, writes the oracle's query log as CSV
-    (sample_hash,label). It does not wait for idle connections.
+    close() refuses every request that arrives after it: a request already
+    being answered finishes, is charged and is logged, and any later one
+    gets no answer, no charge and its connection ends. close() then stops
+    accepting and, when a log path was given, writes the oracle's query log
+    as CSV (sample_hash,label). It does not wait for idle connections.
     """
 
     def __init__(self, oracle: VictimOracle, host: str = "127.0.0.1", port: int = 0, log_path=None):
@@ -204,84 +212,73 @@ class VictimService:
 
     # -- serving
 
-    def _respond(self, line: bytes) -> Optional[bytes]:
+    def _respond(self, line: bytes, too_long: bool) -> Optional[bytes]:
         """The reply line to one request line, or None once close() began.
-        The line is parsed and its rows decoded before the lock is taken, so
-        a long line holds up no other connection. One lock covers the closed
-        check, the budget read, the cache lookup and the charge, so a request
-        resent on several connections at once is still charged once."""
-        req, rows = self._parse(line)
+        The cache lookup and the charge share one lock, so a request resent
+        on several connections at once is still charged once."""
+        rid, answer = self._parse(line, too_long)
         digest = hashlib.sha256(line).digest()
         with self._seen_lock:
             if self._closed:
                 return None
-            if isinstance(req, bytes):
-                return req
-            rid = req["id"]
-            if req.get("op") == "budget":
-                return _encode({"id": rid, "remaining": self._oracle.budget_remaining()})
+            if rid is None:
+                return answer()
             cached = self._seen.get(rid)
             if cached is not None:
                 if cached[0] != digest:
-                    return _encode(
-                        {"id": rid, "error": "id reused with a different payload", "code": CODE_BAD_INPUT}
-                    )
+                    return _error(rid, "id reused with a different payload")
                 self._seen.move_to_end(rid)
                 return cached[1]
-            reply = self._dispatch(rid, req, rows)
+            reply = answer()
             self._seen[rid] = (digest, reply)
             while len(self._seen) > DEDUP_WINDOW:
                 self._seen.popitem(last=False)
             return reply
 
-    def _parse(self, line: bytes) -> tuple:
-        """(request, rows): the request dict and, for a predict_batch, its
-        decoded rows or the message of the InvalidInputError that decoding
-        raised; (the BAD_INPUT reply, None) for a line with no integer id."""
-        if len(line) > self.line_limit:
-            error = f"request line longer than {self.line_limit} bytes"
-            return _encode({"id": 0, "error": error, "code": CODE_BAD_INPUT}), None
+    def _parse(self, line: bytes, too_long: bool) -> tuple[Optional[int], Callable[[], bytes]]:
+        """(rid, answer): answer() builds the line's reply under the lock, and
+        the reply is cached under rid unless rid is None (a refusal without an
+        id, a budget request). answer() runs the oracle on a predict_batch's
+        decoded rows, or gives the BAD_INPUT reply naming the request's fault."""
+        if too_long:
+            return None, lambda: _error(0, f"request line longer than {self.line_limit} bytes")
         try:
             req = json.loads(line)
         except (ValueError, UnicodeDecodeError):
-            return _encode({"id": 0, "error": "unparseable request line", "code": CODE_BAD_INPUT}), None
-        if not isinstance(req, dict) or type(req.get("id")) is not int:
-            return _encode({"id": 0, "error": "missing integer id", "code": CODE_BAD_INPUT}), None
-        if req.get("op") != "predict_batch":
-            return req, None
-        try:
-            return req, decode_rows(req)
-        except InvalidInputError as exc:
-            return req, str(exc)
-
-    def _dispatch(self, rid: int, req: dict, rows) -> bytes:
+            return None, lambda: _error(0, "unparseable request line")
+        rid = req.get("id") if isinstance(req, dict) else None
+        if not is_integer(rid):
+            return None, lambda: _error(0, "missing integer id")
         op = req.get("op")
-        if op != "predict_batch":
-            return _encode({"id": rid, "error": f"unknown op {op!r}", "code": CODE_BAD_INPUT})
-        if isinstance(rows, str):
-            return _encode({"id": rid, "error": rows, "code": CODE_BAD_INPUT})
+        if op == "budget":
+            return None, lambda: _encode({"id": rid, "remaining": self._oracle.budget_remaining()})
+        try:
+            if op != "predict_batch":
+                raise InvalidInputError(f"unknown op {op!r}")
+            rows = decode_rows(req)
+        except InvalidInputError as exc:
+            refusal = _error(rid, str(exc))
+            return rid, lambda: refusal
+        return rid, lambda: self._answer(rid, rows)
+
+    def _answer(self, rid: int, rows: np.ndarray) -> bytes:
+        """The oracle's labels for rows, or the refusal its error maps to."""
         try:
             labels = self._oracle.predict_batch(rows)
-        except BudgetExhaustedError as exc:
-            return _encode({"id": rid, "error": str(exc), "code": CODE_BUDGET})
-        except InvalidInputError as exc:
-            return _encode({"id": rid, "error": str(exc), "code": CODE_BAD_INPUT})
         except Exception as exc:  # noqa: BLE001 - the wire must answer something
-            return _encode({"id": rid, "error": f"{type(exc).__name__}: {exc}", "code": CODE_INTERNAL})
+            for code, error in ERROR_CODES:
+                if isinstance(exc, error):
+                    return _error(rid, str(exc), code)
+            return _error(rid, f"{type(exc).__name__}: {exc}", "INTERNAL")
         return _encode({"id": rid, "labels": labels.tolist()})
 
 
 def serve(oracle: VictimOracle, host: str = "127.0.0.1", port: int = 0, log_path=None) -> None:
     """Run a service until interrupted (Ctrl-C or SIGTERM mapped by the CLI)."""
-    service = VictimService(oracle, host, port, log_path)
-    print(f"serving victim oracle on {service.host}:{service.port}", flush=True)
-    try:
+    with contextlib.suppress(KeyboardInterrupt), VictimService(oracle, host, port, log_path) as service:
+        print(f"serving victim oracle on {service.host}:{service.port}", flush=True)
         while True:
             time.sleep(0.5)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.close()
 
 
 # ── client side ──────────────────────────────────────────────────────
@@ -326,20 +323,15 @@ class RemoteVictimClient:
             self._sock.close()
             self._sock = self._reader = None
 
-    def _ensure_connected(self) -> socket.socket:
-        if self._sock is None:
-            try:
-                self._sock = socket.create_connection(self._addr, timeout=self._endpoint.timeout)
-            except OSError as exc:
-                raise RemoteUnavailableError(f"cannot reach victim service: {exc}") from exc
-            self._reader = self._sock.makefile("rb")
-        return self._sock
-
     def _roundtrip(self, payload: dict, reply_limit: int) -> dict:
+        """payload's reply; each failed try drops the connection, endpoint.retries tries in all."""
         last_err: Optional[Exception] = None
         for _ in range(self._endpoint.retries):
             try:
-                self._ensure_connected().sendall(_encode(payload))
+                if self._sock is None:
+                    sock = socket.create_connection(self._addr, timeout=self._endpoint.timeout)
+                    self._sock, self._reader = sock, sock.makefile("rb")
+                self._sock.sendall(_encode(payload))
                 line = self._reader.readline(reply_limit + 1)
                 if len(line) > reply_limit:
                     raise OSError(f"reply line longer than {reply_limit} bytes")
@@ -347,8 +339,6 @@ class RemoteVictimClient:
                     raise OSError("connection closed by server")
                 reply = json.loads(line)
                 break
-            except RemoteUnavailableError as exc:
-                last_err = exc
             except (OSError, ValueError) as exc:
                 last_err = exc
                 self._drop_connection()
@@ -357,12 +347,10 @@ class RemoteVictimClient:
         if not isinstance(reply, dict):
             raise RemoteUnavailableError(f"malformed reply from victim service: {reply!r:.200}")
         if "error" in reply:
-            code = reply.get("code")
-            if code == CODE_BUDGET:
-                raise BudgetExhaustedError(reply["error"])
-            if code == CODE_BAD_INPUT:
-                raise InvalidInputError(reply["error"])
-            raise RemoteUnavailableError(f"server error: {reply['error']}")
+            error = next((error for code, error in ERROR_CODES if code == reply.get("code")), None)
+            if error is None:
+                raise RemoteUnavailableError(f"server error: {reply['error']}")
+            raise error(reply["error"])
         return reply
 
     def _request(self, body: dict, key: str, valid, rows: int = 0):

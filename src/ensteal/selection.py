@@ -13,7 +13,10 @@ top scores and then spread the shortlist with k-center before spending
 budget.
 
 All selections break ties toward the lowest pool index and return sorted
-index arrays, which keeps every strategy replayable bit for bit.
+index arrays, which keeps every strategy replayable bit for bit. Every
+selector checks its rows with datapool.as_rows, the pool's one index rule:
+it refuses duplicate candidates and a k outside [1, candidates], and
+k-center also refuses candidate and center rows outside its features.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datapool import QUERIED, PoolState, as_indices
+from .datapool import QUERIED, PoolState, as_rows
 from .ensemble import vote_counts
 from .errors import InvalidConfigError, InvalidInputError
 from .numkit import SLICE_ROWS
@@ -86,11 +89,9 @@ def disagreement_scores(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def top_k_select(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k highest scores; equal scores prefer the lower index."""
     scores = np.asarray(scores, dtype=np.float64)
-    candidates = as_indices(candidates)
+    candidates = as_rows(candidates, None, k)
     if scores.shape != candidates.shape:
         raise InvalidInputError("scores and candidates must align")
-    if not 1 <= k <= candidates.size:
-        raise InvalidInputError(f"k={k} out of range for {candidates.size} candidates")
     order = np.lexsort((candidates, -scores))
     return np.sort(candidates[order[:k]])
 
@@ -106,10 +107,8 @@ def kcenter_select(
 
     With no centers yet, the first pick is the lowest candidate index.
     """
-    candidates = np.sort(as_indices(candidates))
-    center_indices = as_indices(center_indices)
-    if not 1 <= k <= candidates.size:
-        raise InvalidInputError(f"k={k} out of range for {candidates.size} candidates")
+    candidates = np.sort(as_rows(candidates, len(features), k))
+    center_indices = as_rows(center_indices, len(features))
     cand_X = features[candidates]
     mindist = np.full(candidates.size, np.inf)
     for ci in center_indices:
@@ -129,9 +128,7 @@ def kcenter_select(
 
 def random_select(candidates: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Uniform draw without replacement, seeded."""
-    candidates = np.sort(as_indices(candidates))
-    if not 1 <= k <= candidates.size:
-        raise InvalidInputError(f"k={k} out of range for {candidates.size} candidates")
+    candidates = np.sort(as_rows(candidates, None, k))
     rng = np.random.default_rng(mask64(seed))
     return np.sort(rng.choice(candidates, size=k, replace=False))
 

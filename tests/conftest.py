@@ -9,6 +9,14 @@ from ensteal.ensemble import MEMBER_DTYPE
 from ensteal.numkit import MlpModel, MlpSpec, SgdConfig, probs_batch, train_supervised
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "bitwise: a bit-for-bit result that must also hold with two BLAS threads, "
+        "which CI runs as a step of its own",
+    )
+
+
 def make_sharp_models(k: int, dim: int, classes: int, seed: int, hidden=(5,)) -> list[MlpModel]:
     """Small random models with scaled-up weights, so their softmax outputs
     are confident enough to exercise thresholds and disagreements."""

@@ -240,6 +240,7 @@ def test_criterion_2_selection_oracles():
 # ── criterion 3: pseudo-label filter equivalence ─────────────────────
 
 
+@pytest.mark.bitwise
 def test_criterion_3_filter_equivalence():
     from ensteal.datapool import AugmentConfig, JitterDrop
     from ensteal.semisup import SslConfig, ssl_filter
@@ -497,6 +498,7 @@ def _run_cli(*argv):
     assert cli_main(list(argv)) == 0
 
 
+@pytest.mark.bitwise
 def test_criterion_7_cli_determinism(tmp_path, capsys):
     with criterion(7, "every CLI subcommand writes byte-identical files on identical inputs") as c:
         d = tmp_path

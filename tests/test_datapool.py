@@ -484,6 +484,7 @@ def _synthetic_by_gather(source, n: int, seed: int) -> np.ndarray:
 
 @pytest.mark.parametrize("source", [GaussianMixture(4, 6, 5.0), TinyDigits(10, 6), TinyDigits(7, 4)])
 @pytest.mark.parametrize("n", [1, 3, 13, 40, 1001])  # one row, fewer than the classes, no multiple, a multiple
+@pytest.mark.bitwise
 def test_make_synthetic_bitwise_matches_the_gathered_form(source, n):
     data = make_synthetic(source, n, seed=n)
     want = _synthetic_by_gather(source, n, seed=n)

@@ -301,6 +301,7 @@ def test_best_models_requires_training():
         state.best_probs(Dataset(np.zeros((2, 4))))
 
 
+@pytest.mark.bitwise
 def test_best_probs_reused_until_checkpoint_replaced(trained_state, monkeypatch):
     _, pool, cfgs, _ = trained_state
     data = pool.pool
@@ -343,6 +344,7 @@ def test_best_probs_reused_until_checkpoint_replaced(trained_state, monkeypatch)
             assert again[i].tobytes() == snapshot[i].tobytes()
 
 
+@pytest.mark.bitwise
 def test_best_probs_keeps_one_table_per_dataset(trained_state):
     state, pool, _, _ = trained_state
     other = Dataset(pool.pool.features[:40])
@@ -363,6 +365,7 @@ def test_best_probs_keeps_one_table_per_dataset(trained_state):
     assert not np.array_equal(got[0], a[0])
 
 
+@pytest.mark.bitwise
 def test_train_cycle_skips_saturated_members(trained_state, monkeypatch):
     _, pool, cfgs, _ = trained_state
     state = EnsembleState(trained_state[0].spec)

@@ -674,6 +674,7 @@ def _artifacts(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+@pytest.mark.bitwise
 def test_skipping_saturated_members_leaves_every_artifact_unchanged(tmp_path, monkeypatch):
     raw = base_config(
         ssl={"epochs": 2, "confidence_threshold": 0.6, "per_class_cap": 20},

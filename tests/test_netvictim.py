@@ -787,3 +787,78 @@ def test_remote_oracle_precheck_blocks_partial_batches(remote):
         assert idx.tolist() == [0, 1, 2, 3]
         assert y.tolist() == predict_batch(model, pool.pool.features[:4]).tolist()
         assert labels.tolist() == y[3:].tolist()
+
+
+# ── the wire, byte for byte ──────────────────────────────────────────
+
+
+def test_wire_transcript_is_pinned_byte_for_byte(tmp_path, monkeypatch):
+    # one connection through every kind of line the server tells apart; each
+    # reply line and the query log written at close are pinned as bytes
+    model = MlpModel.initialize(MlpSpec(4, (6,), 3, "relu", rng_seed=2))
+    oracle = VictimOracle(model, 5)
+    log = tmp_path / "qlog.csv"
+    failing = False
+    real = numkit.predict_batch
+
+    def predict(m, X, *args):
+        if failing:
+            raise RuntimeError("model failed")
+        return real(m, X, *args)
+
+    monkeypatch.setattr(numkit, "predict_batch", predict)
+    rows = [[0.5, -1.0, 2.0, 0.25], [-3.0, 0.0, 3.0, 0.0]]
+    predict_2 = predict_line(2, rows)
+    unknown = b'{"id": 3, "op": "dance"}\n'
+    over_long = b"{" + b" " * netvictim.request_line_limit(5, 4) + b"}\n"
+    sent = [
+        b'{"id": 1, "op": "budget"}\n',
+        predict_2,
+        predict_2,
+        json.dumps(json.loads(predict_2), separators=(",", ":")).encode() + b"\n",
+        unknown,
+        unknown,
+        predict_line(4, rows, x="!!!!"),
+        predict_line(5, rows, cols=0),
+        predict_line(6, [[1.0, 2.0, 3.0]]),
+        b"not json\n",
+        b'{"id": true, "op": "budget"}\n',
+        b"[1, 2]\n",
+        predict_line(7, np.eye(4)),
+        predict_line(8, [[1.0, float("nan"), 0.0, 0.0]]),
+        b'{"id": 9, "op": "budget"}\n',
+        predict_line(10, rows[:1]),
+        b'{"id": 11, "op": "budget"}\n',
+    ]
+    replies = []
+    with VictimService(oracle, log_path=log) as svc:
+        with socket.create_connection((svc.host, svc.port), timeout=5) as s, s.makefile("rb") as f:
+            for i, line in enumerate(sent):
+                failing = i == 15
+                s.sendall(line)
+                replies.append(f.readline())
+            s.sendall(over_long)
+            replies.append(f.readline())
+            assert f.readline() == b""  # the server ended the connection
+    bad_input = b',"code":"BAD_INPUT"}\n'
+    assert replies == [
+        b'{"id":1,"remaining":5}\n',
+        b'{"id":2,"labels":[0,1]}\n',
+        b'{"id":2,"labels":[0,1]}\n',  # the resent line, answered from the cache
+        b'{"id":2,"error":"id reused with a different payload"' + bad_input,
+        b'{"id":3,"error":"unknown op \'dance\'"' + bad_input,
+        b'{"id":3,"error":"unknown op \'dance\'"' + bad_input,
+        b'{"id":4,"error":"x is not valid base64: Only base64 data is allowed"' + bad_input,
+        b'{"id":5,"error":"cols must be an integer of at least 1"' + bad_input,
+        b'{"id":6,"error":"expected a (batch, 4) feature matrix, got shape (1, 3)"' + bad_input,
+        b'{"id":0,"error":"unparseable request line"' + bad_input,
+        b'{"id":0,"error":"missing integer id"' + bad_input,
+        b'{"id":0,"error":"missing integer id"' + bad_input,
+        b'{"id":7,"error":"query budget exhausted: need 4, have 3 of 5","code":"BUDGET_EXHAUSTED"}\n',
+        b'{"id":8,"error":"feature matrix contains non-finite values"' + bad_input,
+        b'{"id":9,"remaining":3}\n',
+        b'{"id":10,"error":"RuntimeError: model failed","code":"INTERNAL"}\n',
+        b'{"id":11,"remaining":3}\n',
+        b'{"id":0,"error":"request line longer than 4312 bytes"' + bad_input,
+    ]
+    assert log.read_bytes() == b"sample_hash,label\n563f100456da516b,0\n2923985a90a310c3,1\n"

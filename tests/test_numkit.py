@@ -180,6 +180,7 @@ def _input_grad_with_preactivations(model, X, y):
 @pytest.mark.parametrize("act", ["relu", "tanh"])
 @pytest.mark.parametrize("hidden", [(), (9,), (9, 6, 4)])
 @pytest.mark.parametrize("n", [1, 300])
+@pytest.mark.bitwise
 def test_inference_bitwise_matches_references(rng, act, hidden, n):
     # the in-place forward pass must keep the bits of the separate-array form;
     # scaled weights saturate tanh units and leave dead relu units
@@ -197,6 +198,7 @@ def test_inference_bitwise_matches_references(rng, act, hidden, n):
 @pytest.mark.parametrize("act", ["relu", "tanh"])
 @pytest.mark.parametrize("hidden", [(), (9,), (9, 6, 4)])
 @pytest.mark.parametrize("n", [1, 300])
+@pytest.mark.bitwise
 def test_float32_inference_bitwise_matches_reference(rng, act, hidden, n):
     # the committee's float32 pass keeps the bits of a plain float32 forward
     # pass on the parameters and rows cast to float32
@@ -288,6 +290,7 @@ def _check_batch_independence(dim, classes, n, seed, dtype):
 @pytest.mark.parametrize("dim, classes", [(8, 4), (60, 10)])
 @settings(max_examples=10, deadline=None)
 @given(n=st.integers(BLOCK_ROWS, 3 * BLOCK_ROWS), seed=st.integers(0, 2**32 - 1))
+@pytest.mark.bitwise
 def test_inference_bitwise_independent_of_the_batch(dim, classes, n, seed):
     # a row's softmax keeps its bits in any batch of at least BLOCK_ROWS rows,
     # although BLAS gives other bits in products of other shapes (at d=60 a
@@ -298,6 +301,7 @@ def test_inference_bitwise_independent_of_the_batch(dim, classes, n, seed):
 @pytest.mark.parametrize("dim, classes", [(8, 4), (60, 10)])
 @settings(max_examples=10, deadline=None)
 @given(n=st.integers(BLOCK_ROWS, 3 * BLOCK_ROWS), seed=st.integers(0, 2**32 - 1))
+@pytest.mark.bitwise
 def test_float32_inference_bitwise_independent_of_the_batch(dim, classes, n, seed):
     # the same rule for the committee's float32 pass, which runs sgemm
     _check_batch_independence(dim, classes, n, seed, np.float32)
@@ -317,11 +321,13 @@ def _check_every_block_position(rng, dim, classes, dtype):
 
 
 @pytest.mark.parametrize("dim, classes", [(8, 4), (60, 10)])
+@pytest.mark.bitwise
 def test_inference_bitwise_at_every_block_position(rng, dim, classes):
     _check_every_block_position(rng, dim, classes, np.float64)
 
 
 @pytest.mark.parametrize("dim, classes", [(8, 4), (60, 10)])
+@pytest.mark.bitwise
 def test_float32_inference_bitwise_at_every_block_position(rng, dim, classes):
     _check_every_block_position(rng, dim, classes, np.float32)
 
@@ -450,6 +456,7 @@ def _reference_train(model, X, y, cfg, seed, grad_scale=1.0):
     "act, momentum, weight_decay",
     [("relu", 0.9, 0.0), ("tanh", 0.9, 0.01), ("relu", 0.0, 0.05), ("tanh", 0.5, 0.0)],
 )
+@pytest.mark.bitwise
 def test_train_matches_reference_loop_bitwise(rng, act, momentum, weight_decay):
     # 45 rows in batches of 16 leave a short last batch; the lr decays
     # at epochs 3 and 6, inside the run
@@ -478,6 +485,7 @@ def test_train_matches_reference_loop_bitwise(rng, act, momentum, weight_decay):
     grad_scale=st.sampled_from([0.37, 1.0, 2.5]),
     seed=st.integers(0, 2**32 - 1),
 )
+@pytest.mark.bitwise
 def test_train_matches_reference_loop_bitwise_property(
     hidden, classes, n, batch_extra, act, weight_decay, grad_scale, seed
 ):

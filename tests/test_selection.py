@@ -96,6 +96,7 @@ def _candidate_sets(rng, n: int) -> dict:
 
 
 @pytest.mark.parametrize("members", range(2, 10))
+@pytest.mark.bitwise
 def test_disagreement_scores_keep_their_bits_when_votes_are_counted_over_the_pool(rng, members):
     # the scorer counts votes one pool slice at a time; the votes were once
     # counted over the whole pool and then over a copy of the listed rows'
@@ -109,6 +110,7 @@ def test_disagreement_scores_keep_their_bits_when_votes_are_counted_over_the_poo
 
 
 @pytest.mark.parametrize("members", range(1, 10))
+@pytest.mark.bitwise
 def test_consensus_entropy_scores_keep_their_bits_when_the_mean_is_taken_over_the_pool(rng, members):
     # the scorer takes the member mean one pool slice at a time; it was once
     # taken over the whole pool and then over a copy of the listed rows'
@@ -213,6 +215,37 @@ def test_select_k_validation():
         random_select(np.array([3, 4]), 0, seed=0)
     with pytest.raises(InvalidInputError):
         top_k_select(np.array([1.0, 2.0]), np.array([0]), 1)  # misaligned
+
+
+
+@pytest.mark.parametrize(
+    "select",
+    [
+        lambda: random_select([0, 0, 0], 2, 1),
+        lambda: top_k_select([1.0, 1.0, 0.0], [0, 0, 1], 2),
+        lambda: kcenter_select(np.arange(4.0)[:, None], [0, 0, 1], [2], 3),
+        lambda: kcenter_select(np.arange(4.0)[:, None], [0, 1], [2, 2], 1),
+    ],
+    ids=["random", "top_k", "kcenter_candidates", "kcenter_centers"],
+)
+def test_selectors_refuse_duplicate_rows(select):
+    # each used to pick row 0 twice: random and top-k returned [0 0], and
+    # k-center [0 0 1]
+    with pytest.raises(InvalidInputError, match="indices contain duplicates"):
+        select()
+
+
+@pytest.mark.parametrize(
+    "candidates, centers",
+    [([-1, 0], [1]), ([0, 4], [1]), ([0, 1], [-1]), ([0, 1], [7])],
+    ids=["negative_candidate", "candidate_past_the_end", "negative_center", "center_past_the_end"],
+)
+def test_kcenter_refuses_rows_outside_the_features(candidates, centers):
+    # a candidate of -1 was returned as picked, a center of -1 was read as the
+    # last row, and a center of 7 raised numpy's IndexError
+    features = np.arange(4.0)[:, None]
+    with pytest.raises(InvalidInputError, match=r"indices out of range \[0, 4\)"):
+        kcenter_select(features, candidates, centers, 1)
 
 
 # ── strategy dispatch ────────────────────────────────────────────────

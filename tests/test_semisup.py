@@ -65,6 +65,7 @@ def test_ssl_defaults():
 # ── the filter vs its oracle ─────────────────────────────────────────
 
 
+@pytest.mark.bitwise
 def test_filter_matches_bruteforce_bitwise(rng):
     # the acceptance suite hammers this at scale; here a quick spot check
     # across layouts of queried/unlabeled rows, with jitter and with a flip
@@ -112,6 +113,7 @@ def queried_pool(rng, n, unlabeled, layout):
     ],
 )
 @pytest.mark.parametrize("weak", [JitterDrop(0.05, 0.0), HorizontalFlip(0.5)])
+@pytest.mark.bitwise
 def test_streamed_filter_matches_bruteforce_bitwise(rng, monkeypatch, unlabeled, slices, weak):
     # pools of several slices: the verdicts equal the oracle's, which draws
     # the perturbation once over the whole pool and runs each member once
@@ -137,6 +139,7 @@ def test_streamed_filter_matches_bruteforce_bitwise(rng, monkeypatch, unlabeled,
 
 
 @pytest.mark.parametrize("weak", [JitterDrop(0.3, 0.0), HorizontalFlip(0.5)])
+@pytest.mark.bitwise
 def test_filter_verdicts_do_not_depend_on_the_unlabeled_set(rng, weak):
     # one pool, two pool states: the second has more rows queried; a row
     # unlabeled in both gets the same perturbation, so the same verdict; the
@@ -179,6 +182,7 @@ def filter_peak(rng, n) -> int:
         tracemalloc.stop()
 
 
+@pytest.mark.bitwise
 def test_filter_memory_does_not_grow_with_the_pool(rng):
     # the filter holds its verdicts, a few bytes per unlabeled row, but
     # perturbs and labels a bounded slice at a time: a pool 4x larger raises
@@ -472,6 +476,7 @@ def test_ssl_train_improves_or_preserves_validation(ssl_scenario):
     assert after >= before - 0.05
 
 
+@pytest.mark.bitwise
 def test_ssl_train_replaced_checkpoints_get_fresh_outputs(ssl_scenario, monkeypatch):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
@@ -491,6 +496,7 @@ def test_ssl_train_replaced_checkpoints_get_fresh_outputs(ssl_scenario, monkeypa
         assert not np.array_equal(fresh[i], stale[i])
 
 
+@pytest.mark.bitwise
 def test_ssl_train_skips_saturated_members(ssl_scenario, monkeypatch):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
@@ -566,6 +572,7 @@ def _reference_ssl_train(models, ps, cfg, augment, seed):
 
 
 @pytest.mark.parametrize("weight", [0.0, 0.7])
+@pytest.mark.bitwise
 def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, weight, monkeypatch):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
