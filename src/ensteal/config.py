@@ -112,7 +112,8 @@ class AttackSection:
 
 @dataclass(frozen=True)
 class SslSection(SslConfig):
-    # always null: semisup.resolve_augment picks the perturbations from the data layout
+    # always null: datapool.weak_augment and strong_augment pick their fixed
+    # perturbations from the data layout
     augment: None = None
 
 

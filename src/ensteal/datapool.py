@@ -7,10 +7,11 @@ unlabeled, was sent to the oracle, was pseudo-labeled locally, or is held out
 for validation; the oracle's answers live here too, so downstream stages
 never touch ground truth by accident.
 
-Augmentations are small declarative configs applied to a batch of rows
-through an explicit numpy Generator, which keeps every perturbation
-replayable. Synthetic sources (a separable Gaussian mixture and noisy
-low-res digit glyphs) cover desk-scale experiments without external data.
+The pseudo-label stage's weak and strong perturbations are fixed recipes,
+picked by the layout (tabular rows or images), that draw from an explicit
+numpy Generator, which keeps every perturbation replayable. Synthetic
+sources (a separable Gaussian mixture and noisy low-res digit glyphs) cover
+desk-scale experiments without external data.
 
 Every file is written by write_bytes here, whole or not at all, and every
 text file goes through the text codec here: UTF-8, "\n" line ends, CSV cells
@@ -109,18 +110,20 @@ def as_indices(indices) -> np.ndarray:
 
 
 def as_rows(indices, n: Optional[int], k: Optional[int] = None) -> np.ndarray:
-    """as_indices(indices) if they are a 1-d array of distinct rows, each in
-    [0, n) unless n is None, of which k can be picked (1 <= k <= their
-    count) when k is given; else InvalidInputError. The one copy of the
-    pool-index rules: PoolState's transitions and the selectors both check
-    their rows here."""
+    """as_indices(indices) if they are a 1-d array of distinct nonnegative
+    rows, each below n unless n is None, of which k can be picked (1 <= k
+    <= their count) when k is given; else InvalidInputError. The one copy
+    of the pool-index rules: PoolState's transitions and the selectors both
+    check their rows here."""
     idx = as_indices(indices)
     if idx.ndim != 1:
         raise InvalidInputError(f"expected a 1-d index array, got shape {idx.shape}")
     ordered = np.sort(idx)  # np.unique would import numpy.ma on first use
     if np.any(ordered[1:] == ordered[:-1]):
         raise InvalidInputError("indices contain duplicates")
-    if n is not None and idx.size and (ordered[0] < 0 or ordered[-1] >= n):
+    if idx.size and ordered[0] < 0:
+        raise InvalidInputError(f"indices must be nonnegative, got {ordered[0]}")
+    if n is not None and idx.size and ordered[-1] >= n:
         raise InvalidInputError(f"indices out of range [0, {n})")
     if k is not None and not 1 <= k <= idx.size:
         raise InvalidInputError(f"k={k} out of range for {idx.size} candidates")
@@ -240,130 +243,74 @@ class PoolState:
 # ── augmentation ─────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class HorizontalFlip:
-    """Mirror each image row-wise with probability p. Image data only."""
-
-    p: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise InvalidConfigError("flip probability must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class RandLite:
-    """Compose n_ops randomly chosen structural edits (column shift, noise,
-    square cutout filled with the dataset mean), each scaled by magnitude.
-    Image data only."""
-
-    n_ops: int = 2
-    magnitude: float = 0.3
-    dataset_mean: float = 0.0
-
-    def __post_init__(self):
-        if self.n_ops < 1:
-            raise InvalidConfigError("n_ops must be positive")
-        if not 0.0 <= self.magnitude <= 1.0:
-            raise InvalidConfigError("magnitude must lie in [0, 1]")
+# The pseudo-label stage's two perturbations, fixed per data layout.
+WEAK_SIGMA = 0.05  # tabular weak: jitter
+STRONG_SIGMA = 0.2  # tabular strong: jitter, then dropout
+STRONG_DROP = 0.1
+FLIP_P = 0.5  # image weak: a horizontal flip
+EDITS = 2  # image strong: random structural edits
+EDIT_MAGNITUDE = 0.3
+CUTOUT_FILL = 0.0
 
 
-@dataclass(frozen=True)
-class JitterDrop:
-    """Gaussian noise followed by zeroing a random fraction of coordinates;
-    with drop_frac 0 it is plain jitter and draws no uniforms."""
-
-    sigma: float
-    drop_frac: float = 0.1
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise InvalidConfigError("jitter sigma must be nonnegative")
-        if not 0.0 <= self.drop_frac <= 1.0:
-            raise InvalidConfigError("drop fraction must lie in [0, 1]")
-
-
-Transform = Union[HorizontalFlip, RandLite, JitterDrop]
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    """A weak and a strong perturbation sharing one seed namespace.
-
-    The weak one is a flip or plain jitter (JitterDrop with drop_frac 0):
-    each draws one row-major array (a uniform per row, a normal per value),
-    so the pseudo-label filter's slice-by-slice draw equals one draw over
-    the whole pool."""
-
-    weak: Transform
-    strong: Transform
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "rng_seed", mask64(self.rng_seed))
-        if not isinstance(self.weak, (HorizontalFlip, JitterDrop)) or getattr(self.weak, "drop_frac", 0.0) != 0.0:
-            raise InvalidConfigError(
-                f"the weak perturbation must be a flip or plain jitter (drop_frac 0), got {self.weak!r}"
-            )
-        w_sigma = getattr(self.weak, "sigma", None)
-        s_sigma = getattr(self.strong, "sigma", None)
-        if w_sigma is not None and s_sigma is not None and not w_sigma < s_sigma:
-            raise InvalidConfigError(
-                f"weak jitter sigma {w_sigma} must be below strong sigma {s_sigma}"
-            )
-
-
-def apply_transform(x, op: Transform, layout: Optional[ImageLayout], rng: np.random.Generator) -> np.ndarray:
-    """Perturbed copies of an (n, d) batch of flat feature rows. Each op draws
-    its random numbers batch-wise in a fixed order, so a given generator
-    state yields exactly one outcome."""
+def _batch(x) -> np.ndarray:
     X = np.asarray(x, dtype=np.float64)
     if X.ndim != 2:
         raise InvalidInputError(f"expected an (n, d) batch, got shape {X.shape}")
+    return X
+
+
+def weak_augment(x, layout: Optional[ImageLayout], rng: np.random.Generator) -> np.ndarray:
+    """A weakly perturbed copy of an (n, d) batch of flat rows: on tabular
+    rows (layout None) one normal of sigma WEAK_SIGMA per value, on images a
+    mirror of each row's columns when its uniform is below FLIP_P. Either
+    draws one row-major array, so drawing a batch piece by piece from one
+    generator gives the values one draw over the whole batch gives."""
+    X = _batch(x)
+    if layout is None:
+        return X + rng.normal(0.0, WEAK_SIGMA, size=X.shape)
     n, d = X.shape
-    if isinstance(op, JitterDrop):
-        out = X + rng.normal(0.0, op.sigma, size=X.shape) if op.sigma > 0 else X.copy()
-        ndrop = int(round(op.drop_frac * d))
+    flip = rng.random(n) < FLIP_P
+    mirrored = X.reshape(n, layout.height, layout.width, layout.channels)[:, :, ::-1, :]
+    return np.where(flip[:, None], mirrored.reshape(n, d), X)
+
+
+def strong_augment(x, layout: Optional[ImageLayout], rng: np.random.Generator) -> np.ndarray:
+    """A strongly perturbed copy of an (n, d) batch of flat rows. Tabular
+    rows get a normal of sigma STRONG_SIGMA per value, then each row zeroes
+    round(STRONG_DROP * d) coordinates (its smallest uniforms; no uniforms
+    are drawn when that is 0). Images get EDITS rounds in which each row
+    takes one edit at EDIT_MAGNITUDE: its columns rolled by +-shift, added
+    noise, or a square cutout filled with CUTOUT_FILL. Random numbers are
+    drawn batch-wise in a fixed order, so a generator state gives exactly
+    one outcome."""
+    X = _batch(x)
+    n, d = X.shape
+    if layout is None:
+        out = X + rng.normal(0.0, STRONG_SIGMA, size=X.shape)
+        ndrop = int(round(STRONG_DROP * d))
         if ndrop > 0:
             np.put_along_axis(out, rng.random(X.shape).argsort(axis=1)[:, :ndrop], 0.0, axis=1)
-    elif layout is None:
-        raise InvalidInputError(f"{type(op).__name__} needs an image layout")
-    elif isinstance(op, HorizontalFlip):
-        flip = rng.random(n) < op.p
-        mirrored = X.reshape(n, layout.height, layout.width, layout.channels)[:, :, ::-1, :]
-        out = np.where(flip[:, None], mirrored.reshape(n, d), X)
-    elif isinstance(op, RandLite):
-        h, w = layout.height, layout.width
-        imgs = X.reshape(n, h, w, layout.channels).copy()
-        shift = int(round(op.magnitude * w))
-        side = int(round(op.magnitude * min(h, w)))
-        for _ in range(op.n_ops):
-            kind = rng.integers(0, 3, size=n)
-            # kind 0: roll the columns by +-shift
-            roll = np.where(kind == 0, (rng.integers(0, 2, size=n) * 2 - 1) * shift, 0)
-            cols = (np.arange(w) - roll[:, None]) % w
-            imgs = np.take_along_axis(imgs, cols[:, None, :, None], axis=2)
-            # kind 1: additive noise
-            noisy = kind == 1
-            if op.magnitude > 0:
-                imgs[noisy] += rng.normal(0.0, op.magnitude, size=(int(noisy.sum()), *imgs.shape[1:]))
-            # kind 2: a side x side square filled with the dataset mean
-            top = np.arange(h) - rng.integers(0, h - side + 1, size=n)[:, None]
-            left = np.arange(w) - rng.integers(0, w - side + 1, size=n)[:, None]
-            box = ((top >= 0) & (top < side))[:, :, None] & ((left >= 0) & (left < side))[:, None, :]
-            imgs[box & (kind == 2)[:, None, None]] = op.dataset_mean
-        out = imgs.reshape(n, d)
-    else:
-        raise InvalidInputError(f"unknown transform {op!r}")
-    return out
-
-
-def weak_augment(x, cfg: AugmentConfig, layout: Optional[ImageLayout], rng: np.random.Generator) -> np.ndarray:
-    return apply_transform(x, cfg.weak, layout, rng)
-
-
-def strong_augment(x, cfg: AugmentConfig, layout: Optional[ImageLayout], rng: np.random.Generator) -> np.ndarray:
-    return apply_transform(x, cfg.strong, layout, rng)
+        return out
+    h, w = layout.height, layout.width
+    imgs = X.reshape(n, h, w, layout.channels).copy()
+    shift = int(round(EDIT_MAGNITUDE * w))
+    side = int(round(EDIT_MAGNITUDE * min(h, w)))
+    for _ in range(EDITS):
+        kind = rng.integers(0, 3, size=n)
+        # kind 0: roll the columns by +-shift
+        roll = np.where(kind == 0, (rng.integers(0, 2, size=n) * 2 - 1) * shift, 0)
+        cols = (np.arange(w) - roll[:, None]) % w
+        imgs = np.take_along_axis(imgs, cols[:, None, :, None], axis=2)
+        # kind 1: additive noise
+        noisy = kind == 1
+        imgs[noisy] += rng.normal(0.0, EDIT_MAGNITUDE, size=(int(noisy.sum()), *imgs.shape[1:]))
+        # kind 2: a side x side square set to CUTOUT_FILL
+        top = np.arange(h) - rng.integers(0, h - side + 1, size=n)[:, None]
+        left = np.arange(w) - rng.integers(0, w - side + 1, size=n)[:, None]
+        box = ((top >= 0) & (top < side))[:, :, None] & ((left >= 0) & (left < side))[:, None, :]
+        imgs[box & (kind == 2)[:, None, None]] = CUTOUT_FILL
+    return imgs.reshape(n, d)
 
 
 # ── synthetic sources ────────────────────────────────────────────────

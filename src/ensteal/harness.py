@@ -35,7 +35,7 @@ from .ensemble import EnsembleState, committee_vote, save_ensemble, train_cycle
 from .errors import InvalidConfigError, InvalidInputError, StageError
 from .seeding import derive_seed, mask64
 from .selection import SCORED_KINDS, select_queries
-from .semisup import harvest_pseudo_labels, resolve_augment, ssl_train
+from .semisup import harvest_pseudo_labels, ssl_train
 from .victim import VictimOracle, train_victim
 
 # Stage offsets XORed into the root seed; every stage owns one.
@@ -214,12 +214,11 @@ def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str]
         if cfg.ssl is not None:
             with _stage("ssl"):
                 ssl_seed = stage_seed(root, SSL_STAGE)
-                augment = resolve_augment(pool.layout, ssl_seed)
                 pre_agr = val_agreement()
                 kept, _, _ = harvest_pseudo_labels(
-                    state.best_models(), state.best_probs(pool), pool_state, cfg.ssl, augment, derive_seed(ssl_seed, 0)
+                    state.best_models(), state.best_probs(pool), pool_state, cfg.ssl, ssl_seed
                 )
-                ssl_train(state, pool_state, cfg.ssl, augment, derive_seed(ssl_seed, 1))  # a no-op if none were kept
+                ssl_train(state, pool_state, cfg.ssl, ssl_seed)  # a no-op if none were kept
                 ev = evaluate(a.cycles + 1)
                 report["ssl"] = {
                     "n_pseudo": len(kept),

@@ -173,11 +173,10 @@ def select_queries(
     committee's (members, pool rows, classes) softmax over the whole pool;
     random and k-center ignore probs, which may then be None. With
     hybrid_kcenter the top factor*k shortlist is thinned to k by
-    farthest-point coverage against the already-queried rows.
+    farthest-point coverage against the already-queried rows. A k outside
+    [1, unlabeled rows] is refused by the selector's own k rule.
     """
     candidates = pool_state.unlabeled_indices()
-    if not 1 <= k <= candidates.size:
-        raise InvalidInputError(f"batch {k} out of range for {candidates.size} unlabeled rows")
     features = pool_state.pool.features
 
     if strategy.kind == "random":

@@ -7,21 +7,22 @@ member agrees on the unperturbed label, and the least confident member still
 clears a probability threshold. Unperturbed votes are read from the
 committee's pool softmax (EnsembleState.best_probs). The filter walks the
 unlabeled rows in slices of numkit.SLICE_ROWS, so its working memory does
-not grow with the pool. The weak perturbation is drawn slice by slice over
-the pool rows in order, from one generator seeded by the run seed and the
-augmentation seed, and read at the unlabeled rows. For the two weak
-transforms an AugmentConfig allows (a flip, plain jitter) that equals one
-whole-pool draw, so a row's perturbation depends only on its pool index and
-the pool's shape, never on which other rows are still unlabeled. The
-filter's verdicts are aligned arrays over the unlabeled rows
-(FilterVerdicts). Accepted rows, capped per class (most confident first,
-then the lower row), become pseudo-labeled training data.
+not grow with the pool. The weak perturbation (datapool.weak_augment:
+jitter on tabular rows, a flip on images) is drawn slice by slice over the
+pool rows in order, from one generator seeded from the SSL stage seed, and
+read at the unlabeled rows. That equals one whole-pool draw, so a row's
+perturbation depends only on its pool index and the pool's shape, never on
+which other rows are still unlabeled. The filter's verdicts are aligned
+arrays over the unlabeled rows (FilterVerdicts). Accepted rows, capped per
+class (most confident first, then the lower row), become pseudo-labeled
+training data.
 
 The training stage then runs numkit.fit from each member's checkpoint at a
 low fixed learning rate: per epoch a labeled pass, then a pass weighted by
-the pseudo loss weight over pseudo rows strongly perturbed afresh. It goes
-through EnsembleState.refit, as a committee refresh does, so a member
-already at 1.0 on validation is not fine-tuned.
+the pseudo loss weight over pseudo rows strongly perturbed afresh
+(datapool.strong_augment: jitter and dropout on tabular rows, structural
+edits on images). It goes through EnsembleState.refit, as a committee
+refresh does, so a member already at 1.0 on validation is not fine-tuned.
 """
 
 from __future__ import annotations
@@ -32,15 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import numkit
-from .datapool import (
-    AugmentConfig,
-    HorizontalFlip,
-    JitterDrop,
-    PoolState,
-    RandLite,
-    strong_augment,
-    weak_augment,
-)
+from .datapool import PoolState, strong_augment, weak_augment
 from .ensemble import MEMBER_DTYPE, EnsembleState
 from .errors import InvalidConfigError, InvalidInputError
 from .numkit import SLICE_ROWS, MlpModel
@@ -78,23 +71,6 @@ class SslConfig:
         return numkit.SgdConfig(base_lr=self.lr, momentum=self.momentum, epochs=self.epochs, batch_size=self.batch_size)
 
 
-def resolve_augment(layout, seed: int) -> AugmentConfig:
-    """Default weak/strong perturbation pair for the data at hand: light
-    jitter vs jitter-plus-dropout on tabular rows, flips vs structural
-    edits on images."""
-    if layout is None:
-        return AugmentConfig(
-            weak=JitterDrop(0.05, drop_frac=0.0),
-            strong=JitterDrop(sigma=0.2, drop_frac=0.1),
-            rng_seed=seed,
-        )
-    return AugmentConfig(
-        weak=HorizontalFlip(0.5),
-        strong=RandLite(n_ops=2, magnitude=0.3),
-        rng_seed=seed,
-    )
-
-
 class FilterVerdicts(NamedTuple):
     """The filter's verdict on each unlabeled row: aligned arrays, one entry
     per row, rows ascending."""
@@ -112,7 +88,6 @@ def ssl_filter(
     probs: np.ndarray,
     pool_state: PoolState,
     cfg: SslConfig,
-    augment: AugmentConfig,
     seed: int = 0,
 ) -> FilterVerdicts:
     """Score every unlabeled row and accept the stable, unanimous, confident ones.
@@ -129,8 +104,8 @@ def ssl_filter(
     at least BLOCK_ROWS rows (or all of them) and each row's float32 softmax
     has the bits of one whole-pool call. Each slice perturbs the pool rows
     from the previous slice's end through its own last row with one
-    generator: for the weak transforms an AugmentConfig allows, the values
-    one whole-pool draw gives those rows.
+    generator, seeded by (derive_seed(seed, 0), seed): the values one
+    whole-pool draw gives those rows.
     """
     if not models or probs.ndim != 3 or probs.shape[:2] != (len(models), pool_state.pool.n):
         raise InvalidInputError("the filter needs models and their softmax over the pool")
@@ -142,14 +117,14 @@ def ssl_filter(
     # widened, so the threshold is compared as it is given: in float32 a 0.9
     # threshold would round to 0.89999998 and pass a confidence of that value
     min_conf = np.empty(idx.size, dtype=np.float64)
-    rng = np.random.default_rng((mask64(seed), augment.rng_seed))
+    rng = np.random.default_rng((derive_seed(seed, 0), mask64(seed)))
     # no slice when no row is unlabeled: the members see an empty batch as an error
     ends = [*range(SLICE_ROWS, idx.size - numkit.BLOCK_ROWS + 1, SLICE_ROWS), idx.size] if idx.size else []
     lo = drawn = 0
     for hi in ends:
         rows = idx[lo:hi]
         stop = int(rows[-1]) + 1
-        Xw = weak_augment(features[drawn:stop], augment, layout, rng)[rows - drawn]
+        Xw = weak_augment(features[drawn:stop], layout, rng)[rows - drawn]
         aug_labels = np.stack([numkit.predict_batch(m, Xw, MEMBER_DTYPE) for m in models])
         del Xw  # freed before the clean rows are read and the next slice is drawn
         clean = probs[:, rows]
@@ -183,13 +158,12 @@ def harvest_pseudo_labels(
     probs: np.ndarray,
     pool_state: PoolState,
     cfg: SslConfig,
-    augment: AugmentConfig,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, FilterVerdicts]:
     """Filter, cap, and record pseudo-labels in the pool in one call. Returns
     the kept (rows, labels), rows ascending, and the filter's verdicts, from
     which every reject count can be read."""
-    v = ssl_filter(models, probs, pool_state, cfg, augment, seed)
+    v = ssl_filter(models, probs, pool_state, cfg, seed)
     rows, labels = apply_class_cap(
         v.rows[v.accepted], v.labels[v.accepted], v.min_confidence[v.accepted], cfg.per_class_cap
     )
@@ -205,7 +179,6 @@ def ssl_train(
     state: EnsembleState,
     pool_state: PoolState,
     cfg: SslConfig,
-    augment: AugmentConfig,
     seed: int = 0,
 ) -> list[Optional[float]]:
     """Fine-tune each member's best checkpoint on labeled plus pseudo rows.
@@ -215,7 +188,8 @@ def ssl_train(
     then a pseudo pass with gradients scaled by the pseudo loss weight (none
     when the weight is 0); the shuffled pseudo inputs are strongly perturbed
     anew that epoch, as one batch. Random streams are per member and epoch,
-    so a skipped member changes no other member's draws. Returns refit's
+    derived from derive_seed(seed, 1) and seed, so a skipped member changes
+    no other member's draws. Returns refit's
     per-member accuracies, every entry None when no pseudo rows were
     recorded (nothing is trained then).
     """
@@ -228,14 +202,15 @@ def ssl_train(
     layout = pool_state.pool.layout
     lam = cfg.pseudo_loss_weight
     starting_points = state.best_models()
+    train_seed = derive_seed(seed, 1)
 
     def member_fit(i: int) -> MlpModel:
         def passes(e: int):
-            yield Xl, yl, np.random.default_rng(derive_seed(seed, i, e, 0)).permutation(Xl.shape[0]), 1.0
+            yield Xl, yl, np.random.default_rng(derive_seed(train_seed, i, e, 0)).permutation(Xl.shape[0]), 1.0
             if lam > 0.0:
-                order = np.random.default_rng(derive_seed(seed, i, e, 1)).permutation(Xp.shape[0])
-                aug_rng = np.random.default_rng((mask64(seed), mask64(augment.rng_seed), i, e, 1))
-                Xa = strong_augment(Xp[order], augment, layout, aug_rng)
+                order = np.random.default_rng(derive_seed(train_seed, i, e, 1)).permutation(Xp.shape[0])
+                aug_rng = np.random.default_rng((train_seed, mask64(seed), i, e, 1))
+                Xa = strong_augment(Xp[order], layout, aug_rng)
                 yield Xa, yp[order], np.arange(order.size), lam
 
         return numkit.fit(starting_points[i], cfg.sgd(), passes)[0]

@@ -153,44 +153,80 @@ def loss_grad_float32(spec, params, X, y):
     return loss, grad
 
 
-def replay_weak_draw(X, op, layout, rng) -> np.ndarray:
-    """Re-derive the documented batch draw protocol over a whole (n, d)
-    matrix, for the transforms the filter oracle needs. Jitter draws one
-    normal per coordinate, row-major; with drop_frac above 0 it then draws
-    one uniform per coordinate, and each row zeroes the coordinates of its
-    round(frac * d) smallest uniforms; a flip draws one uniform per row and
-    mirrors the rows whose uniform is below p."""
+def replay_weak_draw(X, layout, rng) -> np.ndarray:
+    """Re-derive the weak perturbation row by row over an (n, d) matrix.
+    Tabular rows (layout None) add one normal of sigma 0.05 per coordinate,
+    row-major. Images draw one uniform per row and mirror the columns of
+    the rows whose uniform is below 0.5."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    name = type(op).__name__
-    if name == "JitterDrop":
-        out = X + rng.normal(0.0, op.sigma, size=(n, d)) if op.sigma > 0 else X.copy()
-        ndrop = int(round(op.drop_frac * d))
+    if layout is None:
+        return X + rng.normal(0.0, 0.05, size=(n, d))
+    u = rng.random(n)
+    out = X.copy()
+    for r in range(n):
+        if u[r] < 0.5:
+            img = X[r].reshape(layout.height, layout.width, layout.channels)
+            out[r] = img[:, ::-1, :].ravel()
+    return out
+
+
+def replay_strong_draw(X, layout, rng) -> np.ndarray:
+    """Re-derive the strong perturbation row by row over an (n, d) matrix.
+
+    Tabular rows (layout None): one normal of sigma 0.2 per coordinate,
+    row-major; then, unless round(0.1 * d) is 0 (d <= 5), one uniform per
+    coordinate, and each row zeroes the coordinates of its round(0.1 * d)
+    smallest uniforms.
+
+    Images: two edits at magnitude 0.3, with shift = round(0.3 * width) and
+    side = round(0.3 * min(height, width)). Each edit draws, batch-wise and
+    in this order: a kind in {0, 1, 2} per row; a sign bit per row; normals
+    of sigma 0.3 for every value of the kind-1 rows, in row order; a top and
+    a left corner per row. A kind-0 row rolls its columns by sign * shift
+    (bit 1 is +shift), a kind-1 row adds its normals, and a kind-2 row sets
+    the side x side square at (top, left) to 0.0 in every channel."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    if layout is None:
+        out = X + rng.normal(0.0, 0.2, size=(n, d))
+        ndrop = int(round(0.1 * d))
         if ndrop > 0:
             u = rng.random((n, d))
             for r in range(n):
                 out[r, np.argsort(u[r])[:ndrop]] = 0.0
         return out
-    if name == "HorizontalFlip":
-        u = rng.random(n)
-        out = X.copy()
+    h, w, c = layout.height, layout.width, layout.channels
+    shift = int(round(0.3 * w))
+    side = int(round(0.3 * min(h, w)))
+    imgs = [X[r].reshape(h, w, c).copy() for r in range(n)]
+    for _ in range(2):
+        kind = rng.integers(0, 3, size=n)
+        sign = rng.integers(0, 2, size=n)
+        noise = rng.normal(0.0, 0.3, size=(int((kind == 1).sum()), h, w, c))
+        top = rng.integers(0, h - side + 1, size=n)
+        left = rng.integers(0, w - side + 1, size=n)
+        used = 0
         for r in range(n):
-            if u[r] < op.p:
-                img = X[r].reshape(layout.height, layout.width, layout.channels)
-                out[r] = img[:, ::-1, :].ravel()
-        return out
-    raise AssertionError(f"oracle does not replay {name}")
+            if kind[r] == 0:
+                imgs[r] = np.roll(imgs[r], shift if sign[r] == 1 else -shift, axis=1)
+            elif kind[r] == 1:
+                imgs[r] = imgs[r] + noise[used]
+                used += 1
+            else:
+                imgs[r][top[r] : top[r] + side, left[r] : left[r] + side, :] = 0.0
+    return np.stack([img.ravel() for img in imgs]) if n else X.copy()
 
 
-def ssl_filter_bruteforce(models, pool_state, cfg, augment, seed: int):
+def ssl_filter_bruteforce(models, pool_state, cfg, seed: int):
     """Row-by-row re-derivation of the pseudo-label filter.
 
-    The weak perturbation is drawn once over the whole pool from a generator
-    seeded by (seed, augmentation seed), each 64-bit masked, and read at the
-    unlabeled rows. The filter draws it slice by slice from that one
-    generator instead, which gives the same values for the two weak
-    transforms an AugmentConfig accepts (a flip, plain jitter): each draws
-    one row-major array. For each unlabeled row: run every member in float32, as
+    The weak perturbation (replay_weak_draw) is drawn once over the whole
+    pool from a generator seeded by (s0, seed), where s0 is the first 64-bit
+    word of SeedSequence([seed, 0]) and seed is 64-bit masked, and read at
+    the unlabeled rows. The filter draws it slice by slice from that one
+    generator instead, which gives the same values, since either weak
+    perturbation draws one row-major array. For each unlabeled row: run every member in float32, as
     the committee infers, on the row and its perturbed copy, count label
     flips, check unanimity on the clean row, and check every member's
     own-label probability against the threshold.
@@ -204,8 +240,9 @@ def ssl_filter_bruteforce(models, pool_state, cfg, augment, seed: int):
     if not idx:
         return selected, audit
     features = pool_state.pool.features
-    rng = np.random.default_rng((seed & mask, augment.rng_seed & mask))
-    Xw = replay_weak_draw(features, augment.weak, pool_state.pool.layout, rng)[idx]
+    s0 = int(np.random.SeedSequence([seed & mask, 0]).generate_state(1, np.uint64)[0])
+    rng = np.random.default_rng((s0, seed & mask))
+    Xw = replay_weak_draw(features, pool_state.pool.layout, rng)[idx]
     X = features[idx]
     probs = [forward_probs_float32(m, X) for m in models]
     probs_w = [forward_probs_float32(m, Xw) for m in models]

@@ -242,7 +242,6 @@ def test_criterion_2_selection_oracles():
 
 @pytest.mark.bitwise
 def test_criterion_3_filter_equivalence():
-    from ensteal.datapool import AugmentConfig, JitterDrop
     from ensteal.semisup import SslConfig, ssl_filter
 
     with criterion(3, "pseudo-label filter matches a brute-force reference bit-for-bit") as c:
@@ -257,14 +256,9 @@ def test_criterion_3_filter_equivalence():
                 pre = np.sort(rng.choice(200, size=n_pre, replace=False))
                 ps.query(pre, lambda X: np.zeros(len(X), dtype=np.int64))
             cfg = SslConfig()  # stock guards: at most 1 flip, unanimity, min confidence 0.9
-            aug = AugmentConfig(
-                weak=JitterDrop(0.05, 0.0),
-                strong=JitterDrop(0.2, 0.1),
-                rng_seed=trial,
-            )
             probs = committee_probs(models, ps.pool.features)
-            sel, audit = verdicts_as_oracle_shapes(ssl_filter(models, probs, ps, cfg, aug, seed=trial * 101))
-            sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, aug, seed=trial * 101)
+            sel, audit = verdicts_as_oracle_shapes(ssl_filter(models, probs, ps, cfg, seed=trial * 101))
+            sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, seed=trial * 101)
             assert sel == sel_ref, f"trial {trial}: acceptance sets differ"
             assert set(audit) == set(audit_ref)
             for i, rec in audit.items():

@@ -16,16 +16,11 @@ from ensteal.datapool import (
     QUERIED,
     UNLABELED,
     VALIDATION,
-    AugmentConfig,
     Dataset,
     GaussianMixture,
-    HorizontalFlip,
     ImageLayout,
-    JitterDrop,
     PoolState,
-    RandLite,
     TinyDigits,
-    apply_transform,
     as_indices,
     as_labels,
     initial_split,
@@ -35,6 +30,7 @@ from ensteal.datapool import (
     save_dataset,
     split_budget,
     strip_labels,
+    strong_augment,
     weak_augment,
     _digit_templates,
 )
@@ -297,125 +293,83 @@ def test_as_indices_keeps_integers_and_the_empty_message():
 # ── augmentation ─────────────────────────────────────────────────────
 
 
-def test_transform_validation():
-    with pytest.raises(InvalidConfigError):
-        HorizontalFlip(p=1.5)
-    with pytest.raises(InvalidConfigError):
-        JitterDrop(-0.1)
-    with pytest.raises(InvalidConfigError):
-        RandLite(n_ops=0)
-    with pytest.raises(InvalidConfigError):
-        JitterDrop(0.1, drop_frac=2.0)
-    with pytest.raises(InvalidConfigError):
-        AugmentConfig(weak=JitterDrop(0.5, 0.0), strong=JitterDrop(0.1, 0.0))
+AUGMENT_CASES = [
+    (None, (7, 12)),
+    (None, (1, 30)),
+    (None, (40, 8)),
+    (None, (4, 5)),  # round(0.1 * 5) is 0: no coordinate dropped
+    (ImageLayout(6, 6, 1), (9, 36)),
+    (ImageLayout(10, 6, 1), (25, 60)),
+    (ImageLayout(3, 2, 1), (12, 6)),
+    (ImageLayout(5, 4, 3), (8, 60)),
+    (ImageLayout(4, 4, 3), (1, 48)),
+]
 
 
-def test_hflip_mirrors_width():
-    layout = ImageLayout(2, 3, 1)
-    img = np.arange(6.0)[None, :]
-    out = apply_transform(img, HorizontalFlip(p=1.0), layout, np.random.default_rng(0))
-    assert np.array_equal(out.reshape(2, 3), [[2, 1, 0], [5, 4, 3]])
-    # p=0 never flips
-    same = apply_transform(img, HorizontalFlip(p=0.0), layout, np.random.default_rng(0))
-    assert np.array_equal(same, img)
-    with pytest.raises(InvalidInputError):
-        apply_transform(img, HorizontalFlip(p=1.0), None, np.random.default_rng(0))
+@pytest.mark.parametrize(
+    "augment, replay", [(weak_augment, oracles.replay_weak_draw), (strong_augment, oracles.replay_strong_draw)]
+)
+@pytest.mark.parametrize("layout, shape", AUGMENT_CASES)
+def test_augment_matches_its_row_by_row_replay(augment, replay, layout, shape):
+    # the batch draw equals the oracle's row-by-row one value for value, and
+    # leaves the generator where the oracle's draws leave it
+    changed = 0
+    for seed in range(6):
+        X = np.random.default_rng(100 + seed).normal(size=shape)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = augment(X, layout, rng)
+        assert np.array_equal(out, replay(X, layout, ref)), seed
+        assert rng.bit_generator.state == ref.bit_generator.state
+        changed += not np.array_equal(out, X)
+    assert changed  # not vacuous: some draw perturbs the batch
+
+
+@pytest.mark.parametrize("augment", [weak_augment, strong_augment])
+def test_augment_refuses_a_row_that_is_not_a_batch(augment):
     with pytest.raises(InvalidInputError, match="batch"):
-        apply_transform(img[0], HorizontalFlip(p=1.0), layout, np.random.default_rng(0))
-    # a batch flips row by row, as the filter oracle replays the draw
-    batch = np.concatenate([img, img + 10.0, -img])
-    both = apply_transform(batch[:2], HorizontalFlip(p=1.0), layout, np.random.default_rng(0))
-    assert np.array_equal(both, np.concatenate([out, out + 10.0]))
-    for seed in range(8):
-        rows = apply_transform(batch, HorizontalFlip(p=0.5), layout, np.random.default_rng(seed))
-        ref = oracles.replay_weak_draw(batch, HorizontalFlip(p=0.5), layout, np.random.default_rng(seed))
-        assert np.array_equal(rows, ref)
+        augment(np.arange(6.0), ImageLayout(2, 3, 1), np.random.default_rng(0))
+    with pytest.raises(InvalidInputError, match="batch"):
+        augment(np.arange(6.0), None, np.random.default_rng(0))
 
 
-def test_jitter_statistics_and_identity(rng):
-    x = np.zeros((1, 2000))
-    out = apply_transform(x, JitterDrop(0.5, drop_frac=0.0), None, rng)
-    assert abs(out.std() - 0.5) < 0.05
-    same = apply_transform(x, JitterDrop(0.0, drop_frac=0.0), None, rng)
-    assert np.array_equal(same, x) and same is not x
+def test_weak_flip_mirrors_width():
+    layout = ImageLayout(2, 3, 1)
+    img = np.arange(6.0)
+    mirrored = np.array([2.0, 1, 0, 5, 4, 3])
+    out = weak_augment(np.tile(img, (40, 1)), layout, np.random.default_rng(0))
+    flipped = [np.array_equal(r, mirrored) for r in out]
+    assert all(f or np.array_equal(r, img) for f, r in zip(flipped, out))
+    assert 0 < sum(flipped) < len(out)  # each row draws its own flip
 
 
-@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.3])
-def test_jitter_without_drop_draws_only_the_noise(sigma):
-    # plain jitter is JitterDrop with drop_frac 0: one normal per coordinate
-    # (none at sigma 0) and no uniforms, so the generator ends where the
-    # normals alone leave it
+def test_weak_jitter_statistics_and_draws_only_the_noise():
+    # one normal per coordinate and no uniforms, so the generator ends where
+    # the normals alone leave it
+    out = weak_augment(np.zeros((1, 2000)), None, np.random.default_rng(1))
+    assert abs(out.std() - 0.05) < 0.005
     x = np.arange(12.0).reshape(3, 4)
     rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-    out = apply_transform(x, JitterDrop(sigma, drop_frac=0.0), None, rng)
-    want = x + ref.normal(0.0, sigma, size=x.shape) if sigma > 0 else x
-    assert np.array_equal(out, want)
+    assert np.array_equal(weak_augment(x, None, rng), x + ref.normal(0.0, 0.05, size=x.shape))
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_jitter_drop_zeroes_coords(rng):
-    x = np.full((1, 100), 7.0)
-    out = apply_transform(x, JitterDrop(sigma=0.01, drop_frac=0.25), None, rng)
-    assert (out == 0.0).sum() == 25
-    # every row of a batch loses exactly round(frac * d) coordinates
-    batch = apply_transform(np.full((6, 30), 7.0), JitterDrop(sigma=0.01, drop_frac=0.1), None, rng)
+def test_strong_jitter_drop_zeroes_coords(rng):
+    out = strong_augment(np.full((1, 100), 7.0), None, rng)
+    assert (out == 0.0).sum() == 10
+    # every row of a batch loses exactly round(0.1 * d) coordinates
+    batch = strong_augment(np.full((6, 30), 7.0), None, rng)
     assert np.array_equal((batch == 0.0).sum(axis=1), [3] * 6)
     assert len({tuple(np.flatnonzero(r == 0.0)) for r in batch}) > 1  # rows draw their own coords
-    # the filter oracle zeroes the same coordinates: each row's smallest uniforms
-    op, X = JitterDrop(sigma=0.01, drop_frac=0.25), np.full((5, 12), 7.0)
-    for seed in range(3):
-        got = apply_transform(X, op, None, np.random.default_rng(seed))
-        assert np.array_equal(got, oracles.replay_weak_draw(X, op, None, np.random.default_rng(seed)))
 
 
-def test_rand_lite_identity_at_zero_magnitude():
-    layout = ImageLayout(4, 4, 1)
-    x = np.arange(16.0)
-    out = apply_transform(x[None, :], RandLite(n_ops=3, magnitude=0.0), layout, np.random.default_rng(5))
-    assert np.array_equal(out[0], x)
-    batch = np.stack([x, -x, x * 2.0])
-    out = apply_transform(batch, RandLite(n_ops=3, magnitude=0.0), layout, np.random.default_rng(5))
-    assert np.array_equal(out, batch)
-
-
-def test_rand_lite_perturbs(rng):
+def test_strong_edits_perturb_rows_independently():
     layout = ImageLayout(6, 6, 1)
-    x = np.arange(36.0)
-    outs = [apply_transform(x[None, :], RandLite(2, 0.4), layout, np.random.default_rng(s)) for s in range(8)]
-    assert any(not np.array_equal(o[0], x) for o in outs)
-    # deterministic per generator state
-    a = apply_transform(x[None, :], RandLite(2, 0.4), layout, np.random.default_rng(3))
-    b = apply_transform(x[None, :], RandLite(2, 0.4), layout, np.random.default_rng(3))
-    assert np.array_equal(a, b)
-    # a batch is deterministic per generator state too, and perturbs its rows independently
-    batch = np.tile(x, (12, 1))
-    a = apply_transform(batch, RandLite(2, 0.4), layout, np.random.default_rng(3))
-    b = apply_transform(batch, RandLite(2, 0.4), layout, np.random.default_rng(3))
+    batch = np.tile(np.arange(1.0, 37.0), (60, 1))
+    a = strong_augment(batch, layout, np.random.default_rng(3))
+    b = strong_augment(batch, layout, np.random.default_rng(3))
     assert a.shape == batch.shape and np.array_equal(a, b)
     assert len({r.tobytes() for r in a}) > 1
-    # with one op, each row is exactly one of: its columns rolled by 3, a
-    # 3x3 square set to the dataset mean, or a noisy copy
-    out = apply_transform(np.tile(x, (60, 1)), RandLite(1, 0.5, dataset_mean=-1.0), layout, rng)
-    rolled_x = np.roll(x.reshape(6, 6), 3, axis=1).ravel()
-    kinds = []
-    for r in out:
-        filled = r == -1.0
-        if np.array_equal(r, rolled_x):
-            kinds.append("roll")
-        elif filled.sum() == 9 and np.array_equal(r[~filled], x[~filled]):
-            kinds.append("square")
-        else:
-            assert not filled.any() and np.all(r != x), "row matches no RandLite op"
-            kinds.append("noise")
-    assert set(kinds) == {"roll", "square", "noise"}
-
-
-def test_weak_augment_uses_config():
-    cfg = AugmentConfig(weak=JitterDrop(0.1, drop_frac=0.0), strong=JitterDrop(0.5, 0.2), rng_seed=4)
-    x = np.zeros((1, 10))
-    out = weak_augment(x, cfg, None, np.random.default_rng(2))
-    ref = np.random.default_rng(2).normal(0.0, 0.1, (1, 10))
-    assert np.array_equal(out, ref)
+    assert (a == 0.0).any()  # a cutout fills with 0.0, a value no input row holds
 
 
 # ── synthetic sources ────────────────────────────────────────────────

@@ -12,7 +12,7 @@ import pytest
 from conftest import assert_lf_text, committee_probs
 from ensteal import harness, numkit
 from ensteal.config import config_to_dict, load_config, parse_config
-from ensteal.datapool import GaussianMixture, ImageLayout, initial_split, make_synthetic, split_budget, strong_augment
+from ensteal.datapool import GaussianMixture, initial_split, make_synthetic, split_budget, strong_augment
 from ensteal.ensemble import MEMBER_DTYPE, BestCheckpoint, ensemble_predict
 from ensteal.errors import InvalidConfigError, InvalidInputError, StageError
 from ensteal.harness import (
@@ -28,7 +28,6 @@ from ensteal.harness import (
 from ensteal.netvictim import VictimService
 from ensteal.numkit import MlpModel, load_model, predict_batch, save_model
 from ensteal.seeding import derive_seed, mask64
-from ensteal.semisup import resolve_augment
 from ensteal.victim import VictimOracle, VictimRecipe, train_victim
 
 
@@ -438,17 +437,6 @@ def test_load_config_rejects_a_literal_nan(tmp_path):
         load_config(p)
 
 
-# ── augment resolution ───────────────────────────────────────────────
-
-
-def test_resolve_augment_by_layout():
-    tab = resolve_augment(None, seed=3)
-    assert tab.weak.sigma == 0.05
-    img = resolve_augment(ImageLayout(8, 5, 1), seed=3)
-    assert img.weak.p == 0.5
-    assert img.rng_seed == 3
-
-
 # ── evaluation ───────────────────────────────────────────────────────
 
 
@@ -705,22 +693,23 @@ def test_skipping_saturated_members_leaves_every_artifact_unchanged(tmp_path, mo
             if state.best[i] is None or acc > state.best[i].val_accuracy:
                 state.best[i] = BestCheckpoint(trained.copy(), acc, state.cycle)
 
-    def finetune_every_member(state, pool_state, ssl_cfg, augment, seed):
+    def finetune_every_member(state, pool_state, ssl_cfg, seed):
         saturated_at["ssl"].append([b.val_accuracy == 1.0 for b in state.best])
         Xl, yl, _ = pool_state.labeled_data()
         Xp, yp, _ = pool_state.pseudo_data()
         Xv, yv, _ = pool_state.validation_data()
         lam = ssl_cfg.pseudo_loss_weight
         sgd = numkit.SgdConfig(base_lr=ssl_cfg.lr, momentum=ssl_cfg.momentum, batch_size=ssl_cfg.batch_size)
+        train_seed = derive_seed(seed, 1)
         for i, best in enumerate(list(state.best)):
             model = best.model.copy()
             velocity = np.zeros_like(model.params)
             for e in range(ssl_cfg.epochs):
-                order = np.random.default_rng(derive_seed(seed, i, e, 0)).permutation(len(Xl))
+                order = np.random.default_rng(derive_seed(train_seed, i, e, 0)).permutation(len(Xl))
                 numkit.sgd_epoch(model, velocity, Xl, yl, order, sgd, ssl_cfg.lr)
-                order = np.random.default_rng(derive_seed(seed, i, e, 1)).permutation(len(Xp))
-                aug_rng = np.random.default_rng((mask64(seed), mask64(augment.rng_seed), i, e, 1))
-                Xa = strong_augment(Xp[order], augment, pool_state.pool.layout, aug_rng)
+                order = np.random.default_rng(derive_seed(train_seed, i, e, 1)).permutation(len(Xp))
+                aug_rng = np.random.default_rng((train_seed, mask64(seed), i, e, 1))
+                Xa = strong_augment(Xp[order], pool_state.pool.layout, aug_rng)
                 numkit.sgd_epoch(model, velocity, Xa, yp[order], np.arange(order.size), sgd, ssl_cfg.lr, lam)
             model.epoch_counter += ssl_cfg.epochs
             acc = numkit.accuracy(model, Xv, yv, MEMBER_DTYPE)

@@ -236,16 +236,30 @@ def test_selectors_refuse_duplicate_rows(select):
 
 
 @pytest.mark.parametrize(
-    "candidates, centers",
-    [([-1, 0], [1]), ([0, 4], [1]), ([0, 1], [-1]), ([0, 1], [7])],
-    ids=["negative_candidate", "candidate_past_the_end", "negative_center", "center_past_the_end"],
+    "select, message",
+    [
+        (lambda: kcenter_select(np.arange(4.0)[:, None], [-1, 0], [1], 1), "must be nonnegative, got -1"),
+        (lambda: kcenter_select(np.arange(4.0)[:, None], [0, 4], [1], 1), r"out of range \[0, 4\)"),
+        (lambda: kcenter_select(np.arange(4.0)[:, None], [0, 1], [-1], 1), "must be nonnegative, got -1"),
+        (lambda: kcenter_select(np.arange(4.0)[:, None], [0, 1], [7], 1), r"out of range \[0, 4\)"),
+        (lambda: random_select([-5, -1], 1, 0), "must be nonnegative, got -5"),
+        (lambda: top_k_select([0.5, 0.2], [-3, 2], 1), "must be nonnegative, got -3"),
+    ],
+    ids=[
+        "kcenter_negative_candidate",
+        "kcenter_candidate_past_the_end",
+        "kcenter_negative_center",
+        "kcenter_center_past_the_end",
+        "random_negative_candidate",
+        "top_k_negative_candidate",
+    ],
 )
-def test_kcenter_refuses_rows_outside_the_features(candidates, centers):
-    # a candidate of -1 was returned as picked, a center of -1 was read as the
-    # last row, and a center of 7 raised numpy's IndexError
-    features = np.arange(4.0)[:, None]
-    with pytest.raises(InvalidInputError, match=r"indices out of range \[0, 4\)"):
-        kcenter_select(features, candidates, centers, 1)
+def test_selectors_refuse_rows_outside_the_pool(select, message):
+    # k-center returned a candidate of -1 as picked, read a center of -1 as
+    # the last row, and raised numpy's IndexError on a center of 7; random
+    # and top-k, which are given no row count, returned [-1] and [-3]
+    with pytest.raises(InvalidInputError, match=f"^indices {message}$"):
+        select()
 
 
 # ── strategy dispatch ────────────────────────────────────────────────
@@ -316,10 +330,18 @@ def test_select_queries_rejects_k_zero(scored_pool, kind, hybrid):
 
 
 def test_select_queries_exhausted_pool():
+    # no row is left unlabeled, so every k is out of range: each of the five
+    # paths (random, k-center, both scored kinds, hybrid) refuses k = 0 and
+    # k = 1 by its selector's k rule in datapool.as_rows
     ps = PoolState(Dataset(np.zeros((4, 2))))
     ps.query([0, 1, 2, 3], lambda X: np.zeros(len(X), dtype=np.int64))
-    with pytest.raises(InvalidInputError):
-        select_queries(SelectionStrategy("random"), None, ps, 1, seed=0)
+    probs = np.full((3, 4, 2), 0.5, dtype=np.float32)
+    paths = [SelectionStrategy(kind) for kind in STRATEGY_KINDS]
+    paths.append(SelectionStrategy("label_disagreement", hybrid_kcenter=True))
+    for strategy in paths:
+        for k in (0, 1):
+            with pytest.raises(InvalidInputError, match=r"^k=\d+ out of range for 0 candidates$"):
+                select_queries(strategy, probs, ps, k, seed=0)
 
 
 def _per_candidate_scores(kind, models, X):

@@ -9,17 +9,12 @@ from hypothesis import strategies as hst
 
 from conftest import committee_probs, make_sharp_models, record_offers, spy_probs_batch, verdicts_as_oracle_shapes
 from ensteal.datapool import (
-    AugmentConfig,
     Dataset,
     GaussianMixture,
-    HorizontalFlip,
     ImageLayout,
-    JitterDrop,
     PoolState,
-    RandLite,
     make_synthetic,
     strip_labels,
-    strong_augment,
 )
 from ensteal.ensemble import MEMBER_DTYPE, EnsembleRecipe, EnsembleState, train_cycle
 from ensteal import numkit, semisup
@@ -33,11 +28,7 @@ from ensteal.semisup import (
     ssl_filter,
     ssl_train,
 )
-from oracles import class_cap_bruteforce, loss_grad_float32, ssl_filter_bruteforce
-
-
-def tabular_aug(seed=0):
-    return AugmentConfig(weak=JitterDrop(0.05, 0.0), strong=JitterDrop(0.2, 0.1), rng_seed=seed)
+from oracles import class_cap_bruteforce, loss_grad_float32, replay_strong_draw, ssl_filter_bruteforce
 
 
 def test_ssl_config_validation():
@@ -68,37 +59,38 @@ def test_ssl_defaults():
 @pytest.mark.bitwise
 def test_filter_matches_bruteforce_bitwise(rng):
     # the acceptance suite hammers this at scale; here a quick spot check
-    # across layouts of queried/unlabeled rows, with jitter and with a flip
-    # of the image rows as the weak perturbation
+    # across layouts of queried/unlabeled rows, with the rows read as tabular
+    # (jitter is the weak perturbation) and as images (a flip)
     flips = 0
     for trial in range(20):
         n = int(rng.integers(30, 80))
-        layout = ImageLayout(2, int(rng.integers(2, 5)))
-        d = layout.flat_dim
+        image = ImageLayout(2, int(rng.integers(2, 5)))
+        d = image.flat_dim
         models = make_sharp_models(5, dim=d, classes=4, seed=trial)
-        ps = PoolState(Dataset(rng.normal(size=(n, d)), layout=layout))
+        features = rng.normal(size=(n, d))
         pre = rng.choice(n, size=int(rng.integers(0, n // 3 + 1)), replace=False)
-        if pre.size:
-            ps.query(pre, lambda X: np.zeros(len(X), dtype=np.int64))
-        probs = committee_probs(models, ps.pool.features)
-        for weak in (JitterDrop(0.05, 0.0), HorizontalFlip(0.5)):
-            aug = AugmentConfig(weak=weak, strong=JitterDrop(0.2, 0.1), rng_seed=trial)
+        probs = committee_probs(models, features)
+        for layout in (None, image):
+            ps = PoolState(Dataset(features, layout=layout))
+            if pre.size:
+                ps.query(pre, lambda X: np.zeros(len(X), dtype=np.int64))
             cfg = SslConfig(confidence_threshold=0.6)
-            v = ssl_filter(models, probs, ps, cfg, aug, seed=trial * 13)
+            v = ssl_filter(models, probs, ps, cfg, seed=trial * 13)
             sel, audit = verdicts_as_oracle_shapes(v)
-            sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, aug, seed=trial * 13)
-            assert sel == sel_ref, f"trial {trial} {weak}"
+            sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, seed=trial * 13)
+            assert sel == sel_ref, f"trial {trial} {layout}"
             # every row's (changes, unanimous, min confidence); the confidences
             # are positive floats, so == compares them bit for bit
-            assert audit == audit_ref, f"trial {trial} {weak}"
-            flips += int(v.changes.sum()) if isinstance(weak, HorizontalFlip) else 0
+            assert audit == audit_ref, f"trial {trial} {layout}"
+            flips += int(v.changes.sum()) if layout is not None else 0
     assert flips > 0  # the mirrored images flip some labels
 
 
-def queried_pool(rng, n, unlabeled, layout):
-    """A PoolState over n random image rows of which a random unlabeled are
-    left unlabeled, the rest queried."""
-    ps = PoolState(Dataset(rng.normal(size=(n, layout.flat_dim)), layout=layout))
+def queried_pool(rng, n, unlabeled, layout, dim=None):
+    """A PoolState over n random rows, images of the layout or dim tabular
+    values when it is None, of which a random unlabeled are left unlabeled,
+    the rest queried."""
+    ps = PoolState(Dataset(rng.normal(size=(n, dim or layout.flat_dim)), layout=layout))
     ps.query(rng.choice(n, size=n - unlabeled, replace=False), lambda X: np.zeros(len(X), dtype=np.int64))
     return ps
 
@@ -112,51 +104,48 @@ def queried_pool(rng, n, unlabeled, layout):
         (SLICE_ROWS + numkit.BLOCK_ROWS, [SLICE_ROWS, numkit.BLOCK_ROWS]),  # a tail long enough stands alone
     ],
 )
-@pytest.mark.parametrize("weak", [JitterDrop(0.05, 0.0), HorizontalFlip(0.5)])
+@pytest.mark.parametrize("layout", [None, ImageLayout(3, 2)], ids=["tabular", "image"])
 @pytest.mark.bitwise
-def test_streamed_filter_matches_bruteforce_bitwise(rng, monkeypatch, unlabeled, slices, weak):
+def test_streamed_filter_matches_bruteforce_bitwise(rng, monkeypatch, unlabeled, slices, layout):
     # pools of several slices: the verdicts equal the oracle's, which draws
     # the perturbation once over the whole pool and runs each member once
-    layout = ImageLayout(3, 2)
-    models = make_sharp_models(3, dim=layout.flat_dim, classes=3, seed=unlabeled)
-    ps = queried_pool(rng, unlabeled + 300, unlabeled, layout)
+    models = make_sharp_models(3, dim=6, classes=3, seed=unlabeled)
+    ps = queried_pool(rng, unlabeled + 300, unlabeled, layout, dim=6)
     probs = committee_probs(models, ps.pool.features)
-    aug = AugmentConfig(weak=weak, strong=JitterDrop(0.2, 0.1), rng_seed=5)
     cfg = SslConfig(confidence_threshold=0.6)
     labeled, drawn = [], []
     real_predict, real_augment = numkit.predict_batch, semisup.weak_augment
     monkeypatch.setattr(numkit, "predict_batch", lambda m, X, *a: labeled.append(len(X)) or real_predict(m, X, *a))
     monkeypatch.setattr(semisup, "weak_augment", lambda X, *a: drawn.append(len(X)) or real_augment(X, *a))
-    v = ssl_filter(models, probs, ps, cfg, aug, seed=21)
+    v = ssl_filter(models, probs, ps, cfg, seed=21)
     assert labeled == [size for size in slices for _ in models]
     # each pool row through the last unlabeled one is drawn once, in order
     assert len(drawn) == len(slices) and sum(drawn) == ps.unlabeled_indices()[-1] + 1
     sel, audit = verdicts_as_oracle_shapes(v)
-    sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, aug, seed=21)
+    sel_ref, audit_ref = ssl_filter_bruteforce(models, ps, cfg, seed=21)
     assert sel == sel_ref
     assert audit == audit_ref
     assert v.changes.any() and v.accepted.any()  # the check is not vacuous
 
 
-@pytest.mark.parametrize("weak", [JitterDrop(0.3, 0.0), HorizontalFlip(0.5)])
+@pytest.mark.parametrize("layout", [None, ImageLayout(3, 2)], ids=["tabular", "image"])
 @pytest.mark.bitwise
-def test_filter_verdicts_do_not_depend_on_the_unlabeled_set(rng, weak):
+def test_filter_verdicts_do_not_depend_on_the_unlabeled_set(rng, layout):
     # one pool, two pool states: the second has more rows queried; a row
     # unlabeled in both gets the same perturbation, so the same verdict; the
     # pool spans several slices, whose bounds differ between the two states
     n = 3 * SLICE_ROWS
     models = make_sharp_models(5, dim=6, classes=4, seed=3)
-    pool = Dataset(rng.normal(size=(n, 6)), layout=ImageLayout(3, 2))
+    pool = Dataset(rng.normal(size=(n, 6)), layout=layout)
     fewer, more = PoolState(pool), PoolState(pool)
     first = rng.choice(n, size=200, replace=False)
     extra = rng.choice(np.setdiff1d(np.arange(n), first), size=400, replace=False)
     fewer.query(first, lambda X: np.zeros(len(X), dtype=np.int64))
     more.query(np.union1d(first, extra), lambda X: np.zeros(len(X), dtype=np.int64))
-    aug = AugmentConfig(weak=weak, strong=JitterDrop(0.5, 0.1), rng_seed=9)
     cfg = SslConfig(confidence_threshold=0.6)
     probs = committee_probs(models, pool.features)
-    a = ssl_filter(models, probs, fewer, cfg, aug, seed=17)
-    b = ssl_filter(models, probs, more, cfg, aug, seed=17)
+    a = ssl_filter(models, probs, fewer, cfg, seed=17)
+    b = ssl_filter(models, probs, more, cfg, seed=17)
     both = np.intersect1d(a.rows, b.rows)
     assert both.size == n - 600
     ia, ib = np.searchsorted(a.rows, both), np.searchsorted(b.rows, both)
@@ -172,11 +161,10 @@ def filter_peak(rng, n) -> int:
     models = make_sharp_models(3, dim=layout.flat_dim, classes=4, seed=0)
     ps = queried_pool(rng, n, 3 * n // 4, layout)
     probs = committee_probs(models, ps.pool.features)
-    aug = AugmentConfig(weak=HorizontalFlip(0.5), strong=JitterDrop(0.2, 0.1), rng_seed=1)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        ssl_filter(models, probs, ps, SslConfig(), aug, seed=2)
+        ssl_filter(models, probs, ps, SslConfig(), seed=2)
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -190,14 +178,6 @@ def test_filter_memory_does_not_grow_with_the_pool(rng):
     small = 2 * SLICE_ROWS
     grown = filter_peak(rng, 4 * small) - filter_peak(rng, small)
     assert grown < small * 128 * 8, grown
-
-
-@pytest.mark.parametrize("weak", [RandLite(2, 0.3), JitterDrop(0.05, 0.25), JitterDrop(0.05, 0.01)])
-def test_augment_config_refuses_a_weak_transform_other_than_flip_or_plain_jitter(weak):
-    # the filter draws the weak perturbation slice by slice, which equals one
-    # whole-pool draw only for transforms drawing one row-major array
-    with pytest.raises(InvalidConfigError, match="weak perturbation must be a flip or plain jitter"):
-        AugmentConfig(weak=weak, strong=JitterDrop(0.5, 0.1))
 
 
 def capped_map(rows, labels, confidence, cap):
@@ -217,7 +197,7 @@ def test_filter_empty_pool():
     ps = PoolState(Dataset(np.zeros((3, 4))))
     ps.query([0, 1, 2], lambda X: np.arange(3))
     probs = committee_probs(models, ps.pool.features)
-    v = ssl_filter(models, probs, ps, SslConfig(), tabular_aug(), seed=0)
+    v = ssl_filter(models, probs, ps, SslConfig(), seed=0)
     assert all(a.shape == (0,) for a in v)
     assert verdicts_as_oracle_shapes(v) == ({}, {})
 
@@ -263,7 +243,7 @@ def test_harvest_marks_pool(rng):
     ps = PoolState(Dataset(rng.normal(size=(60, 5))))
     cfg = SslConfig(confidence_threshold=0.5, per_class_cap=4)
     probs = committee_probs(models, ps.pool.features)
-    rows, labels, verdicts = harvest_pseudo_labels(models, probs, ps, cfg, tabular_aug(), seed=1)
+    rows, labels, verdicts = harvest_pseudo_labels(models, probs, ps, cfg, seed=1)
     assert len(verdicts.rows) == 60
     assert ps.counts()["pseudo"] == rows.size
     _, yp, ip = ps.pseudo_data()
@@ -286,7 +266,7 @@ def test_harvest_runs_the_models_only_on_the_perturbed_rows(rng, monkeypatch):
     real = numkit.probs_batch
     monkeypatch.setattr(numkit, "probs_batch", lambda m, X, *rest: seen.append((m, X)) or real(m, X, *rest))
     cfg = SslConfig(confidence_threshold=0.5)
-    harvest_pseudo_labels(models, probs, ps, cfg, tabular_aug(), seed=1)
+    harvest_pseudo_labels(models, probs, ps, cfg, seed=1)
     assert [m for m, _ in seen] == models
     for _, X in seen:
         assert X.shape == Xu.shape
@@ -304,7 +284,7 @@ def test_filter_compares_float32_confidences_with_the_threshold_as_given(rng):
     probs[:, 0] = [below, 0.05, 0.05]
     probs[:, 1] = [above, 0.05, 0.05]
     cfg = SslConfig(confidence_threshold=0.9, max_label_changes=2)
-    v = ssl_filter(models, probs, ps, cfg, tabular_aug())
+    v = ssl_filter(models, probs, ps, cfg)
     assert v.min_confidence.tolist() == [float(below), float(above)]
     assert v.accepted.tolist() == [False, True]
 
@@ -322,7 +302,7 @@ def test_filter_rejects_a_softmax_not_over_the_pool(rng):
         ([], probs[:0]),
     ]:
         with pytest.raises(InvalidInputError, match="softmax over the pool"):
-            ssl_filter(bad_models, bad_probs, ps, cfg, tabular_aug())
+            ssl_filter(bad_models, bad_probs, ps, cfg)
 
 
 # ── consistency training ─────────────────────────────────────────────
@@ -375,7 +355,7 @@ def test_ssl_train_noop_without_pseudo(ssl_scenario, monkeypatch):
     st = copy.deepcopy(state)
     before = list(st.best)
     offered, fits = record_offers(st), spy_fit(monkeypatch)
-    assert ssl_train(st, ps, cfg, tabular_aug(), seed=0) == [None] * st.spec.size
+    assert ssl_train(st, ps, cfg, seed=0) == [None] * st.spec.size
     assert offered == {} and fits == []
     assert all(b is b0 for b, b0 in zip(st.best, before))
 
@@ -384,14 +364,14 @@ def test_ssl_train_runs_and_traces(ssl_scenario, monkeypatch):
     state, ps, full = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(confidence_threshold=0.5, epochs=3, per_class_cap=30)
-    kept, _, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, tabular_aug(), seed=5)
+    kept, _, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
     assert kept.size, "scenario should produce at least one pseudo row"
     st = unsaturated_copy(state)
     before_best = [b.val_accuracy for b in st.best]
     before_cycle = [b.cycle for b in st.best]
     start_epochs = [m.epoch_counter for m in st.best_models()]
     offered, fits = record_offers(st), spy_fit(monkeypatch)
-    accs = ssl_train(st, ps, cfg, tabular_aug(), seed=7)
+    accs = ssl_train(st, ps, cfg, seed=7)
     # every member fine-tuned: a labeled and a pseudo pass per epoch, each
     # with a positive finite loss, and the trained model offered
     assert len(fits) == len(accs) == st.spec.size and all(isinstance(a, float) for a in accs)
@@ -412,7 +392,7 @@ def test_ssl_train_lambda_zero_skips_pseudo_pass(ssl_scenario, monkeypatch):
     state, ps, full = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     base = SslConfig(confidence_threshold=0.5, epochs=2, per_class_cap=30)
-    kept, _, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, base, tabular_aug(), seed=5)
+    kept, _, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, base, seed=5)
     assert kept.size
     cfg0 = SslConfig(
         confidence_threshold=0.5, epochs=2,
@@ -425,12 +405,12 @@ def test_ssl_train_lambda_zero_skips_pseudo_pass(ssl_scenario, monkeypatch):
     fits = spy_fit(monkeypatch)
     augmented = []
     monkeypatch.setattr(semisup, "strong_augment", lambda *a: augmented.append(a))
-    acc_a = ssl_train(s_a, ps, cfg0, tabular_aug(), seed=11)
+    acc_a = ssl_train(s_a, ps, cfg0, seed=11)
     # one labeled pass per epoch and member, and no pseudo row is perturbed
     assert [len(losses) for _, losses in fits] == [cfg0.epochs] * state.spec.size
     assert augmented == []
     # identical labeled-only trajectory is reproducible
-    acc_b = ssl_train(s_b, ps, cfg0, tabular_aug(), seed=11)
+    acc_b = ssl_train(s_b, ps, cfg0, seed=11)
     assert acc_a == acc_b and all(isinstance(a, float) for a in acc_a)
     assert o_a.keys() == o_b.keys() == set(range(state.spec.size))
     for i in o_a:
@@ -443,21 +423,21 @@ def test_ssl_train_deterministic(ssl_scenario, monkeypatch):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(confidence_threshold=0.5, epochs=2, per_class_cap=30)
-    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, tabular_aug(), seed=5)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
     s_a = unsaturated_copy(state)
     s_b = unsaturated_copy(state)
     o_a, o_b = record_offers(s_a), record_offers(s_b)
     fits = spy_fit(monkeypatch)
     n = state.spec.size
-    acc_a = ssl_train(s_a, ps, cfg, tabular_aug(), seed=3)
-    acc_b = ssl_train(s_b, ps, cfg, tabular_aug(), seed=3)
+    acc_a = ssl_train(s_a, ps, cfg, seed=3)
+    acc_b = ssl_train(s_b, ps, cfg, seed=3)
     assert acc_a == acc_b and len(acc_a) == n and None not in acc_a
     assert o_a.keys() == o_b.keys() == set(range(n))
     for i in o_a:
         assert np.array_equal(o_a[i].params, o_b[i].params)
     losses_a, losses_b = [f[1] for f in fits[:n]], [f[1] for f in fits[n:]]
     assert losses_a == losses_b
-    ssl_train(unsaturated_copy(state), ps, cfg, tabular_aug(), seed=4)
+    ssl_train(unsaturated_copy(state), ps, cfg, seed=4)
     assert [f[1] for f in fits[2 * n :]] != losses_a
 
 
@@ -467,11 +447,11 @@ def test_ssl_train_improves_or_preserves_validation(ssl_scenario):
     state, ps, full = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(confidence_threshold=0.5, epochs=5, per_class_cap=50)
-    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, tabular_aug(), seed=5)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
     Xv, yv, _ = ps.validation_data()
     st = copy.deepcopy(state)
     before = max(accuracy(m, Xv, yv) for m in st.best_models())
-    ssl_train(st, ps, cfg, tabular_aug(), seed=21)
+    ssl_train(st, ps, cfg, seed=21)
     after = max(accuracy(m, Xv, yv) for m in st.best_models())
     assert after >= before - 0.05
 
@@ -481,12 +461,12 @@ def test_ssl_train_replaced_checkpoints_get_fresh_outputs(ssl_scenario, monkeypa
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(confidence_threshold=0.5, epochs=2, per_class_cap=30)
-    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, tabular_aug(), seed=5)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
     st = copy.deepcopy(state)
     stale = st.best_probs(ps.pool).copy()  # the table itself is rewritten in place below
     for b in st.best:
         b.val_accuracy = -1.0  # any fine-tuned member now counts as an improvement
-    ssl_train(st, ps, cfg, tabular_aug(), seed=3)
+    ssl_train(st, ps, cfg, seed=3)
     assert all(b.cycle == st.cycle + 1 for b in st.best)
     calls = spy_probs_batch(monkeypatch)
     fresh = st.best_probs(ps.pool)
@@ -502,7 +482,7 @@ def test_ssl_train_skips_saturated_members(ssl_scenario, monkeypatch):
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     assert any(b.saturated for b in state.best), "the fixture should saturate a member"
     cfg = SslConfig(confidence_threshold=0.5, epochs=2, per_class_cap=30)
-    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, tabular_aug(), seed=5)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
     st = copy.deepcopy(state)
     before = st.best_probs(ps.pool).copy()
     st.best[0].val_accuracy = 1.0
@@ -514,7 +494,7 @@ def test_ssl_train_skips_saturated_members(ssl_scenario, monkeypatch):
     trained = []
     real = numkit.sgd_epoch
     monkeypatch.setattr(numkit, "sgd_epoch", lambda m, *a: trained.append(m) or real(m, *a))
-    accs = ssl_train(st, ps, cfg, tabular_aug(), seed=3)
+    accs = ssl_train(st, ps, cfg, seed=3)
     assert accs[0] is None and accs[2] is None and isinstance(accs[1], float)
     assert len(fits) == 1 and len(fits[0][1]) == len(trained) == 2 * cfg.epochs
     assert offered.keys() == {1} and all(m is offered[1] for m in trained)
@@ -533,30 +513,32 @@ def test_ssl_train_raises_on_divergence_naming_the_member(ssl_scenario):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(confidence_threshold=0.5, epochs=3, per_class_cap=30, lr=1e6)
-    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, tabular_aug(), seed=5)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
     st = unsaturated_copy(state)
     before = list(st.best)
     with pytest.raises(TrainingDivergedError, match="member 0"):
-        ssl_train(st, ps, cfg, tabular_aug(), seed=7)
+        ssl_train(st, ps, cfg, seed=7)
     assert all(b is b0 for b, b0 in zip(st.best, before))
 
 
-def _reference_ssl_train(models, ps, cfg, augment, seed):
-    """ssl_train's fine-tuning loop written out in float32 from the oracle's
-    gradient: final parameters per member and every pass's mean loss."""
+def _reference_ssl_train(models, ps, cfg, seed):
+    """ssl_train's fine-tuning loop written out in float32 from the oracles'
+    gradient and strong perturbation: final parameters per member and every
+    pass's mean loss."""
     Xl, yl, _ = ps.labeled_data()
     Xp, yp, _ = ps.pseudo_data()
     lam = cfg.pseudo_loss_weight
+    train_seed = derive_seed(seed, 1)
     params, losses = [], []
     for i, start in enumerate(models):
         p = start.params.astype(np.float32)
         velocity = np.zeros_like(p)
         for e in range(cfg.epochs):
-            passes = [(Xl, yl, np.random.default_rng(derive_seed(seed, i, e, 0)).permutation(len(Xl)), 1.0)]
+            passes = [(Xl, yl, np.random.default_rng(derive_seed(train_seed, i, e, 0)).permutation(len(Xl)), 1.0)]
             if lam > 0.0:
-                order = np.random.default_rng(derive_seed(seed, i, e, 1)).permutation(len(Xp))
-                aug_rng = np.random.default_rng((mask64(seed), augment.rng_seed, i, e, 1))
-                Xa = strong_augment(Xp[order], augment, None, aug_rng)
+                order = np.random.default_rng(derive_seed(train_seed, i, e, 1)).permutation(len(Xp))
+                aug_rng = np.random.default_rng((train_seed, mask64(seed), i, e, 1))
+                Xa = replay_strong_draw(Xp[order], ps.pool.layout, aug_rng)
                 passes.append((Xa, yp[order], np.arange(order.size), lam))
             for X, y, order, scale in passes:
                 X = X.astype(np.float32)
@@ -571,21 +553,29 @@ def _reference_ssl_train(models, ps, cfg, augment, seed):
     return params, losses
 
 
+def with_layout(ps, layout):
+    """A copy of a pool state whose pool rows are read with the given layout."""
+    out = PoolState(Dataset(ps.pool.features, layout=layout))
+    out.status[:], out.labels[:] = ps.status, ps.labels
+    return out
+
+
+@pytest.mark.parametrize("layout", [None, ImageLayout(3, 2, 1), ImageLayout(1, 2, 3)], ids=["tabular", "image", "rgb"])
 @pytest.mark.parametrize("weight", [0.0, 0.7])
 @pytest.mark.bitwise
-def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, weight, monkeypatch):
+def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, weight, layout, monkeypatch):
     state, ps, _ = ssl_scenario
-    ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
-    aug = tabular_aug(seed=2)
+    ps = with_layout(ps, layout)  # the pseudo-labels marked below stay in this test
     cfg = SslConfig(
         confidence_threshold=0.5, epochs=3, per_class_cap=25,
         pseudo_loss_weight=weight, batch_size=16,
     )
-    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, aug, seed=5)
+    harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
+    assert ps.counts()["pseudo"] > 0  # not vacuous: a pseudo pass runs when its weight is positive
     st = unsaturated_copy(state)
-    ref_params, ref_losses = _reference_ssl_train(st.best_models(), ps, cfg, aug, seed=13)
+    ref_params, ref_losses = _reference_ssl_train(st.best_models(), ps, cfg, seed=13)
     offered, fits = record_offers(st), spy_fit(monkeypatch)
-    ssl_train(st, ps, cfg, aug, seed=13)
+    ssl_train(st, ps, cfg, seed=13)
     # every member, whether or not its checkpoint was replaced
     assert len(ref_params) == len(offered) == len(fits) == st.spec.size
     for i, params in enumerate(ref_params):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import committee_probs, make_sharp_models
-from ensteal.datapool import AugmentConfig, Dataset, JitterDrop, PoolState
+from ensteal.datapool import Dataset, PoolState
 from ensteal.semisup import SslConfig, harvest_pseudo_labels, ssl_filter
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -37,9 +37,8 @@ def test_semisup_work_counts_are_rows_filtered_and_kept(rng):
     models = [m.copy() for m in make_sharp_models(1, dim=5, classes=3, seed=4) * 5]  # unanimous
     ps = PoolState(Dataset(rng.normal(size=(60, 5))))
     ps.query(range(0, 60, 4), lambda X: np.zeros(len(X), dtype=np.int64))
-    aug = AugmentConfig(weak=JitterDrop(0.05, 0.0), strong=JitterDrop(0.2, 0.1), rng_seed=0)
     cfg = SslConfig(confidence_threshold=0.5, per_class_cap=4)
-    args = (models, committee_probs(models, ps.pool.features), ps, cfg, aug, 1)
+    args = (models, committee_probs(models, ps.pool.features), ps, cfg, 1)
     filtered = work["semisup.ssl_filter"](args, {}, ssl_filter(*args))
     assert filtered == ps.unlabeled_indices().size == 45
     kept = work["semisup.harvest_pseudo_labels"](args, {}, harvest_pseudo_labels(*args))
