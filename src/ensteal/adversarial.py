@@ -1,11 +1,11 @@
 """Gradient attacks on substitute models and transfer measurement.
 
-Projected gradient descent under an L-infinity ball: optional uniform
-random start, fixed sign-gradient steps, projection back onto the ball
-after every step. Crafted inputs are then replayed against a second model
-to measure how often fooling the source also fools the target; the
-companion baseline replaces the crafted perturbation with uniform random
-corner noise of the same radius.
+L-infinity PGD: optional uniform random start, sign-gradient steps each
+projected onto the ball. PGD checks its rows with numkit.as_batch, the
+model's form of datapool.as_matrix, the one row rule, before its epsilon-0
+identity. Crafted rows are replayed on a second model to measure how often
+fooling the source also fools the target; the baseline is random corner
+noise of equal radius.
 """
 
 from __future__ import annotations
@@ -55,9 +55,7 @@ def pgd_attack_batch(model: MlpModel, X, y, cfg: PgdConfig, seed: int = 0) -> np
     projects back into the epsilon ball around the original row; the random
     start is drawn from seed. epsilon 0 returns X unchanged.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise InvalidInputError(f"expected a feature matrix, got shape {X.shape}")
+    X = numkit.as_batch(model, X)
     y = numkit.as_class_labels(model, y, X.shape[0])
     if cfg.epsilon == 0.0:
         return X.copy()

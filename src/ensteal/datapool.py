@@ -1,17 +1,18 @@
 """Datasets, the unlabeled attack pool, and input augmentation.
 
 A Dataset is a float64 feature matrix with optional integer labels and an
-optional image layout (height, width, channels) describing how each flat row
-folds into a picture. PoolState tracks, per pool row, whether it is still
-unlabeled, was sent to the oracle, was pseudo-labeled locally, or is held out
-for validation; the oracle's answers live here too, so downstream stages
-never touch ground truth by accident.
+optional image layout (height, width, channels) that folds each flat row
+into a picture; as_matrix, the one row rule, checks its rows. PoolState
+tracks, per pool row, whether it is still unlabeled, was sent to the
+oracle, was pseudo-labeled locally, or is held out for validation; the
+oracle's answers live here too, so downstream stages never touch ground
+truth by accident.
 
 The pseudo-label stage's weak and strong perturbations are fixed recipes,
-picked by the layout (tabular rows or images), that draw from an explicit
-numpy Generator, which keeps every perturbation replayable. Synthetic
-sources (a separable Gaussian mixture and noisy low-res digit glyphs) cover
-desk-scale experiments without external data.
+picked by the layout, drawing from an explicit numpy Generator, which
+keeps each perturbation replayable. Synthetic sources (a separable
+Gaussian mixture and noisy digit glyphs) cover desk-scale experiments
+without external data.
 
 Every file is written by write_bytes here, whole or not at all, and every
 text file goes through the text codec here: UTF-8, "\n" line ends, CSV cells
@@ -130,22 +131,27 @@ def as_rows(indices, n: Optional[int], k: Optional[int] = None) -> np.ndarray:
     return idx
 
 
+def as_matrix(x, layout: Optional[ImageLayout] = None) -> np.ndarray:
+    """x as a float64 (n, d) matrix, d = layout.flat_dim when a layout is
+    given, else InvalidInputError: the one row rule, which Dataset, the
+    perturbations, k-center and the wire client share."""
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim != 2:
+        raise InvalidInputError(f"expected an (n, d) batch, got shape {X.shape}")
+    if layout is not None and layout.flat_dim != X.shape[1]:
+        raise InvalidInputError(f"layout {layout} implies {layout.flat_dim} features per row, matrix has {X.shape[1]}")
+    return X
+
+
 class Dataset:
     """Feature matrix (n, d) float64, optional int64 labels, optional layout."""
 
     __slots__ = ("features", "labels", "layout")
 
     def __init__(self, features, labels=None, layout: Optional[ImageLayout] = None):
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2:
-            raise InvalidInputError(f"features must be 2-d, got shape {features.shape}")
+        features = as_matrix(features, layout)
         if not np.all(np.isfinite(features)):
             raise InvalidInputError("features contain non-finite values")
-        if layout is not None and layout.flat_dim != features.shape[1]:
-            raise InvalidInputError(
-                f"layout {layout} implies {layout.flat_dim} features per row, "
-                f"matrix has {features.shape[1]}"
-            )
         self.features = features
         self.labels = None if labels is None else as_labels(labels, features.shape[0])
         self.layout = layout
@@ -253,20 +259,13 @@ EDIT_MAGNITUDE = 0.3
 CUTOUT_FILL = 0.0
 
 
-def _batch(x) -> np.ndarray:
-    X = np.asarray(x, dtype=np.float64)
-    if X.ndim != 2:
-        raise InvalidInputError(f"expected an (n, d) batch, got shape {X.shape}")
-    return X
-
-
 def weak_augment(x, layout: Optional[ImageLayout], rng: np.random.Generator) -> np.ndarray:
     """A weakly perturbed copy of an (n, d) batch of flat rows: on tabular
     rows (layout None) one normal of sigma WEAK_SIGMA per value, on images a
     mirror of each row's columns when its uniform is below FLIP_P. Either
     draws one row-major array, so drawing a batch piece by piece from one
     generator gives the values one draw over the whole batch gives."""
-    X = _batch(x)
+    X = as_matrix(x, layout)
     if layout is None:
         return X + rng.normal(0.0, WEAK_SIGMA, size=X.shape)
     n, d = X.shape
@@ -284,7 +283,7 @@ def strong_augment(x, layout: Optional[ImageLayout], rng: np.random.Generator) -
     noise, or a square cutout filled with CUTOUT_FILL. Random numbers are
     drawn batch-wise in a fixed order, so a generator state gives exactly
     one outcome."""
-    X = _batch(x)
+    X = as_matrix(x, layout)
     n, d = X.shape
     if layout is None:
         out = X + rng.normal(0.0, STRONG_SIGMA, size=X.shape)

@@ -76,7 +76,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import RemoteSection
-from .datapool import is_integer, write_csv
+from .datapool import as_matrix, is_integer, write_csv
 from .errors import BudgetExhaustedError, InvalidInputError, RemoteUnavailableError
 from .seeding import mask64
 from .victim import VictimOracle
@@ -373,9 +373,7 @@ class RemoteVictimClient:
 
     def predict_batch(self, X) -> np.ndarray:
         """Labels for every row of X from one atomic request."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise InvalidInputError(f"expected an (n, d) feature batch, got shape {X.shape}")
+        X = as_matrix(X)
         labels = self._request(
             {"op": "predict_batch", **encode_rows(X)},
             "labels",

@@ -8,15 +8,15 @@ one vote count. Both read the committee's softmax over the whole pool, a
 log and the 0*log(0)=0 convention. They walk the pool in contiguous slices
 of numkit.SLICE_ROWS rows, so their scratch memory does not grow with it.
 Baselines: uniform random draws and greedy farthest-point k-center coverage
-in raw feature space. Score-based strategies can optionally shortlist the
-top scores and then spread the shortlist with k-center before spending
-budget.
+in raw feature space. Scored strategies can shortlist the top scores and
+spread the shortlist with k-center before spending budget.
 
 All selections break ties toward the lowest pool index and return sorted
-index arrays, which keeps every strategy replayable bit for bit. Every
-selector checks its rows with datapool.as_rows, the pool's one index rule:
-it refuses duplicate candidates and a k outside [1, candidates], and
-k-center also refuses candidate and center rows outside its features.
+index arrays, so every strategy replays bit for bit. Every selector checks
+its rows with datapool.as_rows, the one index rule: it refuses duplicate
+candidates and a k outside [1, candidates]; k-center also refuses rows
+outside its features, and features that datapool.as_matrix, the one row
+rule, refuses.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datapool import QUERIED, PoolState, as_rows
+from .datapool import QUERIED, PoolState, as_matrix, as_rows
 from .ensemble import vote_counts
 from .errors import InvalidConfigError, InvalidInputError
 from .numkit import SLICE_ROWS
@@ -107,6 +107,7 @@ def kcenter_select(
 
     With no centers yet, the first pick is the lowest candidate index.
     """
+    features = as_matrix(features)
     candidates = np.sort(as_rows(candidates, len(features), k))
     center_indices = as_rows(center_indices, len(features))
     cand_X = features[candidates]

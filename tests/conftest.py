@@ -15,6 +15,11 @@ def pytest_configure(config):
         "bitwise: a bit-for-bit result that must also hold with two BLAS threads, "
         "which CI runs as a step of its own",
     )
+    config.addinivalue_line(
+        "markers",
+        "dev: run again by a CI step of its own under python -X dev, where a "
+        "socket or file handle left open fails the test",
+    )
 
 
 def make_sharp_models(k: int, dim: int, classes: int, seed: int, hidden=(5,)) -> list[MlpModel]:

@@ -374,6 +374,7 @@ def _tree_bytes(root, skip=frozenset()):
     return out
 
 
+@pytest.mark.dev
 def test_criterion_4_budget_invariants(tmp_path):
     with criterion(4, "spend ledger invariants hold; remote and local backends agree") as c:
         budget_property()

@@ -173,6 +173,25 @@ def test_attack_and_transfer_reject_bad_labels(bad):
         transferability(src, tgt, X, bad, PgdConfig(epsilon=0.5, steps=2), 1)
 
 
+@pytest.mark.parametrize(
+    "X, message",
+    [
+        (np.array([[0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 2.0, 3.0]]), "non-finite"),
+        (np.zeros((2, 5)), r"\(batch, 4\) feature matrix, got shape \(2, 5\)"),
+        (np.zeros((0, 4)), "batch is empty"),
+    ],
+    ids=["nan_row", "wrong_width", "empty"],
+)
+def test_attack_rejects_bad_rows_at_every_epsilon(X, message):
+    # epsilon 0 used to return these rows as they came, which every other
+    # epsilon refuses
+    src = make_sharp_models(1, dim=4, classes=2, seed=8)[0]
+    y = np.zeros(len(X), dtype=np.int64)
+    for eps in (0.0, 0.5):
+        with pytest.raises(InvalidInputError, match=message):
+            pgd_attack_batch(src, X, y, PgdConfig(epsilon=eps, steps=2), 1)
+
+
 def test_transferability_end_to_end(attack_setup):
     model, other, test = attack_setup
     X, y = test.features[:100], test.labels[:100]

@@ -391,6 +391,7 @@ def test_gen_data_rejects_non_finite_separation(tmp_path, capsys, separation):
     assert "InvalidConfigError" in err and "separation" in err  # not Dataset's finite check
 
 
+@pytest.mark.dev
 def test_remote_attack_through_served_checkpoint(tmp_path, victim_ckpt):
     # spin the server through its library surface (the CLI command runs the
     # same serve() loop but blocks the process), then run the attack against

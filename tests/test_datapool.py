@@ -330,6 +330,9 @@ def test_augment_refuses_a_row_that_is_not_a_batch(augment):
         augment(np.arange(6.0), ImageLayout(2, 3, 1), np.random.default_rng(0))
     with pytest.raises(InvalidInputError, match="batch"):
         augment(np.arange(6.0), None, np.random.default_rng(0))
+    # a row as wide as no image of the layout raised numpy's reshape ValueError
+    with pytest.raises(InvalidInputError, match=r"implies 4 features per row, matrix has 5$"):
+        augment(np.zeros((2, 5)), ImageLayout(2, 2, 1), np.random.default_rng(0))
 
 
 def test_weak_flip_mirrors_width():

@@ -202,6 +202,7 @@ def test_parse_ssl_and_adv_sections():
         parse_config(raw)
 
 
+@pytest.mark.dev
 def test_parse_tiny_digits_and_remote():
     raw = base_config()
     raw["victim"]["data"] = {"source": "tiny_digits", "height": 8, "width": 5}
@@ -216,6 +217,7 @@ def test_parse_tiny_digits_and_remote():
         parse_config(raw)
 
 
+@pytest.mark.dev
 def test_parsing_a_remote_section_leaves_out_the_server_stack():
     # the section checks its endpoint itself; it used to build a throwaway client
     raw = base_config()
@@ -268,9 +270,9 @@ def _full_config(path: str, value) -> dict:
         ("attack.ensemble.hidden_profile", [[6], 10]),
         ("attack.ensemble.hidden_profile", [[6], [10.0]]),
         ("attack.ensemble.epochs", "10"),
-        ("attack.remote.port", "4242"),
-        ("attack.remote.host", 127),
-        ("attack.remote.timeout", None),
+        pytest.param("attack.remote.port", "4242", marks=pytest.mark.dev),
+        pytest.param("attack.remote.host", 127, marks=pytest.mark.dev),
+        pytest.param("attack.remote.timeout", None, marks=pytest.mark.dev),
         ("ssl.epochs", 2.0),
         ("ssl.confidence_threshold", True),
         ("adversarial.epsilon", "0.5"),
@@ -283,7 +285,7 @@ def _full_config(path: str, value) -> dict:
         ("victim.weight_decay", float("nan")),
         ("victim.base_lr", float("-inf")),
         ("victim.data.separation", float("inf")),
-        ("attack.remote.timeout", float("nan")),
+        pytest.param("attack.remote.timeout", float("nan"), marks=pytest.mark.dev),
         pytest.param("ssl.confidence_threshold", 10**400, id="ssl.confidence_threshold-int_past_float_range"),
     ],
 )
@@ -303,14 +305,14 @@ def test_parse_rejects_wrong_types_naming_the_key(path, value):
         ("adversarial.epsilon", -1, "adversarial"),
         ("victim.activation", "gelu", "victim"),
         ("attack.ensemble.hidden_profile", [[0]], "attack.ensemble"),
-        ("attack.remote.timeout", 0, "attack.remote"),
-        ("attack.remote.timeout", -1.5, "attack.remote"),
-        ("attack.remote.retries", 0, "attack.remote"),
-        ("attack.remote.retries", -3, "attack.remote"),
-        ("attack.remote.port", 0, "attack.remote"),
-        ("attack.remote.port", -1, "attack.remote"),
-        ("attack.remote.port", 65536, "attack.remote"),
-        ("attack.remote.port", 70000, "attack.remote"),
+        pytest.param("attack.remote.timeout", 0, "attack.remote", marks=pytest.mark.dev),
+        pytest.param("attack.remote.timeout", -1.5, "attack.remote", marks=pytest.mark.dev),
+        pytest.param("attack.remote.retries", 0, "attack.remote", marks=pytest.mark.dev),
+        pytest.param("attack.remote.retries", -3, "attack.remote", marks=pytest.mark.dev),
+        pytest.param("attack.remote.port", 0, "attack.remote", marks=pytest.mark.dev),
+        pytest.param("attack.remote.port", -1, "attack.remote", marks=pytest.mark.dev),
+        pytest.param("attack.remote.port", 65536, "attack.remote", marks=pytest.mark.dev),
+        pytest.param("attack.remote.port", 70000, "attack.remote", marks=pytest.mark.dev),
     ],
 )
 def test_parse_rejects_values_a_later_stage_would_reject(path, value, section):
@@ -822,6 +824,7 @@ def _remote_config(checkpoint, svc, kind="consensus_entropy") -> dict:
     return raw
 
 
+@pytest.mark.dev
 def test_remote_run_reports_rows_it_bought(tmp_path, served_checkpoint):
     # the server's budget (1000) is not the config's (120)
     oracle = VictimOracle(load_model(served_checkpoint), 1000)
@@ -832,6 +835,7 @@ def test_remote_run_reports_rows_it_bought(tmp_path, served_checkpoint):
     assert "budget: 120/120 queries spent" in (tmp_path / "summary.txt").read_text()
 
 
+@pytest.mark.dev
 def test_remote_runs_of_other_configs_share_one_server(tmp_path, served_checkpoint):
     # same seed, another strategy: the runs send different batches, so their
     # request ids must differ too; a same-config replay keeps its ids and is

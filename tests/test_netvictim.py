@@ -23,6 +23,7 @@ from ensteal.netvictim import RemoteVictimClient, VictimService, decode_rows, en
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
 from ensteal.victim import VictimOracle, _row_hash
 
+pytestmark = pytest.mark.dev
 
 @pytest.fixture()
 def service(tmp_path):

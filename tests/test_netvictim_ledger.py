@@ -15,6 +15,7 @@ import json
 import socket
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
@@ -23,6 +24,8 @@ from ensteal.config import RemoteSection
 from ensteal.datapool import Dataset, PoolState
 from ensteal.errors import BudgetExhaustedError, InvalidInputError
 from ensteal.netvictim import RemoteVictimClient, VictimService, encode_rows
+
+pytestmark = pytest.mark.dev
 from ensteal.numkit import MlpModel, MlpSpec, predict_batch
 from ensteal.victim import VictimOracle
 

@@ -215,6 +215,8 @@ def test_select_k_validation():
         random_select(np.array([3, 4]), 0, seed=0)
     with pytest.raises(InvalidInputError):
         top_k_select(np.array([1.0, 2.0]), np.array([0]), 1)  # misaligned
+    with pytest.raises(InvalidInputError, match=r"^expected an \(n, d\) batch, got shape \(4,\)$"):
+        kcenter_select(np.arange(4.0), [0, 1], [2], 1)  # 1-d features raised numpy's AxisError
 
 
 

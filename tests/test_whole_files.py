@@ -31,6 +31,7 @@ from ensteal.ensemble import load_ensemble
 from ensteal.errors import InvalidInputError, StageError
 from ensteal.numkit import load_model
 
+pytestmark = pytest.mark.dev
 
 class _HalfWrite:
     """A file handle whose write stores half of its data, then fails."""
