@@ -1,11 +1,11 @@
 """Gradient attacks on substitute models and transfer measurement.
 
 L-infinity PGD: optional uniform random start, sign-gradient steps each
-projected onto the ball. PGD checks its rows with numkit.as_batch, the
-model's form of datapool.as_matrix, the one row rule, before its epsilon-0
-identity. Crafted rows are replayed on a second model to measure how often
-fooling the source also fools the target; the baseline is random corner
-noise of equal radius.
+projected onto the ball. PGD and its random-sign baseline check rows with
+numkit.as_batch, the one row rule, before the epsilon-0 identity. One
+transferability call measures a member: it attacks the first n_eval rows,
+labels them once, and replays PGD's rows and the baseline's corner noise
+of equal radius on a second model.
 """
 
 from __future__ import annotations
@@ -18,22 +18,31 @@ import numpy as np
 
 from . import numkit
 from .datapool import write_csv
-from .errors import AttackFailedError, InvalidConfigError, InvalidInputError
+from .errors import AttackFailedError, InvalidConfigError
 from .numkit import MlpModel
 from .seeding import mask64
 
-# what a transfer rate divides by: the source-fooling rows, or every row
+# what a transfer rate divides by: the source-fooled rows, or every row
 DENOMINATORS = ("source_fooled", "all")
 
 
 @dataclass(frozen=True)
 class PgdConfig:
+    """The adversarial recipe: PGD's settings, the rows attacked and the
+    transfer rate's denominator (one of DENOMINATORS)."""
+
     epsilon: float
     steps: int = 20
     step_size: Optional[float] = None  # defaults to 2.5 * epsilon / steps
     random_start: bool = True
+    n_eval: int = 200
+    denominator: str = "source_fooled"
 
     def __post_init__(self):
+        if self.n_eval < 1:
+            raise InvalidConfigError("n_eval must be positive")
+        if self.denominator not in DENOMINATORS:
+            raise InvalidConfigError(f"denominator must be {' or '.join(DENOMINATORS)}")
         if not 0 <= self.epsilon < math.inf:
             raise InvalidConfigError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
         if self.steps < 1:
@@ -75,17 +84,15 @@ def pgd_attack_batch(model: MlpModel, X, y, cfg: PgdConfig, seed: int = 0) -> np
     return adv
 
 
-def random_sign_perturbation(X, epsilon: float, seed: int = 0) -> np.ndarray:
-    """Baseline noise: each coordinate moves by exactly +-epsilon, signs
-    drawn uniformly."""
-    X = np.asarray(X, dtype=np.float64)
-    if not 0 <= epsilon < math.inf:
-        raise InvalidConfigError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
-    if epsilon == 0.0:
+def random_sign_perturbation(model: MlpModel, X, cfg: PgdConfig, seed: int = 0) -> np.ndarray:
+    """Baseline noise: each coordinate of X moves by exactly +-cfg.epsilon,
+    signs drawn uniformly from seed."""
+    X = numkit.as_batch(model, X)
+    if cfg.epsilon == 0.0:
         return X.copy()
     rng = np.random.default_rng(mask64(seed))
     signs = rng.integers(0, 2, size=X.shape) * 2 - 1
-    return X + epsilon * signs
+    return X + cfg.epsilon * signs
 
 
 # ── transfer measurement ─────────────────────────────────────────────
@@ -97,6 +104,7 @@ class TransferResult:
     source_fooled: int
     both_fooled: int
     transfer_rate: Optional[float]  # None when the denominator is empty
+    random_transfer_rate: Optional[float]  # the baseline's; None also without one
     clean_source_acc: float
     clean_target_acc: float
     adv_source_acc: float
@@ -107,56 +115,15 @@ class TransferResult:
     adv_target_labels: np.ndarray
 
 
-def transfer_from_adversarials(
-    source: MlpModel,
-    target: MlpModel,
-    X,
-    y,
-    X_adv,
-    denominator: str = "source_fooled",
-) -> TransferResult:
-    """How often inputs that fool the source also fool the target.
-
-    A model is fooled when its label on the crafted row differs from the
-    true label. The default rate divides by the number of source-fooling
-    rows and is None when that count is zero; denominator="all" divides by
-    the full row count instead.
-    """
-    if denominator not in DENOMINATORS:
-        raise InvalidConfigError(f"unknown denominator {denominator!r}")
-    X = np.asarray(X, dtype=np.float64)
-    X_adv = np.asarray(X_adv, dtype=np.float64)
-    if X.shape != X_adv.shape:
-        raise InvalidInputError("clean and adversarial matrices must align")
-    n = X.shape[0]
-    y = numkit.as_class_labels(source, y, n)
-    numkit.as_class_labels(target, y, n)
-    clean_src = numkit.predict_batch(source, X)
-    clean_tgt = numkit.predict_batch(target, X)
-    adv_src = numkit.predict_batch(source, X_adv)
-    adv_tgt = numkit.predict_batch(target, X_adv)
+def _replay(source: MlpModel, target: MlpModel, X_adv: np.ndarray, y: np.ndarray, denominator: str):
+    """Both models' labels on X_adv, the source-fooled and both-fooled
+    counts, and the transfer rate over the denominator."""
+    adv_src, adv_tgt = numkit.predict_batch(source, X_adv), numkit.predict_batch(target, X_adv)
     src_fooled = adv_src != y
-    both = src_fooled & (adv_tgt != y)
+    fooled, both = int(src_fooled.sum()), int((src_fooled & (adv_tgt != y)).sum())
     if denominator == "all":
-        rate: Optional[float] = float(both.sum() / n)
-    elif src_fooled.sum() == 0:
-        rate = None
-    else:
-        rate = float(both.sum() / src_fooled.sum())
-    return TransferResult(
-        n=n,
-        source_fooled=int(src_fooled.sum()),
-        both_fooled=int(both.sum()),
-        transfer_rate=rate,
-        clean_source_acc=float(np.mean(clean_src == y)),
-        clean_target_acc=float(np.mean(clean_tgt == y)),
-        adv_source_acc=float(np.mean(adv_src == y)),
-        adv_target_acc=float(np.mean(adv_tgt == y)),
-        clean_source_labels=clean_src,
-        clean_target_labels=clean_tgt,
-        adv_source_labels=adv_src,
-        adv_target_labels=adv_tgt,
-    )
+        return adv_src, adv_tgt, fooled, both, both / len(y)
+    return adv_src, adv_tgt, fooled, both, both / fooled if fooled else None
 
 
 def transferability(
@@ -166,13 +133,41 @@ def transferability(
     y,
     cfg: PgdConfig,
     seed: int = 0,
-    denominator: str = "source_fooled",
+    baseline_seed: Optional[int] = None,
 ) -> TransferResult:
-    """Craft on the source with PGD, then measure transfer to the target. A
-    target of another (input_dim, num_classes) is refused before the attack."""
+    """How often PGD rows crafted on the source's first cfg.n_eval rows
+    also fool the target. A model is fooled when its label differs from the
+    true one; the rate divides by the source-fooled rows (None if there are
+    none) or, under denominator "all", by every row. Given baseline_seed,
+    the random-sign baseline is replayed too. A target of another
+    (input_dim, num_classes) is refused before the attack."""
     numkit.check_shape(target, (source.spec.input_dim, source.spec.num_classes), "target", "the source")
-    X_adv = pgd_attack_batch(source, X, y, cfg, seed)
-    return transfer_from_adversarials(source, target, X, y, X_adv, denominator)
+    X = numkit.as_batch(source, X)
+    y = numkit.as_class_labels(source, y, X.shape[0])
+    X, y = X[: cfg.n_eval], y[: cfg.n_eval]
+    adv_src, adv_tgt, fooled, both, rate = _replay(
+        source, target, pgd_attack_batch(source, X, y, cfg, seed), y, cfg.denominator
+    )
+    random_rate = None
+    if baseline_seed is not None:
+        X_rand = random_sign_perturbation(source, X, cfg, baseline_seed)
+        random_rate = _replay(source, target, X_rand, y, cfg.denominator)[-1]
+    clean_src, clean_tgt = numkit.predict_batch(source, X), numkit.predict_batch(target, X)
+    return TransferResult(
+        n=len(y),
+        source_fooled=fooled,
+        both_fooled=both,
+        transfer_rate=rate,
+        random_transfer_rate=random_rate,
+        clean_source_acc=float(np.mean(clean_src == y)),
+        clean_target_acc=float(np.mean(clean_tgt == y)),
+        adv_source_acc=float(np.mean(adv_src == y)),
+        adv_target_acc=float(np.mean(adv_tgt == y)),
+        clean_source_labels=clean_src,
+        clean_target_labels=clean_tgt,
+        adv_source_labels=adv_src,
+        adv_target_labels=adv_tgt,
+    )
 
 
 TRANSFER_CSV_HEADER = ("sample_index", "clean_src", "clean_victim", "adv_src", "adv_victim")

@@ -78,11 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--victim", required=True)
     p.add_argument("--data", required=True, help="labeled dataset file")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--steps", type=int, default=config.AdvSection.steps)
-    p.add_argument("--step-size", type=float, default=config.AdvSection.step_size)
+    p.add_argument("--steps", type=int, default=adv.PgdConfig.steps)
+    p.add_argument("--step-size", type=float, default=adv.PgdConfig.step_size)
     p.add_argument("--no-random-start", action="store_true")
-    p.add_argument("--n-eval", type=int, default=config.AdvSection.n_eval)
-    p.add_argument("--denominator", choices=adv.DENOMINATORS, default=config.AdvSection.denominator)
+    p.add_argument("--n-eval", type=int, default=adv.PgdConfig.n_eval)
+    p.add_argument("--denominator", choices=adv.DENOMINATORS, default=adv.PgdConfig.denominator)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write per-sample labels CSV here")
     return parser
@@ -163,7 +163,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_adv_transfer(args) -> int:
-    settings = config.AdvSection(
+    settings = adv.PgdConfig(
         epsilon=args.epsilon, steps=args.steps, step_size=args.step_size,
         random_start=not args.no_random_start, n_eval=args.n_eval, denominator=args.denominator,
     )
@@ -172,10 +172,7 @@ def _cmd_adv_transfer(args) -> int:
     data = load_dataset(args.data)
     if data.labels is None:
         raise InvalidInputError("dataset has no labels")
-    n = min(settings.n_eval, data.n)
-    result = adv.transferability(
-        source, victim_model, data.features[:n], data.labels[:n], settings, args.seed, settings.denominator
-    )
+    result = adv.transferability(source, victim_model, data.features, data.labels, settings, args.seed)
     if args.out:
         adv.write_transfer_csv(args.out, result)
     print(

@@ -1,14 +1,14 @@
-"""The experiment config's schema: one JSON object that describes a whole run.
+"""The experiment config's schema: one JSON object describing a whole run.
 
 This module is schema only. The config is a tree of frozen section
 dataclasses: `parse_config` decodes JSON into it by walking their fields
 (JSON types checked, unknown keys rejected, each section range-checked as it
 is built), and `config_to_dict` walks it back to the JSON that
-config_echo.json holds. The victim, committee, SSL and PGD sections are the
-runtime recipes that the modules doing the work define (VictimRecipe,
-EnsembleRecipe, SslConfig, PgdConfig), plus only the keys those recipes do
-not hold; each setting and its default are declared once, there. Parsing
-builds no network client and imports no server code.
+config_echo.json holds. The victim, committee, SSL and adversarial sections
+are the run-time recipes that the modules doing the work define
+(VictimRecipe, EnsembleRecipe, SslConfig, PgdConfig), plus only the keys
+those recipes do not hold; each setting and default is declared once,
+there. Parsing builds no network client and imports no server code.
 """
 
 from __future__ import annotations
@@ -118,22 +118,6 @@ class SslSection(SslConfig):
 
 
 @dataclass(frozen=True)
-class AdvSection(adv.PgdConfig):
-    """The PGD recipe plus how many test rows to attack and what a transfer
-    rate divides by."""
-
-    n_eval: int = 200
-    denominator: str = "source_fooled"
-
-    def __post_init__(self):
-        if self.n_eval < 1:
-            raise InvalidConfigError("n_eval must be positive")
-        if self.denominator not in adv.DENOMINATORS:
-            raise InvalidConfigError(f"denominator must be {' or '.join(adv.DENOMINATORS)}")
-        super().__post_init__()
-
-
-@dataclass(frozen=True)
 class OutputSection:
     scores_csv: bool = False
 
@@ -144,7 +128,7 @@ class ExperimentConfig:
     victim: VictimSection
     attack: AttackSection
     ssl: Optional[SslSection] = None
-    adversarial: Optional[AdvSection] = None
+    adversarial: Optional[adv.PgdConfig] = None
     outputs: OutputSection = OutputSection()
 
 

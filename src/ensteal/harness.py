@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import adversarial as adv
 from . import config, numkit
+from .adversarial import transferability, write_transfer_csv
 from .datapool import Dataset, PoolState, initial_split, make_synthetic, strip_labels
 from .datapool import format_cell, json_text, write_csv, write_lines, write_text
 from .ensemble import EnsembleState, committee_vote, save_ensemble, train_cycle
@@ -230,26 +230,18 @@ def run_attack(cfg: config.ExperimentConfig, out_dir, config_text: Optional[str]
 
         if cfg.adversarial is not None:
             with _stage("adversarial"):
-                ac = cfg.adversarial
-                n_eval = min(ac.n_eval, test.n)
-                Xe, ye = test.features[:n_eval], test.labels[:n_eval]
+                ac, adv_seed = cfg.adversarial, stage_seed(root, ADV_STAGE)
                 adv_report = []
                 for i, model in enumerate(state.best_models()):
-                    pgd_seed = derive_seed(stage_seed(root, ADV_STAGE), i)
-                    res = adv.transferability(model, victim_model, Xe, ye, ac, pgd_seed, ac.denominator)
-                    X_rand = adv.random_sign_perturbation(
-                        Xe, ac.epsilon, seed=derive_seed(stage_seed(root, ADV_STAGE), i, 1)
-                    )
-                    rand_res = adv.transfer_from_adversarials(
-                        model, victim_model, Xe, ye, X_rand, ac.denominator
-                    )
-                    adv.write_transfer_csv(os.path.join(out_dir, f"adv_member{i}.csv"), res)
+                    seeds = derive_seed(adv_seed, i), derive_seed(adv_seed, i, 1)  # PGD's, the baseline's
+                    res = transferability(model, victim_model, test.features, test.labels, ac, *seeds)
+                    write_transfer_csv(os.path.join(out_dir, f"adv_member{i}.csv"), res)
                     adv_report.append(
                         {
                             "member": i,
                             "epsilon": ac.epsilon,
                             "transfer_rate": res.transfer_rate,
-                            "random_transfer_rate": rand_res.transfer_rate,
+                            "random_transfer_rate": res.random_transfer_rate,
                             "source_fooled": res.source_fooled,
                             "both_fooled": res.both_fooled,
                             "adv_source_acc": res.adv_source_acc,

@@ -448,32 +448,30 @@ def test_criterion_6_adversarial_transfer(reference_run):
         models = state.best_models()
         src = GaussianMixture(4, 8, SEPARATION)
         test = make_synthetic(src, 2000, harness.stage_seed(root, harness.TEST_DATA))
-        X, y = test.features[:200], test.labels[:200]
+        X, y = test.features, test.labels  # the call attacks the first n_eval = 200
+        adv_seed = harness.stage_seed(root, harness.ADV_STAGE)
 
-        # zero-budget attack returns the inputs untouched
-        X0 = adv.pgd_attack_batch(models[2], X, y, adv.PgdConfig(epsilon=0.0, steps=20), seed=1)
-        assert np.array_equal(X0, X)
+        # a zero-budget attack and its baseline leave every label as it was
+        zero = adv.transferability(models[2], victim, X, y, adv.PgdConfig(epsilon=0.0, steps=20), 1, 2)
+        assert zero.n == 200
+        assert np.array_equal(zero.adv_source_labels, zero.clean_source_labels)
+        assert np.array_equal(zero.adv_target_labels, zero.clean_target_labels)
+        assert zero.random_transfer_rate == zero.transfer_rate
 
         # the crafted-on model's accuracy never recovers as the ball grows
         for i, m in enumerate(models):
             accs = []
             for eps in (0.0, 0.5, 1.0):
                 cfg = adv.PgdConfig(epsilon=eps, steps=20)
-                seed = derive_seed(harness.stage_seed(root, harness.ADV_STAGE), i)
-                accs.append(adv.transferability(m, victim, X, y, cfg, seed).adv_source_acc)
+                accs.append(adv.transferability(m, victim, X, y, cfg, derive_seed(adv_seed, i)).adv_source_acc)
             assert accs[0] >= accs[1] >= accs[2], f"member {i}: accs {accs}"
 
         # crafted perturbations carry to the victim better than sign noise
         for i, m in enumerate(models):
-            cfg = adv.PgdConfig(epsilon=1.0, steps=20)
-            seed = derive_seed(harness.stage_seed(root, harness.ADV_STAGE), i)
-            pgd = adv.transferability(m, victim, X, y, cfg, seed, denominator="all")
-            X_rand = adv.random_sign_perturbation(
-                X, 1.0, seed=derive_seed(harness.stage_seed(root, harness.ADV_STAGE), i, 1)
-            )
-            rand = adv.transfer_from_adversarials(m, victim, X, y, X_rand, denominator="all")
-            assert pgd.transfer_rate > rand.transfer_rate, (
-                f"member {i}: pgd {pgd.transfer_rate} vs noise {rand.transfer_rate}"
+            cfg = adv.PgdConfig(epsilon=1.0, steps=20, denominator="all")
+            res = adv.transferability(m, victim, X, y, cfg, derive_seed(adv_seed, i), derive_seed(adv_seed, i, 1))
+            assert res.transfer_rate > res.random_transfer_rate, (
+                f"member {i}: pgd {res.transfer_rate} vs noise {res.random_transfer_rate}"
             )
 
         # the member sharing the target's architecture transfers best

@@ -7,7 +7,6 @@ from ensteal.adversarial import (
     PgdConfig,
     pgd_attack_batch,
     random_sign_perturbation,
-    transfer_from_adversarials,
     transferability,
     write_transfer_csv,
 )
@@ -35,6 +34,10 @@ def test_pgd_config_validation():
         PgdConfig(epsilon=0.1, steps=0)
     with pytest.raises(InvalidConfigError):
         PgdConfig(epsilon=0.1, step_size=-1.0)
+    with pytest.raises(InvalidConfigError, match="n_eval must be positive"):
+        PgdConfig(epsilon=0.1, n_eval=0)
+    with pytest.raises(InvalidConfigError, match="denominator must be source_fooled or all"):
+        PgdConfig(epsilon=0.1, denominator="sideways")
     cfg = PgdConfig(epsilon=0.5, steps=20)
     assert cfg.resolved_step == pytest.approx(2.5 * 0.5 / 20)
     custom = PgdConfig(epsilon=0.5, steps=20, step_size=0.01)
@@ -47,8 +50,6 @@ def test_pgd_config_rejects_non_finite(bad):
         PgdConfig(epsilon=bad)
     with pytest.raises(InvalidConfigError, match="step_size"):
         PgdConfig(epsilon=0.5, step_size=bad)
-    with pytest.raises(InvalidConfigError, match="epsilon"):
-        random_sign_perturbation(np.zeros((2, 3)), bad)
 
 
 def test_pgd_zero_epsilon_is_exact_identity(attack_setup):
@@ -103,27 +104,25 @@ def test_pgd_no_random_start_from_clean(attack_setup):
 
 
 def test_random_sign_perturbation():
+    model = make_sharp_models(1, dim=8, classes=2, seed=8)[0]
     X = np.zeros((30, 8))
-    out = random_sign_perturbation(X, 0.25, seed=4)
+    out = random_sign_perturbation(model, X, PgdConfig(epsilon=0.25), seed=4)
     assert set(np.unique(np.abs(out))) == {0.25}  # every coordinate moves fully
-    again = random_sign_perturbation(X, 0.25, seed=4)
+    again = random_sign_perturbation(model, X, PgdConfig(epsilon=0.25), seed=4)
     assert np.array_equal(out, again)
-    assert np.array_equal(random_sign_perturbation(X, 0.0, seed=4), X)
+    assert np.array_equal(random_sign_perturbation(model, X, PgdConfig(epsilon=0.0), seed=4), X)
 
 
 # ── transfer bookkeeping ─────────────────────────────────────────────
 
 
 def test_transfer_counting_manual():
-    # two zero-hidden? no: wire tiny fixed models via sharp helper, then
-    # count by hand from the returned label arrays
-    models = make_sharp_models(2, dim=4, classes=3, seed=8)
-    src, tgt = models
+    # count by hand from the returned label arrays of two small fixed models
+    src, tgt = make_sharp_models(2, dim=4, classes=3, seed=8)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(50, 4))
     y = rng.integers(0, 3, size=50)
-    X_adv = X + rng.normal(scale=0.8, size=X.shape)
-    res = transfer_from_adversarials(src, tgt, X, y, X_adv)
+    res = transferability(src, tgt, X, y, PgdConfig(epsilon=0.8, steps=3), 1)
     src_fooled = res.adv_source_labels != y
     both = src_fooled & (res.adv_target_labels != y)
     assert res.n == 50
@@ -132,26 +131,33 @@ def test_transfer_counting_manual():
     if res.source_fooled:
         assert res.transfer_rate == pytest.approx(both.sum() / src_fooled.sum())
     assert res.clean_source_acc == pytest.approx(np.mean(res.clean_source_labels == y))
+    assert res.random_transfer_rate is None  # no baseline without its seed
 
 
 def test_transfer_rate_none_on_empty_denominator(attack_setup):
     model, other, test = attack_setup
-    X, y = test.features[:15], test.labels[:15]
-    res = transfer_from_adversarials(model, other, X, y, X.copy())
+    X, y = test.features, test.labels
+    res = transferability(model, other, X, y, PgdConfig(epsilon=0.0, n_eval=15), 1, baseline_seed=2)
+    assert res.n == 15
     # unperturbed rows the source classifies correctly leave nothing fooled
     if res.source_fooled == 0:
-        assert res.transfer_rate is None
-    res_all = transfer_from_adversarials(model, other, X, y, X.copy(), denominator="all")
+        assert res.transfer_rate is None and res.random_transfer_rate is None
+    res_all = transferability(model, other, X, y, PgdConfig(epsilon=0.0, n_eval=15, denominator="all"), 1, 2)
     assert res_all.transfer_rate == pytest.approx(res_all.both_fooled / 15)
+    assert res_all.random_transfer_rate == res_all.transfer_rate  # epsilon 0 leaves the rows as they are
 
 
-def test_transfer_denominator_validation(attack_setup):
+def test_transfer_attacks_the_first_n_eval_rows(attack_setup):
     model, other, test = attack_setup
-    X, y = test.features[:5], test.labels[:5]
-    with pytest.raises(InvalidConfigError):
-        transfer_from_adversarials(model, other, X, y, X, denominator="sideways")
-    with pytest.raises(InvalidInputError):
-        transfer_from_adversarials(model, other, X, y, X[:3])
+    X, y = test.features, test.labels
+    cfg = PgdConfig(epsilon=0.8, steps=4, n_eval=30)
+    whole = transferability(other, model, X, y, cfg, 3, 4)
+    first = transferability(other, model, X[:30], y[:30], cfg, 3, 4)
+    for name, value in vars(whole).items():
+        assert np.array_equal(value, getattr(first, name)), name
+    assert transferability(other, model, X[:12], y[:12], cfg, 3).n == 12  # fewer rows than n_eval
+    with pytest.raises(InvalidInputError, match="labels"):
+        transferability(other, model, X, y[:30], cfg, 3)  # labels checked against every row given
 
 
 @pytest.mark.parametrize(
@@ -168,11 +174,16 @@ def test_attack_and_transfer_reject_bad_labels(bad):
         with pytest.raises(InvalidInputError, match="labels"):
             pgd_attack_batch(src, X, bad, PgdConfig(epsilon=eps, steps=2), 1)
     with pytest.raises(InvalidInputError, match="labels"):
-        transfer_from_adversarials(src, tgt, X, bad, X.copy())
-    with pytest.raises(InvalidInputError, match="labels"):
         transferability(src, tgt, X, bad, PgdConfig(epsilon=0.5, steps=2), 1)
 
 
+_ATTACKS = {
+    "pgd": lambda src, X, cfg: pgd_attack_batch(src, X, np.zeros(len(X), dtype=np.int64), cfg, 1),
+    "random_sign": lambda src, X, cfg: random_sign_perturbation(src, X, cfg, 1),
+}
+
+
+@pytest.mark.parametrize("attack", list(_ATTACKS))
 @pytest.mark.parametrize(
     "X, message",
     [
@@ -182,14 +193,13 @@ def test_attack_and_transfer_reject_bad_labels(bad):
     ],
     ids=["nan_row", "wrong_width", "empty"],
 )
-def test_attack_rejects_bad_rows_at_every_epsilon(X, message):
+def test_attack_rejects_bad_rows_at_every_epsilon(X, message, attack):
     # epsilon 0 used to return these rows as they came, which every other
-    # epsilon refuses
+    # epsilon refuses; the random-sign baseline returned them at every epsilon
     src = make_sharp_models(1, dim=4, classes=2, seed=8)[0]
-    y = np.zeros(len(X), dtype=np.int64)
     for eps in (0.0, 0.5):
         with pytest.raises(InvalidInputError, match=message):
-            pgd_attack_batch(src, X, y, PgdConfig(epsilon=eps, steps=2), 1)
+            _ATTACKS[attack](src, X, PgdConfig(epsilon=eps, steps=2))
 
 
 def test_transferability_end_to_end(attack_setup):

@@ -279,8 +279,8 @@ def test_adv_transfer_writes_the_csv_of_transferability_at_its_seed(tmp_path, da
         "--epsilon", "0.8", "--steps", "6", "--n-eval", "40", "--seed", "7", "--out", str(csv_out),
     ) == 0
     data = load_dataset(test)
-    X, y = data.features[:40], data.labels[:40]
-    result = adv.transferability(load_model(other), load_model(victim_ckpt), X, y, adv.PgdConfig(0.8, 6), 7)
+    cfg = adv.PgdConfig(0.8, 6, n_eval=40)
+    result = adv.transferability(load_model(other), load_model(victim_ckpt), data.features, data.labels, cfg, 7)
     adv.write_transfer_csv(want, result)
     assert csv_out.read_bytes() == want.read_bytes()
 

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import assert_lf_text, committee_probs
 from ensteal import harness, numkit
+from ensteal.adversarial import TransferResult, pgd_attack_batch
 from ensteal.config import config_to_dict, load_config, parse_config
 from ensteal.datapool import GaussianMixture, initial_split, make_synthetic, split_budget, strong_augment
 from ensteal.ensemble import MEMBER_DTYPE, BestCheckpoint, ensemble_predict
@@ -198,7 +199,7 @@ def test_parse_ssl_and_adv_sections():
         parse_config(raw)
     raw["ssl"]["augment"] = None
     raw["adversarial"]["denominator"] = "whatever"
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError, match="^adversarial: denominator must be source_fooled or all$"):
         parse_config(raw)
 
 
@@ -731,6 +732,58 @@ def test_skipping_saturated_members_leaves_every_artifact_unchanged(tmp_path, mo
     assert skip.keys() == every.keys()
     for name in skip:
         assert skip[name] == every[name], name
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("denominator", ["source_fooled", "all"])
+@pytest.mark.parametrize("n_eval", [40, 500], ids=["below_test_n", "above_test_n"])
+def test_one_transfer_call_per_member_leaves_every_artifact_unchanged(tmp_path, monkeypatch, denominator, n_eval):
+    raw = base_config(adversarial={"epsilon": 0.8, "steps": 5, "n_eval": n_eval, "denominator": denominator})
+    cfg = parse_config(raw)
+    run_attack(cfg, tmp_path / "one")
+
+    # the reference measures a member in nine public calls: it slices the
+    # test rows, attacks and makes four label passes, then draws the random
+    # signs and makes four more
+    adv_seed = stage_seed(mask64(cfg.seed), ADV_STAGE)
+    members = []
+
+    def four_passes(source, target, X, y, X_adv):
+        clean_src, clean_tgt, adv_src, adv_tgt = (predict_batch(m, Z) for Z in (X, X_adv) for m in (source, target))
+        src_fooled = adv_src != y
+        both = src_fooled & (adv_tgt != y)
+        if denominator == "all":
+            rate = float(both.sum() / len(y))
+        else:
+            rate = None if src_fooled.sum() == 0 else float(both.sum() / src_fooled.sum())
+        return clean_src, clean_tgt, adv_src, adv_tgt, src_fooled, both, rate
+
+    def reference_transfer(source, target, X, y, ac, *_seeds):
+        i = len(members)  # members are measured in order
+        members.append(i)
+        X, y = X[:n_eval], y[:n_eval]
+        X_pgd = pgd_attack_batch(source, X, y, ac, derive_seed(adv_seed, i))
+        clean_src, clean_tgt, adv_src, adv_tgt, src_fooled, both, rate = four_passes(source, target, X, y, X_pgd)
+        signs = np.random.default_rng(mask64(derive_seed(adv_seed, i, 1))).integers(0, 2, size=X.shape) * 2 - 1
+        random_rate = four_passes(source, target, X, y, X + ac.epsilon * signs)[-1]
+        return TransferResult(
+            len(y), int(src_fooled.sum()), int(both.sum()), rate, random_rate,
+            float(np.mean(clean_src == y)), float(np.mean(clean_tgt == y)),
+            float(np.mean(adv_src == y)), float(np.mean(adv_tgt == y)),
+            clean_src, clean_tgt, adv_src, adv_tgt,
+        )
+
+    monkeypatch.setattr(harness, "transferability", reference_transfer)
+    run_attack(cfg, tmp_path / "reference")
+
+    assert len(members) == 3  # every member was measured by the reference
+    one, reference = _artifacts(tmp_path / "one"), _artifacts(tmp_path / "reference")
+    assert one["adv_member0.csv"].count(b"\n") == 1 + min(n_eval, cfg.victim.test_n)
+    rows = json.loads(one["report.json"])["adversarial"]
+    assert all(r["transfer_rate"] is not None and r["random_transfer_rate"] is not None for r in rows)
+    assert one.keys() == reference.keys()
+    for name in one:
+        assert one[name] == reference[name], name
 
 
 def test_a_run_directory_refuses_a_second_run_beside_the_first(tmp_path):
