@@ -24,7 +24,9 @@ from .victim import VictimOracle, VictimRecipe, train_victim
 
 
 def _hidden(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    """Comma-separated widths; "" is no hidden layer. An empty part, as in
+    8,,8, is a usage error, as any part that is not an integer is."""
+    return tuple(int(part) for part in text.split(",")) if text else ()
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -111,13 +111,6 @@ class AttackSection:
 
 
 @dataclass(frozen=True)
-class SslSection(SslConfig):
-    # always null: datapool.weak_augment and strong_augment pick their fixed
-    # perturbations from the data layout
-    augment: None = None
-
-
-@dataclass(frozen=True)
 class OutputSection:
     scores_csv: bool = False
 
@@ -127,7 +120,7 @@ class ExperimentConfig:
     seed: int
     victim: VictimSection
     attack: AttackSection
-    ssl: Optional[SslSection] = None
+    ssl: Optional[SslConfig] = None
     adversarial: Optional[adv.PgdConfig] = None
     outputs: OutputSection = OutputSection()
 

@@ -64,8 +64,8 @@ class EnsembleRecipe:
     """How the committee is built and fit. The default capacity ladder has
     five members, and its (64, 64) member matches the reference victim's
     architecture. Every member trains with momentum 0.9 and its lr decayed
-    10x every 30 epochs: lr 0.01 for the smallest-capacity member and 0.02
-    for the rest."""
+    10x every numkit.LR_DECAY_EVERY epochs: lr 0.01 for the smallest-capacity
+    member and 0.02 for the rest."""
 
     hidden_profile: tuple[tuple[int, ...], ...] = ((8,), (32,), (64, 64), (128, 64), (256, 128, 64))
     activation: str = "relu"
@@ -94,8 +94,6 @@ class EnsembleRecipe:
                 base_lr=0.01 if i == smallest else 0.02,
                 momentum=0.9,
                 lr_decay_factor=0.1,
-                lr_decay_every=30,
-                weight_decay=0.0,
                 epochs=self.epochs,
                 batch_size=self.batch_size,
             )

@@ -3,7 +3,8 @@
 Small MLP classifiers over float64 numpy arrays: seeded initialization,
 overflow-safe softmax inference, analytic backpropagation for mean
 cross-entropy, and mini-batch SGD with momentum under a step learning-rate
-schedule, in one epoch loop (`fit`) that every training runs through.
+schedule (one step every LR_DECAY_EVERY epochs), in one epoch loop (`fit`)
+that every training runs through.
 Training arithmetic runs in float32 inside `sgd_epoch`, and so does
 inference when asked (`probs_batch(model, X, np.float32)`, which the
 committee uses); parameters, default inference (the victim's),
@@ -45,6 +46,7 @@ CHECKPOINT_VERSION = 1
 
 BLOCK_ROWS = 256  # rows per matrix product in inference (see probs_batch)
 SLICE_ROWS = 4 * BLOCK_ROWS  # pool rows a streamed pass over the pool reads at a time
+LR_DECAY_EVERY = 30  # epochs between steps of a decaying learning rate (see effective_lr)
 
 
 # ── model definition ─────────────────────────────────────────────────
@@ -350,8 +352,6 @@ class SgdConfig:
     base_lr: float
     momentum: float = 0.0
     lr_decay_factor: float = 1.0
-    lr_decay_every: int = 30
-    weight_decay: float = 0.0
     epochs: int = 1
     batch_size: int = 64
 
@@ -362,10 +362,6 @@ class SgdConfig:
             raise InvalidConfigError("momentum must lie in [0, 1)")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise InvalidConfigError("lr_decay_factor must lie in (0, 1]")
-        if self.lr_decay_every < 1:
-            raise InvalidConfigError("lr_decay_every must be a positive epoch count")
-        if self.weight_decay < 0:
-            raise InvalidConfigError("weight_decay must be nonnegative")
         if self.epochs < 1:
             raise InvalidConfigError("epochs must be positive")
         if self.batch_size < 1:
@@ -373,8 +369,8 @@ class SgdConfig:
 
 
 def effective_lr(cfg: SgdConfig, epoch: int) -> float:
-    """Step schedule: base_lr * factor^floor(epoch / every), epoch 0-based."""
-    return cfg.base_lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
+    """Step schedule: base_lr * factor^floor(epoch / LR_DECAY_EVERY), epoch 0-based."""
+    return cfg.base_lr * cfg.lr_decay_factor ** (epoch // LR_DECAY_EVERY)
 
 
 def sgd_update(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray, lr: float, momentum: float) -> None:
@@ -393,12 +389,11 @@ def sgd_epoch(
     order: np.ndarray,
     cfg: SgdConfig,
     lr: float,
-    grad_scale: float = 1.0,
 ) -> float:
     """One pass of momentum SGD over the rows X[order] in minibatches of
-    cfg.batch_size, updating model.params and velocity in place. Each step's
-    gradient is the mean cross-entropy gradient times grad_scale, plus
-    cfg.weight_decay * params when nonzero. Returns the pass's mean loss.
+    cfg.batch_size, updating model.params and velocity in place. Each step
+    follows the batch's mean cross-entropy gradient. Returns the pass's mean
+    loss.
 
     The pass computes in float32 on working copies of the rows, params,
     velocity and gradient, and writes params and velocity back at the end.
@@ -415,7 +410,6 @@ def sgd_epoch(
     params = model.params.astype(np.float32)
     vel = velocity.astype(np.float32)
     grad = np.empty_like(params)
-    decay = np.empty_like(params) if cfg.weight_decay > 0.0 else None
     spec, bs = model.spec, cfg.batch_size
     layers, grads = _layer_views(spec, params), _layer_views(spec, grad)
     ws = _Workspace(spec, min(bs, y.size), np.float32)
@@ -429,10 +423,6 @@ def sgd_epoch(
             Xb = X[batch]
             loss = _loss_grad_into(ws, layers, grads, spec.activation, Xb, onehot[batch], flat[batch])
             total += loss * Xb.shape[0]
-            if grad_scale != 1.0:
-                grad *= grad_scale
-            if cfg.weight_decay > 0.0:
-                grad += np.multiply(params, cfg.weight_decay, out=decay)
             sgd_update(params, vel, grad, lr, cfg.momentum)
     model.params[:] = params
     velocity[:] = vel
@@ -441,8 +431,8 @@ def sgd_epoch(
 
 def fit(model: MlpModel, cfg: SgdConfig, passes) -> tuple[MlpModel, list[float]]:
     """The one training loop: cfg.epochs epochs of momentum SGD, with one
-    velocity, on a copy of model. passes(epoch) yields (X, y, order,
-    grad_scale) passes, each run by sgd_epoch at the epoch's scheduled lr.
+    velocity, on a copy of model. passes(epoch) yields (X, y, order)
+    passes, each run by sgd_epoch at the epoch's scheduled lr.
     Returns the copy and every pass's mean loss; a non-finite one raises
     TrainingDivergedError."""
     out = model.copy()
@@ -450,8 +440,8 @@ def fit(model: MlpModel, cfg: SgdConfig, passes) -> tuple[MlpModel, list[float]]
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         lr = effective_lr(cfg, epoch)
-        for X, y, order, grad_scale in passes(epoch):
-            loss = sgd_epoch(out, velocity, X, y, order, cfg, lr, grad_scale)
+        for X, y, order in passes(epoch):
+            loss = sgd_epoch(out, velocity, X, y, order, cfg, lr)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             losses.append(loss)
@@ -468,7 +458,7 @@ def train_supervised(model: MlpModel, data: tuple, cfg: SgdConfig, rng_seed: int
     rng_seed = mask64(rng_seed)
 
     def passes(epoch: int):
-        yield X, y, np.random.default_rng(mask64(rng_seed ^ epoch)).permutation(X.shape[0]), 1.0
+        yield X, y, np.random.default_rng(mask64(rng_seed ^ epoch)).permutation(X.shape[0])
 
     return fit(model, cfg, passes)
 

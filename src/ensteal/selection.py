@@ -34,6 +34,7 @@ from .seeding import mask64
 
 SCORED_KINDS = ("consensus_entropy", "label_disagreement")
 STRATEGY_KINDS = SCORED_KINDS + ("random", "kcenter")
+HYBRID_POOL_FACTOR = 5  # a hybrid strategy's shortlist holds this many rows per query
 
 
 # ── entropy ──────────────────────────────────────────────────────────
@@ -141,15 +142,12 @@ def random_select(candidates: np.ndarray, k: int, seed: int) -> np.ndarray:
 class SelectionStrategy:
     kind: str
     hybrid_kcenter: bool = False
-    hybrid_pool_factor: int = 5
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise InvalidConfigError(
                 f"unknown strategy {self.kind!r}, expected one of {STRATEGY_KINDS}"
             )
-        if self.hybrid_pool_factor < 1:
-            raise InvalidConfigError("hybrid_pool_factor must be positive")
         if self.hybrid_kcenter and self.kind not in SCORED_KINDS:
             raise InvalidConfigError("hybrid k-center only composes with scored strategies")
 
@@ -173,8 +171,8 @@ def select_queries(
     Scored strategies rank every candidate by its row of probs, the
     committee's (members, pool rows, classes) softmax over the whole pool;
     random and k-center ignore probs, which may then be None. With
-    hybrid_kcenter the top factor*k shortlist is thinned to k by
-    farthest-point coverage against the already-queried rows. A k outside
+    hybrid_kcenter the top HYBRID_POOL_FACTOR * k shortlist is thinned to k
+    by farthest-point coverage against the already-queried rows. A k outside
     [1, unlabeled rows] is refused by the selector's own k rule.
     """
     candidates = pool_state.unlabeled_indices()
@@ -194,7 +192,7 @@ def select_queries(
         scores = disagreement_scores(probs, candidates)
 
     if strategy.hybrid_kcenter:
-        shortlist_n = min(strategy.hybrid_pool_factor * k, candidates.size)
+        shortlist_n = min(HYBRID_POOL_FACTOR * k, candidates.size)
         shortlist = top_k_select(scores, candidates, shortlist_n)
         centers = pool_state.indices_with_status(QUERIED)
         selected = kcenter_select(features, shortlist, centers, k)

@@ -18,11 +18,12 @@ class (most confident first, then the lower row), become pseudo-labeled
 training data.
 
 The training stage then runs numkit.fit from each member's checkpoint at a
-low fixed learning rate: per epoch a labeled pass, then a pass weighted by
-the pseudo loss weight over pseudo rows strongly perturbed afresh
-(datapool.strong_augment: jitter and dropout on tabular rows, structural
-edits on images). It goes through EnsembleState.refit, as a committee
-refresh does, so a member already at 1.0 on validation is not fine-tuned.
+low fixed learning rate (SslConfig.sgd): per epoch a labeled pass, then a
+pass over the pseudo rows strongly perturbed afresh (datapool.strong_augment:
+jitter and dropout on tabular rows, structural edits on images), whose loss
+counts as much as a labeled row's. It goes through EnsembleState.refit, as
+a committee refresh does, so a member already at 1.0 on validation is not
+fine-tuned.
 """
 
 from __future__ import annotations
@@ -42,14 +43,12 @@ from .seeding import derive_seed, mask64
 
 @dataclass(frozen=True)
 class SslConfig:
-    """Knobs for the filter and the consistency-training pass."""
+    """Knobs for the filter, and the fine-tune's epochs and batch size under
+    a fixed optimizer (sgd)."""
 
     confidence_threshold: float = 0.9
     max_label_changes: int = 1
     per_class_cap: int = 100
-    pseudo_loss_weight: float = 1.0
-    lr: float = 0.002
-    momentum: float = 0.9
     epochs: int = 30
     batch_size: int = 64
 
@@ -60,15 +59,11 @@ class SslConfig:
             raise InvalidConfigError("max_label_changes must be nonnegative")
         if self.per_class_cap < 1:
             raise InvalidConfigError("per_class_cap must be positive")
-        if self.pseudo_loss_weight < 0:
-            raise InvalidConfigError("pseudo_loss_weight must be nonnegative")
-        if self.lr <= 0:  # checked here, so the message names the JSON key
-            raise InvalidConfigError("lr must be positive")
         self.sgd()
 
     def sgd(self) -> numkit.SgdConfig:
-        """The fine-tune's optimizer: a fixed lr with momentum."""
-        return numkit.SgdConfig(base_lr=self.lr, momentum=self.momentum, epochs=self.epochs, batch_size=self.batch_size)
+        """The fine-tune's optimizer: lr 0.002 with momentum 0.9, never decayed."""
+        return numkit.SgdConfig(base_lr=0.002, momentum=0.9, epochs=self.epochs, batch_size=self.batch_size)
 
 
 class FilterVerdicts(NamedTuple):
@@ -185,8 +180,7 @@ def ssl_train(
 
     state.refit, dated the next cycle, runs numkit.fit from each trainable
     member's checkpoint at the fixed lr. Each epoch runs a labeled pass,
-    then a pseudo pass with gradients scaled by the pseudo loss weight (none
-    when the weight is 0); the shuffled pseudo inputs are strongly perturbed
+    then a pseudo pass; the shuffled pseudo inputs are strongly perturbed
     anew that epoch, as one batch. Random streams are per member and epoch,
     derived from derive_seed(seed, 1) and seed, so a skipped member changes
     no other member's draws. Returns refit's
@@ -200,18 +194,15 @@ def ssl_train(
     if Xl.shape[0] == 0:
         raise InvalidInputError("labeled rows are required for consistency training")
     layout = pool_state.pool.layout
-    lam = cfg.pseudo_loss_weight
     starting_points = state.best_models()
     train_seed = derive_seed(seed, 1)
 
     def member_fit(i: int) -> MlpModel:
         def passes(e: int):
-            yield Xl, yl, np.random.default_rng(derive_seed(train_seed, i, e, 0)).permutation(Xl.shape[0]), 1.0
-            if lam > 0.0:
-                order = np.random.default_rng(derive_seed(train_seed, i, e, 1)).permutation(Xp.shape[0])
-                aug_rng = np.random.default_rng((train_seed, mask64(seed), i, e, 1))
-                Xa = strong_augment(Xp[order], layout, aug_rng)
-                yield Xa, yp[order], np.arange(order.size), lam
+            yield Xl, yl, np.random.default_rng(derive_seed(train_seed, i, e, 0)).permutation(Xl.shape[0])
+            order = np.random.default_rng(derive_seed(train_seed, i, e, 1)).permutation(Xp.shape[0])
+            aug_rng = np.random.default_rng((train_seed, mask64(seed), i, e, 1))
+            yield strong_augment(Xp[order], layout, aug_rng), yp[order], np.arange(order.size)
 
         return numkit.fit(starting_points[i], cfg.sgd(), passes)[0]
 

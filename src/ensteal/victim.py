@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,17 +27,12 @@ from .seeding import derive_seed
 
 @dataclass(frozen=True)
 class VictimRecipe:
-    """How the target model is built and fit. The defaults are the reference
-    victim: two relu layers of 64, lr 0.1 with momentum 0.5, decayed 10x
-    every 30 epochs, no weight decay, 200 epochs of batches of 64."""
+    """How the target model is built and fit: its architecture, epochs and
+    batch size, under a fixed optimizer (sgd). The defaults are the
+    reference victim: two relu layers of 64, 200 epochs of batches of 64."""
 
     hidden_layers: tuple[int, ...] = (64, 64)
     activation: str = "relu"
-    base_lr: float = 0.1
-    momentum: float = 0.5
-    lr_decay_factor: float = 0.1
-    lr_decay_every: int = 30
-    weight_decay: float = 0.0
     epochs: int = 200
     batch_size: int = 64
 
@@ -46,7 +41,8 @@ class VictimRecipe:
         self.spec(1, 2, 0)
 
     def sgd(self) -> SgdConfig:
-        return SgdConfig(**{f.name: getattr(self, f.name) for f in fields(SgdConfig)})
+        """lr 0.1 with momentum 0.5, decayed 10x every numkit.LR_DECAY_EVERY epochs."""
+        return SgdConfig(base_lr=0.1, momentum=0.5, lr_decay_factor=0.1, epochs=self.epochs, batch_size=self.batch_size)
 
     def spec(self, input_dim: int, num_classes: int, rng_seed: int) -> MlpSpec:
         return MlpSpec(input_dim, self.hidden_layers, num_classes, self.activation, rng_seed)

@@ -122,6 +122,25 @@ def test_train_victim_rejects_an_unlabeled_test_set_before_training(tmp_path, da
     assert not out.exists()
 
 
+@pytest.mark.parametrize("hidden", ["8,,8", "8,", ",8", "8, ,8"])
+def test_train_victim_refuses_an_empty_hidden_width(tmp_path, data_files, capsys, hidden):
+    # each used to drop its empty part, train an (8, 8) or (8,) victim and exit 0
+    train, _ = data_files
+    out = tmp_path / "v.ckpt"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train-victim", "--train", str(train), "--hidden", hidden, "--epochs", "1", "--out", str(out))
+    assert exc.value.code == 2
+    assert f"argument --hidden: invalid _hidden value: '{hidden}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_victim_empty_hidden_means_no_hidden_layer(tmp_path, data_files):
+    train, _ = data_files
+    out = tmp_path / "v.ckpt"
+    assert run_cli("train-victim", "--train", str(train), "--hidden", "", "--epochs", "1", "--out", str(out)) == 0
+    assert load_model(out).spec.hidden_layers == ()
+
+
 def test_missing_file_returns_error_code(tmp_path, capsys):
     rc = run_cli("train-victim", "--train", str(tmp_path / "ghost.aotd"), "--out", str(tmp_path / "o"))
     assert rc == 1

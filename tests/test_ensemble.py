@@ -22,7 +22,7 @@ from ensteal.ensemble import (
     vote_counts,
 )
 from ensteal.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
-from ensteal.numkit import MlpModel, MlpSpec, predict_batch
+from ensteal.numkit import MlpModel, MlpSpec, SgdConfig, predict_batch
 from ensteal.selection import disagreement_scores
 from ensteal.victim import VictimOracle, VictimRecipe, train_victim
 
@@ -57,13 +57,12 @@ def test_ensemble_spec_validation():
 def test_default_member_configs():
     recipe = EnsembleRecipe(epochs=12, batch_size=32)
     cfgs = recipe.sgd(recipe.spec(8, 4, 0))
-    lrs = [c.base_lr for c in cfgs]
-    assert lrs == [0.01, 0.02, 0.02, 0.02, 0.02]  # smallest member trains slower
-    for c in cfgs:
-        assert c.momentum == 0.9
-        assert c.lr_decay_factor == 0.1 and c.lr_decay_every == 30
-        assert c.weight_decay == 0.0
-        assert c.epochs == 12 and c.batch_size == 32
+    # the optimizer is fixed: momentum 0.9, decayed 10x, and the smallest
+    # member trains slower
+    assert cfgs == [
+        SgdConfig(base_lr=lr, momentum=0.9, lr_decay_factor=0.1, epochs=12, batch_size=32)
+        for lr in [0.01, 0.02, 0.02, 0.02, 0.02]
+    ]
 
 
 # ── voting arithmetic ────────────────────────────────────────────────

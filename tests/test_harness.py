@@ -81,23 +81,36 @@ def test_parse_minimal_config():
     assert cfg.victim.data.num_classes == 3
     assert cfg.attack.strategy.kind == "consensus_entropy"
     assert cfg.ssl is None and cfg.adversarial is None
-    assert cfg.victim.base_lr == 0.1 and cfg.victim.momentum == 0.5
+    assert cfg.victim.sgd().base_lr == 0.1 and cfg.victim.sgd().momentum == 0.5
     assert cfg.attack.validation_fraction == 0.1
 
 
-def test_parse_rejects_unknown_keys_with_paths():
-    bad = base_config()
-    bad["victim"]["data"]["flavor"] = "spicy"
-    with pytest.raises(InvalidConfigError, match="victim.data"):
-        parse_config(bad)
-    bad = base_config()
-    bad["attack"]["strategy"]["k"] = 5
-    with pytest.raises(InvalidConfigError, match="attack.strategy"):
-        parse_config(bad)
-    bad = base_config()
-    bad["turbo"] = True
-    with pytest.raises(InvalidConfigError, match="turbo"):
-        parse_config(bad)
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("victim.data.flavor", "spicy"),
+        ("attack.strategy.k", 5),
+        ("turbo", True),
+        # keys of earlier versions, refused even at the value they held: the
+        # optimizers are fixed in each recipe's sgd(), the shortlist factor
+        # is selection.HYBRID_POOL_FACTOR, and the perturbations follow the
+        # data layout
+        ("victim.base_lr", 0.1),
+        ("victim.momentum", 0.5),
+        ("victim.lr_decay_factor", 0.1),
+        ("victim.lr_decay_every", 30),
+        ("victim.weight_decay", 0.0),
+        ("ssl.lr", 0.002),
+        ("ssl.momentum", 0.9),
+        ("ssl.pseudo_loss_weight", 1.0),
+        ("ssl.augment", None),
+        ("attack.strategy.hybrid_pool_factor", 5),
+    ],
+)
+def test_parse_rejects_unknown_keys_with_paths(path, value):
+    where, _, key = path.rpartition(".")
+    with pytest.raises(InvalidConfigError, match=rf"^unknown key\(s\) in {re.escape(where or 'config')}: {key}$"):
+        parse_config(_full_config(path, value))
 
 
 @pytest.mark.parametrize("value", [None, 1])
@@ -186,7 +199,7 @@ def test_the_config_and_the_draw_split_exact_halves_alike(budget, fraction, vali
 
 def test_parse_ssl_and_adv_sections():
     raw = base_config(
-        ssl={"confidence_threshold": 0.8, "epochs": 5, "augment": None},
+        ssl={"confidence_threshold": 0.8, "epochs": 5},
         adversarial={"epsilon": 0.5, "steps": 7, "denominator": "all"},
     )
     cfg = parse_config(raw)
@@ -194,10 +207,6 @@ def test_parse_ssl_and_adv_sections():
     assert cfg.ssl.per_class_cap == 100
     assert cfg.adversarial.epsilon == 0.5
     assert cfg.adversarial.denominator == "all"
-    raw["ssl"]["augment"] = {"weak": "jitter"}
-    with pytest.raises(InvalidConfigError, match="augment"):
-        parse_config(raw)
-    raw["ssl"]["augment"] = None
     raw["adversarial"]["denominator"] = "whatever"
     with pytest.raises(InvalidConfigError, match="^adversarial: denominator must be source_fooled or all$"):
         parse_config(raw)
@@ -252,8 +261,8 @@ def _full_config(path: str, value) -> dict:
         ("seed", 5.0),
         ("victim.train_n", True),
         ("victim.epochs", 25.5),
-        ("victim.base_lr", True),
-        ("victim.base_lr", "0.1"),
+        ("victim.data.separation", True),
+        ("victim.batch_size", "64"),
         ("victim.activation", 1),
         ("victim.checkpoint", 7),
         ("victim.hidden_layers", 5),
@@ -267,7 +276,7 @@ def _full_config(path: str, value) -> dict:
         ("attack.validation_fraction", False),
         ("attack.strategy.hybrid_kcenter", "false"),
         ("attack.strategy.hybrid_kcenter", 0),
-        ("attack.strategy.hybrid_pool_factor", 2.0),
+        ("ssl.per_class_cap", 30.0),
         ("attack.ensemble.hidden_profile", [[6], 10]),
         ("attack.ensemble.hidden_profile", [[6], [10.0]]),
         ("attack.ensemble.epochs", "10"),
@@ -283,8 +292,8 @@ def _full_config(path: str, value) -> dict:
         # json.loads reads NaN and Infinity; no number field means either
         ("adversarial.step_size", float("inf")),
         ("adversarial.epsilon", float("nan")),
-        ("victim.weight_decay", float("nan")),
-        ("victim.base_lr", float("-inf")),
+        ("ssl.confidence_threshold", float("nan")),
+        ("attack.validation_fraction", float("-inf")),
         ("victim.data.separation", float("inf")),
         pytest.param("attack.remote.timeout", float("nan"), marks=pytest.mark.dev),
         pytest.param("ssl.confidence_threshold", 10**400, id="ssl.confidence_threshold-int_past_float_range"),
@@ -300,8 +309,8 @@ def test_parse_rejects_wrong_types_naming_the_key(path, value):
     "path, value, section",
     [
         ("ssl.confidence_threshold", 2.0, "ssl"),
-        ("ssl.lr", 0, "ssl"),
-        ("ssl.lr", -0.1, "ssl"),
+        ("ssl.epochs", 0, "ssl"),
+        ("ssl.batch_size", -1, "ssl"),
         ("adversarial.steps", 0, "adversarial"),
         ("adversarial.epsilon", -1, "adversarial"),
         ("victim.activation", "gelu", "victim"),
@@ -324,11 +333,10 @@ def test_parse_rejects_values_a_later_stage_would_reject(path, value, section):
 
 
 def test_parse_keeps_int_for_float_fields():
-    raw = base_config()
-    raw["victim"]["base_lr"] = 1
+    raw = base_config(ssl={"confidence_threshold": 1})
     raw["victim"]["data"]["separation"] = 4
     cfg = parse_config(raw)
-    assert cfg.victim.base_lr == 1.0 and isinstance(cfg.victim.base_lr, float)
+    assert cfg.ssl.confidence_threshold == 1.0 and isinstance(cfg.ssl.confidence_threshold, float)
     assert isinstance(cfg.victim.data.separation, float)
     raw["adversarial"] = {"epsilon": 1, "step_size": None}
     cfg = parse_config(raw)
@@ -374,17 +382,15 @@ FULL_CONFIG_ECHO = (
     '"attack": {"budget": 120, "cycles": 3, "ensemble": {"activation": "relu", "batch_size": 64, '
     '"epochs": 10, "hidden_profile": [[6], [10], [16, 16]]}, "pool_n": 800, '
     '"remote": {"host": "127.0.0.1", "port": 4242, "retries": 3, "timeout": 10.0}, '
-    '"strategy": {"hybrid_kcenter": false, "hybrid_pool_factor": 5, "kind": "consensus_entropy"}, '
+    '"strategy": {"hybrid_kcenter": false, "kind": "consensus_entropy"}, '
     '"validation_fraction": 0.1}, '
     '"outputs": {"scores_csv": false}, '
     '"seed": 5, '
-    '"ssl": {"augment": null, "batch_size": 64, "confidence_threshold": 0.9, "epochs": 30, '
-    '"lr": 0.002, "max_label_changes": 1, "momentum": 0.9, "per_class_cap": 100, '
-    '"pseudo_loss_weight": 1.0}, '
-    '"victim": {"activation": "relu", "base_lr": 0.1, "batch_size": 64, "checkpoint": null, '
+    '"ssl": {"batch_size": 64, "confidence_threshold": 0.9, "epochs": 30, '
+    '"max_label_changes": 1, "per_class_cap": 100}, '
+    '"victim": {"activation": "relu", "batch_size": 64, "checkpoint": null, '
     '"data": {"classes": 3, "dim": 6, "separation": 4.0, "source": "gaussian_mixture"}, '
-    '"epochs": 25, "hidden_layers": [16, 16], "lr_decay_every": 30, "lr_decay_factor": 0.1, '
-    '"momentum": 0.5, "test_n": 200, "train_n": 600, "weight_decay": 0.0}}'
+    '"epochs": 25, "hidden_layers": [16, 16], "test_n": 200, "train_n": 600}}'
 )
 
 
@@ -430,13 +436,14 @@ def test_load_config_refuses_a_file_that_is_not_utf8(tmp_path):
 
 
 def test_load_config_rejects_a_literal_nan(tmp_path):
-    # a NaN weight decay used to train as if it were 0 (NaN > 0 is False)
+    # json.loads reads NaN, which fails every comparison: a NaN rate once
+    # passed its range check and trained as if it were 0
     raw = base_config()
-    raw["victim"]["weight_decay"] = float("nan")
+    raw["victim"]["data"]["separation"] = float("nan")
     p = tmp_path / "c.json"
     p.write_text(json.dumps(raw))
     assert "NaN" in p.read_text()
-    with pytest.raises(InvalidConfigError, match=re.escape("victim.weight_decay")):
+    with pytest.raises(InvalidConfigError, match=re.escape("victim.data.separation")):
         load_config(p)
 
 
@@ -701,19 +708,18 @@ def test_skipping_saturated_members_leaves_every_artifact_unchanged(tmp_path, mo
         Xl, yl, _ = pool_state.labeled_data()
         Xp, yp, _ = pool_state.pseudo_data()
         Xv, yv, _ = pool_state.validation_data()
-        lam = ssl_cfg.pseudo_loss_weight
-        sgd = numkit.SgdConfig(base_lr=ssl_cfg.lr, momentum=ssl_cfg.momentum, batch_size=ssl_cfg.batch_size)
+        sgd = ssl_cfg.sgd()
         train_seed = derive_seed(seed, 1)
         for i, best in enumerate(list(state.best)):
             model = best.model.copy()
             velocity = np.zeros_like(model.params)
             for e in range(ssl_cfg.epochs):
                 order = np.random.default_rng(derive_seed(train_seed, i, e, 0)).permutation(len(Xl))
-                numkit.sgd_epoch(model, velocity, Xl, yl, order, sgd, ssl_cfg.lr)
+                numkit.sgd_epoch(model, velocity, Xl, yl, order, sgd, sgd.base_lr)
                 order = np.random.default_rng(derive_seed(train_seed, i, e, 1)).permutation(len(Xp))
                 aug_rng = np.random.default_rng((train_seed, mask64(seed), i, e, 1))
                 Xa = strong_augment(Xp[order], pool_state.pool.layout, aug_rng)
-                numkit.sgd_epoch(model, velocity, Xa, yp[order], np.arange(order.size), sgd, ssl_cfg.lr, lam)
+                numkit.sgd_epoch(model, velocity, Xa, yp[order], np.arange(order.size), sgd, sgd.base_lr)
             model.epoch_counter += ssl_cfg.epochs
             acc = numkit.accuracy(model, Xv, yv, MEMBER_DTYPE)
             if acc > best.val_accuracy:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ensteal import numkit
 from ensteal.ensemble import EnsembleRecipe
 from ensteal.errors import InvalidConfigError, InvalidInputError, TrainingDivergedError
 from ensteal.numkit import (
@@ -394,7 +395,8 @@ def test_sgd_config_validation():
 
 
 def test_effective_lr_schedule():
-    cfg = SgdConfig(base_lr=0.1, lr_decay_factor=0.1, lr_decay_every=30, epochs=100)
+    assert numkit.LR_DECAY_EVERY == 30
+    cfg = SgdConfig(base_lr=0.1, lr_decay_factor=0.1, epochs=100)
     assert effective_lr(cfg, 0) == 0.1
     assert effective_lr(cfg, 29) == 0.1
     assert effective_lr(cfg, 30) == pytest.approx(0.01)
@@ -430,7 +432,7 @@ def test_train_is_deterministic_and_counts_epochs(rng):
     assert np.all(np.isfinite(t1.params))
 
 
-def _reference_train(model, X, y, cfg, seed, grad_scale=1.0):
+def _reference_train(model, X, y, cfg, seed):
     """The minibatch loop written out in float32 from the oracle's gradient."""
     params = model.params.astype(np.float32)
     velocity = np.zeros_like(params)
@@ -443,30 +445,22 @@ def _reference_train(model, X, y, cfg, seed, grad_scale=1.0):
             idx = order[start : start + cfg.batch_size]
             loss, grad = oracles.loss_grad_float32(model.spec, params, X[idx], y[idx])
             total += float(loss) * idx.size
-            if grad_scale != 1.0:
-                grad = grad * grad_scale
-            if cfg.weight_decay > 0.0:
-                grad = grad + cfg.weight_decay * params
             sgd_update(params, velocity, grad, effective_lr(cfg, epoch), cfg.momentum)
         losses.append(total / len(X))
     return params, losses
 
 
-@pytest.mark.parametrize(
-    "act, momentum, weight_decay",
-    [("relu", 0.9, 0.0), ("tanh", 0.9, 0.01), ("relu", 0.0, 0.05), ("tanh", 0.5, 0.0)],
-)
+@pytest.mark.parametrize("act, momentum", [("relu", 0.9), ("tanh", 0.9), ("relu", 0.0), ("tanh", 0.5)])
 @pytest.mark.bitwise
-def test_train_matches_reference_loop_bitwise(rng, act, momentum, weight_decay):
-    # 45 rows in batches of 16 leave a short last batch; the lr decays
-    # at epochs 3 and 6, inside the run
+def test_train_matches_reference_loop_bitwise(rng, act, momentum, monkeypatch):
+    # 45 rows in batches of 16 leave a short last batch; with the decay
+    # period cut to 3 the lr decays at epochs 3 and 6, inside the run
+    monkeypatch.setattr(numkit, "LR_DECAY_EVERY", 3)
     model = small_model(seed=11, hidden=(9, 6), act=act)
     X = rng.normal(size=(45, 5))
     y = rng.integers(0, 3, 45)
-    cfg = SgdConfig(
-        base_lr=0.05, momentum=momentum, lr_decay_factor=0.5, lr_decay_every=3,
-        weight_decay=weight_decay, epochs=7, batch_size=16,
-    )
+    cfg = SgdConfig(base_lr=0.05, momentum=momentum, lr_decay_factor=0.5, epochs=7, batch_size=16)
+    assert effective_lr(cfg, 6) == 0.0125
     trained, losses = train_supervised(model, (X, y), cfg, 77)
     ref_params, ref_losses = _reference_train(model, X, y, cfg, 77)
     assert trained.params.dtype == np.float64
@@ -481,30 +475,27 @@ def test_train_matches_reference_loop_bitwise(rng, act, momentum, weight_decay):
     n=st.integers(1, 40),
     batch_extra=st.integers(0, 45),
     act=st.sampled_from(["relu", "tanh"]),
-    weight_decay=st.sampled_from([0.0, 0.02]),
-    grad_scale=st.sampled_from([0.37, 1.0, 2.5]),
     seed=st.integers(0, 2**32 - 1),
 )
 @pytest.mark.bitwise
-def test_train_matches_reference_loop_bitwise_property(
-    hidden, classes, n, batch_extra, act, weight_decay, grad_scale, seed
-):
-    # sgd_epoch, driven pass by pass as ssl_train drives it with grad_scale,
-    # against the reference loop: batches from one row to more than all rows,
-    # with a short last batch whenever the size does not divide n
+def test_train_matches_reference_loop_bitwise_property(hidden, classes, n, batch_extra, act, seed):
+    # sgd_epoch, driven pass by pass as fit drives it, against the reference
+    # loop: batches from one row to more than all rows, with a short last
+    # batch whenever the size does not divide n; with the decay period cut
+    # to 2 the lr decays at epoch 2, inside the run
     rng = np.random.default_rng(seed)
     model = MlpModel.initialize(MlpSpec(4, hidden, classes, act, rng_seed=seed))
     X = rng.normal(size=(n, 4)) * 2.0
     y = rng.integers(0, classes, n)
-    cfg = SgdConfig(
-        base_lr=0.1, momentum=0.9, lr_decay_factor=0.5, lr_decay_every=2,
-        weight_decay=weight_decay, epochs=4, batch_size=1 + batch_extra,
-    )
+    cfg = SgdConfig(base_lr=0.1, momentum=0.9, lr_decay_factor=0.5, epochs=4, batch_size=1 + batch_extra)
     trained, velocity, losses = model.copy(), np.zeros_like(model.params), []
-    for epoch in range(cfg.epochs):
-        order = np.random.default_rng(mask64(mask64(seed) ^ epoch)).permutation(n)
-        losses.append(sgd_epoch(trained, velocity, X, y, order, cfg, effective_lr(cfg, epoch), grad_scale))
-    ref_params, ref_losses = _reference_train(model, X, y, cfg, seed, grad_scale)
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis refuses function-scoped fixtures
+        mp.setattr(numkit, "LR_DECAY_EVERY", 2)
+        assert effective_lr(cfg, 2) == 0.05
+        for epoch in range(cfg.epochs):
+            order = np.random.default_rng(mask64(mask64(seed) ^ epoch)).permutation(n)
+            losses.append(sgd_epoch(trained, velocity, X, y, order, cfg, effective_lr(cfg, epoch)))
+        ref_params, ref_losses = _reference_train(model, X, y, cfg, seed)
     assert trained.params.tobytes() == ref_params.astype(np.float64).tobytes()
     assert np.array(losses).tobytes() == np.array(ref_losses).tobytes()
 
@@ -513,7 +504,7 @@ def test_concurrent_training_keeps_each_models_bits(rng):
     # every pass allocates its own workspace, so models of one shape trained
     # on more threads than cores, switching often, keep the bytes of their
     # sequential runs
-    cfg = SgdConfig(base_lr=0.05, momentum=0.9, weight_decay=0.01, epochs=15, batch_size=32)
+    cfg = SgdConfig(base_lr=0.05, momentum=0.9, epochs=15, batch_size=32)
     jobs = [
         (small_model(seed=s, hidden=(32, 16)), (rng.normal(size=(300, 5)), rng.integers(0, 3, 300)), s)
         for s in (41, 42, 43)
@@ -576,17 +567,6 @@ def test_training_reduces_loss(small_mixture):
     )
     assert losses[-1] < losses[0] * 0.5
     assert accuracy(model, small_mixture.features, small_mixture.labels) > 0.9
-
-
-def test_weight_decay_shrinks_params(rng):
-    model = small_model(seed=6)
-    X = rng.normal(size=(30, 5))
-    y = rng.integers(0, 3, 30)
-    cfg0 = SgdConfig(base_lr=0.01, epochs=10, batch_size=10, weight_decay=0.0)
-    cfg1 = SgdConfig(base_lr=0.01, epochs=10, batch_size=10, weight_decay=0.5)
-    t0, _ = train_supervised(model, (X, y), cfg0, 1)
-    t1, _ = train_supervised(model, (X, y), cfg1, 1)
-    assert np.linalg.norm(t1.params) < np.linalg.norm(t0.params)
 
 
 def test_divergence_raises(rng):

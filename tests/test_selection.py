@@ -7,6 +7,7 @@ from ensteal.datapool import Dataset, PoolState
 from ensteal.ensemble import MEMBER_DTYPE, vote_counts
 from ensteal.errors import InvalidConfigError, InvalidInputError
 from ensteal.numkit import SLICE_ROWS, predict_batch
+from ensteal import selection
 from ensteal.selection import (
     SCORED_KINDS,
     STRATEGY_KINDS,
@@ -272,8 +273,6 @@ def test_strategy_validation():
         SelectionStrategy("maximal_vibes")
     with pytest.raises(InvalidConfigError):
         SelectionStrategy("random", hybrid_kcenter=True)
-    with pytest.raises(InvalidConfigError):
-        SelectionStrategy("consensus_entropy", hybrid_pool_factor=0)
 
 
 @pytest.fixture()
@@ -297,9 +296,10 @@ def test_select_queries_scored_alignment(scored_pool):
     assert not np.intersect1d(res.selected, np.arange(10)).size
 
 
-def test_select_queries_hybrid_is_subset_of_shortlist(scored_pool):
+def test_select_queries_hybrid_is_subset_of_shortlist(scored_pool, monkeypatch):
     ps, probs = scored_pool
-    strat = SelectionStrategy("label_disagreement", hybrid_kcenter=True, hybrid_pool_factor=4)
+    monkeypatch.setattr(selection, "HYBRID_POOL_FACTOR", 4)
+    strat = SelectionStrategy("label_disagreement", hybrid_kcenter=True)
     res = select_queries(strat, probs, ps, 6, seed=0)
     shortlist = top_k_select(res.scores, res.candidates, 24)
     assert np.all(np.isin(res.selected, shortlist))
@@ -362,7 +362,7 @@ def _per_candidate_scores(kind, models, X):
 
 @pytest.mark.parametrize("hybrid", [False, True])
 @pytest.mark.parametrize("kind", SCORED_KINDS)
-def test_select_queries_matches_per_candidate_scoring(kind, hybrid, rng):
+def test_select_queries_matches_per_candidate_scoring(kind, hybrid, rng, monkeypatch):
     features = rng.normal(size=(400, 6))
     ps = PoolState(Dataset(features))
     queried = np.arange(0, 400, 7)
@@ -376,7 +376,8 @@ def test_select_queries_matches_per_candidate_scoring(kind, hybrid, rng):
     assert np.min(top2[..., 1] - top2[..., 0]) > 1e-9
     assert np.min(np.diff(np.unique(want_scores))) > 1e-9
 
-    strat = SelectionStrategy(kind, hybrid_kcenter=hybrid, hybrid_pool_factor=3)
+    monkeypatch.setattr(selection, "HYBRID_POOL_FACTOR", 3)
+    strat = SelectionStrategy(kind, hybrid_kcenter=hybrid)
     res = select_queries(strat, probs, ps, 12, seed=0)
     assert np.array_equal(res.candidates, cands)
     np.testing.assert_allclose(res.scores, want_scores, rtol=0, atol=1e-12)

@@ -39,9 +39,7 @@ def test_ssl_config_validation():
     with pytest.raises(InvalidConfigError):
         SslConfig(per_class_cap=0)
     with pytest.raises(InvalidConfigError):
-        SslConfig(pseudo_loss_weight=-0.5)
-    with pytest.raises(InvalidConfigError):
-        SslConfig(lr=0.0)
+        SslConfig(epochs=0)
 
 
 def test_ssl_defaults():
@@ -49,8 +47,9 @@ def test_ssl_defaults():
     assert cfg.confidence_threshold == 0.9
     assert cfg.max_label_changes == 1
     assert cfg.per_class_cap == 100
-    assert cfg.pseudo_loss_weight == 1.0
-    assert cfg.lr == 0.002
+    # the optimizer is fixed: lr 0.002, momentum 0.9, no decay
+    assert cfg.sgd() == numkit.SgdConfig(base_lr=0.002, momentum=0.9, lr_decay_factor=1.0, epochs=30, batch_size=64)
+    assert SslConfig(epochs=3, batch_size=16).sgd() == numkit.SgdConfig(0.002, 0.9, epochs=3, batch_size=16)
 
 
 # ── the filter vs its oracle ─────────────────────────────────────────
@@ -388,37 +387,6 @@ def test_ssl_train_runs_and_traces(ssl_scenario, monkeypatch):
             assert b.cycle == c0
 
 
-def test_ssl_train_lambda_zero_skips_pseudo_pass(ssl_scenario, monkeypatch):
-    state, ps, full = ssl_scenario
-    ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
-    base = SslConfig(confidence_threshold=0.5, epochs=2, per_class_cap=30)
-    kept, _, _ = harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, base, seed=5)
-    assert kept.size
-    cfg0 = SslConfig(
-        confidence_threshold=0.5, epochs=2,
-        per_class_cap=30, pseudo_loss_weight=0.0,
-    )
-    # snapshot, run, compare: with weight 0 the pseudo rows contribute nothing
-    s_a = unsaturated_copy(state)
-    s_b = unsaturated_copy(state)
-    o_a, o_b = record_offers(s_a), record_offers(s_b)
-    fits = spy_fit(monkeypatch)
-    augmented = []
-    monkeypatch.setattr(semisup, "strong_augment", lambda *a: augmented.append(a))
-    acc_a = ssl_train(s_a, ps, cfg0, seed=11)
-    # one labeled pass per epoch and member, and no pseudo row is perturbed
-    assert [len(losses) for _, losses in fits] == [cfg0.epochs] * state.spec.size
-    assert augmented == []
-    # identical labeled-only trajectory is reproducible
-    acc_b = ssl_train(s_b, ps, cfg0, seed=11)
-    assert acc_a == acc_b and all(isinstance(a, float) for a in acc_a)
-    assert o_a.keys() == o_b.keys() == set(range(state.spec.size))
-    for i in o_a:
-        assert np.array_equal(o_a[i].params, o_b[i].params)
-    n = state.spec.size
-    assert [losses for _, losses in fits[:n]] == [losses for _, losses in fits[n:]]
-
-
 def test_ssl_train_deterministic(ssl_scenario, monkeypatch):
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
@@ -507,12 +475,13 @@ def test_ssl_train_skips_saturated_members(ssl_scenario, monkeypatch):
     assert after[[0, 2]].tobytes() == before[[0, 2]].tobytes()
 
 
-def test_ssl_train_raises_on_divergence_naming_the_member(ssl_scenario):
+def test_ssl_train_raises_on_divergence_naming_the_member(ssl_scenario, monkeypatch):
     # it used to return NaN losses and NaN parameters, or fail on storing a
     # NaN checkpoint with "model parameters must be finite"
     state, ps, _ = ssl_scenario
     ps = copy.deepcopy(ps)  # the pseudo-labels marked below stay in this test
-    cfg = SslConfig(confidence_threshold=0.5, epochs=3, per_class_cap=30, lr=1e6)
+    cfg = SslConfig(confidence_threshold=0.5, epochs=3, per_class_cap=30)
+    monkeypatch.setattr(SslConfig, "sgd", lambda self: numkit.SgdConfig(base_lr=1e6, epochs=self.epochs))
     harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
     st = unsaturated_copy(state)
     before = list(st.best)
@@ -527,27 +496,27 @@ def _reference_ssl_train(models, ps, cfg, seed):
     pass's mean loss."""
     Xl, yl, _ = ps.labeled_data()
     Xp, yp, _ = ps.pseudo_data()
-    lam = cfg.pseudo_loss_weight
+    sgd = cfg.sgd()
     train_seed = derive_seed(seed, 1)
     params, losses = [], []
     for i, start in enumerate(models):
         p = start.params.astype(np.float32)
         velocity = np.zeros_like(p)
         for e in range(cfg.epochs):
-            passes = [(Xl, yl, np.random.default_rng(derive_seed(train_seed, i, e, 0)).permutation(len(Xl)), 1.0)]
-            if lam > 0.0:
-                order = np.random.default_rng(derive_seed(train_seed, i, e, 1)).permutation(len(Xp))
-                aug_rng = np.random.default_rng((train_seed, mask64(seed), i, e, 1))
-                Xa = replay_strong_draw(Xp[order], ps.pool.layout, aug_rng)
-                passes.append((Xa, yp[order], np.arange(order.size), lam))
-            for X, y, order, scale in passes:
+            order = np.random.default_rng(derive_seed(train_seed, i, e, 1)).permutation(len(Xp))
+            aug_rng = np.random.default_rng((train_seed, mask64(seed), i, e, 1))
+            passes = [
+                (Xl, yl, np.random.default_rng(derive_seed(train_seed, i, e, 0)).permutation(len(Xl))),
+                (replay_strong_draw(Xp[order], ps.pool.layout, aug_rng), yp[order], np.arange(order.size)),
+            ]
+            for X, y, order in passes:
                 X = X.astype(np.float32)
                 total = 0.0
                 for s in range(0, order.size, cfg.batch_size):
                     sel = order[s : s + cfg.batch_size]
                     loss, grad = loss_grad_float32(start.spec, p, X[sel], y[sel])
                     total += float(loss) * sel.size
-                    sgd_update(p, velocity, scale * grad, cfg.lr, cfg.momentum)
+                    sgd_update(p, velocity, grad, sgd.base_lr, sgd.momentum)
                 losses.append(total / order.size)
         params.append(p)
     return params, losses
@@ -561,17 +530,13 @@ def with_layout(ps, layout):
 
 
 @pytest.mark.parametrize("layout", [None, ImageLayout(3, 2, 1), ImageLayout(1, 2, 3)], ids=["tabular", "image", "rgb"])
-@pytest.mark.parametrize("weight", [0.0, 0.7])
 @pytest.mark.bitwise
-def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, weight, layout, monkeypatch):
+def test_ssl_train_matches_reference_loop_bitwise(ssl_scenario, layout, monkeypatch):
     state, ps, _ = ssl_scenario
     ps = with_layout(ps, layout)  # the pseudo-labels marked below stay in this test
-    cfg = SslConfig(
-        confidence_threshold=0.5, epochs=3, per_class_cap=25,
-        pseudo_loss_weight=weight, batch_size=16,
-    )
+    cfg = SslConfig(confidence_threshold=0.5, epochs=3, per_class_cap=25, batch_size=16)
     harvest_pseudo_labels(state.best_models(), state.best_probs(ps.pool), ps, cfg, seed=5)
-    assert ps.counts()["pseudo"] > 0  # not vacuous: a pseudo pass runs when its weight is positive
+    assert ps.counts()["pseudo"] > 0  # not vacuous: a pseudo pass runs every epoch
     st = unsaturated_copy(state)
     ref_params, ref_losses = _reference_ssl_train(st.best_models(), ps, cfg, seed=13)
     offered, fits = record_offers(st), spy_fit(monkeypatch)

@@ -5,7 +5,7 @@ import oracles
 from ensteal import numkit
 from ensteal.datapool import Dataset, GaussianMixture, PoolState, make_synthetic, strip_labels
 from ensteal.errors import BudgetExhaustedError, InvalidConfigError, InvalidInputError
-from ensteal.numkit import MlpModel, MlpSpec, predict_batch
+from ensteal.numkit import MlpModel, MlpSpec, SgdConfig, predict_batch
 from ensteal.victim import VictimOracle, VictimRecipe, train_victim
 
 
@@ -179,7 +179,7 @@ def test_train_victim_takes_the_class_count_it_is_given():
     assert model.spec.num_classes == 5 and model.spec.hidden_layers == (5,)
 
 
-@pytest.mark.parametrize("bad", [{"epochs": 0}, {"momentum": 1.0}, {"activation": "gelu"}, {"hidden_layers": (0,)}])
+@pytest.mark.parametrize("bad", [{"epochs": 0}, {"batch_size": 0}, {"activation": "gelu"}, {"hidden_layers": (0,)}])
 def test_victim_recipe_range_checks(bad):
     with pytest.raises(InvalidConfigError):
         VictimRecipe(**bad)
@@ -188,11 +188,6 @@ def test_victim_recipe_range_checks(bad):
 def test_victim_recipe_defaults():
     recipe = VictimRecipe()
     assert recipe.hidden_layers == (64, 64) and recipe.activation == "relu"
-    cfg = recipe.sgd()
-    assert cfg.batch_size == 64
-    assert cfg.base_lr == 0.1
-    assert cfg.momentum == 0.5
-    assert cfg.epochs == 200
-    assert cfg.lr_decay_factor == 0.1
-    assert cfg.lr_decay_every == 30
-    assert cfg.weight_decay == 0.0
+    # the optimizer is fixed: lr 0.1, momentum 0.5, decayed 10x
+    assert recipe.sgd() == SgdConfig(base_lr=0.1, momentum=0.5, lr_decay_factor=0.1, epochs=200, batch_size=64)
+    assert VictimRecipe(epochs=7, batch_size=16).sgd() == SgdConfig(0.1, 0.5, 0.1, epochs=7, batch_size=16)
